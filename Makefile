@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 build test vet race smoke repair-smoke obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash bench bench-diff clean
+.PHONY: all tier1 tier2 build test vet race smoke repair-smoke obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash fuzz-smoke bench bench-diff clean
 
 all: tier1
 
@@ -115,6 +115,15 @@ cluster-crash:
 	SILICA_CRASH_SMOKE=1 $(GO) test ./internal/cluster \
 		-run 'TestClusterRouter|TestClusterRestart|TestClusterSeedMismatch|TestCrashSmokeClusterRouter' \
 		-v -timeout 600s
+
+# Decoder fuzz smoke: every persist decoder that reads bytes it did
+# not write (WAL scan under both record tables, both snapshot formats,
+# the platter blob) runs its native fuzz target for ten seconds, seeded
+# from the golden fixtures. `go test -fuzz` takes one target per run.
+fuzz-smoke:
+	for t in FuzzScanWAL FuzzDecodeSnapshot FuzzDecodeRouterSnapshot FuzzDecodeBlob; do \
+		$(GO) test ./internal/persist -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
+	done
 
 # Codec benchmarks: GF(256) kernels, the word-packed per-sector
 # encode/decode (hard-decision fast path and the forced-BP soft path),

@@ -71,6 +71,7 @@ import (
 	"silica/internal/cluster"
 	"silica/internal/faults"
 	"silica/internal/gateway"
+	"silica/internal/persist"
 )
 
 // multiFlag collects a repeatable string flag.
@@ -172,6 +173,7 @@ func main() {
 			os.Exit(137)
 		})
 		log.Printf("persistence enabled: %s", *persistDir)
+		warnTruncated(g.Service().PersistLog(), *persistDir)
 	}
 
 	srv := &http.Server{Addr: *listen, Handler: g.Handler()}
@@ -201,6 +203,15 @@ func main() {
 	log.Printf("drained: %d completed, %d rejected, %d flushes, %d platters written",
 		snap.Counters.Completed, snap.Counters.Rejected, snap.Counters.Flushes,
 		snap.Service.PlattersWritten)
+}
+
+// warnTruncated says so when recovery stopped at a torn or corrupt WAL
+// frame: whatever followed the damage was discarded, which an operator
+// should hear about once rather than discover from a missing object.
+func warnTruncated(l *persist.Log, dir string) {
+	if l != nil && l.RecoveryTruncated() {
+		log.Printf("recovery of %s discarded a torn or corrupt WAL tail (silica_persist_recovery_truncated=1)", dir)
+	}
 }
 
 // runCluster serves the multi-library router: N in-process library
@@ -263,6 +274,7 @@ func runCluster(cfg gateway.Config, listen string, n int, peers string, seed uin
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	warnTruncated(c.PersistLog(), cluster.RouterPersistDir(persistDir))
 
 	srv := &http.Server{Addr: listen, Handler: c.Handler()}
 	errc := make(chan error, 1)

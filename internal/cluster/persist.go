@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"silica/internal/faults"
 	"silica/internal/persist"
@@ -112,7 +111,7 @@ func (c *Cluster) logAppend(op string, rec persist.Record) error {
 }
 
 // exportRouterState snapshots the directory and membership under the
-// read lock, sorted so the on-disk snapshot is deterministic.
+// read lock (CommitRouterSnapshot sorts them).
 func (c *Cluster) exportRouterState() *persist.RouterState {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -121,23 +120,18 @@ func (c *Cluster) exportRouterState() *persist.RouterState {
 	for _, m := range c.members {
 		st.Members = append(st.Members, persist.RouterMember{Name: m.name, Alive: m.alive, Epoch: m.epoch})
 	}
-	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].Name < st.Members[j].Name })
 	st.Entries = make([]persist.RouterEntry, 0, len(c.dir))
 	for _, e := range c.dir {
 		st.Entries = append(st.Entries, persist.RouterEntry{
-			Account: e.account, Name: e.name,
-			Primary: e.primary, Replica: e.replica,
-			PEpoch: e.pEpoch, REpoch: e.rEpoch,
-			Version: e.version, Size: e.size,
+			RecDirPlace: persist.RecDirPlace{
+				Account: e.account, Name: e.name,
+				Primary: e.primary, Replica: e.replica,
+				PEpoch: e.pEpoch, REpoch: e.rEpoch,
+				Version: e.version, Size: e.size,
+			},
 			Deleting: e.deleting,
 		})
 	}
-	sort.Slice(st.Entries, func(i, j int) bool {
-		if st.Entries[i].Account != st.Entries[j].Account {
-			return st.Entries[i].Account < st.Entries[j].Account
-		}
-		return st.Entries[i].Name < st.Entries[j].Name
-	})
 	return st
 }
 

@@ -1,12 +1,9 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"sort"
+	"path/filepath"
 
 	"silica/internal/media"
 )
@@ -29,101 +26,49 @@ func blobName(id media.PlatterID) string {
 	return fmt.Sprintf("platter-%d.plt", id)
 }
 
-// encodeBlob serializes one platter's media. Sectors are sorted by
-// address so the encoding is deterministic.
-func encodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) []byte {
-	var e enc
-	e.buf = append(e.buf, blobMagic...)
-	e.i64(int64(id))
-	ids := make([]media.SectorID, 0, len(sectors))
-	for sid := range sectors {
-		ids = append(ids, sid)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Track != ids[j].Track {
-			return ids[i].Track < ids[j].Track
-		}
-		return ids[i].Sector < ids[j].Sector
-	})
-	e.int(len(ids))
-	for _, sid := range ids {
-		e.int(sid.Track)
-		e.int(sid.Sector)
-		e.bytes(sectors[sid])
-	}
-	e.int(len(payloads))
-	for _, p := range payloads {
-		e.bytes(p)
-	}
-	return binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+// platterBlob is the blob's content. Sectors are written in address
+// order so the encoding is deterministic.
+type platterBlob struct {
+	id       media.PlatterID
+	sectors  map[media.SectorID][]uint8
+	payloads [][]byte
 }
 
-// decodeBlob parses a platter blob, validating magic and CRC.
-func decodeBlob(data []byte) (id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte, err error) {
-	if len(data) < len(blobMagic)+4 || string(data[:len(blobMagic)]) != blobMagic {
-		return 0, nil, nil, fmt.Errorf("persist: not a platter blob")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return 0, nil, nil, fmt.Errorf("persist: platter blob CRC mismatch")
-	}
-	d := &dec{buf: body, off: len(blobMagic)}
-	rid, err := d.i64()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	id = media.PlatterID(rid)
-	n, err := d.count()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	sectors = make(map[media.SectorID][]uint8, n)
-	for i := 0; i < n; i++ {
-		var sid media.SectorID
-		if sid.Track, err = d.int(); err != nil {
-			return 0, nil, nil, err
-		}
-		if sid.Sector, err = d.int(); err != nil {
-			return 0, nil, nil, err
-		}
-		if sectors[sid], err = d.bytes(); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	np, err := d.count()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	payloads = make([][]byte, np)
-	for i := range payloads {
-		if payloads[i], err = d.bytes(); err != nil {
-			return 0, nil, nil, err
-		}
-	}
-	return id, sectors, payloads, nil
+func (b *platterBlob) wire(c *coder) {
+	varint(&b.id, c)
+	sortedMap(c, &b.sectors,
+		func(x, y media.SectorID) bool {
+			if x.Track != y.Track {
+				return x.Track < y.Track
+			}
+			return x.Sector < y.Sector
+		},
+		func(sid *media.SectorID, symbols *[]uint8, c *coder) {
+			c.int(&sid.Track)
+			c.int(&sid.Sector)
+			c.bytes(symbols)
+		})
+	slice(c, &b.payloads, func(p *[]byte, c *coder) { c.bytes(p) })
 }
 
 // writeBlobFile atomically writes a platter blob into dir.
 func writeBlobFile(dir string, id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) error {
-	data := encodeBlob(id, sectors, payloads)
-	return atomicWriteFile(dir+"/"+blobName(id), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	b := platterBlob{id, sectors, payloads}
+	return atomicWriteFile(filepath.Join(dir, blobName(id)), sealFile(blobMagic, b.wire))
 }
 
 // readBlobFile loads and validates a platter blob from dir.
 func readBlobFile(dir string, id media.PlatterID) (map[media.SectorID][]uint8, [][]byte, error) {
-	data, err := os.ReadFile(dir + "/" + blobName(id))
+	data, err := os.ReadFile(filepath.Join(dir, blobName(id)))
 	if err != nil {
 		return nil, nil, err
 	}
-	gotID, sectors, payloads, err := decodeBlob(data)
-	if err != nil {
+	var b platterBlob
+	if err := openFile(blobMagic, data, b.wire); err != nil {
 		return nil, nil, fmt.Errorf("persist: platter %d blob: %w", id, err)
 	}
-	if gotID != id {
-		return nil, nil, fmt.Errorf("persist: platter blob id mismatch: file %d names %d", id, gotID)
+	if b.id != id {
+		return nil, nil, fmt.Errorf("persist: platter blob id mismatch: file %d names %d", id, b.id)
 	}
-	return sectors, payloads, nil
+	return b.sectors, b.payloads, nil
 }

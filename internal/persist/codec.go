@@ -3,118 +3,218 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"sort"
 )
 
-// enc is a tiny append-only binary encoder: uvarint-framed integers,
-// strings, and byte slices. All persistent framing (WAL records,
-// snapshots, platter blobs) uses it instead of reflection-based
-// encoders, so the on-disk format is compact, deterministic, and
-// versioned explicitly.
-type enc struct {
-	buf []byte
+// coder is the one wire codec behind every on-disk layout: WAL record
+// bodies, both snapshot formats, platter blobs. A layout is a function
+// that names its fields once, in order, by pointer; run over an
+// encoding coder it appends them, run over a decoding coder it fills
+// them, so a format cannot be written one way and read another. There
+// is no reflection: the order of calls in the source is the format.
+//
+// Wire forms: u64 is a uvarint; i64, int, varint and count are zig-zag
+// varints; f64 is 8 bytes little-endian; bool is one byte; bytes and
+// str are a uvarint length followed by that many bytes.
+//
+// Decoding reads bytes the process may not have written, so it never
+// panics and never trusts a length. The first primitive that fails
+// sets err; from then on every primitive is a no-op and count returns
+// 0, so a corrupt length can neither allocate nor loop. A layout runs
+// straight through and its caller checks err once. Encoding only reads
+// through the pointers it is given — the values may be live state.
+type coder struct {
+	buf      []byte // encoding: the output so far; decoding: the input
+	off      int    // decoding: read position in buf
+	decoding bool
+	err      error
 }
-
-func (e *enc) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) i64(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) int(v int)     { e.i64(int64(v)) }
-func (e *enc) f64(v float64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-
-func (e *enc) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-
-func (e *enc) bytes(v []byte) {
-	e.u64(uint64(len(v)))
-	e.buf = append(e.buf, v...)
-}
-func (e *enc) str(v string) { e.bytes([]byte(v)) }
 
 // errTruncated marks a decode that ran off the end of its buffer: a
 // torn or corrupt frame. Recovery treats it as "discard from here".
 var errTruncated = fmt.Errorf("persist: truncated or corrupt encoding")
 
-// dec is the matching decoder. Every accessor returns an error instead
-// of panicking: corrupt input must surface as a recoverable decode
-// failure, never a crash.
-type dec struct {
-	buf []byte
-	off int
+// take returns the next n input bytes, or fails when fewer remain.
+func (c *coder) take(n uint64) []byte {
+	if c.err != nil || n > uint64(len(c.buf)-c.off) {
+		c.err = errTruncated
+		return nil
+	}
+	b := c.buf[c.off : c.off+int(n)]
+	c.off += int(n)
+	return b
 }
 
-func (d *dec) u64() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
+func (c *coder) u64(v *uint64) {
+	if !c.decoding {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		c.err = errTruncated
+		return
 	}
-	d.off += n
-	return v, nil
+	c.off += n
+	*v = x
 }
 
-func (d *dec) i64() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
+func (c *coder) i64(v *int64) {
+	if !c.decoding {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Varint(c.buf[c.off:])
 	if n <= 0 {
-		return 0, errTruncated
+		c.err = errTruncated
+		return
 	}
-	d.off += n
-	return v, nil
+	c.off += n
+	*v = x
 }
 
-func (d *dec) int() (int, error) {
-	v, err := d.i64()
-	return int(v), err
+// varint wires any signed integer type in the i64 form. Its argument
+// order (value, coder) is that of every free-standing layout function,
+// so it can be handed to slice as an element layout.
+func varint[T ~int | ~int32 | ~int64](v *T, c *coder) {
+	x := int64(*v)
+	c.i64(&x)
+	if c.decoding {
+		*v = T(x)
+	}
 }
 
-func (d *dec) bool() (bool, error) {
-	if d.off >= len(d.buf) {
-		return false, errTruncated
+func (c *coder) int(v *int) { varint(v, c) }
+
+func (c *coder) f64(v *float64) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	} else if b := c.take(8); b != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b != 0, nil
 }
 
-func (d *dec) f64() (float64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, errTruncated
+func (c *coder) bool(v *bool) {
+	if !c.decoding {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+	} else if b := c.take(1); b != nil {
+		*v = b[0] != 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
-func (d *dec) bytes() ([]byte, error) {
-	n, err := d.u64()
-	if err != nil {
-		return nil, err
+func (c *coder) bytes(v *[]byte) {
+	n := uint64(len(*v))
+	c.u64(&n)
+	if !c.decoding {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(n); c.err == nil {
+		*v = append(make([]byte, 0, n), b...)
 	}
-	if n > uint64(len(d.buf)-d.off) {
-		return nil, errTruncated
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out, nil
 }
 
-func (d *dec) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
+func (c *coder) str(v *string) {
+	n := uint64(len(*v))
+	c.u64(&n)
+	if !c.decoding {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(n); c.err == nil {
+		*v = string(b)
+	}
 }
 
-// count reads a length prefix and sanity-bounds it against the bytes
-// remaining, so a corrupt length cannot drive a giant allocation.
-func (d *dec) count() (int, error) {
-	n, err := d.i64()
-	if err != nil {
-		return 0, err
+// count wires a collection's length and returns how many elements the
+// caller should visit: n when encoding, the stored length when
+// decoding. Every element costs at least one byte, so a stored length
+// that is negative or exceeds the bytes remaining is corrupt.
+func (c *coder) count(n int) int {
+	x := int64(n)
+	c.i64(&x)
+	if c.decoding && (c.err != nil || x < 0 || x > int64(len(c.buf)-c.off)) {
+		c.err = errTruncated
+		return 0
 	}
-	if n < 0 || n > int64(len(d.buf)-d.off) {
-		return 0, errTruncated
+	return int(x)
+}
+
+// slice wires a counted sequence; elem is one element's layout.
+func slice[T any](c *coder, s *[]T, elem func(*T, *coder)) {
+	n := c.count(len(*s))
+	if c.decoding {
+		if c.err != nil {
+			return
+		}
+		*s = make([]T, n)
 	}
-	return int(n), nil
+	for i := 0; i < n && c.err == nil; i++ {
+		elem(&(*s)[i], c)
+	}
+}
+
+// sortedMap wires a map as a counted sequence of entries. Encoding
+// visits keys in ascending order so the bytes are deterministic;
+// decoding accepts whatever order it finds.
+func sortedMap[K comparable, V any](c *coder, m *map[K]V, less func(a, b K) bool, entry func(*K, *V, *coder)) {
+	var keys []K
+	if !c.decoding {
+		keys = make([]K, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	}
+	n := c.count(len(keys))
+	if c.decoding {
+		if c.err != nil {
+			return
+		}
+		*m = make(map[K]V, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var k K
+		var v V
+		if !c.decoding {
+			k, v = keys[i], (*m)[keys[i]]
+		}
+		entry(&k, &v, c)
+		if c.decoding && c.err == nil {
+			(*m)[k] = v
+		}
+	}
+}
+
+// Snapshots and platter blobs share one envelope:
+//
+//	magic (8 bytes) | body | crc32 (IEEE, 4B LE, over magic and body)
+//
+// sealFile renders it; openFile refuses anything whose magic or CRC
+// is off before a single body byte is decoded.
+func sealFile(magic string, body func(*coder)) []byte {
+	c := &coder{buf: []byte(magic)}
+	body(c)
+	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf))
+}
+
+func openFile(magic string, data []byte, body func(*coder)) error {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+		return fmt.Errorf("persist: not a %s file", magic)
+	}
+	sealed, trailer := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(sealed) != binary.LittleEndian.Uint32(trailer) {
+		return fmt.Errorf("persist: %s file CRC mismatch", magic)
+	}
+	c := &coder{buf: sealed, off: len(magic), decoding: true}
+	body(c)
+	return c.err
 }

@@ -9,76 +9,70 @@ import "silica/internal/media"
 // goldenEncodeRecord returns the record's tag followed by its body:
 // what a WAL frame carries after the LSN.
 func goldenEncodeRecord(r Record) []byte {
-	e := enc{buf: []byte{r.recType()}}
-	r.encode(&e)
-	return e.buf
+	c := coder{buf: []byte{r.recType()}}
+	r.wire(&c)
+	return c.buf
 }
 
 // goldenDecodeRecord parses tag+body through whichever record table
 // owns the tag.
 func goldenDecodeRecord(data []byte) (Record, error) {
-	rec, err := newRecord(data[0])
-	if err != nil {
-		if rec, err = newRouterRecord(data[0]); err != nil {
-			return nil, err
+	newRec, ok := serviceRecords[data[0]]
+	if !ok {
+		if newRec, ok = routerRecords[data[0]]; !ok {
+			return nil, errTruncated
 		}
 	}
-	return rec, rec.decode(&dec{buf: data[1:]})
+	rec := newRec()
+	c := coder{buf: data[1:], decoding: true}
+	rec.wire(&c)
+	return rec, c.err
 }
 
 // goldenScanWAL scans one log file with the service or router table.
 func goldenScanWAL(path string, router bool) ([]walFrame, int64, error) {
-	table := newRecord
 	if router {
-		table = newRouterRecord
+		return scanWAL(path, routerRecords)
 	}
-	frames, _, tornAt, err := scanWAL(path, table)
-	return frames, tornAt, err
+	return scanWAL(path, serviceRecords)
 }
 
 func goldenEncodeSnapshot(cut uint64, fingerprint string, s *SnapshotData) []byte {
 	s.Fingerprint = fingerprint
-	return encodeSnapshot(cut, s)
+	return sealFile(snapMagic, wireSnapshot(&cut, s.wire))
 }
 
-func goldenDecodeSnapshot(data []byte) (uint64, string, *SnapshotData, error) {
-	cut, s, err := decodeSnapshot(data)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return cut, s.Fingerprint, s, nil
+func goldenDecodeSnapshot(data []byte) (cut uint64, fingerprint string, s *SnapshotData, err error) {
+	s = &SnapshotData{}
+	err = openFile(snapMagic, data, wireSnapshot(&cut, s.wire))
+	return cut, s.Fingerprint, s, err
 }
 
 func goldenEncodeRouterSnapshot(cut uint64, fingerprint string, s *RouterState) []byte {
 	s.Fingerprint = fingerprint
-	return encodeRouterSnapshot(cut, s)
+	return sealFile(routerSnapMagic, wireSnapshot(&cut, s.wire))
 }
 
-func goldenDecodeRouterSnapshot(data []byte) (uint64, string, *RouterState, error) {
-	cut, s, err := decodeRouterSnapshot(data)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	return cut, s.Fingerprint, s, nil
+func goldenDecodeRouterSnapshot(data []byte) (cut uint64, fingerprint string, s *RouterState, err error) {
+	s = &RouterState{}
+	err = openFile(routerSnapMagic, data, wireSnapshot(&cut, s.wire))
+	return cut, s.Fingerprint, s, err
 }
 
 func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) []byte {
-	return encodeBlob(id, sectors, payloads)
+	b := platterBlob{id, sectors, payloads}
+	return sealFile(blobMagic, b.wire)
 }
 
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {
-	return decodeBlob(data)
+	var b platterBlob
+	err := openFile(blobMagic, data, b.wire)
+	return b.id, b.sectors, b.payloads, err
 }
 
 // goldenMember and goldenEntry build router snapshot rows.
-func goldenMember(m RecMember) RouterMember {
-	return RouterMember{Name: m.Name, Alive: m.Alive, Epoch: m.Epoch}
-}
+func goldenMember(m RecMember) RouterMember { return m }
 
 func goldenEntry(p RecDirPlace, deleting bool) RouterEntry {
-	return RouterEntry{
-		Account: p.Account, Name: p.Name, Primary: p.Primary, Replica: p.Replica,
-		PEpoch: p.PEpoch, REpoch: p.REpoch, Version: p.Version, Size: p.Size,
-		Deleting: deleting,
-	}
+	return RouterEntry{RecDirPlace: p, Deleting: deleting}
 }

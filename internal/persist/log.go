@@ -33,7 +33,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -78,6 +77,7 @@ type logMetrics struct {
 	snapshots *obs.Counter
 	replayed  *obs.Counter
 	recovery  *obs.Gauge
+	truncated *obs.Gauge
 }
 
 func newLogMetrics(reg *obs.Registry, since func() int64) *logMetrics {
@@ -92,6 +92,7 @@ func newLogMetrics(reg *obs.Registry, since func() int64) *logMetrics {
 		snapshots: reg.Counter("silica_persist_snapshots_total", "Snapshots committed."),
 		replayed:  reg.Counter("silica_persist_replayed_records_total", "WAL records replayed during recovery."),
 		recovery:  reg.Gauge("silica_persist_recovery_seconds", "Duration of the last recovery (snapshot load + WAL replay)."),
+		truncated: reg.Gauge("silica_persist_recovery_truncated", "1 if the last recovery discarded a torn or corrupt WAL tail, else 0."),
 	}
 	gauge := reg.Gauge("silica_persist_appends_since_snapshot", "WAL records appended since the last snapshot.")
 	reg.OnScrape(func() { gauge.Set(float64(since())) })
@@ -107,6 +108,7 @@ type Log struct {
 	fingerprint string
 	faults      *faults.Injector
 	m           *logMetrics
+	truncated   bool // recovery stopped at a torn or corrupt frame
 
 	// frozen is the in-process kill switch: once set, no buffered byte
 	// reaches the file and every operation fails, exactly as if the
@@ -150,7 +152,7 @@ func createWAL(dir string, startLSN uint64) (*os.File, error) {
 	return f, nil
 }
 
-// dirListing is what Open finds on disk.
+// dirListing is what recovery finds on disk.
 type dirListing struct {
 	snaps []uint64 // snapshot cut LSNs, ascending
 	wals  []uint64 // WAL start LSNs, ascending
@@ -187,134 +189,6 @@ func listDir(dir string) (dirListing, error) {
 	sort.Slice(l.snaps, func(i, j int) bool { return l.snaps[i] < l.snaps[j] })
 	sort.Slice(l.wals, func(i, j int) bool { return l.wals[i] < l.wals[j] })
 	return l, nil
-}
-
-// Open recovers the directory's state and returns a ready Log. The
-// sequence: load the newest valid snapshot (corrupt snapshots fall
-// back to older ones), replay every WAL record past its cut in LSN
-// order stopping at the first torn or corrupt frame, normalize,
-// load platter blobs, then immediately write a fresh snapshot and
-// garbage-collect everything it supersedes — stale snapshots, replayed
-// WAL files, orphan blobs, torn bytes.
-func Open(opts Options) (*Log, *State, error) {
-	t0 := time.Now()
-	if opts.Dir == "" {
-		return nil, nil, fmt.Errorf("persist: empty directory")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	listing, err := listDir(opts.Dir)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Newest snapshot that decodes; older ones are fallbacks against a
-	// snapshot torn by disk damage (atomic writes rule out torn renames,
-	// not bit rot). If snapshots exist but none decodes as a service
-	// snapshot, this is some other directory (a router's, say, or one
-	// damaged beyond its WAL horizon) — refuse rather than silently
-	// start empty and clobber it.
-	var snap *SnapshotData
-	var snapCut uint64
-	for i := len(listing.snaps) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(filepath.Join(opts.Dir, snapName(listing.snaps[i])))
-		if rerr != nil {
-			continue
-		}
-		cut, s, derr := decodeSnapshot(data)
-		if derr != nil {
-			continue
-		}
-		if s.Fingerprint != opts.Fingerprint {
-			return nil, nil, fmt.Errorf("persist: %s holds state for codec config %q, this daemon runs %q",
-				opts.Dir, s.Fingerprint, opts.Fingerprint)
-		}
-		snap, snapCut = s, cut
-		break
-	}
-	if snap == nil && len(listing.snaps) > 0 {
-		return nil, nil, fmt.Errorf("persist: %s holds snapshots but none decodes as service state", opts.Dir)
-	}
-
-	// Replay. WAL files are scanned in startLSN order; a file entirely
-	// superseded by the snapshot (its successor starts at or below
-	// cut+1) is skipped outright, so stale bit rot in it cannot block
-	// replay of live records.
-	b := newBuilder(snap)
-	maxLSN := snapCut
-	truncated := false
-	for i, start := range listing.wals {
-		if i+1 < len(listing.wals) && listing.wals[i+1] <= snapCut+1 {
-			continue
-		}
-		frames, _, tornAt, serr := scanWAL(filepath.Join(opts.Dir, walName(start)), newRecord)
-		if serr != nil {
-			// Not a WAL at all — treat like a torn tail: stop replay
-			// here rather than silently skip acknowledged history.
-			truncated = true
-			break
-		}
-		for _, fr := range frames {
-			if fr.lsn <= snapCut {
-				continue
-			}
-			b.apply(fr.rec)
-			if fr.lsn > maxLSN {
-				maxLSN = fr.lsn
-			}
-		}
-		if tornAt >= 0 {
-			truncated = true
-			break
-		}
-	}
-	st := b.finish()
-	st.Truncated = truncated
-	if err := st.loadBlobs(opts.Dir); err != nil {
-		return nil, nil, err
-	}
-
-	l := &Log{
-		dir:         opts.Dir,
-		fingerprint: opts.Fingerprint,
-		faults:      opts.Faults,
-		nextLSN:     maxLSN + 1,
-	}
-	l.m = newLogMetrics(opts.Metrics, l.AppendsSinceSnapshot)
-	l.synced.Store(maxLSN)
-	f, err := createWAL(opts.Dir, l.nextLSN)
-	if err != nil {
-		return nil, nil, err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-
-	// Post-recovery snapshot: collapses the replayed history so the
-	// next crash recovers from here, and licenses the GC below.
-	if err := l.CommitSnapshot(maxLSN, st.snapData(opts.Fingerprint)); err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	// Orphan blobs — platters with no publish record — are crashes
-	// between blob write and record append; the platter was never
-	// acknowledged anywhere, so the bytes are garbage. Only safe here:
-	// at runtime a fresh blob may precede its (imminent) record.
-	live := make(map[media.PlatterID]bool, len(st.Platters))
-	for _, p := range st.Platters {
-		live[p.ID] = true
-	}
-	for _, id := range listing.blobs {
-		if !live[id] {
-			_ = os.Remove(filepath.Join(opts.Dir, blobName(id)))
-		}
-	}
-
-	if l.m != nil {
-		l.m.replayed.Add(int64(st.Records))
-		l.m.recovery.Set(time.Since(t0).Seconds())
-	}
-	return l, st, nil
 }
 
 // Append buffers one record and returns its LSN. The record is not
@@ -441,27 +315,20 @@ func (l *Log) BeginSnapshot() (uint64, error) {
 // for cut, then garbage-collects everything it supersedes: older
 // snapshots and every WAL file whose records are all covered (startLSN
 // <= cut; the active file starts at cut+1 and survives). Platter blobs
-// are not collected here — see Open.
+// are not collected here — see builder.sweepBlobs.
 func (l *Log) CommitSnapshot(cut uint64, data *SnapshotData) error {
-	if l.frozen.Load() {
-		return ErrCrashed
-	}
 	data.Fingerprint = l.fingerprint
-	return l.commitSnapshotBytes(cut, encodeSnapshot(cut, data))
+	return l.commitSnapshot(cut, snapMagic, data.wire)
 }
 
-// commitSnapshotBytes installs pre-encoded snapshot bytes for cut and
+// commitSnapshot seals body as the snapshot for cut under magic and
 // garbage-collects superseded files — the domain-independent half of
-// CommitSnapshot, shared with the router log's snapshot format.
-func (l *Log) commitSnapshotBytes(cut uint64, buf []byte) error {
+// CommitSnapshot and CommitRouterSnapshot.
+func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error {
 	if l.frozen.Load() {
 		return ErrCrashed
 	}
-	err := atomicWriteFile(filepath.Join(l.dir, snapName(cut)), func(w io.Writer) error {
-		_, werr := w.Write(buf)
-		return werr
-	})
-	if err != nil {
+	if err := atomicWriteFile(filepath.Join(l.dir, snapName(cut)), sealFile(magic, wireSnapshot(&cut, body))); err != nil {
 		return err
 	}
 	listing, err := listDir(l.dir)
@@ -494,6 +361,10 @@ func (l *Log) WritePlatterBlob(id media.PlatterID, sectors map[media.SectorID][]
 	}
 	return writeBlobFile(l.dir, id, sectors, payloads)
 }
+
+// RecoveryTruncated reports whether the recovery that opened this log
+// stopped at a torn or corrupt WAL frame and discarded the rest.
+func (l *Log) RecoveryTruncated() bool { return l.truncated }
 
 // AppendsSinceSnapshot reports WAL records appended since the last
 // committed snapshot — the service's snapshot-threshold input.

@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"silica/internal/faults"
 	"silica/internal/media"
 	"silica/internal/metadata"
+	"silica/internal/obs"
 	"silica/internal/repair"
 	"silica/internal/staging"
 )
@@ -21,6 +23,27 @@ func openT(t *testing.T, dir string, inj *faults.Injector) (*Log, *State) {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return l, st
+}
+
+// checkTruncatedReported asserts that a recovery which did (or did
+// not) discard a WAL tail says so everywhere it is reported: the log's
+// accessor and the silica_persist_recovery_truncated gauge as scraped.
+func checkTruncatedReported(t *testing.T, l *Log, reg *obs.Registry, want bool) {
+	t.Helper()
+	if got := l.RecoveryTruncated(); got != want {
+		t.Errorf("RecoveryTruncated() = %v, want %v", got, want)
+	}
+	line := "silica_persist_recovery_truncated 0\n"
+	if want {
+		line = "silica_persist_recovery_truncated 1\n"
+	}
+	var expo strings.Builder
+	if err := reg.WriteProm(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), line) {
+		t.Errorf("exposition lacks %q", line)
+	}
 }
 
 func appendSync(t *testing.T, l *Log, recs ...Record) {
@@ -51,8 +74,13 @@ func TestRecordRoundTripThroughLog(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	l2, st2 := openT(t, dir, nil)
+	reg := obs.NewRegistry()
+	l2, st2, err := Open(Options{Dir: dir, Fingerprint: "test-cfg", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l2.Close()
+	checkTruncatedReported(t, l2, reg, false)
 	if st2.Records != 1 {
 		t.Fatalf("replayed %d records, want 1", st2.Records)
 	}
@@ -116,8 +144,13 @@ func TestTornTailDiscardedNotFatal(t *testing.T) {
 	f.Write([]byte{0x55, 0x66, 0x77})
 	f.Close()
 
-	l2, st := openT(t, dir, nil)
+	reg := obs.NewRegistry()
+	l2, st, err := Open(Options{Dir: dir, Fingerprint: "test-cfg", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l2.Close()
+	checkTruncatedReported(t, l2, reg, true)
 	if !st.Truncated {
 		t.Fatalf("torn tail not reported")
 	}
@@ -145,8 +178,13 @@ func TestCorruptMidRecordEndsReplayThere(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, st := openT(t, dir, nil)
+	reg := obs.NewRegistry()
+	l2, st, err := Open(Options{Dir: dir, Fingerprint: "test-cfg", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l2.Close()
+	checkTruncatedReported(t, l2, reg, true)
 	if !st.Truncated || st.Records != 1 {
 		t.Fatalf("want 1 record + truncated, got %d truncated=%v", st.Records, st.Truncated)
 	}

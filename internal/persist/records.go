@@ -1,9 +1,6 @@
 package persist
 
 import (
-	"fmt"
-	"time"
-
 	"silica/internal/media"
 	"silica/internal/metadata"
 )
@@ -15,11 +12,18 @@ import (
 // converge semantics), which is what lets snapshots be taken fuzzily
 // while traffic continues: a mutation captured by the snapshot whose
 // record lands after the snapshot's cut replays as a no-op.
+//
+// wire is the record body's layout, stated once for both directions
+// (see coder).
 type Record interface {
 	recType() byte
-	encode(*enc)
-	decode(*dec) error
+	wire(*coder)
 }
+
+// recordTable is one WAL domain's tag space: it maps a frame's type
+// tag to an empty record to decode the body into. A tag outside the
+// table marks the frame corrupt.
+type recordTable map[byte]func() Record
 
 // Record type tags. Never renumber: they are the on-disk format.
 const (
@@ -32,6 +36,41 @@ const (
 	tagRemap       byte = 7
 	tagHealth      byte = 8
 )
+
+var serviceRecords = recordTable{
+	tagPut:         func() Record { return new(RecPut) },
+	tagDelete:      func() Record { return new(RecDelete) },
+	tagPublish:     func() Record { return new(RecPublish) },
+	tagSetComplete: func() Record { return new(RecSetComplete) },
+	tagDurable:     func() Record { return new(RecDurable) },
+	tagRelease:     func() Record { return new(RecRelease) },
+	tagRemap:       func() Record { return new(RecRemap) },
+	tagHealth:      func() Record { return new(RecHealth) },
+}
+
+// Sub-layouts carried by both a WAL record and a snapshot are stated
+// here, once, and called from each.
+
+func wireExtent(x *metadata.Extent, c *coder) {
+	varint(&x.Platter, c)
+	c.int(&x.FirstSector)
+	c.int(&x.SectorCount)
+	c.int(&x.Shard)
+}
+
+func wirePlatterIDs(ids *[]media.PlatterID, c *coder) {
+	slice(c, ids, varint[media.PlatterID])
+}
+
+// wirePlatterDesc is a platter's index entry: RecPublish leads with
+// it and a snapshot's PlatterDesc is exactly it.
+func wirePlatterDesc(c *coder, id *media.PlatterID, set, setPos *int, redundancy *bool, used *int) {
+	varint(id, c)
+	c.int(set)
+	c.int(setPos)
+	c.bool(redundancy)
+	c.int(used)
+}
 
 // RecPut is an acknowledged write: metadata version, staged ciphertext,
 // and the encryption key material. The key must travel with the record
@@ -50,45 +89,16 @@ type RecPut struct {
 
 func (*RecPut) recType() byte { return tagPut }
 
-func (r *RecPut) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-	e.int(r.Version)
-	e.i64(r.Size)
-	e.str(r.KeyID)
-	e.bytes(r.Key)
-	e.f64(r.Arrival)
-	e.bytes(r.Ciphertext)
-	e.u64(r.OpSeq)
-}
-
-func (r *RecPut) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	if r.Version, err = d.int(); err != nil {
-		return err
-	}
-	if r.Size, err = d.i64(); err != nil {
-		return err
-	}
-	if r.KeyID, err = d.str(); err != nil {
-		return err
-	}
-	if r.Key, err = d.bytes(); err != nil {
-		return err
-	}
-	if r.Arrival, err = d.f64(); err != nil {
-		return err
-	}
-	if r.Ciphertext, err = d.bytes(); err != nil {
-		return err
-	}
-	r.OpSeq, err = d.u64()
-	return err
+func (r *RecPut) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
+	c.int(&r.Version)
+	c.i64(&r.Size)
+	c.str(&r.KeyID)
+	c.bytes(&r.Key)
+	c.f64(&r.Arrival)
+	c.bytes(&r.Ciphertext)
+	c.u64(&r.OpSeq)
 }
 
 // RecDelete is an acknowledged delete: pointer removal plus the key ids
@@ -101,33 +111,10 @@ type RecDelete struct {
 
 func (*RecDelete) recType() byte { return tagDelete }
 
-func (r *RecDelete) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-	e.int(len(r.KeyIDs))
-	for _, k := range r.KeyIDs {
-		e.str(k)
-	}
-}
-
-func (r *RecDelete) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	r.KeyIDs = make([]string, n)
-	for i := range r.KeyIDs {
-		if r.KeyIDs[i], err = d.str(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *RecDelete) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
+	slice(c, &r.KeyIDs, func(id *string, c *coder) { c.str(id) })
 }
 
 // RecPublish registers one verified platter in the index. The media
@@ -146,39 +133,10 @@ type RecPublish struct {
 
 func (*RecPublish) recType() byte { return tagPublish }
 
-func (r *RecPublish) encode(e *enc) {
-	e.i64(int64(r.Platter))
-	e.int(r.Set)
-	e.int(r.SetPos)
-	e.bool(r.Redundancy)
-	e.int(r.Used)
-	e.str(r.Reason)
-	e.i64(r.AtUnixNano)
-}
-
-func (r *RecPublish) decode(d *dec) (err error) {
-	var id int64
-	if id, err = d.i64(); err != nil {
-		return err
-	}
-	r.Platter = media.PlatterID(id)
-	if r.Set, err = d.int(); err != nil {
-		return err
-	}
-	if r.SetPos, err = d.int(); err != nil {
-		return err
-	}
-	if r.Redundancy, err = d.bool(); err != nil {
-		return err
-	}
-	if r.Used, err = d.int(); err != nil {
-		return err
-	}
-	if r.Reason, err = d.str(); err != nil {
-		return err
-	}
-	r.AtUnixNano, err = d.i64()
-	return err
+func (r *RecPublish) wire(c *coder) {
+	wirePlatterDesc(c, &r.Platter, &r.Set, &r.SetPos, &r.Redundancy, &r.Used)
+	c.str(&r.Reason)
+	c.i64(&r.AtUnixNano)
 }
 
 // RecSetComplete closes one platter-set: its full membership (info
@@ -190,31 +148,9 @@ type RecSetComplete struct {
 
 func (*RecSetComplete) recType() byte { return tagSetComplete }
 
-func (r *RecSetComplete) encode(e *enc) {
-	e.int(r.Set)
-	e.int(len(r.Members))
-	for _, m := range r.Members {
-		e.i64(int64(m))
-	}
-}
-
-func (r *RecSetComplete) decode(d *dec) (err error) {
-	if r.Set, err = d.int(); err != nil {
-		return err
-	}
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	r.Members = make([]media.PlatterID, n)
-	for i := range r.Members {
-		v, err := d.i64()
-		if err != nil {
-			return err
-		}
-		r.Members[i] = media.PlatterID(v)
-	}
-	return nil
+func (r *RecSetComplete) wire(c *coder) {
+	c.int(&r.Set)
+	wirePlatterIDs(&r.Members, c)
 }
 
 // RecDurable marks one file version durable: extents recorded and the
@@ -228,52 +164,11 @@ type RecDurable struct {
 
 func (*RecDurable) recType() byte { return tagDurable }
 
-func (r *RecDurable) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-	e.int(r.Version)
-	e.int(len(r.Extents))
-	for _, x := range r.Extents {
-		e.i64(int64(x.Platter))
-		e.int(x.FirstSector)
-		e.int(x.SectorCount)
-		e.int(x.Shard)
-	}
-}
-
-func (r *RecDurable) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	if r.Version, err = d.int(); err != nil {
-		return err
-	}
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	r.Extents = make([]metadata.Extent, n)
-	for i := range r.Extents {
-		x := &r.Extents[i]
-		var p int64
-		if p, err = d.i64(); err != nil {
-			return err
-		}
-		x.Platter = media.PlatterID(p)
-		if x.FirstSector, err = d.int(); err != nil {
-			return err
-		}
-		if x.SectorCount, err = d.int(); err != nil {
-			return err
-		}
-		if x.Shard, err = d.int(); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *RecDurable) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
+	c.int(&r.Version)
+	slice(c, &r.Extents, wireExtent)
 }
 
 // RecRelease frees a staged copy without marking it durable: the
@@ -286,21 +181,10 @@ type RecRelease struct {
 
 func (*RecRelease) recType() byte { return tagRelease }
 
-func (r *RecRelease) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-	e.int(r.Version)
-}
-
-func (r *RecRelease) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	r.Version, err = d.int()
-	return err
+func (r *RecRelease) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
+	c.int(&r.Version)
 }
 
 // RecRemap swaps a rebuilt platter into its predecessor's place:
@@ -312,28 +196,11 @@ type RecRemap struct {
 
 func (*RecRemap) recType() byte { return tagRemap }
 
-func (r *RecRemap) encode(e *enc) {
-	e.i64(int64(r.Old))
-	e.i64(int64(r.New))
-	e.int(r.Set)
-	e.int(r.SetPos)
-}
-
-func (r *RecRemap) decode(d *dec) (err error) {
-	var v int64
-	if v, err = d.i64(); err != nil {
-		return err
-	}
-	r.Old = media.PlatterID(v)
-	if v, err = d.i64(); err != nil {
-		return err
-	}
-	r.New = media.PlatterID(v)
-	if r.Set, err = d.int(); err != nil {
-		return err
-	}
-	r.SetPos, err = d.int()
-	return err
+func (r *RecRemap) wire(c *coder) {
+	varint(&r.Old, c)
+	varint(&r.New, c)
+	c.int(&r.Set)
+	c.int(&r.SetPos)
 }
 
 // RecHealth is one platter health transition, mirrored from the repair
@@ -349,58 +216,10 @@ type RecHealth struct {
 
 func (*RecHealth) recType() byte { return tagHealth }
 
-func (r *RecHealth) encode(e *enc) {
-	e.i64(int64(r.Platter))
-	e.i64(int64(r.From))
-	e.i64(int64(r.To))
-	e.str(r.Reason)
-	e.i64(r.AtUnixNano)
-}
-
-func (r *RecHealth) decode(d *dec) (err error) {
-	var v int64
-	if v, err = d.i64(); err != nil {
-		return err
-	}
-	r.Platter = media.PlatterID(v)
-	if v, err = d.i64(); err != nil {
-		return err
-	}
-	r.From = int32(v)
-	if v, err = d.i64(); err != nil {
-		return err
-	}
-	r.To = int32(v)
-	if r.Reason, err = d.str(); err != nil {
-		return err
-	}
-	r.AtUnixNano, err = d.i64()
-	return err
-}
-
-// At reports the transition time carried by the record.
-func (r *RecHealth) At() time.Time { return time.Unix(0, r.AtUnixNano) }
-
-// newRecord maps a type tag back to an empty record for decoding.
-func newRecord(tag byte) (Record, error) {
-	switch tag {
-	case tagPut:
-		return &RecPut{}, nil
-	case tagDelete:
-		return &RecDelete{}, nil
-	case tagPublish:
-		return &RecPublish{}, nil
-	case tagSetComplete:
-		return &RecSetComplete{}, nil
-	case tagDurable:
-		return &RecDurable{}, nil
-	case tagRelease:
-		return &RecRelease{}, nil
-	case tagRemap:
-		return &RecRemap{}, nil
-	case tagHealth:
-		return &RecHealth{}, nil
-	default:
-		return nil, fmt.Errorf("persist: unknown record tag %d", tag)
-	}
+func (r *RecHealth) wire(c *coder) {
+	varint(&r.Platter, c)
+	varint(&r.From, c)
+	varint(&r.To, c)
+	c.str(&r.Reason)
+	c.i64(&r.AtUnixNano)
 }

@@ -1,15 +1,6 @@
 package persist
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-	"time"
-)
+import "sort"
 
 // The cluster router's durability domain: the placement directory
 // (which libraries hold each object's copies, pinned to member
@@ -38,23 +29,13 @@ const (
 	tagMemberRemove byte = 37
 )
 
-// newRouterRecord is the record factory for router WALs.
-func newRouterRecord(tag byte) (Record, error) {
-	switch tag {
-	case tagRingConfig:
-		return &RecRingConfig{}, nil
-	case tagDirPlace:
-		return &RecDirPlace{}, nil
-	case tagDirTombstone:
-		return &RecDirTombstone{}, nil
-	case tagDirDelete:
-		return &RecDirDelete{}, nil
-	case tagMember:
-		return &RecMember{}, nil
-	case tagMemberRemove:
-		return &RecMemberRemove{}, nil
-	}
-	return nil, fmt.Errorf("persist: unknown router record tag %d", tag)
+var routerRecords = recordTable{
+	tagRingConfig:   func() Record { return new(RecRingConfig) },
+	tagDirPlace:     func() Record { return new(RecDirPlace) },
+	tagDirTombstone: func() Record { return new(RecDirTombstone) },
+	tagDirDelete:    func() Record { return new(RecDirDelete) },
+	tagMember:       func() Record { return new(RecMember) },
+	tagMemberRemove: func() Record { return new(RecMemberRemove) },
 }
 
 // RecRingConfig seeds a fresh router directory with its ring
@@ -69,23 +50,16 @@ type RecRingConfig struct {
 
 func (*RecRingConfig) recType() byte { return tagRingConfig }
 
-func (r *RecRingConfig) encode(e *enc) {
-	e.u64(r.Seed)
-	e.int(r.VNodes)
-}
-
-func (r *RecRingConfig) decode(d *dec) (err error) {
-	if r.Seed, err = d.u64(); err != nil {
-		return err
-	}
-	r.VNodes, err = d.int()
-	return err
+func (r *RecRingConfig) wire(c *coder) {
+	c.u64(&r.Seed)
+	c.int(&r.VNodes)
 }
 
 // RecDirPlace is one acknowledged placement: where both copies of a
 // key live and the member epochs they were written under. Covers
 // first placement, overwrite, and rebalance moves alike — replay is
-// a straight upsert (and clears any delete intent).
+// a straight upsert (and clears any delete intent). It is also the
+// body of a snapshot's directory row (RouterEntry).
 type RecDirPlace struct {
 	Account, Name    string
 	Primary, Replica string
@@ -96,41 +70,15 @@ type RecDirPlace struct {
 
 func (*RecDirPlace) recType() byte { return tagDirPlace }
 
-func (r *RecDirPlace) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-	e.str(r.Primary)
-	e.str(r.Replica)
-	e.u64(r.PEpoch)
-	e.u64(r.REpoch)
-	e.int(r.Version)
-	e.i64(r.Size)
-}
-
-func (r *RecDirPlace) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	if r.Primary, err = d.str(); err != nil {
-		return err
-	}
-	if r.Replica, err = d.str(); err != nil {
-		return err
-	}
-	if r.PEpoch, err = d.u64(); err != nil {
-		return err
-	}
-	if r.REpoch, err = d.u64(); err != nil {
-		return err
-	}
-	if r.Version, err = d.int(); err != nil {
-		return err
-	}
-	r.Size, err = d.i64()
-	return err
+func (r *RecDirPlace) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
+	c.str(&r.Primary)
+	c.str(&r.Replica)
+	c.u64(&r.PEpoch)
+	c.u64(&r.REpoch)
+	c.int(&r.Version)
+	c.i64(&r.Size)
 }
 
 // RecDirTombstone records delete *intent*, appended before any copy
@@ -144,17 +92,9 @@ type RecDirTombstone struct {
 
 func (*RecDirTombstone) recType() byte { return tagDirTombstone }
 
-func (r *RecDirTombstone) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-}
-
-func (r *RecDirTombstone) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	r.Name, err = d.str()
-	return err
+func (r *RecDirTombstone) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
 }
 
 // RecDirDelete drops a directory entry: both copies are gone.
@@ -164,23 +104,16 @@ type RecDirDelete struct {
 
 func (*RecDirDelete) recType() byte { return tagDirDelete }
 
-func (r *RecDirDelete) encode(e *enc) {
-	e.str(r.Account)
-	e.str(r.Name)
-}
-
-func (r *RecDirDelete) decode(d *dec) (err error) {
-	if r.Account, err = d.str(); err != nil {
-		return err
-	}
-	r.Name, err = d.str()
-	return err
+func (r *RecDirDelete) wire(c *coder) {
+	c.str(&r.Account)
+	c.str(&r.Name)
 }
 
 // RecMember upserts one membership row: liveness and the rebuild
 // epoch. Covers add (alive, epoch 0), kill (dead, same epoch), and
 // rebuild (alive again, epoch+1) — whichever record holds the highest
-// LSN wins, which is exactly replay order.
+// LSN wins, which is exactly replay order. A snapshot's membership
+// roster is a list of the same rows.
 type RecMember struct {
 	Name  string
 	Alive bool
@@ -189,21 +122,10 @@ type RecMember struct {
 
 func (*RecMember) recType() byte { return tagMember }
 
-func (r *RecMember) encode(e *enc) {
-	e.str(r.Name)
-	e.bool(r.Alive)
-	e.u64(r.Epoch)
-}
-
-func (r *RecMember) decode(d *dec) (err error) {
-	if r.Name, err = d.str(); err != nil {
-		return err
-	}
-	if r.Alive, err = d.bool(); err != nil {
-		return err
-	}
-	r.Epoch, err = d.u64()
-	return err
+func (r *RecMember) wire(c *coder) {
+	c.str(&r.Name)
+	c.bool(&r.Alive)
+	c.u64(&r.Epoch)
 }
 
 // RecMemberRemove forgets a member entirely (the drain path).
@@ -213,34 +135,28 @@ type RecMemberRemove struct {
 
 func (*RecMemberRemove) recType() byte { return tagMemberRemove }
 
-func (r *RecMemberRemove) encode(e *enc) { e.str(r.Name) }
+func (r *RecMemberRemove) wire(c *coder) { c.str(&r.Name) }
 
-func (r *RecMemberRemove) decode(d *dec) (err error) {
-	r.Name, err = d.str()
-	return err
-}
+// RouterMember is one row of the membership roster: the member's
+// latest RecMember.
+type RouterMember = RecMember
 
-// RouterMember is one recovered membership row.
-type RouterMember struct {
-	Name  string
-	Alive bool
-	Epoch uint64
-}
-
-// RouterEntry is one recovered placement row.
+// RouterEntry is one placement row of the directory: the placement
+// last acknowledged for the key, plus whether a delete of it is under
+// way.
 type RouterEntry struct {
-	Account, Name    string
-	Primary, Replica string
-	PEpoch, REpoch   uint64
-	Version          int
-	Size             int64
-	Deleting         bool
+	RecDirPlace
+	Deleting bool
 }
 
-// RouterState is the recovered router: ring configuration, membership
-// roster, and the full placement directory, plus recovery telemetry.
-// Members and Entries are sorted (by name and by account/name) so the
-// state — and the snapshots exported from it — are deterministic.
+func (en *RouterEntry) wire(c *coder) {
+	en.RecDirPlace.wire(c)
+	c.bool(&en.Deleting)
+}
+
+// RouterState is the router's durable state — what a snapshot holds
+// and what recovery hands back: ring configuration, membership roster,
+// and the full placement directory, plus recovery telemetry.
 type RouterState struct {
 	Fingerprint string
 	Seed        uint64
@@ -258,290 +174,118 @@ type RouterState struct {
 // two formats from ever decoding as each other.
 const routerSnapMagic = "SILDIR01"
 
-func encodeRouterSnapshot(cut uint64, s *RouterState) []byte {
-	var e enc
-	e.buf = append(e.buf, routerSnapMagic...)
-	e.u64(cut)
-	e.str(s.Fingerprint)
-	e.u64(s.Seed)
-	e.int(s.VNodes)
-	e.bool(s.HasConfig)
-	e.int(len(s.Members))
-	for _, m := range s.Members {
-		e.str(m.Name)
-		e.bool(m.Alive)
-		e.u64(m.Epoch)
-	}
-	e.int(len(s.Entries))
-	for _, en := range s.Entries {
-		e.str(en.Account)
-		e.str(en.Name)
-		e.str(en.Primary)
-		e.str(en.Replica)
-		e.u64(en.PEpoch)
-		e.u64(en.REpoch)
-		e.int(en.Version)
-		e.i64(en.Size)
-		e.bool(en.Deleting)
-	}
-	return binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
+func (s *RouterState) wire(c *coder) {
+	c.str(&s.Fingerprint)
+	c.u64(&s.Seed)
+	c.int(&s.VNodes)
+	c.bool(&s.HasConfig)
+	slice(c, &s.Members, (*RecMember).wire)
+	slice(c, &s.Entries, (*RouterEntry).wire)
 }
 
-func decodeRouterSnapshot(data []byte) (cut uint64, s *RouterState, err error) {
-	if len(data) < len(routerSnapMagic)+4 || string(data[:len(routerSnapMagic)]) != routerSnapMagic {
-		return 0, nil, fmt.Errorf("persist: not a router snapshot file")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return 0, nil, fmt.Errorf("persist: router snapshot CRC mismatch")
-	}
-	d := &dec{buf: body, off: len(routerSnapMagic)}
-	s = &RouterState{}
-	if cut, err = d.u64(); err != nil {
-		return 0, nil, err
-	}
-	if s.Fingerprint, err = d.str(); err != nil {
-		return 0, nil, err
-	}
-	if s.Seed, err = d.u64(); err != nil {
-		return 0, nil, err
-	}
-	if s.VNodes, err = d.int(); err != nil {
-		return 0, nil, err
-	}
-	if s.HasConfig, err = d.bool(); err != nil {
-		return 0, nil, err
-	}
-	nm, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Members = make([]RouterMember, nm)
-	for i := range s.Members {
-		m := &s.Members[i]
-		if m.Name, err = d.str(); err != nil {
-			return 0, nil, err
+// sort orders Members by name and Entries by account then name, so
+// recovered states compare equal and snapshots of equal states are
+// byte-identical.
+func (s *RouterState) sort() {
+	sort.Slice(s.Members, func(i, j int) bool { return s.Members[i].Name < s.Members[j].Name })
+	sort.Slice(s.Entries, func(i, j int) bool {
+		if s.Entries[i].Account != s.Entries[j].Account {
+			return s.Entries[i].Account < s.Entries[j].Account
 		}
-		if m.Alive, err = d.bool(); err != nil {
-			return 0, nil, err
-		}
-		if m.Epoch, err = d.u64(); err != nil {
-			return 0, nil, err
-		}
-	}
-	ne, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Entries = make([]RouterEntry, ne)
-	for i := range s.Entries {
-		en := &s.Entries[i]
-		if en.Account, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if en.Name, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if en.Primary, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if en.Replica, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if en.PEpoch, err = d.u64(); err != nil {
-			return 0, nil, err
-		}
-		if en.REpoch, err = d.u64(); err != nil {
-			return 0, nil, err
-		}
-		if en.Version, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if en.Size, err = d.i64(); err != nil {
-			return 0, nil, err
-		}
-		if en.Deleting, err = d.bool(); err != nil {
-			return 0, nil, err
-		}
-	}
-	return cut, s, nil
+		return s.Entries[i].Name < s.Entries[j].Name
+	})
 }
 
-// routerBuilder replays router records over a snapshot into maps;
-// finish() normalizes to the sorted RouterState.
+type dirKey struct{ account, name string }
+
+// routerBuilder is the router domain's replayer: members and entries
+// replay into maps, and finish flattens them back into st.
 type routerBuilder struct {
 	st      RouterState
 	members map[string]RouterMember
-	entries map[string]RouterEntry // account+"\x00"+name
+	entries map[dirKey]RouterEntry
 }
 
-func newRouterBuilder(snap *RouterState) *routerBuilder {
-	b := &routerBuilder{
+func newRouterBuilder(opts Options) *routerBuilder {
+	return &routerBuilder{
+		st:      RouterState{Fingerprint: opts.Fingerprint},
 		members: make(map[string]RouterMember),
-		entries: make(map[string]RouterEntry),
+		entries: make(map[dirKey]RouterEntry),
 	}
-	if snap != nil {
-		b.st.Seed = snap.Seed
-		b.st.VNodes = snap.VNodes
-		b.st.HasConfig = snap.HasConfig
-		for _, m := range snap.Members {
-			b.members[m.Name] = m
-		}
-		for _, en := range snap.Entries {
-			b.entries[en.Account+"\x00"+en.Name] = en
-		}
+}
+
+// load seeds the builder from a router snapshot body.
+func (b *routerBuilder) load(c *coder) string {
+	b.st.wire(c)
+	for _, m := range b.st.Members {
+		b.members[m.Name] = m
 	}
-	return b
+	for _, en := range b.st.Entries {
+		b.entries[dirKey{en.Account, en.Name}] = en
+	}
+	return b.st.Fingerprint
 }
 
 func (b *routerBuilder) apply(rec Record) {
-	b.st.Records++
 	switch r := rec.(type) {
 	case *RecRingConfig:
 		b.st.Seed, b.st.VNodes, b.st.HasConfig = r.Seed, r.VNodes, true
 	case *RecDirPlace:
-		b.entries[r.Account+"\x00"+r.Name] = RouterEntry{
-			Account: r.Account, Name: r.Name,
-			Primary: r.Primary, Replica: r.Replica,
-			PEpoch: r.PEpoch, REpoch: r.REpoch,
-			Version: r.Version, Size: r.Size,
-		}
+		b.entries[dirKey{r.Account, r.Name}] = RouterEntry{RecDirPlace: *r}
 	case *RecDirTombstone:
-		if en, ok := b.entries[r.Account+"\x00"+r.Name]; ok {
+		key := dirKey{r.Account, r.Name}
+		if en, ok := b.entries[key]; ok {
 			en.Deleting = true
-			b.entries[r.Account+"\x00"+r.Name] = en
+			b.entries[key] = en
 		}
 	case *RecDirDelete:
-		delete(b.entries, r.Account+"\x00"+r.Name)
+		delete(b.entries, dirKey{r.Account, r.Name})
 	case *RecMember:
-		b.members[r.Name] = RouterMember{Name: r.Name, Alive: r.Alive, Epoch: r.Epoch}
+		b.members[r.Name] = *r
 	case *RecMemberRemove:
 		delete(b.members, r.Name)
 	}
 }
 
-func (b *routerBuilder) finish() *RouterState {
-	st := b.st
+func (b *routerBuilder) finish(records int, truncated bool) (func(*coder), error) {
+	st := &b.st
+	st.Records, st.Truncated = records, truncated
 	st.Members = make([]RouterMember, 0, len(b.members))
 	for _, m := range b.members {
 		st.Members = append(st.Members, m)
 	}
-	sort.Slice(st.Members, func(i, j int) bool { return st.Members[i].Name < st.Members[j].Name })
 	st.Entries = make([]RouterEntry, 0, len(b.entries))
 	for _, en := range b.entries {
 		st.Entries = append(st.Entries, en)
 	}
-	sort.Slice(st.Entries, func(i, j int) bool {
-		if st.Entries[i].Account != st.Entries[j].Account {
-			return st.Entries[i].Account < st.Entries[j].Account
-		}
-		return st.Entries[i].Name < st.Entries[j].Name
-	})
-	return &st
+	st.sort()
+	return st.wire, nil
 }
 
-// OpenRouter recovers a router persistence directory: newest valid
-// router snapshot, WAL replay in LSN order through the router record
-// factory, then an immediate post-recovery snapshot that collapses
-// the history and garbage-collects superseded segments. The returned
-// Log shares all the service log's append/sync/snapshot machinery;
-// commit router snapshots through CommitRouterSnapshot.
+var routerDomain = domain[*routerBuilder]{
+	holds:   "a router directory",
+	magic:   routerSnapMagic,
+	records: routerRecords,
+	start:   newRouterBuilder,
+}
+
+// OpenRouter recovers a router persistence directory (see recoverDir).
+// The returned Log shares all the service log's append/sync/snapshot
+// machinery; commit router snapshots through CommitRouterSnapshot.
 func OpenRouter(opts Options) (*Log, *RouterState, error) {
-	t0 := time.Now()
-	if opts.Dir == "" {
-		return nil, nil, fmt.Errorf("persist: empty directory")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	listing, err := listDir(opts.Dir)
+	l, b, err := recoverDir(opts, routerDomain)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var snap *RouterState
-	var snapCut uint64
-	for i := len(listing.snaps) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(filepath.Join(opts.Dir, snapName(listing.snaps[i])))
-		if rerr != nil {
-			continue
-		}
-		cut, s, derr := decodeRouterSnapshot(data)
-		if derr != nil {
-			continue
-		}
-		if s.Fingerprint != opts.Fingerprint {
-			return nil, nil, fmt.Errorf("persist: %s holds a router directory for ring config %q, this router runs %q",
-				opts.Dir, s.Fingerprint, opts.Fingerprint)
-		}
-		snap, snapCut = s, cut
-		break
-	}
-	if snap == nil && len(listing.snaps) > 0 {
-		return nil, nil, fmt.Errorf("persist: %s holds snapshots but none decodes as a router directory", opts.Dir)
-	}
-
-	b := newRouterBuilder(snap)
-	maxLSN := snapCut
-	truncated := false
-	for i, start := range listing.wals {
-		if i+1 < len(listing.wals) && listing.wals[i+1] <= snapCut+1 {
-			continue // entirely superseded by the snapshot
-		}
-		frames, _, tornAt, serr := scanWAL(filepath.Join(opts.Dir, walName(start)), newRouterRecord)
-		if serr != nil {
-			truncated = true
-			break
-		}
-		for _, fr := range frames {
-			if fr.lsn <= snapCut {
-				continue
-			}
-			b.apply(fr.rec)
-			if fr.lsn > maxLSN {
-				maxLSN = fr.lsn
-			}
-		}
-		if tornAt >= 0 {
-			truncated = true
-			break
-		}
-	}
-	st := b.finish()
-	st.Truncated = truncated
-
-	l := &Log{
-		dir:         opts.Dir,
-		fingerprint: opts.Fingerprint,
-		faults:      opts.Faults,
-		nextLSN:     maxLSN + 1,
-	}
-	l.m = newLogMetrics(opts.Metrics, l.AppendsSinceSnapshot)
-	l.synced.Store(maxLSN)
-	f, err := createWAL(opts.Dir, l.nextLSN)
-	if err != nil {
-		return nil, nil, err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	if err := l.CommitRouterSnapshot(maxLSN, st); err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	if l.m != nil {
-		l.m.replayed.Add(int64(st.Records))
-		l.m.recovery.Set(time.Since(t0).Seconds())
-	}
-	return l, st, nil
+	return l, &b.st, nil
 }
 
 // CommitRouterSnapshot is CommitSnapshot for the router's snapshot
 // format: atomically writes the exported directory + membership for
-// cut and garbage-collects superseded snapshots and WAL files.
+// cut and garbage-collects superseded snapshots and WAL files. It
+// sorts st, so callers may export in map order.
 func (l *Log) CommitRouterSnapshot(cut uint64, st *RouterState) error {
-	if l.frozen.Load() {
-		return ErrCrashed
-	}
 	st.Fingerprint = l.fingerprint
-	return l.commitSnapshotBytes(cut, encodeRouterSnapshot(cut, st))
+	st.sort()
+	return l.commitSnapshot(cut, routerSnapMagic, st.wire)
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"silica/internal/obs"
 )
 
 func openRouterT(t *testing.T, dir string) (*Log, *RouterState) {
@@ -15,6 +17,20 @@ func openRouterT(t *testing.T, dir string) (*Log, *RouterState) {
 		t.Fatal(err)
 	}
 	return l, st
+}
+
+// reopenRouterTruncated recovers dir and checks the truncation report
+// (see checkTruncatedReported) before handing the state back.
+func reopenRouterTruncated(t *testing.T, dir string, want bool) *RouterState {
+	t.Helper()
+	reg := obs.NewRegistry()
+	l, st, err := OpenRouter(Options{Dir: dir, Fingerprint: "ring-test", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	checkTruncatedReported(t, l, reg, want)
+	return st
 }
 
 func appendAllRouter(t *testing.T, l *Log, recs ...Record) {
@@ -55,7 +71,7 @@ func TestRouterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st = openRouterT(t, dir)
+	st = reopenRouterTruncated(t, dir, false)
 	if !st.HasConfig || st.Seed != 42 || st.VNodes != 96 {
 		t.Fatalf("ring config: %+v", st)
 	}
@@ -68,8 +84,8 @@ func TestRouterRoundTrip(t *testing.T) {
 		t.Fatalf("members: %+v, want %+v", st.Members, wantMembers)
 	}
 	wantEntries := []RouterEntry{
-		{Account: "a", Name: "x", Primary: "lib-0", Replica: "lib-1", REpoch: 1, Version: 2, Size: 150},
-		{Account: "a", Name: "y", Primary: "lib-1", Replica: "lib-2", Version: 1, Size: 200, Deleting: true},
+		{RecDirPlace: RecDirPlace{Account: "a", Name: "x", Primary: "lib-0", Replica: "lib-1", REpoch: 1, Version: 2, Size: 150}},
+		{RecDirPlace: RecDirPlace{Account: "a", Name: "y", Primary: "lib-1", Replica: "lib-2", Version: 1, Size: 200}, Deleting: true},
 	}
 	if !reflect.DeepEqual(st.Entries, wantEntries) {
 		t.Fatalf("entries: %+v, want %+v", st.Entries, wantEntries)
@@ -133,10 +149,10 @@ func TestRouterSnapshotGC(t *testing.T) {
 	// recover once to get a state and commit that.
 	st := &RouterState{Seed: 7, VNodes: 16, HasConfig: true}
 	for i := 0; i < 50; i++ {
-		st.Entries = append(st.Entries, RouterEntry{
+		st.Entries = append(st.Entries, RouterEntry{RecDirPlace: RecDirPlace{
 			Account: "acct", Name: fmt.Sprintf("o-%02d", i),
 			Primary: "lib-0", Replica: "lib-1", Version: 1, Size: int64(i),
-		})
+		}})
 	}
 	if err := l.CommitRouterSnapshot(cut, st); err != nil {
 		t.Fatal(err)
@@ -185,8 +201,19 @@ func TestRouterTornTail(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A frame header the crash cut short.
+	listing, err := listDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walName(listing.wals[len(listing.wals)-1])), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0x55, 0x66, 0x77})
+	f.Close()
 
-	_, st := openRouterT(t, dir)
+	st := reopenRouterTruncated(t, dir, true)
 	if len(st.Entries) != 1 || st.Entries[0].Name != "durable" {
 		t.Fatalf("recovered entries: %+v, want only 'durable'", st.Entries)
 	}
@@ -221,7 +248,7 @@ func TestRouterCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st := openRouterT(t, dir)
+	st := reopenRouterTruncated(t, dir, true)
 	if !st.Truncated {
 		t.Fatal("corrupt tail not reported as truncated")
 	}

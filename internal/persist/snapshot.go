@@ -1,10 +1,7 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"sort"
 	"time"
 
 	"silica/internal/media"
@@ -56,338 +53,90 @@ type SnapshotData struct {
 	Health      []HealthDump
 }
 
-// Snapshot file format: magic | cut LSN | body | crc32 trailer. The
-// file is written atomically (temp + fsync + rename), so a crash mid-
-// snapshot leaves the previous snapshot untouched.
+// Snapshot file format: magic | cut LSN | body | crc32 trailer (the
+// sealFile envelope). The file is written atomically (temp + fsync +
+// rename), so a crash mid-snapshot leaves the previous snapshot
+// untouched. Both domains' snapshot bodies open with the fingerprint.
 const snapMagic = "SILSNP01"
 
 func snapName(cut uint64) string {
 	return fmt.Sprintf("snap-%016x.db", cut)
 }
 
-func encodeSnapshot(cut uint64, s *SnapshotData) []byte {
-	var e enc
-	e.buf = append(e.buf, snapMagic...)
-	e.u64(cut)
-	e.str(s.Fingerprint)
-	e.u64(s.OpSeq)
-	e.i64(int64(s.NextPlatter))
-
-	e.int(len(s.Meta))
-	for _, fd := range s.Meta {
-		e.str(fd.Key.Account)
-		e.str(fd.Key.Name)
-		e.int(len(fd.Versions))
-		for _, v := range fd.Versions {
-			e.int(v.Version)
-			e.i64(v.Size)
-			e.int(int(v.State))
-			e.f64(v.WriteTime)
-			e.str(v.KeyID)
-			e.int(len(v.Extents))
-			for _, x := range v.Extents {
-				e.i64(int64(x.Platter))
-				e.int(x.FirstSector)
-				e.int(x.SectorCount)
-				e.int(x.Shard)
-			}
-		}
+// wireSnapshot is what either snapshot format seals: the cut LSN, then
+// the domain's body.
+func wireSnapshot(cut *uint64, body func(*coder)) func(*coder) {
+	return func(c *coder) {
+		c.u64(cut)
+		body(c)
 	}
-
-	kids := make([]string, 0, len(s.Keys))
-	for id := range s.Keys {
-		kids = append(kids, id)
-	}
-	sort.Strings(kids)
-	e.int(len(kids))
-	for _, id := range kids {
-		e.str(id)
-		e.bytes(s.Keys[id])
-	}
-
-	e.int(len(s.Staged))
-	for _, f := range s.Staged {
-		e.str(f.Key.Account)
-		e.str(f.Key.Name)
-		e.int(f.Version)
-		e.i64(f.Size)
-		e.f64(f.Arrival)
-		e.bytes(f.Data)
-	}
-
-	e.int(len(s.Platters))
-	for _, p := range s.Platters {
-		e.i64(int64(p.ID))
-		e.int(p.Set)
-		e.int(p.SetPos)
-		e.bool(p.Redundancy)
-		e.int(p.Used)
-	}
-
-	e.int(len(s.Sets))
-	for _, members := range s.Sets {
-		e.int(len(members))
-		for _, m := range members {
-			e.i64(int64(m))
-		}
-	}
-	e.int(len(s.PendingSet))
-	for _, m := range s.PendingSet {
-		e.i64(int64(m))
-	}
-
-	e.int(len(s.Health))
-	for _, h := range s.Health {
-		e.i64(int64(h.Platter))
-		e.i64(int64(h.Health))
-		e.int(h.Set)
-		e.int(h.SetPos)
-		e.bool(h.Redundancy)
-		e.int(len(h.History))
-		for _, tr := range h.History {
-			e.str(tr.From)
-			e.str(tr.To)
-			e.str(tr.Reason)
-			e.i64(tr.At.UnixNano())
-		}
-	}
-	return binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
 }
 
-func decodeSnapshot(data []byte) (cut uint64, s *SnapshotData, err error) {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("persist: not a snapshot file")
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return 0, nil, fmt.Errorf("persist: snapshot CRC mismatch")
-	}
-	d := &dec{buf: body, off: len(snapMagic)}
-	s = &SnapshotData{Keys: make(map[string][]byte)}
-	if cut, err = d.u64(); err != nil {
-		return 0, nil, err
-	}
-	if s.Fingerprint, err = d.str(); err != nil {
-		return 0, nil, err
-	}
-	if s.OpSeq, err = d.u64(); err != nil {
-		return 0, nil, err
-	}
-	var np int64
-	if np, err = d.i64(); err != nil {
-		return 0, nil, err
-	}
-	s.NextPlatter = media.PlatterID(np)
+func (s *SnapshotData) wire(c *coder) {
+	c.str(&s.Fingerprint)
+	c.u64(&s.OpSeq)
+	varint(&s.NextPlatter, c)
+	slice(c, &s.Meta, wireFileDump)
+	sortedMap(c, &s.Keys,
+		func(a, b string) bool { return a < b },
+		func(id *string, key *[]byte, c *coder) { c.str(id); c.bytes(key) })
+	slice(c, &s.Staged, wireStagedFile)
+	slice(c, &s.Platters, (*PlatterDesc).wire)
+	slice(c, &s.Sets, wirePlatterIDs)
+	wirePlatterIDs(&s.PendingSet, c)
+	slice(c, &s.Health, (*HealthDump).wire)
+}
 
-	nf, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Meta = make([]metadata.FileDump, nf)
-	for i := range s.Meta {
-		fd := &s.Meta[i]
-		if fd.Key.Account, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if fd.Key.Name, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		nv, err := d.count()
-		if err != nil {
-			return 0, nil, err
-		}
-		fd.Versions = make([]metadata.Version, nv)
-		for j := range fd.Versions {
-			v := &fd.Versions[j]
-			if v.Version, err = d.int(); err != nil {
-				return 0, nil, err
-			}
-			if v.Size, err = d.i64(); err != nil {
-				return 0, nil, err
-			}
-			st, err := d.int()
-			if err != nil {
-				return 0, nil, err
-			}
-			v.State = metadata.FileState(st)
-			if v.WriteTime, err = d.f64(); err != nil {
-				return 0, nil, err
-			}
-			if v.KeyID, err = d.str(); err != nil {
-				return 0, nil, err
-			}
-			nx, err := d.count()
-			if err != nil {
-				return 0, nil, err
-			}
-			v.Extents = make([]metadata.Extent, nx)
-			for k := range v.Extents {
-				x := &v.Extents[k]
-				var p int64
-				if p, err = d.i64(); err != nil {
-					return 0, nil, err
-				}
-				x.Platter = media.PlatterID(p)
-				if x.FirstSector, err = d.int(); err != nil {
-					return 0, nil, err
-				}
-				if x.SectorCount, err = d.int(); err != nil {
-					return 0, nil, err
-				}
-				if x.Shard, err = d.int(); err != nil {
-					return 0, nil, err
-				}
-			}
-		}
-	}
+func wireFileKey(k *metadata.FileKey, c *coder) {
+	c.str(&k.Account)
+	c.str(&k.Name)
+}
 
-	nk, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	for i := 0; i < nk; i++ {
-		id, err := d.str()
-		if err != nil {
-			return 0, nil, err
-		}
-		if s.Keys[id], err = d.bytes(); err != nil {
-			return 0, nil, err
-		}
-	}
+func wireFileDump(fd *metadata.FileDump, c *coder) {
+	wireFileKey(&fd.Key, c)
+	slice(c, &fd.Versions, func(v *metadata.Version, c *coder) {
+		c.int(&v.Version)
+		c.i64(&v.Size)
+		varint(&v.State, c)
+		c.f64(&v.WriteTime)
+		c.str(&v.KeyID)
+		slice(c, &v.Extents, wireExtent)
+	})
+}
 
-	ns, err := d.count()
-	if err != nil {
-		return 0, nil, err
+func wireStagedFile(p **staging.File, c *coder) {
+	if c.decoding {
+		*p = &staging.File{}
 	}
-	s.Staged = make([]*staging.File, ns)
-	for i := range s.Staged {
-		f := &staging.File{}
-		if f.Key.Account, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if f.Key.Name, err = d.str(); err != nil {
-			return 0, nil, err
-		}
-		if f.Version, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if f.Size, err = d.i64(); err != nil {
-			return 0, nil, err
-		}
-		if f.Arrival, err = d.f64(); err != nil {
-			return 0, nil, err
-		}
-		if f.Data, err = d.bytes(); err != nil {
-			return 0, nil, err
-		}
-		s.Staged[i] = f
-	}
+	f := *p
+	wireFileKey(&f.Key, c)
+	c.int(&f.Version)
+	c.i64(&f.Size)
+	c.f64(&f.Arrival)
+	c.bytes(&f.Data)
+}
 
-	npl, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Platters = make([]PlatterDesc, npl)
-	for i := range s.Platters {
-		p := &s.Platters[i]
-		var id int64
-		if id, err = d.i64(); err != nil {
-			return 0, nil, err
-		}
-		p.ID = media.PlatterID(id)
-		if p.Set, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if p.SetPos, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if p.Redundancy, err = d.bool(); err != nil {
-			return 0, nil, err
-		}
-		if p.Used, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-	}
+func (p *PlatterDesc) wire(c *coder) {
+	wirePlatterDesc(c, &p.ID, &p.Set, &p.SetPos, &p.Redundancy, &p.Used)
+}
 
-	nsets, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Sets = make([][]media.PlatterID, nsets)
-	for i := range s.Sets {
-		nm, err := d.count()
-		if err != nil {
-			return 0, nil, err
+func (h *HealthDump) wire(c *coder) {
+	varint(&h.Platter, c)
+	varint(&h.Health, c)
+	c.int(&h.Set)
+	c.int(&h.SetPos)
+	c.bool(&h.Redundancy)
+	slice(c, &h.History, func(tr *repair.Transition, c *coder) {
+		c.str(&tr.From)
+		c.str(&tr.To)
+		c.str(&tr.Reason)
+		var at int64 // Unix nanoseconds
+		if !c.decoding {
+			at = tr.At.UnixNano()
 		}
-		s.Sets[i] = make([]media.PlatterID, nm)
-		for j := range s.Sets[i] {
-			v, err := d.i64()
-			if err != nil {
-				return 0, nil, err
-			}
-			s.Sets[i][j] = media.PlatterID(v)
-		}
-	}
-	npend, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.PendingSet = make([]media.PlatterID, npend)
-	for i := range s.PendingSet {
-		v, err := d.i64()
-		if err != nil {
-			return 0, nil, err
-		}
-		s.PendingSet[i] = media.PlatterID(v)
-	}
-
-	nh, err := d.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Health = make([]HealthDump, nh)
-	for i := range s.Health {
-		h := &s.Health[i]
-		var v int64
-		if v, err = d.i64(); err != nil {
-			return 0, nil, err
-		}
-		h.Platter = media.PlatterID(v)
-		if v, err = d.i64(); err != nil {
-			return 0, nil, err
-		}
-		h.Health = repair.Health(v)
-		if h.Set, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if h.SetPos, err = d.int(); err != nil {
-			return 0, nil, err
-		}
-		if h.Redundancy, err = d.bool(); err != nil {
-			return 0, nil, err
-		}
-		nt, err := d.count()
-		if err != nil {
-			return 0, nil, err
-		}
-		h.History = make([]repair.Transition, nt)
-		for j := range h.History {
-			tr := &h.History[j]
-			if tr.From, err = d.str(); err != nil {
-				return 0, nil, err
-			}
-			if tr.To, err = d.str(); err != nil {
-				return 0, nil, err
-			}
-			if tr.Reason, err = d.str(); err != nil {
-				return 0, nil, err
-			}
-			var at int64
-			if at, err = d.i64(); err != nil {
-				return 0, nil, err
-			}
+		c.i64(&at)
+		if c.decoding {
 			tr.At = time.Unix(0, at)
 		}
-	}
-	return cut, s, nil
+	})
 }

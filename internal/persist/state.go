@@ -2,6 +2,8 @@ package persist
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -67,9 +69,14 @@ func stagedID(account, name string, version int) string {
 	return fmt.Sprintf("%s/%s#%d", account, name, version)
 }
 
-// builder accumulates state while records replay. Lookups that the
-// final State keeps as slices live in maps here.
+// builder is the service domain's replayer: it accumulates state
+// while records replay. Lookups that the final State keeps as slices
+// live in maps here.
 type builder struct {
+	dir         string
+	fingerprint string
+	state       *State // set by finish
+
 	meta        *metadata.Store
 	keys        map[string][]byte
 	staged      map[string]*staging.File
@@ -82,21 +89,26 @@ type builder struct {
 	healthOrder []media.PlatterID
 	opSeq       uint64
 	nextPlatter media.PlatterID
-	records     int
 }
 
-// newBuilder seeds a builder from a snapshot (nil = empty base).
-func newBuilder(snap *SnapshotData) *builder {
-	b := &builder{
-		meta:     metadata.NewStore(),
-		keys:     make(map[string][]byte),
-		staged:   make(map[string]*staging.File),
-		platters: make(map[media.PlatterID]*PlatterState),
-		pending:  make(map[int]media.PlatterID),
-		health:   make(map[media.PlatterID]*HealthDump),
+func newBuilder(opts Options) *builder {
+	return &builder{
+		dir:         opts.Dir,
+		fingerprint: opts.Fingerprint,
+		meta:        metadata.NewStore(),
+		keys:        make(map[string][]byte),
+		staged:      make(map[string]*staging.File),
+		platters:    make(map[media.PlatterID]*PlatterState),
+		pending:     make(map[int]media.PlatterID),
+		health:      make(map[media.PlatterID]*HealthDump),
 	}
-	if snap == nil {
-		return b
+}
+
+// load seeds the builder from a service snapshot body.
+func (b *builder) load(c *coder) string {
+	var snap SnapshotData
+	if snap.wire(c); c.err != nil {
+		return "" // a decode cut short leaves nil entries in snap.Staged
 	}
 	b.opSeq = snap.OpSeq
 	b.nextPlatter = snap.NextPlatter
@@ -126,7 +138,7 @@ func newBuilder(snap *SnapshotData) *builder {
 		h := snap.Health[i]
 		b.putHealth(&h)
 	}
-	return b
+	return snap.Fingerprint
 }
 
 func (b *builder) stage(f *staging.File) {
@@ -159,7 +171,6 @@ func (b *builder) putHealth(h *HealthDump) {
 // effect a fuzzy snapshot already captured converges instead of
 // conflicting (see Record).
 func (b *builder) apply(rec Record) {
-	b.records++
 	switch r := rec.(type) {
 	case *RecPut:
 		key := metadata.FileKey{Account: r.Account, Name: r.Name}
@@ -257,16 +268,17 @@ func (b *builder) apply(rec Record) {
 	}
 }
 
-// finish normalizes the replayed state into a State (blobs not yet
-// loaded; Open does that, since it owns the directory).
-func (b *builder) finish() *State {
+// finish normalizes the replayed state into a State and loads the
+// surviving platters' blobs.
+func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	st := &State{
 		OpSeq:       b.opSeq,
 		NextPlatter: b.nextPlatter,
 		Meta:        b.meta,
 		Keys:        b.keys,
 		Sets:        b.sets,
-		Records:     b.records,
+		Records:     records,
+		Truncated:   truncated,
 	}
 
 	// Membership of a closed set, for the orphan-redundancy prune.
@@ -320,7 +332,47 @@ func (b *builder) finish() *State {
 			st.Health = append(st.Health, *h)
 		}
 	}
-	return st
+	if err := st.loadBlobs(b.dir); err != nil {
+		return nil, err
+	}
+	b.state = st
+	return st.snapData(b.fingerprint).wire, nil
+}
+
+// sweepBlobs removes orphan blobs — platters with no publish record.
+// They are crashes between blob write and record append; the platter
+// was never acknowledged anywhere, so the bytes are garbage. Only safe
+// during recovery: at runtime a fresh blob may precede its (imminent)
+// record.
+func (b *builder) sweepBlobs(onDisk []media.PlatterID) {
+	live := make(map[media.PlatterID]bool, len(b.state.Platters))
+	for _, p := range b.state.Platters {
+		live[p.ID] = true
+	}
+	for _, id := range onDisk {
+		if !live[id] {
+			_ = os.Remove(filepath.Join(b.dir, blobName(id)))
+		}
+	}
+}
+
+var serviceDomain = domain[*builder]{
+	holds:   "service state",
+	magic:   snapMagic,
+	records: serviceRecords,
+	start:   newBuilder,
+	sweep:   (*builder).sweepBlobs,
+}
+
+// Open recovers the service's persistence directory (see recoverDir):
+// snapshot plus WAL replay into a State, platter blobs loaded, orphan
+// blobs swept.
+func Open(opts Options) (*Log, *State, error) {
+	l, b, err := recoverDir(opts, serviceDomain)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, b.state, nil
 }
 
 // loadBlobs resolves every surviving platter's sidecar blob. A platter

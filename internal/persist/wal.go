@@ -2,11 +2,12 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // WAL on-disk format. A log file is a fixed header followed by frames:
@@ -40,14 +41,17 @@ type walFrame struct {
 
 // encodeFrame appends the framed record (with lsn) to dst.
 func encodeFrame(dst []byte, lsn uint64, rec Record) []byte {
-	var body enc
-	body.buf = make([]byte, 0, 64)
-	body.buf = binary.LittleEndian.AppendUint64(body.buf, lsn)
-	body.buf = append(body.buf, rec.recType())
-	rec.encode(&body)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body.buf)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body.buf))
-	return append(dst, body.buf...)
+	hdr := len(dst)
+	// 64 bytes hold every record that carries no payload, so only a
+	// RecPut's ciphertext regrows the buffer.
+	c := coder{buf: append(slices.Grow(dst, 64), make([]byte, frameHdrLen)...)}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, lsn)
+	c.buf = append(c.buf, rec.recType())
+	rec.wire(&c)
+	payload := c.buf[hdr+frameHdrLen:]
+	binary.LittleEndian.PutUint32(c.buf[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(c.buf[hdr+4:], crc32.ChecksumIEEE(payload))
+	return c.buf
 }
 
 // writeWALHeader starts a fresh log file.
@@ -59,50 +63,58 @@ func writeWALHeader(f *os.File, startLSN uint64) error {
 	return err
 }
 
-// scanWAL reads every intact frame of one log file, decoding record
-// bodies through newRec (each WAL domain — service, cluster router —
-// has its own tag space and factory). It returns the frames up to the
-// first torn or corrupt one; tornAt reports the byte offset of the
-// damage (-1 when the file ends cleanly). Damage is never an error —
-// it is the expected shape of a crash mid-append — but a bad header
-// is: that file was never a log.
-func scanWAL(path string, newRec func(byte) (Record, error)) (frames []walFrame, startLSN uint64, tornAt int64, err error) {
+var errNotWAL = errors.New("not a WAL file")
+
+// scanWAL reads every intact frame of one log file; see scanFrames.
+func scanWAL(path string, records recordTable) (frames []walFrame, tornAt int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, -1, err
+		return nil, -1, err
 	}
+	if frames, tornAt, err = scanFrames(data, records); err != nil {
+		err = fmt.Errorf("persist: %s: %w", path, err)
+	}
+	return frames, tornAt, err
+}
+
+// scanFrames decodes a log file's bytes, building record bodies from
+// records (each WAL domain — service, cluster router — has its own tag
+// space). It returns the frames up to the first torn or corrupt one;
+// tornAt reports the byte offset of the damage (-1 when the file ends
+// cleanly). Damage is never an error — it is the expected shape of a
+// crash mid-append — but a bad header is: that file was never a log.
+func scanFrames(data []byte, records recordTable) (frames []walFrame, tornAt int64, err error) {
 	if len(data) < walHeaderLen || string(data[:len(walMagic)]) != walMagic {
-		return nil, 0, -1, fmt.Errorf("persist: %s: not a WAL file", path)
+		return nil, -1, errNotWAL
 	}
-	startLSN = binary.LittleEndian.Uint64(data[len(walMagic):walHeaderLen])
 	off := int64(walHeaderLen)
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
-			return frames, startLSN, -1, nil // clean end
+			return frames, -1, nil // clean end
 		}
 		if len(rest) < frameHdrLen {
-			return frames, startLSN, off, nil // torn frame header
+			return frames, off, nil // torn frame header
 		}
 		length := binary.LittleEndian.Uint32(rest)
 		sum := binary.LittleEndian.Uint32(rest[4:])
 		if length < 9 || length > maxFrameLen || int(length) > len(rest)-frameHdrLen {
-			return frames, startLSN, off, nil // torn or corrupt length
+			return frames, off, nil // torn or corrupt length
 		}
 		payload := rest[frameHdrLen : frameHdrLen+int(length)]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return frames, startLSN, off, nil // corrupt frame
+			return frames, off, nil // corrupt frame
 		}
-		lsn := binary.LittleEndian.Uint64(payload)
-		rec, rerr := newRec(payload[8])
-		if rerr != nil {
-			return frames, startLSN, off, nil // unknown tag: treat as corrupt
+		newRec, ok := records[payload[8]]
+		if !ok {
+			return frames, off, nil // unknown tag: treat as corrupt
 		}
-		d := &dec{buf: payload[9:]}
-		if rerr := rec.decode(d); rerr != nil {
-			return frames, startLSN, off, nil // record body corrupt
+		rec := newRec()
+		c := coder{buf: payload[9:], decoding: true}
+		if rec.wire(&c); c.err != nil {
+			return frames, off, nil // record body corrupt
 		}
-		frames = append(frames, walFrame{lsn: lsn, rec: rec})
+		frames = append(frames, walFrame{lsn: binary.LittleEndian.Uint64(payload), rec: rec})
 		off += int64(frameHdrLen) + int64(length)
 	}
 }
@@ -122,7 +134,7 @@ func syncDir(dir string) {
 // atomicWriteFile writes data to path via a temp file in the same
 // directory: write, fsync, rename, fsync dir. Readers observe either
 // the old file or the complete new one, never a prefix.
-func atomicWriteFile(path string, write func(io.Writer) error) error {
+func atomicWriteFile(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
@@ -133,7 +145,7 @@ func atomicWriteFile(path string, write func(io.Writer) error) error {
 		_ = os.Remove(tmpName)
 		return err
 	}
-	if err := write(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {

@@ -42,31 +42,65 @@ repair-smoke:
 
 tier2: vet race smoke repair-smoke
 
-# Observability smoke: start a real silicad, push one object through
-# it, scrape /metrics with silicactl, and check the exposition carries
-# every subsystem's families (gateway, staging, codec, flush, repair).
+# Observability smoke: start a real silicad and a real three-library
+# router, walk the same object tour (PUT / GET / flush / DELETE /
+# GET→404) over both and require identical statuses, content types and
+# bodies — the two daemons mount one object surface; the one
+# legitimate difference, normalised before the diff, is that a library
+# says why a deleted object is gone ("all versions deleted") while the
+# router answers from its own directory. Then scrape both
+# /metrics through silicactl and check every subsystem's families
+# (gateway, staging, codec, flush, repair on the library; the routed-op
+# counters on the router) under one Content-Type, and run a rebalance
+# through silicactl so the client's JSON call path meets a real router.
 OBS_URL := http://127.0.0.1:7171
+OBS_ROUTER_URL := http://127.0.0.1:7172
+OBS_DIR := /tmp/silica-obs-smoke
 obs-smoke:
-	$(GO) build -o /tmp/silica-obs-smoke/ ./cmd/silicad ./cmd/silicactl
-	/tmp/silica-obs-smoke/silicad -listen 127.0.0.1:7171 & \
-	  SILICAD_PID=$$!; \
-	  trap "kill $$SILICAD_PID 2>/dev/null" EXIT; \
-	  for i in $$(seq 1 50); do \
-	    curl -sf $(OBS_URL)/v1/healthz >/dev/null && break; sleep 0.1; \
+	$(GO) build -o $(OBS_DIR)/ ./cmd/silicad ./cmd/silicactl
+	$(OBS_DIR)/silicad -listen 127.0.0.1:7171 & SILICAD_PID=$$!; \
+	  $(OBS_DIR)/silicad -listen 127.0.0.1:7172 -cluster 3 & ROUTER_PID=$$!; \
+	  trap "kill $$SILICAD_PID $$ROUTER_PID 2>/dev/null" EXIT; \
+	  for url in $(OBS_URL) $(OBS_ROUTER_URL); do \
+	    for i in $$(seq 1 50); do \
+	      curl -sf $$url/v1/healthz >/dev/null && break; sleep 0.1; \
+	    done; \
 	  done; \
-	  curl -sf -X PUT --data-binary smoke $(OBS_URL)/v1/objects/acct/obj >/dev/null; \
-	  curl -sf -X POST $(OBS_URL)/v1/flush >/dev/null; \
-	  /tmp/silica-obs-smoke/silicactl metrics -url $(OBS_URL) > /tmp/silica-obs-smoke/metrics.txt; \
-	  /tmp/silica-obs-smoke/silicactl top -url $(OBS_URL) -n 1; \
+	  tour() { \
+	    for step in "PUT /v1/objects/acct/obj" "GET /v1/objects/acct/obj" "POST /v1/flush" \
+	                "DELETE /v1/objects/acct/obj" "GET /v1/objects/acct/obj" "GET /v1/objects/acct/never"; do \
+	      set -- $$step; body=""; [ $$1 = PUT ] && body="--data-binary smoke"; \
+	      echo "$$1 $$2"; \
+	      curl -s -X $$1 $$body -w '\n%{http_code} %{content_type}\n' $$url$$2; \
+	    done; \
+	  }; \
+	  url=$(OBS_URL); tour > $(OBS_DIR)/tour-library.txt; \
+	  url=$(OBS_ROUTER_URL); tour > $(OBS_DIR)/tour-router.txt; \
+	  grep -q '^404 application/json' $(OBS_DIR)/tour-router.txt \
+	    || { echo "object tour never reached the 404"; cat $(OBS_DIR)/tour-router.txt; exit 1; }; \
+	  sed -i 's/ (all versions deleted)//' $(OBS_DIR)/tour-library.txt; \
+	  diff $(OBS_DIR)/tour-library.txt $(OBS_DIR)/tour-router.txt \
+	    || { echo "library and router answer the object tour differently"; exit 1; }; \
+	  $(OBS_DIR)/silicactl metrics -url $(OBS_URL) > $(OBS_DIR)/metrics.txt; \
+	  $(OBS_DIR)/silicactl top -url $(OBS_URL) -n 1; \
 	  for fam in silica_gateway_queue_depth silica_gateway_request_seconds \
 	             silica_staging_used_bytes silica_codec_jobs_total \
 	             silica_codec_encode_seconds silica_codec_decode_seconds \
 	             silica_codec_sectors_total silica_codec_sectors_per_second \
 	             silica_repair_scrubs_total silica_flush_phase_seconds; do \
-	    grep -q "^# TYPE $$fam " /tmp/silica-obs-smoke/metrics.txt \
+	    grep -q "^# TYPE $$fam " $(OBS_DIR)/metrics.txt \
 	      || { echo "missing metric family: $$fam"; exit 1; }; \
 	  done; \
-	  echo "obs-smoke: all metric families present"
+	  $(OBS_DIR)/silicactl metrics -url $(OBS_ROUTER_URL) > $(OBS_DIR)/metrics-router.txt; \
+	  grep -q "^# TYPE silica_cluster_routed_total " $(OBS_DIR)/metrics-router.txt \
+	    || { echo "missing metric family: silica_cluster_routed_total"; exit 1; }; \
+	  for url in $(OBS_URL) $(OBS_ROUTER_URL); do \
+	    ct=$$(curl -s -o /dev/null -w '%{content_type}' $$url/metrics); \
+	    [ "$$ct" = "text/plain; version=0.0.4; charset=utf-8" ] \
+	      || { echo "$$url/metrics Content-Type: $$ct"; exit 1; }; \
+	  done; \
+	  $(OBS_DIR)/silicactl cluster -url $(OBS_ROUTER_URL) -rebalance -workers 2 || exit 1; \
+	  echo "obs-smoke: library and router agree; all metric families present"
 
 # Crash-recovery smoke: the durability contract under kill -9. Runs
 # the in-process kill-point test (freeze the WAL mid-flush under

@@ -279,10 +279,9 @@ func scrapeMetrics(api gateway.API, g *gateway.Gateway, cl *cluster.Cluster) ([]
 // spent inside the gateway is separable from transport and retry
 // overhead.
 func printServerPercentiles(samples []obs.PromSample, rep gateway.LoadReport) {
-	sums := rep.Latencies.Summaries()
 	fmt.Println("latency p99, server vs client:")
 	for _, class := range []string{"put", "get", "delete"} {
-		cs, ok := sums[class]
+		cs, ok := rep.Latencies[class]
 		if !ok || cs.N == 0 {
 			continue
 		}

@@ -18,7 +18,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -325,22 +325,12 @@ func clusterCmd(args []string) {
 // report with per-key errors still prints — the aggregation is the
 // feature — but exits nonzero so scripts notice.
 func runRebalance(url string, workers int) bool {
-	target := url + "/v1/cluster/rebalance"
+	path := "/v1/cluster/rebalance"
 	if workers > 0 {
-		target += fmt.Sprintf("?workers=%d", workers)
+		path += fmt.Sprintf("?workers=%d", workers)
 	}
-	resp, err := http.Post(target, "application/json", nil)
-	check(err)
-	defer resp.Body.Close()
 	var rep cluster.RebalanceReport
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&e)
-		check(fmt.Errorf("rebalance: http %d: %s", resp.StatusCode, e.Error))
-	}
-	check(json.NewDecoder(resp.Body).Decode(&rep))
+	check(gateway.NewClient(url).Call(context.Background(), http.MethodPost, path, nil, &rep))
 	fmt.Printf("rebalance %d keys examined, %d moved (%s), %d lost, %d errors\n",
 		rep.KeysExamined, rep.KeysMoved, fmtBytes(float64(rep.BytesMoved)), rep.Lost, rep.Errors)
 	for _, s := range rep.ErrorSamples {

@@ -4,22 +4,8 @@
 //
 //	silicad -listen :7070 -staging-cap 1048576 -flush-age 2s
 //
-// API (see internal/gateway):
-//
-//	PUT    /v1/objects/{account}/{name}   store object
-//	GET    /v1/objects/{account}/{name}   fetch object
-//	DELETE /v1/objects/{account}/{name}   crypto-shred object
-//	POST   /v1/flush                      force a staging drain
-//	GET    /v1/stats                      counters, latencies, staging usage
-//	GET    /v1/healthz                    liveness (503 "degraded" at reduced redundancy)
-//	GET    /v1/health/platters            platter health registry + transition history
-//	POST   /v1/repair/{platter}           fail a platter and rebuild it from its set
-//	POST   /v1/faults                     arm fault-injection rules at runtime
-//	GET    /v1/faults                     list armed rules and fire counts
-//	DELETE /v1/faults                     disarm all fault rules
-//	GET    /v1/cost                       §9 TCO comparison (tape/HDD/Silica)
-//	GET    /v1/backend                    backend kind, policy, mechanical stats
-//	POST   /v1/backend                    switch the twin's scheduling policy at runtime
+// The HTTP API — every route, which mode serves it, and the status
+// mapping — is the "HTTP surface" table in DESIGN.md.
 //
 // With -backend twin every media touch (burns, reads, scrub samples,
 // rebuild member reads) is charged mechanical latency by a calibrated
@@ -32,11 +18,7 @@
 // across N in-process library instances (or a fleet of peer silicads)
 // on a deterministic consistent-hash ring, every write places a
 // cross-library redundancy copy on the ring successor, and the
-// object API above is unchanged. Router-only endpoints:
-//
-//	GET  /v1/cluster             ring ownership + per-library state
-//	POST /v1/cluster/rebalance   reconcile placement now
-//	POST /v1/cluster/drain       migrate a library's ranges off, close it
+// object API is unchanged; the router adds /v1/cluster*.
 //
 // With -persist-dir the daemon is durable: it recovers snapshot+WAL
 // state from the directory on start, fsyncs the WAL before every
@@ -176,10 +158,26 @@ func main() {
 		warnTruncated(g.Service().PersistLog(), *persistDir)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: g.Handler()}
+	log.Printf("silicad listening on %s (staging cap %d, flush-age %s)", *listen, *stagingCap, *flushAge)
+	serve(*listen, g.Handler(), func() error {
+		if err := g.Close(); err != nil && err != gateway.ErrClosed {
+			return err
+		}
+		ctr := g.Counters()
+		log.Printf("drained: %d completed, %d rejected, %d flushes, %d platters written",
+			ctr.Completed, ctr.Rejected, ctr.Flushes, g.Service().Stats().PlattersWritten)
+		return nil
+	})
+}
+
+// serve is the daemon's lifetime in either mode: listen, wait for
+// SIGINT/SIGTERM or a server error, stop accepting and let in-flight
+// requests finish (30 s grace), then close the stack behind the
+// handler. A failed close exits 1 — staged data may not be durable.
+func serve(listen string, handler http.Handler, closeStack func() error) {
+	srv := &http.Server{Addr: listen, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("silicad listening on %s (staging cap %d, flush-age %s)", *listen, *stagingCap, *flushAge)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
@@ -195,14 +193,10 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	if err := g.Close(); err != nil && err != gateway.ErrClosed {
-		log.Printf("gateway close: %v", err)
+	if err := closeStack(); err != nil {
+		log.Printf("close: %v", err)
 		os.Exit(1)
 	}
-	snap := g.Snapshot()
-	log.Printf("drained: %d completed, %d rejected, %d flushes, %d platters written",
-		snap.Counters.Completed, snap.Counters.Rejected, snap.Counters.Flushes,
-		snap.Service.PlattersWritten)
 }
 
 // warnTruncated says so when recovery stopped at a torn or corrupt WAL
@@ -276,29 +270,14 @@ func runCluster(cfg gateway.Config, listen string, n int, peers string, seed uin
 	}
 	warnTruncated(c.PersistLog(), cluster.RouterPersistDir(persistDir))
 
-	srv := &http.Server{Addr: listen, Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("silicad (cluster router) listening on %s", listen)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("received %s; draining", sig)
-	case err := <-errc:
-		log.Printf("server error: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := c.Close(); err != nil {
-		log.Printf("cluster close: %v", err)
-		os.Exit(1)
-	}
-	st := c.Status()
-	log.Printf("drained: %d keys across %d libraries, %d cross-library rebuild reads",
-		st.Keys, len(st.Libraries), st.RebuildReads)
+	serve(listen, c.Handler(), func() error {
+		if err := c.Close(); err != nil {
+			return err
+		}
+		st := c.Status()
+		log.Printf("drained: %d keys across %d libraries, %d cross-library rebuild reads",
+			st.Keys, len(st.Libraries), st.RebuildReads)
+		return nil
+	})
 }

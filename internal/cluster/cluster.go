@@ -15,6 +15,7 @@ import (
 	"silica/internal/metadata"
 	"silica/internal/obs"
 	"silica/internal/persist"
+	"silica/internal/service"
 	"silica/internal/staging"
 )
 
@@ -24,15 +25,25 @@ import (
 // role independently.
 const replicaPrefix = "~replica~"
 
+// unavailableError is a router-level reason a request cannot be served
+// right now. It keeps its own message but unwraps to
+// service.ErrUnavailable, so in-process callers and HTTP clients (503
+// with Retry-After) see the same retryable class a single library
+// reports.
+type unavailableError string
+
+func (e unavailableError) Error() string { return string(e) }
+func (unavailableError) Unwrap() error   { return service.ErrUnavailable }
+
 // ErrNoLibraries is returned when no live library can serve a request.
-var ErrNoLibraries = errors.New("cluster: no live libraries")
+var ErrNoLibraries error = unavailableError("cluster: no live libraries")
 
 // ErrUnknownLibrary names a member the cluster has never seen.
 var ErrUnknownLibrary = errors.New("cluster: unknown library")
 
 // ErrLibraryClosed is returned by a RemoteLibrary after Close: the
 // router has released the member and no longer routes to it.
-var ErrLibraryClosed = errors.New("cluster: remote library closed")
+var ErrLibraryClosed error = unavailableError("cluster: remote library closed")
 
 // LibraryState is one member's serving-stack summary for /v1/cluster.
 type LibraryState struct {
@@ -75,14 +86,14 @@ func (l LocalLibrary) DeleteCtx(ctx context.Context, account, name string) error
 func (l LocalLibrary) Flush() error { return l.G.Flush() }
 func (l LocalLibrary) Close() error { return l.G.Close() }
 func (l LocalLibrary) State() LibraryState {
-	snap := l.G.Snapshot()
+	ctr := l.G.Counters()
 	return LibraryState{
 		Healthy:  true,
 		Degraded: l.G.Degraded(),
-		InFlight: snap.Counters.Accepted - snap.Counters.Completed,
-		Staging:  snap.Staging,
-		Platters: snap.Service.PlattersWritten,
-		Flushes:  snap.Counters.Flushes,
+		InFlight: ctr.Accepted - ctr.Completed,
+		Staging:  l.G.Service().StagingUsage(),
+		Platters: l.G.Service().Stats().PlattersWritten,
+		Flushes:  ctr.Flushes,
 	}
 }
 
@@ -193,9 +204,6 @@ type Config struct {
 	Seed uint64
 	// VNodes is the per-library virtual-node count (0 = DefaultVNodes).
 	VNodes int
-	// Metrics receives the silica_cluster_* families. Nil builds a
-	// private registry (still served on the router's /metrics).
-	Metrics *obs.Registry
 	// RetryAfter is the backoff hint for the router's 429/503 responses.
 	RetryAfter time.Duration
 	// PersistDir, when set, gives the router its own durability log:
@@ -263,10 +271,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	c := &Cluster{
 		cfg:     cfg,
 		start:   time.Now(),
@@ -494,8 +499,8 @@ func (c *Cluster) GetCtx(ctx context.Context, account, name string) ([]byte, err
 	// 404 only when every recorded copy was reachable and said NotFound.
 	// NotFound from one side while the other is dead or erroring is a
 	// half-observed state, not evidence the object is gone; the real
-	// error (kept out of the NotFound join so writeErr cannot map it to
-	// 404) or an unreadable report surfaces instead.
+	// error (kept out of the NotFound join so the HTTP layer cannot map
+	// it to 404) or an unreadable report surfaces instead.
 	if firstErr == nil && consulted > 0 && notFound == consulted &&
 		primary != nil && (ent.replica == "" || replica != nil) {
 		return nil, fmt.Errorf("%w: %s/%s on every copy-holder", metadata.ErrNotFound, account, name)

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"silica/internal/gateway"
 	"silica/internal/metadata"
+	"silica/internal/service"
 )
 
 func newLocalCluster(t *testing.T, n int, seed uint64) *Cluster {
@@ -299,5 +301,101 @@ func TestClusterKillLibraryE2E(t *testing.T) {
 	}
 	if c.Degraded() {
 		t.Fatal("cluster degraded after rebuild")
+	}
+}
+
+// TestStatusCostIndependentOfHistory is the router half of the
+// bounded-stats fix: GET /v1/cluster asks every member for its state,
+// and what that allocates must not grow with the requests the members
+// have served.
+func TestStatusCostIndependentOfHistory(t *testing.T) {
+	gcfg := gateway.DefaultConfig()
+	gcfg.DisableRepair = true
+	gcfg.FlushAge = 0
+	gcfg.FlushInterval = time.Hour
+	c, err := NewLocal(LocalConfig{Libraries: 3, Cluster: Config{Seed: 5}, Gateway: gcfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Put("acct", "hot", testPayload(1)); err != nil {
+		t.Fatal(err)
+	}
+	gets := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := c.Get("acct", "hot"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The least of several measurements: a background goroutine's
+	// allocation landing inside one window must not count.
+	statusBytes := func() uint64 {
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			c.Status()
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d < least {
+				least = d
+			}
+		}
+		return least
+	}
+	gets(1000)
+	early := statusBytes()
+	gets(19000)
+	late := statusBytes()
+	const slack = 2048
+	if late > early+slack {
+		t.Fatalf("Status allocates %d B after 20000 gets vs %d B after 1000: cost grows with history", late, early)
+	}
+}
+
+// TestUnavailableIsOneClassOnBothTransports pins the retryable-class
+// fix: "no library can serve this right now" is service.ErrUnavailable
+// whether the caller is in-process or behind HTTP, and a member the
+// router has closed answers 503 with a Retry-After hint instead of a
+// bare 500.
+func TestUnavailableIsOneClassOnBothTransports(t *testing.T) {
+	empty, err := New(Config{Seed: 3, RetryAfter: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = empty.PutCtx(context.Background(), "acct", "obj", []byte("x"))
+	if !errors.Is(err, ErrNoLibraries) || !errors.Is(err, service.ErrUnavailable) {
+		t.Fatalf("in-process put with no members: %v, want ErrNoLibraries wrapping service.ErrUnavailable", err)
+	}
+	srv := httptest.NewServer(empty.Handler())
+	defer srv.Close()
+	_, err = gateway.NewClient(srv.URL).PutCtx(context.Background(), "acct", "obj", []byte("x"))
+	if !errors.Is(err, service.ErrUnavailable) {
+		t.Fatalf("HTTP put with no members: %v, want service.ErrUnavailable", err)
+	}
+	if hint, ok := gateway.RetryAfterHint(err); !ok || hint != 250*time.Millisecond {
+		t.Fatalf("HTTP put with no members: Retry-After hint %v (present %v), want 250ms", hint, ok)
+	}
+
+	c, err := New(Config{Seed: 3, RetryAfter: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl := NewRemoteLibrary(gateway.NewClient("http://127.0.0.1:1"))
+	if err := c.AddLibrary("peer", rl); err != nil {
+		t.Fatal(err)
+	}
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.PutCtx(context.Background(), "acct", "obj", []byte("x"))
+	if !errors.Is(err, ErrLibraryClosed) || !errors.Is(err, service.ErrUnavailable) {
+		t.Fatalf("put to a closed member: %v, want ErrLibraryClosed wrapping service.ErrUnavailable", err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/objects/acct/obj", strings.NewReader("x")))
+	if rec.Code != 503 || rec.Header().Get("Retry-After") != "0.25" {
+		t.Fatalf("HTTP put to a closed member: status %d, Retry-After %q; want 503 with 0.25\n%s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
 	}
 }

@@ -4,153 +4,40 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
-	"silica/internal/faults"
 	"silica/internal/gateway"
-	"silica/internal/metadata"
-	"silica/internal/service"
-	"silica/internal/staging"
 )
 
-// The router's HTTP API mirrors a single gateway's object surface, so
-// clients (and gateway.Client) cannot tell a cluster from one library:
-//
-//	PUT    /v1/objects/{account}/{name...}   route to primary + replica
-//	GET    /v1/objects/{account}/{name...}   primary, failover to replica
-//	DELETE /v1/objects/{account}/{name...}   delete every copy
-//	POST   /v1/flush                         drain every library's staging
-//	GET    /v1/healthz                       503 "degraded" on a dead member
-//	                                         or lost redundancy
-//	GET    /v1/cluster                       Status JSON: ring ownership,
-//	                                         per-library state, redundancy
-//	                                         placement summary
-//	POST   /v1/cluster/rebalance             reconcile placement now
-//	POST   /v1/cluster/drain                 {"library": name}: migrate off
-//	                                         + close a member
-//	GET    /metrics                          silica_cluster_* exposition
-
-// Handler returns the router's HTTP API.
+// Handler returns the router's HTTP API: the object surface a single
+// library serves, mounted by the same gateway.MountObjects so clients
+// (and gateway.Client) cannot tell a cluster from one library, plus the
+// router's own health summary and the /v1/cluster* admin routes. The
+// route table is DESIGN.md "HTTP surface".
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/objects/{account}/{name...}", c.handlePut)
-	mux.HandleFunc("GET /v1/objects/{account}/{name...}", c.handleGet)
-	mux.HandleFunc("DELETE /v1/objects/{account}/{name...}", c.handleDelete)
-	mux.HandleFunc("POST /v1/flush", c.handleFlush)
+	// Library.Flush takes no context, so the request's cannot reach the
+	// members: a flush the caller abandons still runs to completion.
+	flush := func(context.Context) error { return c.Flush() }
+	gateway.MountObjects(mux, c, flush, c.reg, c.cfg.RetryAfter)
 	mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
 	mux.HandleFunc("GET /v1/cluster", c.handleStatus)
 	mux.HandleFunc("POST /v1/cluster/rebalance", c.handleRebalance)
 	mux.HandleFunc("POST /v1/cluster/drain", c.handleDrain)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return mux
 }
 
-func (c *Cluster) writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, gateway.ErrOverloaded), errors.Is(err, staging.ErrCapacity):
-		c.setRetryAfter(w)
-		code = http.StatusTooManyRequests
-	case errors.Is(err, gateway.ErrClosed), errors.Is(err, service.ErrUnavailable),
-		errors.Is(err, faults.ErrInjected), errors.Is(err, ErrNoLibraries):
-		c.setRetryAfter(w)
-		code = http.StatusServiceUnavailable
-	case errors.Is(err, metadata.ErrNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, context.DeadlineExceeded):
-		code = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		code = 499 // client closed request
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (c *Cluster) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.FormatFloat(c.cfg.RetryAfter.Seconds(), 'g', -1, 64))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func objectKey(r *http.Request) (account, name string, ok bool) {
-	account, name = r.PathValue("account"), r.PathValue("name")
-	return account, name, account != "" && name != ""
-}
-
-func (c *Cluster) handlePut(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, gateway.MaxObjectBytes))
-	if err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	version, err := c.PutCtx(r.Context(), account, name, data)
-	if err != nil {
-		c.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]int{"version": version})
-}
-
-func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	data, err := c.GetCtx(r.Context(), account, name)
-	if err != nil {
-		c.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-func (c *Cluster) handleDelete(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	if err := c.DeleteCtx(r.Context(), account, name); err != nil {
-		c.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"deleted": true})
-}
-
-func (c *Cluster) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if err := c.Flush(); err != nil {
-		c.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"flushed": true})
-}
-
 func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	status, code := "ok", http.StatusOK
 	if c.Degraded() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]string{"status": "degraded"})
-		return
+		status, code = "degraded", http.StatusServiceUnavailable
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	gateway.WriteJSON(w, code, map[string]string{"status": status})
 }
 
 func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.Status())
+	gateway.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // handleRebalance runs a reconcile pass. ?workers=N overrides the
@@ -170,10 +57,10 @@ func (c *Cluster) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := c.RebalanceN(r.Context(), workers)
 	if err != nil && (rep.Errors == 0 || r.Context().Err() != nil) {
-		c.writeErr(w, err)
+		gateway.WriteServiceError(w, err, c.cfg.RetryAfter)
 		return
 	}
-	writeJSON(w, rep)
+	gateway.WriteJSON(w, http.StatusOK, rep)
 }
 
 // DrainRequest is the POST /v1/cluster/drain body.
@@ -193,34 +80,22 @@ func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrUnknownLibrary) {
 			code = http.StatusNotFound
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		gateway.WriteError(w, code, err)
 		return
 	}
-	writeJSON(w, rep)
-}
-
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.reg.WriteProm(w)
+	gateway.WriteJSON(w, http.StatusOK, rep)
 }
 
 // FetchStatus reads GET /v1/cluster from a router at baseURL —
-// silicactl's data source. A nil client uses http.DefaultClient.
+// silicactl's data source — through gateway.Client, so it shares the
+// bounded transport and the typed errors. A non-nil hc replaces the
+// client's HTTP transport.
 func FetchStatus(hc *http.Client, baseURL string) (Status, error) {
+	cl := gateway.NewClient(baseURL)
+	if hc != nil {
+		cl.HTTP = hc
+	}
 	var st Status
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Get(baseURL + "/v1/cluster")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return st, fmt.Errorf("cluster: GET /v1/cluster: http %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	err := cl.Call(context.Background(), http.MethodGet, "/v1/cluster", nil, &st)
 	return st, err
 }

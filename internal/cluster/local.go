@@ -13,7 +13,7 @@ import (
 type LocalConfig struct {
 	// Libraries is the shard count (>= 1).
 	Libraries int
-	// Cluster shapes the router (seed, vnodes, metrics registry).
+	// Cluster shapes the router (seed, vnodes, persistence).
 	Cluster Config
 	// Gateway is the per-shard template. Each shard's copy gets a
 	// distinct service seed (template seed XOR shard index) so shards
@@ -59,7 +59,6 @@ func NewLocal(lc LocalConfig) (*Cluster, error) {
 		}
 		cfg := lc.Gateway
 		cfg.Service.Seed = lc.Gateway.Service.Seed ^ uint64(i+1)<<32
-		cfg.Metrics = nil // each shard owns a private registry
 		if lc.PersistDir != "" {
 			dir := filepath.Join(lc.PersistDir, name)
 			if wipe {

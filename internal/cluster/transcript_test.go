@@ -155,7 +155,7 @@ var routerTranscript = []exchange{
 	{name: "drain empty library", method: "POST", path: "/v1/cluster/drain", body: `{}`,
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nbody: need {\"library\":\"name\"}\n"},
 	{name: "metrics", method: "GET", path: "/metrics",
-		want: "HTTP 200\nContent-Type: text/plain; version=0.0.4\n\n..."},
+		want: "HTTP 200\nContent-Type: text/plain; version=0.0.4; charset=utf-8\n\n..."},
 }
 
 // After one of the three members is killed the router is degraded.

@@ -270,16 +270,56 @@ func decodeError(resp *http.Response) error {
 	return err
 }
 
-func (c *Client) do(req *http.Request) (*http.Response, error) {
+// send issues one request and hands a 2xx response body to read (nil
+// discards it); any other status comes back as decodeError's typed
+// error. A non-nil body is sent as is, labelled contentType when set.
+func (c *Client) send(ctx context.Context, method, url string, body []byte, contentType string,
+	read func(io.Reader) error) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
+		return decodeError(resp)
 	}
-	return resp, nil
+	if read == nil {
+		return nil
+	}
+	return read(resp.Body)
+}
+
+// Call is the one path every JSON request takes: method on path
+// (relative to BaseURL), in marshalled as the body when non-nil, the
+// 2xx answer decoded into out when non-nil. Routes this client has no
+// typed method for (the router's /v1/cluster*) go through it too, so
+// they share the bounded transport and the typed errors.
+func (c *Client) Call(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	contentType := ""
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body, contentType = b, "application/json"
+	}
+	var read func(io.Reader) error
+	if out != nil {
+		read = func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+	}
+	return c.send(ctx, method, c.BaseURL+path, body, contentType, read)
 }
 
 // Put uploads data and returns the version written.
@@ -294,19 +334,12 @@ func (c *Client) PutCtx(ctx context.Context, account, name string, data []byte) 
 		Version int `json:"version"`
 	}
 	err := c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.objectURL(account, name), bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		resp, err := c.do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return fmt.Errorf("gateway: decoding put response: %w", err)
-		}
-		return nil
+		return c.send(ctx, http.MethodPut, c.objectURL(account, name), data, "", func(r io.Reader) error {
+			if err := json.NewDecoder(r).Decode(&out); err != nil {
+				return fmt.Errorf("gateway: decoding put response: %w", err)
+			}
+			return nil
+		})
 	})
 	return out.Version, err
 }
@@ -320,17 +353,10 @@ func (c *Client) Get(account, name string) ([]byte, error) {
 func (c *Client) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
 	var data []byte
 	err := c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.objectURL(account, name), nil)
-		if err != nil {
+		return c.send(ctx, http.MethodGet, c.objectURL(account, name), nil, "", func(r io.Reader) (err error) {
+			data, err = io.ReadAll(r)
 			return err
-		}
-		resp, err := c.do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		data, err = io.ReadAll(resp.Body)
-		return err
+		})
 	})
 	return data, err
 }
@@ -343,16 +369,7 @@ func (c *Client) Delete(account, name string) error {
 // DeleteCtx is Delete under ctx with the client's retry policy.
 func (c *Client) DeleteCtx(ctx context.Context, account, name string) error {
 	return c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.objectURL(account, name), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		return nil
+		return c.send(ctx, http.MethodDelete, c.objectURL(account, name), nil, "", nil)
 	})
 }
 
@@ -364,225 +381,98 @@ func (c *Client) Flush() error {
 // FlushCtx is Flush under ctx with the client's retry policy.
 func (c *Client) FlushCtx(ctx context.Context) error {
 	return c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/flush", nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		return nil
+		return c.send(ctx, http.MethodPost, c.BaseURL+"/v1/flush", nil, "", nil)
 	})
 }
 
 // ArmFaults arms fault-injection rules on the daemon via POST
 // /v1/faults and returns the resulting injector state.
-func (c *Client) ArmFaults(req FaultsRequest) (FaultsPayload, error) {
-	var out FaultsPayload
-	b, err := json.Marshal(req)
-	if err != nil {
-		return out, err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/faults", bytes.NewReader(b))
-	if err != nil {
-		return out, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(hreq)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
+func (c *Client) ArmFaults(req FaultsRequest) (out FaultsPayload, err error) {
+	err = c.Call(context.Background(), http.MethodPost, "/v1/faults", req, &out)
 	return out, err
 }
 
 // Faults fetches the daemon's armed fault rules and fire counts.
-func (c *Client) Faults() (FaultsPayload, error) {
-	var out FaultsPayload
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/v1/faults", nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	return out, err
-}
-
-// Backend fetches the daemon's mechanical-backend status.
-func (c *Client) Backend() (backend.Status, error) {
-	var out backend.Status
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/v1/backend", nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	return out, err
-}
-
-// SetBackendPolicy switches the daemon's twin scheduling policy
-// (silica|sp|ns) and returns the resulting status.
-func (c *Client) SetBackendPolicy(policy string) (backend.Status, error) {
-	var out backend.Status
-	b, err := json.Marshal(BackendRequest{Policy: policy})
-	if err != nil {
-		return out, err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/backend", bytes.NewReader(b))
-	if err != nil {
-		return out, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(hreq)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
+func (c *Client) Faults() (out FaultsPayload, err error) {
+	err = c.Call(context.Background(), http.MethodGet, "/v1/faults", nil, &out)
 	return out, err
 }
 
 // ClearFaults disarms every fault rule on the daemon.
 func (c *Client) ClearFaults() error {
-	req, err := http.NewRequest(http.MethodDelete, c.BaseURL+"/v1/faults", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	return c.Call(context.Background(), http.MethodDelete, "/v1/faults", nil, nil)
+}
+
+// Backend fetches the daemon's mechanical-backend status.
+func (c *Client) Backend() (out backend.Status, err error) {
+	err = c.Call(context.Background(), http.MethodGet, "/v1/backend", nil, &out)
+	return out, err
+}
+
+// SetBackendPolicy switches the daemon's twin scheduling policy
+// (silica|sp|ns) and returns the resulting status.
+func (c *Client) SetBackendPolicy(policy string) (out backend.Status, err error) {
+	err = c.Call(context.Background(), http.MethodPost, "/v1/backend", BackendRequest{Policy: policy}, &out)
+	return out, err
 }
 
 // Stats fetches the daemon's stats snapshot.
-func (c *Client) Stats() (StatsSnapshot, error) {
-	var snap StatsSnapshot
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return snap, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
+func (c *Client) Stats() (out StatsSnapshot, err error) {
+	err = c.Call(context.Background(), http.MethodGet, "/v1/stats", nil, &out)
+	return out, err
 }
 
 // HealthPlatters fetches the per-platter health registry snapshot.
-func (c *Client) HealthPlatters() (repair.Snapshot, error) {
-	var snap repair.Snapshot
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/v1/health/platters", nil)
-	if err != nil {
-		return snap, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
+func (c *Client) HealthPlatters() (out repair.Snapshot, err error) {
+	err = c.Call(context.Background(), http.MethodGet, "/v1/health/platters", nil, &out)
+	return out, err
 }
 
 // Repair asks the daemon to fail and rebuild a platter.
 func (c *Client) Repair(id media.PlatterID) error {
-	req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/v1/repair/%d", c.BaseURL, id), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	return c.Call(context.Background(), http.MethodPost, fmt.Sprintf("/v1/repair/%d", id), nil, nil)
 }
 
 // Cost fetches the §9 TCO comparison priced on wl.
-func (c *Client) Cost(wl costmodel.Workload) (CostPayload, error) {
-	var out CostPayload
+func (c *Client) Cost(wl costmodel.Workload) (out CostPayload, err error) {
 	q := url.Values{}
 	q.Set("archive_tb", strconv.FormatFloat(wl.ArchiveTB, 'g', -1, 64))
 	q.Set("horizon_years", strconv.FormatFloat(wl.HorizonYears, 'g', -1, 64))
 	q.Set("read_tb_year", strconv.FormatFloat(wl.ReadTBPerYear, 'g', -1, 64))
 	q.Set("write_tb_year", strconv.FormatFloat(wl.WriteTBPerYear, 'g', -1, 64))
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/v1/cost?"+q.Encode(), nil)
-	if err != nil {
-		return out, err
+	err = c.Call(context.Background(), http.MethodGet, "/v1/cost?"+q.Encode(), nil, &out)
+	return out, err
+}
+
+// Traces fetches the recent-trace ring, or the slow-trace ring when
+// slow is true.
+func (c *Client) Traces(slow bool) (out TracesPayload, err error) {
+	path := "/v1/traces"
+	if slow {
+		path += "?slow=1"
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
+	err = c.Call(context.Background(), http.MethodGet, path, nil, &out)
 	return out, err
 }
 
 // MetricsText fetches the daemon's raw Prometheus text exposition.
 func (c *Client) MetricsText() (string, error) {
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+	var text []byte
+	err := c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(r io.Reader) (err error) {
+		text, err = io.ReadAll(r)
+		return err
+	})
+	return string(text), err
 }
 
 // Metrics fetches and parses the daemon's /metrics exposition
 // (silicactl top and silica-load's end-of-run scrape).
-func (c *Client) Metrics() ([]obs.PromSample, error) {
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return obs.ParseProm(resp.Body)
-}
-
-// Traces fetches the recent-trace ring, or the slow-trace ring when
-// slow is true.
-func (c *Client) Traces(slow bool) (TracesPayload, error) {
-	var out TracesPayload
-	u := c.BaseURL + "/v1/traces"
-	if slow {
-		u += "?slow=1"
-	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	return out, err
+func (c *Client) Metrics() (samples []obs.PromSample, err error) {
+	err = c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(r io.Reader) (err error) {
+		samples, err = obs.ParseProm(r)
+		return err
+	})
+	return samples, err
 }
 
 // Healthz fetches the liveness/redundancy summary. A degraded service

@@ -34,7 +34,6 @@ import (
 	"silica/internal/repair"
 	"silica/internal/service"
 	"silica/internal/staging"
-	"silica/internal/stats"
 )
 
 // ErrOverloaded is the admission-control rejection: a request queue is
@@ -85,12 +84,6 @@ type Config struct {
 	// DisableRepair turns the background repair manager off entirely
 	// (tests that inject failures and expect them to persist).
 	DisableRepair bool
-
-	// Metrics receives telemetry from the whole stack (gateway,
-	// service, codec engine, repair). Nil builds a private registry;
-	// either way it is served on GET /metrics and reachable via
-	// Gateway.Metrics.
-	Metrics *obs.Registry
 
 	// TraceSample traces one request in N (<= 0 takes the default;
 	// 1 traces everything). Traces slower than TraceSlow are kept in a
@@ -187,7 +180,8 @@ type response struct {
 	err     error
 }
 
-// Counters is a snapshot of gateway traffic accounting.
+// Counters is a snapshot of gateway traffic accounting, read off the
+// registry's silica_gateway_*_total counters.
 type Counters struct {
 	Accepted  int64 // requests admitted to a queue
 	Rejected  int64 // admission-control rejections (ErrOverloaded)
@@ -229,13 +223,6 @@ type Gateway struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	gm     gatewayMetrics
-
-	lat       *stats.Recorder
-	accepted  atomic.Int64
-	rejected  atomic.Int64
-	completed atomic.Int64
-	canceled  atomic.Int64
-	flushes   atomic.Int64
 }
 
 // New builds and starts a gateway: workers and the flush scheduler
@@ -256,13 +243,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Service.ArrivalClock == nil {
 		cfg.Service.ArrivalClock = func() float64 { return time.Since(start).Seconds() }
 	}
-	// One registry spans the whole stack: the service (and through it
-	// the codec engine), the repair manager, and the gateway itself all
-	// register into it, so one /metrics scrape covers every subsystem.
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	// One registry, private to this gateway, spans the whole stack: the
+	// service (and through it the codec engine), the repair manager, and
+	// the gateway itself all register into it, so one /metrics scrape
+	// covers every subsystem and /v1/stats can be read off it.
+	reg := obs.NewRegistry()
 	cfg.Service.Metrics = reg
 	cfg.Repair.Metrics = reg
 	if cfg.TraceSample < 1 {
@@ -320,7 +305,6 @@ func New(cfg Config) (*Gateway, error) {
 		readq:     make(chan *request, cfg.ReadQueue),
 		flushKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
-		lat:       stats.NewRecorder(),
 		reg:       reg,
 		tracer:    obs.NewTracer(cfg.TraceSample, cfg.TraceSlow),
 	}
@@ -413,7 +397,6 @@ func (g *Gateway) submit(req *request) response {
 		// operator gets out of that state).
 		if req.op == opPut {
 			if err := g.admitWrite(); err != nil {
-				g.rejected.Add(1)
 				cm.rejected.Inc()
 				g.tracer.Finish(owned)
 				return response{err: err}
@@ -434,12 +417,10 @@ func (g *Gateway) submit(req *request) response {
 	select {
 	case q <- req:
 		g.admitMu.RUnlock()
-		g.accepted.Add(1)
 		cm.admitted.Inc()
 	default:
 		g.admitMu.RUnlock()
 		req.queueSpan.End()
-		g.rejected.Add(1)
 		cm.rejected.Inc()
 		g.tracer.Finish(owned)
 		if req.op != opGet {
@@ -467,7 +448,6 @@ func (g *Gateway) submit(req *request) response {
 // matter how many vantage points (submitter, worker) observe it.
 func (g *Gateway) countCanceled(req *request) {
 	if req.canceledOnce.CompareAndSwap(false, true) {
-		g.canceled.Add(1)
 		g.gm.cls[req.op].canceled.Inc()
 	}
 }
@@ -521,11 +501,8 @@ func (g *Gateway) worker(q chan *request) {
 			resp.err = g.svc.DeleteCtx(req.ctx, req.account, req.name)
 		}
 		cm := &g.gm.cls[req.op]
-		seconds := time.Since(t0).Seconds()
-		g.lat.Observe(req.op.class(), seconds)
-		cm.seconds.Observe(seconds)
+		cm.seconds.Observe(time.Since(t0).Seconds())
 		cm.completed.Inc()
-		g.completed.Add(1)
 		req.done <- resp
 	}
 }
@@ -599,26 +576,10 @@ func (g *Gateway) flushLocked(ctx context.Context) error {
 	err := g.svc.FlushCtx(ctx)
 	seconds := time.Since(t0).Seconds()
 	g.tracer.Finish(owned)
-	g.lat.Observe("flush", seconds)
 	g.gm.flushSeconds.Observe(seconds)
 	g.gm.flushes.Inc()
-	g.flushes.Add(1)
 	return err
 }
-
-// Counters returns the traffic counters.
-func (g *Gateway) Counters() Counters {
-	return Counters{
-		Accepted:  g.accepted.Load(),
-		Rejected:  g.rejected.Load(),
-		Completed: g.completed.Load(),
-		Canceled:  g.canceled.Load(),
-		Flushes:   g.flushes.Load(),
-	}
-}
-
-// Latencies exposes the per-class latency recorder.
-func (g *Gateway) Latencies() *stats.Recorder { return g.lat }
 
 // Close stops admission, drains both queues through the workers,
 // stops the flush scheduler, and flushes staging so every admitted

@@ -311,7 +311,7 @@ func TestLoadGenerator(t *testing.T) {
 	if rep.Puts == 0 {
 		t.Fatal("no puts completed")
 	}
-	if rep.Latencies.Summary("put").N == 0 {
+	if rep.Latencies["put"].N == 0 {
 		t.Fatal("no put latencies recorded")
 	}
 	t.Logf("\n%s", rep)

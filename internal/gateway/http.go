@@ -13,65 +13,148 @@ import (
 	"silica/internal/faults"
 	"silica/internal/media"
 	"silica/internal/metadata"
+	"silica/internal/obs"
 	"silica/internal/repair"
 	"silica/internal/service"
 	"silica/internal/staging"
 	"silica/internal/stats"
 )
 
-// The HTTP/JSON API:
-//
-//	PUT    /v1/objects/{account}/{name...}  body = object bytes  → {"version": n}
-//	GET    /v1/objects/{account}/{name...}  → object bytes (octet-stream)
-//	DELETE /v1/objects/{account}/{name...}  → {"deleted": true}
-//	POST   /v1/flush                        → {"flushed": true}   (drains staging)
-//	GET    /v1/stats                        → StatsSnapshot JSON
-//	GET    /v1/healthz                      → {"status":"ok"}; 503 {"status":"degraded",...}
-//	                                          while a platter-set has lost redundancy
-//	                                          or a rebuild is running
-//	GET    /v1/health/platters              → repair.Snapshot JSON (per-platter health
-//	                                          + transition history)
-//	POST   /v1/repair/{platter}             → {"queued": true}    (fail + rebuild platter)
-//	GET    /v1/cost                         → CostPayload JSON: §9 TCO comparison of
-//	                                          tape/HDD/Silica; workload overridable via
-//	                                          ?archive_tb=&horizon_years=&read_tb_year=
-//	                                          &write_tb_year=
-//	GET    /metrics                         → Prometheus text exposition (gateway,
-//	                                          staging, codec, repair families)
-//	GET    /v1/traces                       → TracesPayload JSON: recent sampled traces;
-//	                                          ?slow=1 returns the slow-trace ring
-//	GET    /v1/backend                      → backend.Status JSON (backend kind, policy,
-//	                                          virtual clock, queue depths, drive util,
-//	                                          shuttle stats)
-//	POST   /v1/backend                      → switch the twin's scheduling policy; body
-//	                                          {"policy":"silica|sp|ns"}; 409 on direct
-//	POST   /v1/faults                       → FaultsPayload JSON (arm fault-injection
-//	                                          rules; body = FaultsRequest)
-//	GET    /v1/faults                       → FaultsPayload JSON (armed rules + fire counts)
-//	DELETE /v1/faults                       → FaultsPayload JSON (disarm everything)
-//
-// Overload (queue full, staging watermark, staging capacity) returns
-// 429; shutdown, injected faults, and unrecoverable data return 503.
-// Both carry a Retry-After header with the server's backoff hint.
-// Unknown objects return 404, caller deadline expiry 504.
+// The routes, which daemon serves each, and the error→status mapping
+// are stated once, in DESIGN.md "HTTP surface". This file holds the
+// half of that surface the library daemon and the cluster router both
+// serve (MountObjects and the response writers) and the library-only
+// admin routes.
 
 // MaxObjectBytes caps a single PUT body; larger files belong to a
 // multipart path this reproduction does not model.
 const MaxObjectBytes = 64 << 20
 
-// Handler returns the gateway's HTTP API.
+// ObjectStore is what the object routes need behind them: one library
+// (*Gateway) or the multi-library router (*cluster.Cluster).
+type ObjectStore interface {
+	PutCtx(ctx context.Context, account, name string, data []byte) (int, error)
+	GetCtx(ctx context.Context, account, name string) ([]byte, error)
+	DeleteCtx(ctx context.Context, account, name string) error
+}
+
+// MountObjects registers the object surface on mux: PUT/GET/DELETE
+// /v1/objects/{account}/{name...}, POST /v1/flush and GET /metrics.
+// Both daemons call it, so a client cannot tell a cluster from one
+// library; only what is behind the routes differs — the store, its
+// flush, the registry to expose, and the Retry-After backoff hint.
+func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Context) error,
+	reg *obs.Registry, retryAfter time.Duration) {
+	object := func(serve func(w http.ResponseWriter, r *http.Request, account, name string) error) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			account, name := r.PathValue("account"), r.PathValue("name")
+			if account == "" || name == "" {
+				http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
+				return
+			}
+			if err := serve(w, r, account, name); err != nil {
+				WriteServiceError(w, err, retryAfter)
+			}
+		}
+	}
+	mux.HandleFunc("PUT /v1/objects/{account}/{name...}", object(
+		func(w http.ResponseWriter, r *http.Request, account, name string) error {
+			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
+			if err != nil {
+				http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
+				return nil
+			}
+			version, err := store.PutCtx(r.Context(), account, name, data)
+			if err != nil {
+				return err
+			}
+			WriteJSON(w, http.StatusOK, map[string]int{"version": version})
+			return nil
+		}))
+	mux.HandleFunc("GET /v1/objects/{account}/{name...}", object(
+		func(w http.ResponseWriter, r *http.Request, account, name string) error {
+			data, err := store.GetCtx(r.Context(), account, name)
+			if err != nil {
+				return err
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(data)
+			return nil
+		}))
+	mux.HandleFunc("DELETE /v1/objects/{account}/{name...}", object(
+		func(w http.ResponseWriter, r *http.Request, account, name string) error {
+			if err := store.DeleteCtx(r.Context(), account, name); err != nil {
+				return err
+			}
+			WriteJSON(w, http.StatusOK, map[string]bool{"deleted": true})
+			return nil
+		}))
+	mux.HandleFunc("POST /v1/flush", func(w http.ResponseWriter, r *http.Request) {
+		if err := flush(r.Context()); err != nil {
+			WriteServiceError(w, err, retryAfter)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]bool{"flushed": true})
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WriteProm(w)
+	})
+}
+
+// WriteJSON answers with status code and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with status code and the {"error": …} body every
+// JSON failure carries (Client.decodeError reads it back).
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// statusClientClosedRequest is the nginx convention for "the caller
+// went away before we answered"; no stdlib constant exists.
+const statusClientClosedRequest = 499
+
+// WriteServiceError maps a storage-path error onto its HTTP status.
+// Every retryable status (429 and 503) carries a Retry-After header
+// with the server's backoff hint so well-behaved clients pace
+// themselves. The hint is formatted as seconds with fractional
+// precision — standard delta-seconds for whole values, and our own
+// client understands the fractional form tests rely on for fast retry
+// loops.
+func WriteServiceError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+	code, backoff := http.StatusInternalServerError, false
+	switch {
+	case errors.Is(err, ErrOverloaded), errors.Is(err, staging.ErrCapacity):
+		code, backoff = http.StatusTooManyRequests, true
+	case errors.Is(err, ErrClosed), errors.Is(err, service.ErrUnavailable), errors.Is(err, faults.ErrInjected):
+		code, backoff = http.StatusServiceUnavailable, true
+	case errors.Is(err, metadata.ErrNotFound):
+		code = http.StatusNotFound
+	case errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		code = statusClientClosedRequest
+	}
+	if backoff {
+		w.Header().Set("Retry-After", strconv.FormatFloat(retryAfter.Seconds(), 'g', -1, 64))
+	}
+	WriteError(w, code, err)
+}
+
+// Handler returns the library daemon's HTTP API.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/objects/{account}/{name...}", g.handlePut)
-	mux.HandleFunc("GET /v1/objects/{account}/{name...}", g.handleGet)
-	mux.HandleFunc("DELETE /v1/objects/{account}/{name...}", g.handleDelete)
-	mux.HandleFunc("POST /v1/flush", g.handleFlush)
+	MountObjects(mux, g, g.FlushCtx, g.reg, g.cfg.RetryAfter)
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/health/platters", g.handleHealthPlatters)
 	mux.HandleFunc("POST /v1/repair/{platter}", g.handleRepair)
 	mux.HandleFunc("GET /v1/cost", g.handleCost)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /v1/traces", g.handleTraces)
 	mux.HandleFunc("POST /v1/faults", g.handleFaultsArm)
 	mux.HandleFunc("GET /v1/faults", g.handleFaultsList)
@@ -87,7 +170,7 @@ type BackendRequest struct {
 }
 
 func (g *Gateway) handleBackendStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, g.BackendStatus())
+	WriteJSON(w, http.StatusOK, g.BackendStatus())
 }
 
 func (g *Gateway) handleBackendSet(w http.ResponseWriter, r *http.Request) {
@@ -97,12 +180,10 @@ func (g *Gateway) handleBackendSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := g.SetBackendPolicy(req.Policy); err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		WriteError(w, http.StatusConflict, err)
 		return
 	}
-	writeJSON(w, g.BackendStatus())
+	WriteJSON(w, http.StatusOK, g.BackendStatus())
 }
 
 // Healthz is the /v1/healthz payload.
@@ -117,18 +198,16 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if g.repair != nil {
 		h.RebuildsActive = g.repair.RebuildsActive()
 	}
+	code := http.StatusOK
 	if h.DegradedSets > 0 || h.RebuildsActive > 0 {
 		h.Status = "degraded"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(h)
-		return
+		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, h)
+	WriteJSON(w, code, h)
 }
 
 func (g *Gateway) handleHealthPlatters(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, g.HealthPlatters())
+	WriteJSON(w, http.StatusOK, g.HealthPlatters())
 }
 
 func (g *Gateway) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -142,113 +221,10 @@ func (g *Gateway) handleRepair(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, repair.ErrUnknownPlatter) {
 			code = http.StatusNotFound
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		WriteError(w, code, err)
 		return
 	}
-	writeJSON(w, map[string]bool{"queued": true})
-}
-
-func objectKey(r *http.Request) (account, name string, ok bool) {
-	account, name = r.PathValue("account"), r.PathValue("name")
-	return account, name, account != "" && name != ""
-}
-
-// statusClientClosedRequest is the nginx convention for "the caller
-// went away before we answered"; no stdlib constant exists.
-const statusClientClosedRequest = 499
-
-// writeErr maps service-layer errors onto HTTP statuses. Every
-// retryable status (429 and 503) carries a Retry-After header with the
-// server's backoff hint so well-behaved clients pace themselves.
-func (g *Gateway) writeErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, staging.ErrCapacity):
-		g.setRetryAfter(w)
-		code = http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed), errors.Is(err, service.ErrUnavailable), errors.Is(err, faults.ErrInjected):
-		g.setRetryAfter(w)
-		code = http.StatusServiceUnavailable
-	case errors.Is(err, metadata.ErrNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, context.DeadlineExceeded):
-		code = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		code = statusClientClosedRequest
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// setRetryAfter emits the configured backoff hint. The header is
-// formatted as seconds with fractional precision — standard
-// delta-seconds for whole values, and our own client understands the
-// fractional form tests rely on for fast retry loops.
-func (g *Gateway) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.FormatFloat(g.cfg.RetryAfter.Seconds(), 'g', -1, 64))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
-	if err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	version, err := g.PutCtx(r.Context(), account, name, data)
-	if err != nil {
-		g.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]int{"version": version})
-}
-
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	data, err := g.GetCtx(r.Context(), account, name)
-	if err != nil {
-		g.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
-	account, name, ok := objectKey(r)
-	if !ok {
-		http.Error(w, "need /v1/objects/{account}/{name}", http.StatusBadRequest)
-		return
-	}
-	if err := g.DeleteCtx(r.Context(), account, name); err != nil {
-		g.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"deleted": true})
-}
-
-func (g *Gateway) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if err := g.FlushCtx(r.Context()); err != nil {
-		g.writeErr(w, err)
-		return
-	}
-	writeJSON(w, map[string]bool{"flushed": true})
+	WriteJSON(w, http.StatusOK, map[string]bool{"queued": true})
 }
 
 // FaultsRequest is the POST /v1/faults body: structured rules, string
@@ -292,16 +268,16 @@ func (g *Gateway) handleFaultsArm(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, g.faultsPayload())
+	WriteJSON(w, http.StatusOK, g.faultsPayload())
 }
 
 func (g *Gateway) handleFaultsList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, g.faultsPayload())
+	WriteJSON(w, http.StatusOK, g.faultsPayload())
 }
 
 func (g *Gateway) handleFaultsClear(w http.ResponseWriter, r *http.Request) {
 	g.Faults().Clear()
-	writeJSON(w, g.faultsPayload())
+	WriteJSON(w, http.StatusOK, g.faultsPayload())
 }
 
 // CostEntry prices one technology on the requested workload.
@@ -375,7 +351,7 @@ func (g *Gateway) handleCost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "workload needs a positive horizon and some bytes", http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, BuildCostPayload(wl))
+	WriteJSON(w, http.StatusOK, BuildCostPayload(wl))
 }
 
 // StatsSnapshot is the /v1/stats payload.
@@ -394,7 +370,7 @@ func (g *Gateway) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
 		Uptime:    time.Since(g.start).Seconds(),
 		Counters:  g.Counters(),
-		Latencies: g.lat.Summaries(),
+		Latencies: g.latencies(),
 		Staging:   g.svc.StagingUsage(),
 		Service:   g.svc.Stats(),
 		Health:    g.HealthPlatters(),
@@ -406,5 +382,5 @@ func (g *Gateway) Snapshot() StatsSnapshot {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, g.Snapshot())
+	WriteJSON(w, http.StatusOK, g.Snapshot())
 }

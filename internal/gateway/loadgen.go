@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,9 @@ type LoadReport struct {
 	Lost                int64 // committed objects unreadable at verification
 	Corrupted           int64 // committed objects with byte mismatches
 	Elapsed             time.Duration
-	Latencies           *stats.Recorder // classes: put, get, delete
+	// Latencies holds exact client-observed quantiles per class (put,
+	// get, delete), over successful operations only.
+	Latencies map[string]stats.Summary
 }
 
 // String renders the report.
@@ -79,7 +82,19 @@ func (r LoadReport) String() string {
 		float64(r.Puts+r.Gets+r.Deletes)/r.Elapsed.Seconds())
 	fmt.Fprintf(&b, "load: %d rejected (backpressure), %d dropped, %d errors, %d lost, %d corrupted\n",
 		r.Rejected, r.Dropped, r.Errors, r.Lost, r.Corrupted)
-	b.WriteString(r.Latencies.Table())
+	fmt.Fprintf(&b, "%-10s %8s %10s %10s %10s %10s %10s\n",
+		"class", "n", "mean", "p50", "p99", "p99.9", "max")
+	classes := make([]string, 0, len(r.Latencies))
+	for c := range r.Latencies {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for _, c := range classes {
+		s := r.Latencies[c]
+		fmt.Fprintf(&b, "%-10s %8d %10s %10s %10s %10s %10s\n",
+			c, s.N, stats.FormatDuration(s.Mean), stats.FormatDuration(s.P50),
+			stats.FormatDuration(s.P99), stats.FormatDuration(s.P999), stats.FormatDuration(s.Max))
+	}
 	return b.String()
 }
 
@@ -102,6 +117,10 @@ type loadClient struct {
 	committed []string          // object names successfully put, not deleted
 	seeds     map[string]uint64 // object name -> payload seed
 	nextObj   int
+	// lat is this client's own latency sample per class (indexed by
+	// opKind) — no sharing on the hot path; RunLoad merges the clients'
+	// samples when they exit.
+	lat [3]stats.Sample
 }
 
 // RunLoad drives api with cfg.Clients concurrent closed-loop clients,
@@ -112,13 +131,14 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 	if cfg.Clients < 1 {
 		cfg.Clients = 1
 	}
-	report := LoadReport{Latencies: stats.NewRecorder()}
+	var report LoadReport
 	var puts, gets, deletes, rejected, dropped, errs atomic.Int64
 	root := sim.NewRNG(cfg.Seed).Fork("loadgen")
 	start := time.Now()
 
-	var mu sync.Mutex // guards the merged committed-object registry
+	var mu sync.Mutex // guards the merged committed-object registry and latencies
 	allSeeds := make(map[string]uint64)
+	var allLat [3]stats.Sample
 
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
@@ -131,11 +151,16 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 				seeds: make(map[string]uint64),
 			}
 			for op := 0; op < cfg.OpsPerClient; op++ {
-				cl.step(api, cfg, &puts, &gets, &deletes, &rejected, &dropped, &errs, report.Latencies)
+				cl.step(api, cfg, &puts, &gets, &deletes, &rejected, &dropped, &errs)
 			}
 			mu.Lock()
 			for name, seed := range cl.seeds {
 				allSeeds[name] = seed
+			}
+			for k := range cl.lat {
+				for _, v := range cl.lat[k].Values() {
+					allLat[k].Add(v)
+				}
 			}
 			mu.Unlock()
 		}(c)
@@ -168,12 +193,18 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 	report.Dropped = dropped.Load()
 	report.Errors = errs.Load()
 	report.Elapsed = time.Since(start)
+	report.Latencies = make(map[string]stats.Summary, len(allLat))
+	for k := range allLat {
+		if allLat[k].N() > 0 {
+			report.Latencies[opKind(k).class()] = stats.Summarize(&allLat[k])
+		}
+	}
 	return report
 }
 
 // step runs one operation of the client's mix.
 func (cl *loadClient) step(api API, cfg LoadConfig,
-	puts, gets, deletes, rejected, dropped, errs *atomic.Int64, lat *stats.Recorder) {
+	puts, gets, deletes, rejected, dropped, errs *atomic.Int64) {
 	roll := cl.rng.Float64()
 	switch {
 	case roll < cfg.ReadFraction && len(cl.committed) > 0:
@@ -184,7 +215,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 			errs.Add(1)
 			return
 		}
-		lat.Observe("get", time.Since(t0).Seconds())
+		cl.lat[opGet].Add(time.Since(t0).Seconds())
 		gets.Add(1)
 		if !bytes.Equal(got, payload(cl.seeds[name], cfg.ObjectBytes)) {
 			// Surface corruption immediately as an error; the final
@@ -203,7 +234,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 				return
 			}
 		}
-		lat.Observe("delete", time.Since(t0).Seconds())
+		cl.lat[opDelete].Add(time.Since(t0).Seconds())
 		deletes.Add(1)
 		cl.committed = append(cl.committed[:i], cl.committed[i+1:]...)
 		delete(cl.seeds, name)
@@ -216,7 +247,7 @@ func (cl *loadClient) step(api API, cfg LoadConfig,
 			t0 := time.Now()
 			_, err := api.Put("load", name, data)
 			if err == nil {
-				lat.Observe("put", time.Since(t0).Seconds())
+				cl.lat[opPut].Add(time.Since(t0).Seconds())
 				puts.Add(1)
 				cl.committed = append(cl.committed, name)
 				cl.seeds[name] = seed

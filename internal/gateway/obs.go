@@ -1,10 +1,10 @@
 package gateway
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"silica/internal/obs"
+	"silica/internal/stats"
 )
 
 // classMetrics is one request class's pre-registered instruments.
@@ -73,11 +73,59 @@ func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 // Tracer exposes the request tracer.
 func (g *Gateway) Tracer() *obs.Tracer { return g.tracer }
 
-// handleMetrics serves GET /metrics in Prometheus text exposition
-// format.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.reg.WriteProm(w)
+// Counters reads the traffic counters off the instruments /metrics
+// exposes, summed over the request classes.
+func (g *Gateway) Counters() Counters {
+	c := Counters{Flushes: g.gm.flushes.Value()}
+	for i := range g.gm.cls {
+		cm := &g.gm.cls[i]
+		c.Accepted += cm.admitted.Value()
+		c.Rejected += cm.rejected.Value()
+		c.Completed += cm.completed.Value()
+		c.Canceled += cm.canceled.Value()
+	}
+	return c
+}
+
+// latencies is the /v1/stats latency block: one summary per class that
+// has served a request (put, get, delete, flush), read from the same
+// histograms /metrics exposes — so the two endpoints cannot disagree,
+// and a snapshot costs the bucket count, not the request count.
+func (g *Gateway) latencies() map[string]stats.Summary {
+	out := make(map[string]stats.Summary)
+	add := func(class string, h *obs.Histogram) {
+		if s := h.Snapshot(); s.Count > 0 {
+			out[class] = summarize(s)
+		}
+	}
+	for _, k := range []opKind{opPut, opGet, opDelete} {
+		add(k.class(), g.gm.cls[k].seconds)
+	}
+	add("flush", g.gm.flushSeconds)
+	return out
+}
+
+// summarize renders a histogram as a stats.Summary. Quantiles are the
+// bucket-interpolated estimates a Prometheus consumer computes from
+// the exposition; Max is the upper bound of the highest occupied
+// bucket (the last finite bound for the overflow bucket), so it is an
+// upper estimate within one ×2 bucket of the true maximum.
+func summarize(s obs.HistSnapshot) stats.Summary {
+	sum := stats.Summary{
+		N:    int(s.Count),
+		Mean: s.Mean(),
+		P50:  s.Quantile(0.5),
+		P90:  s.Quantile(0.9),
+		P99:  s.Quantile(0.99),
+		P999: s.Quantile(0.999),
+	}
+	for i := len(s.Counts) - 1; i >= 0; i-- {
+		if s.Counts[i] > 0 {
+			sum.Max = s.Bounds[min(i, len(s.Bounds)-1)]
+			break
+		}
+	}
+	return sum
 }
 
 // TracesPayload is the /v1/traces response body.
@@ -95,6 +143,5 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if recs == nil {
 		recs = []obs.TraceRecord{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(TracesPayload{Traces: recs})
+	WriteJSON(w, http.StatusOK, TracesPayload{Traces: recs})
 }

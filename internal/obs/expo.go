@@ -293,7 +293,9 @@ func HistQuantile(samples []PromSample, name string, want map[string]string, q f
 		if count <= 0 || math.IsInf(le, 1) {
 			return le, true
 		}
-		return prevLe + (le-prevLe)*(rank-prevCum)/count, true
+		// Same operation order as HistSnapshot.Quantile, so a consumer of
+		// the exposition and a reader of the live histogram agree to the bit.
+		return prevLe + (le-prevLe)*((rank-prevCum)/count), true
 	}
 	return buckets[len(buckets)-1].le, true
 }

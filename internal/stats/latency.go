@@ -1,14 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
-
 // Summary condenses one request class's latency sample for reports:
 // the serving-layer counterpart of the paper's time-to-first-byte
 // percentiles (§7.2).
@@ -33,147 +24,4 @@ func Summarize(s *Sample) Summary {
 		P999: s.P999(),
 		Max:  s.Max(),
 	}
-}
-
-// recorderShards stripes each class's observations so concurrent
-// gateway workers never serialize on one mutex. Power of two so the
-// shard pick is a mask.
-const recorderShards = 16
-
-// recorderShard is one stripe: a private mutex and sample slice. The
-// pad keeps stripes on separate cachelines.
-type recorderShard struct {
-	mu  sync.Mutex
-	xs  []float64
-	sum float64
-	_   [64]byte
-}
-
-// classRecorder holds one request class's stripes.
-type classRecorder struct {
-	shards [recorderShards]recorderShard
-}
-
-// shardIndex spreads observations across stripes by hashing the value
-// bits: real latencies differ in their mantissa essentially always, so
-// concurrent observers land on different stripes without needing a
-// per-CPU hint.
-func shardIndex(v float64) int {
-	h := math.Float64bits(v) * 0x9e3779b97f4a7c15
-	return int(h >> 60 & (recorderShards - 1))
-}
-
-func (c *classRecorder) observe(v float64) {
-	sh := &c.shards[shardIndex(v)]
-	sh.mu.Lock()
-	sh.xs = append(sh.xs, v)
-	sh.sum += v
-	sh.mu.Unlock()
-}
-
-// merge copies every stripe into one Sample (copy-on-read): readers
-// summarize the copy while writers keep appending to the stripes.
-func (c *classRecorder) merge() *Sample {
-	s := NewSample()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.xs = append(s.xs, sh.xs...)
-		s.sum += sh.sum
-		sh.mu.Unlock()
-	}
-	return s
-}
-
-// Recorder accumulates latency observations per request class. Unlike
-// Sample it is safe for concurrent use: the gateway's workers and the
-// load generator's closed-loop clients record into it from many
-// goroutines. The hot path is sharded — a class lookup on an
-// atomically published map, then one stripe mutex out of 16 — so
-// concurrent observers do not serialize; snapshots (Summary,
-// Summaries, Table) merge the stripes copy-on-read.
-type Recorder struct {
-	classes atomic.Pointer[map[string]*classRecorder]
-	mu      sync.Mutex // guards class-map copy-on-write growth
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	r := &Recorder{}
-	m := make(map[string]*classRecorder)
-	r.classes.Store(&m)
-	return r
-}
-
-// class resolves (or creates) one class's stripes. The read path is a
-// single atomic load; creation copies the map, which only happens a
-// handful of times over a process's life.
-func (r *Recorder) class(name string) *classRecorder {
-	if c := (*r.classes.Load())[name]; c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := *r.classes.Load()
-	if c := old[name]; c != nil {
-		return c
-	}
-	next := make(map[string]*classRecorder, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	c := &classRecorder{}
-	next[name] = c
-	r.classes.Store(&next)
-	return c
-}
-
-// Observe records one latency (seconds) under class.
-func (r *Recorder) Observe(class string, seconds float64) {
-	r.class(class).observe(seconds)
-}
-
-// Classes returns the recorded class names, sorted.
-func (r *Recorder) Classes() []string {
-	m := *r.classes.Load()
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary reports the summary of one class (zero-valued if the class
-// was never observed), computed from a copy-on-read merge of the
-// class's stripes.
-func (r *Recorder) Summary(class string) Summary {
-	c := (*r.classes.Load())[class]
-	if c == nil {
-		return Summary{}
-	}
-	return Summarize(c.merge())
-}
-
-// Summaries reports every class's summary.
-func (r *Recorder) Summaries() map[string]Summary {
-	out := make(map[string]Summary)
-	for _, c := range r.Classes() {
-		out[c] = r.Summary(c)
-	}
-	return out
-}
-
-// Table renders the recorder as an aligned latency report.
-func (r *Recorder) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %8s %10s %10s %10s %10s %10s\n",
-		"class", "n", "mean", "p50", "p99", "p99.9", "max")
-	for _, c := range r.Classes() {
-		s := r.Summary(c)
-		fmt.Fprintf(&b, "%-10s %8d %10s %10s %10s %10s %10s\n",
-			c, s.N, FormatDuration(s.Mean), FormatDuration(s.P50),
-			FormatDuration(s.P99), FormatDuration(s.P999), FormatDuration(s.Max))
-	}
-	return b.String()
 }

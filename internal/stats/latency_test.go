@@ -1,12 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestSummaryTinyN(t *testing.T) {
 	// N = 0: everything zero.
@@ -60,109 +54,4 @@ func TestQuantileSingleAndEndpoints(t *testing.T) {
 		t.Fatalf("out-of-range q must clamp: q<0 -> %v, q>1 -> %v",
 			s.Quantile(-0.5), s.Quantile(1.5))
 	}
-}
-
-func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder()
-	if got := r.Summary("put"); got != (Summary{}) {
-		t.Fatalf("unseen class summary = %+v, want zero", got)
-	}
-	r.Observe("put", 0.010)
-	r.Observe("put", 0.030)
-	r.Observe("get", 0.002)
-	if got := r.Classes(); len(got) != 2 || got[0] != "get" || got[1] != "put" {
-		t.Fatalf("classes = %v", got)
-	}
-	put := r.Summary("put")
-	if put.N != 2 || math.Abs(put.Mean-0.020) > 1e-12 || put.Max != 0.030 {
-		t.Fatalf("put summary = %+v", put)
-	}
-	all := r.Summaries()
-	if all["get"].N != 1 || all["put"].N != 2 {
-		t.Fatalf("summaries = %+v", all)
-	}
-	if !strings.Contains(r.Table(), "put") {
-		t.Fatalf("table missing class:\n%s", r.Table())
-	}
-}
-
-// TestRecorderConcurrent hammers one recorder from many goroutines
-// across several classes and checks the merged totals are exact: the
-// sharded stripes must lose nothing, and snapshots taken mid-flight
-// must never race with writers.
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	const (
-		goroutines = 8
-		perG       = 2000
-	)
-	classes := []string{"put", "get", "delete"}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				v := float64(g*perG+i+1) * 1e-6
-				r.Observe(classes[i%len(classes)], v)
-				if i%500 == 0 {
-					// Concurrent snapshot while writers are running.
-					_ = r.Summary(classes[g%len(classes)])
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	totalN := 0
-	totalSum := 0.0
-	for _, c := range classes {
-		s := r.Summary(c)
-		totalN += s.N
-		totalSum += s.Mean * float64(s.N)
-	}
-	if totalN != goroutines*perG {
-		t.Fatalf("observations lost: n = %d, want %d", totalN, goroutines*perG)
-	}
-	want := float64(goroutines*perG) * float64(goroutines*perG+1) / 2 * 1e-6
-	if math.Abs(totalSum-want)/want > 1e-9 {
-		t.Fatalf("sum = %v, want %v", totalSum, want)
-	}
-}
-
-// BenchmarkRecorderObserveParallel proves the sharded hot path no
-// longer serializes gateway workers on one global mutex: with 16
-// stripes per class, parallel observers contend only when their value
-// bits hash to the same stripe.
-func BenchmarkRecorderObserveParallel(b *testing.B) {
-	r := NewRecorder()
-	r.Observe("put", 1e-6)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		v := 1e-6
-		for pb.Next() {
-			r.Observe("put", v)
-			v += 3.1e-7
-		}
-	})
-}
-
-func BenchmarkRecorderObserve(b *testing.B) {
-	r := NewRecorder()
-	for i := 0; i < b.N; i++ {
-		r.Observe("put", float64(i)*1e-7)
-	}
-	b.StopTimer()
-	if r.Summary("put").N != b.N {
-		b.Fatal("lost observations")
-	}
-}
-
-func ExampleRecorder() {
-	r := NewRecorder()
-	for i := 1; i <= 100; i++ {
-		r.Observe("put", float64(i)*1e-3)
-	}
-	s := r.Summary("put")
-	fmt.Printf("n=%d p50=%s p99=%s\n", s.N, FormatDuration(s.P50), FormatDuration(s.P99))
-	// Output: n=100 p50=50.5ms p99=99.0ms
 }

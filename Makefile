@@ -153,22 +153,28 @@ cluster-crash:
 # Decoder fuzz smoke: every persist decoder that reads bytes it did
 # not write (WAL scan under both record tables, both snapshot formats,
 # the platter blob) runs its native fuzz target for ten seconds, seeded
-# from the golden fixtures. `go test -fuzz` takes one target per run.
+# from the golden fixtures; then the voxel demapper's table lookup on
+# arbitrary float64 bit patterns. `go test -fuzz` takes one target per
+# run.
 fuzz-smoke:
 	for t in FuzzScanWAL FuzzDecodeSnapshot FuzzDecodeRouterSnapshot FuzzDecodeBlob; do \
 		$(GO) test ./internal/persist -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
 	done
+	$(GO) test ./internal/voxel -run '^$$' -fuzz '^FuzzDemapLLRs$$' -fuzztime 10s
 
 # Codec benchmarks: GF(256) kernels, the word-packed per-sector
 # encode/decode (hard-decision fast path and the forced-BP soft path),
-# and the parallel burn/flush paths at workers=1, 4, and GOMAXPROCS.
+# the sector read at the channel's operating point (whole and per
+# stage: transmit / demap / ldpc), and the parallel burn/flush paths at
+# workers=1, 4, and GOMAXPROCS.
 # Raw `go test -json` events land in BENCH_codec.json for trend
 # tracking; the burn/flush rows carry `workers` and `MB/s/core` metrics
 # so runs on different core counts compare per-core scaling directly.
+BENCH_PATTERN := EncodeSector|DecodeSector|SectorRead|GF256MulAddVec|BurnPlatter|FlushParallel|TwinRead
+BENCH_PKGS := ./internal/gf256/ ./internal/ldpc/ ./internal/voxel/ ./internal/service/ ./internal/backend/
 bench:
 	$(GO) test -json -run '^$$' \
-		-bench 'EncodeSector|DecodeSector|GF256MulAddVec|BurnPlatter|FlushParallel|TwinRead' \
-		-benchmem ./internal/gf256/ ./internal/ldpc/ ./internal/service/ ./internal/backend/ \
+		-bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
 		> BENCH_codec.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_codec.json \
 		| sed -e 's/"Output":"//' -e 's/\\n$$//' -e 's/\\t/\t/g'
@@ -180,8 +186,7 @@ bench:
 BENCH_NEW ?= /tmp/BENCH_new.json
 bench-diff:
 	$(GO) test -json -run '^$$' \
-		-bench 'EncodeSector|DecodeSector|GF256MulAddVec|BurnPlatter|FlushParallel|TwinRead' \
-		-benchmem ./internal/gf256/ ./internal/ldpc/ ./internal/service/ ./internal/backend/ \
+		-bench '$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) \
 		> $(BENCH_NEW)
 	$(GO) run ./scripts/benchdiff BENCH_codec.json $(BENCH_NEW)
 

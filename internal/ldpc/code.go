@@ -119,7 +119,7 @@ func (c *Code) buildEncodeWords() {
 type bpScratch struct {
 	c2v      []float32 // check→variable messages, edge-indexed
 	total    []float32 // per-variable posterior (llr + incoming c2v)
-	mbuf     []float32 // one check's lazy v2c messages, len maxCheckDeg
+	mbuf     []uint32  // one check's lazy v2c messages as float32 bits, len maxCheckDeg
 	hard     []uint8   // hard decision, length N
 	synd     []uint8   // per-check syndrome of hard, length M
 	cnt      []uint8   // bit-flip: unsat checks per variable, kept zeroed
@@ -135,7 +135,7 @@ func (c *Code) getScratch() *bpScratch {
 	return &bpScratch{
 		c2v:      make([]float32, c.edges),
 		total:    make([]float32, c.N),
-		mbuf:     make([]float32, c.maxCheckDeg),
+		mbuf:     make([]uint32, c.maxCheckDeg),
 		hard:     make([]uint8, c.N),
 		synd:     make([]uint8, c.M),
 		cnt:      make([]uint8, c.N),

@@ -15,6 +15,13 @@ const minSumScale = 0.75
 
 const minSumScale32 = float32(minSumScale)
 
+// float32 bit patterns the BP kernel works on. +Inf is above every
+// finite magnitude when compared as a uint32.
+const (
+	signBit32 = 1 << 31
+	infBits32 = 0x7f800000
+)
+
 // DecodeBP runs normalized min-sum belief propagation over channel LLRs
 // (positive LLR means "bit is 0", the usual convention). It stops early
 // once the syndrome is satisfied — including before the first iteration
@@ -47,6 +54,16 @@ func (c *Code) DecodeBP(llr []float64, maxIter int) DecodeResult {
 // order keep the result a pure function of the input LLRs —
 // worker-count independent, per the DESIGN.md §8 determinism contract.
 //
+// The check-node update works on the float32 bit patterns: message
+// signs at the operating point are coin flips, so a compare-and-branch
+// on them mispredicts half the time. Sign parity is an XOR of raw
+// patterns, magnitudes (sign bit cleared) order as uint32 exactly as
+// the non-negative floats they encode, and the outgoing message is
+// assembled from a scaled minimum and a sign bit. This relies on no
+// -0.0 ever entering total: a - b is -0.0 only for a = -0.0, and x + y
+// only when both are, so canonicalising the channel LLRs on entry keeps
+// every posterior's sign bit equal to "value < 0".
+//
 // The returned Bits alias sc.hard and are only valid until the scratch
 // is reused or released.
 func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult {
@@ -56,15 +73,11 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult 
 	if maxIter <= 0 {
 		maxIter = 50
 	}
-	total, hard, synd, m := sc.total, sc.hard, sc.synd, sc.mbuf
+	total, hard, synd := sc.total, sc.hard, sc.synd
 	for v := 0; v < c.N; v++ {
-		x := float32(llr[v])
+		x := float32(llr[v]) + 0 // -0.0 + 0 = +0.0: a zero LLR decides bit 0
 		total[v] = x
-		if x < 0 {
-			hard[v] = 1
-		} else {
-			hard[v] = 0
-		}
+		hard[v] = uint8(math.Float32bits(x) >> 31)
 	}
 	c2v := sc.c2v[:c.edges]
 	for i := range c2v {
@@ -74,44 +87,39 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult 
 	if unsat == 0 {
 		return DecodeResult{Bits: hard, OK: true, Iterations: 0}
 	}
-	inf := float32(math.Inf(1))
 	for iter := 1; iter <= maxIter; iter++ {
 		for ci, vars := range c.checkVars {
 			off := int(c.edgeOff[ci])
-			min1, min2 := inf, inf
+			cm := c2v[off : off+len(vars)]
+			m := sc.mbuf[:len(vars)]
+			min1, min2 := uint32(infBits32), uint32(infBits32)
 			min1Idx := -1
-			neg := false
+			var parity uint32
 			for e, v := range vars {
-				x := total[v] - c2v[off+e]
-				m[e] = x
-				a := x
-				if a < 0 {
-					a = -a
-					neg = !neg
-				}
+				xb := math.Float32bits(total[v] - cm[e])
+				m[e] = xb
+				parity ^= xb
+				a := xb &^ signBit32
+				min2 = min(min2, max(a, min1))
 				if a < min1 {
-					min2, min1, min1Idx = min1, a, e
-				} else if a < min2 {
-					min2 = a
+					min1Idx = e
 				}
+				min1 = min(min1, a)
 			}
+			parity &= signBit32
+			scaled1 := math.Float32bits(minSumScale32 * math.Float32frombits(min1))
+			scaled2 := math.Float32bits(minSumScale32 * math.Float32frombits(min2))
 			for e, v := range vars {
-				mag := min1
+				mag := scaled1
 				if e == min1Idx {
-					mag = min2
+					mag = scaled2
 				}
-				nm := minSumScale32 * mag
-				if neg != (m[e] < 0) {
-					nm = -nm
-				}
-				t := m[e] + nm
-				c2v[off+e] = nm
+				xb := m[e]
+				nm := math.Float32frombits(mag | (parity^xb)&signBit32)
+				t := math.Float32frombits(xb) + nm
+				cm[e] = nm
 				total[v] = t
-				var nh uint8
-				if t < 0 {
-					nh = 1
-				}
-				if nh != hard[v] {
+				if nh := uint8(math.Float32bits(t) >> 31); nh != hard[v] {
 					hard[v] = nh
 					for _, cj := range c.varChecks[v] {
 						if synd[cj] == 0 {
@@ -299,10 +307,13 @@ func (c *Code) bitFlip(sc *bpScratch, maxIter, unsat int) (int, bool) {
 	return iters, unsat == 0
 }
 
-// hardPackLLR packs the sign bits of llr into cw: bit v set means the
-// hard decision for variable v is 1. Branchless — the sign bit is
-// lifted straight out of the float representation, since a compare on
-// a ~50/50 random sign stream mispredicts half the time.
+// hardPackLLR packs the hard decisions of llr into cw: bit v set means
+// variable v decides 1. Branchless — the sign bit is lifted straight
+// out of the float representation, since a compare on a ~50/50 random
+// sign stream mispredicts half the time. The decision is taken exactly
+// as decodeBP takes its initial one — on the float32 the LLR rounds to,
+// with +0 added to fold -0.0 into +0.0 (an LLR of either zero decides
+// bit 0) — so both tiers start from one word for one input.
 func (c *Code) hardPackLLR(llr []float64, cw []uint64) {
 	llr = llr[:c.N]
 	w := 0
@@ -310,14 +321,14 @@ func (c *Code) hardPackLLR(llr []float64, cw []uint64) {
 		chunk := llr[w*64 : w*64+64]
 		var word uint64
 		for j, x := range chunk {
-			word |= math.Float64bits(x) >> 63 << uint(j)
+			word |= uint64(math.Float32bits(float32(x)+0)>>31) << uint(j)
 		}
 		cw[w] = word
 	}
 	if w*64 < len(llr) {
 		var word uint64
 		for j, x := range llr[w*64:] {
-			word |= math.Float64bits(x) >> 63 << uint(j)
+			word |= uint64(math.Float32bits(float32(x)+0)>>31) << uint(j)
 		}
 		cw[w] = word
 	}

@@ -31,10 +31,9 @@ type SectorPipeline struct {
 // buffers returned by WriteSectorWith are valid until the scratch's
 // next use or release.
 type SectorScratch struct {
-	bits    []uint8 // coded bits, padded to a whole voxel count
-	symbols []uint8 // modulated symbols
-	points  []Point // received channel observations
-	post    [][numSymbols]float64
+	bits    []uint8       // coded bits, padded to a whole voxel count
+	symbols []uint8       // modulated symbols
+	points  []Point       // received channel observations
 	llrs    []float64     // demapped bit LLRs
 	codec   *ldpc.Scratch // sector codec working set, held across calls
 }
@@ -70,7 +69,6 @@ func (p *SectorPipeline) AcquireScratch() *SectorScratch {
 		bits:    make([]uint8, symbols*BitsPerVoxel),
 		symbols: make([]uint8, symbols),
 		points:  make([]Point, symbols),
-		post:    make([][numSymbols]float64, symbols),
 		llrs:    make([]float64, symbols*BitsPerVoxel),
 		codec:   p.Codec.AcquireScratch(),
 	}
@@ -120,8 +118,8 @@ func (p *SectorPipeline) ReadSector(symbols []uint8, rng *sim.RNG) ldpc.SectorDe
 }
 
 // ReadSectorWith is ReadSector on caller-owned scratch: the channel
-// observations, posteriors, and LLR buffers are all reused, so the only
-// steady-state allocation is the decoded payload itself.
+// observations and LLR buffers are reused, so the only steady-state
+// allocation is the decoded payload itself.
 func (p *SectorPipeline) ReadSectorWith(sc *SectorScratch, symbols []uint8, rng *sim.RNG) ldpc.SectorDecode {
 	return p.ReadSectorWithBuf(sc, symbols, rng, nil)
 }
@@ -132,8 +130,7 @@ func (p *SectorPipeline) ReadSectorWith(sc *SectorScratch, symbols []uint8, rng 
 // the payload.
 func (p *SectorPipeline) ReadSectorWithBuf(sc *SectorScratch, symbols []uint8, rng *sim.RNG, payload []byte) ldpc.SectorDecode {
 	received := p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0])
-	post := p.Demap.PosteriorsInto(received, sc.post[:0])
-	llrs := BitLLRsInto(post, sc.llrs[:0])
+	llrs := p.Demap.LLRsInto(received, sc.llrs)
 	return p.Codec.DecodeSectorWith(sc.codec, llrs[:p.Codec.EncodedBits()], p.MaxIters, payload)
 }
 

@@ -120,8 +120,7 @@ type bpScratch struct {
 	c2v      []float32 // check→variable messages, edge-indexed
 	total    []float32 // per-variable posterior (llr + incoming c2v)
 	mbuf     []uint32  // one check's lazy v2c messages as float32 bits, len maxCheckDeg
-	hard     []uint8   // hard decision, length N
-	synd     []uint8   // per-check syndrome of hard, length M
+	synd     []uint8   // per-check syndrome of cwWords, length M
 	cnt      []uint8   // bit-flip: unsat checks per variable, kept zeroed
 	touched  []int32   // bit-flip: variables with nonzero cnt this round
 	cwWords  []uint64  // packed hard-decision codeword, nWords
@@ -136,7 +135,6 @@ func (c *Code) getScratch() *bpScratch {
 		c2v:      make([]float32, c.edges),
 		total:    make([]float32, c.N),
 		mbuf:     make([]uint32, c.maxCheckDeg),
-		hard:     make([]uint8, c.N),
 		synd:     make([]uint8, c.M),
 		cnt:      make([]uint8, c.N),
 		touched:  make([]int32, 0, c.N),
@@ -461,20 +459,6 @@ func (c *Code) syndromePacked(cw []uint64, synd []uint8) int {
 			acc ^= rw & cw[w]
 		}
 		s := uint8(bits.OnesCount64(acc) & 1)
-		synd[ci] = s
-		unsat += int(s)
-	}
-	return unsat
-}
-
-// syndromeHard is syndromePacked over an unpacked 0/1 codeword.
-func (c *Code) syndromeHard(hard, synd []uint8) int {
-	unsat := 0
-	for ci, vars := range c.checkVars {
-		var s uint8
-		for _, v := range vars {
-			s ^= hard[v]
-		}
 		synd[ci] = s
 		unsat += int(s)
 	}

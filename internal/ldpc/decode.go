@@ -31,28 +31,40 @@ const (
 // by network coding, per §5).
 func (c *Code) DecodeBP(llr []float64, maxIter int) DecodeResult {
 	sc := c.getScratch()
-	res := c.decodeBP(llr, maxIter, sc)
+	iters, ok := c.decodeBP(llr, maxIter, sc)
 	bits := make([]uint8, c.N)
-	copy(bits, res.Bits)
-	res.Bits = bits
+	UnpackBitsInto(sc.cwWords, bits)
 	c.putScratch(sc)
-	return res
+	return DecodeResult{Bits: bits, OK: ok, Iterations: iters}
 }
 
-// decodeBP is the fast path: serial-schedule ("layered") normalized
-// min-sum on float32 state. Checks are processed in fixed ascending
-// order; each check reads the current posteriors, lazily reconstructs
-// its inbound messages as total[v]-c2v[e], and writes the refreshed
-// posterior back immediately, so later checks in the same iteration see
-// it — which is why it converges in roughly half the iterations of the
-// flooded reference. The only persistent edge state is c2v (float32,
-// half the memory traffic of the old float64 pair), walked strictly
-// sequentially in edge order. The syndrome is maintained incrementally
-// off hard-decision deltas: a posterior sign change toggles the
-// variable's ColWeight checks and an unsat counter, so termination
-// needs no full syndrome sweep. The serial schedule and fixed check
-// order keep the result a pure function of the input LLRs —
-// worker-count independent, per the DESIGN.md §8 determinism contract.
+// decodeBP takes the channel's hard decision and its syndrome, then
+// runs layeredBP from them: the entry for callers that hold neither (or
+// whose copy a failed bit-flip pass has overwritten).
+func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) (int, bool) {
+	if len(llr) != c.N {
+		panic("ldpc: LLR length mismatch")
+	}
+	c.hardPackLLR(llr, sc.cwWords)
+	return c.layeredBP(llr, maxIter, sc, c.syndromePacked(sc.cwWords, sc.synd))
+}
+
+// layeredBP is the fast path: serial-schedule ("layered") normalized
+// min-sum on float32 state. On entry sc.cwWords holds the hard decision
+// of llr and sc.synd/unsat its syndrome; on return cwWords holds the
+// decoded decision. Checks are processed in fixed ascending order; each
+// reads the current posteriors, lazily reconstructs its inbound messages
+// as total[v]-c2v[e], and writes the refreshed posterior back at once,
+// so later checks in the same iteration see it — which is why it
+// converges in roughly half the iterations of the flooded reference.
+// The only persistent edge state is c2v, walked strictly sequentially.
+// The syndrome is maintained incrementally: a posterior sign change
+// flips the variable's bit, toggles its ColWeight checks and the unsat
+// counter, and the decode returns at the first check after which that
+// counter is zero — most blocks at the operating point settle part-way
+// through their first sweep. The serial schedule and fixed check order
+// keep the result a pure function of the input LLRs — worker-count
+// independent, per the DESIGN.md §8 determinism contract.
 //
 // The check-node update works on the float32 bit patterns: message
 // signs at the operating point are coin flips, so a compare-and-branch
@@ -63,29 +75,20 @@ func (c *Code) DecodeBP(llr []float64, maxIter int) DecodeResult {
 // -0.0 ever entering total: a - b is -0.0 only for a = -0.0, and x + y
 // only when both are, so canonicalising the channel LLRs on entry keeps
 // every posterior's sign bit equal to "value < 0".
-//
-// The returned Bits alias sc.hard and are only valid until the scratch
-// is reused or released.
-func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult {
-	if len(llr) != c.N {
-		panic("ldpc: LLR length mismatch")
+func (c *Code) layeredBP(llr []float64, maxIter int, sc *bpScratch, unsat int) (int, bool) {
+	if unsat == 0 {
+		return 0, true
 	}
 	if maxIter <= 0 {
 		maxIter = 50
 	}
-	total, hard, synd := sc.total, sc.hard, sc.synd
-	for v := 0; v < c.N; v++ {
-		x := float32(llr[v]) + 0 // -0.0 + 0 = +0.0: a zero LLR decides bit 0
-		total[v] = x
-		hard[v] = uint8(math.Float32bits(x) >> 31)
+	total, cw, synd := sc.total, sc.cwWords, sc.synd
+	for v, x := range llr[:c.N] {
+		total[v] = float32(x) + 0 // -0.0 + 0 = +0.0: a zero LLR decides bit 0
 	}
 	c2v := sc.c2v[:c.edges]
 	for i := range c2v {
 		c2v[i] = 0
-	}
-	unsat := c.syndromeHard(hard, synd)
-	if unsat == 0 {
-		return DecodeResult{Bits: hard, OK: true, Iterations: 0}
 	}
 	for iter := 1; iter <= maxIter; iter++ {
 		for ci, vars := range c.checkVars {
@@ -119,8 +122,9 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult 
 				t := math.Float32frombits(xb) + nm
 				cm[e] = nm
 				total[v] = t
-				if nh := uint8(math.Float32bits(t) >> 31); nh != hard[v] {
-					hard[v] = nh
+				w, bit := v>>6, uint(v)&63
+				if uint64(math.Float32bits(t)>>31) != cw[w]>>bit&1 {
+					cw[w] ^= 1 << bit
 					for _, cj := range c.varChecks[v] {
 						if synd[cj] == 0 {
 							synd[cj] = 1
@@ -132,12 +136,12 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) DecodeResult 
 					}
 				}
 			}
-		}
-		if unsat == 0 {
-			return DecodeResult{Bits: hard, OK: true, Iterations: iter}
+			if unsat == 0 {
+				return iter, true
+			}
 		}
 	}
-	return DecodeResult{Bits: hard, OK: false, Iterations: maxIter}
+	return maxIter, false
 }
 
 // DecodeBPReference is the original flooded float64 min-sum decoder,
@@ -310,10 +314,10 @@ func (c *Code) bitFlip(sc *bpScratch, maxIter, unsat int) (int, bool) {
 // hardPackLLR packs the hard decisions of llr into cw: bit v set means
 // variable v decides 1. Branchless — the sign bit is lifted straight
 // out of the float representation, since a compare on a ~50/50 random
-// sign stream mispredicts half the time. The decision is taken exactly
-// as decodeBP takes its initial one — on the float32 the LLR rounds to,
-// with +0 added to fold -0.0 into +0.0 (an LLR of either zero decides
-// bit 0) — so both tiers start from one word for one input.
+// sign stream mispredicts half the time. The decision is the sign of the
+// posterior layeredBP starts from — the float32 the LLR rounds to, with
+// +0 added to fold -0.0 into +0.0 (an LLR of either zero decides bit 0)
+// — so every tier works from this one word.
 func (c *Code) hardPackLLR(llr []float64, cw []uint64) {
 	llr = llr[:c.N]
 	w := 0

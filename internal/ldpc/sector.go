@@ -34,6 +34,22 @@ const crcBytes = 4
 // led after this many is cheaper to hand to BP than to keep flipping.
 const flipBudget = 8
 
+// flipGate is the largest unsatisfied-check count of a block's hard
+// decision at which the Gallager-B pass is still tried; above it the
+// block goes straight to BP. A pass that exhausts flipBudget costs about
+// half a BP decode and is thrown away, so it pays only where it usually
+// settles. On 8064 blocks at the operating point (DefaultChannel, the
+// (512, 384) code) it settles, by initial unsat count,
+//
+//	unsat    4-7   8-11  12-15  16-19  20-23  24-27  28-31  32+
+//	settles  92 %  84 %  72 %   51 %   31 %   21 %   11 %   1 %
+//
+// and the decode stage costs 0.23 ms a sector for any gate in 15-19
+// (0.26 with no Gallager-B at all, 0.39 ungated), while light noise
+// keeps a tier nearly 4x cheaper than BP (BenchmarkDecodeSector).
+// TestFlipGateOperatingPoint (internal/voxel) re-measures the table.
+const flipGate = 17
+
 // Per-block decode path taken, recorded so a CRC failure can re-run
 // exactly the blocks where the cheap pass may have settled on a wrong
 // codeword.
@@ -57,7 +73,7 @@ type Scratch struct {
 	// not re-zero padding per sector.
 	msgWords   []uint64
 	blockWords []uint64 // one packed K-bit block, when K%64 != 0
-	blkOK      []uint8  // per-block decode success
+	blkOK      []bool   // per-block decode success
 	blkMode    []uint8  // per-block path taken (blockClean/Flip/BP)
 	bp         *bpScratch
 }
@@ -85,7 +101,7 @@ func (sc *SectorCodec) AcquireScratch() *Scratch {
 		msgBits:    make([]uint8, totalBits),
 		msgWords:   make([]uint64, (totalBits+63)/64+1),
 		blockWords: make([]uint64, sc.Code.kWords+1),
-		blkOK:      make([]uint8, sc.blocks),
+		blkOK:      make([]bool, sc.blocks),
 		blkMode:    make([]uint8, sc.blocks),
 		bp:         sc.Code.getScratch(),
 	}
@@ -192,14 +208,15 @@ func (sc *SectorCodec) DecodeSectorInto(llr []float64, maxIter int, payload []by
 
 // DecodeSectorWith is DecodeSectorInto on caller-held scratch.
 //
-// Each block takes the cheapest path that works: hard-decide the LLR
-// signs into packed words and check the syndrome (a clean read costs
-// one popcount-sized pass, Iterations=0); run a few rounds of packed
-// bit-flipping for light noise; fall back to full BP. Bit-flipping can
-// in principle settle on a wrong codeword that BP would have decoded,
-// so if the sector CRC then fails, every bit-flipped block is re-run
-// through BP and the CRC re-checked — the fast path never loses a
-// sector the pure-BP path would have recovered.
+// Each block takes the cheapest path that can finish (decodeBlockInto):
+// hard-decide the LLR signs into packed words and take the syndrome once
+// (a clean read costs one popcount-sized pass, Iterations=0); run a few
+// rounds of packed bit-flipping where few enough checks are unsatisfied
+// for it to usually settle (flipGate); otherwise, or when it does not,
+// full BP. Bit-flipping can in principle settle on a wrong codeword that
+// BP would have decoded, so if the sector CRC then fails, every
+// bit-flipped block is re-run through BP and the CRC re-checked — the
+// fast path never loses a sector the pure-BP path would have recovered.
 func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float64, maxIter int, payload []byte) SectorDecode {
 	if len(llr) != sc.EncodedBits() {
 		panic(fmt.Sprintf("ldpc: llr length %d, want %d", len(llr), sc.EncodedBits()))
@@ -211,12 +228,7 @@ func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float64, maxIter int,
 	worst, total := 0, 0
 	for b := 0; b < sc.blocks; b++ {
 		iters, blkOK, mode := code.decodeBlockInto(llr[b*code.N:(b+1)*code.N], maxIter, ss.bp, ss.msgBits[b*code.K:(b+1)*code.K])
-		ss.blkMode[b] = mode
-		if blkOK {
-			ss.blkOK[b] = 1
-		} else {
-			ss.blkOK[b] = 0
-		}
+		ss.blkMode[b], ss.blkOK[b] = mode, blkOK
 		total += iters
 		if iters > worst {
 			worst = iters
@@ -229,19 +241,14 @@ func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float64, maxIter int,
 			if ss.blkMode[b] != blockFlip {
 				continue
 			}
-			res := code.decodeBP(llr[b*code.N:(b+1)*code.N], maxIter, ss.bp)
+			iters, blkOK := code.decodeBP(llr[b*code.N:(b+1)*code.N], maxIter, ss.bp)
 			redid = true
-			ss.blkMode[b] = blockBP
-			if res.OK {
-				ss.blkOK[b] = 1
-			} else {
-				ss.blkOK[b] = 0
+			ss.blkMode[b], ss.blkOK[b] = blockBP, blkOK
+			total += iters
+			if iters > worst {
+				worst = iters
 			}
-			total += res.Iterations
-			if res.Iterations > worst {
-				worst = res.Iterations
-			}
-			code.ExtractInto(res.Bits, ss.msgBits[b*code.K:(b+1)*code.K])
+			code.extractWordsInto(ss.bp.cwWords, ss.msgBits[b*code.K:(b+1)*code.K])
 		}
 		if redid {
 			ok = sc.frameOK(ss)
@@ -249,7 +256,7 @@ func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float64, maxIter int,
 	}
 	failed := -1
 	for b := 0; b < sc.blocks; b++ {
-		if ss.blkOK[b] == 0 {
+		if !ss.blkOK[b] {
 			failed = b
 			break
 		}
@@ -299,21 +306,40 @@ func (sc *SectorCodec) DecodeSectors(llrs [][]float64, maxIter int, payloads [][
 	sc.ReleaseScratch(ss)
 }
 
-// decodeBlockInto decodes one LDPC block by the cheapest sufficient
-// means, writes the K extracted message bits into msg, and reports the
-// iteration count, success, and which path it took.
-func (c *Code) decodeBlockInto(llr []float64, maxIter int, sc *bpScratch, msg []uint8) (int, bool, uint8) {
+// decodeBlockInto decodes one LDPC block by the cheapest means that can
+// finish, writes the K extracted message bits into msg, and reports the
+// iteration count, success, and which path it took. One packed hard
+// decision and its syndrome feed every tier.
+func (c *Code) decodeBlockInto(llr []float64, maxIter int, sc *bpScratch, msg []uint8) (iters int, ok bool, mode uint8) {
 	c.hardPackLLR(llr, sc.cwWords)
 	unsat := c.syndromePacked(sc.cwWords, sc.synd)
-	if unsat == 0 {
-		c.extractWordsInto(sc.cwWords, msg)
-		return 0, true, blockClean
+	mode = blockBP
+	switch {
+	case unsat == 0:
+		ok, mode = true, blockClean
+	case unsat > flipGate:
+		iters, ok = c.layeredBP(llr, maxIter, sc, unsat)
+	default:
+		if iters, ok = c.bitFlip(sc, flipBudget, unsat); ok {
+			mode = blockFlip
+		} else {
+			// The failed pass flipped cwWords and synd in place; BP must
+			// start from the channel's decision, so it is taken again.
+			iters, ok = c.decodeBP(llr, maxIter, sc)
+		}
 	}
-	if iters, ok := c.bitFlip(sc, flipBudget, unsat); ok {
-		c.extractWordsInto(sc.cwWords, msg)
-		return iters, true, blockFlip
-	}
-	res := c.decodeBP(llr, maxIter, sc)
-	c.ExtractInto(res.Bits, msg)
-	return res.Iterations, res.OK, blockBP
+	c.extractWordsInto(sc.cwWords, msg)
+	return iters, ok, mode
+}
+
+// FlipTrial measures one block of channel LLRs for the flipGate table:
+// its hard decision's unsatisfied-check count, whether that is within
+// the gate, and whether Gallager-B at flipBudget settles it regardless.
+func (c *Code) FlipTrial(llr []float64) (unsat int, gated, flipOK bool) {
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	c.hardPackLLR(llr, sc.cwWords)
+	unsat = c.syndromePacked(sc.cwWords, sc.synd)
+	_, flipOK = c.bitFlip(sc, flipBudget, unsat)
+	return unsat, unsat <= flipGate, flipOK
 }

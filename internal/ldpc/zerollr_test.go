@@ -65,13 +65,14 @@ func TestBPSignBitTracksPosterior(t *testing.T) {
 				llr[v] = math.Copysign(0, -1)
 			}
 		}
-		res := c.decodeBP(llr, 4, sc)
+		c.decodeBP(llr, 4, sc)
 		for v, total := range sc.total {
 			if total == 0 {
 				zeros++
 			}
-			if (total == 0 && math.Signbit(float64(total))) || (res.Bits[v] == 1) != (total < 0) {
-				t.Fatalf("trial %d: posterior[%d] = %v (signbit %v) but bit %d", trial, v, total, math.Signbit(float64(total)), res.Bits[v])
+			bit := sc.cwWords[v>>6] >> (uint(v) & 63) & 1
+			if (total == 0 && math.Signbit(float64(total))) || (bit == 1) != (total < 0) {
+				t.Fatalf("trial %d: posterior[%d] = %v (signbit %v) but bit %d", trial, v, total, math.Signbit(float64(total)), bit)
 			}
 		}
 	}

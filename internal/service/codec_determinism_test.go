@@ -161,3 +161,36 @@ func TestScrubDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildDeterministicAcrossWorkers: an information platter and a
+// redundancy platter rebuilt by a serial and a parallel engine must burn
+// byte-identical replacements — which members each sector's recovery
+// reads is fixed by set position, and every (member, sector) read forks
+// its noise stream from its grid position, so scheduling cannot reach
+// the output.
+func TestRebuildDeterministicAcrossWorkers(t *testing.T) {
+	serial := flushFixture(t, 1)
+	parallel := flushFixture(t, 8)
+	for _, s := range []*Service{serial, parallel} {
+		rebuilt := 0
+		for _, p := range s.ListPlatters() {
+			if p.Set != 0 || (p.SetPos != 0 && p.SetPos != s.cfg.SetInfo) {
+				continue
+			}
+			if err := s.FailPlatter(p.ID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.RebuildPlatter(p.ID); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt++
+		}
+		if rebuilt != 2 {
+			t.Fatalf("rebuilt %d platters, want one information and one redundancy member", rebuilt)
+		}
+	}
+	requireIdenticalMedia(t, serial, parallel)
+	if ss, ps := serial.Stats(), parallel.Stats(); ss != ps {
+		t.Fatalf("rebuild outcomes diverge across worker counts:\nserial:   %+v\nparallel: %+v", ss, ps)
+	}
+}

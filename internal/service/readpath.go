@@ -90,7 +90,14 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 func (s *Service) readExtents(ctx context.Context, v *metadata.Version, rng *sim.RNG) ([]byte, error) {
 	extents := append([]metadata.Extent(nil), v.Extents...)
 	sort.Slice(extents, func(i, j int) bool { return extents[i].Shard < extents[j].Shard })
-	var out []byte
+	sectors := 0
+	for _, e := range extents {
+		sectors += e.SectorCount
+	}
+	// Sized once; every sector is descrambled straight into its slot.
+	size := s.cfg.Geom.SectorPayloadBytes
+	out := make([]byte, sectors*size)
+	off := 0
 	for _, e := range extents {
 		// Bill the extent's track span to the mechanical backend before
 		// decoding it: under the twin this blocks for drive allocation,
@@ -111,26 +118,25 @@ func (s *Service) readExtents(ctx context.Context, v *metadata.Version, rng *sim
 			return nil, fmt.Errorf("shard %d: %w", e.Shard, err)
 		}
 		for k := 0; k < e.SectorCount; k++ {
-			payload, err := s.readInfoSector(ctx, e.Platter, e.FirstSector+k, rng)
-			if err != nil {
+			if err := s.readInfoSector(ctx, e.Platter, e.FirstSector+k, rng, out[off:off+size]); err != nil {
 				return nil, fmt.Errorf("shard %d sector %d: %w", e.Shard, e.FirstSector+k, err)
 			}
-			out = append(out, payload...)
+			off += size
 		}
 	}
 	return out, nil
 }
 
-// readInfoSector reads one information sector's payload, escalating
-// through the recovery hierarchy:
+// readInfoSector reads one information sector's payload into dst,
+// escalating through the recovery hierarchy:
 //  1. direct LDPC decode of the sector;
 //  2. within-track network coding over the sector's track;
 //  3. large-group network coding across the platter's tracks;
 //  4. cross-platter network coding over the platter-set.
-func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSector int, rng *sim.RNG) ([]byte, error) {
+func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSector int, rng *sim.RNG, dst []byte) error {
 	pi, ok := s.platterByID(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: platter %d unknown", ErrUnavailable, id)
+		return fmt.Errorf("%w: platter %d unknown", ErrUnavailable, id)
 	}
 	geom := s.cfg.Geom
 	iPerTrack := geom.InfoSectorsPerTrack
@@ -142,84 +148,139 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 		payload, err := s.recoverFromSet(pi, infoSector, rng)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		copy(dst, payload)
 		s.addStats(func(st *Stats) { st.PlatterRecovers++ })
 		s.om.recSet.Inc()
 		pi.rec.ReportTier(repair.TierSet)
-		return payload, nil
+		return nil
 	}
 	phys := geom.InfoTrackPhysical(infoTrack)
-	if payload, ok := s.decodeSector(pi, phys, sPos, rng); ok {
-		return payload, nil
+	cs := s.acquireScratch()
+	ok = s.decodeSectorWith(cs, pi, phys, sPos, rng, dst)
+	s.releaseScratch(cs)
+	if ok {
+		return nil
 	}
-	// Level 2: read the whole track, repair via within-track NC.
+	// Level 2: read the rest of the track, repair via within-track NC.
 	sp := obs.StartSpan(ctx, "recover_sector")
 	if payload, ok := s.repairWithinTrack(pi, phys, sPos, rng); ok {
 		sp.End()
+		copy(dst, payload)
 		s.addStats(func(st *Stats) { st.SectorRepairs++ })
 		s.om.recSector.Inc()
 		pi.rec.ReportTier(repair.TierSector)
-		return payload, nil
+		return nil
 	}
 	sp.End()
 	// Level 3: rebuild the whole track from its large group.
 	sp = obs.StartSpan(ctx, "recover_track")
 	if payload, ok := s.rebuildTrackSector(pi, infoTrack, sPos, rng); ok {
 		sp.End()
+		copy(dst, payload)
 		s.addStats(func(st *Stats) { st.TrackRebuilds++ })
 		s.om.recTrack.Inc()
 		pi.rec.ReportTier(repair.TierTrack)
-		return payload, nil
+		return nil
 	}
 	sp.End()
-	return nil, fmt.Errorf("%w: platter %d sector %d beyond all coding levels", ErrUnavailable, id, infoSector)
+	return fmt.Errorf("%w: platter %d sector %d beyond all coding levels", ErrUnavailable, id, infoSector)
 }
 
-// decodeSector attempts a direct LDPC decode of one physical sector,
-// descrambling the payload (see scramble in writepath.go). Published
-// platter media is immutable, so no lock is held across the decode.
-// Injected media.read faults land here, upstream of the decode, so
-// every consumer — foreground reads, within-track repair, large-group
-// rebuild, set recovery, and the rebuilder's member decode — sees the
-// same failure surface and escalates through the normal hierarchy.
-func (s *Service) decodeSector(pi *platterInfo, physTrack, sPos int, rng *sim.RNG) ([]byte, bool) {
-	cs := s.acquireScratch()
-	defer s.releaseScratch(cs)
-	return s.decodeSectorWith(cs, pi, physTrack, sPos, rng)
-}
-
-// decodeSectorWith is decodeSector on caller-owned scratch, the form
-// chunked loops (rebuild's member-decode grid) use to amortize scratch
-// acquisition. The decode lands in the scratch's payload buffer; the
-// descramble below makes the caller's copy, so the returned payload is
-// the only allocation on the hot path.
-func (s *Service) decodeSectorWith(cs *codecScratch, pi *platterInfo, physTrack, sPos int, rng *sim.RNG) ([]byte, bool) {
+// decodeSectorWith attempts a direct LDPC decode of one physical sector
+// on caller-owned scratch, descrambling the payload (see scrambleInto in
+// writepath.go) into dst. Published platter media is immutable, so no
+// lock is held across the decode. Injected media.read faults land here,
+// upstream of the decode, so every consumer — foreground reads,
+// within-track repair, large-group rebuild, set recovery, and the
+// rebuilder's member decode — sees the same failure surface and
+// escalates through the normal hierarchy. The decode lands in the
+// scratch's payload buffer, so the hot path allocates nothing.
+func (s *Service) decodeSectorWith(cs *codecScratch, pi *platterInfo, physTrack, sPos int, rng *sim.RNG, dst []byte) bool {
 	symbols, ok := pi.platter.ReadSectorInto(media.SectorID{Track: physTrack, Sector: sPos}, cs.symbols)
 	if !ok {
-		return nil, false
+		return false
 	}
 	if err := s.faults.CheckData(faults.OpMediaRead, int64(pi.platter.ID), physTrack, sPos, symbols); err != nil {
-		return nil, false
+		return false
 	}
 	t0 := time.Now()
 	res := s.pipe.ReadSectorWithBuf(cs.sector, symbols, rng, cs.payload)
 	s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
 	if !res.OK {
-		return nil, false
+		return false
 	}
-	return scramble(res.Payload, pi.platter.ID, physTrack, sPos), true
+	scrambleInto(dst, res.Payload, pi.platter.ID, physTrack, sPos)
+	return true
 }
 
-// repairWithinTrack reads every sector of a track and reconstructs the
-// requested position via the within-track group.
-func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *sim.RNG) ([]byte, bool) {
-	geom := s.cfg.Geom
-	avail := make(map[int][]byte)
-	for sPos := 0; sPos < geom.SectorsPerTrack(); sPos++ {
-		if payload, ok := s.decodeSector(pi, physTrack, sPos, rng); ok {
-			avail[sPos] = payload
+// ncUnit says where one unit of a network-coding group lives on glass.
+type ncUnit struct {
+	pi         *platterInfo // nil: unreadable (the position being recovered, an unavailable member)
+	phys, sPos int
+	zero       bool // beyond the written range: implicitly zero, costs no read
+	repair     bool // the unit's track carries within-track redundancy to fall back on
+	rng        *sim.RNG
+}
+
+// gatherUnits collects k units of one NC group, keyed by unit index, for
+// Reconstruct: any k rebuild the rest (§5), so it reads no more. Pass 1
+// direct-decodes units in Reconstruct's own preference order
+// (information units ascending, then redundancy) and stops at k;
+// implicit zeros count. Pass 2 runs the expensive fallback, a
+// within-track repair, only for units that failed pass 1 and only while
+// still short of k. The order is fixed by position, never by completion,
+// so what is read, and every noise draw, is a function of the seed.
+func (s *Service) gatherUnits(units []ncUnit, k int) map[int][]byte {
+	size := s.cfg.Geom.SectorPayloadBytes
+	avail := make(map[int][]byte, k)
+	var failed []int
+	cs := s.acquireScratch()
+	for idx, u := range units {
+		if len(avail) == k {
+			break
 		}
+		if u.zero {
+			avail[idx] = make([]byte, size)
+		} else if u.pi != nil {
+			if dst := make([]byte, size); s.decodeSectorWith(cs, u.pi, u.phys, u.sPos, u.rng, dst) {
+				avail[idx] = dst
+			} else if u.repair {
+				failed = append(failed, idx)
+			}
+		}
+	}
+	s.releaseScratch(cs)
+	for _, idx := range failed {
+		if len(avail) == k {
+			break
+		}
+		u := units[idx]
+		if payload, ok := s.repairWithinTrack(u.pi, u.phys, u.sPos, u.rng); ok {
+			avail[idx] = payload
+		}
+	}
+	return avail
+}
+
+// repairWithinTrack reconstructs sector position want of a track via the
+// within-track group from the track's other sectors: want just failed
+// its own decode. Only when the rest of the track comes up short is want
+// itself — a group of one — read once more: read noise is drawn afresh
+// on every read, and that is the last means the track has.
+func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *sim.RNG) ([]byte, bool) {
+	units := make([]ncUnit, s.cfg.Geom.SectorsPerTrack())
+	for sPos := range units {
+		if sPos != want {
+			units[sPos] = ncUnit{pi: pi, phys: physTrack, sPos: sPos, rng: rng}
+		}
+	}
+	k := s.cfg.Geom.InfoSectorsPerTrack
+	avail := s.gatherUnits(units, k)
+	if len(avail) < k {
+		again := s.gatherUnits([]ncUnit{{pi: pi, phys: physTrack, sPos: want, rng: rng}}, 1)
+		return again[0], again[0] != nil
 	}
 	rec, err := s.withinTrack.Reconstruct(avail, []int{want})
 	if err != nil {
@@ -231,38 +292,27 @@ func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *s
 // rebuildTrackSector reconstructs sector sPos of information track
 // infoTrack from the platter's large group: the matching sector
 // position of the other member tracks plus the group's redundancy
-// tracks. Member tracks beyond the written range are zero.
+// tracks. Member tracks beyond the written range are zero; redundancy
+// tracks carry no within-track redundancy of their own.
 func (s *Service) rebuildTrackSector(pi *platterInfo, infoTrack, sPos int, rng *sim.RNG) ([]byte, bool) {
 	geom := s.cfg.Geom
 	lgi := geom.LargeGroupInfoTracks
 	g := infoTrack / lgi
 	wantUnit := infoTrack % lgi
 	usedTracks := (pi.usedInfoSectors + geom.InfoSectorsPerTrack - 1) / geom.InfoSectorsPerTrack
-	zero := make([]byte, geom.SectorPayloadBytes)
-	avail := make(map[int][]byte)
-	for m := 0; m < lgi; m++ {
-		if m == wantUnit {
-			continue
-		}
-		it := g*lgi + m
-		if it >= usedTracks {
-			avail[m] = zero
-			continue
-		}
-		phys := geom.InfoTrackPhysical(it)
-		if payload, ok := s.decodeSector(pi, phys, sPos, rng); ok {
-			avail[m] = payload
-		} else if payload, ok := s.repairWithinTrack(pi, phys, sPos, rng); ok {
-			avail[m] = payload
+	units := make([]ncUnit, lgi+geom.LargeGroupRedTracks)
+	for m := range units {
+		switch it := g*lgi + m; {
+		case m == wantUnit:
+		case m >= lgi:
+			units[m] = ncUnit{pi: pi, phys: geom.LargeGroupRedTrack(g, m-lgi), sPos: sPos, rng: rng}
+		case it >= usedTracks:
+			units[m] = ncUnit{zero: true}
+		default:
+			units[m] = ncUnit{pi: pi, phys: geom.InfoTrackPhysical(it), sPos: sPos, repair: true, rng: rng}
 		}
 	}
-	for j := 0; j < geom.LargeGroupRedTracks; j++ {
-		phys := geom.LargeGroupRedTrack(g, j)
-		if payload, ok := s.decodeSector(pi, phys, sPos, rng); ok {
-			avail[lgi+j] = payload
-		}
-	}
-	rec, err := s.largeGroup.Reconstruct(avail, []int{wantUnit})
+	rec, err := s.largeGroup.Reconstruct(s.gatherUnits(units, lgi), []int{wantUnit})
 	if err != nil {
 		return nil, false
 	}
@@ -293,53 +343,59 @@ func (s *Service) RecyclePlatter(id media.PlatterID) error {
 }
 
 // recoverFromSet rebuilds one information sector of an unavailable
-// platter from its platter-set: the matching sector of every available
-// member (§5 cross-platter NC; §7.6's 16x read amplification).
+// platter from its platter-set: the matching sector of SetInfo other
+// members (§5 cross-platter NC; §7.6's I reads per sector returned).
 func (s *Service) recoverFromSet(pi *platterInfo, infoSector int, rng *sim.RNG) ([]byte, error) {
-	// Snapshot the set membership under the read lock; the member
-	// platters themselves are immutable once published.
-	s.mu.RLock()
-	setIdx, setPos := pi.set, pi.setPos
-	var members []media.PlatterID
-	var infos []*platterInfo
-	if setIdx >= 0 && setIdx < len(s.sets) {
-		members = s.sets[setIdx]
-		infos = make([]*platterInfo, len(members))
-		for i, mid := range members {
-			infos[i] = s.platters[mid]
-		}
-	}
-	s.mu.RUnlock()
-	if members == nil {
+	_, setPos, _, infos := s.setSnapshot(pi)
+	if infos == nil {
 		return nil, fmt.Errorf("%w: platter %d has no completed platter-set", ErrUnavailable, pi.platter.ID)
 	}
-	geom := s.cfg.Geom
-	zero := make([]byte, geom.SectorPayloadBytes)
-	avail := make(map[int][]byte)
-	for pos, mpi := range infos {
-		if pos == setPos {
-			continue
-		}
-		if mpi == nil || mpi.rec.Unavailable() {
-			continue
-		}
-		usedTracks := (mpi.usedInfoSectors + geom.InfoSectorsPerTrack - 1) / geom.InfoSectorsPerTrack
-		infoTrack := infoSector / geom.InfoSectorsPerTrack
-		sPos := infoSector % geom.InfoSectorsPerTrack
-		if infoTrack >= usedTracks {
-			avail[pos] = zero
-			continue
-		}
-		phys := geom.InfoTrackPhysical(infoTrack)
-		if payload, ok := s.decodeSector(mpi, phys, sPos, rng); ok {
-			avail[pos] = payload
-		} else if payload, ok := s.repairWithinTrack(mpi, phys, sPos, rng); ok {
-			avail[pos] = payload
-		}
+	units := s.setUnits(infos, setPos, infoSector)
+	for i := range units {
+		units[i].rng = rng
 	}
-	rec, err := s.setGroup.Reconstruct(avail, []int{setPos})
+	rec, err := s.setGroup.Reconstruct(s.gatherUnits(units, s.cfg.SetInfo), []int{setPos})
 	if err != nil {
 		return nil, fmt.Errorf("%w: set recovery failed: %v", ErrUnavailable, err)
 	}
 	return rec[setPos], nil
+}
+
+// setSnapshot copies pi's place in its platter-set and the set's
+// membership (ids and records) under the read lock — the platters
+// themselves are immutable once published — or nil for no completed set.
+func (s *Service) setSnapshot(pi *platterInfo) (setIdx, setPos int, members []media.PlatterID, infos []*platterInfo) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	setIdx, setPos = pi.set, pi.setPos
+	if setIdx < 0 || setIdx >= len(s.sets) {
+		return setIdx, setPos, nil, nil
+	}
+	members = append(members, s.sets[setIdx]...)
+	infos = make([]*platterInfo, len(members))
+	for i, mid := range members {
+		infos[i] = s.platters[mid]
+	}
+	return setIdx, setPos, members, infos
+}
+
+// setUnits describes information sector infoSector of every member of a
+// platter-set as an NC unit (noise streams left to the caller). The
+// member at setPos, the one being recovered, and unavailable members are
+// unreadable; members shorter than the sector's track contribute zeros.
+func (s *Service) setUnits(infos []*platterInfo, setPos, infoSector int) []ncUnit {
+	geom := s.cfg.Geom
+	iPerTrack := geom.InfoSectorsPerTrack
+	infoTrack, sPos := infoSector/iPerTrack, infoSector%iPerTrack
+	units := make([]ncUnit, len(infos))
+	for pos, mpi := range infos {
+		switch {
+		case pos == setPos || mpi == nil || mpi.rec.Unavailable():
+		case infoTrack >= (mpi.usedInfoSectors+iPerTrack-1)/iPerTrack:
+			units[pos] = ncUnit{zero: true}
+		default:
+			units[pos] = ncUnit{pi: mpi, phys: geom.InfoTrackPhysical(infoTrack), sPos: sPos, repair: true}
+		}
+	}
+	return units
 }

@@ -29,61 +29,29 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 
-	s.mu.RLock()
-	pi, ok := s.platters[old]
-	var members []media.PlatterID
-	var infos []*platterInfo
-	var setIdx, setPos int
-	var isRed bool
-	var used int
-	if ok {
-		setIdx, setPos, isRed, used = pi.set, pi.setPos, pi.isRedundancy, pi.usedInfoSectors
-		if setIdx >= 0 && setIdx < len(s.sets) {
-			members = append([]media.PlatterID(nil), s.sets[setIdx]...)
-			infos = make([]*platterInfo, len(members))
-			for i, mid := range members {
-				infos[i] = s.platters[mid]
-			}
-		}
-	}
-	s.mu.RUnlock()
+	pi, ok := s.platterByID(old)
 	if !ok {
 		return -1, fmt.Errorf("service: unknown platter %d", old)
 	}
+	setIdx, setPos, members, infos := s.setSnapshot(pi)
 	if members == nil {
 		return -1, fmt.Errorf("service: platter %d: %w", old, repair.ErrNoRebuildSource)
 	}
+	isRed, used := pi.isRedundancy, pi.usedInfoSectors
 
 	newID := s.allocPlatterID()
 	rng := s.writeRNG(newID)
 	geom := s.cfg.Geom
 
-	// Decode every available member's payloads once (descrambled, with
-	// within-track repair as fallback), then reconstruct the lost unit
-	// sector by sector. Members shorter than the target contribute
-	// zeros, mirroring the set-redundancy encode.
-	//
-	// The (member, sector) decode grid and the per-sector reconstruction
-	// both fan out across the codec engine; every cell forks its own
-	// noise stream from its grid position, so the rebuilt platter is
-	// identical at any worker count.
-	zero := make([]byte, geom.SectorPayloadBytes)
-	memberPayloads := make([][][]byte, len(members))
-	var active []int
-	for pos, mpi := range infos {
-		if pos == setPos || mpi == nil || mpi.rec.Unavailable() {
-			continue
-		}
-		active = append(active, pos)
-		memberPayloads[pos] = make([][]byte, used)
-	}
-	// Bill one rebuild member read per active set member, concurrently:
+	// Bill one rebuild member read per available set member, concurrently:
 	// the twin schedules them as ClassRebuild traffic across its drives,
 	// so repair competes realistically with foreground reads.
 	iPT := geom.InfoSectorsPerTrack
 	var chargeWG sync.WaitGroup
-	for _, pos := range active {
-		mpi := infos[pos]
+	for pos, mpi := range infos {
+		if pos == setPos || mpi == nil || mpi.rec.Unavailable() {
+			continue
+		}
 		mTracks := (mpi.usedInfoSectors + iPT - 1) / iPT
 		if mTracks < 1 {
 			mTracks = 1
@@ -100,44 +68,21 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 		}(members[pos], mTracks)
 	}
 	chargeWG.Wait()
-	// Chunk the grid by track so each worker-visit decodes a contiguous
-	// run of one member's sectors on a single scratch; every cell still
-	// forks its noise stream from its (member, sector) grid position, so
-	// the reconstruction is identical at any worker count and chunk size.
+	// Reconstruct the lost unit sector by sector across the codec engine:
+	// each sector gathers SetInfo of the other members' matching sectors
+	// and decodes the set code once. Every (member, sector) cell forks its
+	// noise stream from its grid position, so the rebuilt platter is
+	// identical at any worker count.
 	decRNG := rng.Fork("member-decode")
-	chunk := geom.InfoSectorsPerTrack
-	_ = s.eng.ForEachChunk(len(active)*used, chunk, func(lo, hi int) error {
-		cs := s.acquireScratch()
-		defer s.releaseScratch(cs)
-		for idx := lo; idx < hi; idx++ {
-			pos, sec := active[idx/used], idx%used
-			mpi := infos[pos]
-			iPerTrack := geom.InfoSectorsPerTrack
-			musedTracks := (mpi.usedInfoSectors + iPerTrack - 1) / iPerTrack
-			pls := memberPayloads[pos]
-			if sec/iPerTrack >= musedTracks {
-				pls[sec] = zero
-				continue
-			}
-			phys := geom.InfoTrackPhysical(sec / iPerTrack)
-			sPos := sec % iPerTrack
-			r := decRNG.ForkAt(uint64(pos), uint64(sec))
-			if payload, ok := s.decodeSectorWith(cs, mpi, phys, sPos, r); ok {
-				pls[sec] = payload
-			} else if payload, ok := s.repairWithinTrack(mpi, phys, sPos, r); ok {
-				pls[sec] = payload
-			}
-		}
-		return nil
-	})
 	payloads := make([][]byte, used)
 	if err := s.eng.ForEach(used, func(sec int) error {
-		avail := make(map[int][]byte, len(members))
-		for pos, pls := range memberPayloads {
-			if pls != nil && pls[sec] != nil {
-				avail[pos] = pls[sec]
+		units := s.setUnits(infos, setPos, sec)
+		for pos := range units {
+			if units[pos].pi != nil {
+				units[pos].rng = decRNG.ForkAt(uint64(pos), uint64(sec))
 			}
 		}
+		avail := s.gatherUnits(units, s.cfg.SetInfo)
 		if isRed {
 			// Redundancy unit: rebuild the information vector, then
 			// re-encode this platter's redundancy position.

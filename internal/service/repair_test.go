@@ -20,7 +20,7 @@ func smallSetConfig() Config {
 
 // fillSet writes SetInfo platter-sized files, flushing each onto its
 // own platter so the first platter-set completes. Returns the files.
-func fillSet(t *testing.T, s *Service, cfg Config) map[string][]byte {
+func fillSet(t testing.TB, s *Service, cfg Config) map[string][]byte {
 	t.Helper()
 	platterBytes := int(cfg.Geom.PlatterUserBytes())
 	files := map[string][]byte{}
@@ -41,7 +41,7 @@ func fillSet(t *testing.T, s *Service, cfg Config) map[string][]byte {
 	return files
 }
 
-func platterOf(t *testing.T, s *Service, account, name string) media.PlatterID {
+func platterOf(t testing.TB, s *Service, account, name string) media.PlatterID {
 	t.Helper()
 	v, err := s.Metadata().Get(metadata.FileKey{Account: account, Name: name})
 	if err != nil {

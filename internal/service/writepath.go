@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"silica/internal/backend"
@@ -46,7 +47,7 @@ func (s *Service) Flush() error {
 func (s *Service) FlushCtx(ctx context.Context) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	noProgress := 0
+	noProgress, scrapRounds := 0, 0
 	for {
 		// Cancellation is honored between rounds: a canceled flush
 		// leaves every unfinished file staged for the next pass, never
@@ -106,8 +107,14 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		// Phase 2 (parallel): assemble, burn, and verify each plan's
 		// platter. The platters are private until phase 3, so workers
 		// touch no shared service state beyond the stats counters.
+		var scrapped atomic.Int32 // platters lost to an injected write-drive fault
 		if err := s.eng.ForEach(len(pend), func(i int) error {
-			return s.buildPlatter(ctx, pend[i], byID)
+			err := s.buildPlatter(ctx, pend[i], byID)
+			if errors.Is(err, faults.ErrInjected) {
+				scrapped.Add(1)
+				return nil
+			}
+			return err
 		}); err != nil {
 			return err
 		}
@@ -123,8 +130,10 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		}
 		publish := obs.StartSpan(ctx, "publish")
 		publishDone := phaseTimer(s.om.phasePublish)
+		faulted := 0
 		for _, pd := range pend {
 			if !pd.ok {
+				faulted++
 				// Verification failed: every file with a shard on this
 				// platter stays staged.
 				s.addStats(func(st *Stats) { st.PlattersFaulted++ })
@@ -205,16 +214,30 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			// Nothing verified this round. Retry: the rewrite lands on
 			// fresh platters whose scrambling decorrelates the voxel
 			// patterns, so occasional verification faults clear. Give
-			// up only when the channel is evidently hopeless.
-			noProgress++
+			// up only when the channel is evidently hopeless. A round
+			// lost wholly to injected write-drive faults is no evidence
+			// about the channel; it has a bound of its own so a drive
+			// that faults every burn cannot spin the flush.
+			if int(scrapped.Load()) == faulted {
+				scrapRounds++
+			} else {
+				noProgress++
+			}
 			if noProgress >= 3 {
 				return fmt.Errorf("service: flush made no progress after %d rounds (channel too noisy?)", noProgress)
 			}
+			if scrapRounds >= maxScrapRounds {
+				return fmt.Errorf("service: flush made no progress: write-drive faults scrapped every platter of %d rounds", scrapRounds)
+			}
 			continue
 		}
-		noProgress = 0
+		noProgress, scrapRounds = 0, 0
 	}
 }
+
+// maxScrapRounds bounds consecutive flush rounds lost wholly to
+// injected write-drive faults.
+const maxScrapRounds = 8
 
 // fileID names one (key, version) pair: the identity used for staged
 // files, plan entries, and extent accumulation during a flush.
@@ -315,17 +338,14 @@ func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map
 	if err != nil {
 		burn.End()
 		burnDone()
-		if errors.Is(err, faults.ErrInjected) {
+		if errors.Is(err, faults.ErrInjected) && p.State() == media.Writing {
 			// An injected write-drive fault is a per-platter event, not
-			// a pipeline failure: the platter is scrapped (the publish
-			// phase counts it faulted via pd.ok == false), its files
-			// stay staged, and the next round burns them onto fresh
-			// glass. A pre-burn fault leaves the platter Blank; only a
-			// started burn can legally transition to Faulted.
-			if p.State() == media.Writing {
-				_ = p.Transition(media.Faulted)
-			}
-			return nil
+			// a pipeline failure: FlushCtx counts it and carries on, the
+			// platter is scrapped (pd.ok stays false), its files stay
+			// staged, and the next round burns them onto fresh glass. A
+			// pre-burn fault leaves the platter Blank; only a started
+			// burn can legally transition to Faulted.
+			_ = p.Transition(media.Faulted)
 		}
 		return err
 	}
@@ -519,19 +539,14 @@ func (s *Service) shardExtentsBefore(plan *layout.PlatterPlan, e layout.Placemen
 	return out
 }
 
-// scramble XORs a payload with a pseudo-random stream keyed by the
-// sector's physical address. Voxel error rates are data-dependent
-// (inter-symbol interference follows the written pattern), so without
-// scrambling a payload that fails verification would fail identically
-// on every rewrite; the per-platter key decorrelates rewrites, exactly
-// why production storage media scramble data before modulation.
-// XOR is its own inverse, so the same call descrambles.
-func scramble(payload []byte, platter media.PlatterID, track, sector int) []byte {
-	return scrambleInto(make([]byte, len(payload)), payload, platter, track, sector)
-}
-
-// scrambleInto is scramble writing into dst, which must be at least as
-// long as payload.
+// scrambleInto XORs a payload with a pseudo-random stream keyed by the
+// sector's physical address into dst, which must be at least as long as
+// payload. Voxel error rates are data-dependent (inter-symbol
+// interference follows the written pattern), so without scrambling a
+// payload that fails verification would fail identically on every
+// rewrite; the per-platter key decorrelates rewrites, exactly why
+// production storage media scramble data before modulation. XOR is its
+// own inverse, so the same call descrambles.
 func scrambleInto(dst, payload []byte, platter media.PlatterID, track, sector int) []byte {
 	seed := uint64(platter)*0x9e3779b97f4a7c15 ^ uint64(track)<<20 ^ uint64(sector)
 	r := sim.NewRNG(seed)

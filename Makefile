@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 build test vet race smoke repair-smoke obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash fuzz-smoke bench bench-diff clean
+.PHONY: all tier1 tier2 build test vet race smoke repair-smoke examples-smoke sim-golden obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash fuzz-smoke bench bench-diff clean
 
 all: tier1
 
@@ -40,7 +40,33 @@ repair-smoke:
 	$(GO) run ./cmd/silica-load -clients 8 -ops 32 -read-frac 0.25 \
 		-object-bytes 2048 -platter-tracks 9 -kill-platter
 
-tier2: vet race smoke repair-smoke
+# Golden stdout: the four examples at default flags and three seeded
+# simulator experiments must print exactly what testdata/golden/
+# records (captured on the commit before internal/core, decode and
+# deployment were deleted). Two things vary by design and are masked
+# before the diff: quickstart's verify margin (it depends on
+# crypto/rand key material) and silica-sim's wall-clock `[x took …]`
+# lines. A diff here means simulator or example output changed; never
+# regenerate a golden to make it pass.
+GOLDEN_DIR := testdata/golden
+GOLDEN_OUT := /tmp/silica-golden
+examples-smoke:
+	$(GO) build -o $(GOLDEN_OUT)/ ./examples/...
+	for e in quickstart datacenter-replay failure-recovery layout-planner; do \
+	  $(GOLDEN_OUT)/$$e > $(GOLDEN_OUT)/$$e.raw || exit 1; \
+	  sed -E 's/verify margin [0-9.]+/verify margin X.XX/' $(GOLDEN_OUT)/$$e.raw \
+	    | diff -u $(GOLDEN_DIR)/$$e.txt - || { echo "examples/$$e: stdout differs from its golden"; exit 1; }; \
+	done
+
+sim-golden:
+	$(GO) build -o $(GOLDEN_OUT)/ ./cmd/silica-sim
+	for x in fig5a fig8 tape; do \
+	  $(GOLDEN_OUT)/silica-sim -quick -seed 1 -experiment $$x > $(GOLDEN_OUT)/sim-$$x.raw || exit 1; \
+	  grep -v '^\[.* took .*\]$$' $(GOLDEN_OUT)/sim-$$x.raw \
+	    | diff -u $(GOLDEN_DIR)/sim-$$x.txt - || { echo "silica-sim $$x: stdout differs from its golden"; exit 1; }; \
+	done
+
+tier2: vet race smoke repair-smoke examples-smoke sim-golden
 
 # Observability smoke: start a real silicad and a real three-library
 # router, walk the same object tour (PUT / GET / flush / DELETE /

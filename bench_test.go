@@ -16,7 +16,6 @@ import (
 	"silica/internal/media"
 	"silica/internal/nc"
 	"silica/internal/sim"
-	"silica/internal/stats"
 	"silica/internal/workload"
 )
 
@@ -208,14 +207,8 @@ func runOnce(b *testing.B, mutate func(*library.Config), profile workload.Profil
 	if err != nil {
 		b.Fatal(err)
 	}
-	core := stats.NewSample()
-	for _, r := range tr.Requests {
-		r := r
-		core := core
-		r.Done = func(t float64) { core.Add(t - r.Arrival) }
-	}
-	reqs := make([]*controller.Request, len(tr.Requests))
-	copy(reqs, tr.Requests)
+	// No warm-up or cool-down: every request is in the core interval.
+	reqs, core := tr.CoreRun()
 	lib.RunTrace(reqs, tr.CoreEnd)
 	return core.P999()
 }

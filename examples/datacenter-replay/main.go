@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"log"
 
-	"silica/internal/core"
+	"silica/internal/library"
 	"silica/internal/stats"
 	"silica/internal/workload"
 )
@@ -34,10 +34,10 @@ func main() {
 		log.Fatalf("unknown profile %q", *profile)
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Library.Shuttles = *shuttles
-	cfg.Library.DriveThroughput = *mbps * 1e6
-	sys, err := core.New(cfg)
+	cfg := library.DefaultConfig()
+	cfg.Shuttles = *shuttles
+	cfg.DriveThroughput = *mbps * 1e6
+	lib, err := library.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 		Duration:      *hours * 3600,
 		Warmup:        *hours * 300,
 		Cooldown:      *hours * 300,
-		Platters:      cfg.Library.Platters,
+		Platters:      cfg.Platters,
 		TracksPerFile: workload.TracksFor(10e6),
 		TrackBytes:    10e6,
 		Seed:          1,
@@ -58,8 +58,8 @@ func main() {
 	fmt.Printf("replaying %s trace: %d requests over %.0f h (20 drives @ %.0f MB/s, %d shuttles)\n",
 		p, len(tr.Requests), *hours, *mbps, *shuttles)
 
-	sample := sys.SimulateTrace(tr)
-	lib := sys.Library
+	reqs, sample := tr.CoreRun()
+	lib.RunTrace(reqs, tr.CoreEnd)
 
 	fmt.Printf("\ncompletion time (core interval, %d requests):\n", sample.N())
 	fmt.Printf("  median %s   p99 %s   p99.9 %s   max %s\n",

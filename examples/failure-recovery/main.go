@@ -17,11 +17,10 @@ import (
 	"fmt"
 	"log"
 
-	"silica/internal/controller"
-	"silica/internal/core"
 	"silica/internal/geometry"
 	"silica/internal/library"
 	"silica/internal/media"
+	"silica/internal/service"
 	"silica/internal/stats"
 	"silica/internal/workload"
 )
@@ -33,12 +32,11 @@ func main() {
 
 func dataPlane() {
 	fmt.Println("=== Data plane: cross-platter reconstruction of real bytes ===")
-	sys, err := core.New(core.DefaultConfig())
+	cfg := service.DefaultConfig()
+	svc, err := service.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc := sys.Service
-	cfg := core.DefaultConfig().Service
 
 	// Fill one platter per file so a set of SetInfo platters completes.
 	platterBytes := int(cfg.Geom.PlatterUserBytes())
@@ -103,15 +101,7 @@ func controlPlane() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		core := stats.NewSample()
-		for _, r := range tr.Requests {
-			if tr.InCore(r) {
-				r := r
-				r.Done = func(t float64) { core.Add(t - r.Arrival) }
-			}
-		}
-		reqs := make([]*controller.Request, len(tr.Requests))
-		copy(reqs, tr.Requests)
+		reqs, core := tr.CoreRun()
 		lib.RunTrace(reqs, tr.CoreEnd)
 		return core, lib
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"silica/internal/controller"
 	"silica/internal/library"
 	"silica/internal/stats"
 	"silica/internal/workload"
@@ -74,15 +73,7 @@ func genTrace(p workload.Profile, sc Scale, zipf float64) (*workload.Trace, erro
 // runTrace drives a library with a trace and returns the completion
 // time sample of the core-interval requests.
 func runTrace(lib *library.Library, tr *workload.Trace) *stats.Sample {
-	core := stats.NewSample()
-	for _, r := range tr.Requests {
-		if tr.InCore(r) {
-			r := r
-			r.Done = func(t float64) { core.Add(t - r.Arrival) }
-		}
-	}
-	reqs := make([]*controller.Request, len(tr.Requests))
-	copy(reqs, tr.Requests)
+	reqs, core := tr.CoreRun()
 	lib.RunTrace(reqs, tr.CoreEnd)
 	return core
 }

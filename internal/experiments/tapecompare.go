@@ -41,14 +41,7 @@ func TapeVsSilica(sc Scale) (TapeVsSilicaResult, error) {
 	if err != nil {
 		return out, err
 	}
-	tapeReqs := cloneReqs(tr.Requests)
-	tapeSample := stats.NewSample()
-	for _, r := range tapeReqs {
-		if tr.InCore(r) {
-			r := r
-			r.Done = func(t float64) { tapeSample.Add(t - r.Arrival) }
-		}
-	}
+	tapeReqs, tapeSample := tr.CoreRun()
 	tl.RunTrace(tapeReqs, tr.CoreEnd)
 	out.IOPSTape = tapeSample.P999()
 	out.TapeMountsIO = tl.Mounts()
@@ -120,15 +113,6 @@ func TapeVsSilica(sc Scale) (TapeVsSilicaResult, error) {
 	lib2.RunTrace(silicaDR, 0)
 	out.DRSilica = drSilica.Max()
 	return out, nil
-}
-
-func cloneReqs(in []*controller.Request) []*controller.Request {
-	out := make([]*controller.Request, len(in))
-	for i, r := range in {
-		cp := *r
-		out[i] = &cp
-	}
-	return out
 }
 
 func (r TapeVsSilicaResult) String() string {

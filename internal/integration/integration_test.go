@@ -1,9 +1,8 @@
 // Package integration exercises end-to-end scenarios that span
 // multiple subsystems: the full archive lifecycle on the real data
-// path, the library digital twin feeding the decode stack, multi-
-// library deployments under generated traces, metadata disaster
-// recovery from platter headers, and a kitchen-sink run with every
-// optional subsystem enabled at once.
+// path, metadata disaster recovery from platter headers, and a
+// kitchen-sink run of the library twin with every optional subsystem
+// enabled at once.
 package integration
 
 import (
@@ -12,8 +11,6 @@ import (
 	"testing"
 
 	"silica/internal/controller"
-	"silica/internal/core"
-	"silica/internal/deployment"
 	"silica/internal/library"
 	"silica/internal/media"
 	"silica/internal/metadata"
@@ -81,97 +78,6 @@ func TestArchiveLifecycleToRecycling(t *testing.T) {
 	for p := range platters {
 		if live := meta.LiveBytesOnPlatter(p); live != 0 {
 			t.Fatalf("platter %d still has %d live sectors after all deletes", p, live)
-		}
-	}
-}
-
-// TestLibraryFeedsDecodeStack runs a trace through the digital twin
-// and the decode stack together (§3.2's disaggregation) and checks
-// decode SLOs hold.
-func TestLibraryFeedsDecodeStack(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Library.Platters = 400
-	cfg.Library.Seed = 9
-	cfg.Decode.MaxWorkers = 128
-	sys, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.Generate(workload.TraceConfig{
-		Profile:       workload.IOPS,
-		Duration:      3600,
-		Platters:      400,
-		TracksPerFile: workload.TracksFor(10e6),
-		TrackBytes:    10e6,
-		RateScale:     0.3,
-		Seed:          9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sys.SimulateTraceWithDecode(tr, 15*3600, 1800)
-	if out.ReadTails.N() == 0 {
-		t.Fatal("no reads completed")
-	}
-	if out.DecodeTails.N() != out.ReadTails.N() {
-		t.Fatalf("decode jobs %d != reads %d", out.DecodeTails.N(), out.ReadTails.N())
-	}
-	if out.Missed != 0 {
-		t.Fatalf("%d decode SLO misses", out.Missed)
-	}
-	// Decode completion is strictly after read completion.
-	if out.DecodeTails.Mean() <= out.ReadTails.Mean() {
-		t.Fatal("decode time should add to read time")
-	}
-	if out.PeakWorkers < 1 {
-		t.Fatal("decode stack never scaled up")
-	}
-}
-
-// TestDeploymentUnderTrace routes a generated trace across a
-// three-library deployment with some platters failed.
-func TestDeploymentUnderTrace(t *testing.T) {
-	cfg := deployment.DefaultConfig()
-	cfg.TotalPlatters = 1900
-	cfg.Library.Platters = 0
-	cfg.Seed = 17
-	d, err := deployment.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail a handful of platters spread around.
-	for i := 0; i < 20; i++ {
-		d.MarkUnavailable(media.PlatterID(i * 95))
-	}
-	tr, err := workload.Generate(workload.TraceConfig{
-		Profile:       workload.Typical,
-		Duration:      3600,
-		Platters:      1900,
-		TracksPerFile: workload.TracksFor(10e6),
-		TrackBytes:    10e6,
-		RateScale:     0.5,
-		Seed:          17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tr.Requests {
-		d.Submit(r)
-	}
-	d.Run(tr.CoreEnd)
-	if d.Completions().N() == 0 {
-		t.Fatal("nothing completed")
-	}
-	if d.Unrecoverable > 0 {
-		t.Fatalf("%d unrecoverable with only scattered failures", d.Unrecoverable)
-	}
-	if d.InternalReads == 0 {
-		t.Fatal("failed platters should have triggered recovery reads")
-	}
-	loads := d.LibraryLoads()
-	for l, load := range loads {
-		if load == 0 {
-			t.Fatalf("library %d idle", l)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"silica/internal/controller"
 	"silica/internal/media"
 	"silica/internal/sim"
+	"silica/internal/stats"
 )
 
 // Profile selects one of the paper's three 12-hour evaluation
@@ -85,6 +86,28 @@ type Trace struct {
 // InCore reports whether a request belongs to the measured interval.
 func (t *Trace) InCore(r *controller.Request) bool {
 	return r.Arrival >= t.CoreStart && r.Arrival < t.CoreEnd
+}
+
+// CoreRun prepares one run of the trace (§7.2: warm-up and cool-down
+// requests load the system but are not measured). It returns a private
+// copy of every request, in trace order, for a library's RunTrace, and
+// the sample that fills with the completion time (completion − arrival)
+// of each core-interval request as that run completes it. t.Requests is
+// not modified, so the same trace can be run through any number of
+// libraries, each with its own CoreRun.
+func (t *Trace) CoreRun() ([]*controller.Request, *stats.Sample) {
+	core := stats.NewSample()
+	copies := make([]controller.Request, len(t.Requests))
+	reqs := make([]*controller.Request, len(t.Requests))
+	for i, r := range t.Requests {
+		cp := &copies[i]
+		*cp = *r
+		if t.InCore(r) {
+			cp.Done = func(at float64) { core.Add(at - cp.Arrival) }
+		}
+		reqs[i] = cp
+	}
+	return reqs, core
 }
 
 // Generate builds a trace. Arrivals follow a piecewise-constant-rate

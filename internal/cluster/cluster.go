@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,14 +335,6 @@ func (c *Cluster) owners(key string) []string {
 		}
 	}
 	return live
-}
-
-// liveMember resolves a member only if it is alive.
-func (c *Cluster) liveMember(name string) Library {
-	if m := c.members[name]; m != nil && m.alive {
-		return m.lib
-	}
-	return nil
 }
 
 // copyLive resolves a copy-holder only if it is alive AND still the
@@ -1226,7 +1217,3 @@ func (c *Cluster) String() string {
 }
 
 var _ gateway.API = (*Cluster)(nil)
-
-// replicaAccount reports whether an account name is the redundancy
-// namespace (used by tests and the audit tooling).
-func IsReplicaAccount(account string) bool { return strings.HasPrefix(account, replicaPrefix) }

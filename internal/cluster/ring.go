@@ -112,16 +112,6 @@ func (r *Ring) Version() uint64 { return r.version }
 // Size reports the member count.
 func (r *Ring) Size() int { return len(r.members) }
 
-// Libraries lists members in sorted order.
-func (r *Ring) Libraries() []string {
-	libs := make([]string, 0, len(r.members))
-	for lib := range r.members {
-		libs = append(libs, lib)
-	}
-	sort.Strings(libs)
-	return libs
-}
-
 // Key builds the ring key for an object: tenant-qualified so one
 // tenant's namespace spreads across libraries like everyone else's.
 func Key(account, name string) string { return account + "/" + name }

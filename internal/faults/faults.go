@@ -18,7 +18,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -535,17 +534,4 @@ func (i *Injector) countFire(op string) {
 		i.byOp[op] = c
 	}
 	c.Inc()
-}
-
-// Ops lists the known injection-point ops (for CLI help and the
-// admin endpoint's error messages).
-func Ops() []string {
-	ops := []string{
-		OpMediaRead, OpMediaWrite, OpStagingReserve,
-		OpFlushBatch, OpFlushBurn, OpFlushVerify, OpFlushPublish,
-		OpPublishPlatter, OpPersistAppend, OpPersistSync,
-		OpClusterPlace, OpClusterDelete, OpClusterMember,
-	}
-	sort.Strings(ops)
-	return ops
 }

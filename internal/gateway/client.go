@@ -444,17 +444,6 @@ func (c *Client) Cost(wl costmodel.Workload) (out CostPayload, err error) {
 	return out, err
 }
 
-// Traces fetches the recent-trace ring, or the slow-trace ring when
-// slow is true.
-func (c *Client) Traces(slow bool) (out TracesPayload, err error) {
-	path := "/v1/traces"
-	if slow {
-		path += "?slow=1"
-	}
-	err = c.Call(context.Background(), http.MethodGet, path, nil, &out)
-	return out, err
-}
-
 // MetricsText fetches the daemon's raw Prometheus text exposition.
 func (c *Client) MetricsText() (string, error) {
 	var text []byte

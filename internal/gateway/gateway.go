@@ -622,9 +622,6 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// Backend exposes the mechanical backend (never nil).
-func (g *Gateway) Backend() backend.Backend { return g.svc.Backend() }
-
 // BackendStatus snapshots the backend for /v1/backend.
 func (g *Gateway) BackendStatus() backend.Status { return g.svc.Backend().Status() }
 

@@ -45,19 +45,6 @@ type LoadConfig struct {
 	ZipfSkew float64
 }
 
-// DefaultLoadConfig returns a small mixed workload.
-func DefaultLoadConfig() LoadConfig {
-	return LoadConfig{
-		Clients:      32,
-		OpsPerClient: 16,
-		ReadFraction: 0.4,
-		ObjectBytes:  2048,
-		Seed:         1,
-		MaxRetries:   8,
-		RetryBackoff: 5 * time.Millisecond,
-	}
-}
-
 // LoadReport summarizes a load run. The acceptance bar for the
 // gateway: Lost and Corrupted must be zero on any run, and Rejected
 // must be nonzero under deliberate overload.

@@ -162,20 +162,6 @@ func (sc *SectorCodec) EncodeSectorWith(ss *Scratch, payload []byte, dst []uint8
 	return dst
 }
 
-// EncodeSectors encodes payloads[i] into dsts[i] (same lengths as the
-// single-sector calls) over one shared scratch, amortizing acquisition
-// across a whole track's worth of sectors.
-func (sc *SectorCodec) EncodeSectors(payloads [][]byte, dsts [][]uint8) {
-	if len(payloads) != len(dsts) {
-		panic("ldpc: payload/destination count mismatch")
-	}
-	ss := sc.AcquireScratch()
-	for i, p := range payloads {
-		sc.EncodeSectorWith(ss, p, dsts[i])
-	}
-	sc.ReleaseScratch(ss)
-}
-
 // SectorDecode is the outcome of decoding one sector.
 type SectorDecode struct {
 	Payload     []byte
@@ -286,24 +272,6 @@ func (sc *SectorCodec) frameOK(ss *Scratch) bool {
 	BitsToBytesInto(framedBits, ss.framed)
 	want := binary.LittleEndian.Uint32(ss.framed[sc.PayloadBytes:])
 	return crc32.ChecksumIEEE(ss.framed[:sc.PayloadBytes]) == want
-}
-
-// DecodeSectors decodes llrs[i] into payloads[i] (each ≥ PayloadBytes,
-// or nil to allocate) over one shared scratch, writing results into
-// out[i]. out must be as long as llrs.
-func (sc *SectorCodec) DecodeSectors(llrs [][]float64, maxIter int, payloads [][]byte, out []SectorDecode) {
-	if len(out) < len(llrs) {
-		panic("ldpc: result buffer shorter than input")
-	}
-	ss := sc.AcquireScratch()
-	for i, llr := range llrs {
-		var buf []byte
-		if payloads != nil {
-			buf = payloads[i]
-		}
-		out[i] = sc.DecodeSectorWith(ss, llr, maxIter, buf)
-	}
-	sc.ReleaseScratch(ss)
 }
 
 // decodeBlockInto decodes one LDPC block by the cheapest means that can

@@ -334,9 +334,6 @@ func (l *Library) partitionOfSlot(slot geometry.SlotAddr) int {
 // Sim exposes the simulator for trace drivers.
 func (l *Library) Sim() *sim.Simulator { return l.sim }
 
-// Layout exposes the floor plan.
-func (l *Library) Layout() *geometry.Layout { return l.layout }
-
 // Metrics returns the collected metrics.
 func (l *Library) Metrics() *Metrics { return &l.metrics }
 

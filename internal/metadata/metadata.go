@@ -135,18 +135,6 @@ func (s *Store) SetExtents(key FileKey, version int, extents []Extent) error {
 	return nil
 }
 
-// SetKeyID records the keystore id protecting a version.
-func (s *Store) SetKeyID(key FileKey, version int, keyID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, err := s.versionLocked(key, version)
-	if err != nil {
-		return err
-	}
-	v.KeyID = keyID
-	return nil
-}
-
 // Get returns the latest live (non-deleted) version of key.
 func (s *Store) Get(key FileKey) (*Version, error) {
 	s.mu.RLock()

@@ -99,10 +99,6 @@ func (g *Group) Size() int { return g.I + g.R }
 // Overhead reports R/I, the write-time redundancy overhead of §6.
 func (g *Group) Overhead() float64 { return float64(g.R) / float64(g.I) }
 
-// Coefficient returns the coding coefficient of redundancy unit r
-// (0-based) for information unit i.
-func (g *Group) Coefficient(r, i int) byte { return g.coeff.At(r, i) }
-
 // EncodeRedundancy computes the R redundancy units from the I
 // information units. All units must have equal length.
 func (g *Group) EncodeRedundancy(info [][]byte) ([][]byte, error) {

@@ -126,9 +126,6 @@ func NewManager(tgt Target, reg *Registry, gate func() bool, cfg Config) *Manage
 	return m
 }
 
-// Registry exposes the health registry the manager feeds.
-func (m *Manager) Registry() *Registry { return m.reg }
-
 // Start launches the scrub and rebuild loops.
 func (m *Manager) Start() {
 	m.wg.Add(2)

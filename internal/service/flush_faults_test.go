@@ -3,9 +3,11 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"silica/internal/faults"
+	"silica/internal/media"
 )
 
 func faultedService(t *testing.T, rule string) *Service {
@@ -62,5 +64,73 @@ func TestFlushBoundedUnderPermanentWriteFault(t *testing.T) {
 	}
 	if got, err := s.Get("acct", "file"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("staged read after the failed flush: err=%v", err)
+	}
+}
+
+// TestRedundancyPlatterVerifyVerdictIsActedOn: a set-redundancy platter
+// whose read-back finds a track beyond within-track repair is scrapped
+// and re-burned on fresh glass, as an information platter is. It used to
+// go to Stored with the verdict discarded.
+func TestRedundancyPlatterVerifyVerdictIsActedOn(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Faults = faults.New(1)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One file per flush, so each flush writes one information platter
+	// and the last one closes the set.
+	var corrupted media.PlatterID
+	var faultedBefore int
+	files := map[string][]byte{}
+	for i := 0; i < cfg.SetInfo; i++ {
+		if i == cfg.SetInfo-1 {
+			// The closing flush burns its information platter on the
+			// next id and the first redundancy platter on the one after.
+			// Corrupt every sector of that one as it is written: each of
+			// its tracks then has more bad sectors than the
+			// RedundancySectorsPerTrack within-track repair can restore.
+			s.mu.RLock()
+			corrupted = s.nextPlatter + 1
+			s.mu.RUnlock()
+			if err := cfg.Faults.ArmString(fmt.Sprintf("op=media.write,platter=%d,mode=partial", corrupted)); err != nil {
+				t.Fatal(err)
+			}
+			faultedBefore = s.Stats().PlattersFaulted
+		}
+		name := fmt.Sprintf("file-%d", i)
+		files[name] = randBytes(uint64(100+i), 9000)
+		if _, err := s.Put("acct", name, files[name]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.SetsCompleted != 1 || st.RedundancyPlatters != cfg.SetRed {
+		t.Fatalf("set did not close: %d sets, %d redundancy platters", st.SetsCompleted, st.RedundancyPlatters)
+	}
+	if _, ok := s.platterByID(corrupted); ok {
+		t.Fatalf("corrupted redundancy platter %d is in the index", corrupted)
+	}
+	s.mu.RLock()
+	members := s.sets[0]
+	s.mu.RUnlock()
+	for _, m := range members {
+		if m == corrupted {
+			t.Fatalf("corrupted redundancy platter %d is a member of the set %v", corrupted, members)
+		}
+	}
+	if rose := st.PlattersFaulted - faultedBefore; rose != 1 {
+		t.Fatalf("PlattersFaulted rose by %d over the closing flush, want 1 (the corrupted redundancy platter); set %v", rose, members)
+	}
+	if err := s.FailPlatter(members[0]); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range files {
+		if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s with platter %d failed: err=%v", name, members[0], err)
+		}
 	}
 }

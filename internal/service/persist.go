@@ -188,17 +188,6 @@ func (s *Service) persistSnapshotLocked() error {
 	return s.plog.CommitSnapshot(cut, s.exportSnapshotData())
 }
 
-// PersistSnapshot forces a snapshot of the durable state. No-op when
-// persistence is disabled.
-func (s *Service) PersistSnapshot() error {
-	if s.plog == nil {
-		return nil
-	}
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	return s.persistSnapshotLocked()
-}
-
 // maybePersistSnapshot snapshots when enough WAL has accumulated;
 // caller holds flushMu.
 func (s *Service) maybePersistSnapshot() error {

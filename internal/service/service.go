@@ -360,10 +360,6 @@ func (s *Service) Stats() Stats {
 // Metadata exposes the metadata service (read-only use expected).
 func (s *Service) Metadata() *metadata.Store { return s.meta }
 
-// Metrics exposes the service's telemetry registry (the one from
-// Config.Metrics, or the private registry built in its place).
-func (s *Service) Metrics() *obs.Registry { return s.reg }
-
 // Health exposes the platter health registry.
 func (s *Service) Health() *repair.Registry { return s.health }
 

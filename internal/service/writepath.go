@@ -781,12 +781,13 @@ func (s *Service) closeSet(members []media.PlatterID) error {
 	return nil
 }
 
-// burnRedundancyPlatter writes one set-redundancy platter. An injected
-// media-write fault scraps the partially burned platter and retries on
-// fresh glass with a fresh scramble seed; any other burn error is a
-// shape bug and propagates. Verification mirrors the historical
-// behavior for redundancy platters: failures are counted in the stats
-// but do not block the set (recovery decodes from glass regardless).
+// burnRedundancyPlatter writes one set-redundancy platter and verifies
+// it by full read-back, exactly as an information platter is. A platter
+// lost to an injected media-write fault, or one whose read-back finds a
+// track beyond within-track repair, is scrapped (Faulted, counted in
+// PlattersFaulted) and the same payloads are burned onto fresh glass
+// with a fresh scramble seed; any other burn error is a shape bug and
+// propagates.
 func (s *Service) burnRedundancyPlatter(payloads [][]byte, maxSectors, setIdx, setPos, iPerTrack int) (*platterInfo, media.PlatterID, error) {
 	const maxAttempts = 4
 	geom := s.cfg.Geom
@@ -799,28 +800,28 @@ func (s *Service) burnRedundancyPlatter(payloads [][]byte, maxSectors, setIdx, s
 			usedInfoSectors: maxSectors,
 			set:             setIdx, setPos: setPos, isRedundancy: true,
 		}
-		if err := s.burnPlatter(rpi, payloads); err != nil {
-			if errors.Is(err, faults.ErrInjected) {
-				if rpi.platter.State() == media.Writing {
-					_ = rpi.platter.Transition(media.Faulted)
-				}
-				s.addStats(func(st *Stats) { st.PlattersFaulted++ })
-				lastErr = err
-				continue
-			}
+		err := s.burnPlatter(rpi, payloads)
+		if err != nil && !errors.Is(err, faults.ErrInjected) {
 			return nil, 0, err
 		}
-		usedTracks := (maxSectors + iPerTrack - 1) / iPerTrack
-		_ = s.chargeMech(context.Background(), backend.Op{
-			Kind:       backend.OpBurn,
-			Platter:    rid,
-			TrackCount: usedTracks,
-			Bytes:      int64(maxSectors) * int64(geom.SectorPayloadBytes),
-		})
-		mustTransition(rpi.platter, media.Verifying)
-		s.verifyPlatter(rpi, usedTracks, rng)
-		mustTransition(rpi.platter, media.Stored)
-		return rpi, rid, nil
+		if err == nil {
+			usedTracks := (maxSectors + iPerTrack - 1) / iPerTrack
+			_ = s.chargeMech(context.Background(), backend.Op{
+				Kind:       backend.OpBurn,
+				Platter:    rid,
+				TrackCount: usedTracks,
+				Bytes:      int64(maxSectors) * int64(geom.SectorPayloadBytes),
+			})
+			mustTransition(rpi.platter, media.Verifying)
+			if s.verifyPlatter(rpi, usedTracks, rng) {
+				mustTransition(rpi.platter, media.Stored)
+				return rpi, rid, nil
+			}
+			err = fmt.Errorf("redundancy platter %d failed verification", rid)
+		}
+		mustTransition(rpi.platter, media.Faulted) // from Writing (injected fault) or Verifying
+		s.addStats(func(st *Stats) { st.PlattersFaulted++ })
+		lastErr = err
 	}
 	return nil, 0, fmt.Errorf("service: set redundancy burn failed after %d attempts: %w", maxAttempts, lastErr)
 }

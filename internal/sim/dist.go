@@ -134,6 +134,3 @@ func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(z.cdf, u)
 }
-
-// N reports the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }

@@ -27,9 +27,6 @@ type Event struct {
 	dead bool
 }
 
-// At reports the virtual time this event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired or was already cancelled is a no-op.
 func (e *Event) Cancel() { e.dead = true }

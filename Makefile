@@ -42,20 +42,27 @@ repair-smoke:
 
 # Golden stdout: the four examples at default flags and three seeded
 # simulator experiments must print exactly what testdata/golden/
-# records (captured on the commit before internal/core, decode and
-# deployment were deleted). Two things vary by design and are masked
-# before the diff: quickstart's verify margin (it depends on
-# crypto/rand key material) and silica-sim's wall-clock `[x took …]`
-# lines. A diff here means simulator or example output changed; never
+# records (captured on the commit before the core, decode and
+# deployment packages were deleted). What varies by design is masked
+# on both sides before the diff: the numbers that depend on crypto/rand
+# key material through the noisy channel (quickstart's verify margin;
+# in failure-recovery which platter holds archive-0 — about one run in
+# 150 its first burn fails verification and it lands on the next id —
+# and the sector-recovery count), and silica-sim's wall-clock
+# `[x took …]` lines. A diff here means simulator or example output changed; never
 # regenerate a golden to make it pass.
 GOLDEN_DIR := testdata/golden
 GOLDEN_OUT := /tmp/silica-golden
+GOLDEN_MASK := -e 's/verify margin [0-9.]+/verify margin X.XX/' \
+	-e 's/^platter [0-9]+ failed/platter N failed/' \
+	-e 's/[0-9]+ sector recoveries/N sector recoveries/'
 examples-smoke:
 	$(GO) build -o $(GOLDEN_OUT)/ ./examples/...
 	for e in quickstart datacenter-replay failure-recovery layout-planner; do \
 	  $(GOLDEN_OUT)/$$e > $(GOLDEN_OUT)/$$e.raw || exit 1; \
-	  sed -E 's/verify margin [0-9.]+/verify margin X.XX/' $(GOLDEN_OUT)/$$e.raw \
-	    | diff -u $(GOLDEN_DIR)/$$e.txt - || { echo "examples/$$e: stdout differs from its golden"; exit 1; }; \
+	  sed -E $(GOLDEN_MASK) $(GOLDEN_DIR)/$$e.txt > $(GOLDEN_OUT)/$$e.want; \
+	  sed -E $(GOLDEN_MASK) $(GOLDEN_OUT)/$$e.raw \
+	    | diff -u $(GOLDEN_OUT)/$$e.want - || { echo "examples/$$e: stdout differs from its golden"; exit 1; }; \
 	done
 
 sim-golden:

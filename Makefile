@@ -187,13 +187,16 @@ cluster-crash:
 # not write (WAL scan under both record tables, both snapshot formats,
 # the platter blob) runs its native fuzz target for ten seconds, seeded
 # from the golden fixtures; then the voxel demapper's table lookup on
-# arbitrary float64 bit patterns. `go test -fuzz` takes one target per
-# run.
+# arbitrary float64 bit patterns, and the two text parsers that read
+# bytes arriving over HTTP (a /metrics scrape, a POST /v1/faults rule).
+# `go test -fuzz` takes one target per run.
 fuzz-smoke:
 	for t in FuzzScanWAL FuzzDecodeSnapshot FuzzDecodeRouterSnapshot FuzzDecodeBlob; do \
 		$(GO) test ./internal/persist -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
 	done
 	$(GO) test ./internal/voxel -run '^$$' -fuzz '^FuzzDemapLLRs$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s
+	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime 10s
 
 # Codec benchmarks: GF(256) kernels, the word-packed per-sector
 # encode/decode (hard-decision fast path and the forced-BP soft path),

@@ -106,7 +106,7 @@ func (r Rule) Validate() error {
 	default:
 		return fmt.Errorf("faults: unknown mode %q", r.Mode)
 	}
-	if r.Prob < 0 || r.Prob > 1 {
+	if !(r.Prob >= 0 && r.Prob <= 1) { // also rejects NaN
 		return fmt.Errorf("faults: prob %v out of [0,1]", r.Prob)
 	}
 	if r.Every < 0 || r.After < 0 || r.Count < 0 {

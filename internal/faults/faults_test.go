@@ -6,15 +6,16 @@ import (
 	"time"
 )
 
+var canonicalRules = []string{
+	"op=media.write,mode=error,every=7,count=5",
+	"op=staging.reserve,mode=error,err=capacity,prob=0.2",
+	"op=media.read,platter=3,mode=latency,latency=5ms",
+	"op=media.write,track=0,sector=1,mode=partial",
+	"op=flush.burn,platter=2,mode=error,after=3",
+}
+
 func TestParseRuleRoundTrip(t *testing.T) {
-	cases := []string{
-		"op=media.write,mode=error,every=7,count=5",
-		"op=staging.reserve,mode=error,err=capacity,prob=0.2",
-		"op=media.read,platter=3,mode=latency,latency=5ms",
-		"op=media.write,track=0,sector=1,mode=partial",
-		"op=flush.burn,platter=2,mode=error,after=3",
-	}
-	for _, s := range cases {
+	for _, s := range canonicalRules {
 		r, err := ParseRule(s)
 		if err != nil {
 			t.Fatalf("ParseRule(%q): %v", s, err)
@@ -37,6 +38,7 @@ func TestParseRuleRejectsGarbage(t *testing.T) {
 		"op=media.write,mode=vaporize",        // unknown mode
 		"op=media.write,mode=latency",         // latency mode without latency
 		"op=media.write,mode=error,prob=1.5",  // prob out of range
+		"op=media.write,mode=error,prob=NaN",  // prob not a number
 		"op=media.write,mode=error,every=-1",  // negative trigger
 		"op=media.write,mode=error,bogus=1",   // unknown key
 		"op=media.write,mode=error,every=two", // non-numeric
@@ -249,4 +251,33 @@ func TestClearResetsRules(t *testing.T) {
 	if len(inj.Snapshot()) != 0 {
 		t.Fatal("cleared injector still lists rules")
 	}
+}
+
+// FuzzParseRule feeds ParseRule the bytes POST /v1/faults and -fault
+// hand it: it must never panic, and a rule it accepts must render to a
+// string that arms an equal rule (negative selectors all mean "any" and
+// render as absent, so they compare as -1).
+func FuzzParseRule(f *testing.F) {
+	for _, s := range canonicalRules {
+		f.Add(s)
+	}
+	// The crash drills' kill points (make crash-smoke, cluster-crash).
+	f.Add("kill@publish.platter:after=1,count=1")
+	f.Add("kill@cluster.place:after=40,count=1")
+	f.Add("partial@persist.append:every=5")
+	f.Add("op=media.write;platter=-7 mode=error,prob=1e-320")
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRule(s)
+		if err != nil {
+			return
+		}
+		r.Platter, r.Track, r.Sector = max(r.Platter, -1), max(r.Track, -1), max(r.Sector, -1)
+		inj := New(1)
+		if err := inj.ArmString(r.String()); err != nil {
+			t.Fatalf("%q parsed to %+v, which renders as %q and does not arm: %v", s, r, r.String(), err)
+		}
+		if got := inj.Snapshot()[0].Rule; got != r {
+			t.Fatalf("%q parsed to %+v but %q arms %+v", s, r, r.String(), got)
+		}
+	})
 }

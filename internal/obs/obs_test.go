@@ -246,3 +246,33 @@ func TestTracerRingBounded(t *testing.T) {
 		t.Fatalf("ring not newest-first: %d then %d", recent[0].ID, recent[1].ID)
 	}
 }
+
+// FuzzParseProm feeds ParseProm the bytes silica-load and silicactl
+// read from a daemon's /metrics: it must never panic, and must return
+// samples or an error, not both. Seeded from a real WriteProm dump.
+func FuzzParseProm(f *testing.F) {
+	r := NewRegistry()
+	r.Counter("silica_test_requests_total", "requests", L("class", "put")).Add(7)
+	r.Gauge("silica_test_queue_depth", "a \"quoted\" help\nline", L("class", `p"u\t`), L("lib", "0")).Set(-3.5)
+	h := r.Histogram("silica_test_latency_seconds", "latency", LogBuckets(0.001, 10, 3))
+	h.Observe(0.0005)
+	h.Observe(2)
+	var dump strings.Builder
+	if err := r.WriteProm(&dump); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dump.String())
+	// A dangling escape, a trailing comma with a NaN value, a stray brace.
+	f.Add("m{a=\"x\\\nm{a=\"x\",} NaN\nm} 1")
+	f.Fuzz(func(t *testing.T, text string) {
+		samples, err := ParseProm(strings.NewReader(text))
+		if err != nil && samples != nil {
+			t.Fatalf("ParseProm returned %d samples and error %v", len(samples), err)
+		}
+		for _, s := range samples {
+			if s.Labels == nil {
+				t.Fatalf("sample %q has a nil label map", s.Name)
+			}
+		}
+	})
+}

@@ -27,15 +27,20 @@ func flushFixture(t testing.TB, workers int) *Service {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		key := metadata.FileKey{Account: "acct", Name: fmt.Sprintf("det-%d", i)}
-		data := randBytes(uint64(1000+i), 11000)
-		v := s.meta.Put(key, int64(len(data)), "", 0)
-		s.tier.Admit(&staging.File{Key: key, Version: v.Version, Size: int64(len(data)), Data: data})
+		stageRaw(s, fmt.Sprintf("det-%d", i), randBytes(uint64(1000+i), 11000))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// stageRaw stages data under acct/name as if it were Put's ciphertext,
+// with no key: the flush burns exactly these bytes.
+func stageRaw(s *Service, name string, data []byte) {
+	key := metadata.FileKey{Account: "acct", Name: name}
+	v := s.meta.Put(key, int64(len(data)), "", 0)
+	s.tier.Admit(&staging.File{Key: key, Version: v.Version, Size: int64(len(data)), Data: data})
 }
 
 // requireIdenticalMedia asserts that two services hold byte-identical

@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"silica/internal/faults"
 	"silica/internal/media"
+	"silica/internal/metadata"
 )
 
 func faultedService(t *testing.T, rule string) *Service {
@@ -132,5 +134,108 @@ func TestRedundancyPlatterVerifyVerdictIsActedOn(t *testing.T) {
 		if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s with platter %d failed: err=%v", name, members[0], err)
 		}
+	}
+}
+
+// fillSetSeeded is fillSet with the ciphertext fixed: it stages the
+// files past Put, whose crypto/rand keys make the burned bytes — and so,
+// a few times in a thousand platters, a read-back verdict — differ from
+// run to run. What the tests below count is then a function of the seed.
+func fillSetSeeded(t *testing.T, s *Service, cfg Config) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	for i := 0; i < cfg.SetInfo; i++ {
+		name := fmt.Sprintf("bulk%d", i)
+		files[name] = randBytes(uint64(50+i), int(cfg.Geom.PlatterUserBytes())*3/4)
+		stageRaw(s, name, files[name])
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.SetsCompleted != 1 {
+		t.Fatalf("sets completed = %d, want 1", st.SetsCompleted)
+	}
+	return files
+}
+
+// TestRebuildReburnsScrappedReplacement: a replacement platter lost to a
+// write-drive fault is scrapped like any other platter and the already
+// reconstructed payloads are burned again on fresh glass. The rebuild
+// used to return the injected error, leave the replacement in Writing
+// and count nothing.
+func TestRebuildReburnsScrappedReplacement(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.Faults = faults.New(1)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := fillSetSeeded(t, s, cfg)
+	old := platterOf(t, s, "acct", "bulk0")
+	if err := s.FailPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	first := s.nextPlatter
+	s.mu.RUnlock()
+	if err := cfg.Faults.ArmString("op=media.write,mode=error,count=1"); err != nil {
+		t.Fatal(err)
+	}
+	newID, err := s.RebuildPlatter(old)
+	if err != nil {
+		t.Fatalf("rebuild gave up after one scrapped replacement: %v", err)
+	}
+	if newID != first+1 {
+		t.Fatalf("replacement is platter %d, want %d (the burn after scrapped platter %d)", newID, first+1, first)
+	}
+	if _, ok := s.platterByID(first); ok {
+		t.Fatalf("scrapped replacement %d is in the index", first)
+	}
+	if st := s.Stats(); st.PlattersFaulted != 1 || st.PlattersRebuilt != 1 {
+		t.Fatalf("faulted %d platters and rebuilt %d, want 1 and 1", st.PlattersFaulted, st.PlattersRebuilt)
+	}
+	for name, want := range files {
+		v, err := s.meta.Get(metadata.FileKey{Account: "acct", Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.readExtents(context.Background(), v, s.readRNG())
+		if err != nil || !bytes.Equal(got[:len(want)], want) {
+			t.Fatalf("%s after rebuild: err=%v", name, err)
+		}
+	}
+	if st := s.Stats(); st.PlatterRecovers != 0 {
+		t.Fatalf("%d reads recovered through the set: the replacement is not serving", st.PlatterRecovers)
+	}
+}
+
+// TestEveryPlatterIsTimedAsBurnAndVerify: set-redundancy platters go
+// through the same burn and read-back as information platters, so the
+// burn and verify phases must see them. They used to run inside the
+// publish phase, unobserved.
+func TestEveryPlatterIsTimedAsBurnAndVerify(t *testing.T) {
+	cfg := smallSetConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSetSeeded(t, s, cfg)
+	st := s.Stats()
+	if st.PlattersFaulted != 0 {
+		t.Fatalf("quiet channel scrapped %d platters", st.PlattersFaulted)
+	}
+	platters := uint64(st.PlattersWritten + st.RedundancyPlatters)
+	if platters != uint64(cfg.SetInfo+cfg.SetRed) {
+		t.Fatalf("%d platters on glass, want %d", platters, cfg.SetInfo+cfg.SetRed)
+	}
+	if burns, verifies := s.om.phaseBurn.Snapshot().Count, s.om.phaseVerify.Snapshot().Count; burns != platters || verifies != platters {
+		t.Fatalf("%d burn and %d verify observations for %d platters burned and read back", burns, verifies, platters)
+	}
+	// One payload assembly per information platter, one NC encode per set.
+	if encodes := s.om.phaseEncode.Snapshot().Count; encodes != uint64(st.PlattersWritten+st.SetsCompleted) {
+		t.Fatalf("%d encode observations, want %d", encodes, st.PlattersWritten+st.SetsCompleted)
+	}
+	if publishes := s.om.phasePublish.Snapshot().Count; publishes != uint64(cfg.SetInfo) {
+		t.Fatalf("%d publish observations, want one per flush round (%d)", publishes, cfg.SetInfo)
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -107,7 +108,7 @@ func (s *Service) installState(st *persist.State) error {
 	if len(s.pendingSet) >= s.cfg.SetInfo {
 		members := s.pendingSet
 		s.pendingSet = nil
-		if err := s.closeSet(members); err != nil {
+		if _, err := s.closeSet(context.Background(), members); err != nil {
 			return fmt.Errorf("service: recovery set close: %w", err)
 		}
 		if err := s.plog.Sync(); err != nil {

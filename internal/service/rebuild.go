@@ -40,22 +40,17 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	isRed, used := pi.isRedundancy, pi.usedInfoSectors
 
 	newID := s.allocPlatterID()
-	rng := s.writeRNG(newID)
 	geom := s.cfg.Geom
 
 	// Bill one rebuild member read per available set member, concurrently:
 	// the twin schedules them as ClassRebuild traffic across its drives,
 	// so repair competes realistically with foreground reads.
-	iPT := geom.InfoSectorsPerTrack
 	var chargeWG sync.WaitGroup
 	for pos, mpi := range infos {
 		if pos == setPos || mpi == nil || mpi.rec.Unavailable() {
 			continue
 		}
-		mTracks := (mpi.usedInfoSectors + iPT - 1) / iPT
-		if mTracks < 1 {
-			mTracks = 1
-		}
+		mTracks := max(s.usedTracks(mpi), 1)
 		chargeWG.Add(1)
 		go func(id media.PlatterID, tracks int) {
 			defer chargeWG.Done()
@@ -73,7 +68,7 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	// and decodes the set code once. Every (member, sector) cell forks its
 	// noise stream from its grid position, so the rebuilt platter is
 	// identical at any worker count.
-	decRNG := rng.Fork("member-decode")
+	decRNG := s.writeRNG(newID).Fork("member-decode")
 	payloads := make([][]byte, used)
 	if err := s.eng.ForEach(used, func(sec int) error {
 		units := s.setUnits(infos, setPos, sec)
@@ -108,34 +103,16 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	}
 
 	// Burn and verify the replacement exactly like a fresh platter
-	// (§3.1: publish-after-verify).
+	// (§3.1: publish-after-verify); a scrapped replacement costs a
+	// re-burn of the reconstructed payloads, not a second reconstruction.
 	npi := &platterInfo{
 		platter: media.NewPlatter(newID, geom), usedInfoSectors: used,
 		set: setIdx, setPos: setPos, isRedundancy: isRed,
 	}
-	if err := s.burnPlatter(npi, payloads); err != nil {
-		return -1, err
+	if err := s.burnOnFreshGlass(context.Background(), npi, payloads); err != nil {
+		return -1, fmt.Errorf("service: rebuild platter %d: %w", old, err)
 	}
-	iPerTrack := geom.InfoSectorsPerTrack
-	_ = s.chargeMech(context.Background(), backend.Op{
-		Kind:       backend.OpBurn,
-		Platter:    newID,
-		TrackCount: (used + iPerTrack - 1) / iPerTrack,
-		Bytes:      int64(used) * int64(geom.SectorPayloadBytes),
-	})
-	if err := npi.platter.Transition(media.Verifying); err != nil {
-		return -1, err
-	}
-	if !s.verifyPlatter(npi, (used+iPerTrack-1)/iPerTrack, rng) {
-		s.addStats(func(st *Stats) { st.PlattersFaulted++ })
-		if err := npi.platter.Transition(media.Faulted); err != nil {
-			return -1, err
-		}
-		return -1, fmt.Errorf("service: rebuilt platter %d failed verification (channel too noisy?)", newID)
-	}
-	if err := npi.platter.Transition(media.Stored); err != nil {
-		return -1, err
-	}
+	newID = npi.platter.ID
 
 	// Publish the replacement and swap the set membership in one
 	// critical section, then remap extents. Readers either resolve the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"silica/internal/backend"
 	"silica/internal/media"
@@ -50,9 +49,7 @@ func (s *Service) ScrubPlatter(id media.PlatterID, maxTracks int) (repair.ScrubR
 		rep.Unavailable = true
 		return rep, nil
 	}
-	geom := s.cfg.Geom
-	iPerTrack := geom.InfoSectorsPerTrack
-	usedTracks := (pi.usedInfoSectors + iPerTrack - 1) / iPerTrack
+	usedTracks := s.usedTracks(pi)
 	if usedTracks == 0 {
 		return rep, nil
 	}
@@ -69,83 +66,23 @@ func (s *Service) ScrubPlatter(id media.PlatterID, maxTracks int) (repair.ScrubR
 		Platter:    id,
 		StartTrack: start,
 		TrackCount: maxTracks,
-		Bytes:      int64(maxTracks) * geom.TrackRawBytes(),
+		Bytes:      int64(maxTracks) * s.cfg.Geom.TrackRawBytes(),
 	})
 
-	// Sample the window in parallel, one track-sized chunk per
-	// worker-visit so the codec scratch is acquired once per track; each
-	// sector forks its noise stream from (physical track, sector), so
-	// the report is identical at any worker count. The scrubber only
-	// needs OK + margin, so the decode lands in the scratch's payload
-	// buffer and the steady-state loop allocates nothing. The per-track
-	// tallies are reduced serially below, in window order.
-	spt := geom.SectorsPerTrack()
-	type scrubSector struct {
-		sampled bool // sector was written and read back
-		failed  bool // unwritten, or decode failed
-		margin  float64
-	}
-	results := make([]scrubSector, maxTracks*spt)
-	_ = s.eng.ForEachChunk(len(results), spt, func(lo, hi int) error {
-		cs := s.acquireScratch()
-		defer s.releaseScratch(cs)
-		for idx := lo; idx < hi; idx++ {
-			t, sPos := idx/spt, idx%spt
-			phys := geom.InfoTrackPhysical((start + t) % usedTracks)
-			symbols, ok := pi.platter.ReadSectorInto(media.SectorID{Track: phys, Sector: sPos}, cs.symbols)
-			if !ok {
-				results[idx].failed = true
-				continue
-			}
-			results[idx].sampled = true
-			t0 := time.Now()
-			res := s.pipe.ReadSectorWithBuf(cs.sector, symbols, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
-			s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
-			if !res.OK {
-				results[idx].failed = true
-				continue
-			}
-			results[idx].margin = res.Margin
-		}
-		return nil
-	})
-	var marginSum float64
-	for t := 0; t < maxTracks; t++ {
-		failures := 0
-		for sPos := 0; sPos < spt; sPos++ {
-			r := results[t*spt+sPos]
-			if r.sampled {
-				rep.SectorsSampled++
-			}
-			if r.failed {
-				failures++
-				if r.sampled {
-					rep.SectorFailures++
-				}
-				continue
-			}
-			marginSum += r.margin
-			if r.margin < rep.MinMargin {
-				rep.MinMargin = r.margin
-			}
-		}
-		rep.TracksSampled++
-		if failures > rep.WorstTrackFailures {
-			rep.WorstTrackFailures = failures
-		}
-		if failures > geom.RedundancySectorsPerTrack {
-			rep.TracksBeyondRepair++
-		}
-	}
+	tally := s.readBack(pi, start, maxTracks, rng)
+	rep.TracksSampled = maxTracks
+	rep.SectorsSampled = tally.sampled
+	rep.SectorFailures = tally.decodeFailures
+	rep.WorstTrackFailures = tally.worstTrack
+	rep.TracksBeyondRepair = tally.beyondRepair
+	rep.MinMargin = min(rep.MinMargin, tally.minMargin)
 	if ok := rep.SectorsSampled - rep.SectorFailures; ok > 0 {
-		rep.MeanMargin = marginSum / float64(ok)
+		rep.MeanMargin = tally.marginSum / float64(ok)
 	}
 	s.addStats(func(st *Stats) {
 		st.ScrubbedSectors += rep.SectorsSampled
 		st.ScrubFailures += rep.SectorFailures
-		if rep.SectorsSampled > rep.SectorFailures && rep.MinMargin < st.ScrubMinMargin {
-			st.ScrubMinMargin = rep.MinMargin
-		}
+		st.ScrubMinMargin = min(st.ScrubMinMargin, rep.MinMargin)
 	})
 	return rep, nil
 }

@@ -90,11 +90,9 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		plans := layout.AssignFiles(batch, s.cfg.Geom, s.effectiveShardCap())
 		verified := make(map[string]bool) // fileID -> fully durable
 		extents := make(map[string][]metadata.Extent)
-		fileOf := make(map[string]*staging.File)
 		byID := make(map[string]*staging.File, len(batch))
 		for _, f := range batch {
 			verified[stageID(f)] = true
-			fileOf[stageID(f)] = f
 			byID[stageID(f)] = f
 		}
 
@@ -102,7 +100,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		pend := make([]*pendingPlatter, len(plans))
 		for i, plan := range plans {
 			id := s.allocPlatterID()
-			pend[i] = &pendingPlatter{plan: plan, id: id, rng: s.writeRNG(id)}
+			pend[i] = &pendingPlatter{plan: plan, id: id}
 		}
 		// Phase 2 (parallel): assemble, burn, and verify each plan's
 		// platter. The platters are private until phase 3, so workers
@@ -110,8 +108,13 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		var scrapped atomic.Int32 // platters lost to an injected write-drive fault
 		if err := s.eng.ForEach(len(pend), func(i int) error {
 			err := s.buildPlatter(ctx, pend[i], byID)
-			if errors.Is(err, faults.ErrInjected) {
-				scrapped.Add(1)
+			if errors.Is(err, errScrapped) {
+				// A scrapped platter is a per-platter event, not a pipeline
+				// failure: pd.pi stays nil, its files stay staged, and the
+				// next round burns them onto fresh glass.
+				if errors.Is(err, faults.ErrInjected) {
+					scrapped.Add(1)
+				}
 				return nil
 			}
 			return err
@@ -129,14 +132,14 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			return err
 		}
 		publish := obs.StartSpan(ctx, "publish")
-		publishDone := phaseTimer(s.om.phasePublish)
+		publishStart := time.Now()
+		var setWork time.Duration // set-close encode, burn and verify: phases of their own
 		faulted := 0
 		for _, pd := range pend {
-			if !pd.ok {
+			if pd.pi == nil {
 				faulted++
-				// Verification failed: every file with a shard on this
-				// platter stays staged.
-				s.addStats(func(st *Stats) { st.PlattersFaulted++ })
+				// Scrapped: every file with a shard on this platter stays
+				// staged.
 				for _, e := range pd.plan.Entries {
 					verified[fileID(e.Key, e.Version)] = false
 				}
@@ -152,9 +155,11 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 				return err
 			}
 			s.publishPlatter(pd.id, pd.pi, "published")
-			if err := s.addToSet(pd.id, pd.pi); err != nil {
+			d, err := s.addToSet(ctx, pd.id, pd.pi)
+			if err != nil {
 				return err
 			}
+			setWork += d
 			for _, e := range pd.plan.Entries {
 				fid := fileID(e.Key, e.Version)
 				extents[fid] = append(extents[fid], metadata.Extent{
@@ -170,7 +175,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			if !ok {
 				continue
 			}
-			f := fileOf[fid]
+			f := byID[fid]
 			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
 				if errors.Is(err, metadata.ErrDeleted) {
 					// Deleted mid-write: the platter copy is shredded
@@ -209,7 +214,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			}
 		}
 		publish.End()
-		publishDone()
+		s.om.phasePublish.Observe((time.Since(publishStart) - setWork).Seconds())
 		if len(release) == 0 {
 			// Nothing verified this round. Retry: the rewrite lands on
 			// fresh platters whose scrambling decorrelates the voxel
@@ -268,37 +273,37 @@ func (s *Service) writeRNG(id media.PlatterID) *sim.RNG {
 	return s.rootRNG.Fork(fmt.Sprintf("platter-%d", id))
 }
 
+// usedTracks is the number of information tracks pi's payload occupies.
+func (s *Service) usedTracks(pi *platterInfo) int {
+	iPerTrack := s.cfg.Geom.InfoSectorsPerTrack
+	return (pi.usedInfoSectors + iPerTrack - 1) / iPerTrack
+}
+
 // pendingPlatter is one plan's in-flight platter between id allocation
 // and publication.
 type pendingPlatter struct {
 	plan *layout.PlatterPlan
 	id   media.PlatterID
-	rng  *sim.RNG
-	pi   *platterInfo
-	ok   bool // burned and verified
+	pi   *platterInfo // set once burned and verified
 }
 
-// buildPlatter pushes one plan through the write drive: modulate every
-// sector into glass, then verify the whole platter through the read
-// path (§3.1). On verification failure pd.ok stays false and the data
-// stays staged. The platter is built privately and published to the
-// index only after it verifies, so concurrent reads never observe
+// buildPlatter assembles one plan's info-sector payloads and pushes
+// them through the write pipeline. A scrapped platter leaves pd.pi nil
+// and the data staged. The platter is built privately and published to
+// the index only after it verifies, so concurrent reads never observe
 // partial media.
 func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map[string]*staging.File) error {
 	geom := s.cfg.Geom
 	plan := pd.plan
-	p := media.NewPlatter(pd.id, geom)
-	pi := &platterInfo{platter: p, set: -1}
+	pi := &platterInfo{platter: media.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: flush canceled before encode: %w", err)
 	}
 	encode := obs.StartSpan(ctx, "encode")
 	encodeDone := phaseTimer(s.om.phaseEncode)
-	// Assemble info-sector payloads in plan order.
-	iPerTrack := geom.InfoSectorsPerTrack
-	usedTracks := (plan.SectorsUsed + iPerTrack - 1) / iPerTrack
-	payloads := make([][]byte, usedTracks*iPerTrack)
+	// Assemble info-sector payloads in plan order, whole tracks.
+	payloads := make([][]byte, s.usedTracks(pi)*geom.InfoSectorsPerTrack)
 	for i := range payloads {
 		payloads[i] = make([]byte, geom.SectorPayloadBytes)
 	}
@@ -307,12 +312,9 @@ func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map
 		if f == nil {
 			return fmt.Errorf("service: plan references unknown file %v#%d", e.Key, e.Version)
 		}
-		// Shard data offset: shards were cut in order, each
-		// MaxShardSectors except the last.
-		off := int64(0)
-		for _, prev := range s.shardExtentsBefore(plan, e) {
-			off += int64(prev) * int64(geom.SectorPayloadBytes)
-		}
+		// Shards are cut in order at a fixed size, so every shard before
+		// this one spans exactly the shard cap.
+		off := int64(e.Shard) * int64(s.effectiveShardCap()) * int64(geom.SectorPayloadBytes)
 		for k := 0; k < e.SectorCount; k++ {
 			dst := payloads[e.FirstSector+k]
 			start := off + int64(k)*int64(geom.SectorPayloadBytes)
@@ -322,46 +324,71 @@ func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map
 		}
 	}
 	pi.payloads = payloads
-	pi.usedInfoSectors = plan.SectorsUsed
 	encode.End()
 	encodeDone()
+
+	if err := s.writeAndVerify(ctx, pi, payloads); err != nil {
+		return err
+	}
+	pd.pi = pi
+	return nil
+}
+
+// errScrapped marks a platter the write pipeline gave up on: it is
+// Faulted and counted, and its payloads are still the caller's to burn
+// again on fresh glass.
+var errScrapped = errors.New("service: platter scrapped")
+
+// writeAndVerify is the one write pipeline (§3.1, §5): burn the payloads
+// onto pi's blank platter, bill the write drive, read the whole platter
+// back through the real read path, and only then call it Stored. Every
+// platter — information, set-redundancy, replacement — is written here
+// and nowhere else. A platter lost to an injected write-drive fault
+// (flush.burn, media.write), or whose read-back finds a track beyond
+// within-track repair (or an injected flush.verify), is scrapped and the
+// error wraps errScrapped; any other error is a pipeline failure.
+// Cancellation is honored between stages.
+func (s *Service) writeAndVerify(ctx context.Context, pi *platterInfo, payloads [][]byte) error {
+	p := pi.platter
+	// scrap counts the platter lost. A fault before the burn started
+	// leaves the glass Blank; only a started burn can legally fault.
+	scrap := func(cause error) error {
+		if p.State() != media.Blank {
+			if err := p.Transition(media.Faulted); err != nil {
+				return err
+			}
+		}
+		s.addStats(func(st *Stats) { st.PlattersFaulted++ })
+		return fmt.Errorf("%w: %w", errScrapped, cause)
+	}
 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: flush canceled before burn: %w", err)
 	}
 	burn := obs.StartSpan(ctx, "burn")
 	burnDone := phaseTimer(s.om.phaseBurn)
-	err := s.faults.Check(faults.OpFlushBurn, int64(pd.id), -1, -1)
+	err := s.faults.Check(faults.OpFlushBurn, int64(p.ID), -1, -1)
 	if err == nil {
 		err = s.burnPlatter(pi, payloads)
 	}
-	if err != nil {
-		burn.End()
-		burnDone()
-		if errors.Is(err, faults.ErrInjected) && p.State() == media.Writing {
-			// An injected write-drive fault is a per-platter event, not
-			// a pipeline failure: FlushCtx counts it and carries on, the
-			// platter is scrapped (pd.ok stays false), its files stay
-			// staged, and the next round burns them onto fresh glass. A
-			// pre-burn fault leaves the platter Blank; only a started
-			// burn can legally transition to Faulted.
-			_ = p.Transition(media.Faulted)
-		}
-		return err
-	}
 	burn.End()
 	burnDone()
+	if errors.Is(err, faults.ErrInjected) {
+		return scrap(err)
+	}
+	if err != nil {
+		return err
+	}
 	// Bill the burn's mechanical cost (write-drive occupancy under the
 	// twin, arbitrated against foreground reads as ClassBurn traffic).
 	if err := s.chargeMech(ctx, backend.Op{
 		Kind:       backend.OpBurn,
-		Platter:    pd.id,
-		TrackCount: usedTracks,
-		Bytes:      int64(plan.SectorsUsed) * int64(geom.SectorPayloadBytes),
+		Platter:    p.ID,
+		TrackCount: s.usedTracks(pi),
+		Bytes:      int64(pi.usedInfoSectors) * int64(s.cfg.Geom.SectorPayloadBytes),
 	}); err != nil {
 		return fmt.Errorf("service: flush canceled during burn: %w", err)
 	}
-	// Verification: full read-back through the real read path (§3.1).
 	if err := p.Transition(media.Verifying); err != nil {
 		return err
 	}
@@ -370,21 +397,37 @@ func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map
 	}
 	verify := obs.StartSpan(ctx, "verify")
 	verifyDone := phaseTimer(s.om.phaseVerify)
-	ok := s.verifyPlatter(pi, usedTracks, pd.rng)
-	if ok && s.faults.Check(faults.OpFlushVerify, int64(pd.id), -1, -1) != nil {
-		ok = false // injected verification failure: files stay staged
+	ok := s.verifyPlatter(pi, s.writeRNG(p.ID))
+	if ok && s.faults.Check(faults.OpFlushVerify, int64(p.ID), -1, -1) != nil {
+		ok = false // injected verification failure
 	}
 	verify.End()
 	verifyDone()
 	if !ok {
-		return p.Transition(media.Faulted)
+		return scrap(fmt.Errorf("platter %d failed verification", p.ID))
 	}
-	if err := p.Transition(media.Stored); err != nil {
-		return err
+	return p.Transition(media.Stored)
+}
+
+// burnOnFreshGlass takes payloads that must end up on glass (a set's
+// redundancy unit, a rebuilt platter) through writeAndVerify, and when
+// the platter is scrapped burns the same payloads again on a fresh id —
+// and so a fresh scramble seed — at most maxAttempts times. On success
+// pi.platter is the Stored platter. It runs to completion: only the
+// trace in ctx is used, never its cancellation.
+func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payloads [][]byte) error {
+	const maxAttempts = 4
+	ctx = context.WithoutCancel(ctx)
+	for attempt := 1; ; attempt++ {
+		err := s.writeAndVerify(ctx, pi, payloads)
+		if !errors.Is(err, errScrapped) {
+			return err
+		}
+		if attempt == maxAttempts {
+			return fmt.Errorf("service: burn failed after %d attempts: %w", maxAttempts, err)
+		}
+		pi.platter = media.NewPlatter(s.allocPlatterID(), s.cfg.Geom)
 	}
-	pd.pi = pi
-	pd.ok = true
-	return nil
 }
 
 // publishPlatter registers the platter as healthy in the repair
@@ -400,10 +443,8 @@ func (s *Service) publishPlatter(id media.PlatterID, pi *platterInfo, reason str
 // encode stack: information tracks with within-track redundancy, then
 // large-group redundancy tracks over every group touched (member
 // tracks past the payload are implicitly zero; a payload tail shorter
-// than a track is zero-padded). The flush pipeline, the platter-set
-// closer, and the rebuilder all burn media through this one helper, so
-// every platter — fresh, redundancy, or replacement — shares a single
-// layout.
+// than a track is zero-padded). writeAndVerify is its only caller, so
+// every platter — fresh, redundancy, or replacement — shares one layout.
 //
 // The per-track work (within-track NC encode, LDPC, modulation) is
 // fanned across the codec engine; only the media map insert is
@@ -439,10 +480,8 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		// Batch the whole track: scramble every sector, push the batch
 		// through the word-packed encoder on one scratch, fault-check the
 		// modulated symbols in sector order, then insert them under one
-		// lock acquisition. An error-mode media.write fault now aborts
-		// before any of the track's sectors land, which is equivalent to
-		// the old per-sector interleaving: either way the platter is
-		// scrapped and its files stay staged.
+		// lock acquisition. An error-mode media.write fault aborts before
+		// any of the track's sectors land; the platter is scrapped.
 		phys := geom.InfoTrackPhysical(it)
 		n := iPerTrack + len(red)
 		for i, payload := range info {
@@ -527,18 +566,6 @@ func (s *Service) effectiveShardCap() int {
 	return cap
 }
 
-// shardExtentsBefore returns the sector counts of this file's earlier
-// shards (on previous platters), to compute the data offset. Shards
-// are cut at a fixed size, so every shard before the last spans
-// exactly the shard cap.
-func (s *Service) shardExtentsBefore(plan *layout.PlatterPlan, e layout.Placement) []int {
-	out := make([]int, 0, e.Shard)
-	for i := 0; i < e.Shard; i++ {
-		out = append(out, s.effectiveShardCap())
-	}
-	return out
-}
-
 // scrambleInto XORs a payload with a pseudo-random stream keyed by the
 // sector's physical address into dst, which must be at least as long as
 // payload. Voxel error rates are data-dependent (inter-symbol
@@ -581,38 +608,44 @@ func (s *Service) writeSectorScrambled(cs *codecScratch, pmu *sync.Mutex, p *med
 	return err
 }
 
-// verifyPlatter reads back every written info track through the read
-// channel and checks that each track is recoverable (at most R_t
-// failed sectors). It records the worst LDPC margin observed —
-// "together with the expected read error rate over time, we can
-// determine whether to record a file as durably stored" (§5).
+// readBackTally is what one read-back window found, reduced per track.
+type readBackTally struct {
+	sampled        int     // sectors that were written and read back
+	decodeFailures int     // sampled sectors whose direct decode failed
+	worstTrack     int     // most failed or unwritten sectors on one track
+	beyondRepair   int     // tracks with more failures than within-track NC restores
+	minMargin      float64 // over decoded sectors; +Inf when there are none
+	marginSum      float64
+}
+
+// readBack reads count information tracks of pi — starting at used track
+// first, wrapping — through the real decode stack (voxel demodulation →
+// LDPC) with no NC repair masking the result. The write pipeline's
+// verification (§3.1) and the scrubber's health sample (§5) are this one
+// measurement over different windows.
 //
-// Sectors are verified in parallel, one track-sized chunk per
-// worker-visit so the codec scratch is acquired once per track instead
-// of once per sector; each sector derives its noise stream from rng by
-// (track, sector) index, so the outcome is independent of scheduling.
-// The decode lands in the scratch's payload buffer (verification never
-// keeps the plaintext), making the steady-state loop allocation-free.
-// Per-track failure counts are reduced serially afterwards.
-func (s *Service) verifyPlatter(pi *platterInfo, usedTracks int, rng *sim.RNG) bool {
+// Sectors are read in parallel, one track-sized chunk per worker-visit
+// so the codec scratch is acquired once per track; each sector forks its
+// noise stream from rng by (physical track, sector), so the tally is
+// identical at any worker count. The decode lands in the scratch's
+// payload buffer (a read-back never keeps the plaintext), making the
+// steady-state loop allocation-free. The per-track reduction is serial,
+// in window order.
+func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) readBackTally {
 	geom := s.cfg.Geom
 	spt := geom.SectorsPerTrack()
-	n := usedTracks * spt
-	if n == 0 {
-		return true
+	usedTracks := s.usedTracks(pi)
+	type sectorRead struct {
+		sampled bool // sector was written and read back
+		failed  bool // unwritten, or decode failed
+		margin  float64
 	}
-	type sectorVerify struct {
-		failed       bool
-		decodeFailed bool
-		margin       float64
-	}
-	results := make([]sectorVerify, n)
-	_ = s.eng.ForEachChunk(n, spt, func(lo, hi int) error {
+	results := make([]sectorRead, count*spt)
+	_ = s.eng.ForEachChunk(len(results), spt, func(lo, hi int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
 		for idx := lo; idx < hi; idx++ {
-			it, sPos := idx/spt, idx%spt
-			phys := geom.InfoTrackPhysical(it)
+			phys, sPos := geom.InfoTrackPhysical((first+idx/spt)%usedTracks), idx%spt
 			symbols, ok := pi.platter.ReadSectorInto(media.SectorID{Track: phys, Sector: sPos}, cs.symbols)
 			if !ok {
 				results[idx].failed = true
@@ -621,56 +654,61 @@ func (s *Service) verifyPlatter(pi *platterInfo, usedTracks int, rng *sim.RNG) b
 			t0 := time.Now()
 			res := s.pipe.ReadSectorWithBuf(cs.sector, symbols, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
 			s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
-			if !res.OK {
-				results[idx] = sectorVerify{failed: true, decodeFailed: true}
-				continue
-			}
-			results[idx].margin = res.Margin
+			results[idx] = sectorRead{sampled: true, failed: !res.OK, margin: res.Margin}
 		}
 		return nil
 	})
-	decodeFailures := 0
-	minMargin := math.Inf(1)
-	recoverable := true
-	for it := 0; it < usedTracks; it++ {
+	tally := readBackTally{minMargin: math.Inf(1)}
+	for t := 0; t < count; t++ {
 		failures := 0
-		for sPos := 0; sPos < spt; sPos++ {
-			r := results[it*spt+sPos]
+		for _, r := range results[t*spt : (t+1)*spt] {
+			if r.sampled {
+				tally.sampled++
+			}
 			if r.failed {
 				failures++
-				if r.decodeFailed {
-					decodeFailures++
+				if r.sampled {
+					tally.decodeFailures++
 				}
 				continue
 			}
-			if r.margin < minMargin {
-				minMargin = r.margin
-			}
+			tally.marginSum += r.margin
+			tally.minMargin = min(tally.minMargin, r.margin)
 		}
+		tally.worstTrack = max(tally.worstTrack, failures)
 		if failures > geom.RedundancySectorsPerTrack {
-			recoverable = false
+			tally.beyondRepair++
 		}
 	}
+	return tally
+}
+
+// verifyPlatter reads back every used info track and reports whether
+// each is recoverable (at most R_t failed sectors). It records the worst
+// LDPC margin observed — "together with the expected read error rate
+// over time, we can determine whether to record a file as durably
+// stored" (§5).
+func (s *Service) verifyPlatter(pi *platterInfo, rng *sim.RNG) bool {
+	tally := s.readBack(pi, 0, s.usedTracks(pi), rng)
 	s.addStats(func(st *Stats) {
-		st.VerifyFailures += decodeFailures
-		if minMargin < st.MinVerifyMargin {
-			st.MinVerifyMargin = minMargin
-		}
+		st.VerifyFailures += tally.decodeFailures
+		st.MinVerifyMargin = min(st.MinVerifyMargin, tally.minMargin)
 	})
-	return recoverable
+	return tally.beyondRepair == 0
 }
 
 // addToSet accumulates verified information platters into the pending
 // platter-set; when SetInfo platters are ready, SetRed redundancy
 // platters are written and the set closes (§6). The redundancy encode
-// and write — the heavy part — runs outside the index lock; the set
-// only becomes visible to recovery reads once fully protected.
+// and write — the heavy part, whose wall time is returned — runs outside
+// the index lock; the set only becomes visible to recovery reads once
+// fully protected.
 //
 // Durability ordering: the platter's publish record is appended after
 // its set position is assigned (the record carries it) and before the
 // set-close work, so a crash anywhere in between recovers the platter
 // into the pending set and re-closes it with fresh redundancy.
-func (s *Service) addToSet(id media.PlatterID, pi *platterInfo) error {
+func (s *Service) addToSet(ctx context.Context, id media.PlatterID, pi *platterInfo) (time.Duration, error) {
 	s.mu.Lock()
 	pi.set = len(s.sets)
 	pi.setPos = len(s.pendingSet)
@@ -682,21 +720,20 @@ func (s *Service) addToSet(id media.PlatterID, pi *platterInfo) error {
 		s.pendingSet = nil
 	}
 	s.mu.Unlock()
-	if err := s.persistPublish(id, pi, "published"); err != nil {
-		return err
+	if err := s.persistPublish(id, pi, "published"); err != nil || !closing {
+		return 0, err
 	}
-	if !closing {
-		return nil
-	}
-	return s.closeSet(members)
+	return s.closeSet(ctx, members)
 }
 
 // closeSet writes the SetRed redundancy platters over the pending
 // members and registers the completed set. Also invoked by crash
 // recovery when the WAL replays a full pending set whose set-complete
 // record never landed (its original redundancy platters were pruned as
-// orphans).
-func (s *Service) closeSet(members []media.PlatterID) error {
+// orphans). The returned duration is the wall time of the encode, burn
+// and verify phases it ran, which a caller timing its own phase around
+// closeSet subtracts.
+func (s *Service) closeSet(ctx context.Context, members []media.PlatterID) (time.Duration, error) {
 	infos := make([]*platterInfo, len(members))
 	s.mu.RLock()
 	for i, m := range members {
@@ -709,19 +746,19 @@ func (s *Service) closeSet(members []media.PlatterID) error {
 	// The payload caches are flush-owned, so reading them unlocked is
 	// safe: only this (flushMu-serialized) pipeline touches them.
 	geom := s.cfg.Geom
-	iPerTrack := geom.InfoSectorsPerTrack
+	workStart := time.Now()
+	encode := obs.StartSpan(ctx, "encode")
+	encodeDone := phaseTimer(s.om.phaseEncode)
 	maxSectors := 0
 	for _, mpi := range infos {
-		if n := len(mpi.payloads); n > maxSectors {
-			maxSectors = n
-		}
+		maxSectors = max(maxSectors, len(mpi.payloads))
 	}
 	zero := make([]byte, geom.SectorPayloadBytes)
 	redPayloads := make([][][]byte, s.cfg.SetRed)
 	for r := range redPayloads {
 		redPayloads[r] = make([][]byte, maxSectors)
 	}
-	_ = s.eng.ForEach(maxSectors, func(sec int) error {
+	err := s.eng.ForEach(maxSectors, func(sec int) error {
 		units := make([][]byte, s.cfg.SetInfo)
 		for mi, mpi := range infos {
 			pls := mpi.payloads
@@ -733,26 +770,41 @@ func (s *Service) closeSet(members []media.PlatterID) error {
 		}
 		red, err := s.setGroup.EncodeRedundancy(units)
 		if err != nil {
-			// Construction guarantees shapes; treat as programmer error.
-			panic(err)
+			return err
 		}
 		for r := range red {
 			redPayloads[r][sec] = red[r]
 		}
 		return nil
 	})
+	encode.End()
+	encodeDone()
+	if err != nil {
+		return 0, err
+	}
+	// Burn every redundancy platter before publishing any, so the heavy
+	// work is one stretch and the rest of closeSet is publication.
 	setIdx := infos[0].set
-	for r := 0; r < s.cfg.SetRed; r++ {
-		rpi, rid, err := s.burnRedundancyPlatter(redPayloads[r], maxSectors, setIdx, s.cfg.SetInfo+r, iPerTrack)
-		if err != nil {
-			return err
+	reds := make([]*platterInfo, s.cfg.SetRed)
+	for r := range reds {
+		reds[r] = &platterInfo{
+			platter: media.NewPlatter(s.allocPlatterID(), geom), payloads: redPayloads[r],
+			usedInfoSectors: maxSectors,
+			set:             setIdx, setPos: s.cfg.SetInfo + r, isRedundancy: true,
 		}
+		if err := s.burnOnFreshGlass(ctx, reds[r], redPayloads[r]); err != nil {
+			return 0, fmt.Errorf("service: set %d redundancy: %w", setIdx, err)
+		}
+	}
+	setWork := time.Since(workStart)
+	for _, rpi := range reds {
+		rid := rpi.platter.ID
 		if err := s.faults.Check(faults.OpPublishPlatter, int64(rid), -1, -1); err != nil {
-			return err
+			return 0, err
 		}
 		s.publishPlatter(rid, rpi, "published (set redundancy)")
 		if err := s.persistPublish(rid, rpi, "published (set redundancy)"); err != nil {
-			return err
+			return 0, err
 		}
 		members = append(members, rid)
 		s.addStats(func(st *Stats) {
@@ -762,9 +814,8 @@ func (s *Service) closeSet(members []media.PlatterID) error {
 	}
 	s.mu.Lock()
 	s.sets = append(s.sets, members)
-	// Payload caches can be dropped once the set is protected; keep
-	// redundancy payloads too — they are small at tiny geometry and
-	// recovery decodes from glass anyway.
+	// Payload caches can be dropped once the set is protected; recovery
+	// decodes from glass.
 	for _, m := range members {
 		s.platters[m].payloads = nil
 	}
@@ -774,60 +825,9 @@ func (s *Service) closeSet(members []media.PlatterID) error {
 	}
 	if s.plog != nil {
 		if _, err := s.plog.Append(&persist.RecSetComplete{Set: setIdx, Members: members}); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	s.addStats(func(st *Stats) { st.SetsCompleted++ })
-	return nil
-}
-
-// burnRedundancyPlatter writes one set-redundancy platter and verifies
-// it by full read-back, exactly as an information platter is. A platter
-// lost to an injected media-write fault, or one whose read-back finds a
-// track beyond within-track repair, is scrapped (Faulted, counted in
-// PlattersFaulted) and the same payloads are burned onto fresh glass
-// with a fresh scramble seed; any other burn error is a shape bug and
-// propagates.
-func (s *Service) burnRedundancyPlatter(payloads [][]byte, maxSectors, setIdx, setPos, iPerTrack int) (*platterInfo, media.PlatterID, error) {
-	const maxAttempts = 4
-	geom := s.cfg.Geom
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rid := s.allocPlatterID()
-		rng := s.writeRNG(rid)
-		rpi := &platterInfo{
-			platter: media.NewPlatter(rid, geom), payloads: payloads,
-			usedInfoSectors: maxSectors,
-			set:             setIdx, setPos: setPos, isRedundancy: true,
-		}
-		err := s.burnPlatter(rpi, payloads)
-		if err != nil && !errors.Is(err, faults.ErrInjected) {
-			return nil, 0, err
-		}
-		if err == nil {
-			usedTracks := (maxSectors + iPerTrack - 1) / iPerTrack
-			_ = s.chargeMech(context.Background(), backend.Op{
-				Kind:       backend.OpBurn,
-				Platter:    rid,
-				TrackCount: usedTracks,
-				Bytes:      int64(maxSectors) * int64(geom.SectorPayloadBytes),
-			})
-			mustTransition(rpi.platter, media.Verifying)
-			if s.verifyPlatter(rpi, usedTracks, rng) {
-				mustTransition(rpi.platter, media.Stored)
-				return rpi, rid, nil
-			}
-			err = fmt.Errorf("redundancy platter %d failed verification", rid)
-		}
-		mustTransition(rpi.platter, media.Faulted) // from Writing (injected fault) or Verifying
-		s.addStats(func(st *Stats) { st.PlattersFaulted++ })
-		lastErr = err
-	}
-	return nil, 0, fmt.Errorf("service: set redundancy burn failed after %d attempts: %w", maxAttempts, lastErr)
-}
-
-func mustTransition(p *media.Platter, st media.PlatterState) {
-	if err := p.Transition(st); err != nil {
-		panic(err)
-	}
+	return setWork, nil
 }

@@ -202,12 +202,13 @@ fuzz-smoke:
 # encode/decode (hard-decision fast path and the forced-BP soft path),
 # the sector read at the channel's operating point (whole and per
 # stage: transmit / demap / ldpc), the parallel burn/flush paths at
-# workers=1, 4, and GOMAXPROCS, and the recovery paths (a degraded Get
-# and a platter rebuild, with sector decodes per op).
+# workers=1, 4, and GOMAXPROCS, the flush of one benchmark ingest round
+# (platters and sector decodes per op), and the recovery paths (a
+# degraded Get and a platter rebuild, with sector decodes per op).
 # Raw `go test -json` events land in BENCH_codec.json for trend
 # tracking; the burn/flush rows carry `workers` and `MB/s/core` metrics
 # so runs on different core counts compare per-core scaling directly.
-BENCH_PATTERN := EncodeSector|DecodeSector|SectorRead|GF256MulAddVec|BurnPlatter|FlushParallel|DegradedGet|RebuildPlatter|TwinRead
+BENCH_PATTERN := EncodeSector|DecodeSector|SectorRead|GF256MulAddVec|BurnPlatter|FlushParallel|IngestRound|DegradedGet|RebuildPlatter|TwinRead
 BENCH_PKGS := ./internal/gf256/ ./internal/ldpc/ ./internal/voxel/ ./internal/service/ ./internal/backend/
 bench:
 	$(GO) test -json -run '^$$' \

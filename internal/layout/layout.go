@@ -278,6 +278,9 @@ type Placement struct {
 	Bytes       int64
 }
 
+// FileID names the staged file the shard was cut from.
+func (p Placement) FileID() staging.ID { return staging.ID{Key: p.Key, Version: p.Version} }
+
 // PlatterPlan is the content of one information platter to be written.
 type PlatterPlan struct {
 	Entries     []Placement
@@ -347,7 +350,7 @@ func AssignFiles(batch []*staging.File, geom media.Geometry, shardSectors int) [
 
 func planHolds(p *PlatterPlan, f *staging.File) bool {
 	for _, e := range p.Entries {
-		if e.Key == f.Key && e.Version == f.Version {
+		if e.FileID() == f.ID() {
 			return true
 		}
 	}

@@ -104,3 +104,36 @@ func BenchmarkFlushParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIngestRound measures the flush of one round of silica-bench's
+// ingest workload (stageIngestRound: fixed bytes, 808 sectors): four
+// information platters and one 4+2 set close per op, serial and at
+// GOMAXPROCS. platters/op and decodes/op are the work the round
+// was planned into; they repeat exactly from run to run.
+func BenchmarkIngestRound(b *testing.B) {
+	counts := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s := benchService(b, workers)
+			b.ReportAllocs()
+			b.SetBytes(roundUserBytes)
+			decoded := s.om.codecDecSectors.Value()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				stageIngestRound(s, i)
+				b.StartTimer()
+				if err := s.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st := s.Stats()
+			b.ReportMetric(float64(st.PlattersWritten+st.RedundancyPlatters)/float64(b.N), "platters/op")
+			b.ReportMetric(float64(s.om.codecDecSectors.Value()-decoded)/float64(b.N), "decodes/op")
+			reportPerCore(b, roundUserBytes, workers)
+		})
+	}
+}

@@ -2,14 +2,12 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"testing"
 
 	"silica/internal/faults"
 	"silica/internal/media"
-	"silica/internal/metadata"
 )
 
 func faultedService(t *testing.T, rule string) *Service {
@@ -195,14 +193,7 @@ func TestRebuildReburnsScrappedReplacement(t *testing.T) {
 		t.Fatalf("faulted %d platters and rebuilt %d, want 1 and 1", st.PlattersFaulted, st.PlattersRebuilt)
 	}
 	for name, want := range files {
-		v, err := s.meta.Get(metadata.FileKey{Account: "acct", Name: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.readExtents(context.Background(), v, s.readRNG())
-		if err != nil || !bytes.Equal(got[:len(want)], want) {
-			t.Fatalf("%s after rebuild: err=%v", name, err)
-		}
+		requireReadable(t, s, name, want)
 	}
 	if st := s.Stats(); st.PlatterRecovers != 0 {
 		t.Fatalf("%d reads recovered through the set: the replacement is not serving", st.PlatterRecovers)

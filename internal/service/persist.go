@@ -101,19 +101,8 @@ func (s *Service) installState(st *persist.State) error {
 		stats.PlattersWritten = len(st.Platters)
 		stats.SetsCompleted = len(st.Sets)
 	})
-	// A pending set that already holds SetInfo members means the crash
-	// landed between the last info publish and the set-complete record:
-	// the original redundancy platters (if any were burned) were pruned
-	// as orphans, so close the set again with fresh redundancy.
-	if len(s.pendingSet) >= s.cfg.SetInfo {
-		members := s.pendingSet
-		s.pendingSet = nil
-		if _, err := s.closeSet(context.Background(), members); err != nil {
-			return fmt.Errorf("service: recovery set close: %w", err)
-		}
-		if err := s.plog.Sync(); err != nil {
-			return err
-		}
+	if err := s.reclosePendingSet(context.Background()); err != nil {
+		return fmt.Errorf("service: recovery set close: %w", err)
 	}
 	return nil
 }
@@ -171,7 +160,7 @@ func (s *Service) exportSnapshotData() *persist.SnapshotData {
 		NextPlatter: nextPlatter,
 		Meta:        s.meta.Export(),
 		Keys:        s.keys.Export(),
-		Staged:      s.tier.Export(),
+		Staged:      s.tier.NextBatch(),
 		Platters:    descs,
 		Sets:        sets,
 		PendingSet:  append([]media.PlatterID(nil), s.pendingSet...),

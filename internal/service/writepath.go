@@ -20,18 +20,21 @@ import (
 	"silica/internal/staging"
 )
 
-// Flush drains the staging tier: batches staged files into platter
-// plans, writes and verifies each platter, records extents, completes
-// platter-sets with redundancy platters, and releases verified staged
-// data. Files on a platter that fails verification stay staged and are
-// re-batched on the next Flush (§5: "it can simply be kept in staging
-// and rewritten onto a different platter later").
+// Flush drains the staging tier: each round plans the whole staged
+// backlog into platter plans at once, writes and verifies each platter,
+// records extents, completes platter-sets with redundancy platters, and
+// releases verified staged data. Planning everything in one pass is what
+// fills platters: glass is WORM, so a platter is burned once, and only
+// the last plan of a round — the tail of the backlog — can be partial.
+// Files on a platter that fails verification stay staged and the next
+// round re-plans them (§5: "it can simply be kept in staging and
+// rewritten onto a different platter later").
 //
 // Flushes are serialized among themselves but run concurrently with
 // Put/Get/Delete: the platter index lock is held only to allocate ids
 // and publish finished platters, never across encode or verify work.
 //
-// Within one batch the platter plans are independent (§3.1: sectors are
+// The platter plans of a round are independent (§3.1: sectors are
 // encoded in isolation), so the codec engine burns and verifies them in
 // parallel. Platter ids are allocated serially in plan order before the
 // fan-out and results are published serially in plan order after it, so
@@ -42,11 +45,16 @@ func (s *Service) Flush() error {
 }
 
 // FlushCtx is Flush recording trace spans (encode, burn, verify per
-// platter; publish per batch) into the trace carried by ctx, and phase
+// platter; publish per round) into the trace carried by ctx, and phase
 // wall times into the silica_flush_phase_seconds histograms.
 func (s *Service) FlushCtx(ctx context.Context) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	// A set whose close failed in an earlier flush is still pending and
+	// full: protect it before anything joins the next one.
+	if err := s.reclosePendingSet(ctx); err != nil {
+		return err
+	}
 	noProgress, scrapRounds := 0, 0
 	for {
 		// Cancellation is honored between rounds: a canceled flush
@@ -59,7 +67,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			return err
 		}
 		batchDone := phaseTimer(s.om.phaseBatch)
-		batch := s.tier.NextBatch(s.platterTargetBytes())
+		batch := s.tier.NextBatch()
 		if len(batch) == 0 {
 			batchDone()
 			return nil
@@ -88,12 +96,11 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			continue // dropping released staging space: progress
 		}
 		plans := layout.AssignFiles(batch, s.cfg.Geom, s.effectiveShardCap())
-		verified := make(map[string]bool) // fileID -> fully durable
-		extents := make(map[string][]metadata.Extent)
-		byID := make(map[string]*staging.File, len(batch))
+		scrappedFile := make(map[staging.ID]bool) // a shard sits on a scrapped platter
+		extents := make(map[staging.ID][]metadata.Extent, len(batch))
+		byID := make(map[staging.ID]*staging.File, len(batch))
 		for _, f := range batch {
-			verified[stageID(f)] = true
-			byID[stageID(f)] = f
+			byID[f.ID()] = f
 		}
 
 		// Phase 1 (serial): allocate platter ids in plan order.
@@ -124,7 +131,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		// Phase 3 (serial, plan order): publish verified platters,
 		// record extents, and complete platter-sets. A publish-phase
 		// fault (or cancellation) before this point drops the private
-		// platters entirely; their files stay staged and re-batch.
+		// platters entirely; their files stay staged and are planned again.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("service: flush canceled before publish: %w", err)
 		}
@@ -141,7 +148,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 				// Scrapped: every file with a shard on this platter stays
 				// staged.
 				for _, e := range pd.plan.Entries {
-					verified[fileID(e.Key, e.Version)] = false
+					scrappedFile[e.FileID()] = true
 				}
 				continue
 			}
@@ -161,7 +168,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			}
 			setWork += d
 			for _, e := range pd.plan.Entries {
-				fid := fileID(e.Key, e.Version)
+				fid := e.FileID()
 				extents[fid] = append(extents[fid], metadata.Extent{
 					Platter:     pd.id,
 					FirstSector: e.FirstSector,
@@ -171,11 +178,11 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			}
 		}
 		var release []*staging.File
-		for fid, ok := range verified {
-			if !ok {
+		for _, f := range batch {
+			fid := f.ID()
+			if scrappedFile[fid] {
 				continue
 			}
-			f := byID[fid]
 			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
 				if errors.Is(err, metadata.ErrDeleted) {
 					// Deleted mid-write: the platter copy is shredded
@@ -244,20 +251,6 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 // injected write-drive faults.
 const maxScrapRounds = 8
 
-// fileID names one (key, version) pair: the identity used for staged
-// files, plan entries, and extent accumulation during a flush.
-func fileID(key metadata.FileKey, version int) string {
-	return fmt.Sprintf("%s#%d", key, version)
-}
-
-func stageID(f *staging.File) string {
-	return fileID(f.Key, f.Version)
-}
-
-func (s *Service) platterTargetBytes() int64 {
-	return s.cfg.Geom.PlatterUserBytes()
-}
-
 // allocPlatterID reserves the next platter id.
 func (s *Service) allocPlatterID() media.PlatterID {
 	s.mu.Lock()
@@ -292,7 +285,7 @@ type pendingPlatter struct {
 // and the data staged. The platter is built privately and published to
 // the index only after it verifies, so concurrent reads never observe
 // partial media.
-func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map[string]*staging.File) error {
+func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map[staging.ID]*staging.File) error {
 	geom := s.cfg.Geom
 	plan := pd.plan
 	pi := &platterInfo{platter: media.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
@@ -308,7 +301,7 @@ func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map
 		payloads[i] = make([]byte, geom.SectorPayloadBytes)
 	}
 	for _, e := range plan.Entries {
-		f := byID[fileID(e.Key, e.Version)]
+		f := byID[e.FileID()]
 		if f == nil {
 			return fmt.Errorf("service: plan references unknown file %v#%d", e.Key, e.Version)
 		}
@@ -713,27 +706,40 @@ func (s *Service) addToSet(ctx context.Context, id media.PlatterID, pi *platterI
 	pi.set = len(s.sets)
 	pi.setPos = len(s.pendingSet)
 	s.pendingSet = append(s.pendingSet, id)
-	closing := len(s.pendingSet) >= s.cfg.SetInfo
-	var members []media.PlatterID
-	if closing {
-		members = s.pendingSet
-		s.pendingSet = nil
-	}
 	s.mu.Unlock()
-	if err := s.persistPublish(id, pi, "published"); err != nil || !closing {
+	if err := s.persistPublish(id, pi, "published"); err != nil || len(s.pendingSet) < s.cfg.SetInfo {
 		return 0, err
 	}
-	return s.closeSet(ctx, members)
+	return s.closeSet(ctx)
+}
+
+// reclosePendingSet closes a pending set that is already full. Its
+// members stay pending until closeSet has registered the set, so a full
+// one means the close never finished: a crash landed between the last
+// information publish and the set-complete record (the WAL replays the
+// members; the original redundancy platters, if any were burned, were
+// pruned as orphans), or the close failed — scrapped redundancy burns, a
+// publish fault. Either way the set closes again with fresh redundancy,
+// under the index its members already carry.
+func (s *Service) reclosePendingSet(ctx context.Context) error {
+	if len(s.pendingSet) < s.cfg.SetInfo {
+		return nil
+	}
+	if _, err := s.closeSet(ctx); err != nil || s.plog == nil {
+		return err
+	}
+	return s.plog.Sync()
 }
 
 // closeSet writes the SetRed redundancy platters over the pending
-// members and registers the completed set. Also invoked by crash
-// recovery when the WAL replays a full pending set whose set-complete
-// record never landed (its original redundancy platters were pruned as
-// orphans). The returned duration is the wall time of the encode, burn
-// and verify phases it ran, which a caller timing its own phase around
-// closeSet subtracts.
-func (s *Service) closeSet(ctx context.Context, members []media.PlatterID) (time.Duration, error) {
+// members, registers the completed set and only then empties the pending
+// set: on any error nothing of the attempt is in the index and the
+// members are still pending, for reclosePendingSet to close. The
+// returned duration is the wall time of the encode, burn and verify
+// phases it ran, which a caller timing its own phase around closeSet
+// subtracts.
+func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
+	members := append([]media.PlatterID(nil), s.pendingSet...)
 	infos := make([]*platterInfo, len(members))
 	s.mu.RLock()
 	for i, m := range members {
@@ -797,23 +803,29 @@ func (s *Service) closeSet(ctx context.Context, members []media.PlatterID) (time
 		}
 	}
 	setWork := time.Since(workStart)
+	// Make every redundancy platter durable before any enters the index:
+	// a fault here leaves orphan publish records that recovery prunes, and
+	// no half-published set in memory.
 	for _, rpi := range reds {
 		rid := rpi.platter.ID
 		if err := s.faults.Check(faults.OpPublishPlatter, int64(rid), -1, -1); err != nil {
 			return 0, err
 		}
-		s.publishPlatter(rid, rpi, "published (set redundancy)")
 		if err := s.persistPublish(rid, rpi, "published (set redundancy)"); err != nil {
 			return 0, err
 		}
-		members = append(members, rid)
-		s.addStats(func(st *Stats) {
-			st.RedundancyPlatters++
-			st.RedundancyBytes += int64(maxSectors) * int64(geom.SectorPayloadBytes)
-		})
 	}
+	for _, rpi := range reds {
+		s.publishPlatter(rpi.platter.ID, rpi, "published (set redundancy)")
+		members = append(members, rpi.platter.ID)
+	}
+	s.addStats(func(st *Stats) {
+		st.RedundancyPlatters += len(reds)
+		st.RedundancyBytes += int64(len(reds)) * int64(maxSectors) * int64(geom.SectorPayloadBytes)
+	})
 	s.mu.Lock()
 	s.sets = append(s.sets, members)
+	s.pendingSet = nil
 	// Payload caches can be dropped once the set is protected; recovery
 	// decodes from glass.
 	for _, m := range members {

@@ -10,6 +10,7 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -35,8 +36,18 @@ type File struct {
 	Data []byte
 }
 
-// Tier is the staging buffer. Files are admitted on write, grouped
-// into platter-sized batches for the write drive, and released after
+// ID names one staged (key, version): the tier's index key, and the
+// identity the flush pipeline tracks a file by.
+type ID struct {
+	Key     metadata.FileKey
+	Version int
+}
+
+// ID returns f's identity.
+func (f *File) ID() ID { return ID{Key: f.Key, Version: f.Version} }
+
+// Tier is the staging buffer. Files are admitted on write, handed to
+// the flush pipeline as one ordered backlog, and released after
 // verification. All methods are safe for concurrent use: the tier sits
 // between the concurrent front end and the flush pipeline.
 type Tier struct {
@@ -45,14 +56,19 @@ type Tier struct {
 	mu       sync.Mutex
 	used     int64
 	reserved int64 // bytes promised to in-flight Puts, not yet admitted
-	files    []*File
-	released map[string]bool
+	files    map[ID]*File
 	peakUsed int64
+	// oldest is the smallest Arrival among files (+Inf when empty).
+	// Admission lowers it in place; releasing a file that holds it sets
+	// oldestStale and the next Usage rescans, once per drain rather than
+	// once per call.
+	oldest      float64
+	oldestStale bool
 }
 
 // NewTier returns a staging tier with the given capacity (0 = unbounded).
 func NewTier(capacity int64) *Tier {
-	return &Tier{Capacity: capacity, released: make(map[string]bool)}
+	return &Tier{Capacity: capacity, files: make(map[ID]*File), oldest: math.Inf(1)}
 }
 
 // Used reports currently staged bytes (excluding reservations).
@@ -109,12 +125,29 @@ func (t *Tier) Usage() Usage {
 		Peak:     t.peakUsed,
 		Pending:  len(t.files),
 	}
-	for i, f := range t.files {
-		if i == 0 || f.Arrival < u.OldestArrival {
-			u.OldestArrival = f.Arrival
+	if t.oldestStale {
+		t.oldest, t.oldestStale = math.Inf(1), false
+		for _, f := range t.files {
+			t.oldest = min(t.oldest, f.Arrival)
 		}
 	}
+	if len(t.files) > 0 {
+		u.OldestArrival = t.oldest
+	}
 	return u
+}
+
+// add indexes f and counts its bytes; the caller holds mu.
+func (t *Tier) add(f *File) {
+	if old, ok := t.files[f.ID()]; ok {
+		t.used -= old.Size // re-admission replaces, never double counts
+	}
+	t.files[f.ID()] = f
+	t.used += f.Size
+	t.oldest = min(t.oldest, f.Arrival)
+	if t.used+t.reserved > t.peakUsed {
+		t.peakUsed = t.used + t.reserved
+	}
 }
 
 // Reserve holds size bytes of capacity for an in-flight Put, before
@@ -158,8 +191,7 @@ func (t *Tier) AdmitReserved(f *File) {
 	if t.reserved < 0 {
 		panic("staging: admit without matching reservation")
 	}
-	t.files = append(t.files, f)
-	t.used += f.Size
+	t.add(f)
 }
 
 // Admit stages a file. It fails with ErrCapacity when capacity would
@@ -173,11 +205,7 @@ func (t *Tier) Admit(f *File) error {
 	if t.Capacity > 0 && t.used+t.reserved+f.Size > t.Capacity {
 		return fmt.Errorf("%w: %d used + %d > %d", ErrCapacity, t.used, f.Size, t.Capacity)
 	}
-	t.files = append(t.files, f)
-	t.used += f.Size
-	if t.used+t.reserved > t.peakUsed {
-		t.peakUsed = t.used + t.reserved
-	}
+	t.add(f)
 	return nil
 }
 
@@ -189,61 +217,40 @@ func (t *Tier) Admit(f *File) error {
 func (t *Tier) Restore(f *File) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.files = append(t.files, f)
-	t.used += f.Size
-	if t.used+t.reserved > t.peakUsed {
-		t.peakUsed = t.used + t.reserved
-	}
+	t.add(f)
 }
 
-// Export returns the staged files for a persistence snapshot. The
-// File pointers are shared (staged data is immutable once admitted);
-// the slice itself is the caller's.
-func (t *Tier) Export() []*File {
+// NextBatch returns the whole staged backlog in the §6 packing order:
+// by customer account, then arrival time, then name (then version), so
+// files likely to be read together land on the same platter. One flush
+// round plans all of it at once, and a persistence snapshot records it.
+// The files remain staged (and counted) until Release; the File
+// pointers are shared (staged data is immutable once admitted), the
+// slice is the caller's. Returns nil if nothing is staged.
+func (t *Tier) NextBatch() []*File {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*File(nil), t.files...)
-}
-
-func fileID(f *File) string {
-	return fmt.Sprintf("%s#%d", f.Key, f.Version)
-}
-
-// NextBatch assembles up to targetBytes of staged files for one platter
-// write, implementing the §6 packing heuristic: group by customer
-// account, then by arrival time, so files likely to be read together
-// land on the same platter. Files in the batch remain staged (and
-// counted) until Release. Returns nil if nothing is staged.
-func (t *Tier) NextBatch(targetBytes int64) []*File {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.files) == 0 {
+		t.mu.Unlock()
 		return nil
 	}
-	// Stable order: account, then arrival, then name.
-	sorted := append([]*File(nil), t.files...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
+	batch := make([]*File, 0, len(t.files))
+	for _, f := range t.files {
+		batch = append(batch, f)
+	}
+	t.mu.Unlock()
+	sort.Slice(batch, func(i, j int) bool {
+		a, b := batch[i], batch[j]
 		if a.Key.Account != b.Key.Account {
 			return a.Key.Account < b.Key.Account
 		}
 		if a.Arrival != b.Arrival {
 			return a.Arrival < b.Arrival
 		}
-		return a.Key.Name < b.Key.Name
+		if a.Key.Name != b.Key.Name {
+			return a.Key.Name < b.Key.Name
+		}
+		return a.Version < b.Version
 	})
-	var batch []*File
-	var total int64
-	for _, f := range sorted {
-		if total+f.Size > targetBytes && len(batch) > 0 {
-			break
-		}
-		batch = append(batch, f)
-		total += f.Size
-		if total >= targetBytes {
-			break
-		}
-	}
 	return batch
 }
 
@@ -252,40 +259,32 @@ func (t *Tier) NextBatch(targetBytes int64) []*File {
 func (t *Tier) Find(key metadata.FileKey, version int) (*File, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, f := range t.files {
-		if f.Key == key && f.Version == version {
-			return f, true
-		}
-	}
-	return nil, false
+	f, ok := t.files[ID{Key: key, Version: version}]
+	return f, ok
 }
 
 // Release frees the staging space of verified files. Releasing a file
-// that is not staged is an error (double release or never admitted).
+// that is not staged is an error (double release or never admitted);
+// the rest of the list is released all the same.
 func (t *Tier) Release(files []*File) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	want := make(map[string]bool, len(files))
+	var err error
 	for _, f := range files {
-		want[fileID(f)] = true
-	}
-	kept := t.files[:0]
-	for _, f := range t.files {
-		if want[fileID(f)] {
-			t.used -= f.Size
-			delete(want, fileID(f))
-			t.released[fileID(f)] = true
+		staged, ok := t.files[f.ID()]
+		if !ok {
+			if err == nil {
+				err = fmt.Errorf("staging: release of unknown file %v#%d", f.Key, f.Version)
+			}
 			continue
 		}
-		kept = append(kept, f)
-	}
-	t.files = kept
-	if len(want) > 0 {
-		for id := range want {
-			return fmt.Errorf("staging: release of unknown file %s", id)
+		delete(t.files, f.ID())
+		t.used -= staged.Size
+		if staged.Arrival <= t.oldest {
+			t.oldestStale = true
 		}
 	}
-	return nil
+	return err
 }
 
 // SmoothedDrainRate computes the write-drive dispatch rate (bytes/sec)

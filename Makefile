@@ -83,7 +83,8 @@ tier2: vet race smoke repair-smoke examples-smoke sim-golden
 # says why a deleted object is gone ("all versions deleted") while the
 # router answers from its own directory. Then scrape both
 # /metrics through silicactl and check every subsystem's families
-# (gateway, staging, codec, flush, repair on the library; the routed-op
+# (gateway, staging, codec, flush, repair and the service's glass books
+# on the library; the routed-op
 # counters on the router) under one Content-Type, and run a rebalance
 # through silicactl so the client's JSON call path meets a real router.
 OBS_URL := http://127.0.0.1:7171
@@ -120,7 +121,10 @@ obs-smoke:
 	             silica_staging_used_bytes silica_codec_jobs_total \
 	             silica_codec_encode_seconds silica_codec_decode_seconds \
 	             silica_codec_sectors_total silica_codec_sectors_per_second \
-	             silica_repair_scrubs_total silica_flush_phase_seconds; do \
+	             silica_repair_scrubs_total silica_flush_phase_seconds \
+	             silica_service_platters_total silica_service_sectors_written_total \
+	             silica_service_stored_bytes_total silica_service_verify_sector_failures_total \
+	             silica_service_min_margin; do \
 	    grep -q "^# TYPE $$fam " $(OBS_DIR)/metrics.txt \
 	      || { echo "missing metric family: $$fam"; exit 1; }; \
 	  done; \

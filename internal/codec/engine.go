@@ -31,60 +31,49 @@ type Engine struct {
 	workers int
 	tokens  chan struct{}
 
-	// Telemetry, nil until Instrument is called. busy counts
-	// participants (caller + helpers) inside ForEach right now; the
-	// counters accumulate loops, per-iteration jobs, and recruit
-	// attempts that found the token bucket empty.
+	// Telemetry. busy counts participants (caller + helpers) inside
+	// ForEach right now; the counters accumulate loops, per-iteration
+	// jobs, and recruit attempts that found the token bucket empty.
 	busy       atomic.Int64
 	mJobs      *obs.Counter
 	mLoops     *obs.Counter
 	mTokenMiss *obs.Counter
-	instr      atomic.Bool
 }
 
 // NewEngine returns an engine running at most workers iterations
-// concurrently; workers <= 0 sizes the pool from GOMAXPROCS.
-func NewEngine(workers int) *Engine {
+// concurrently; workers <= 0 sizes the pool from GOMAXPROCS. Its
+// telemetry goes to reg; nil gets a private registry, so the engine
+// never nil-checks.
+func NewEngine(workers int, reg *obs.Registry) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, tokens: make(chan struct{}, workers-1)}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	e := &Engine{
+		workers: workers,
+		tokens:  make(chan struct{}, workers-1),
+		mJobs: reg.Counter("silica_codec_jobs_total",
+			"Iterations executed by the codec engine's fan-out loops."),
+		mLoops: reg.Counter("silica_codec_loops_total",
+			"ForEach fan-out loops run by the codec engine."),
+		mTokenMiss: reg.Counter("silica_codec_token_misses_total",
+			"Helper recruit attempts that found the token bucket empty."),
+	}
 	for i := 0; i < workers-1; i++ {
 		e.tokens <- struct{}{}
 	}
-	return e
-}
-
-// Serial is a single-worker engine: ForEach degenerates to a plain
-// loop. Useful as a default and for determinism baselines.
-func Serial() *Engine { return NewEngine(1) }
-
-// Workers reports the concurrency bound.
-func (e *Engine) Workers() int { return e.workers }
-
-// Instrument registers the engine's telemetry in reg and starts
-// recording: total fan-out loops and per-iteration jobs, recruit
-// attempts that found no free token (the engine saturated), and a
-// busy-participants gauge mirrored at scrape time. Call once, before
-// the engine is shared; an uninstrumented engine pays one atomic load
-// per ForEach and nothing per iteration.
-func (e *Engine) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	e.mJobs = reg.Counter("silica_codec_jobs_total",
-		"Iterations executed by the codec engine's fan-out loops.")
-	e.mLoops = reg.Counter("silica_codec_loops_total",
-		"ForEach fan-out loops run by the codec engine.")
-	e.mTokenMiss = reg.Counter("silica_codec_token_misses_total",
-		"Helper recruit attempts that found the token bucket empty.")
 	busy := reg.Gauge("silica_codec_busy_workers",
 		"Participants (caller plus helpers) currently inside ForEach.")
 	reg.Gauge("silica_codec_workers",
-		"Configured concurrency bound of the codec engine.").Set(float64(e.workers))
+		"Configured concurrency bound of the codec engine.").Set(float64(workers))
 	reg.OnScrape(func() { busy.Set(float64(e.busy.Load())) })
-	e.instr.Store(true)
+	return e
 }
+
+// Workers reports the concurrency bound.
+func (e *Engine) Workers() int { return e.workers }
 
 // ForEach runs fn(i) for every i in [0, n), fanning iterations across
 // the engine's workers. It returns the error of the lowest failing
@@ -96,13 +85,10 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	instr := e.instr.Load()
-	if instr {
-		e.mLoops.Inc()
-		e.mJobs.Add(int64(n))
-		e.busy.Add(1)
-		defer e.busy.Add(-1)
-	}
+	e.mLoops.Inc()
+	e.mJobs.Add(int64(n))
+	e.busy.Add(1)
+	defer e.busy.Add(-1)
 	if e.workers == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -139,28 +125,20 @@ func (e *Engine) ForEach(n int, fn func(i int) error) error {
 	// Recruit helpers only while tokens are free; never block waiting
 	// for one — the caller works regardless, which is what makes nested
 	// ForEach calls safe.
-	want := e.workers - 1
-	if want > n-1 {
-		want = n - 1
-	}
 recruit:
-	for h := 0; h < want; h++ {
+	for h := 0; h < min(e.workers, n)-1; h++ {
 		select {
 		case <-e.tokens:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if instr {
-					e.busy.Add(1)
-					defer e.busy.Add(-1)
-				}
+				e.busy.Add(1)
+				defer e.busy.Add(-1)
 				work()
 				e.tokens <- struct{}{}
 			}()
 		default:
-			if instr {
-				e.mTokenMiss.Inc()
-			}
+			e.mTokenMiss.Inc()
 			break recruit
 		}
 	}
@@ -190,10 +168,6 @@ func (e *Engine) ForEachChunk(n, chunk int, fn func(lo, hi int) error) error {
 	spans := (n + chunk - 1) / chunk
 	return e.ForEach(spans, func(s int) error {
 		lo := s * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
+		return fn(lo, min(lo+chunk, n))
 	})
 }

@@ -9,7 +9,7 @@ import (
 
 func TestForEachVisitsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 33} {
-		e := NewEngine(workers)
+		e := NewEngine(workers, nil)
 		const n = 1000
 		seen := make([]int32, n)
 		if err := e.ForEach(n, func(i int) error {
@@ -27,17 +27,17 @@ func TestForEachVisitsEveryIndex(t *testing.T) {
 }
 
 func TestForEachDefaultSizesFromGOMAXPROCS(t *testing.T) {
-	e := NewEngine(0)
+	e := NewEngine(0, nil)
 	if got, want := e.Workers(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("Workers() = %d, want %d", got, want)
 	}
-	if Serial().Workers() != 1 {
+	if NewEngine(1, nil).Workers() != 1 {
 		t.Fatal("Serial engine must have one worker")
 	}
 }
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
-	e := NewEngine(4)
+	e := NewEngine(4, nil)
 	errBoom := errors.New("boom")
 	err := e.ForEach(100, func(i int) error {
 		if i == 7 || i == 50 {
@@ -50,7 +50,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	}
 	// Serial mode must report the first error and stop there.
 	var visited int32
-	err = Serial().ForEach(100, func(i int) error {
+	err = NewEngine(1, nil).ForEach(100, func(i int) error {
 		atomic.AddInt32(&visited, 1)
 		if i == 7 {
 			return errBoom
@@ -63,7 +63,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForEachNested(t *testing.T) {
-	e := NewEngine(8)
+	e := NewEngine(8, nil)
 	const outer, inner = 16, 64
 	var total atomic.Int64
 	err := e.ForEach(outer, func(i int) error {
@@ -81,7 +81,7 @@ func TestForEachNested(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := NewEngine(4).ForEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := NewEngine(4, nil).ForEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -73,6 +73,17 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
+// Min lowers the gauge to v when v is smaller (CAS loop); it never
+// raises it, so a gauge Set to its ceiling holds a running minimum.
+func (g *Gauge) Min(v float64) {
+	for {
+		old := g.bits.Load()
+		if !(v < math.Float64frombits(old)) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -32,6 +32,44 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestGaugeMin: Min keeps a running minimum under concurrent lowering,
+// never raises the gauge, and a gauge Set to 1 with nothing observed
+// (or only +Inf, a read-back with no decoded sector) stays 1.
+func TestGaugeMin(t *testing.T) {
+	r := NewRegistry()
+	idle := r.Gauge("silica_test_min", "a running minimum", L("op", "idle"))
+	idle.Set(1)
+	idle.Min(math.Inf(1))
+	if got := idle.Value(); got != 1 {
+		t.Fatalf("untouched minimum = %v, want 1", got)
+	}
+
+	g := r.Gauge("silica_test_min", "a running minimum", L("op", "busy"))
+	g.Set(1)
+	const goroutines, perG = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				// Every goroutine offers values above and below the
+				// eventual minimum, interleaved.
+				g.Min(0.5 + float64((w*perG+i)%997)/1000)
+				g.Min(float64(w*perG+i+1) * 1e-6)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Value(), 1e-6; got != want {
+		t.Fatalf("concurrent minimum = %v, want %v", got, want)
+	}
+	g.Min(0.25)
+	if got := g.Value(); got != 1e-6 {
+		t.Fatalf("Min raised the gauge to %v", got)
+	}
+}
+
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("silica_test_total", "c")

@@ -81,12 +81,9 @@ type Manager struct {
 	queued map[media.PlatterID]bool
 	cursor int
 
-	scrubs         atomic.Int64
-	scrubSkips     atomic.Int64
-	rebuildsDone   atomic.Int64
-	rebuildsFailed atomic.Int64
 	rebuildsActive atomic.Int64
 
+	// om holds the manager's event counts; Stats is a view of it.
 	om managerMetrics
 }
 
@@ -140,16 +137,17 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// Stats snapshots repair activity counters.
+// Stats snapshots repair activity: event counts read off the registry
+// children /metrics exposes, the active and queued rebuilds from state.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
 	queued := int64(len(m.queued))
 	m.mu.Unlock()
 	return ManagerStats{
-		Scrubs:         m.scrubs.Load(),
-		ScrubSkips:     m.scrubSkips.Load(),
-		RebuildsDone:   m.rebuildsDone.Load(),
-		RebuildsFailed: m.rebuildsFailed.Load(),
+		Scrubs:         m.om.scrubs.Value(),
+		ScrubSkips:     m.om.scrubSkips.Value(),
+		RebuildsDone:   m.om.rebuildDone.Value(),
+		RebuildsFailed: m.om.rebuildFail.Value(),
 		RebuildsActive: m.rebuildsActive.Load(),
 		RebuildsQueued: queued,
 	}
@@ -158,10 +156,8 @@ func (m *Manager) Stats() ManagerStats {
 // RebuildsActive reports rebuilds currently running or queued; the
 // gateway's healthz reports degraded while this is nonzero.
 func (m *Manager) RebuildsActive() int64 {
-	m.mu.Lock()
-	queued := int64(len(m.queued))
-	m.mu.Unlock()
-	return m.rebuildsActive.Load() + queued
+	st := m.Stats()
+	return st.RebuildsActive + st.RebuildsQueued
 }
 
 // RequestRebuild is the operator path (POST /v1/repair/{platter}): the
@@ -244,7 +240,6 @@ func (m *Manager) scrubLoop() {
 		case <-ticker.C:
 		}
 		if !m.gate() {
-			m.scrubSkips.Add(1)
 			m.om.scrubSkips.Inc()
 			continue
 		}
@@ -307,10 +302,7 @@ func (m *Manager) scrubOnce() {
 	if err != nil {
 		return
 	}
-	m.scrubs.Add(1)
 	m.om.scrubs.Inc()
-	m.om.scrubSectors.Add(int64(rep.SectorsSampled))
-	m.om.scrubFails.Add(int64(rep.SectorFailures))
 	if rep.SectorsSampled > 0 {
 		m.om.margin.Observe(rep.MinMargin)
 	}
@@ -404,7 +396,6 @@ func (m *Manager) rebuildOne(id media.PlatterID) {
 	newID, err := m.tgt.RebuildPlatter(id)
 	m.rebuildsActive.Add(-1)
 	if err != nil {
-		m.rebuildsFailed.Add(1)
 		m.om.rebuildFail.Inc()
 		m.reg.Transition(id, Failed, fmt.Sprintf("rebuild failed: %v", err))
 		if errors.Is(err, ErrNoRebuildSource) {
@@ -429,7 +420,6 @@ func (m *Manager) rebuildOne(id media.PlatterID) {
 		}()
 		return
 	}
-	m.rebuildsDone.Add(1)
 	m.om.rebuildDone.Inc()
 	// The service retires the old record when it swaps the extent
 	// mappings, so by now the transition history already ends with

@@ -5,15 +5,14 @@ import "silica/internal/obs"
 // managerMetrics holds the repair subsystem's pre-registered
 // instruments. Families are registered at manager construction so
 // /metrics shows them at zero before any scrub runs; the loops then
-// touch only atomics.
+// touch only atomics. The sectors a scrub samples are counted by the
+// Target that reads them (service: silica_repair_scrub_sectors_total).
 type managerMetrics struct {
-	scrubs       *obs.Counter
-	scrubSkips   *obs.Counter
-	scrubSectors *obs.Counter
-	scrubFails   *obs.Counter
-	margin       *obs.Histogram
-	rebuildDone  *obs.Counter
-	rebuildFail  *obs.Counter
+	scrubs      *obs.Counter
+	scrubSkips  *obs.Counter
+	margin      *obs.Histogram
+	rebuildDone *obs.Counter
+	rebuildFail *obs.Counter
 }
 
 // newManagerMetrics registers the repair families in reg and hooks the
@@ -26,10 +25,6 @@ func newManagerMetrics(reg *obs.Registry, m *Manager) managerMetrics {
 			"Scrub passes completed by the background scrubber."),
 		scrubSkips: reg.Counter("silica_repair_scrub_skips_total",
 			"Scrub ticks skipped because the foreground gate was closed."),
-		scrubSectors: reg.Counter("silica_repair_scrub_sectors_total",
-			"Sectors sampled by scrub passes."),
-		scrubFails: reg.Counter("silica_repair_scrub_sector_failures_total",
-			"Scrubbed sectors whose direct LDPC decode failed."),
 		margin: reg.Histogram("silica_repair_scrub_min_margin",
 			"Worst LDPC decode margin observed per scrub pass.", obs.MarginBuckets()),
 		rebuildDone: reg.Counter("silica_repair_rebuilds_total",

@@ -67,15 +67,13 @@ func (r *Record) reportsSinceScrub() int64 {
 }
 
 // Registry is the platter health state machine. All transitions are
-// validated, recorded per platter, and counted globally, so failure
-// injection and repair progress are observable end to end.
+// validated and recorded per platter; the edge counts are read off those
+// histories, so failure injection and repair progress are observable end
+// to end.
 type Registry struct {
 	mu       sync.Mutex
 	platters map[media.PlatterID]*Record
-	// transitions counts every recorded edge, keyed "from->to".
-	transitions map[string]int64
-	total       int64
-	now         func() time.Time
+	now      func() time.Time
 	// onTransition, when set, is invoked after every recorded edge,
 	// outside the registry mutex — the durability layer appends a WAL
 	// record there, and an append must never run under g.mu (a snapshot
@@ -86,9 +84,8 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		platters:    make(map[media.PlatterID]*Record),
-		transitions: make(map[string]int64),
-		now:         time.Now,
+		platters: make(map[media.PlatterID]*Record),
+		now:      time.Now,
 	}
 }
 
@@ -157,8 +154,6 @@ func (g *Registry) Transition(id media.PlatterID, to Health, reason string) erro
 	tr := Transition{From: from.String(), To: to.String(), Reason: reason, At: g.now()}
 	r.health.Store(int32(to))
 	r.history = append(r.history, tr)
-	g.transitions[from.String()+"->"+to.String()]++
-	g.total++
 	fn := g.onTransition
 	g.mu.Unlock()
 	if fn != nil {
@@ -168,9 +163,8 @@ func (g *Registry) Transition(id media.PlatterID, to Health, reason string) erro
 }
 
 // Restore installs a platter record with the given health, placement,
-// and history, replacing any existing record and recomputing the edge
-// counters from the restored histories. Recovery-only: the callback is
-// not fired (the state being installed came from the log).
+// and history, replacing any existing record. Recovery-only: the
+// callback is not fired (the state being installed came from the log).
 func (g *Registry) Restore(id media.PlatterID, h Health, set, setPos int, redundancy bool, history []Transition) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -178,17 +172,6 @@ func (g *Registry) Restore(id media.PlatterID, h Health, set, setPos int, redund
 	r.health.Store(int32(h))
 	r.history = append([]Transition(nil), history...)
 	g.platters[id] = r
-	g.transitions = make(map[string]int64)
-	g.total = 0
-	for _, rec := range g.platters {
-		for _, tr := range rec.history {
-			if tr.From == "" {
-				continue // birth entry, not an edge
-			}
-			g.transitions[tr.From+"->"+tr.To]++
-			g.total++
-		}
-	}
 }
 
 // RecordScrub attaches the latest scrub result to a platter and resets
@@ -212,7 +195,15 @@ func (g *Registry) RecordScrub(id media.PlatterID, rep ScrubReport) {
 func (g *Registry) TransitionTotal() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.total
+	var n int64
+	for _, r := range g.platters {
+		for _, tr := range r.history {
+			if tr.From != "" { // the birth entry is not an edge
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Counts tallies platters per health state.
@@ -254,14 +245,16 @@ func (g *Registry) Snapshot() Snapshot {
 	defer g.mu.Unlock()
 	snap := Snapshot{
 		Counts:      make(map[string]int),
-		Transitions: make(map[string]int64, len(g.transitions)),
-	}
-	for k, v := range g.transitions {
-		snap.Transitions[k] = v
+		Transitions: make(map[string]int64),
 	}
 	for _, r := range g.platters {
 		h := r.Health()
 		snap.Counts[h.String()]++
+		for _, tr := range r.history {
+			if tr.From != "" {
+				snap.Transitions[tr.From+"->"+tr.To]++
+			}
+		}
 		ph := PlatterHealth{
 			Platter:       r.id,
 			Health:        h.String(),

@@ -27,6 +27,16 @@ type serviceMetrics struct {
 	recTrack     *obs.Counter
 	recSet       *obs.Counter
 
+	// Glass books: platters by lifecycle event, sectors burned, payload
+	// bytes stored by kind, sectors whose direct decode failed in a
+	// verify or scrub read-back, and each read-back's running minimum
+	// decode margin (1 until a sector decodes).
+	plattersWritten, plattersRedundancy                *obs.Counter // published
+	plattersFaulted, plattersRebuilt, plattersRecycled *obs.Counter
+	sectorsWritten, storedUser, storedRedundancy       *obs.Counter
+	verifyFailures, scrubSectors, scrubFailures        *obs.Counter
+	minVerifyMargin, minScrubMargin                    *obs.Gauge
+
 	// Codec hot-path telemetry: per-sector LDPC encode/decode wall time
 	// (batched encodes record the per-sector mean) and sector totals.
 	// The matching sectors-per-second gauges are computed at scrape time
@@ -44,6 +54,21 @@ type serviceMetrics struct {
 func newServiceMetrics(reg *obs.Registry, usage func() staging.Usage) serviceMetrics {
 	const flushPhase = "silica_flush_phase_seconds"
 	const flushHelp = "Wall time of one flush pipeline phase."
+	// counters names a family labelled by key once; each call of the
+	// returned func registers one child.
+	counters := func(name, help, key string) func(string) *obs.Counter {
+		return func(value string) *obs.Counter { return reg.Counter(name, help, obs.L(key, value)) }
+	}
+	reads := counters("silica_service_reads_total", "Reads served, by source tier.", "source")
+	recoveries := counters("silica_read_recoveries_total", "Read-path recoveries, by coding tier.", "tier")
+	platters := counters("silica_service_platters_total",
+		"Platters, by event: written (information) and redundancy (set redundancy) published, "+
+			"faulted (scrapped by the write pipeline), rebuilt (replaced from their set), recycled.", "event")
+	stored := counters("silica_service_stored_bytes_total",
+		"Payload bytes put on glass, by kind: user (information platters) or redundancy "+
+			"(within-platter NC sectors and set-redundancy platters).", "kind")
+	codecSectors := counters("silica_codec_sectors_total", "Sectors pushed through the LDPC codec, by operation.", "op")
+	const marginHelp = "Worst LDPC decode margin seen by a read-back, by operation (1 until a sector decodes)."
 	m := serviceMetrics{
 		phaseBatch:   reg.Histogram(flushPhase, flushHelp, obs.DurationBuckets(), obs.L("phase", "batch")),
 		phaseEncode:  reg.Histogram(flushPhase, flushHelp, obs.DurationBuckets(), obs.L("phase", "encode")),
@@ -51,22 +76,40 @@ func newServiceMetrics(reg *obs.Registry, usage func() staging.Usage) serviceMet
 		phaseVerify:  reg.Histogram(flushPhase, flushHelp, obs.DurationBuckets(), obs.L("phase", "verify")),
 		phasePublish: reg.Histogram(flushPhase, flushHelp, obs.DurationBuckets(), obs.L("phase", "publish")),
 
-		readsStaged:  reg.Counter("silica_service_reads_total", "Reads served, by source tier.", obs.L("source", "staged")),
-		readsDurable: reg.Counter("silica_service_reads_total", "Reads served, by source tier.", obs.L("source", "durable")),
-		recSector:    reg.Counter("silica_read_recoveries_total", "Read-path recoveries, by coding tier.", obs.L("tier", "sector")),
-		recTrack:     reg.Counter("silica_read_recoveries_total", "Read-path recoveries, by coding tier.", obs.L("tier", "track")),
-		recSet:       reg.Counter("silica_read_recoveries_total", "Read-path recoveries, by coding tier.", obs.L("tier", "set")),
+		readsStaged:  reads("staged"),
+		readsDurable: reads("durable"),
+		recSector:    recoveries("sector"),
+		recTrack:     recoveries("track"),
+		recSet:       recoveries("set"),
+
+		plattersWritten:    platters("written"),
+		plattersFaulted:    platters("faulted"),
+		plattersRedundancy: platters("redundancy"),
+		plattersRebuilt:    platters("rebuilt"),
+		plattersRecycled:   platters("recycled"),
+		sectorsWritten: reg.Counter("silica_service_sectors_written_total",
+			"Sectors burned onto glass, information and redundancy, scrapped platters included."),
+		storedUser:       stored("user"),
+		storedRedundancy: stored("redundancy"),
+		verifyFailures: reg.Counter("silica_service_verify_sector_failures_total",
+			"Sectors whose direct LDPC decode failed in a write-verify read-back."),
+		scrubSectors: reg.Counter("silica_repair_scrub_sectors_total",
+			"Sectors sampled by scrub passes."),
+		scrubFailures: reg.Counter("silica_repair_scrub_sector_failures_total",
+			"Scrubbed sectors whose direct LDPC decode failed."),
+		minVerifyMargin: reg.Gauge("silica_service_min_margin", marginHelp, obs.L("op", "verify")),
+		minScrubMargin:  reg.Gauge("silica_service_min_margin", marginHelp, obs.L("op", "scrub")),
 
 		codecEncode: reg.Histogram("silica_codec_encode_seconds",
 			"Per-sector LDPC encode wall time (batched encodes record the per-sector mean).",
 			obs.DurationBuckets()),
 		codecDecode: reg.Histogram("silica_codec_decode_seconds",
 			"Per-sector LDPC decode wall time.", obs.DurationBuckets()),
-		codecEncSectors: reg.Counter("silica_codec_sectors_total",
-			"Sectors pushed through the LDPC codec, by operation.", obs.L("op", "encode")),
-		codecDecSectors: reg.Counter("silica_codec_sectors_total",
-			"Sectors pushed through the LDPC codec, by operation.", obs.L("op", "decode")),
+		codecEncSectors: codecSectors("encode"),
+		codecDecSectors: codecSectors("decode"),
 	}
+	m.minVerifyMargin.Set(1)
+	m.minScrubMargin.Set(1)
 	encRate := reg.Gauge("silica_codec_sectors_per_second",
 		"Codec sector throughput over the interval since the previous scrape, by operation.",
 		obs.L("op", "encode"))

@@ -97,10 +97,6 @@ func (s *Service) installState(st *persist.State) error {
 	s.nextPlatter = st.NextPlatter
 	s.sets = st.Sets
 	s.pendingSet = st.PendingSet
-	s.addStats(func(stats *Stats) {
-		stats.PlattersWritten = len(st.Platters)
-		stats.SetsCompleted = len(st.Sets)
-	})
 	if err := s.reclosePendingSet(context.Background()); err != nil {
 		return fmt.Errorf("service: recovery set close: %w", err)
 	}

@@ -63,7 +63,6 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 				return nil, fmt.Errorf("service: %v v%d staged but not in tier", key, v.Version)
 			}
 			ct = append([]byte(nil), f.Data...)
-			s.addStats(func(st *Stats) { st.StagedReads++ })
 			s.om.readsStaged.Inc()
 		case metadata.Durable:
 			decode := obs.StartSpan(ctx, "decode")
@@ -72,7 +71,6 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 			if err != nil {
 				return nil, err
 			}
-			s.addStats(func(st *Stats) { st.DurableReads++ })
 			s.om.readsDurable.Inc()
 		default:
 			return nil, fmt.Errorf("service: %v in unexpected state %v", key, v.State)
@@ -151,7 +149,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 			return err
 		}
 		copy(dst, payload)
-		s.addStats(func(st *Stats) { st.PlatterRecovers++ })
 		s.om.recSet.Inc()
 		pi.rec.ReportTier(repair.TierSet)
 		return nil
@@ -168,7 +165,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	if payload, ok := s.repairWithinTrack(pi, phys, sPos, rng); ok {
 		sp.End()
 		copy(dst, payload)
-		s.addStats(func(st *Stats) { st.SectorRepairs++ })
 		s.om.recSector.Inc()
 		pi.rec.ReportTier(repair.TierSector)
 		return nil
@@ -179,7 +175,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	if payload, ok := s.rebuildTrackSector(pi, infoTrack, sPos, rng); ok {
 		sp.End()
 		copy(dst, payload)
-		s.addStats(func(st *Stats) { st.TrackRebuilds++ })
 		s.om.recTrack.Inc()
 		pi.rec.ReportTier(repair.TierTrack)
 		return nil
@@ -338,7 +333,7 @@ func (s *Service) RecyclePlatter(id media.PlatterID) error {
 	}
 	delete(s.platters, id)
 	_ = s.health.Transition(id, repair.Retired, "recycled as feedstock")
-	s.addStats(func(st *Stats) { st.PlattersRecycled++ })
+	s.om.plattersRecycled.Inc()
 	return nil
 }
 

@@ -143,6 +143,6 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	}
 	_ = s.health.Transition(old, repair.Retired,
 		fmt.Sprintf("rebuilt as platter %d (%d extents remapped)", newID, remapped))
-	s.addStats(func(st *Stats) { st.PlattersRebuilt++ })
+	s.om.plattersRebuilt.Inc()
 	return newID, nil
 }

@@ -79,10 +79,8 @@ func (s *Service) ScrubPlatter(id media.PlatterID, maxTracks int) (repair.ScrubR
 	if ok := rep.SectorsSampled - rep.SectorFailures; ok > 0 {
 		rep.MeanMargin = tally.marginSum / float64(ok)
 	}
-	s.addStats(func(st *Stats) {
-		st.ScrubbedSectors += rep.SectorsSampled
-		st.ScrubFailures += rep.SectorFailures
-		st.ScrubMinMargin = min(st.ScrubMinMargin, rep.MinMargin)
-	})
+	s.om.scrubSectors.Add(int64(rep.SectorsSampled))
+	s.om.scrubFailures.Add(int64(rep.SectorFailures))
+	s.om.minScrubMargin.Min(rep.MinMargin)
 	return rep, nil
 }

@@ -113,7 +113,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats summarizes service activity.
+// Stats summarizes service activity: counts of events in this process,
+// and the (possibly recovered) state in Files, SetsCompleted,
+// HealthTransitions and DegradedSets (DESIGN.md §9).
 type Stats struct {
 	Files              int
 	PlattersWritten    int
@@ -196,14 +198,12 @@ type Service struct {
 	flushMu    sync.Mutex
 	pendingSet []media.PlatterID
 
-	statsMu sync.Mutex
-	stats   Stats
-
 	// rootRNG is pure seed material: every operation forks its own
 	// stream from it, so concurrent reads never share generator state.
 	rootRNG *sim.RNG
 	opSeq   atomic.Uint64
 
+	// One set of books: every event is counted once, in om.
 	reg *obs.Registry
 	om  serviceMetrics
 
@@ -240,11 +240,15 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: platter-set group: %w", err)
 	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	s := &Service{
 		cfg:         cfg,
 		rootRNG:     sim.NewRNG(cfg.Seed).Fork("service"),
 		pipe:        voxel.NewSectorPipeline(sectorCodec, cfg.Channel),
-		eng:         codec.NewEngine(cfg.CodecWorkers),
+		eng:         codec.NewEngine(cfg.CodecWorkers, reg),
 		keys:        keystore.New(),
 		meta:        metadata.NewStore(),
 		tier:        staging.NewTier(cfg.StagingCapacity),
@@ -255,18 +259,12 @@ func New(cfg Config) (*Service, error) {
 		largeGroup:  lg,
 		setGroup:    sg,
 		platters:    make(map[media.PlatterID]*platterInfo),
+		reg:         reg,
 	}
 	if s.backend == nil {
 		s.backend = backend.Direct{}
 	}
-	s.stats.MinVerifyMargin = 1
-	s.stats.ScrubMinMargin = 1
-	s.reg = cfg.Metrics
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
-	s.om = newServiceMetrics(s.reg, s.tier.Usage)
-	s.eng.Instrument(s.reg)
+	s.om = newServiceMetrics(reg, s.tier.Usage)
 	// Error classes a rule's err= field may name at this layer; the
 	// gateway adds its own (overloaded) on top.
 	s.faults.MapError("capacity", staging.ErrCapacity)
@@ -339,22 +337,37 @@ func (s *Service) acquireScratch() *codecScratch {
 
 func (s *Service) releaseScratch(cs *codecScratch) { s.scratch.Put(cs) }
 
-// addStats applies a mutation to the stats under their lock.
-func (s *Service) addStats(f func(*Stats)) {
-	s.statsMu.Lock()
-	f(&s.stats)
-	s.statsMu.Unlock()
-}
-
-// Stats returns a snapshot.
+// Stats returns a snapshot: counts and the two minimum margins read off
+// the registry children /metrics exposes, state computed from state.
 func (s *Service) Stats() Stats {
-	s.statsMu.Lock()
-	st := s.stats
-	s.statsMu.Unlock()
-	st.Files = s.meta.Files()
-	st.HealthTransitions = s.health.TransitionTotal()
-	st.DegradedSets = s.DegradedSets()
-	return st
+	m := &s.om
+	s.mu.RLock()
+	sets := len(s.sets)
+	s.mu.RUnlock()
+	return Stats{
+		Files:              s.meta.Files(),
+		PlattersWritten:    int(m.plattersWritten.Value()),
+		PlattersFaulted:    int(m.plattersFaulted.Value()),
+		SectorsWritten:     int(m.sectorsWritten.Value()),
+		SectorRepairs:      int(m.recSector.Value()),
+		TrackRebuilds:      int(m.recTrack.Value()),
+		PlatterRecovers:    int(m.recSet.Value()),
+		VerifyFailures:     int(m.verifyFailures.Value()),
+		BytesStored:        m.storedUser.Value(),
+		RedundancyBytes:    m.storedRedundancy.Value(),
+		StagedReads:        int(m.readsStaged.Value()),
+		DurableReads:       int(m.readsDurable.Value()),
+		MinVerifyMargin:    m.minVerifyMargin.Value(),
+		SetsCompleted:      sets,
+		RedundancyPlatters: int(m.plattersRedundancy.Value()),
+		PlattersRecycled:   int(m.plattersRecycled.Value()),
+		PlattersRebuilt:    int(m.plattersRebuilt.Value()),
+		ScrubbedSectors:    int(m.scrubSectors.Value()),
+		ScrubFailures:      int(m.scrubFailures.Value()),
+		ScrubMinMargin:     m.minScrubMargin.Value(),
+		HealthTransitions:  s.health.TransitionTotal(),
+		DegradedSets:       s.DegradedSets(),
+	}
 }
 
 // Metadata exposes the metadata service (read-only use expected).

@@ -324,6 +324,39 @@ func TestVerifyMarginRecorded(t *testing.T) {
 	}
 }
 
+// TestStatsAfterRecovery: after a restart the event counts start at
+// zero and the state fields describe what recovery restored. Recovery
+// used to seed PlattersWritten with every recovered platter, set
+// redundancy included, while RedundancyPlatters restarted at zero.
+func TestStatsAfterRecovery(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSetSeeded(t, s, cfg)
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.ClosePersist()
+	if st := s.Stats(); st.SetsCompleted != 1 || st.PlattersWritten != 0 || st.RedundancyPlatters != 0 {
+		t.Fatalf("after recovery: %d sets, %d platters written, %d redundancy platters; want 1, 0, 0",
+			st.SetsCompleted, st.PlattersWritten, st.RedundancyPlatters)
+	}
+	stageRaw(s, "after", randBytes(60, 4000))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.PlattersWritten != 1 {
+		t.Fatalf("platters written after one more flush = %d, want 1", st.PlattersWritten)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SetInfo = 0

@@ -152,10 +152,6 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 				}
 				continue
 			}
-			s.addStats(func(st *Stats) {
-				st.PlattersWritten++
-				st.BytesStored += int64(pd.plan.SectorsUsed) * int64(s.cfg.Geom.SectorPayloadBytes)
-			})
 			// Per-platter publish injection point: kill rules here model a
 			// crash between individual platter publications mid-flush.
 			if err := s.faults.Check(faults.OpPublishPlatter, int64(pd.id), -1, -1); err != nil {
@@ -351,7 +347,7 @@ func (s *Service) writeAndVerify(ctx context.Context, pi *platterInfo, payloads 
 				return err
 			}
 		}
-		s.addStats(func(st *Stats) { st.PlattersFaulted++ })
+		s.om.plattersFaulted.Inc()
 		return fmt.Errorf("%w: %w", errScrapped, cause)
 	}
 
@@ -424,12 +420,22 @@ func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payload
 }
 
 // publishPlatter registers the platter as healthy in the repair
-// registry and makes it visible to readers.
+// registry, makes it visible to readers, and counts it: an information
+// platter's payload is user bytes, a set-redundancy platter's is
+// redundancy.
 func (s *Service) publishPlatter(id media.PlatterID, pi *platterInfo, reason string) {
 	pi.rec = s.health.Register(id, reason)
 	s.mu.Lock()
 	s.platters[id] = pi
 	s.mu.Unlock()
+	payload := int64(pi.usedInfoSectors) * int64(s.cfg.Geom.SectorPayloadBytes)
+	if pi.isRedundancy {
+		s.om.plattersRedundancy.Inc()
+		s.om.storedRedundancy.Add(payload)
+	} else {
+		s.om.plattersWritten.Inc()
+		s.om.storedUser.Add(payload)
+	}
 }
 
 // burnPlatter writes payload sectors onto pi.platter through the full
@@ -459,6 +465,16 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		return zero
 	}
 	var pmu sync.Mutex // serializes media sector inserts
+	// Whatever reached the glass is counted once, on every return: a
+	// faulted burn's sectors were written too. Information tracks land
+	// whole and before any large-group sector, so all but the
+	// information sectors of the first usedTracks tracks are redundancy.
+	defer func() {
+		n := p.WrittenSectors()
+		info := min(n/geom.SectorsPerTrack(), usedTracks) * iPerTrack
+		s.om.sectorsWritten.Add(int64(n))
+		s.om.storedRedundancy.Add(int64(n-info) * int64(geom.SectorPayloadBytes))
+	}()
 	err := s.eng.ForEach(usedTracks, func(it int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
@@ -499,10 +515,6 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 			}
 		}
 		pmu.Unlock()
-		s.addStats(func(st *Stats) {
-			st.SectorsWritten += iPerTrack + len(red)
-			st.RedundancyBytes += int64(len(red)) * int64(geom.SectorPayloadBytes)
-		})
 		return nil
 	})
 	if err != nil {
@@ -532,10 +544,6 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 				return err
 			}
 		}
-		s.addStats(func(st *Stats) {
-			st.SectorsWritten += len(red)
-			st.RedundancyBytes += int64(len(red)) * int64(geom.SectorPayloadBytes)
-		})
 		return nil
 	})
 	if err != nil {
@@ -683,10 +691,8 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 // stored" (§5).
 func (s *Service) verifyPlatter(pi *platterInfo, rng *sim.RNG) bool {
 	tally := s.readBack(pi, 0, s.usedTracks(pi), rng)
-	s.addStats(func(st *Stats) {
-		st.VerifyFailures += tally.decodeFailures
-		st.MinVerifyMargin = min(st.MinVerifyMargin, tally.minMargin)
-	})
+	s.om.verifyFailures.Add(int64(tally.decodeFailures))
+	s.om.minVerifyMargin.Min(tally.minMargin)
 	return tally.beyondRepair == 0
 }
 
@@ -819,10 +825,6 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		s.publishPlatter(rpi.platter.ID, rpi, "published (set redundancy)")
 		members = append(members, rpi.platter.ID)
 	}
-	s.addStats(func(st *Stats) {
-		st.RedundancyPlatters += len(reds)
-		st.RedundancyBytes += int64(len(reds)) * int64(maxSectors) * int64(geom.SectorPayloadBytes)
-	})
 	s.mu.Lock()
 	s.sets = append(s.sets, members)
 	s.pendingSet = nil
@@ -840,6 +842,5 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 			return 0, err
 		}
 	}
-	s.addStats(func(st *Stats) { st.SetsCompleted++ })
 	return setWork, nil
 }

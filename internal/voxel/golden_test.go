@@ -20,7 +20,8 @@ import (
 // read (OK, FailedBlock, Iterations, Margin, payload). The demapper and
 // the BP kernel may be reimplemented freely underneath it; regenerating
 // the file (-update-golden) is a behaviour change and must be called out
-// as one.
+// as one. A new draw stream must first pass TestChannelMatchesModel,
+// which pins the distribution the stream is drawn from.
 var updateGolden = flag.Bool("update-golden", false, "rewrite internal/voxel/testdata from the current read path")
 
 const (

@@ -40,11 +40,12 @@ func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
 	gateway.WriteJSON(w, http.StatusOK, c.Status())
 }
 
-// handleRebalance runs a reconcile pass. ?workers=N overrides the
-// configured parallelism. Per-key failures do not fail the request —
-// they are the report's Errors/ErrorSamples fields, which is the whole
-// point of aggregating them — so an error status is reserved for
-// failures the report cannot express (cancellation, no members).
+// handleRebalance runs a reconcile pass. ?workers=N sets its
+// parallelism (0 or absent = the default). Per-key failures do not
+// fail the request — they are the report's Errors/ErrorSamples fields,
+// which is the whole point of aggregating them — so an error status is
+// reserved for failures the report cannot express (cancellation, no
+// members).
 func (c *Cluster) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	workers := 0
 	if v := r.URL.Query().Get("workers"); v != "" {
@@ -55,7 +56,7 @@ func (c *Cluster) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = n
 	}
-	rep, err := c.RebalanceN(r.Context(), workers)
+	rep, err := c.Rebalance(r.Context(), workers)
 	if err != nil && (rep.Errors == 0 || r.Context().Err() != nil) {
 		gateway.WriteServiceError(w, err, c.cfg.RetryAfter)
 		return

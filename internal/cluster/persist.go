@@ -61,7 +61,7 @@ func (c *Cluster) openPersist() error {
 			c.cfg.PersistDir, st.Seed, st.VNodes, c.cfg.Seed, c.ring.vnodes)
 	}
 	for _, m := range st.Members {
-		c.members[m.Name] = &member{name: m.Name, alive: m.Alive, epoch: m.Epoch}
+		c.members[m.Name] = &member{alive: m.Alive, epoch: m.Epoch}
 		if m.Alive {
 			if err := c.ring.Add(m.Name); err != nil {
 				_ = l.Close()
@@ -70,13 +70,7 @@ func (c *Cluster) openPersist() error {
 		}
 	}
 	for _, en := range st.Entries {
-		c.dir[Key(en.Account, en.Name)] = &entry{
-			account: en.Account, name: en.Name,
-			primary: en.Primary, replica: en.Replica,
-			pEpoch: en.PEpoch, rEpoch: en.REpoch,
-			version: en.Version, size: en.Size,
-			deleting: en.Deleting,
-		}
+		c.dir[Key(en.Account, en.Name)] = &en
 	}
 	c.plog = l
 	if !st.HasConfig {
@@ -117,20 +111,12 @@ func (c *Cluster) exportRouterState() *persist.RouterState {
 	defer c.mu.RUnlock()
 	st := &persist.RouterState{Seed: c.cfg.Seed, VNodes: c.ring.vnodes, HasConfig: true}
 	st.Members = make([]persist.RouterMember, 0, len(c.members))
-	for _, m := range c.members {
-		st.Members = append(st.Members, persist.RouterMember{Name: m.name, Alive: m.alive, Epoch: m.epoch})
+	for n, m := range c.members {
+		st.Members = append(st.Members, persist.RouterMember{Name: n, Alive: m.alive, Epoch: m.epoch})
 	}
 	st.Entries = make([]persist.RouterEntry, 0, len(c.dir))
 	for _, e := range c.dir {
-		st.Entries = append(st.Entries, persist.RouterEntry{
-			RecDirPlace: persist.RecDirPlace{
-				Account: e.account, Name: e.name,
-				Primary: e.primary, Replica: e.replica,
-				PEpoch: e.pEpoch, REpoch: e.rEpoch,
-				Version: e.version, Size: e.size,
-			},
-			Deleting: e.deleting,
-		})
+		st.Entries = append(st.Entries, *e)
 	}
 	return st
 }

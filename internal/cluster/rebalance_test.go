@@ -85,7 +85,7 @@ func (m *memLib) State() LibraryState { return LibraryState{Healthy: true} }
 // newMemCluster builds a router over n memLibs (no persistence).
 func newMemCluster(t *testing.T, n int, seed uint64) (*Cluster, map[string]*memLib) {
 	t.Helper()
-	c, err := New(Config{Seed: seed, RebalanceThrottle: -1})
+	c, err := New(Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestGetFailoverOnPrimaryNotFound(t *testing.T) {
 
 	// Primary-side loss within the same epoch: the object vanishes from
 	// the primary holder but the directory still points there.
-	libs[pl.primary].drop("acct", "obj")
+	libs[pl.Primary].drop("acct", "obj")
 	got, err := c.Get("acct", "obj")
 	if err != nil {
 		t.Fatalf("get after primary-side loss: %v (replica copy was readable)", err)
@@ -136,16 +136,16 @@ func TestGetFailoverOnPrimaryNotFound(t *testing.T) {
 
 	// Replica erroring (not NotFound) while the primary says NotFound:
 	// a half-observed state, NOT a 404.
-	libs[pl.replica].failGet.Store(true)
+	libs[pl.Replica].failGet.Store(true)
 	if _, err := c.Get("acct", "obj"); err == nil {
 		t.Fatal("read served despite both copies unavailable")
 	} else if errors.Is(err, metadata.ErrNotFound) {
 		t.Fatalf("NotFound despite replica erroring: %v", err)
 	}
-	libs[pl.replica].failGet.Store(false)
+	libs[pl.Replica].failGet.Store(false)
 
 	// Both copies agree the object is gone: now it is a 404.
-	libs[pl.replica].drop(replicaPrefix+"acct", "obj")
+	libs[pl.Replica].drop(replicaPrefix+"acct", "obj")
 	if _, err := c.Get("acct", "obj"); !errors.Is(err, metadata.ErrNotFound) {
 		t.Fatalf("get with both copies gone: %v, want ErrNotFound", err)
 	}
@@ -161,7 +161,7 @@ func TestDeleteResumable(t *testing.T) {
 	}
 	pl := placementOf(c)[Key("acct", "obj")]
 
-	libs[pl.replica].failDelete.Store(true)
+	libs[pl.Replica].failDelete.Store(true)
 	if err := c.Delete("acct", "obj"); err == nil {
 		t.Fatal("delete succeeded despite replica-side failure")
 	}
@@ -174,14 +174,14 @@ func TestDeleteResumable(t *testing.T) {
 	}
 
 	// Retry completes the delete once the fault clears.
-	libs[pl.replica].failDelete.Store(false)
+	libs[pl.Replica].failDelete.Store(false)
 	if err := c.Delete("acct", "obj"); err != nil {
 		t.Fatalf("resumed delete: %v", err)
 	}
 	if c.Keys() != 0 {
 		t.Fatalf("keys after resumed delete: %d", c.Keys())
 	}
-	if _, ok := libs[pl.replica].objs[memKey(replicaPrefix+"acct", "obj")]; ok {
+	if _, ok := libs[pl.Replica].objs[memKey(replicaPrefix+"acct", "obj")]; ok {
 		t.Fatal("replica copy survived the resumed delete")
 	}
 
@@ -190,12 +190,12 @@ func TestDeleteResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl2 := placementOf(c)[Key("acct", "obj2")]
-	libs[pl2.primary].failDelete.Store(true)
+	libs[pl2.Primary].failDelete.Store(true)
 	if err := c.Delete("acct", "obj2"); err == nil {
 		t.Fatal("delete succeeded despite primary-side failure")
 	}
-	libs[pl2.primary].failDelete.Store(false)
-	rep, err := c.Rebalance(context.Background())
+	libs[pl2.Primary].failDelete.Store(false)
+	rep, err := c.Rebalance(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("reconcile after half-delete: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestRebalanceParallelMatchesSerial(t *testing.T) {
 		if err := c.AddLibrary("lib-extra", newMemLib()); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.RebalanceN(context.Background(), workers)
+		rep, err := c.Rebalance(context.Background(), workers)
 		if err != nil {
 			t.Fatalf("rebalance workers=%d: %v", workers, err)
 		}
@@ -292,7 +292,7 @@ func TestRebalanceAggregatesErrors(t *testing.T) {
 			l.failGet.Store(true)
 		}
 	}
-	rep, err := c.RebalanceN(context.Background(), 4)
+	rep, err := c.Rebalance(context.Background(), 4)
 	if err == nil {
 		t.Fatal("rebalance reported success despite unreadable sources")
 	}
@@ -332,7 +332,7 @@ func TestRebalanceCancelAndResume(t *testing.T) {
 	var rep RebalanceReport
 	var rerr error
 	go func() {
-		rep, rerr = c.RebalanceN(ctx, 4)
+		rep, rerr = c.Rebalance(ctx, 4)
 		close(done)
 	}()
 	cancel()
@@ -349,10 +349,10 @@ func TestRebalanceCancelAndResume(t *testing.T) {
 
 	// Resume with the gate open: the walk converges.
 	close(gate)
-	if _, err := c.RebalanceN(context.Background(), 4); err != nil {
+	if _, err := c.Rebalance(context.Background(), 4); err != nil {
 		t.Fatalf("resumed rebalance: %v", err)
 	}
-	final, err := c.RebalanceN(context.Background(), 1)
+	final, err := c.Rebalance(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("convergence pass: %v", err)
 	}
@@ -400,18 +400,18 @@ func TestRebalanceRaceWithTraffic(t *testing.T) {
 			}
 		}(w)
 	}
-	if _, err := c.RebalanceN(context.Background(), 8); err != nil {
+	if _, err := c.Rebalance(context.Background(), 8); err != nil {
 		t.Fatalf("rebalance under traffic: %v", err)
 	}
 	close(stop)
 	wg.Wait()
 
 	// Whatever survived the churn must be readable and converge.
-	if _, err := c.RebalanceN(context.Background(), 4); err != nil {
+	if _, err := c.Rebalance(context.Background(), 4); err != nil {
 		t.Fatalf("settling pass: %v", err)
 	}
 	for k, e := range placementOf(c) {
-		if _, err := c.Get(e.account, e.name); err != nil {
+		if _, err := c.Get(e.Account, e.Name); err != nil {
 			t.Fatalf("surviving key %s unreadable: %v", k, err)
 		}
 	}

@@ -1,12 +1,41 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"silica/internal/gateway"
 )
+
+// LocalLibrary is an in-process shard: its own gateway over its own
+// service, so its queues, flush scheduler, and platter index are
+// private — no cross-shard flushMu or index contention.
+type LocalLibrary struct{ G *gateway.Gateway }
+
+func (l LocalLibrary) PutCtx(ctx context.Context, account, name string, data []byte) (int, error) {
+	return l.G.PutCtx(ctx, account, name, data)
+}
+func (l LocalLibrary) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
+	return l.G.GetCtx(ctx, account, name)
+}
+func (l LocalLibrary) DeleteCtx(ctx context.Context, account, name string) error {
+	return l.G.DeleteCtx(ctx, account, name)
+}
+func (l LocalLibrary) Flush() error { return l.G.Flush() }
+func (l LocalLibrary) Close() error { return l.G.Close() }
+func (l LocalLibrary) State() LibraryState {
+	ctr := l.G.Counters()
+	return LibraryState{
+		Healthy:  true,
+		Degraded: l.G.Degraded(),
+		InFlight: ctr.Accepted - ctr.Completed,
+		Staging:  l.G.Service().StagingUsage(),
+		Platters: l.G.Service().Stats().PlattersWritten,
+		Flushes:  ctr.Flushes,
+	}
+}
 
 // LocalConfig builds an in-process cluster: N library shards, each a
 // private gateway.Gateway cloned from the template, behind one router.

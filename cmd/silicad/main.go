@@ -56,15 +56,6 @@ import (
 	"silica/internal/persist"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return fmt.Sprint([]string(*m)) }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
-}
-
 func main() {
 	var (
 		listen        = flag.String("listen", ":7070", "HTTP listen address")
@@ -94,8 +85,9 @@ func main() {
 		clusterSeed   = flag.Uint64("cluster-seed", 1, "router mode: ring placement seed (same seed + members = identical routing)")
 		clusterVNodes = flag.Int("cluster-vnodes", 0, "router mode: virtual nodes per library (0 = default)")
 	)
-	var faultRules multiFlag
-	flag.Var(&faultRules, "fault", "fault-injection rule (repeatable), e.g. op=media.write,mode=error,every=7,count=5")
+	var faultRules []string
+	flag.Func("fault", "fault-injection rule (repeatable), e.g. op=media.write,mode=error,every=7,count=5",
+		func(s string) error { faultRules = append(faultRules, s); return nil })
 	flag.Parse()
 
 	cfg := gateway.DefaultConfig()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"silica/internal/persist"
 	"silica/internal/service"
 	"silica/internal/staging"
+	"silica/internal/stats"
 )
 
 // replicaPrefix namespaces the cross-library redundancy copy inside
@@ -1015,6 +1017,37 @@ func (c *Cluster) Status() Status {
 	}
 	st.Libraries = rows
 	return st
+}
+
+// String renders the status for an operator, as silicactl cluster and
+// silica-load print it: ring and directory durability, redundancy and
+// rebalance accounting, then one row per library.
+func (st Status) String() string {
+	var b strings.Builder
+	durability := "in-memory directory (lost on router restart)"
+	if st.Persist {
+		durability = "durable directory (recovers across router restarts)"
+	}
+	fmt.Fprintf(&b, "ring v%d, seed %d, %d vnodes/library\n", st.RingVersion, st.Seed, st.VNodes)
+	fmt.Fprintf(&b, "persist   %s\n", durability)
+	fmt.Fprintf(&b, "keys      %d placed: %d fully replicated, %d unprotected\n",
+		st.Keys, st.Replicated, st.Unprotected)
+	fmt.Fprintf(&b, "activity  %d cross-library rebuild reads, %d keys / %s moved by rebalance, %d rebalance errors\n",
+		st.RebuildReads, st.MovedKeys, stats.FormatBytes(float64(st.MovedBytes)), st.RebalanceErrors)
+	fmt.Fprintf(&b, "%-12s %-6s %6s %9s %9s %8s %9s %10s %8s\n",
+		"library", "state", "own%", "primaries", "replicas", "routed", "in-flight", "staging", "flushes")
+	for _, l := range st.Libraries {
+		state := "alive"
+		if !l.Alive {
+			state = "dead"
+		} else if l.State.Degraded {
+			state = "degr"
+		}
+		fmt.Fprintf(&b, "%-12s %-6s %5.1f%% %9d %9d %8d %9d %10s %8d\n",
+			l.Name, state, 100*l.Frac, l.PrimaryKeys, l.ReplicaKeys, l.Routed,
+			l.State.InFlight, stats.FormatBytes(float64(l.State.Staging.Used)), l.State.Flushes)
+	}
+	return b.String()
 }
 
 // Libraries lists member names, sorted, with liveness.

@@ -277,8 +277,7 @@ func TestClusterKillLibraryE2E(t *testing.T) {
 		ReadFraction: 0.35,
 		ObjectBytes:  1536,
 		Seed:         13,
-		MaxRetries:   10,
-		RetryBackoff: 2 * time.Millisecond,
+		Retry:        &gateway.RetryPolicy{MaxRetries: 10, BaseBackoff: 2 * time.Millisecond},
 		BeforeVerify: func() {
 			name, ok := <-victim
 			if !ok {

@@ -125,8 +125,7 @@ func runPolicyLive(policy string, cfg PolicyLiveConfig) (PolicyLiveRow, error) {
 		ReadFraction: cfg.ReadFraction,
 		ObjectBytes:  cfg.ObjectBytes,
 		Seed:         cfg.Seed,
-		MaxRetries:   8,
-		RetryBackoff: 5 * time.Millisecond,
+		Retry:        &gateway.RetryPolicy{MaxRetries: 8, BaseBackoff: 5 * time.Millisecond},
 		ZipfSkew:     cfg.ZipfSkew,
 	})
 	if rep.Lost > 0 || rep.Corrupted > 0 {
@@ -142,11 +141,7 @@ func runPolicyLive(policy string, cfg PolicyLiveConfig) (PolicyLiveRow, error) {
 	row.GetP50, _ = obs.HistQuantile(samples, "silica_gateway_request_seconds", get, 0.50)
 	row.GetP99, _ = obs.HistQuantile(samples, "silica_gateway_request_seconds", get, 0.99)
 	read := map[string]string{"op": "read"}
-	if sum, ok := obs.FindSample(samples, "silica_backend_mech_seconds_sum", read); ok {
-		if cnt, ok := obs.FindSample(samples, "silica_backend_mech_seconds_count", read); ok && cnt.Value > 0 {
-			row.MechMean = sum.Value / cnt.Value
-		}
-	}
+	row.MechMean, _ = obs.HistMean(samples, "silica_backend_mech_seconds", read)
 	row.MechVirtP99, _ = obs.HistQuantile(samples, "silica_backend_mech_virtual_seconds", read, 0.99)
 	if v, ok := obs.FindSample(samples, "silica_backend_virtual_seconds", nil); ok {
 		row.VirtualSeconds = v.Value

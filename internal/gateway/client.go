@@ -44,11 +44,12 @@ var (
 // 429 → ErrOverloaded, 404 → metadata.ErrNotFound,
 // 503 → service.ErrUnavailable.
 //
-// Setting Retry turns on jittered exponential-backoff retries for
-// ErrOverloaded/ErrUnavailable responses; the loop honors the server's
-// Retry-After hint and gives up as soon as the caller's ctx expires.
-// Retry is nil by default so rejection behavior stays visible to
-// closed-loop callers that implement their own backoff.
+// Setting Retry runs every call under RetryPolicy.Do: jittered
+// exponential-backoff retries for ErrOverloaded/ErrUnavailable
+// responses that honor the server's Retry-After hint and stop as soon
+// as the caller's ctx expires. Retry is nil by default: one attempt per
+// call, so rejections reach callers that retry around the client
+// (RunLoad runs the same loop over its own policy).
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -107,7 +108,8 @@ type RetryPolicy struct {
 	// runs at most MaxRetries+1 times).
 	MaxRetries int
 	// BaseBackoff is the first retry's delay; each later retry doubles
-	// it, capped at MaxBackoff.
+	// it, capped at MaxBackoff. A zero MaxBackoff holds every retry at
+	// BaseBackoff.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// JitterFrac spreads each delay uniformly over
@@ -162,6 +164,41 @@ func (p *RetryPolicy) delay(attempt int) time.Duration {
 	return d
 }
 
+// Do runs f until it succeeds, fails with an error that is not
+// retryable, or has been retried MaxRetries times, and returns f's last
+// error. Each wait is the larger of the policy's jittered backoff and
+// the server's Retry-After hint; onRetry, when set, hears of each retry
+// before its wait. ctx expiry before an attempt or during a wait ends
+// the loop with ctx's error wrapped. A nil policy makes one attempt.
+func (p *RetryPolicy) Do(ctx context.Context, f func() error, onRetry func()) error {
+	if p == nil {
+		return f()
+	}
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("gateway: retry gave up: %w", err)
+		}
+		err := f()
+		if err == nil || !retryable(err) || attempt >= p.MaxRetries {
+			return err
+		}
+		delay := p.delay(attempt)
+		if hint, ok := RetryAfterHint(err); ok && hint > delay {
+			delay = hint
+		}
+		if onRetry != nil {
+			onRetry()
+		}
+		timer := time.NewTimer(delay)
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return fmt.Errorf("gateway: retry gave up: %w (last: %v)", ctx.Err(), err)
+		case <-timer.C:
+		}
+	}
+}
+
 // retryAfterError carries the server's Retry-After hint through the
 // typed error chain.
 type retryAfterError struct {
@@ -202,38 +239,6 @@ func (c *Client) countRetry() {
 	c.retries.Add(1)
 	if c.retryCount != nil {
 		c.retryCount.Inc()
-	}
-}
-
-// withRetry runs f under the client's retry policy. Each attempt's
-// delay is the larger of the policy's jittered backoff and the
-// server's Retry-After hint; ctx expiry during the wait (or before an
-// attempt) abandons the loop with ctx's error wrapped.
-func (c *Client) withRetry(ctx context.Context, f func() error) error {
-	pol := c.Retry
-	if pol == nil {
-		return f()
-	}
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("gateway: client gave up: %w", err)
-		}
-		err := f()
-		if err == nil || !retryable(err) || attempt >= pol.MaxRetries {
-			return err
-		}
-		delay := pol.delay(attempt)
-		if hint, ok := RetryAfterHint(err); ok && hint > delay {
-			delay = hint
-		}
-		c.countRetry()
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return fmt.Errorf("gateway: client gave up: %w (last: %v)", ctx.Err(), err)
-		case <-timer.C:
-		}
 	}
 }
 
@@ -333,14 +338,14 @@ func (c *Client) PutCtx(ctx context.Context, account, name string, data []byte) 
 	var out struct {
 		Version int `json:"version"`
 	}
-	err := c.withRetry(ctx, func() error {
+	err := c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodPut, c.objectURL(account, name), data, "", func(r io.Reader) error {
 			if err := json.NewDecoder(r).Decode(&out); err != nil {
 				return fmt.Errorf("gateway: decoding put response: %w", err)
 			}
 			return nil
 		})
-	})
+	}, c.countRetry)
 	return out.Version, err
 }
 
@@ -352,12 +357,12 @@ func (c *Client) Get(account, name string) ([]byte, error) {
 // GetCtx is Get under ctx with the client's retry policy.
 func (c *Client) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
 	var data []byte
-	err := c.withRetry(ctx, func() error {
+	err := c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodGet, c.objectURL(account, name), nil, "", func(r io.Reader) (err error) {
 			data, err = io.ReadAll(r)
 			return err
 		})
-	})
+	}, c.countRetry)
 	return data, err
 }
 
@@ -368,9 +373,9 @@ func (c *Client) Delete(account, name string) error {
 
 // DeleteCtx is Delete under ctx with the client's retry policy.
 func (c *Client) DeleteCtx(ctx context.Context, account, name string) error {
-	return c.withRetry(ctx, func() error {
+	return c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodDelete, c.objectURL(account, name), nil, "", nil)
-	})
+	}, c.countRetry)
 }
 
 // Flush asks the daemon to drain its staging tier.
@@ -380,9 +385,9 @@ func (c *Client) Flush() error {
 
 // FlushCtx is Flush under ctx with the client's retry policy.
 func (c *Client) FlushCtx(ctx context.Context) error {
-	return c.withRetry(ctx, func() error {
+	return c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodPost, c.BaseURL+"/v1/flush", nil, "", nil)
-	})
+	}, c.countRetry)
 }
 
 // ArmFaults arms fault-injection rules on the daemon via POST

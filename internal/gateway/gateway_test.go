@@ -301,8 +301,7 @@ func TestLoadGenerator(t *testing.T) {
 		DeleteFraction: 0.1,
 		ObjectBytes:    1024,
 		Seed:           42,
-		MaxRetries:     8,
-		RetryBackoff:   2 * time.Millisecond,
+		Retry:          &RetryPolicy{MaxRetries: 8, BaseBackoff: 2 * time.Millisecond},
 	}
 	rep := RunLoad(g, lc)
 	if rep.Lost != 0 || rep.Corrupted != 0 || rep.Errors != 0 {
@@ -332,8 +331,7 @@ func TestLoadGeneratorUnderOverload(t *testing.T) {
 		ReadFraction: 0.25,
 		ObjectBytes:  2000,
 		Seed:         7,
-		MaxRetries:   20,
-		RetryBackoff: 5 * time.Millisecond,
+		Retry:        &RetryPolicy{MaxRetries: 20, BaseBackoff: 5 * time.Millisecond},
 	}
 	rep := RunLoad(g, lc)
 	if rep.Rejected == 0 {
@@ -341,6 +339,34 @@ func TestLoadGeneratorUnderOverload(t *testing.T) {
 	}
 	if rep.Lost != 0 || rep.Corrupted != 0 {
 		t.Fatalf("overload corrupted state: %s", rep)
+	}
+	t.Logf("\n%s", rep)
+}
+
+// TestLoadGeneratorBooksOverloadAsRejections: with no failure armed
+// but overload, every op class that runs out of retries is Dropped,
+// never an Error. One write worker behind a one-deep queue, each
+// admission slowed by 2 ms, rejects puts and deletes alike.
+func TestLoadGeneratorBooksOverloadAsRejections(t *testing.T) {
+	cfg := testConfig()
+	cfg.WriteWorkers = 1
+	cfg.WriteQueue = 1
+	cfg.DisableRepair = true
+	g := newTestGateway(t, cfg)
+	if err := g.Faults().ArmString("op=staging.reserve,mode=latency,latency=2ms"); err != nil {
+		t.Fatal(err)
+	}
+	rep := RunLoad(g, LoadConfig{
+		Clients:        16,
+		OpsPerClient:   20,
+		ReadFraction:   0.3,
+		DeleteFraction: 0.4,
+		ObjectBytes:    512,
+		Seed:           3,
+		Retry:          &RetryPolicy{MaxRetries: 3, BaseBackoff: time.Millisecond},
+	})
+	if rep.Errors != 0 || rep.Rejected == 0 || rep.Lost != 0 || rep.Corrupted != 0 {
+		t.Fatalf("want 0 errors, some rejections, nothing lost or corrupted:\n%s", rep)
 	}
 	t.Logf("\n%s", rep)
 }

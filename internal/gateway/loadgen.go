@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -28,11 +29,10 @@ type LoadConfig struct {
 	DeleteFraction float64 // fraction of ops that delete a committed object
 	ObjectBytes    int     // payload size per object
 	Seed           uint64
-	// MaxRetries bounds per-op retries after ErrOverloaded; each retry
-	// backs off linearly. 0 means rejected ops are dropped immediately.
-	MaxRetries int
-	// RetryBackoff is the base backoff after an overload rejection.
-	RetryBackoff time.Duration
+	// Retry is the loop every operation runs under (RetryPolicy.Do):
+	// each retryable answer is retried with the policy's backoff until
+	// its MaxRetries are spent. Nil makes every operation one attempt.
+	Retry *RetryPolicy
 	// BeforeVerify, when set, runs after the final flush and before the
 	// byte-exact audit — the hook the repair smoke test uses to wait for
 	// a mid-run platter kill's rebuild to complete.
@@ -50,14 +50,15 @@ type LoadConfig struct {
 // must be nonzero under deliberate overload.
 type LoadReport struct {
 	Puts, Gets, Deletes int64 // completed operations
-	Rejected            int64 // admission-control rejections observed
-	Dropped             int64 // puts abandoned after MaxRetries (never committed)
-	Errors              int64 // non-overload errors
+	Rejected            int64 // retryable answers (429/503) seen, retried or not
+	Dropped             int64 // operations of any class abandoned after their last retry
+	Errors              int64 // non-retryable failures
 	Lost                int64 // committed objects unreadable at verification
 	Corrupted           int64 // committed objects with byte mismatches
 	Elapsed             time.Duration
 	// Latencies holds exact client-observed quantiles per class (put,
-	// get, delete), over successful operations only.
+	// get, delete), over successful operations only, each timed from
+	// its first attempt to its answer, so retries and their waits count.
 	Latencies map[string]stats.Summary
 }
 
@@ -97,6 +98,11 @@ func payload(seed uint64, n int) []byte {
 	return out
 }
 
+// errMismatch marks a load read that returned other bytes than the
+// client wrote: not retryable, so it counts as an error at once (the
+// final audit recounts it as Corrupted).
+var errMismatch = errors.New("gateway: load read returned other bytes than were written")
+
 // loadClient is one closed-loop client's state.
 type loadClient struct {
 	id        int
@@ -110,6 +116,12 @@ type loadClient struct {
 	lat [3]stats.Sample
 }
 
+// loadTally holds the counters every client of a run adds to.
+type loadTally struct {
+	done                    [3]atomic.Int64 // completed operations, by opKind
+	rejected, dropped, errs atomic.Int64
+}
+
 // RunLoad drives api with cfg.Clients concurrent closed-loop clients,
 // then flushes and verifies every committed object byte-exactly.
 // It works identically against an in-process *Gateway or an HTTP
@@ -119,7 +131,7 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 		cfg.Clients = 1
 	}
 	var report LoadReport
-	var puts, gets, deletes, rejected, dropped, errs atomic.Int64
+	var t loadTally
 	root := sim.NewRNG(cfg.Seed).Fork("loadgen")
 	start := time.Now()
 
@@ -138,7 +150,7 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 				seeds: make(map[string]uint64),
 			}
 			for op := 0; op < cfg.OpsPerClient; op++ {
-				cl.step(api, cfg, &puts, &gets, &deletes, &rejected, &dropped, &errs)
+				cl.step(api, cfg, &t)
 			}
 			mu.Lock()
 			for name, seed := range cl.seeds {
@@ -157,7 +169,7 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 	// Drain staging so verification reads exercise the durable path,
 	// then check every committed object byte-exactly.
 	if err := api.Flush(); err != nil {
-		errs.Add(1)
+		t.errs.Add(1)
 	}
 	if cfg.BeforeVerify != nil {
 		cfg.BeforeVerify()
@@ -173,12 +185,12 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 		}
 	}
 
-	report.Puts = puts.Load()
-	report.Gets = gets.Load()
-	report.Deletes = deletes.Load()
-	report.Rejected = rejected.Load()
-	report.Dropped = dropped.Load()
-	report.Errors = errs.Load()
+	report.Puts = t.done[opPut].Load()
+	report.Gets = t.done[opGet].Load()
+	report.Deletes = t.done[opDelete].Load()
+	report.Rejected = t.rejected.Load()
+	report.Dropped = t.dropped.Load()
+	report.Errors = t.errs.Load()
 	report.Elapsed = time.Since(start)
 	report.Latencies = make(map[string]stats.Summary, len(allLat))
 	for k := range allLat {
@@ -189,69 +201,77 @@ func RunLoad(api API, cfg LoadConfig) LoadReport {
 	return report
 }
 
-// step runs one operation of the client's mix.
-func (cl *loadClient) step(api API, cfg LoadConfig,
-	puts, gets, deletes, rejected, dropped, errs *atomic.Int64) {
+// step picks one operation of the client's mix and runs it under
+// cfg.Retry: a success is timed and booked, an operation still
+// rejected after its last retry is dropped, anything else is an error.
+func (cl *loadClient) step(api API, cfg LoadConfig, t *loadTally) {
+	kind, i := opPut, 0
 	roll := cl.rng.Float64()
-	switch {
-	case roll < cfg.ReadFraction && len(cl.committed) > 0:
-		name := cl.committed[cl.readTarget(len(cl.committed), cfg.ZipfSkew)]
-		t0 := time.Now()
-		got, err := getWithRetry(api, cfg, "load", name, rejected)
-		if err != nil {
-			errs.Add(1)
-			return
+	if len(cl.committed) > 0 {
+		switch {
+		case roll < cfg.ReadFraction:
+			kind, i = opGet, cl.readTarget(len(cl.committed), cfg.ZipfSkew)
+		case roll < cfg.ReadFraction+cfg.DeleteFraction:
+			kind, i = opDelete, cl.rng.Intn(len(cl.committed))
 		}
-		cl.lat[opGet].Add(time.Since(t0).Seconds())
-		gets.Add(1)
-		if !bytes.Equal(got, payload(cl.seeds[name], cfg.ObjectBytes)) {
-			// Surface corruption immediately as an error; the final
-			// verification pass recounts it authoritatively.
-			errs.Add(1)
-		}
-	case roll < cfg.ReadFraction+cfg.DeleteFraction && len(cl.committed) > 0:
-		i := cl.rng.Intn(len(cl.committed))
-		name := cl.committed[i]
-		t0 := time.Now()
-		if err := api.Delete("load", name); err != nil {
-			if errors.Is(err, metadata.ErrNotFound) {
-				// Deleted concurrently; treat as done.
-			} else {
-				errs.Add(1)
-				return
+	}
+	var name string
+	var seed uint64
+	var op func() error
+	switch kind {
+	case opGet:
+		name = cl.committed[i]
+		op = func() error {
+			got, err := api.Get("load", name)
+			if err == nil && !bytes.Equal(got, payload(cl.seeds[name], cfg.ObjectBytes)) {
+				err = errMismatch
 			}
+			return err
 		}
-		cl.lat[opDelete].Add(time.Since(t0).Seconds())
-		deletes.Add(1)
+	case opDelete:
+		name = cl.committed[i]
+		op = func() error {
+			if err := api.Delete("load", name); !errors.Is(err, metadata.ErrNotFound) {
+				return err
+			}
+			return nil // already gone: a retried delete that landed
+		}
+	default:
+		name = fmt.Sprintf("c%d-o%d", cl.id, cl.nextObj)
+		cl.nextObj++
+		seed = cfg.Seed ^ (uint64(cl.id)<<32 | uint64(cl.nextObj))
+		data := payload(seed, cfg.ObjectBytes)
+		op = func() error {
+			_, err := api.Put("load", name, data)
+			return err
+		}
+	}
+
+	t0 := time.Now()
+	err := cfg.Retry.Do(context.TODO(), func() error {
+		err := op()
+		if retryable(err) {
+			t.rejected.Add(1)
+		}
+		return err
+	}, nil)
+	switch {
+	case retryable(err):
+		t.dropped.Add(1)
+		return
+	case err != nil:
+		t.errs.Add(1)
+		return
+	}
+	cl.lat[kind].Add(time.Since(t0).Seconds())
+	t.done[kind].Add(1)
+	switch kind {
+	case opPut:
+		cl.committed = append(cl.committed, name)
+		cl.seeds[name] = seed
+	case opDelete:
 		cl.committed = append(cl.committed[:i], cl.committed[i+1:]...)
 		delete(cl.seeds, name)
-	default:
-		name := fmt.Sprintf("c%d-o%d", cl.id, cl.nextObj)
-		cl.nextObj++
-		seed := cfg.Seed ^ (uint64(cl.id)<<32 | uint64(cl.nextObj))
-		data := payload(seed, cfg.ObjectBytes)
-		for attempt := 0; ; attempt++ {
-			t0 := time.Now()
-			_, err := api.Put("load", name, data)
-			if err == nil {
-				cl.lat[opPut].Add(time.Since(t0).Seconds())
-				puts.Add(1)
-				cl.committed = append(cl.committed, name)
-				cl.seeds[name] = seed
-				return
-			}
-			if errors.Is(err, ErrOverloaded) {
-				rejected.Add(1)
-				if attempt >= cfg.MaxRetries {
-					dropped.Add(1)
-					return
-				}
-				time.Sleep(cfg.RetryBackoff * time.Duration(attempt+1))
-				continue
-			}
-			errs.Add(1)
-			return
-		}
 	}
 }
 
@@ -266,22 +286,4 @@ func (cl *loadClient) readTarget(n int, skew float64) int {
 		i = n - 1
 	}
 	return i
-}
-
-// getWithRetry retries reads rejected by a full read queue.
-func getWithRetry(api API, cfg LoadConfig, account, name string, rejected *atomic.Int64) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-		got, err := api.Get(account, name)
-		if err == nil {
-			return got, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrOverloaded) {
-			return nil, err
-		}
-		rejected.Add(1)
-		time.Sleep(cfg.RetryBackoff * time.Duration(attempt+1))
-	}
-	return nil, lastErr
 }

@@ -242,6 +242,18 @@ func FindSample(samples []PromSample, name string, want map[string]string) (Prom
 	return PromSample{}, false
 }
 
+// HistMean returns a histogram's mean, its <name>_sum over its
+// <name>_count among samples whose labels contain every pair in want,
+// or false when it has no observations.
+func HistMean(samples []PromSample, name string, want map[string]string) (float64, bool) {
+	sum, ok1 := FindSample(samples, name+"_sum", want)
+	cnt, ok2 := FindSample(samples, name+"_count", want)
+	if !ok1 || !ok2 || cnt.Value == 0 {
+		return 0, false
+	}
+	return sum.Value / cnt.Value, true
+}
+
 // HistQuantile estimates a quantile from parsed <name>_bucket samples
 // whose labels contain every pair in want — the consumer-side
 // counterpart of HistSnapshot.Quantile, used by silica-load to put

@@ -189,6 +189,12 @@ func TestWritePromParsesBack(t *testing.T) {
 	if q, ok := HistQuantile(samples, "silica_test_latency_seconds", nil, 0.5); !ok || q <= 0 {
 		t.Fatalf("HistQuantile = %v ok=%v", q, ok)
 	}
+	if m, ok := HistMean(samples, "silica_test_latency_seconds", nil); !ok || math.Abs(m-2.0505/3) > 1e-9 {
+		t.Fatalf("HistMean = %v ok=%v, want %v", m, ok, 2.0505/3)
+	}
+	if _, ok := HistMean(samples, "silica_test_absent_seconds", nil); ok {
+		t.Fatal("HistMean found a histogram that was never registered")
+	}
 }
 
 func TestTraceSpansThroughContext(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"silica/internal/geometry"
 	"silica/internal/layout"
@@ -19,6 +20,9 @@ import (
 
 func main() {
 	ingressPB := flag.Float64("ingress-pb", 2.0, "yearly ingress, petabytes")
+	info := flag.Int("info", 16, "information platters per placed set")
+	red := flag.Int("red", 3, "redundancy platters per placed set")
+	sectorP := flag.Float64("sector-p", 1e-3, "per-sector LDPC failure probability")
 	flag.Parse()
 
 	geom := media.DefaultGeometry()
@@ -42,14 +46,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  sector LDPC failure (prototype): 1e-3\n")
+	// %.0e pads the exponent (1e-03); the budget reads 1e-3.
+	fmt.Printf("  sector LDPC failure (prototype): %s\n", strings.Replace(fmt.Sprintf("%.0e", *sectorP), "e-0", "e-", 1))
 	fmt.Printf("  track decode failure at %d+%d:     %.2e\n",
-		h.WithinTrack.I, h.WithinTrack.R, nc.TrackDecodeFailureProb(nc.DefaultWithinTrack, 1e-3))
+		h.WithinTrack.I, h.WithinTrack.R, nc.TrackDecodeFailureProb(nc.DefaultWithinTrack, *sectorP))
 	fmt.Printf("  total in-platter overhead:        %.1f%%\n", 100*h.TotalInPlatterOverhead())
 
-	// Place the paper's chosen 16+3 sets.
-	const info, red = 16, 3
-	racks := layout.MinStorageRacks(info+red, 10)
+	// Place sets of the requested shape (the paper chose 16+3).
+	racks := layout.MinStorageRacks(*info+*red, 10)
 	cfg := geometry.DefaultConfig()
 	if racks > cfg.StorageRacks {
 		cfg.StorageRacks = racks
@@ -61,7 +65,7 @@ func main() {
 	placer := layout.NewPlacer(l)
 	setsPlaced := 0
 	for {
-		slots, err := placer.PlaceSet(info + red)
+		slots, err := placer.PlaceSet(*info + *red)
 		if err != nil {
 			break // library full for this demo's constraints
 		}
@@ -73,12 +77,12 @@ func main() {
 			break
 		}
 	}
-	libCapacity := float64(l.NumSlots()) * perPlatter * float64(info) / float64(info+red)
+	libCapacity := float64(l.NumSlots()) * perPlatter * float64(*info) / float64(*info+*red)
 	fmt.Printf("\nMDU floor plan: %d racks (%d storage), %d drives, %d slots -> %s user capacity\n",
 		len(l.Racks), cfg.StorageRacks, l.NumDrives(), l.NumSlots(),
 		stats.FormatBytes(libCapacity))
 	fmt.Printf("placed %d platter-sets of %d+%d with disjoint blast zones (%d slots)\n",
-		setsPlaced, info, red, placer.Occupied())
-	librariesNeeded := float64(plattersPerYear) * float64(info+red) / float64(info) / float64(l.NumSlots())
+		setsPlaced, *info, *red, placer.Occupied())
+	librariesNeeded := float64(plattersPerYear) * float64(*info+*red) / float64(*info) / float64(l.NumSlots())
 	fmt.Printf("ingress fills %.2f libraries per year\n", librariesNeeded)
 }

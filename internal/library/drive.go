@@ -191,7 +191,7 @@ func (d *ReadDrive) finishService() {
 		}
 		d.state = driveAwaitingPickup
 		d.resumeVerify(true)
-		d.lib.kick(d.lib.partOfDrive[d.idx])
+		d.lib.driveFreed(d.idx)
 	})
 }
 

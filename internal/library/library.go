@@ -169,7 +169,7 @@ type Library struct {
 	drives      []*ReadDrive
 	driveByAddr map[geometry.DriveAddr]int
 	partDrives  [][]int // partition -> drive indices
-	partOfDrive []int   // drive -> primary partition
+	drivePart   [][]int // drive -> every partition that lists it
 
 	platterSlot map[media.PlatterID]geometry.SlotAddr
 	platterPart map[media.PlatterID]int
@@ -267,22 +267,17 @@ func New(cfg Config) (*Library, error) {
 		l.driveByAddr[addr] = i
 	}
 	l.partDrives = make([][]int, len(l.parts))
-	l.partOfDrive = make([]int, len(l.drives))
-	for i := range l.partOfDrive {
-		l.partOfDrive[i] = -1
-	}
+	l.drivePart = make([][]int, len(l.drives))
 	for pi := range l.parts {
 		for _, addr := range l.parts[pi].Drives {
 			di := l.driveByAddr[addr]
 			l.partDrives[pi] = append(l.partDrives[pi], di)
-			if l.partOfDrive[di] < 0 {
-				l.partOfDrive[di] = pi
-			}
+			l.drivePart[di] = append(l.drivePart[di], pi)
 		}
 	}
-	for i := range l.partOfDrive {
-		if l.partOfDrive[i] < 0 {
-			l.partOfDrive[i] = 0
+	for i := range l.drivePart {
+		if len(l.drivePart[i]) == 0 {
+			l.drivePart[i] = []int{0}
 		}
 	}
 
@@ -492,6 +487,15 @@ func (l *Library) kick(part int) {
 		l.kickPending[part] = false
 		l.dispatch(part)
 	})
+}
+
+// driveFreed schedules dispatch for every partition that lists drive
+// di: any of them may hold a fetch waiting for it, and a partition left
+// unwoken waits for an unrelated event (at the end of a trace, forever).
+func (l *Library) driveFreed(di int) {
+	for _, p := range l.drivePart[di] {
+		l.kick(p)
+	}
 }
 
 // kickAll schedules dispatch for every partition.

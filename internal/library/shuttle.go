@@ -142,7 +142,7 @@ func (s *Shuttle) returnPlatter(d *ReadDrive) {
 	s.travelTo(d.pos, func() {
 		lib.sim.Schedule(lib.mech.Pick.Sample(lib.rng), func() {
 			p := d.pickup()
-			lib.kick(lib.partOfDrive[d.idx]) // drive freed: fetches may target it
+			lib.driveFreed(d.idx) // fetches may target it
 			home := lib.layout.SlotPos(lib.platterSlot[p])
 			s.travelTo(home, func() {
 				lib.sim.Schedule(lib.mech.Place.Sample(lib.rng), func() {

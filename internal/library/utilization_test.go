@@ -60,3 +60,41 @@ func TestUtilizationBenchRepro(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTraceCompletesEveryRequest replays a generated trace and
+// requires every request to complete. The default configuration has
+// drives that two partitions list; freeing one must wake both, or the
+// second partition's queue waits on an unrelated event and, at the end
+// of a trace, forever.
+func TestRunTraceCompletesEveryRequest(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Platters = 200
+	cfg.Seed = 1
+	lib, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(workload.TraceConfig{
+		Profile: workload.IOPS, Duration: 3600, Warmup: 300, Cooldown: 300,
+		Platters: cfg.Platters, TracksPerFile: workload.TracksFor(10e6), TrackBytes: 10e6,
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(map[controller.RequestID]bool, len(tr.Requests))
+	reqs, _ := tr.CoreRun()
+	for _, r := range reqs {
+		r := r
+		r.Done = func(float64) { done[r.ID] = true }
+	}
+	lib.RunTrace(reqs, 0)
+	for _, r := range reqs {
+		if !done[r.ID] {
+			t.Errorf("request %d (platter %d, arrival %.0fs) never completed", r.ID, r.Platter, r.Arrival)
+		}
+	}
+	if t.Failed() {
+		t.Fatalf("%d of %d requests completed", len(done), len(reqs))
+	}
+}

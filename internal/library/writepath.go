@@ -206,7 +206,7 @@ func (d *ReadDrive) finishVerify() {
 		}
 		d.verifySince = -1
 	}
-	d.lib.kick(d.lib.partOfDrive[d.idx])
+	d.lib.driveFreed(d.idx)
 }
 
 // driveWithVerified returns a drive holding a verified platter

@@ -85,6 +85,11 @@ func TestCanceledWhileQueuedNeverExecutes(t *testing.T) {
 	if got := g.Counters().Canceled; got != 1 {
 		t.Fatalf("Canceled counter = %d, want 1", got)
 	}
+	// Every request taken off the queue is completed, skipped ones too:
+	// at rest nothing is in flight.
+	if c := g.Counters(); c.Accepted != c.Completed {
+		t.Fatalf("counters at rest %+v: %d request(s) still in flight", c, c.Accepted-c.Completed)
+	}
 	// A and C staged equal payloads; had B reached the service,
 	// staging would hold a third object's worth.
 	if used := g.svc.StagingUsage().Used; used != 2*usedAfterA {

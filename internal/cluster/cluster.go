@@ -47,6 +47,8 @@ var ErrUnknownLibrary = errors.New("cluster: unknown library")
 var ErrLibraryClosed error = unavailableError("cluster: remote library closed")
 
 // LibraryState is one member's serving-stack summary for /v1/cluster.
+// A remote member's state is read off its /metrics, which has no family
+// for Staging.OldestArrival, so that field reads 0 for a -peers member.
 type LibraryState struct {
 	Healthy  bool          `json:"healthy"`
 	Degraded bool          `json:"degraded"` // reduced redundancy or rebuild in flight
@@ -132,11 +134,30 @@ func (r *RemoteLibrary) State() LibraryState {
 	}
 	st.Healthy = true
 	st.Degraded = hz.Status != "ok"
-	if snap, err := r.C.Stats(); err == nil {
-		st.InFlight = snap.Counters.Accepted - snap.Counters.Completed
-		st.Staging = snap.Staging
-		st.Platters = snap.Service.PlattersWritten
-		st.Flushes = snap.Counters.Flushes
+	samples, err := r.C.Metrics()
+	if err != nil {
+		return st
+	}
+	// sum adds every sample of a family: the gateway counters carry one
+	// child per request class.
+	sum := func(name string) (v float64) {
+		for _, s := range samples {
+			if s.Name == name {
+				v += s.Value
+			}
+		}
+		return v
+	}
+	written, _ := obs.FindSample(samples, "silica_service_platters_total", map[string]string{"event": "written"})
+	st.InFlight = int64(sum("silica_gateway_admitted_total") - sum("silica_gateway_completed_total"))
+	st.Flushes = int64(sum("silica_gateway_flushes_total"))
+	st.Platters = int(written.Value)
+	st.Staging = staging.Usage{
+		Used:     int64(sum("silica_staging_used_bytes")),
+		Reserved: int64(sum("silica_staging_reserved_bytes")),
+		Capacity: int64(sum("silica_staging_capacity_bytes")),
+		Peak:     int64(sum("silica_staging_peak_bytes")),
+		Pending:  int(sum("silica_staging_pending_files")),
 	}
 	return st
 }

@@ -398,3 +398,44 @@ func TestUnavailableIsOneClassOnBothTransports(t *testing.T) {
 			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
 	}
 }
+
+// TestRemoteLibraryStateMatchesLocal: a -peers member's state, read off
+// the peer's /metrics, equals what the in-process view of the same
+// gateway reports — except OldestArrival, which has no metric family.
+func TestRemoteLibraryStateMatchesLocal(t *testing.T) {
+	gcfg := gateway.DefaultConfig()
+	gcfg.FlushAge = 0
+	gcfg.FlushBytes = 1 << 40 // only the explicit flush below runs
+	gcfg.Service.StagingCapacity = 1 << 20
+	g, err := gateway.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	for i := 0; i < 6; i++ {
+		if _, err := g.Put("acct", fmt.Sprintf("durable-%d", i), testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := g.Put("acct", fmt.Sprintf("staged-%d", i), testPayload(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	remote := NewRemoteLibrary(gateway.NewClient(srv.URL)).State()
+	local := LocalLibrary{G: g}.State()
+	if local.Platters < 1 || local.Flushes != 1 || local.Staging.Pending != 2 || local.Staging.OldestArrival == 0 {
+		t.Fatalf("workload did not move the state: %+v", local)
+	}
+	local.Staging.OldestArrival = 0
+	if remote != local {
+		t.Fatalf("remote state %+v, local %+v", remote, local)
+	}
+}

@@ -74,18 +74,15 @@ func usage() {
   silicactl top -url URL         live telemetry table from /metrics (-n 1 for one shot)
   silicactl cluster -url URL     ring ownership, per-library health, and redundancy
                                  placement of a silicad -cluster router (/v1/cluster)
-  silicactl cost                 §9 TCO comparison tape/HDD/Silica (-url to price on a
-                                 running silicad; -archive-tb/-horizon/... set workload)`)
+  silicactl cost                 §9 TCO comparison tape/HDD/Silica, offline
+                                 (-archive-tb/-horizon/... set the workload)`)
 	os.Exit(2)
 }
 
-// costCmd prints the §9 total-cost-of-ownership comparison. By default
-// it prices the workload locally (the model is pure computation); with
-// -url it asks a running silicad's GET /v1/cost instead, exercising
-// the HTTP surface end to end.
+// costCmd prints the §9 total-cost-of-ownership comparison, priced
+// offline: the model is pure computation over the workload flags.
 func costCmd(args []string) {
 	fs := flag.NewFlagSet("cost", flag.ExitOnError)
-	url := fs.String("url", "", "silicad base URL (empty = compute locally)")
 	archive := fs.Float64("archive-tb", 0, "initial archive size in TB (0 = default workload)")
 	horizon := fs.Float64("horizon", 0, "horizon in years")
 	readTB := fs.Float64("read-tb-year", -1, "customer reads per year, TB")
@@ -106,28 +103,19 @@ func costCmd(args []string) {
 		wl.WriteTBPerYear = *writeTB
 	}
 
-	var p gateway.CostPayload
-	if *url != "" {
-		var err error
-		p, err = gateway.NewClient(*url).Cost(wl)
-		check(err)
-	} else {
-		p = gateway.BuildCostPayload(wl)
-	}
-
 	fmt.Printf("workload: %.0f TB archive, %.0f y horizon, %.0f TB/y reads, %.0f TB/y ingress\n\n",
-		p.Workload.ArchiveTB, p.Workload.HorizonYears, p.Workload.ReadTBPerYear, p.Workload.WriteTBPerYear)
+		wl.ArchiveTB, wl.HorizonYears, wl.ReadTBPerYear, wl.WriteTBPerYear)
 	fmt.Printf("%-8s %10s %4s %12s %10s %10s %10s %10s %12s %10s %12s\n",
 		"tech", "media", "mig", "migration", "scrub", "environ", "user-io", "process",
 		"total $", "$/TB-y", "carbon kg")
-	for _, e := range p.Technologies {
-		b := e.Breakdown
+	for _, tech := range costmodel.Technologies() {
+		b := costmodel.Evaluate(tech, wl)
 		fmt.Printf("%-8s %10.0f %4d %12.0f %10.0f %10.0f %10.0f %10.0f %12.0f %10.4f %12.0f\n",
 			b.Technology, b.Media, b.Migrations, b.MigrationIO, b.Scrubbing,
-			b.Environmental, b.UserIO, b.Processing, e.Total, e.PerTBYear, b.CarbonKg)
+			b.Environmental, b.UserIO, b.Processing, b.Total(), costmodel.CostPerTBYear(b, wl), b.CarbonKg)
 	}
 	fmt.Printf("\n%-40s %-5s %s\n", "dimension", "tape", "silica")
-	for _, r := range p.Table2 {
+	for _, r := range costmodel.BuildTable2().Rows {
 		fmt.Printf("%-40s %-5s %s\n", r.Dimension, r.Tape, r.Silica)
 	}
 }

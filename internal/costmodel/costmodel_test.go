@@ -141,3 +141,49 @@ func TestLevelString(t *testing.T) {
 		t.Fatal("level names")
 	}
 }
+
+// TestPerTBYearOrdering: on the default workload all three technologies
+// cost something, and Silica comes out cheapest per TB-year, then tape,
+// then HDD (the paper's headline claim). A 25x smaller archive costs
+// less in total.
+func TestPerTBYearOrdering(t *testing.T) {
+	w := DefaultWorkload()
+	techs := Technologies()
+	if len(techs) != 3 {
+		t.Fatalf("technologies = %d, want tape/hdd/silica", len(techs))
+	}
+	per := map[string]float64{}
+	for _, tech := range techs {
+		b := Evaluate(tech, w)
+		if b.Total() <= 0 || CostPerTBYear(b, w) <= 0 {
+			t.Fatalf("%s: non-positive cost %+v", b.Technology, b)
+		}
+		per[b.Technology] = CostPerTBYear(b, w)
+	}
+	if !(per["silica"] < per["tape"] && per["tape"] < per["hdd"]) {
+		t.Fatalf("per-TB-year ordering wrong: %v", per)
+	}
+	small := Workload{ArchiveTB: 500, HorizonYears: 10, ReadTBPerYear: 5, WriteTBPerYear: 50}
+	if Evaluate(techs[0], small).Total() >= Evaluate(techs[0], w).Total() {
+		t.Fatal("a 25x smaller archive should not cost more")
+	}
+}
+
+// TestHDDTechnology pins the §9 qualitative shape of the disk column:
+// HDD migrates most often, pays the most for power, and is the most
+// carbon-intensive to manufacture per stored TB over the horizon.
+func TestHDDTechnology(t *testing.T) {
+	wl := DefaultWorkload()
+	tape := Evaluate(Tape(), wl)
+	hdd := Evaluate(HDD(), wl)
+	silica := Evaluate(Silica(), wl)
+	if hdd.Migrations <= tape.Migrations || silica.Migrations != 0 {
+		t.Fatalf("migrations: hdd=%d tape=%d silica=%d", hdd.Migrations, tape.Migrations, silica.Migrations)
+	}
+	if hdd.Environmental <= tape.Environmental {
+		t.Fatal("always-spinning disks should cost more environmentally than tape")
+	}
+	if hdd.CarbonKg <= silica.CarbonKg {
+		t.Fatal("hdd embodied carbon should exceed silica")
+	}
+}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"silica/internal/backend"
-	"silica/internal/costmodel"
 	"silica/internal/media"
 	"silica/internal/metadata"
 	"silica/internal/obs"
@@ -414,19 +413,6 @@ func (c *Client) Backend() (out backend.Status, err error) {
 	return out, err
 }
 
-// SetBackendPolicy switches the daemon's twin scheduling policy
-// (silica|sp|ns) and returns the resulting status.
-func (c *Client) SetBackendPolicy(policy string) (out backend.Status, err error) {
-	err = c.Call(context.Background(), http.MethodPost, "/v1/backend", BackendRequest{Policy: policy}, &out)
-	return out, err
-}
-
-// Stats fetches the daemon's stats snapshot.
-func (c *Client) Stats() (out StatsSnapshot, err error) {
-	err = c.Call(context.Background(), http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
 // HealthPlatters fetches the per-platter health registry snapshot.
 func (c *Client) HealthPlatters() (out repair.Snapshot, err error) {
 	err = c.Call(context.Background(), http.MethodGet, "/v1/health/platters", nil, &out)
@@ -436,17 +422,6 @@ func (c *Client) HealthPlatters() (out repair.Snapshot, err error) {
 // Repair asks the daemon to fail and rebuild a platter.
 func (c *Client) Repair(id media.PlatterID) error {
 	return c.Call(context.Background(), http.MethodPost, fmt.Sprintf("/v1/repair/%d", id), nil, nil)
-}
-
-// Cost fetches the §9 TCO comparison priced on wl.
-func (c *Client) Cost(wl costmodel.Workload) (out CostPayload, err error) {
-	q := url.Values{}
-	q.Set("archive_tb", strconv.FormatFloat(wl.ArchiveTB, 'g', -1, 64))
-	q.Set("horizon_years", strconv.FormatFloat(wl.HorizonYears, 'g', -1, 64))
-	q.Set("read_tb_year", strconv.FormatFloat(wl.ReadTBPerYear, 'g', -1, 64))
-	q.Set("write_tb_year", strconv.FormatFloat(wl.WriteTBPerYear, 'g', -1, 64))
-	err = c.Call(context.Background(), http.MethodGet, "/v1/cost?"+q.Encode(), nil, &out)
-	return out, err
 }
 
 // MetricsText fetches the daemon's raw Prometheus text exposition.

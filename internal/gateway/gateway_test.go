@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"silica/internal/metadata"
+	"silica/internal/obs"
 	"silica/internal/sim"
 )
 
@@ -67,12 +68,19 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("durable get: err=%v match=%v", err, bytes.Equal(got, data))
 	}
-	snap, err := c.Stats()
+	samples, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Service.PlattersWritten < 1 || snap.Counters.Completed < 3 {
-		t.Fatalf("stats snapshot: %+v", snap)
+	written, _ := obs.FindSample(samples, "silica_service_platters_total", map[string]string{"event": "written"})
+	completed := 0.0
+	for _, s := range samples {
+		if s.Name == "silica_gateway_completed_total" {
+			completed += s.Value
+		}
+	}
+	if written.Value < 1 || completed < 3 {
+		t.Fatalf("/metrics: %v platters written, %v requests completed", written.Value, completed)
 	}
 	if err := c.Delete("acct", "file1"); err != nil {
 		t.Fatal(err)

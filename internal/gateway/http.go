@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"silica/internal/costmodel"
 	"silica/internal/faults"
 	"silica/internal/media"
 	"silica/internal/metadata"
@@ -17,7 +16,6 @@ import (
 	"silica/internal/repair"
 	"silica/internal/service"
 	"silica/internal/staging"
-	"silica/internal/stats"
 )
 
 // The routes, which daemon serves each, and the error→status mapping
@@ -150,39 +148,18 @@ func WriteServiceError(w http.ResponseWriter, err error, retryAfter time.Duratio
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	MountObjects(mux, g, g.FlushCtx, g.reg, g.cfg.RetryAfter)
-	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
 	mux.HandleFunc("GET /v1/health/platters", g.handleHealthPlatters)
 	mux.HandleFunc("POST /v1/repair/{platter}", g.handleRepair)
-	mux.HandleFunc("GET /v1/cost", g.handleCost)
 	mux.HandleFunc("GET /v1/traces", g.handleTraces)
 	mux.HandleFunc("POST /v1/faults", g.handleFaultsArm)
 	mux.HandleFunc("GET /v1/faults", g.handleFaultsList)
 	mux.HandleFunc("DELETE /v1/faults", g.handleFaultsClear)
 	mux.HandleFunc("GET /v1/backend", g.handleBackendStatus)
-	mux.HandleFunc("POST /v1/backend", g.handleBackendSet)
 	return mux
 }
 
-// BackendRequest is the POST /v1/backend body: a policy switch.
-type BackendRequest struct {
-	Policy string `json:"policy"`
-}
-
 func (g *Gateway) handleBackendStatus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, g.BackendStatus())
-}
-
-func (g *Gateway) handleBackendSet(w http.ResponseWriter, r *http.Request) {
-	var req BackendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := g.SetBackendPolicy(req.Policy); err != nil {
-		WriteError(w, http.StatusConflict, err)
-		return
-	}
 	WriteJSON(w, http.StatusOK, g.BackendStatus())
 }
 
@@ -278,109 +255,4 @@ func (g *Gateway) handleFaultsList(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleFaultsClear(w http.ResponseWriter, r *http.Request) {
 	g.Faults().Clear()
 	WriteJSON(w, http.StatusOK, g.faultsPayload())
-}
-
-// CostEntry prices one technology on the requested workload.
-type CostEntry struct {
-	Breakdown costmodel.Breakdown `json:"breakdown"`
-	Total     float64             `json:"total"`
-	PerTBYear float64             `json:"per_tb_year"`
-}
-
-// CostTable2Row is one qualitative dimension of the paper's Table 2.
-type CostTable2Row struct {
-	Dimension string `json:"dimension"`
-	Tape      string `json:"tape"`
-	Silica    string `json:"silica"`
-}
-
-// CostPayload is the GET /v1/cost response: the §9 TCO comparison of
-// tape, nearline HDD, and Silica on an archival workload. Query
-// parameters override the default workload: archive_tb, horizon_years,
-// read_tb_year, write_tb_year.
-type CostPayload struct {
-	Workload     costmodel.Workload `json:"workload"`
-	Technologies []CostEntry        `json:"technologies"`
-	Table2       []CostTable2Row    `json:"table2"`
-}
-
-// BuildCostPayload prices wl across the comparison technologies.
-// Shared by the HTTP handler and silicactl's offline mode so both
-// render the identical comparison.
-func BuildCostPayload(wl costmodel.Workload) CostPayload {
-	p := CostPayload{Workload: wl}
-	for _, tech := range costmodel.Technologies() {
-		b := costmodel.Evaluate(tech, wl)
-		p.Technologies = append(p.Technologies, CostEntry{
-			Breakdown: b,
-			Total:     b.Total(),
-			PerTBYear: costmodel.CostPerTBYear(b, wl),
-		})
-	}
-	for _, row := range costmodel.BuildTable2().Rows {
-		p.Table2 = append(p.Table2, CostTable2Row{
-			Dimension: row.Dimension,
-			Tape:      row.Tape.String(),
-			Silica:    row.Silica.String(),
-		})
-	}
-	return p
-}
-
-func (g *Gateway) handleCost(w http.ResponseWriter, r *http.Request) {
-	wl := costmodel.DefaultWorkload()
-	q := r.URL.Query()
-	for key, dst := range map[string]*float64{
-		"archive_tb":    &wl.ArchiveTB,
-		"horizon_years": &wl.HorizonYears,
-		"read_tb_year":  &wl.ReadTBPerYear,
-		"write_tb_year": &wl.WriteTBPerYear,
-	} {
-		s := q.Get(key)
-		if s == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v < 0 {
-			http.Error(w, key+": need a non-negative number", http.StatusBadRequest)
-			return
-		}
-		*dst = v
-	}
-	if wl.HorizonYears <= 0 || wl.ArchiveTB+wl.WriteTBPerYear <= 0 {
-		http.Error(w, "workload needs a positive horizon and some bytes", http.StatusBadRequest)
-		return
-	}
-	WriteJSON(w, http.StatusOK, BuildCostPayload(wl))
-}
-
-// StatsSnapshot is the /v1/stats payload.
-type StatsSnapshot struct {
-	Uptime    float64                  `json:"uptime_seconds"`
-	Counters  Counters                 `json:"counters"`
-	Latencies map[string]stats.Summary `json:"latencies"`
-	Staging   staging.Usage            `json:"staging"`
-	Service   service.Stats            `json:"service"`
-	Health    repair.Snapshot          `json:"health"`
-	Repair    repair.ManagerStats      `json:"repair"`
-}
-
-// Snapshot assembles the current stats.
-func (g *Gateway) Snapshot() StatsSnapshot {
-	snap := StatsSnapshot{
-		Uptime:    time.Since(g.start).Seconds(),
-		Counters:  g.Counters(),
-		Latencies: g.latencies(),
-		Staging:   g.svc.StagingUsage(),
-		Service:   g.svc.Stats(),
-		Health:    g.HealthPlatters(),
-	}
-	if g.repair != nil {
-		snap.Repair = g.repair.Stats()
-	}
-	return snap
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, g.Snapshot())
 }

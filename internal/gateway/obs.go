@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"silica/internal/obs"
-	"silica/internal/stats"
 )
 
 // classMetrics is one request class's pre-registered instruments.
@@ -85,47 +84,6 @@ func (g *Gateway) Counters() Counters {
 		c.Canceled += cm.canceled.Value()
 	}
 	return c
-}
-
-// latencies is the /v1/stats latency block: one summary per class that
-// has served a request (put, get, delete, flush), read from the same
-// histograms /metrics exposes — so the two endpoints cannot disagree,
-// and a snapshot costs the bucket count, not the request count.
-func (g *Gateway) latencies() map[string]stats.Summary {
-	out := make(map[string]stats.Summary)
-	add := func(class string, h *obs.Histogram) {
-		if s := h.Snapshot(); s.Count > 0 {
-			out[class] = summarize(s)
-		}
-	}
-	for _, k := range []opKind{opPut, opGet, opDelete} {
-		add(k.class(), g.gm.cls[k].seconds)
-	}
-	add("flush", g.gm.flushSeconds)
-	return out
-}
-
-// summarize renders a histogram as a stats.Summary. Quantiles are the
-// bucket-interpolated estimates a Prometheus consumer computes from
-// the exposition; Max is the upper bound of the highest occupied
-// bucket (the last finite bound for the overflow bucket), so it is an
-// upper estimate within one ×2 bucket of the true maximum.
-func summarize(s obs.HistSnapshot) stats.Summary {
-	sum := stats.Summary{
-		N:    int(s.Count),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.5),
-		P90:  s.Quantile(0.9),
-		P99:  s.Quantile(0.99),
-		P999: s.Quantile(0.999),
-	}
-	for i := len(s.Counts) - 1; i >= 0; i-- {
-		if s.Counts[i] > 0 {
-			sum.Max = s.Bounds[min(i, len(s.Bounds)-1)]
-			break
-		}
-	}
-	return sum
 }
 
 // TracesPayload is the /v1/traces response body.

@@ -156,61 +156,3 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("p99 from request_seconds buckets: q=%v ok=%v", q, ok)
 	}
 }
-
-// TestStatsJSONShape pins the /v1/stats payload shape: the top-level
-// keys and the field names inside the latency summaries and staging
-// usage, so dashboards built on the old mutex recorder keep working
-// against the sharded one.
-func TestStatsJSONShape(t *testing.T) {
-	g := newTestGateway(t, testConfig())
-	if _, err := g.Put("acct", "s1", randBytes(11, 2000)); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if err := g.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"uptime_seconds", "counters", "latencies", "staging", "service", "health", "repair"} {
-		if _, ok := doc[key]; !ok {
-			t.Errorf("/v1/stats missing top-level key %q", key)
-		}
-	}
-
-	var lat map[string]map[string]float64
-	if err := json.Unmarshal(doc["latencies"], &lat); err != nil {
-		t.Fatalf("latencies: %v", err)
-	}
-	put, ok := lat["put"]
-	if !ok {
-		t.Fatalf("latencies missing class %q (have %v)", "put", lat)
-	}
-	for _, field := range []string{"N", "Mean", "P50", "P90", "P99", "P999", "Max"} {
-		if _, ok := put[field]; !ok {
-			t.Errorf("latency summary missing field %q", field)
-		}
-	}
-	if put["N"] < 1 {
-		t.Errorf("put summary N = %v, want >= 1", put["N"])
-	}
-
-	var stg map[string]any
-	if err := json.Unmarshal(doc["staging"], &stg); err != nil {
-		t.Fatalf("staging: %v", err)
-	}
-	for _, field := range []string{"Used", "Reserved", "Capacity", "Peak", "Pending"} {
-		if _, ok := stg[field]; !ok {
-			t.Errorf("staging usage missing field %q", field)
-		}
-	}
-}

@@ -110,10 +110,12 @@ var gatewayTranscript = []exchange{
 		want: "HTTP 499\nContent-Type: application/json\n\n{\"error\":\"gateway: canceled before admission: context canceled\"}\n"},
 	{name: "flush canceled ctx", method: "POST", path: "/v1/flush", ctx: "canceled",
 		want: "HTTP 499\nContent-Type: application/json\n\n{\"error\":\"service: flush canceled: context canceled\"}\n"},
-	{name: "backend policy on direct", method: "POST", path: "/v1/backend", body: `{"policy":"sp"}`,
-		want: "HTTP 409\nContent-Type: application/json\n\n{\"error\":\"backend: direct backend has no scheduling policy\"}\n"},
-	{name: "backend bad body", method: "POST", path: "/v1/backend", body: "{",
-		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nbody: unexpected EOF\n"},
+	{name: "stats route gone", method: "GET", path: "/v1/stats",
+		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
+	{name: "cost route gone", method: "GET", path: "/v1/cost",
+		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
+	{name: "backend policy switch gone", method: "POST", path: "/v1/backend", body: `{"policy":"sp"}`,
+		want: "HTTP 405\nContent-Type: text/plain; charset=utf-8\n\nMethod Not Allowed\n"},
 	{name: "repair unknown platter", method: "POST", path: "/v1/repair/99",
 		want: "HTTP 404\nContent-Type: application/json\n\n{\"error\":\"repair: unknown platter: 99\"}\n"},
 	{name: "repair bad id", method: "POST", path: "/v1/repair/x",

@@ -112,15 +112,8 @@ type Backend interface {
 	// span. Do never affects bytes — callers perform the actual media
 	// I/O themselves.
 	Do(ctx context.Context, op Op) (Span, error)
-	// Kind reports "direct" or "twin".
-	Kind() string
-	// Policy reports the active scheduling policy name ("" for Direct).
-	Policy() string
-	// SetPolicy switches the scheduling policy at runtime. Direct
-	// returns an error; Twin drains in-flight work and rebuilds its
-	// library under the new policy.
-	SetPolicy(name string) error
-	// Status snapshots the backend for /v1/backend.
+	// Status snapshots the backend for /v1/backend: its kind and, for
+	// the twin, the scheduling policy it was built with.
 	Status() Status
 	// Close drains and stops the backend. Do calls in flight complete.
 	Close() error
@@ -158,14 +151,6 @@ func (Direct) Do(ctx context.Context, op Op) (Span, error) {
 		return Span{}, err
 	}
 	return Span{}, nil
-}
-
-func (Direct) Kind() string   { return "direct" }
-func (Direct) Policy() string { return "" }
-
-// SetPolicy is rejected: Direct has no scheduler.
-func (Direct) SetPolicy(name string) error {
-	return errors.New("backend: direct backend has no scheduling policy")
 }
 
 func (Direct) Status() Status { return Status{Backend: "direct"} }

@@ -39,13 +39,7 @@ func TestDirectSemantics(t *testing.T) {
 	if _, err := d.Do(ctx, Op{Kind: OpRead}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Do err = %v", err)
 	}
-	if err := d.SetPolicy("silica"); err == nil {
-		t.Fatal("Direct.SetPolicy should fail")
-	}
-	if d.Kind() != "direct" || d.Policy() != "" {
-		t.Fatalf("Kind/Policy = %q/%q", d.Kind(), d.Policy())
-	}
-	if st := d.Status(); st.Backend != "direct" {
+	if st := d.Status(); st.Backend != "direct" || st.Policy != "" {
 		t.Fatalf("Status = %+v", st)
 	}
 	if err := d.Close(); err != nil {
@@ -148,27 +142,17 @@ func TestTwinContextCancel(t *testing.T) {
 	}
 }
 
+// TestTwinSetPolicy: the policy is a construction-time choice; one
+// twin per policy reports it and serves ops under it.
 func TestTwinSetPolicy(t *testing.T) {
-	tw := testTwin(t, library.PolicySilica, nil)
-	if _, err := tw.Do(context.Background(), Op{Kind: OpRead, Platter: 2, TrackCount: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.SetPolicy("ns"); err != nil {
-		t.Fatal(err)
-	}
-	if got := tw.Policy(); got != "ns" {
-		t.Fatalf("policy = %q, want ns", got)
-	}
-	// The new library serves ops too.
-	if _, err := tw.Do(context.Background(), Op{Kind: OpRead, Platter: 9, TrackCount: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.SetPolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
-	}
-	// Setting the already-active policy is a no-op, not an error.
-	if err := tw.SetPolicy("ns"); err != nil {
-		t.Fatal(err)
+	for _, pol := range []library.Policy{library.PolicySilica, library.PolicySP, library.PolicyNS} {
+		tw := testTwin(t, pol, nil)
+		if _, err := tw.Do(context.Background(), Op{Kind: OpRead, Platter: 2, TrackCount: 1}); err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		if st := tw.Status(); st.Backend != "twin" || st.Policy != pol.String() {
+			t.Fatalf("%v: status backend %q policy %q", pol, st.Backend, st.Policy)
+		}
 	}
 }
 
@@ -182,9 +166,6 @@ func TestTwinClose(t *testing.T) {
 	}
 	if _, err := tw.Do(context.Background(), Op{Kind: OpRead, Platter: 1, TrackCount: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Do after Close = %v, want ErrClosed", err)
-	}
-	if err := tw.SetPolicy("sp"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SetPolicy after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,7 +45,8 @@ type Twin struct {
 	speedup float64
 	metrics *twinMetrics
 
-	libMu  sync.RWMutex // guards lib, libCfg, epoch across policy swaps
+	// Fixed at construction: the library serialises its own event loop
+	// (SubmitAt, Advance, Drain, Snapshot), so reading them takes no lock.
 	lib    *library.Library
 	libCfg library.Config
 	epoch  time.Time
@@ -87,14 +87,6 @@ func NewTwin(cfg TwinConfig) (*Twin, error) {
 	return t, nil
 }
 
-func (t *Twin) Kind() string { return "twin" }
-
-func (t *Twin) Policy() string {
-	t.libMu.RLock()
-	defer t.libMu.RUnlock()
-	return t.libCfg.Policy.String()
-}
-
 // classOf maps an operation kind to the controller's traffic class.
 func classOf(k OpKind) controller.Class {
 	switch k {
@@ -124,8 +116,6 @@ func (t *Twin) Do(ctx context.Context, op Op) (Span, error) {
 	done := make(chan struct{})
 	var vlat float64
 
-	t.libMu.RLock()
-	lib := t.lib
 	v := time.Since(t.epoch).Seconds() * t.speedup
 	st, tc := clampTracks(op, t.libCfg.PlatterGeom)
 	bytes := op.Bytes
@@ -133,7 +123,7 @@ func (t *Twin) Do(ctx context.Context, op Op) (Span, error) {
 		bytes = int64(tc) * t.libCfg.PlatterGeom.TrackRawBytes()
 	}
 	req := &controller.Request{
-		Platter:    media.PlatterID(int(op.Platter) % lib.Platters()),
+		Platter:    media.PlatterID(int(op.Platter) % t.lib.Platters()),
 		StartTrack: st,
 		TrackCount: tc,
 		Bytes:      bytes,
@@ -146,8 +136,7 @@ func (t *Twin) Do(ctx context.Context, op Op) (Span, error) {
 			close(done)
 		},
 	}
-	lib.SubmitAt(v, req)
-	t.libMu.RUnlock()
+	t.lib.SubmitAt(v, req)
 
 	t.inFlight.Add(1)
 	defer t.inFlight.Add(-1)
@@ -166,7 +155,7 @@ func (t *Twin) Do(ctx context.Context, op Op) (Span, error) {
 		return Span{Wall: time.Since(start).Seconds()}, ctx.Err()
 	case <-t.stopc:
 		// Shutdown: fast-forward so no Done is abandoned.
-		lib.Drain()
+		t.lib.Drain()
 		<-done
 	}
 	span := Span{Wall: time.Since(start).Seconds(), Virtual: vlat}
@@ -203,12 +192,8 @@ func clampTracks(op Op, geom media.Geometry) (start, count int) {
 func (t *Twin) pump() {
 	defer close(t.donec)
 	for {
-		t.libMu.RLock()
-		lib := t.lib
 		v := time.Since(t.epoch).Seconds() * t.speedup
-		t.libMu.RUnlock()
-
-		next, ok := lib.Advance(v)
+		next, ok := t.lib.Advance(v)
 		var wait time.Duration
 		if ok {
 			dv := next - v
@@ -224,10 +209,7 @@ func (t *Twin) pump() {
 		}
 		select {
 		case <-t.stopc:
-			t.libMu.RLock()
-			lib = t.lib
-			t.libMu.RUnlock()
-			lib.Drain()
+			t.lib.Drain()
 			return
 		case <-t.wakec:
 		case <-time.After(wait):
@@ -235,46 +217,9 @@ func (t *Twin) pump() {
 	}
 }
 
-// SetPolicy drains in-flight work (fast-forwarding the virtual clock)
-// and rebuilds the library under the new policy. Bytes are unaffected;
-// only future scheduling changes.
-func (t *Twin) SetPolicy(name string) error {
-	pol, err := ParsePolicy(name)
-	if err != nil {
-		return err
-	}
-	t.libMu.Lock()
-	defer t.libMu.Unlock()
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if pol == t.libCfg.Policy {
-		return nil
-	}
-	t.lib.Drain()
-	cfg := t.libCfg
-	cfg.Policy = pol
-	lib, err := library.New(cfg)
-	if err != nil {
-		return err
-	}
-	t.lib = lib
-	t.libCfg = cfg
-	t.epoch = time.Now()
-	select {
-	case t.wakec <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
 // Status snapshots the twin for /v1/backend.
 func (t *Twin) Status() Status {
-	t.libMu.RLock()
-	lib := t.lib
-	pol := t.libCfg.Policy.String()
-	t.libMu.RUnlock()
-	ls := lib.Snapshot()
+	ls := t.lib.Snapshot()
 	ops := make(map[string]int64, int(numOpKinds))
 	for k := OpKind(0); k < numOpKinds; k++ {
 		if n := t.opCount[k].Load(); n > 0 {
@@ -287,7 +232,7 @@ func (t *Twin) Status() Status {
 	}
 	return Status{
 		Backend:        "twin",
-		Policy:         pol,
+		Policy:         t.libCfg.Policy.String(),
 		Speedup:        t.speedup,
 		VirtualSeconds: ls.VirtualNow,
 		InFlight:       t.inFlight.Load(),
@@ -379,7 +324,7 @@ func newTwinMetrics(reg *obs.Registry, t *Twin) *twinMetrics {
 	platterOps := reg.Gauge("silica_backend_shuttle_platter_ops",
 		"Twin platter fetch/return operations completed by shuttles.")
 	reg.OnScrape(func() {
-		ls := t.snapshot()
+		ls := t.lib.Snapshot()
 		virtualNow.Set(ls.VirtualNow)
 		inflight.Set(float64(t.inFlight.Load()))
 		for c := controller.Class(0); c < controller.NumClasses; c++ {
@@ -396,14 +341,6 @@ func newTwinMetrics(reg *obs.Registry, t *Twin) *twinMetrics {
 		platterOps.Set(float64(ls.Shuttles.PlatterOps))
 	})
 	return m
-}
-
-// snapshot grabs LiveStats from whichever library is current.
-func (t *Twin) snapshot() library.LiveStats {
-	t.libMu.RLock()
-	lib := t.lib
-	t.libMu.RUnlock()
-	return lib.Snapshot()
 }
 
 // observer wires the library's per-event callbacks to histograms. The

@@ -94,15 +94,20 @@ tier2: vet race smoke repair-smoke examples-smoke sim-golden
 # on the library; the routed-op
 # counters on the router) under one Content-Type, and run a rebalance
 # through silicactl so the client's JSON call path meets a real router.
+# Last, a -peers router over the library daemon must show the library's
+# row with the tour's flush counted: that row is read off the library's
+# /metrics, so this drives the remote-member scrape against a real daemon.
 OBS_URL := http://127.0.0.1:7171
 OBS_ROUTER_URL := http://127.0.0.1:7172
+OBS_PEERS_URL := http://127.0.0.1:7173
 OBS_DIR := /tmp/silica-obs-smoke
 obs-smoke:
 	$(GO) build -o $(OBS_DIR)/ ./cmd/silicad ./cmd/silicactl
 	$(OBS_DIR)/silicad -listen 127.0.0.1:7171 & SILICAD_PID=$$!; \
 	  $(OBS_DIR)/silicad -listen 127.0.0.1:7172 -cluster 3 & ROUTER_PID=$$!; \
-	  trap "kill $$SILICAD_PID $$ROUTER_PID 2>/dev/null" EXIT; \
-	  for url in $(OBS_URL) $(OBS_ROUTER_URL); do \
+	  $(OBS_DIR)/silicad -listen 127.0.0.1:7173 -peers $(OBS_URL) & PEERS_PID=$$!; \
+	  trap "kill $$SILICAD_PID $$ROUTER_PID $$PEERS_PID 2>/dev/null" EXIT; \
+	  for url in $(OBS_URL) $(OBS_ROUTER_URL) $(OBS_PEERS_URL); do \
 	    for i in $$(seq 1 50); do \
 	      curl -sf $$url/v1/healthz >/dev/null && break; sleep 0.1; \
 	    done; \
@@ -144,7 +149,11 @@ obs-smoke:
 	      || { echo "$$url/metrics Content-Type: $$ct"; exit 1; }; \
 	  done; \
 	  $(OBS_DIR)/silicactl cluster -url $(OBS_ROUTER_URL) -rebalance -workers 2 || exit 1; \
-	  echo "obs-smoke: library and router agree; all metric families present"
+	  $(OBS_DIR)/silicactl cluster -url $(OBS_PEERS_URL) > $(OBS_DIR)/cluster-peers.txt || exit 1; \
+	  cat $(OBS_DIR)/cluster-peers.txt; \
+	  awk -v lib=$(OBS_URL) '$$1 == lib && $$NF >= 1 { ok = 1 } END { exit !ok }' $(OBS_DIR)/cluster-peers.txt \
+	    || { echo "-peers router shows no flush on $(OBS_URL)"; exit 1; }; \
+	  echo "obs-smoke: library and routers agree; all metric families present"
 
 # Crash-recovery smoke: the durability contract under kill -9. Runs
 # the in-process kill-point test (freeze the WAL mid-flush under
@@ -158,8 +167,8 @@ crash-smoke:
 # Digital-twin smoke: drive Zipf-skewed load through an in-process
 # gateway whose media touches are charged by the library twin, print
 # the queue/mechanical/codec latency breakdown, and run the e2e test
-# (byte identity vs direct, nonzero mechanical histograms, runtime
-# policy switch over /v1/backend).
+# (byte identity vs direct under two policies, each fixed when its
+# gateway is built; nonzero mechanical histograms; GET /v1/backend).
 twin-smoke:
 	$(GO) run ./cmd/silica-load -clients 8 -ops 24 -read-frac 0.6 \
 		-object-bytes 2048 -platter-tracks 9 -zipf 1.2 \

@@ -74,7 +74,10 @@ type Library interface {
 
 // RemoteLibrary is a peer silicad reached over HTTP. The shared
 // bounded transport in gateway.Client keeps rebuild/router fan-out on
-// pooled connections; the retry policy rides out transient 429/503s.
+// pooled connections: the client reads every reply, a delete's and a
+// flush's acknowledgment included, to EOF before closing it, so each
+// connection goes back to the pool instead of being torn down. The
+// retry policy rides out transient 429/503s.
 // Close does not touch the peer daemon — its lifecycle is not the
 // router's — but it does release the router's side of the
 // relationship: idle pooled connections are reaped and every later

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,5 +440,60 @@ func TestRemoteLibraryStateMatchesLocal(t *testing.T) {
 	local.Staging.OldestArrival = 0
 	if remote != local {
 		t.Fatalf("remote state %+v, local %+v", remote, local)
+	}
+}
+
+// TestRemoteLibraryReusesConnections: the router → member hop keeps
+// its connections. Twenty routed put/get/delete cycles over two
+// -peers members open one connection to each, because the member
+// client reads every reply — a delete's acknowledgment included — to
+// EOF before closing it.
+func TestRemoteLibraryReusesConnections(t *testing.T) {
+	c, err := New(Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var conns [2]atomic.Int64
+	for i := range conns {
+		g, err := gateway.New(gateway.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		srv := httptest.NewUnstartedServer(g.Handler())
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				conns[i].Add(1)
+			}
+		}
+		srv.Start()
+		defer srv.Close()
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		cl := gateway.NewClient(srv.URL)
+		cl.HTTP = &http.Client{Timeout: time.Minute, Transport: tr}
+		if err := c.AddLibrary(fmt.Sprintf("peer-%d", i), NewRemoteLibrary(cl)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("obj-%d", i)
+		if _, err := c.PutCtx(ctx, "acct", name, testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.GetCtx(ctx, "acct", name); err != nil || !bytes.Equal(got, testPayload(i)) {
+			t.Fatalf("get %s: err=%v match=%v", name, err, bytes.Equal(got, testPayload(i)))
+		}
+		if err := c.DeleteCtx(ctx, "acct", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range conns {
+		if n := conns[i].Load(); n != 1 {
+			t.Errorf("member %d saw %d connections over 20 cycles, want 1", i, n)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,10 @@ type Client struct {
 // daemons at once; per-client default transports would each grow their
 // own idle pools (and leak ephemeral ports under churn), so all
 // clients dial through this transport: connections to each peer are
-// reused up to MaxIdleConnsPerHost and reaped after IdleConnTimeout.
+// kept up to MaxIdleConnsPerHost and reaped after IdleConnTimeout.
+// net/http pools a connection only when its reply body was read to EOF
+// before Close, so every reply this client receives leaves through
+// closeBody; a reply it stops reading costs the next request a dial.
 var sharedTransport = &http.Transport{
 	DialContext: (&net.Dialer{
 		Timeout:   5 * time.Second,
@@ -246,16 +250,38 @@ func (c *Client) objectURL(account, name string) string {
 		c.BaseURL, url.PathEscape(account), url.PathEscape(name))
 }
 
-// decodeError turns a non-2xx response into a typed error. A
-// Retry-After header (integer or fractional seconds) rides along as a
+// drainBound is the most of a reply body closeBody reads past what its
+// caller consumed. net/http's server discards up to 256 KiB of an
+// unread request body for the same reason; the replies this client
+// leaves unread ({"deleted":true}, an error text) are a few bytes.
+const drainBound = 64 << 10
+
+// closeBody reads what is left of a reply body, up to drainBound, and
+// closes it. A body read to EOF hands its connection back to the
+// transport's idle pool; one longer than the bound is closed unread,
+// and its connection with it. A drain that fails costs only the
+// connection, so its error is dropped.
+func closeBody(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, drainBound)
+	body.Close()
+}
+
+// decodeError turns a non-2xx response into a typed error. The reason
+// is the JSON {"error": …} field when the body holds one, else the
+// body's trimmed text (http.Error's plain-text replies), else the
+// status line; only the body's first 4 KiB are read. A Retry-After
+// header (integer or fractional seconds) rides along as a
 // RetryAfterHint on retryable statuses.
 func decodeError(resp *http.Response) error {
+	text, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var body struct {
 		Error string `json:"error"`
 	}
-	msg := resp.Status
-	if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body) == nil && body.Error != "" {
+	msg := strings.TrimSpace(string(text))
+	if json.Unmarshal(text, &body) == nil && body.Error != "" {
 		msg = body.Error
+	} else if msg == "" {
+		msg = resp.Status
 	}
 	var err error
 	switch resp.StatusCode {
@@ -277,6 +303,7 @@ func decodeError(resp *http.Response) error {
 // send issues one request and hands a 2xx response body to read (nil
 // discards it); any other status comes back as decodeError's typed
 // error. A non-nil body is sent as is, labelled contentType when set.
+// Whatever read leaves of the body is drained by closeBody.
 func (c *Client) send(ctx context.Context, method, url string, body []byte, contentType string,
 	read func(io.Reader) error) error {
 	var rd io.Reader
@@ -294,7 +321,7 @@ func (c *Client) send(ctx context.Context, method, url string, body []byte, cont
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
@@ -457,7 +484,7 @@ func (c *Client) Healthz() (Healthz, error) {
 	if err != nil {
 		return h, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode/100 != 2 && resp.StatusCode != http.StatusServiceUnavailable {
 		return h, decodeError(resp)
 	}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -54,7 +55,9 @@ func (b *platterBlob) wire(c *coder) {
 // writeBlobFile atomically writes a platter blob into dir.
 func writeBlobFile(dir string, id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) error {
 	b := platterBlob{id, sectors, payloads}
-	return atomicWriteFile(filepath.Join(dir, blobName(id)), sealFile(blobMagic, b.wire))
+	return atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
+		return sealTo(w, blobMagic, b.wire)
+	})
 }
 
 // readBlobFile loads and validates a platter blob from dir.

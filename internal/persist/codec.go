@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"sort"
 )
@@ -30,6 +31,8 @@ type coder struct {
 	off      int    // decoding: read position in buf
 	decoding bool
 	err      error
+	sink     io.Writer                   // streaming encode: where put spills buf
+	tmp      [binary.MaxVarintLen64]byte // one fixed-size field on its way to put
 }
 
 // errTruncated marks a decode that ran off the end of its buffer: a
@@ -47,9 +50,29 @@ func (c *coder) take(n uint64) []byte {
 	return b
 }
 
+// put appends p to the output. A streaming coder never grows buf: it
+// fills the window and spills it to sink as often as p needs, and a
+// failed spill sets err.
+func put[S string | []byte](c *coder, p S) {
+	for c.sink != nil && len(c.buf)+len(p) > cap(c.buf) {
+		n := cap(c.buf) - len(c.buf)
+		c.buf = append(c.buf, p[:n]...)
+		p = p[n:]
+		c.spill()
+	}
+	c.buf = append(c.buf, p...)
+}
+
+func (c *coder) spill() {
+	if c.err == nil {
+		_, c.err = c.sink.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+}
+
 func (c *coder) u64(v *uint64) {
 	if !c.decoding {
-		c.buf = binary.AppendUvarint(c.buf, *v)
+		put(c, binary.AppendUvarint(c.tmp[:0], *v))
 		return
 	}
 	if c.err != nil {
@@ -66,7 +89,7 @@ func (c *coder) u64(v *uint64) {
 
 func (c *coder) i64(v *int64) {
 	if !c.decoding {
-		c.buf = binary.AppendVarint(c.buf, *v)
+		put(c, binary.AppendVarint(c.tmp[:0], *v))
 		return
 	}
 	if c.err != nil {
@@ -96,7 +119,7 @@ func (c *coder) int(v *int) { varint(v, c) }
 
 func (c *coder) f64(v *float64) {
 	if !c.decoding {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+		put(c, binary.LittleEndian.AppendUint64(c.tmp[:0], math.Float64bits(*v)))
 	} else if b := c.take(8); b != nil {
 		*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
@@ -108,7 +131,7 @@ func (c *coder) bool(v *bool) {
 		if *v {
 			b = 1
 		}
-		c.buf = append(c.buf, b)
+		put(c, append(c.tmp[:0], b))
 	} else if b := c.take(1); b != nil {
 		*v = b[0] != 0
 	}
@@ -118,7 +141,7 @@ func (c *coder) bytes(v *[]byte) {
 	n := uint64(len(*v))
 	c.u64(&n)
 	if !c.decoding {
-		c.buf = append(c.buf, *v...)
+		put(c, *v)
 	} else if b := c.take(n); c.err == nil {
 		*v = append(make([]byte, 0, n), b...)
 	}
@@ -128,7 +151,7 @@ func (c *coder) str(v *string) {
 	n := uint64(len(*v))
 	c.u64(&n)
 	if !c.decoding {
-		c.buf = append(c.buf, *v...)
+		put(c, *v)
 	} else if b := c.take(n); c.err == nil {
 		*v = string(b)
 	}
@@ -198,12 +221,20 @@ func sortedMap[K comparable, V any](c *coder, m *map[K]V, less func(a, b K) bool
 //
 //	magic (8 bytes) | body | crc32 (IEEE, 4B LE, over magic and body)
 //
-// sealFile renders it; openFile refuses anything whose magic or CRC
-// is off before a single body byte is decoded.
-func sealFile(magic string, body func(*coder)) []byte {
-	c := &coder{buf: []byte(magic)}
+// sealTo streams it to w through one sealBufSize window, feeding each
+// spilled chunk to a running CRC, and writes the trailer only once the
+// whole body is out; openFile refuses anything whose magic or CRC is
+// off before a single body byte is decoded.
+const sealBufSize = 64 << 10
+
+func sealTo(w io.Writer, magic string, body func(*coder)) error {
+	crc := crc32.NewIEEE()
+	c := &coder{buf: append(make([]byte, 0, sealBufSize), magic...), sink: io.MultiWriter(crc, w)}
 	body(c)
-	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf))
+	c.spill()
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, crc.Sum32())
+	c.spill() // a no-op after a failed write: no trailer
+	return c.err
 }
 
 func openFile(magic string, data []byte, body func(*coder)) error {

@@ -1,6 +1,10 @@
 package persist
 
-import "silica/internal/media"
+import (
+	"bytes"
+
+	"silica/internal/media"
+)
 
 // The golden tests reach the codec only through these adapters, so
 // golden_test.go and testdata/ stay byte-for-byte unchanged when the
@@ -68,6 +72,15 @@ func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8,
 	var b platterBlob
 	err := openFile(blobMagic, data, b.wire)
 	return b.id, b.sectors, b.payloads, err
+}
+
+// sealFile renders a sealed file whole, for the golden and fuzz tests.
+func sealFile(magic string, body func(*coder)) []byte {
+	var b bytes.Buffer
+	if err := sealTo(&b, magic, body); err != nil {
+		panic(err) // a bytes.Buffer write cannot fail
+	}
+	return b.Bytes()
 }
 
 // goldenMember and goldenEntry build router snapshot rows.

@@ -33,6 +33,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -328,7 +329,9 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 	if l.frozen.Load() {
 		return ErrCrashed
 	}
-	if err := atomicWriteFile(filepath.Join(l.dir, snapName(cut)), sealFile(magic, wireSnapshot(&cut, body))); err != nil {
+	if err := atomicWriteFile(filepath.Join(l.dir, snapName(cut)), func(w io.Writer) error {
+		return sealTo(w, magic, wireSnapshot(&cut, body))
+	}); err != nil {
 		return err
 	}
 	listing, err := listDir(l.dir)

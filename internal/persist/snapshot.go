@@ -54,7 +54,7 @@ type SnapshotData struct {
 }
 
 // Snapshot file format: magic | cut LSN | body | crc32 trailer (the
-// sealFile envelope). The file is written atomically (temp + fsync +
+// sealTo envelope). The file is written atomically (temp + fsync +
 // rename), so a crash mid-snapshot leaves the previous snapshot
 // untouched. Both domains' snapshot bodies open with the fingerprint.
 const snapMagic = "SILSNP01"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -131,10 +132,10 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// atomicWriteFile writes data to path via a temp file in the same
-// directory: write, fsync, rename, fsync dir. Readers observe either
-// the old file or the complete new one, never a prefix.
-func atomicWriteFile(path string, data []byte) error {
+// atomicWriteFile writes path's contents through write, via a temp
+// file in the same directory: write, fsync, rename, fsync dir. Readers
+// observe either the old file or the complete new one, never a prefix.
+func atomicWriteFile(path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
@@ -145,7 +146,7 @@ func atomicWriteFile(path string, data []byte) error {
 		_ = os.Remove(tmpName)
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {

@@ -220,3 +220,39 @@ func TestStateString(t *testing.T) {
 		t.Fatal("unknown state should format numerically")
 	}
 }
+
+// TestSectorContentsOnlyWhenStored: the accessor hands out the
+// platter's own map, which only WORM makes safe, so every state but
+// Stored refuses.
+func TestSectorContentsOnlyWhenStored(t *testing.T) {
+	id := SectorID{Track: 0, Sector: 1}
+	check := func(p *Platter) {
+		t.Helper()
+		got, err := p.SectorContents()
+		if p.State() != Stored {
+			if err == nil {
+				t.Errorf("SectorContents allowed in state %v", p.State())
+			}
+		} else if err != nil || len(got) != 1 || got[id][0] != 3 || got[id][1] != 1 {
+			t.Errorf("SectorContents on a stored platter = %v, %v", got, err)
+		}
+	}
+	for _, path := range [][]PlatterState{
+		{Writing, Written, Verifying, Stored, Recycled},
+		{Writing, Faulted},
+	} {
+		p := NewPlatter(1, TinyGeometry())
+		check(p)
+		for _, next := range path {
+			if err := p.Transition(next); err != nil {
+				t.Fatal(err)
+			}
+			if next == Writing {
+				if err := p.WriteSector(id, []uint8{3, 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(p)
+		}
+	}
+}

@@ -149,31 +149,24 @@ func (p *Platter) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
 // WrittenSectors reports how many sectors hold data.
 func (p *Platter) WrittenSectors() int { return len(p.symbols) }
 
-// SectorContents copies every written sector's symbols, the media
-// payload of a persistence blob. Legal in any post-write state.
-func (p *Platter) SectorContents() map[SectorID][]uint8 {
-	out := make(map[SectorID][]uint8, len(p.symbols))
-	for id, s := range p.symbols {
-		cp := make([]uint8, len(s))
-		copy(cp, s)
-		out[id] = cp
+// SectorContents returns the platter's own sector map, the media
+// payload of a persistence blob, without copying it. Only a Stored
+// platter has one: glass is WORM, so once verified nothing writes its
+// symbols again and the map is safe to read for as long as it lives.
+// Callers must not modify it.
+func (p *Platter) SectorContents() (map[SectorID][]uint8, error) {
+	if p.state != Stored {
+		return nil, fmt.Errorf("media: platter %d: sector contents in state %v", p.ID, p.state)
 	}
-	return out
+	return p.symbols, nil
 }
 
 // RestoreStored rebuilds a platter directly in the Stored state from
-// saved sector symbols — the crash-recovery path. The WORM lifecycle
-// is not re-walked: the platter was verified before its publish record
-// was logged, and glass state survives a front-end restart by nature.
+// saved sector symbols — the crash-recovery path — and takes ownership
+// of sectors: the caller must not use the map again. The WORM
+// lifecycle is not re-walked: the platter was verified before its
+// publish record was logged, and glass state survives a front-end
+// restart by nature.
 func RestoreStored(id PlatterID, geom Geometry, sectors map[SectorID][]uint8) *Platter {
-	p := &Platter{ID: id, Geom: geom, state: Stored}
-	if len(sectors) > 0 {
-		p.symbols = make(map[SectorID][]uint8, len(sectors))
-		for sid, s := range sectors {
-			cp := make([]uint8, len(s))
-			copy(cp, s)
-			p.symbols[sid] = cp
-		}
-	}
-	return p
+	return &Platter{ID: id, Geom: geom, state: Stored, symbols: sectors}
 }

@@ -110,10 +110,14 @@ func (s *Service) persistPublish(id media.PlatterID, pi *platterInfo, reason str
 	if s.plog == nil {
 		return nil
 	}
-	if err := s.plog.WritePlatterBlob(id, pi.platter.SectorContents(), pi.payloads); err != nil {
+	sectors, err := pi.platter.SectorContents()
+	if err != nil {
 		return err
 	}
-	_, err := s.plog.Append(&persist.RecPublish{
+	if err := s.plog.WritePlatterBlob(id, sectors, pi.payloads); err != nil {
+		return err
+	}
+	_, err = s.plog.Append(&persist.RecPublish{
 		Platter: id, Set: pi.set, SetPos: pi.setPos,
 		Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
 		Reason: reason, AtUnixNano: time.Now().UnixNano(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -176,6 +177,68 @@ func TestClientErrorBody(t *testing.T) {
 		hint, ok := RetryAfterHint(err)
 		if ok != (tt.hint != 0) || hint != tt.hint {
 			t.Errorf("%s: Retry-After hint %v (present %v), want %v", tt.name, hint, ok, tt.hint)
+		}
+	}
+}
+
+// TestPutBodyLengths: the PUT handler sizes its buffer from
+// Content-Length when there is one, and a chunked body (no declared
+// length), an exact-length body and an empty one each store exactly
+// their bytes; a body past MaxObjectBytes is still refused with 413.
+func TestPutBodyLengths(t *testing.T) {
+	g := newTestGateway(t, testConfig())
+	h := g.Handler()
+	var declared atomic.Int64 // the last PUT's Content-Length as served
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			declared.Store(r.ContentLength)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := ownTransportClient(t, srv.URL)
+
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool
+		status  int
+	}{
+		{"chunked", randBytes(1, 5000), true, http.StatusOK},
+		{"exact", randBytes(2, 5000), false, http.StatusOK},
+		{"empty", []byte{}, false, http.StatusOK},
+		{"over", make([]byte, MaxObjectBytes+1), false, http.StatusRequestEntityTooLarge},
+	} {
+		var body io.Reader = bytes.NewReader(tc.body)
+		want := int64(len(tc.body))
+		if tc.chunked {
+			body, want = io.MultiReader(body), -1 // hides the length
+		}
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/objects/acct/"+tc.name, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.HTTP.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := declared.Load(); got != want {
+			t.Errorf("%s: served with Content-Length %d, want %d", tc.name, got, want)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, reply, tc.status)
+		}
+		if tc.status != http.StatusOK {
+			if want := "body: http: request body too large\n"; string(reply) != want {
+				t.Errorf("%s: reply %q, want %q", tc.name, reply, want)
+			}
+			continue
+		}
+		got, err := c.Get("acct", tc.name)
+		if err != nil || !bytes.Equal(got, tc.body) {
+			t.Errorf("%s: read back %d bytes (%v), want the %d put", tc.name, len(got), err, len(tc.body))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,7 +58,7 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 	}
 	mux.HandleFunc("PUT /v1/objects/{account}/{name...}", object(
 		func(w http.ResponseWriter, r *http.Request, account, name string) error {
-			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxObjectBytes))
+			data, err := readBody(http.MaxBytesReader(w, r.Body, MaxObjectBytes), r.ContentLength)
 			if err != nil {
 				http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
 				return nil
@@ -98,6 +99,20 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WriteProm(w)
 	})
+}
+
+// readBody reads a PUT body into one buffer of its declared length
+// and one byte more, so a body longer than declared shows. An unknown
+// length, or one past MaxObjectBytes, takes io.ReadAll.
+func readBody(body io.Reader, size int64) ([]byte, error) {
+	if size < 0 || size > MaxObjectBytes {
+		return io.ReadAll(body)
+	}
+	b := make([]byte, size+1)
+	if n, err := io.ReadFull(body, b); int64(n) != size {
+		return nil, cmp.Or(err, errors.New("body longer than its Content-Length"))
+	}
+	return b[:size], nil
 }
 
 // WriteJSON answers with status code and v as the JSON body.

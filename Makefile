@@ -31,14 +31,13 @@ smoke:
 	$(GO) run ./cmd/silica-load -clients 32 -ops 6 -object-bytes 1024 \
 		-staging-cap 40000 -retries 20
 
-# Self-healing smoke: kill a platter-set member mid-run; the
-# background scrubber must detect it, the rebuilder must write a
-# verified replacement, and the byte-exact audit must find every
-# committed object intact. silica-load exits nonzero on any lost or
-# corrupted object or if the rebuild never completes.
+# Self-healing smoke: fail every position of a completed platter-set
+# in turn under concurrent readers and a writer; the background
+# scrubber must detect each, the rebuilder must write a verified
+# replacement, every committed object must read back byte-exact, and
+# the set must end at full redundancy.
 repair-smoke:
-	$(GO) run ./cmd/silica-load -clients 8 -ops 32 -read-frac 0.25 \
-		-object-bytes 2048 -platter-tracks 9 -drill platter
+	$(GO) test ./internal/repair -run '^TestEverySetMemberSurvivesFailAndRebuild$$' -v -timeout 300s
 
 # Golden stdout: the four examples at default flags and three seeded
 # simulator experiments must print exactly what testdata/golden/
@@ -97,17 +96,21 @@ tier2: vet race smoke repair-smoke examples-smoke sim-golden
 # Last, a -peers router over the library daemon must show the library's
 # row with the tour's flush counted: that row is read off the library's
 # /metrics, so this drives the remote-member scrape against a real daemon.
+# silicactl top names each library's backend from silica_backend_info
+# alone: direct on the tour's library, twin policy=ns on a fourth daemon.
 OBS_URL := http://127.0.0.1:7171
 OBS_ROUTER_URL := http://127.0.0.1:7172
 OBS_PEERS_URL := http://127.0.0.1:7173
+OBS_TWIN_URL := http://127.0.0.1:7174
 OBS_DIR := /tmp/silica-obs-smoke
 obs-smoke:
 	$(GO) build -o $(OBS_DIR)/ ./cmd/silicad ./cmd/silicactl
 	$(OBS_DIR)/silicad -listen 127.0.0.1:7171 & SILICAD_PID=$$!; \
 	  $(OBS_DIR)/silicad -listen 127.0.0.1:7172 -cluster 3 & ROUTER_PID=$$!; \
 	  $(OBS_DIR)/silicad -listen 127.0.0.1:7173 -peers $(OBS_URL) & PEERS_PID=$$!; \
-	  trap "kill $$SILICAD_PID $$ROUTER_PID $$PEERS_PID 2>/dev/null" EXIT; \
-	  for url in $(OBS_URL) $(OBS_ROUTER_URL) $(OBS_PEERS_URL); do \
+	  $(OBS_DIR)/silicad -listen 127.0.0.1:7174 -backend twin -policy ns & TWIN_PID=$$!; \
+	  trap "kill $$SILICAD_PID $$ROUTER_PID $$PEERS_PID $$TWIN_PID 2>/dev/null" EXIT; \
+	  for url in $(OBS_URL) $(OBS_ROUTER_URL) $(OBS_PEERS_URL) $(OBS_TWIN_URL); do \
 	    for i in $$(seq 1 50); do \
 	      curl -sf $$url/v1/healthz >/dev/null && break; sleep 0.1; \
 	    done; \
@@ -128,7 +131,12 @@ obs-smoke:
 	  diff $(OBS_DIR)/tour-library.txt $(OBS_DIR)/tour-router.txt \
 	    || { echo "library and router answer the object tour differently"; exit 1; }; \
 	  $(OBS_DIR)/silicactl metrics -url $(OBS_URL) > $(OBS_DIR)/metrics.txt; \
-	  $(OBS_DIR)/silicactl top -url $(OBS_URL) -n 1; \
+	  $(OBS_DIR)/silicactl top -url $(OBS_URL) -n 1 | tee $(OBS_DIR)/top.txt; \
+	  grep -q '^backend  direct ' $(OBS_DIR)/top.txt \
+	    || { echo "silicactl top names no direct backend"; exit 1; }; \
+	  $(OBS_DIR)/silicactl top -url $(OBS_TWIN_URL) -n 1 | tee $(OBS_DIR)/top-twin.txt; \
+	  grep -q '^backend  twin policy=ns ' $(OBS_DIR)/top-twin.txt \
+	    || { echo "silicactl top names no ns twin"; exit 1; }; \
 	  for fam in silica_gateway_queue_depth silica_gateway_request_seconds \
 	             silica_staging_used_bytes silica_codec_jobs_total \
 	             silica_codec_encode_seconds silica_codec_decode_seconds \
@@ -136,7 +144,7 @@ obs-smoke:
 	             silica_repair_scrubs_total silica_flush_phase_seconds \
 	             silica_service_platters_total silica_service_sectors_written_total \
 	             silica_service_stored_bytes_total silica_service_verify_sector_failures_total \
-	             silica_service_min_margin; do \
+	             silica_service_min_margin silica_backend_info; do \
 	    grep -q "^# TYPE $$fam " $(OBS_DIR)/metrics.txt \
 	      || { echo "missing metric family: $$fam"; exit 1; }; \
 	  done; \
@@ -168,29 +176,23 @@ crash-smoke:
 # gateway whose media touches are charged by the library twin, print
 # the queue/mechanical/codec latency breakdown, and run the e2e test
 # (byte identity vs direct under two policies, each fixed when its
-# gateway is built; nonzero mechanical histograms; GET /v1/backend).
+# gateway is built; nonzero mechanical histograms; silica_backend_info
+# on /metrics).
 twin-smoke:
 	$(GO) run ./cmd/silica-load -clients 8 -ops 24 -read-frac 0.6 \
 		-object-bytes 2048 -platter-tracks 9 -zipf 1.2 \
 		-backend twin -policy silica -twin-speedup 20000
 	$(GO) test ./internal/gateway -run 'TestTwinE2E' -v -timeout 300s
 
-# Multi-library smoke: shard the archive across three in-process
-# libraries behind the consistent-hash router, destroy one entire
-# library mid-run, rebuild a fresh member from the cross-library
+# Multi-library smoke: destroy one entire library of three under
+# retrying load, rebuild a fresh member from the cross-library
 # redundancy copies, and require the byte-exact audit to find every
-# acknowledged object intact. Then kill -9 the router itself mid-run
-# (-drill router): its placement log freezes, a successor recovers the
-# directory from -persist-dir/router, and the audit runs against the
-# successor. Then run the package's acceptance test.
+# acknowledged object intact; then kill -9 the router at an armed
+# placement under one writer and under eight racing it, and require
+# the successor to serve every acked put byte-exact and take fresh
+# writes.
 cluster-smoke:
-	$(GO) run ./cmd/silica-load -cluster 3 -drill library \
-		-clients 16 -ops 12 -read-frac 0.35 -object-bytes 1536 -retries 12
-	rm -rf /tmp/silica-cluster-smoke && \
-	$(GO) run ./cmd/silica-load -cluster 3 -drill router \
-		-persist-dir /tmp/silica-cluster-smoke \
-		-clients 16 -ops 12 -read-frac 0.35 -object-bytes 1536 -retries 12
-	$(GO) test ./internal/cluster -run 'TestClusterKillLibraryE2E' -v -timeout 300s
+	$(GO) test ./internal/cluster -run '^(TestClusterKillLibraryE2E|TestClusterRouterCrashRecovers)$$' -v -timeout 300s
 
 # Router crash-recovery smoke: the cluster analogue of crash-smoke.
 # In-process drills (armed kill points freezing the router log on a

@@ -16,37 +16,18 @@
 // the final verification pass proves no accepted object was lost or
 // corrupted. With -cluster N the archive is sharded across N library
 // instances behind the consistent-hash router (internal/cluster).
-//
-// -drill strikes one failure mid-run, waits for the archive to heal,
-// and only then runs the byte-exact audit:
-//
-//	platter  fail a platter-set member; the background scrubber must
-//	         detect it and the rebuilder restore it from its set
-//	library  (-cluster N, N >= 2) destroy the library holding the most
-//	         primaries; reads fail over to the cross-library copies and
-//	         a fresh member is rebuilt in its place
-//	router   (-cluster N, -persist-dir) kill -9 the router: its
-//	         placement log freezes, so nothing un-synced can be acked,
-//	         and a successor recovers the directory from
-//	         -persist-dir/router, re-attaches the running libraries and
-//	         serves the audit
 package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"silica/internal/cluster"
 	"silica/internal/gateway"
-	"silica/internal/media"
 	"silica/internal/obs"
-	"silica/internal/repair"
 	"silica/internal/stats"
 )
 
@@ -65,8 +46,6 @@ func main() {
 		highWatermark = flag.Float64("high-watermark", 0.95, "in-process mode: staging rejection watermark")
 		platterTracks = flag.Int("platter-tracks", 0, "in-process mode: shrink platters to this many tracks (0 = default)")
 		clusterN      = flag.Int("cluster", 0, "in-process mode: shard across N libraries behind the consistent-hash router")
-		drillName     = flag.String("drill", "", "in-process mode: failure to strike mid-run, platter, library or router (see the command doc)")
-		rebuildWait   = flag.Duration("rebuild-wait", 60*time.Second, "max wait for the drill to strike, and again for the archive to heal, before the audit")
 		faultSeed     = flag.Uint64("fault-seed", 0, "in-process mode: seed for probabilistic fault triggers")
 		persistDir    = flag.String("persist-dir", "", "in-process mode: durability directory (snapshot+WAL; empty = in-memory)")
 		zipfSkew      = flag.Float64("zipf", 0, "read-popularity skew: 0 = uniform, larger concentrates reads on a hot set")
@@ -79,24 +58,8 @@ func main() {
 		func(s string) error { faultRules = append(faultRules, s); return nil })
 	flag.Parse()
 
-	bad := ""
-	switch {
-	case *url != "" && (*clusterN > 0 || *drillName != ""):
-		bad = "-cluster and -drill need the in-process archive (no -url); point -url at a silicad -cluster router instead"
-	case *drillName == "platter" && (*clusterN > 0 || len(faultRules) > 0):
-		bad = "-drill platter runs on one in-process gateway: no -cluster, no -fault"
-	case *drillName == "library" && *clusterN < 2:
-		bad = "-drill library needs -cluster N with N >= 2 (redundancy must land on a second library)"
-	case *drillName == "router" && (*clusterN < 1 || *persistDir == "" || *deleteFrac > 0):
-		// A delete that crashed between its durable tombstone and its ack
-		// reads as gone on the successor while the client still holds the
-		// bytes: a spurious Lost the audit cannot tell from a real one.
-		bad = "-drill router needs -cluster N, -persist-dir (the successor recovers from the router log) and -delete-frac 0 (an unacked delete reads as loss in the audit)"
-	case *drillName != "" && *drillName != "platter" && *drillName != "library" && *drillName != "router":
-		bad = fmt.Sprintf("-drill %q: want platter, library or router", *drillName)
-	}
-	if bad != "" {
-		fmt.Fprintln(os.Stderr, bad)
+	if *url != "" && *clusterN > 0 {
+		fmt.Fprintln(os.Stderr, "-cluster needs the in-process archive (no -url); point -url at a silicad -cluster router instead")
 		os.Exit(2)
 	}
 
@@ -150,7 +113,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			defer func() { cl.Close() }() // late-bound: -drill router swaps cl to the successor
+			defer cl.Close()
 			api = cl
 			fmt.Printf("in-process cluster: %d libraries, %d clients x %d ops, %d-byte objects\n",
 				*clusterN, lc.Clients, lc.OpsPerClient, lc.ObjectBytes)
@@ -168,40 +131,13 @@ func main() {
 		}
 	}
 
-	// The library and router drills strike once the cluster holds a key
-	// per four clients, enough for the drill to mean something.
-	threshold := max(*clients/4, 1)
-	var proxy *routerProxy
-	var settled func()
-	switch *drillName {
-	case "platter":
-		settled = platterDrill(g).start(*rebuildWait)
-	case "library":
-		settled = libraryDrill(cl, threshold).start(*rebuildWait)
-	case "router":
-		proxy = &routerProxy{cl: cl}
-		api = proxy
-		settled = routerDrill(proxy, *persistDir, *seed, threshold).start(*rebuildWait)
-	}
-	// The server's numbers are read once the drill has settled and
-	// before the audit, whose durable Gets the client sample never sees.
+	// The server's numbers are read before the audit, whose durable Gets
+	// the client sample never sees.
 	var samples []obs.PromSample
 	var serr error
-	lc.BeforeVerify = func() {
-		if settled != nil {
-			settled()
-		}
-		samples, serr = scrapeMetrics(api)
-	}
+	lc.BeforeVerify = func() { samples, serr = scrapeMetrics(api) }
 
 	rep := gateway.RunLoad(api, lc)
-	if proxy != nil {
-		// The audit above already ran against the successor (the proxy
-		// swapped mid-run); report and close the successor, not the corpse.
-		old := cl
-		cl = proxy.cur()
-		old.Close()
-	}
 	fmt.Print(rep)
 	if serr != nil {
 		fmt.Fprintf(os.Stderr, "metrics scrape: %v\n", serr)
@@ -293,212 +229,5 @@ func printLatencyBreakdown(samples []obs.PromSample) {
 	}
 	if v, ok := obs.FindSample(samples, "silica_backend_virtual_seconds", nil); ok && v.Value > 0 {
 		fmt.Printf("  twin: %.1f virtual seconds simulated\n", v.Value)
-	}
-}
-
-// drill is one failure drill in three steps: ready says when the run
-// has put enough in place to strike, strike injects the failure, and
-// settle (nil when nothing needs to heal) waits up to its argument for
-// the archive to heal before the audit.
-type drill struct {
-	ready  func() bool
-	strike func() error
-	settle func(wait time.Duration) error
-}
-
-// start runs d beside the load and returns what RunLoad calls before
-// its audit: wait for the strike, then for the settle. Any failure ends
-// the run with exit 1 — a drill that never struck proved nothing, and
-// an archive that never healed broke a durability promise.
-func (d drill) start(wait time.Duration) (settled func()) {
-	struck := make(chan error, 1)
-	go func() {
-		for !d.ready() {
-			time.Sleep(5 * time.Millisecond)
-		}
-		struck <- d.strike()
-	}()
-	return func() {
-		var err error
-		select {
-		case err = <-struck:
-			if err == nil && d.settle != nil {
-				err = d.settle(wait)
-			}
-		case <-time.After(wait):
-			err = fmt.Errorf("the drill found nothing to strike within %s", wait)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// platterDrill waits for the first platter-set to complete, then
-// fails its first information member — a platter lost to media damage
-// mid-run — and settles once the platter's health history shows the
-// full healthy → failed → rebuilding → retired arc (a healthy
-// replacement published in its place) and the service reports full
-// redundancy again.
-func platterDrill(g *gateway.Gateway) drill {
-	svc := g.Service()
-	var id media.PlatterID
-	return drill{
-		ready: func() bool { return svc.Stats().SetsCompleted > 0 },
-		strike: func() error {
-			for _, p := range svc.ListPlatters() {
-				if p.Set == 0 && !p.Redundancy {
-					if err := svc.FailPlatter(p.ID); err != nil {
-						return fmt.Errorf("kill: %w", err)
-					}
-					id = p.ID
-					fmt.Printf("kill: failed platter %d (set %d pos %d) mid-run\n", p.ID, p.Set, p.SetPos)
-					return nil
-				}
-			}
-			return errors.New("kill: completed set has no information members")
-		},
-		settle: func(wait time.Duration) error {
-			deadline := time.Now().Add(wait)
-			for {
-				rec, ok := svc.Health().Get(id)
-				if ok && rec.Health() == repair.Retired && !g.Degraded() {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("platter %d not rebuilt within %s (health %v)", id, wait, rec.Health())
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			// Print the arc the registry recorded; the byte-exact audit
-			// in RunLoad then proves no object was lost.
-			for _, p := range g.HealthPlatters().Platters {
-				if p.Platter != id {
-					continue
-				}
-				fmt.Printf("rebuild: platter %d history:\n", id)
-				for _, tr := range p.History {
-					from := tr.From
-					if from == "" {
-						from = "(new)"
-					}
-					fmt.Printf("  %s -> %-10s %s\n", from, tr.To, tr.Reason)
-				}
-			}
-			st := svc.Stats()
-			fmt.Printf("rebuild: %d platters rebuilt, %d scrubbed sectors, %d health transitions\n",
-				st.PlattersRebuilt, st.ScrubbedSectors, st.HealthTransitions)
-			return nil
-		},
-	}
-}
-
-// libraryDrill destroys the library owning the most primaries — the
-// whole-failure-domain analogue of platterDrill — and settles by
-// rebuilding a fresh, empty member in its place from the survivors'
-// cross-library copies. A key with no surviving copy is a broken
-// durability promise and fails the run.
-func libraryDrill(cl *cluster.Cluster, threshold int) drill {
-	var name string
-	return drill{
-		ready: func() bool { return cl.Keys() >= threshold },
-		strike: func() error {
-			most := -1
-			for lib, n := range cl.PrimaryCounts() {
-				if n > most || (n == most && lib < name) {
-					name, most = lib, n
-				}
-			}
-			if err := cl.KillLibrary(name); err != nil {
-				return fmt.Errorf("kill: %w", err)
-			}
-			fmt.Printf("kill: destroyed library %s mid-run (%d primary keys at time of death)\n", name, most)
-			return nil
-		},
-		settle: func(wait time.Duration) error {
-			ctx, cancel := context.WithTimeout(context.Background(), wait)
-			defer cancel()
-			rep, err := cl.RebuildLibrary(ctx, name, nil)
-			if err != nil {
-				return fmt.Errorf("rebuilding library %s: %w", name, err)
-			}
-			if rep.Lost > 0 {
-				return fmt.Errorf("%d key(s) had no surviving copy after losing %s", rep.Lost, name)
-			}
-			fmt.Printf("rebuild: library %s replaced; %d/%d keys moved, %d bytes migrated\n",
-				name, rep.KeysMoved, rep.KeysExamined, rep.BytesMoved)
-			if cl.Degraded() {
-				return errors.New("cluster still degraded after library rebuild")
-			}
-			return nil
-		},
-	}
-}
-
-// routerProxy routes gateway.API calls at whatever router is current,
-// so the load generator rides through a mid-run router replacement the
-// way retrying HTTP clients ride through a silicad restart: ops that
-// raced the crash fail (they were never acked), ops arriving during
-// the swap block until the successor is serving.
-type routerProxy struct {
-	mu sync.RWMutex
-	cl *cluster.Cluster
-}
-
-func (p *routerProxy) cur() *cluster.Cluster {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.cl
-}
-
-func (p *routerProxy) Put(account, name string, data []byte) (int, error) {
-	return p.cur().Put(account, name, data)
-}
-func (p *routerProxy) Get(account, name string) ([]byte, error) {
-	return p.cur().Get(account, name)
-}
-func (p *routerProxy) Delete(account, name string) error {
-	return p.cur().Delete(account, name)
-}
-func (p *routerProxy) Flush() error           { return p.cur().Flush() }
-func (p *routerProxy) Metrics() *obs.Registry { return p.cur().Metrics() }
-
-// routerDrill crashes the router: CrashPersist freezes its placement
-// log exactly as kill -9 would (no un-synced ack can escape), the
-// member libraries are detached — they never died — and a successor
-// router recovers the directory from the persist log, re-attaches the
-// members, and takes over the proxy. Writes that raced the crash fail
-// and are retried by the load generator against the successor. The
-// strike is the whole drill: nothing is left to settle.
-func routerDrill(p *routerProxy, persistDir string, seed uint64, threshold int) drill {
-	dir := cluster.RouterPersistDir(persistDir)
-	return drill{
-		ready: func() bool { return p.cur().Keys() >= threshold },
-		strike: func() error {
-			// Hold the swap lock across the crash: ops already inside the
-			// old router race the freeze (and fail unacked, as under a real
-			// kill -9); new ops queue until the successor is serving.
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			old := p.cl
-			old.CrashPersist()
-			handles := old.Detach()
-			fmt.Printf("kill: crashed router mid-run (log frozen at %d keys); recovering from %s\n", old.Keys(), dir)
-			succ, err := cluster.New(cluster.Config{Seed: seed, PersistDir: dir})
-			if err != nil {
-				return fmt.Errorf("successor router: %w", err)
-			}
-			for name, lib := range handles {
-				if err := succ.AddLibrary(name, lib); err != nil {
-					return fmt.Errorf("re-attaching %s: %w", name, err)
-				}
-			}
-			p.cl = succ
-			st := succ.Status()
-			fmt.Printf("recover: successor router serving %d keys across %d libraries\n",
-				st.Keys, len(st.Libraries))
-			return nil
-		},
 	}
 }

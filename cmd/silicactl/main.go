@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"silica/internal/backend"
 	"silica/internal/cluster"
 	"silica/internal/costmodel"
 	"silica/internal/gateway"
@@ -149,11 +148,7 @@ func top(args []string) {
 		}
 		samples, err := c.Metrics()
 		check(err)
-		st, berr := c.Backend()
-		if berr != nil {
-			st = backend.Status{} // older daemons have no /v1/backend
-		}
-		printTop(*url, samples, st)
+		printTop(*url, samples)
 		// A cluster router's own state is its /v1/cluster status.
 		if _, ok := obs.FindSample(samples, "silica_cluster_ring_version", nil); ok {
 			cst, err := cluster.FetchStatus(nil, *url)
@@ -163,7 +158,7 @@ func top(args []string) {
 	}
 }
 
-func printTop(url string, samples []obs.PromSample, bst backend.Status) {
+func printTop(url string, samples []obs.PromSample) {
 	val := func(name string, labels map[string]string) float64 {
 		s, _ := obs.FindSample(samples, name, labels)
 		return s.Value
@@ -220,7 +215,7 @@ func printTop(url string, samples []obs.PromSample, bst backend.Status) {
 		}
 	}
 	fmt.Println()
-	printBackend(samples, bst)
+	printBackend(samples)
 }
 
 // clusterCmd renders a cluster router's GET /v1/cluster: ring
@@ -265,24 +260,26 @@ func runRebalance(url string, workers int) bool {
 	return rep.Errors > 0
 }
 
-// printBackend renders the media backend's mechanical telemetry: the
-// twin's virtual clock, in-flight charges, per-class scheduler queues,
-// the Figure-6 drive-time breakdown, and shuttle motion totals. A
-// direct backend gets a single identifying line.
-func printBackend(samples []obs.PromSample, bst backend.Status) {
-	if bst.Backend == "" {
+// printBackend renders the media backend's mechanical telemetry, named
+// by silica_backend_info: the twin's virtual clock, in-flight charges,
+// per-class scheduler queues, the Figure-6 drive-time breakdown, and
+// shuttle motion totals. A direct backend gets a single identifying
+// line; a daemon without the family (a router) gets none.
+func printBackend(samples []obs.PromSample) {
+	info, ok := obs.FindSample(samples, "silica_backend_info", nil)
+	if !ok {
 		return
 	}
-	if bst.Backend != "twin" {
-		fmt.Printf("backend  %s (no mechanical latency)\n", bst.Backend)
+	if info.Labels["backend"] != "twin" {
+		fmt.Printf("backend  %s (no mechanical latency)\n", info.Labels["backend"])
 		return
 	}
 	val := func(name string, labels map[string]string) float64 {
 		s, _ := obs.FindSample(samples, name, labels)
 		return s.Value
 	}
-	fmt.Printf("backend  twin policy=%s speedup=%gx, virtual clock %.1fs, %.0f op(s) in flight\n",
-		bst.Policy, bst.Speedup,
+	fmt.Printf("backend  twin policy=%s speedup=%sx, virtual clock %.1fs, %.0f op(s) in flight\n",
+		info.Labels["policy"], info.Labels["speedup"],
 		val("silica_backend_virtual_seconds", nil),
 		val("silica_backend_inflight_ops", nil))
 	fmt.Printf("  queues ")

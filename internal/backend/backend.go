@@ -17,9 +17,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"silica/internal/library"
 	"silica/internal/media"
+	"silica/internal/obs"
 )
 
 // OpKind classifies a media touch for scheduling arbitration.
@@ -70,41 +72,6 @@ type Span struct {
 	Virtual float64 `json:"virtual_seconds"`
 }
 
-// Status is the JSON shape served on /v1/backend.
-type Status struct {
-	Backend        string           `json:"backend"`
-	Policy         string           `json:"policy,omitempty"`
-	Speedup        float64          `json:"speedup,omitempty"`
-	VirtualSeconds float64          `json:"virtual_seconds"`
-	InFlight       int64            `json:"in_flight"`
-	Ops            map[string]int64 `json:"ops,omitempty"`
-	QueueDepth     map[string]int   `json:"queue_depth,omitempty"`
-	Completed      int              `json:"completed,omitempty"`
-	Unrecoverable  int              `json:"unrecoverable,omitempty"`
-	DriveUtil      *DriveUtilJSON   `json:"drive_util,omitempty"`
-	Shuttles       *ShuttleJSON     `json:"shuttles,omitempty"`
-}
-
-// DriveUtilJSON is library.DriveUtil with stable JSON names.
-type DriveUtilJSON struct {
-	Read   float64 `json:"read"`
-	Verify float64 `json:"verify"`
-	Mount  float64 `json:"mount"`
-	Switch float64 `json:"switch"`
-	Idle   float64 `json:"idle"`
-}
-
-// ShuttleJSON is the library.ShuttleStats subset worth serving.
-type ShuttleJSON struct {
-	Travels        int     `json:"travels"`
-	PlatterOps     int     `json:"platter_ops"`
-	StolenOps      int     `json:"stolen_ops"`
-	Conflicts      int     `json:"conflicts"`
-	TravelSecs     float64 `json:"travel_seconds"`
-	CongestionSecs float64 `json:"congestion_seconds"`
-	Energy         float64 `json:"energy"`
-}
-
 // Backend charges mechanical latency for media operations.
 type Backend interface {
 	// Do blocks until the operation's mechanical cost has elapsed (or
@@ -112,9 +79,6 @@ type Backend interface {
 	// span. Do never affects bytes — callers perform the actual media
 	// I/O themselves.
 	Do(ctx context.Context, op Op) (Span, error)
-	// Status snapshots the backend for /v1/backend: its kind and, for
-	// the twin, the scheduling policy it was built with.
-	Status() Status
 	// Close drains and stops the backend. Do calls in flight complete.
 	Close() error
 }
@@ -153,5 +117,16 @@ func (Direct) Do(ctx context.Context, op Op) (Span, error) {
 	return Span{}, nil
 }
 
-func (Direct) Status() Status { return Status{Backend: "direct"} }
-func (Direct) Close() error   { return nil }
+func (Direct) Close() error { return nil }
+
+// RegisterInfo publishes which backend serves a library as the constant
+// gauge silica_backend_info{backend,policy,speedup} 1. Policy and
+// speedup are empty for the direct backend.
+func RegisterInfo(reg *obs.Registry, kind, policy string, speedup float64) {
+	sp := ""
+	if speedup > 0 {
+		sp = strconv.FormatFloat(speedup, 'g', -1, 64)
+	}
+	reg.Gauge("silica_backend_info", "The media backend serving this library: 1, labelled with its kind, policy and speedup.",
+		obs.L("backend", kind), obs.L("policy", policy), obs.L("speedup", sp)).Set(1)
+}

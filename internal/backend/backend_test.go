@@ -39,9 +39,6 @@ func TestDirectSemantics(t *testing.T) {
 	if _, err := d.Do(ctx, Op{Kind: OpRead}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Do err = %v", err)
 	}
-	if st := d.Status(); st.Backend != "direct" || st.Policy != "" {
-		t.Fatalf("Status = %+v", st)
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +87,11 @@ func TestTwinChargesVirtualLatency(t *testing.T) {
 	if sp.Wall <= 0 {
 		t.Fatalf("wall latency = %v, want > 0", sp.Wall)
 	}
-	st := tw.Status()
-	if st.Backend != "twin" || st.Policy != "silica" {
-		t.Fatalf("status = %+v", st)
-	}
-	if st.Ops["read"] != 1 {
-		t.Fatalf("ops = %v, want read:1", st.Ops)
-	}
 }
 
 func TestTwinConcurrentOps(t *testing.T) {
-	tw := testTwin(t, library.PolicySilica, nil)
+	reg := obs.NewRegistry()
+	tw := testTwin(t, library.PolicySilica, reg)
 	var wg sync.WaitGroup
 	errs := make([]error, 24)
 	for i := range errs {
@@ -118,8 +109,14 @@ func TestTwinConcurrentOps(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	if st := tw.Status(); st.Completed < 24 {
-		t.Fatalf("completed = %d, want >= 24", st.Completed)
+	var done float64
+	for _, s := range scrape(t, reg) {
+		if s.Name == "silica_backend_mech_seconds_count" {
+			done += s.Value
+		}
+	}
+	if done != 24 {
+		t.Fatalf("mechanical ops observed = %v, want 24", done)
 	}
 }
 
@@ -143,15 +140,18 @@ func TestTwinContextCancel(t *testing.T) {
 }
 
 // TestTwinSetPolicy: the policy is a construction-time choice; one
-// twin per policy reports it and serves ops under it.
+// twin per policy reports it on silica_backend_info and serves ops
+// under it.
 func TestTwinSetPolicy(t *testing.T) {
 	for _, pol := range []library.Policy{library.PolicySilica, library.PolicySP, library.PolicyNS} {
-		tw := testTwin(t, pol, nil)
+		reg := obs.NewRegistry()
+		tw := testTwin(t, pol, reg)
 		if _, err := tw.Do(context.Background(), Op{Kind: OpRead, Platter: 2, TrackCount: 1}); err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
-		if st := tw.Status(); st.Backend != "twin" || st.Policy != pol.String() {
-			t.Fatalf("%v: status backend %q policy %q", pol, st.Backend, st.Policy)
+		want := map[string]string{"backend": "twin", "policy": pol.String(), "speedup": "1e+06"}
+		if s, ok := obs.FindSample(scrape(t, reg), "silica_backend_info", want); !ok || s.Value != 1 {
+			t.Fatalf("%v: silica_backend_info%v = %+v, %v", pol, want, s, ok)
 		}
 	}
 }

@@ -57,7 +57,6 @@ type Twin struct {
 	closed atomic.Bool
 
 	inFlight atomic.Int64
-	opCount  [numOpKinds]atomic.Int64
 }
 
 // NewTwin builds and starts a Twin backend.
@@ -70,6 +69,7 @@ func NewTwin(cfg TwinConfig) (*Twin, error) {
 	}
 	t := &Twin{
 		speedup: cfg.Speedup,
+		libCfg:  cfg.Library,
 		wakec:   make(chan struct{}, 1),
 		stopc:   make(chan struct{}),
 		donec:   make(chan struct{}),
@@ -81,7 +81,6 @@ func NewTwin(cfg TwinConfig) (*Twin, error) {
 		return nil, err
 	}
 	t.lib = lib
-	t.libCfg = cfg.Library
 	t.epoch = time.Now()
 	go t.pump()
 	return t, nil
@@ -140,7 +139,6 @@ func (t *Twin) Do(ctx context.Context, op Op) (Span, error) {
 
 	t.inFlight.Add(1)
 	defer t.inFlight.Add(-1)
-	t.opCount[op.Kind].Add(1)
 	select { // wake the pump: a new event may precede its next deadline
 	case t.wakec <- struct{}{}:
 	default:
@@ -217,48 +215,6 @@ func (t *Twin) pump() {
 	}
 }
 
-// Status snapshots the twin for /v1/backend.
-func (t *Twin) Status() Status {
-	ls := t.lib.Snapshot()
-	ops := make(map[string]int64, int(numOpKinds))
-	for k := OpKind(0); k < numOpKinds; k++ {
-		if n := t.opCount[k].Load(); n > 0 {
-			ops[k.String()] = n
-		}
-	}
-	qd := make(map[string]int, int(controller.NumClasses))
-	for c := controller.Class(0); c < controller.NumClasses; c++ {
-		qd[c.String()] = ls.QueueDepth[c]
-	}
-	return Status{
-		Backend:        "twin",
-		Policy:         t.libCfg.Policy.String(),
-		Speedup:        t.speedup,
-		VirtualSeconds: ls.VirtualNow,
-		InFlight:       t.inFlight.Load(),
-		Ops:            ops,
-		QueueDepth:     qd,
-		Completed:      ls.Completed,
-		Unrecoverable:  ls.Unrecoverable,
-		DriveUtil: &DriveUtilJSON{
-			Read:   ls.DriveUtil.Read,
-			Verify: ls.DriveUtil.Verify,
-			Mount:  ls.DriveUtil.Mount,
-			Switch: ls.DriveUtil.Switch,
-			Idle:   ls.DriveUtil.Idle,
-		},
-		Shuttles: &ShuttleJSON{
-			Travels:        ls.Shuttles.Travels,
-			PlatterOps:     ls.Shuttles.PlatterOps,
-			StolenOps:      ls.Shuttles.StolenOps,
-			Conflicts:      ls.Shuttles.Conflicts,
-			TravelSecs:     ls.Shuttles.TravelSecs,
-			CongestionSecs: ls.Shuttles.CongestionSecs,
-			Energy:         ls.Shuttles.Energy,
-		},
-	}
-}
-
 // Close stops the pump after draining every pending event; in-flight
 // Do calls complete with their fast-forwarded spans.
 func (t *Twin) Close() error {
@@ -284,6 +240,7 @@ func newTwinMetrics(reg *obs.Registry, t *Twin) *twinMetrics {
 	if reg == nil {
 		return m
 	}
+	RegisterInfo(reg, "twin", t.libCfg.Policy.String(), t.speedup)
 	for k := OpKind(0); k < numOpKinds; k++ {
 		m.wall[k] = reg.Histogram("silica_backend_mech_seconds",
 			"Wall-clock mechanical latency charged per media operation.",

@@ -91,30 +91,27 @@ type RemoteLibrary struct {
 // NewRemoteLibrary wraps a client as a cluster member.
 func NewRemoteLibrary(c *gateway.Client) *RemoteLibrary { return &RemoteLibrary{C: c} }
 
-func (r *RemoteLibrary) PutCtx(ctx context.Context, account, name string, data []byte) (int, error) {
+// do runs call against the peer unless Close has released it: the
+// one place a closed member refuses work.
+func (r *RemoteLibrary) do(call func() error) error {
 	if r.closed.Load() {
-		return 0, ErrLibraryClosed
+		return ErrLibraryClosed
 	}
-	return r.C.PutCtx(ctx, account, name, data)
+	return call()
 }
-func (r *RemoteLibrary) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
-	if r.closed.Load() {
-		return nil, ErrLibraryClosed
-	}
-	return r.C.GetCtx(ctx, account, name)
+
+func (r *RemoteLibrary) PutCtx(ctx context.Context, account, name string, data []byte) (v int, err error) {
+	err = r.do(func() (err error) { v, err = r.C.PutCtx(ctx, account, name, data); return err })
+	return v, err
+}
+func (r *RemoteLibrary) GetCtx(ctx context.Context, account, name string) (data []byte, err error) {
+	err = r.do(func() (err error) { data, err = r.C.GetCtx(ctx, account, name); return err })
+	return data, err
 }
 func (r *RemoteLibrary) DeleteCtx(ctx context.Context, account, name string) error {
-	if r.closed.Load() {
-		return ErrLibraryClosed
-	}
-	return r.C.DeleteCtx(ctx, account, name)
+	return r.do(func() error { return r.C.DeleteCtx(ctx, account, name) })
 }
-func (r *RemoteLibrary) Flush() error {
-	if r.closed.Load() {
-		return ErrLibraryClosed
-	}
-	return r.C.Flush()
-}
+func (r *RemoteLibrary) Flush() error { return r.do(r.C.Flush) }
 
 // Close marks the member unreachable and releases the client's idle
 // pooled connections. Idempotent.
@@ -126,42 +123,43 @@ func (r *RemoteLibrary) Close() error {
 	return nil
 }
 
-func (r *RemoteLibrary) State() LibraryState {
-	st := LibraryState{}
-	if r.closed.Load() {
-		return st
-	}
-	hz, err := r.C.Healthz()
-	if err != nil {
-		return st
-	}
-	st.Healthy = true
-	st.Degraded = hz.Status != "ok"
-	samples, err := r.C.Metrics()
-	if err != nil {
-		return st
-	}
-	// sum adds every sample of a family: the gateway counters carry one
-	// child per request class.
-	sum := func(name string) (v float64) {
-		for _, s := range samples {
-			if s.Name == name {
-				v += s.Value
-			}
+// State reads the peer's liveness off /v1/healthz and the rest off its
+// /metrics; a closed or unreachable member reads as the zero state.
+func (r *RemoteLibrary) State() (st LibraryState) {
+	r.do(func() error {
+		hz, err := r.C.Healthz()
+		if err != nil {
+			return err
 		}
-		return v
-	}
-	written, _ := obs.FindSample(samples, "silica_service_platters_total", map[string]string{"event": "written"})
-	st.InFlight = int64(sum("silica_gateway_admitted_total") - sum("silica_gateway_completed_total"))
-	st.Flushes = int64(sum("silica_gateway_flushes_total"))
-	st.Platters = int(written.Value)
-	st.Staging = staging.Usage{
-		Used:     int64(sum("silica_staging_used_bytes")),
-		Reserved: int64(sum("silica_staging_reserved_bytes")),
-		Capacity: int64(sum("silica_staging_capacity_bytes")),
-		Peak:     int64(sum("silica_staging_peak_bytes")),
-		Pending:  int(sum("silica_staging_pending_files")),
-	}
+		st.Healthy = true
+		st.Degraded = hz.Status != "ok"
+		samples, err := r.C.Metrics()
+		if err != nil {
+			return err
+		}
+		// sum adds every sample of a family: the gateway counters carry one
+		// child per request class.
+		sum := func(name string) (v float64) {
+			for _, s := range samples {
+				if s.Name == name {
+					v += s.Value
+				}
+			}
+			return v
+		}
+		written, _ := obs.FindSample(samples, "silica_service_platters_total", map[string]string{"event": "written"})
+		st.InFlight = int64(sum("silica_gateway_admitted_total") - sum("silica_gateway_completed_total"))
+		st.Flushes = int64(sum("silica_gateway_flushes_total"))
+		st.Platters = int(written.Value)
+		st.Staging = staging.Usage{
+			Used:     int64(sum("silica_staging_used_bytes")),
+			Reserved: int64(sum("silica_staging_reserved_bytes")),
+			Capacity: int64(sum("silica_staging_capacity_bytes")),
+			Peak:     int64(sum("silica_staging_peak_bytes")),
+			Pending:  int(sum("silica_staging_pending_files")),
+		}
+		return nil
+	})
 	return st
 }
 
@@ -609,6 +607,24 @@ func (c *Cluster) Flush() error {
 	return c.eachLive(false, Library.Flush)
 }
 
+// memberLocked is the one membership lookup behind KillLibrary,
+// DrainLibrary and RebuildLibrary; the caller holds c.mu. It tells a
+// name the cluster never saw (ErrUnknownLibrary) from a member that is
+// in the wrong state for the call: alive wants it serving, otherwise
+// it must be dead.
+func (c *Cluster) memberLocked(name string, alive bool) (*member, error) {
+	m, ok := c.members[name]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownLibrary, name)
+	case alive && !m.alive:
+		return nil, fmt.Errorf("cluster: library %q is dead", name)
+	case !alive && m.alive:
+		return nil, fmt.Errorf("cluster: library %q is alive; drain it instead", name)
+	}
+	return m, nil
+}
+
 // KillLibrary destroys a member mid-run: it leaves the ring, stops
 // receiving routes, and its in-memory archive is gone from the
 // cluster's point of view. Reads of keys it held fail over to their
@@ -617,18 +633,14 @@ func (c *Cluster) Flush() error {
 // politely, but the bytes it flushes are unreachable either way).
 func (c *Cluster) KillLibrary(name string) error {
 	c.mu.Lock()
-	m, ok := c.members[name]
-	if !ok {
+	m, err := c.memberLocked(name, true)
+	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownLibrary, name)
-	}
-	if !m.alive {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: library %q already dead", name)
+		return err
 	}
 	lib, epoch := m.lib, m.epoch
 	m.alive, m.lib = false, nil
-	err := c.ring.Remove(name)
+	err = c.ring.Remove(name)
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -645,14 +657,12 @@ func (c *Cluster) KillLibrary(name string) error {
 // affected key ranges move.
 func (c *Cluster) DrainLibrary(ctx context.Context, name string) (RebalanceReport, error) {
 	c.mu.Lock()
-	m, ok := c.members[name]
-	if !ok || !m.alive {
-		c.mu.Unlock()
-		return RebalanceReport{}, fmt.Errorf("%w: %s", ErrUnknownLibrary, name)
+	m, err := c.memberLocked(name, true)
+	if err == nil {
+		// Off the ring first: new placements avoid it while its data is
+		// still readable for the migration below.
+		err = c.ring.Remove(name)
 	}
-	// Off the ring first: new placements avoid it while its data is
-	// still readable for the migration below.
-	err := c.ring.Remove(name)
 	c.mu.Unlock()
 	if err != nil {
 		return RebalanceReport{}, err
@@ -690,24 +700,17 @@ func (c *Cluster) Join(ctx context.Context, name string, lib Library) (Rebalance
 // member is rebuilt from the local template.
 func (c *Cluster) RebuildLibrary(ctx context.Context, name string, lib Library) (RebalanceReport, error) {
 	c.mu.Lock()
-	m, ok := c.members[name]
-	if !ok {
-		c.mu.Unlock()
-		return RebalanceReport{}, fmt.Errorf("%w: %s", ErrUnknownLibrary, name)
-	}
-	if m.alive {
-		c.mu.Unlock()
-		return RebalanceReport{}, fmt.Errorf("cluster: library %q is alive; drain it instead", name)
-	}
+	m, err := c.memberLocked(name, false)
 	mk := c.makeLocal
 	c.mu.Unlock()
+	if err != nil {
+		return RebalanceReport{}, err
+	}
 	if lib == nil {
 		if mk == nil {
 			return RebalanceReport{}, fmt.Errorf("cluster: no local factory to rebuild %q", name)
 		}
-		var err error
-		lib, err = mk(name)
-		if err != nil {
+		if lib, err = mk(name); err != nil {
 			return RebalanceReport{}, err
 		}
 	}
@@ -715,7 +718,7 @@ func (c *Cluster) RebuildLibrary(ctx context.Context, name string, lib Library) 
 	m.lib, m.alive = lib, true
 	m.epoch++ // old-epoch copies recorded against this name are gone
 	epoch := m.epoch
-	err := c.ring.Add(name)
+	err = c.ring.Add(name)
 	c.mu.Unlock()
 	if err != nil {
 		return RebalanceReport{}, err

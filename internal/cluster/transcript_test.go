@@ -158,10 +158,13 @@ var routerTranscript = []exchange{
 		want: "HTTP 200\nContent-Type: text/plain; version=0.0.4; charset=utf-8\n\n..."},
 }
 
-// After one of the three members is killed the router is degraded.
+// After one of the three members is killed the router is degraded,
+// and the dead member is known but cannot be drained.
 var degradedTranscript = []exchange{
 	{name: "healthz degraded", method: "GET", path: "/v1/healthz",
 		want: "HTTP 503\nContent-Type: application/json\n\n{\"status\":\"degraded\"}\n"},
+	{name: "drain dead library", method: "POST", path: "/v1/cluster/drain", body: `{"library":"lib-1"}`,
+		want: "HTTP 409\nContent-Type: application/json\n\n{\"error\":\"cluster: library \\\"lib-1\\\" is dead\"}\n"},
 }
 
 // A router with no members at all.

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"silica/internal/backend"
 	"silica/internal/media"
 	"silica/internal/metadata"
 	"silica/internal/obs"
@@ -432,12 +431,6 @@ func (c *Client) Faults() (out FaultsPayload, err error) {
 // ClearFaults disarms every fault rule on the daemon.
 func (c *Client) ClearFaults() error {
 	return c.Call(context.Background(), http.MethodDelete, "/v1/faults", nil, nil)
-}
-
-// Backend fetches the daemon's mechanical-backend status.
-func (c *Client) Backend() (out backend.Status, err error) {
-	err = c.Call(context.Background(), http.MethodGet, "/v1/backend", nil, &out)
-	return out, err
 }
 
 // HealthPlatters fetches the per-platter health registry snapshot.

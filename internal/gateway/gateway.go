@@ -268,6 +268,7 @@ func New(cfg Config) (*Gateway, error) {
 		switch cfg.Backend {
 		case "", "direct":
 			// service.New defaults to backend.Direct.
+			backend.RegisterInfo(reg, "direct", "", 0)
 		case "twin":
 			pol, err := backend.ParsePolicy(cfg.BackendPolicy)
 			if err != nil {
@@ -621,6 +622,3 @@ func (g *Gateway) Close() error {
 	}
 	return err
 }
-
-// BackendStatus snapshots the backend for /v1/backend.
-func (g *Gateway) BackendStatus() backend.Status { return g.svc.Backend().Status() }

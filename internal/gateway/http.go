@@ -170,12 +170,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/faults", g.handleFaultsArm)
 	mux.HandleFunc("GET /v1/faults", g.handleFaultsList)
 	mux.HandleFunc("DELETE /v1/faults", g.handleFaultsClear)
-	mux.HandleFunc("GET /v1/backend", g.handleBackendStatus)
 	return mux
-}
-
-func (g *Gateway) handleBackendStatus(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, g.BackendStatus())
 }
 
 // Healthz is the /v1/healthz payload.

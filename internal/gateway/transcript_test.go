@@ -114,8 +114,10 @@ var gatewayTranscript = []exchange{
 		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
 	{name: "cost route gone", method: "GET", path: "/v1/cost",
 		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
+	{name: "backend status route gone", method: "GET", path: "/v1/backend",
+		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
 	{name: "backend policy switch gone", method: "POST", path: "/v1/backend", body: `{"policy":"sp"}`,
-		want: "HTTP 405\nContent-Type: text/plain; charset=utf-8\n\nMethod Not Allowed\n"},
+		want: "HTTP 404\nContent-Type: text/plain; charset=utf-8\n\n404 page not found\n"},
 	{name: "repair unknown platter", method: "POST", path: "/v1/repair/99",
 		want: "HTTP 404\nContent-Type: application/json\n\n{\"error\":\"repair: unknown platter: 99\"}\n"},
 	{name: "repair bad id", method: "POST", path: "/v1/repair/x",

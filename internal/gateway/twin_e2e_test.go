@@ -100,16 +100,7 @@ func TestTwinE2E(t *testing.T) {
 			t.Errorf("mechanical %s virtual latency sum = %v, want > 0", op, sum.Value)
 		}
 	}
-	st, err := c.Backend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "twin" || st.Policy != "silica" {
-		t.Fatalf("GET /v1/backend = %+v", st)
-	}
-	if st.Speedup != 1e6 {
-		t.Errorf("speedup = %v, want 1e6", st.Speedup)
-	}
+	wantInfo(t, samples, "twin", "silica", "1e+06")
 
 	// (c) The policy is chosen at construction: a gateway built with ns
 	// reports it and returns the same bytes.
@@ -124,24 +115,34 @@ func TestTwinE2E(t *testing.T) {
 	}
 	nsSrv := httptest.NewServer(ns.Handler())
 	defer nsSrv.Close()
-	if st, err := NewClient(nsSrv.URL).Backend(); err != nil || st.Backend != "twin" || st.Policy != "ns" {
-		t.Fatalf("GET /v1/backend on the ns gateway = %+v, %v", st, err)
+	nsSamples, err := NewClient(nsSrv.URL).Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInfo(t, nsSamples, "twin", "ns", "1e+06")
+}
+
+// wantInfo requires silica_backend_info{backend,policy,speedup} 1 among
+// a /metrics scrape's samples.
+func wantInfo(t *testing.T, samples []obs.PromSample, kind, policy, speedup string) {
+	t.Helper()
+	want := map[string]string{"backend": kind, "policy": policy, "speedup": speedup}
+	if s, ok := obs.FindSample(samples, "silica_backend_info", want); !ok || s.Value != 1 {
+		t.Fatalf("silica_backend_info%v = %+v, %v", want, s, ok)
 	}
 }
 
-// TestDirectBackendStatusHTTP covers GET /v1/backend for the default
-// backend.
+// TestDirectBackendStatusHTTP covers the default backend's status over
+// HTTP: /metrics names it on silica_backend_info.
 func TestDirectBackendStatusHTTP(t *testing.T) {
 	g := newTestGateway(t, testConfig())
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
-	st, err := NewClient(srv.URL).Backend()
+	samples, err := NewClient(srv.URL).Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Backend != "direct" {
-		t.Fatalf("backend = %q, want direct", st.Backend)
-	}
+	wantInfo(t, samples, "direct", "", "")
 }
 
 // TestUnknownBackendRejected pins the config validation: an unknown

@@ -7,6 +7,7 @@ import (
 
 	"silica/internal/backend"
 	"silica/internal/media"
+	"silica/internal/obs"
 	"silica/internal/repair"
 )
 
@@ -24,13 +25,14 @@ func newBackendService(t *testing.T, be backend.Backend) (*Service, Config) {
 	return s, cfg
 }
 
-// testingTwin is a high-speedup twin sized for unit tests.
-func testingTwin(t *testing.T, geom media.Geometry) *backend.Twin {
+// testingTwin is a high-speedup twin sized for unit tests, reporting
+// its silica_backend_* families on reg.
+func testingTwin(t *testing.T, geom media.Geometry, reg *obs.Registry) *backend.Twin {
 	t.Helper()
 	lc := backend.DefaultTwinLibrary(geom)
 	lc.Platters = 64
 	lc.Seed = 11
-	tw, err := backend.NewTwin(backend.TwinConfig{Library: lc, Speedup: 1e6})
+	tw, err := backend.NewTwin(backend.TwinConfig{Library: lc, Speedup: 1e6, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,8 @@ func TestBackendByteIdentity(t *testing.T) {
 	sDirect, cfgD := newBackendService(t, backend.Direct{})
 	gotDirect, scrubDirect := driveWorkload(t, sDirect, cfgD)
 
-	sTwin, cfgT := newBackendService(t, testingTwin(t, smallSetConfig().Geom))
+	reg := obs.NewRegistry()
+	sTwin, cfgT := newBackendService(t, testingTwin(t, smallSetConfig().Geom, reg))
 	gotTwin, scrubTwin := driveWorkload(t, sTwin, cfgT)
 
 	if len(gotDirect) != len(gotTwin) {
@@ -129,13 +132,20 @@ func TestBackendByteIdentity(t *testing.T) {
 
 	// The twin actually charged mechanical work for every op class the
 	// workload exercised.
-	st := sTwin.Backend().Status()
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseProm(&prom)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, op := range []string{"read", "burn", "scrub", "rebuild_read"} {
-		if st.Ops[op] == 0 {
-			t.Errorf("twin charged no %s ops: %v", op, st.Ops)
+		if n, _ := obs.FindSample(samples, "silica_backend_mech_seconds_count", map[string]string{"op": op}); n.Value == 0 {
+			t.Errorf("twin charged no %s ops", op)
 		}
 	}
-	if st.VirtualSeconds <= 0 {
+	if v, _ := obs.FindSample(samples, "silica_backend_virtual_seconds", nil); v.Value <= 0 {
 		t.Errorf("twin virtual clock never advanced")
 	}
 }

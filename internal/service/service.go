@@ -282,8 +282,8 @@ func New(cfg Config) (*Service, error) {
 // gateway's admin endpoint.
 func (s *Service) Faults() *faults.Injector { return s.faults }
 
-// Backend exposes the mechanical backend (never nil), for the
-// gateway's /v1/backend endpoint.
+// Backend exposes the mechanical backend (never nil), so the gateway
+// can close it after the final flush.
 func (s *Service) Backend() backend.Backend { return s.backend }
 
 // chargeMech bills one media touch to the backend, blocking for its

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,4 +307,123 @@ func TestFaultsAdminEndpoint(t *testing.T) {
 	if _, err := c.ArmFaults(FaultsRequest{Arm: []string{"op=media.write,mode=vaporize"}}); err == nil {
 		t.Fatal("bad rule accepted")
 	}
+}
+
+// TestPooledRequestsAreNeverShared: requests come from a pool, and one
+// abandoned while queued is still the worker's. Both workers are held
+// (a stalled staging reserve, a stalled media read) while a first wave
+// of Puts and Gets queues and half of it is canceled, and a second wave
+// queues behind it; had an abandoned request gone back to the pool, the
+// second wave would have taken it while it was still queued. Every
+// request not canceled gets its own version or its own bytes.
+func TestPooledRequestsAreNeverShared(t *testing.T) {
+	cfg := testConfig()
+	cfg.WriteWorkers, cfg.ReadWorkers = 1, 1
+	cfg.WriteQueue, cfg.ReadQueue = 256, 256
+	cfg.DisableRepair = true
+	g := newTestGateway(t, cfg)
+
+	const perWave = 32
+	payload := func(name string) []byte { return []byte("bytes of " + name) }
+	for i := 0; i < perWave; i++ {
+		name := fmt.Sprintf("get-%02d", i)
+		if _, err := g.Put("acct", name, payload(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Flush(); err != nil { // durable, so Gets read media
+		t.Fatal(err)
+	}
+	for _, rule := range []string{
+		"op=staging.reserve,mode=latency,latency=500ms,count=1",
+		"op=media.read,mode=latency,latency=500ms,count=1",
+	} {
+		if err := g.Faults().ArmString(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := g.Counters().Accepted
+	var blockers sync.WaitGroup
+	blockers.Add(2)
+	go func() { defer blockers.Done(); g.Put("acct", "blocker", []byte("x")) }()
+	go func() { defer blockers.Done(); g.Get("acct", "get-00") }()
+	waitFor(t, "both workers to be held", func() bool { return g.Counters().Accepted >= base+2 })
+
+	type result struct {
+		name     string
+		put      bool
+		canceled bool
+		version  int
+		data     []byte
+		err      error
+	}
+	results := make([]result, 2*perWave)
+	var wg sync.WaitGroup
+	submit := func(i int, ctx context.Context) {
+		defer wg.Done()
+		r := &results[i]
+		if r.put {
+			r.version, r.err = g.PutCtx(ctx, "acct", r.name, payload(r.name))
+		} else {
+			r.data, r.err = g.GetCtx(ctx, "acct", r.name)
+		}
+	}
+	cancels := make([]context.CancelFunc, 0, perWave/2)
+	for i := 0; i < perWave; i++ {
+		r := &results[i]
+		r.put, r.canceled = i%2 == 0, i%4 < 2
+		r.name = fmt.Sprintf("get-%02d", i)
+		if r.put {
+			r.name = fmt.Sprintf("put-%02d", i)
+		}
+		ctx := context.Background()
+		if r.canceled {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			cancels = append(cancels, cancel)
+		}
+		wg.Add(1)
+		go submit(i, ctx)
+	}
+	waitFor(t, "the first wave to queue", func() bool { return g.Counters().Accepted >= base+2+perWave })
+	for _, cancel := range cancels {
+		cancel()
+	}
+	waitFor(t, "the canceled half to be answered", func() bool { return g.Counters().Canceled >= perWave/2 })
+	for i := perWave; i < 2*perWave; i++ {
+		r := &results[i]
+		r.put = i%2 == 0
+		r.name = fmt.Sprintf("get-%02d", i-perWave)
+		if r.put {
+			r.name = fmt.Sprintf("put-%02d", i)
+		}
+		wg.Add(1)
+		go submit(i, context.Background())
+	}
+	wg.Wait()
+	blockers.Wait()
+
+	for _, r := range results {
+		switch {
+		case r.canceled && r.err != nil:
+			if !errors.Is(r.err, context.Canceled) {
+				t.Errorf("%s: canceled request returned %v", r.name, r.err)
+			}
+		case r.err != nil:
+			t.Errorf("%s: %v", r.name, r.err)
+		case r.put && r.version != 1:
+			t.Errorf("%s: put answered version %d, want 1", r.name, r.version)
+		case !r.put && string(r.data) != string(payload(r.name)):
+			t.Errorf("%s: get answered %q", r.name, r.data)
+		}
+	}
+	// What each acknowledged Put staged is its own payload.
+	for _, r := range results {
+		if r.put && r.err == nil {
+			if got, err := g.Get("acct", r.name); err != nil || string(got) != string(payload(r.name)) {
+				t.Errorf("%s: read back %q, %v", r.name, got, err)
+			}
+		}
+	}
+	waitFor(t, "the queues to drain", func() bool { c := g.Counters(); return c.Accepted == c.Completed })
 }

@@ -67,6 +67,8 @@ type Client struct {
 // net/http pools a connection only when its reply body was read to EOF
 // before Close, so every reply this client receives leaves through
 // closeBody; a reply it stops reading costs the next request a dial.
+// No daemon compresses its replies, so the transport asks for no gzip,
+// and the client's own Timeout bounds each whole exchange.
 var sharedTransport = &http.Transport{
 	DialContext: (&net.Dialer{
 		Timeout:   5 * time.Second,
@@ -76,8 +78,8 @@ var sharedTransport = &http.Transport{
 	MaxIdleConnsPerHost:   32,
 	IdleConnTimeout:       90 * time.Second,
 	TLSHandshakeTimeout:   5 * time.Second,
-	ResponseHeaderTimeout: 60 * time.Second,
 	ExpectContinueTimeout: time.Second,
+	DisableCompression:    true,
 }
 
 // NewClient returns a client for a gateway at baseURL
@@ -245,8 +247,7 @@ func (c *Client) countRetry() {
 }
 
 func (c *Client) objectURL(account, name string) string {
-	return fmt.Sprintf("%s/v1/objects/%s/%s",
-		c.BaseURL, url.PathEscape(account), url.PathEscape(name))
+	return c.BaseURL + "/v1/objects/" + url.PathEscape(account) + "/" + url.PathEscape(name)
 }
 
 // drainBound is the most of a reply body closeBody reads past what its
@@ -299,12 +300,12 @@ func decodeError(resp *http.Response) error {
 	return err
 }
 
-// send issues one request and hands a 2xx response body to read (nil
+// send issues one request and hands a 2xx response to read (nil
 // discards it); any other status comes back as decodeError's typed
 // error. A non-nil body is sent as is, labelled contentType when set.
 // Whatever read leaves of the body is drained by closeBody.
 func (c *Client) send(ctx context.Context, method, url string, body []byte, contentType string,
-	read func(io.Reader) error) error {
+	read func(*http.Response) error) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -327,7 +328,7 @@ func (c *Client) send(ctx context.Context, method, url string, body []byte, cont
 	if read == nil {
 		return nil
 	}
-	return read(resp.Body)
+	return read(resp)
 }
 
 // Call is the one path every JSON request takes: method on path
@@ -345,9 +346,9 @@ func (c *Client) Call(ctx context.Context, method, path string, in, out any) err
 		}
 		body, contentType = b, "application/json"
 	}
-	var read func(io.Reader) error
+	var read func(*http.Response) error
 	if out != nil {
-		read = func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+		read = func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
 	}
 	return c.send(ctx, method, c.BaseURL+path, body, contentType, read)
 }
@@ -364,8 +365,12 @@ func (c *Client) PutCtx(ctx context.Context, account, name string, data []byte) 
 		Version int `json:"version"`
 	}
 	err := c.Retry.Do(ctx, func() error {
-		return c.send(ctx, http.MethodPut, c.objectURL(account, name), data, "", func(r io.Reader) error {
-			if err := json.NewDecoder(r).Decode(&out); err != nil {
+		return c.send(ctx, http.MethodPut, c.objectURL(account, name), data, "", func(resp *http.Response) error {
+			reply, err := readBody(resp.Body, resp.ContentLength)
+			if err == nil {
+				err = json.Unmarshal(reply, &out)
+			}
+			if err != nil {
 				return fmt.Errorf("gateway: decoding put response: %w", err)
 			}
 			return nil
@@ -383,8 +388,8 @@ func (c *Client) Get(account, name string) ([]byte, error) {
 func (c *Client) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
 	var data []byte
 	err := c.Retry.Do(ctx, func() error {
-		return c.send(ctx, http.MethodGet, c.objectURL(account, name), nil, "", func(r io.Reader) (err error) {
-			data, err = io.ReadAll(r)
+		return c.send(ctx, http.MethodGet, c.objectURL(account, name), nil, "", func(resp *http.Response) (err error) {
+			data, err = readBody(resp.Body, resp.ContentLength)
 			return err
 		})
 	}, c.countRetry)
@@ -447,8 +452,8 @@ func (c *Client) Repair(id media.PlatterID) error {
 // MetricsText fetches the daemon's raw Prometheus text exposition.
 func (c *Client) MetricsText() (string, error) {
 	var text []byte
-	err := c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(r io.Reader) (err error) {
-		text, err = io.ReadAll(r)
+	err := c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(resp *http.Response) (err error) {
+		text, err = io.ReadAll(resp.Body)
 		return err
 	})
 	return string(text), err
@@ -457,8 +462,8 @@ func (c *Client) MetricsText() (string, error) {
 // Metrics fetches and parses the daemon's /metrics exposition
 // (silicactl top and silica-load's end-of-run scrape).
 func (c *Client) Metrics() (samples []obs.PromSample, err error) {
-	err = c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(r io.Reader) (err error) {
-		samples, err = obs.ParseProm(r)
+	err = c.send(context.Background(), http.MethodGet, c.BaseURL+"/metrics", nil, "", func(resp *http.Response) (err error) {
+		samples, err = obs.ParseProm(resp.Body)
 		return err
 	})
 	return samples, err

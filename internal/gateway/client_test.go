@@ -242,3 +242,55 @@ func TestPutBodyLengths(t *testing.T) {
 		}
 	}
 }
+
+// TestClientReplyBodies: the client sizes a reply's buffer from its
+// Content-Length and falls back to reading to EOF without one, so a
+// chunked GET reply still arrives whole; a reply cut short of its
+// Content-Length is an error, not a short object; a PUT reply that is
+// not JSON is a decoding error; and no request offers gzip.
+func TestClientReplyBodies(t *testing.T) {
+	data := randBytes(9, 5000)
+	var offeredGzip atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := r.Header["Accept-Encoding"]; ok {
+			offeredGzip.Add(1)
+		}
+		switch r.URL.Path {
+		case "/v1/objects/acct/chunked":
+			w.Write(data[:100])
+			w.(http.Flusher).Flush() // headers go out with no length
+			w.Write(data[100:])
+		case "/v1/objects/acct/short":
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nonly part")
+			buf.Flush()
+			conn.Close()
+		case "/v1/objects/acct/versioned":
+			w.Write([]byte("{\"version\":7}\n"))
+		case "/v1/objects/acct/malformed":
+			w.Write([]byte("{\"version\":"))
+		}
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL) // the shared transport, as every client dials
+
+	if got, err := c.Get("acct", "chunked"); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("chunked get: %d bytes (%v), want the %d served", len(got), err, len(data))
+	}
+	if got, err := c.Get("acct", "short"); err == nil {
+		t.Errorf("get of a reply shorter than its Content-Length returned %q and no error", got)
+	}
+	if v, err := c.Put("acct", "versioned", data); err != nil || v != 7 {
+		t.Errorf("put: version %d (%v), want 7", v, err)
+	}
+	if _, err := c.Put("acct", "malformed", data); err == nil || !strings.Contains(err.Error(), "gateway: decoding put response") {
+		t.Errorf("put with a malformed reply: %v, want a decoding error", err)
+	}
+	if n := offeredGzip.Load(); n != 0 {
+		t.Errorf("%d requests carried Accept-Encoding", n)
+	}
+}

@@ -165,6 +165,11 @@ type request struct {
 	// queueSpan times the wait between admission and pickup.
 	ctx       context.Context
 	queueSpan obs.SpanEnd
+	// trace is the trace submit started for a queued request, if any.
+	// The worker finishes it after its last span: a submitter that
+	// abandoned the request must not hand it back to the tracer's pool
+	// while the worker still writes to it.
+	trace *obs.Trace
 	// admitted stamps the moment the request entered its class queue,
 	// feeding the queue-wait histogram at worker pickup.
 	admitted time.Time
@@ -179,6 +184,12 @@ type response struct {
 	data    []byte
 	err     error
 }
+
+// requests recycles request objects with their done channels. A
+// request goes back only after its submitter has received from done,
+// since the worker's send is its last touch; one abandoned, rejected
+// or refused on close is left to the collector.
+var requests = sync.Pool{New: func() any { return &request{done: make(chan response, 1)} }}
 
 // Counters is a snapshot of gateway traffic accounting, read off the
 // registry's silica_gateway_*_total counters.
@@ -371,8 +382,11 @@ func (g *Gateway) Degraded() bool {
 // queue, blocking the caller until a worker finishes it — the
 // closed-loop behaviour archival front ends present to clients. When
 // the caller's ctx carries no trace, the gateway makes the sampling
-// decision here and owns the resulting trace end to end.
-func (g *Gateway) submit(req *request) response {
+// decision here and owns the resulting trace end to end: submit
+// finishes it if the request never queues, the worker otherwise.
+func (g *Gateway) submit(ctx context.Context, op opKind, account, name string, data []byte) response {
+	req := requests.Get().(*request)
+	req.op, req.account, req.name, req.data, req.ctx = op, account, name, data, ctx
 	cm := &g.gm.cls[req.op]
 	if req.ctx == nil {
 		req.ctx = context.Background()
@@ -402,9 +416,9 @@ func (g *Gateway) submit(req *request) response {
 			}
 		}
 	}
-	req.done = make(chan response, 1)
 	req.queueSpan = obs.StartSpan(req.ctx, "queue")
 	req.admitted = time.Now()
+	req.trace = owned
 
 	g.admitMu.RLock()
 	if g.closed {
@@ -429,16 +443,17 @@ func (g *Gateway) submit(req *request) response {
 	}
 	select {
 	case resp := <-req.done:
-		g.tracer.Finish(owned)
+		*req = request{done: req.done} // the pool pins no ctx or payload
+		requests.Put(req)
 		return resp
 	case <-req.ctx.Done():
 		// The caller abandoned a queued (or in-flight) request: answer
 		// immediately with its ctx error. The worker still owns the
-		// request object — done is buffered so its eventual send never
-		// blocks, and the req.ctx checks at pickup and inside the
-		// service stop the work itself from running.
+		// request object and its trace, so it never returns to the
+		// pool — done is buffered so its eventual send never blocks,
+		// and the req.ctx checks at pickup and inside the service stop
+		// the work itself from running.
 		g.countCanceled(req)
-		g.tracer.Finish(owned)
 		return response{err: fmt.Errorf("gateway: request abandoned: %w", req.ctx.Err())}
 	}
 }
@@ -483,6 +498,7 @@ func (g *Gateway) worker(q chan *request) {
 			// entirely — it must never reach the service layer.
 			g.countCanceled(req)
 			cm.completed.Inc()
+			g.tracer.Finish(req.trace)
 			req.done <- response{err: fmt.Errorf("gateway: canceled while queued: %w", err)}
 			continue
 		}
@@ -504,6 +520,7 @@ func (g *Gateway) worker(q chan *request) {
 		}
 		cm.seconds.Observe(time.Since(t0).Seconds())
 		cm.completed.Inc()
+		g.tracer.Finish(req.trace)
 		req.done <- resp
 	}
 }
@@ -517,7 +534,7 @@ func (g *Gateway) Put(account, name string, data []byte) (int, error) {
 // PutCtx is Put carrying ctx (and any trace in it) through the queue
 // into the service.
 func (g *Gateway) PutCtx(ctx context.Context, account, name string, data []byte) (int, error) {
-	resp := g.submit(&request{op: opPut, account: account, name: name, data: data, ctx: ctx})
+	resp := g.submit(ctx, opPut, account, name, data)
 	return resp.version, resp.err
 }
 
@@ -529,7 +546,7 @@ func (g *Gateway) Get(account, name string) ([]byte, error) {
 // GetCtx is Get carrying ctx (and any trace in it) through the queue
 // into the service.
 func (g *Gateway) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
-	resp := g.submit(&request{op: opGet, account: account, name: name, ctx: ctx})
+	resp := g.submit(ctx, opGet, account, name, nil)
 	return resp.data, resp.err
 }
 
@@ -541,7 +558,7 @@ func (g *Gateway) Delete(account, name string) error {
 // DeleteCtx is Delete carrying ctx (and any trace in it) through the
 // queue into the service.
 func (g *Gateway) DeleteCtx(ctx context.Context, account, name string) error {
-	return g.submit(&request{op: opDelete, account: account, name: name, ctx: ctx}).err
+	return g.submit(ctx, opDelete, account, name, nil).err
 }
 
 // Flush forces a full drain of the staging tier, bypassing the

@@ -60,14 +60,24 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 		func(w http.ResponseWriter, r *http.Request, account, name string) error {
 			data, err := readBody(http.MaxBytesReader(w, r.Body, MaxObjectBytes), r.ContentLength)
 			if err != nil {
-				http.Error(w, "body: "+err.Error(), http.StatusRequestEntityTooLarge)
+				// 413 is for bodies past MaxObjectBytes; a truncated
+				// or overlong body is malformed.
+				var tooBig *http.MaxBytesError
+				code := http.StatusBadRequest
+				if errors.As(err, &tooBig) {
+					code = http.StatusRequestEntityTooLarge
+				}
+				http.Error(w, "body: "+err.Error(), code)
 				return nil
 			}
 			version, err := store.PutCtx(r.Context(), account, name, data)
 			if err != nil {
 				return err
 			}
-			WriteJSON(w, http.StatusOK, map[string]int{"version": version})
+			w.Header()["Content-Type"] = jsonType
+			reply := append(make([]byte, 0, 32), `{"version":`...)
+			reply = strconv.AppendInt(reply, int64(version), 10)
+			w.Write(append(reply, "}\n"...))
 			return nil
 		}))
 	mux.HandleFunc("GET /v1/objects/{account}/{name...}", object(
@@ -76,7 +86,7 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 			if err != nil {
 				return err
 			}
-			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header()["Content-Type"] = octetType
 			w.Write(data)
 			return nil
 		}))
@@ -85,7 +95,8 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 			if err := store.DeleteCtx(r.Context(), account, name); err != nil {
 				return err
 			}
-			WriteJSON(w, http.StatusOK, map[string]bool{"deleted": true})
+			w.Header()["Content-Type"] = jsonType
+			w.Write(deletedReply)
 			return nil
 		}))
 	mux.HandleFunc("POST /v1/flush", func(w http.ResponseWriter, r *http.Request) {
@@ -101,9 +112,18 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 	})
 }
 
-// readBody reads a PUT body into one buffer of its declared length
-// and one byte more, so a body longer than declared shows. An unknown
-// length, or one past MaxObjectBytes, takes io.ReadAll.
+// The object routes' fixed reply parts: shared header values and the
+// bytes WriteJSON would encode, without a map or an encoder per request.
+var (
+	jsonType     = []string{"application/json"}
+	octetType    = []string{"application/octet-stream"}
+	deletedReply = []byte("{\"deleted\":true}\n")
+)
+
+// readBody reads a PUT body, or a reply to the client, into one buffer
+// of its declared length and one byte more, so a body longer than
+// declared shows. An unknown length, or one past MaxObjectBytes, takes
+// io.ReadAll.
 func readBody(body io.Reader, size int64) ([]byte, error) {
 	if size < 0 || size > MaxObjectBytes {
 		return io.ReadAll(body)

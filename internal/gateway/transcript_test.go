@@ -26,6 +26,9 @@ type exchange struct {
 	// only expressible through a ResponseRecorder — a real client would
 	// never get the request onto the wire.
 	ctx string
+	// length, when set, is the Content-Length the request declares in
+	// place of its body's; a larger one makes the body a truncated one.
+	length int64
 	// want is the rendered response (see renderResponse). A body of
 	// "..." pins the status and headers only.
 	want string
@@ -67,6 +70,9 @@ func runTranscript(t *testing.T, h http.Handler, table []exchange) {
 			cancel()
 		}
 		req := httptest.NewRequest(ex.method, ex.path, strings.NewReader(ex.body)).WithContext(ctx)
+		if ex.length != 0 {
+			req.ContentLength = ex.length
+		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if got := renderResponse(rec, strings.HasSuffix(ex.want, "\n\n...")); got != ex.want {
@@ -104,6 +110,8 @@ var gatewayTranscript = []exchange{
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nneed /v1/objects/{account}/{name}\n"},
 	{name: "delete empty name", method: "DELETE", path: "/v1/objects/acct/",
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nneed /v1/objects/{account}/{name}\n"},
+	{name: "put truncated body", method: "PUT", path: "/v1/objects/acct/short", body: "abc", length: 10,
+		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nbody: unexpected EOF\n"},
 	{name: "put expired ctx", method: "PUT", path: "/v1/objects/acct/late", body: "x", ctx: "expired",
 		want: "HTTP 504\nContent-Type: application/json\n\n{\"error\":\"gateway: canceled before admission: context deadline exceeded\"}\n"},
 	{name: "get canceled ctx", method: "GET", path: "/v1/objects/acct/obj", ctx: "canceled",

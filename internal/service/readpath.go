@@ -62,7 +62,7 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 				}
 				return nil, fmt.Errorf("service: %v v%d staged but not in tier", key, v.Version)
 			}
-			ct = append([]byte(nil), f.Data...)
+			ct = f.Data // staging never mutates it; Decrypt writes a new buffer
 			s.om.readsStaged.Inc()
 		case metadata.Durable:
 			decode := obs.StartSpan(ctx, "decode")

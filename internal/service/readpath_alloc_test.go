@@ -11,7 +11,7 @@ import (
 // durable Get sizes its ciphertext buffer once from the extents and
 // every sector is decoded on pooled scratch and descrambled straight
 // into its slot, so what a Get allocates is request bookkeeping (noise
-// stream, metadata copy, extent sort, AES-GCM) and does not grow with
+// stream, metadata copy, extent sort, AES-CTR) and does not grow with
 // the number of sectors read. The channel is noiseless so that no read
 // escalates to a recovery tier, which legitimately allocates.
 func TestDurableGetAllocations(t *testing.T) {

@@ -261,9 +261,13 @@ const drainBound = 64 << 10
 // transport's idle pool; one longer than the bound is closed unread,
 // and its connection with it. A drain that fails costs only the
 // connection, so its error is dropped.
-func closeBody(body io.ReadCloser) {
-	io.CopyN(io.Discard, body, drainBound)
-	body.Close()
+func closeBody(resp *http.Response) {
+	if n := resp.ContentLength; n >= 0 && n <= drainBound {
+		io.Copy(io.Discard, resp.Body) // bounded by its length, without CopyN's LimitedReader
+	} else {
+		io.CopyN(io.Discard, resp.Body, drainBound)
+	}
+	resp.Body.Close()
 }
 
 // decodeError turns a non-2xx response into a typed error. The reason
@@ -321,7 +325,7 @@ func (c *Client) send(ctx context.Context, method, url string, body []byte, cont
 	if err != nil {
 		return err
 	}
-	defer closeBody(resp.Body)
+	defer closeBody(resp)
 	if resp.StatusCode/100 != 2 {
 		return decodeError(resp)
 	}
@@ -482,7 +486,7 @@ func (c *Client) Healthz() (Healthz, error) {
 	if err != nil {
 		return h, err
 	}
-	defer closeBody(resp.Body)
+	defer closeBody(resp)
 	if resp.StatusCode/100 != 2 && resp.StatusCode != http.StatusServiceUnavailable {
 		return h, decodeError(resp)
 	}

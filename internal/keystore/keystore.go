@@ -91,9 +91,20 @@ func (s *Store) Encrypt(id string, plaintext []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decrypt opens a ciphertext produced by Encrypt. After Shred(id) this
-// permanently fails with ErrNoKey.
+// Decrypt opens a ciphertext produced by Encrypt into a new buffer.
+// After Shred(id) this permanently fails with ErrNoKey.
 func (s *Store) Decrypt(id string, ciphertext []byte) ([]byte, error) {
+	return s.decrypt(id, ciphertext, false)
+}
+
+// DecryptInPlace is Decrypt for a ciphertext the caller owns: the
+// plaintext overwrites its body and is returned as
+// ciphertext[Overhead:], so nothing is allocated for it.
+func (s *Store) DecryptInPlace(id string, ciphertext []byte) ([]byte, error) {
+	return s.decrypt(id, ciphertext, true)
+}
+
+func (s *Store) decrypt(id string, ciphertext []byte, inPlace bool) ([]byte, error) {
 	s.mu.RLock()
 	key, ok := s.keys[id]
 	s.mu.RUnlock()
@@ -107,7 +118,10 @@ func (s *Store) Decrypt(id string, ciphertext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keystore: %w", err)
 	}
-	out := make([]byte, len(ciphertext)-aes.BlockSize)
+	out := ciphertext[aes.BlockSize:]
+	if !inPlace {
+		out = make([]byte, len(out))
+	}
 	cipher.NewCTR(block, ciphertext[:aes.BlockSize]).XORKeyStream(out, ciphertext[aes.BlockSize:])
 	return out, nil
 }

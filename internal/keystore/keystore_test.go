@@ -128,3 +128,47 @@ func TestLiveKeys(t *testing.T) {
 		t.Fatalf("live keys after shred = %d", s.LiveKeys())
 	}
 }
+
+// TestDecryptInPlace: DecryptInPlace returns what Decrypt returns, as a
+// view of the caller's buffer past the IV, while Decrypt leaves its
+// input untouched; after Shred both fail with ErrNoKey.
+func TestDecryptInPlace(t *testing.T) {
+	s := New()
+	if err := s.CreateKey("f"); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 15, 16, 17, 4096, 5000} {
+		plain := bytes.Repeat([]byte{byte(n), 7}, n)[:n]
+		ct, err := s.Encrypt("f", plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := bytes.Clone(ct)
+		want, err := s.Decrypt("f", ct)
+		if err != nil || !bytes.Equal(want, plain) || !bytes.Equal(ct, kept) {
+			t.Fatalf("%d bytes: Decrypt err=%v, plaintext equal=%v, input kept=%v",
+				n, err, bytes.Equal(want, plain), bytes.Equal(ct, kept))
+		}
+		got, err := s.DecryptInPlace("f", ct)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: DecryptInPlace err=%v, equal to Decrypt=%v", n, err, bytes.Equal(got, want))
+		}
+		if n > 0 && &got[0] != &ct[Overhead] {
+			t.Fatalf("%d bytes: DecryptInPlace did not decrypt in place", n)
+		}
+	}
+	ct, _ := s.Encrypt("f", []byte("secret archive"))
+	if err := s.Shred("f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DecryptInPlace("f", ct); !errors.Is(err, ErrNoKey) {
+		t.Fatalf("DecryptInPlace after shred: %v, want ErrNoKey", err)
+	}
+	if _, err := s.Decrypt("f", ct); !errors.Is(err, ErrNoKey) {
+		t.Fatalf("Decrypt after shred: %v, want ErrNoKey", err)
+	}
+	s.CreateKey("short")
+	if _, err := s.DecryptInPlace("short", []byte{1, 2, 3}); err == nil {
+		t.Fatal("short ciphertext accepted in place")
+	}
+}

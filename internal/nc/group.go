@@ -21,7 +21,7 @@ package nc
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"silica/internal/gf256"
 	"silica/internal/sim"
@@ -57,6 +57,9 @@ type Group struct {
 	I, R   int
 	Scheme Scheme
 	coeff  *gf256.Matrix // R x I
+
+	mu       sync.Mutex
+	inverses map[uint64]*gf256.Matrix // see inverse
 }
 
 // NewGroup builds a group. I+R must be at most 256 for Cauchy (field
@@ -136,75 +139,113 @@ func (g *Group) Reconstruct(available map[int][]byte, want []int) (map[int][]byt
 		}
 	}
 	out := make(map[int][]byte, len(want))
-	missing := make([]int, 0, len(want))
+	var inv *gf256.Matrix
+	size := 0
 	for _, w := range want {
 		if u, ok := available[w]; ok {
 			out[w] = u
-		} else {
-			missing = append(missing, w)
+			continue
+		}
+		if inv == nil {
+			var err error
+			if inv, size, err = g.inverse(available); err != nil {
+				return nil, err
+			}
+		}
+		out[w] = make([]byte, size)
+		combine(out[w], inv.Row(w), available)
+	}
+	return out, nil
+}
+
+// ReconstructInto is Reconstruct of the one information unit want into
+// dst, which must be as long as the units: an available want is copied.
+// It keeps no reference to dst or available, and in a group of at most
+// 64 units it allocates only on meeting an erasure pattern first.
+func (g *Group) ReconstructInto(dst []byte, available map[int][]byte, want int) error {
+	if want < 0 || want >= g.I {
+		return fmt.Errorf("nc: want index %d outside information range [0,%d)", want, g.I)
+	}
+	if u, ok := available[want]; ok && len(u) == len(dst) {
+		copy(dst, u)
+		return nil
+	}
+	inv, size, err := g.inverse(available)
+	if err == nil && size != len(dst) {
+		err = fmt.Errorf("nc: inconsistent unit sizes")
+	}
+	if err == nil {
+		combine(dst, inv.Row(want), available)
+	}
+	return err
+}
+
+// combine sets dst to sum_k row[k] * unit_k over the units inverse
+// chose: the first I available, in index order.
+func combine(dst, row []byte, available map[int][]byte) {
+	clear(dst)
+	for idx, k := 0, 0; k < len(row); idx++ {
+		if u, ok := available[idx]; ok {
+			gf256.MulAddVec(dst, u, row[k])
+			k++
 		}
 	}
-	if len(missing) == 0 {
-		return out, nil
-	}
+}
+
+// inverse returns the decode matrix for the available units, and their
+// size. It inverts the coding vectors of the first I in index order:
+// information units first, whose identity rows keep it cheap. A group of
+// at most 64 units caches it by the chosen units' bitmask (a 16+3 set
+// has 969), starting over past 1024 inverses.
+func (g *Group) inverse(available map[int][]byte) (*gf256.Matrix, int, error) {
 	if len(available) < g.I {
-		return nil, fmt.Errorf("nc: %d units available, need %d", len(available), g.I)
+		return nil, 0, fmt.Errorf("nc: %d units available, need %d", len(available), g.I)
 	}
-	// Choose I units: all available information units first (identity
-	// rows keep the decode matrix well-conditioned and cheap), then
-	// redundancy units in index order.
-	idxs := make([]int, 0, len(available))
 	for idx := range available {
 		if idx < 0 || idx >= g.Size() {
-			return nil, fmt.Errorf("nc: unit index %d out of range", idx)
-		}
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	chosen := make([]int, 0, g.I)
-	for _, idx := range idxs {
-		if idx < g.I {
-			chosen = append(chosen, idx)
+			return nil, 0, fmt.Errorf("nc: unit index %d out of range", idx)
 		}
 	}
-	for _, idx := range idxs {
-		if idx >= g.I && len(chosen) < g.I {
-			chosen = append(chosen, idx)
-		}
-	}
-	chosen = chosen[:g.I]
+	var mask uint64
 	size := -1
-	for _, idx := range chosen {
-		if size < 0 {
-			size = len(available[idx])
-		} else if len(available[idx]) != size {
-			return nil, fmt.Errorf("nc: inconsistent unit sizes")
+	for idx, n := 0, 0; n < g.I; idx++ {
+		if u, ok := available[idx]; ok {
+			if size >= 0 && len(u) != size {
+				return nil, 0, fmt.Errorf("nc: inconsistent unit sizes")
+			}
+			size, mask, n = len(u), mask|1<<idx, n+1
 		}
 	}
-	// Build the I x I decode matrix A with A[row] = coding vector of
-	// chosen[row]; solving A x = units gives the information vector x.
+	g.mu.Lock()
+	inv := g.inverses[mask]
+	g.mu.Unlock()
+	if inv != nil {
+		return inv, size, nil
+	}
 	a := gf256.NewMatrix(g.I, g.I)
-	for row, idx := range chosen {
-		if idx < g.I {
-			a.Set(row, idx, 1)
+	for idx, r := 0, 0; r < g.I; idx++ {
+		if _, ok := available[idx]; !ok {
+			continue
+		} else if idx < g.I {
+			a.Set(r, idx, 1)
 		} else {
-			copy(a.Row(row), g.coeff.Row(idx-g.I))
+			copy(a.Row(r), g.coeff.Row(idx-g.I))
 		}
+		r++
 	}
 	inv, ok := a.Invert()
 	if !ok {
-		return nil, fmt.Errorf("nc: singular decode matrix (%s scheme)", g.Scheme)
+		return nil, 0, fmt.Errorf("nc: singular decode matrix (%s scheme)", g.Scheme)
 	}
-	// info_j = sum_k inv[j][k] * unit_k; only compute the missing rows.
-	for _, j := range missing {
-		rec := make([]byte, size)
-		row := inv.Row(j)
-		for k, idx := range chosen {
-			gf256.MulAddVec(rec, available[idx], row[k])
+	if g.Size() <= 64 {
+		g.mu.Lock()
+		if g.inverses == nil || len(g.inverses) >= 1024 {
+			g.inverses = make(map[uint64]*gf256.Matrix)
 		}
-		out[j] = rec
+		g.inverses[mask] = inv
+		g.mu.Unlock()
 	}
-	return out, nil
+	return inv, size, nil
 }
 
 // ReconstructAll recovers all I information units.

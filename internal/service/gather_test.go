@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"silica/internal/faults"
@@ -146,7 +147,8 @@ func TestWithinTrackRepairGathers(t *testing.T) {
 				arm(t, s, "op=media.read,platter=%d,track=%d,sector=%d,mode=error", id, phys, (want+f)%iPerTrack)
 			}
 			before := reads(s)
-			got, ok := s.repairWithinTrack(pi, phys, want, s.readRNG())
+			got := make([]byte, geom.SectorPayloadBytes)
+			ok := s.repairWithinTrack(pi, phys, want, s.readRNG(), got)
 			if !ok || !bytes.Equal(got, direct) {
 				t.Fatalf("want %d, %d failures: repaired = %v, bytes equal = %v", want, failures, ok, bytes.Equal(got, direct))
 			}
@@ -169,7 +171,7 @@ func TestWithinTrackRepairGathers(t *testing.T) {
 	arm(t, s, "op=media.read,platter=%d,track=%d,sector=0,mode=error", id, phys)
 	arm(t, s, "op=media.read,platter=%d,track=%d,sector=1,mode=error", id, phys)
 	arm(t, s, "op=media.read,platter=%d,track=%d,sector=2,mode=error", id, phys)
-	if _, ok := s.repairWithinTrack(pi, phys, 0, s.readRNG()); ok {
+	if s.repairWithinTrack(pi, phys, 0, s.readRNG(), direct) {
 		t.Fatal("repaired a sector with three of its track unreadable, itself included")
 	}
 	s.faults.Clear()
@@ -229,5 +231,68 @@ func TestRebuildGathersK(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebuildUnderDegradedGets: rebuilds gather into pooled scratch while
+// degraded Gets do the same on other goroutines, so a unit that outlived
+// its scratch, or a rebuilt payload that aliased it, shows as a wrong
+// byte (and under -race as a race). An information member and a
+// redundancy member are failed; the redundancy member is rebuilt first
+// (ReconstructAll, then re-encode), then the information member, each
+// under four readers of every file, and every file reads back exact
+// throughout and after.
+func TestRebuildUnderDegradedGets(t *testing.T) {
+	s, cfg, files := gatherFixture(t)
+	s.mu.RLock()
+	members := append([]media.PlatterID(nil), s.sets[0]...)
+	s.mu.RUnlock()
+	info, red := members[0], members[cfg.SetInfo]
+	for _, id := range []media.PlatterID{info, red} {
+		if err := s.FailPlatter(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, old := range []media.PlatterID{red, info} {
+		stop := make(chan struct{})
+		errs := make(chan error, 4)
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					for name, want := range files {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
+							errs <- fmt.Errorf("%s while rebuilding platter %d: err=%v, equal=%v", name, old, err, bytes.Equal(got, want))
+							return
+						}
+					}
+				}
+			}()
+		}
+		_, err := s.RebuildPlatter(old)
+		close(stop)
+		wg.Wait()
+		close(errs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PlattersRebuilt != 2 || st.PlatterRecovers == 0 {
+		t.Fatalf("want two rebuilds and some set recoveries: %+v", st)
+	}
+	for name, want := range files {
+		if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after both rebuilds: err=%v", name, err)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 				}
 				return nil, fmt.Errorf("service: %v v%d staged but not in tier", key, v.Version)
 			}
-			ct = f.Data // staging never mutates it; Decrypt writes a new buffer
+			ct = f.Data // shared with staging: decrypted into a new buffer below
 			s.om.readsStaged.Inc()
 		case metadata.Durable:
 			decode := obs.StartSpan(ctx, "decode")
@@ -79,7 +79,10 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 		if int64(len(ct)) < ctLen {
 			return nil, fmt.Errorf("service: %v short read: %d < %d", key, len(ct), ctLen)
 		}
-		return s.keys.Decrypt(v.KeyID, ct[:ctLen])
+		if v.State == metadata.Staged {
+			return s.keys.Decrypt(v.KeyID, ct[:ctLen])
+		}
+		return s.keys.DecryptInPlace(v.KeyID, ct[:ctLen])
 	}
 }
 
@@ -143,12 +146,11 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	if pi.rec.Unavailable() {
 		// Level 4: the platter is unavailable; rebuild from its set.
 		sp := obs.StartSpan(ctx, "recover_set")
-		payload, err := s.recoverFromSet(pi, infoSector, rng)
+		err := s.recoverFromSet(pi, infoSector, rng, dst)
 		sp.End()
 		if err != nil {
 			return err
 		}
-		copy(dst, payload)
 		s.om.recSet.Inc()
 		pi.rec.ReportTier(repair.TierSet)
 		return nil
@@ -162,9 +164,8 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	}
 	// Level 2: read the rest of the track, repair via within-track NC.
 	sp := obs.StartSpan(ctx, "recover_sector")
-	if payload, ok := s.repairWithinTrack(pi, phys, sPos, rng); ok {
+	if s.repairWithinTrack(pi, phys, sPos, rng, dst) {
 		sp.End()
-		copy(dst, payload)
 		s.om.recSector.Inc()
 		pi.rec.ReportTier(repair.TierSector)
 		return nil
@@ -172,9 +173,8 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	sp.End()
 	// Level 3: rebuild the whole track from its large group.
 	sp = obs.StartSpan(ctx, "recover_track")
-	if payload, ok := s.rebuildTrackSector(pi, infoTrack, sPos, rng); ok {
+	if s.rebuildTrackSector(pi, infoTrack, sPos, rng, dst) {
 		sp.End()
-		copy(dst, payload)
 		s.om.recTrack.Inc()
 		pi.rec.ReportTier(repair.TierTrack)
 		return nil
@@ -227,44 +227,43 @@ type ncUnit struct {
 // within-track repair, only for units that failed pass 1 and only while
 // still short of k. The order is fixed by position, never by completion,
 // so what is read, and every noise draw, is a function of the seed.
-func (s *Service) gatherUnits(units []ncUnit, k int) map[int][]byte {
-	size := s.cfg.Geom.SectorPayloadBytes
-	avail := make(map[int][]byte, k)
+// The map and its units live on cs (zeros on s.zero): read-only, valid while cs is held.
+func (s *Service) gatherUnits(cs *codecScratch, units []ncUnit, k int) map[int][]byte {
+	avail := cs.avail
+	clear(avail)
 	var failed []int
-	cs := s.acquireScratch()
 	for idx, u := range units {
 		if len(avail) == k {
 			break
 		}
 		if u.zero {
-			avail[idx] = make([]byte, size)
+			avail[idx] = s.zero
 		} else if u.pi != nil {
-			if dst := make([]byte, size); s.decodeSectorWith(cs, u.pi, u.phys, u.sPos, u.rng, dst) {
-				avail[idx] = dst
+			if s.decodeSectorWith(cs, u.pi, u.phys, u.sPos, u.rng, cs.units[idx]) {
+				avail[idx] = cs.units[idx]
 			} else if u.repair {
 				failed = append(failed, idx)
 			}
 		}
 	}
-	s.releaseScratch(cs)
 	for _, idx := range failed {
 		if len(avail) == k {
 			break
 		}
 		u := units[idx]
-		if payload, ok := s.repairWithinTrack(u.pi, u.phys, u.sPos, u.rng); ok {
-			avail[idx] = payload
+		if s.repairWithinTrack(u.pi, u.phys, u.sPos, u.rng, cs.units[idx]) {
+			avail[idx] = cs.units[idx]
 		}
 	}
 	return avail
 }
 
-// repairWithinTrack reconstructs sector position want of a track via the
-// within-track group from the track's other sectors: want just failed
-// its own decode. Only when the rest of the track comes up short is want
-// itself — a group of one — read once more: read noise is drawn afresh
-// on every read, and that is the last means the track has.
-func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *sim.RNG) ([]byte, bool) {
+// repairWithinTrack reconstructs sector position want of a track into
+// dst via the within-track group from the track's other sectors: want
+// just failed its own decode. Only when the rest of the track comes up
+// short is want itself — a group of one — read once more: read noise is
+// drawn afresh on every read, and that is the last means the track has.
+func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *sim.RNG, dst []byte) bool {
 	units := make([]ncUnit, s.cfg.Geom.SectorsPerTrack())
 	for sPos := range units {
 		if sPos != want {
@@ -272,16 +271,13 @@ func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *s
 		}
 	}
 	k := s.cfg.Geom.InfoSectorsPerTrack
-	avail := s.gatherUnits(units, k)
+	cs := s.acquireScratch()
+	defer s.releaseScratch(cs)
+	avail := s.gatherUnits(cs, units, k)
 	if len(avail) < k {
-		again := s.gatherUnits([]ncUnit{{pi: pi, phys: physTrack, sPos: want, rng: rng}}, 1)
-		return again[0], again[0] != nil
+		return s.decodeSectorWith(cs, pi, physTrack, want, rng, dst)
 	}
-	rec, err := s.withinTrack.Reconstruct(avail, []int{want})
-	if err != nil {
-		return nil, false
-	}
-	return rec[want], true
+	return s.withinTrack.ReconstructInto(dst, avail, want) == nil
 }
 
 // rebuildTrackSector reconstructs sector sPos of information track
@@ -289,7 +285,7 @@ func (s *Service) repairWithinTrack(pi *platterInfo, physTrack, want int, rng *s
 // position of the other member tracks plus the group's redundancy
 // tracks. Member tracks beyond the written range are zero; redundancy
 // tracks carry no within-track redundancy of their own.
-func (s *Service) rebuildTrackSector(pi *platterInfo, infoTrack, sPos int, rng *sim.RNG) ([]byte, bool) {
+func (s *Service) rebuildTrackSector(pi *platterInfo, infoTrack, sPos int, rng *sim.RNG, dst []byte) bool {
 	geom := s.cfg.Geom
 	lgi := geom.LargeGroupInfoTracks
 	g := infoTrack / lgi
@@ -307,11 +303,9 @@ func (s *Service) rebuildTrackSector(pi *platterInfo, infoTrack, sPos int, rng *
 			units[m] = ncUnit{pi: pi, phys: geom.InfoTrackPhysical(it), sPos: sPos, repair: true, rng: rng}
 		}
 	}
-	rec, err := s.largeGroup.Reconstruct(s.gatherUnits(units, lgi), []int{wantUnit})
-	if err != nil {
-		return nil, false
-	}
-	return rec[wantUnit], true
+	cs := s.acquireScratch()
+	defer s.releaseScratch(cs)
+	return s.largeGroup.ReconstructInto(dst, s.gatherUnits(cs, units, lgi), wantUnit) == nil
 }
 
 // RecyclePlatter melts a platter down as blank feedstock (§3: "if a
@@ -338,58 +332,56 @@ func (s *Service) RecyclePlatter(id media.PlatterID) error {
 }
 
 // recoverFromSet rebuilds one information sector of an unavailable
-// platter from its platter-set: the matching sector of SetInfo other
-// members (§5 cross-platter NC; §7.6's I reads per sector returned).
-func (s *Service) recoverFromSet(pi *platterInfo, infoSector int, rng *sim.RNG) ([]byte, error) {
-	_, setPos, _, infos := s.setSnapshot(pi)
-	if infos == nil {
-		return nil, fmt.Errorf("%w: platter %d has no completed platter-set", ErrUnavailable, pi.platter.ID)
+// platter into dst from its platter-set: the matching sector of SetInfo
+// other members (§5 cross-platter NC; §7.6's I reads per sector
+// returned).
+func (s *Service) recoverFromSet(pi *platterInfo, infoSector int, rng *sim.RNG, dst []byte) error {
+	cs := s.acquireScratch()
+	defer s.releaseScratch(cs)
+	var setPos int
+	if _, setPos, cs.set = s.setSnapshot(pi, cs.set); cs.set == nil {
+		return fmt.Errorf("%w: platter %d has no completed platter-set", ErrUnavailable, pi.platter.ID)
 	}
-	units := s.setUnits(infos, setPos, infoSector)
-	for i := range units {
-		units[i].rng = rng
+	cs.ncUnits = s.setUnits(cs.ncUnits, cs.set, setPos, infoSector, rng)
+	if err := s.setGroup.ReconstructInto(dst, s.gatherUnits(cs, cs.ncUnits, s.cfg.SetInfo), setPos); err != nil {
+		return fmt.Errorf("%w: set recovery failed: %v", ErrUnavailable, err)
 	}
-	rec, err := s.setGroup.Reconstruct(s.gatherUnits(units, s.cfg.SetInfo), []int{setPos})
-	if err != nil {
-		return nil, fmt.Errorf("%w: set recovery failed: %v", ErrUnavailable, err)
-	}
-	return rec[setPos], nil
+	return nil
 }
 
 // setSnapshot copies pi's place in its platter-set and the set's
-// membership (ids and records) under the read lock — the platters
+// members' records (into infos[:0]) under the read lock — the platters
 // themselves are immutable once published — or nil for no completed set.
-func (s *Service) setSnapshot(pi *platterInfo) (setIdx, setPos int, members []media.PlatterID, infos []*platterInfo) {
+func (s *Service) setSnapshot(pi *platterInfo, infos []*platterInfo) (setIdx, setPos int, _ []*platterInfo) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	setIdx, setPos = pi.set, pi.setPos
 	if setIdx < 0 || setIdx >= len(s.sets) {
-		return setIdx, setPos, nil, nil
+		return setIdx, setPos, nil
 	}
-	members = append(members, s.sets[setIdx]...)
-	infos = make([]*platterInfo, len(members))
-	for i, mid := range members {
-		infos[i] = s.platters[mid]
+	infos = infos[:0]
+	for _, mid := range s.sets[setIdx] {
+		infos = append(infos, s.platters[mid])
 	}
-	return setIdx, setPos, members, infos
+	return setIdx, setPos, infos
 }
 
 // setUnits describes information sector infoSector of every member of a
-// platter-set as an NC unit (noise streams left to the caller). The
-// member at setPos, the one being recovered, and unavailable members are
+// platter-set as an NC unit read with rng, in units[:0]. The member at
+// setPos, the one being recovered, and unavailable members are
 // unreadable; members shorter than the sector's track contribute zeros.
-func (s *Service) setUnits(infos []*platterInfo, setPos, infoSector int) []ncUnit {
+func (s *Service) setUnits(units []ncUnit, infos []*platterInfo, setPos, infoSector int, rng *sim.RNG) []ncUnit {
 	geom := s.cfg.Geom
 	iPerTrack := geom.InfoSectorsPerTrack
 	infoTrack, sPos := infoSector/iPerTrack, infoSector%iPerTrack
-	units := make([]ncUnit, len(infos))
+	units = append(units[:0], make([]ncUnit, len(infos))...) // zeroed, reusing units' array
 	for pos, mpi := range infos {
 		switch {
 		case pos == setPos || mpi == nil || mpi.rec.Unavailable():
 		case infoTrack >= (mpi.usedInfoSectors+iPerTrack-1)/iPerTrack:
 			units[pos] = ncUnit{zero: true}
 		default:
-			units[pos] = ncUnit{pi: mpi, phys: geom.InfoTrackPhysical(infoTrack), sPos: sPos, repair: true}
+			units[pos] = ncUnit{pi: mpi, phys: geom.InfoTrackPhysical(infoTrack), sPos: sPos, repair: true, rng: rng}
 		}
 	}
 	return units

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"silica/internal/voxel"
@@ -10,9 +12,10 @@ import (
 // TestDurableGetAllocations pins the read path's allocation shape: a
 // durable Get sizes its ciphertext buffer once from the extents and
 // every sector is decoded on pooled scratch and descrambled straight
-// into its slot, so what a Get allocates is request bookkeeping (noise
-// stream, metadata copy, extent sort, AES-CTR) and does not grow with
-// the number of sectors read. The channel is noiseless so that no read
+// into its slot, and the plaintext is decrypted in place, so what a Get
+// allocates is that buffer and request bookkeeping (noise stream,
+// metadata copy, extent sort, AES-CTR) and does not grow with the
+// number of sectors read. The channel is noiseless so that no read
 // escalates to a recovery tier, which legitimately allocates.
 func TestDurableGetAllocations(t *testing.T) {
 	if raceEnabled {
@@ -43,12 +46,87 @@ func TestDurableGetAllocations(t *testing.T) {
 	if st := s.Stats(); st.DurableReads == 0 || st.SectorRepairs != 0 {
 		t.Fatalf("reads were not plain durable reads: %+v", st)
 	}
-	// 17 before the buffer was sized up front: four append regrowths and
-	// a descrambled copy per sector.
-	if small > 9 {
-		t.Errorf("GetCtx of a durable 4 KiB object: %v allocations, want at most 9", small)
+	// 17 before the buffer was sized up front (four append regrowths and
+	// a descrambled copy per sector); 9 before it was decrypted in place.
+	if small > 8 {
+		t.Errorf("GetCtx of a durable 4 KiB object: %v allocations, want at most 8", small)
 	}
 	if large != small {
 		t.Errorf("allocations grow with sectors read: %v for 5 sectors, %v for 13", small, large)
+	}
+}
+
+// TestDegradedGetAllocations pins set recovery's allocation shape: with
+// one information member failed, every sector of a Get is gathered from
+// SetInfo other members into pooled scratch and reconstructed straight
+// into the Get's buffer, with the decode matrix cached per erasure
+// pattern, so a degraded Get allocates what a durable one does and
+// nothing per recovered sector. The channel is noiseless so that no
+// unit escalates to a within-platter repair tier.
+func TestDegradedGetAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.Channel = voxel.CleanChannel()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two objects share the set's first platter; every other
+	// member holds more sectors, so each recovered sector reads SetInfo
+	// real units rather than implicit zeros.
+	for name, size := range map[string]int{"4k": 4096, "12k": 3 * 4096} {
+		if _, err := s.Put("acct", name, randBytes(6, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < cfg.SetInfo; i++ {
+		if _, err := s.Put("acct", fmt.Sprintf("filler%d", i), randBytes(uint64(7+i), 6*4096)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.SetsCompleted != 1 {
+		t.Fatalf("sets completed = %d, want 1", st.SetsCompleted)
+	}
+	if a, b := platterOf(t, s, "acct", "4k"), platterOf(t, s, "acct", "12k"); a != b {
+		t.Fatalf("objects on platters %d and %d, want one", a, b)
+	} else if err := s.FailPlatter(a); err != nil {
+		t.Fatal(err)
+	}
+	get := func(name string) {
+		if _, err := s.GetCtx(context.Background(), "acct", name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(name string) float64 {
+		return testing.AllocsPerRun(20, func() { get(name) })
+	}
+	small, large := allocs("4k"), allocs("12k")
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		get("4k")
+	}
+	runtime.ReadMemStats(&after)
+	perGet := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	st := s.Stats()
+	if st.PlatterRecovers == 0 || st.SectorRepairs != 0 || st.TrackRebuilds != 0 {
+		t.Fatalf("reads were not plain set recoveries: %+v", st)
+	}
+	t.Logf("degraded 4 KiB Get: %.0f allocations, %.0f bytes; 12 KiB: %.0f allocations", small, perGet, large)
+	// ≈ 6.6 KB: the five-sector ciphertext buffer plus request
+	// bookkeeping. It was ≈ 42 KB (104 allocations, 256 at 12 KiB) when
+	// every gathered unit, reconstructed sector, decode matrix and the
+	// plaintext had a buffer of its own.
+	if perGet > 8<<10 {
+		t.Errorf("degraded GetCtx of a 4 KiB object allocates %.0f bytes, want at most %d", perGet, 8<<10)
+	}
+	if large != small {
+		t.Errorf("allocations grow with sectors recovered: %v for 5 sectors, %v for 13", small, large)
 	}
 }

@@ -33,8 +33,8 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	if !ok {
 		return -1, fmt.Errorf("service: unknown platter %d", old)
 	}
-	setIdx, setPos, members, infos := s.setSnapshot(pi)
-	if members == nil {
+	setIdx, setPos, infos := s.setSnapshot(pi, nil)
+	if infos == nil {
 		return -1, fmt.Errorf("service: platter %d: %w", old, repair.ErrNoRebuildSource)
 	}
 	isRed, used := pi.isRedundancy, pi.usedInfoSectors
@@ -60,7 +60,7 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 				TrackCount: tracks,
 				Bytes:      int64(tracks) * geom.TrackRawBytes(),
 			})
-		}(members[pos], mTracks)
+		}(mpi.platter.ID, mTracks)
 	}
 	chargeWG.Wait()
 	// Reconstruct the lost unit sector by sector across the codec engine:
@@ -71,13 +71,15 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	decRNG := s.writeRNG(newID).Fork("member-decode")
 	payloads := make([][]byte, used)
 	if err := s.eng.ForEach(used, func(sec int) error {
-		units := s.setUnits(infos, setPos, sec)
-		for pos := range units {
-			if units[pos].pi != nil {
-				units[pos].rng = decRNG.ForkAt(uint64(pos), uint64(sec))
+		cs := s.acquireScratch()
+		defer s.releaseScratch(cs)
+		cs.ncUnits = s.setUnits(cs.ncUnits, infos, setPos, sec, nil)
+		for pos := range cs.ncUnits {
+			if cs.ncUnits[pos].pi != nil {
+				cs.ncUnits[pos].rng = decRNG.ForkAt(uint64(pos), uint64(sec))
 			}
 		}
-		avail := s.gatherUnits(units, s.cfg.SetInfo)
+		avail := s.gatherUnits(cs, cs.ncUnits, s.cfg.SetInfo)
 		if isRed {
 			// Redundancy unit: rebuild the information vector, then
 			// re-encode this platter's redundancy position.
@@ -91,11 +93,10 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 			}
 			payloads[sec] = red[setPos-s.cfg.SetInfo]
 		} else {
-			rec, err := s.setGroup.Reconstruct(avail, []int{setPos})
-			if err != nil {
+			payloads[sec] = make([]byte, geom.SectorPayloadBytes)
+			if err := s.setGroup.ReconstructInto(payloads[sec], avail, setPos); err != nil {
 				return fmt.Errorf("service: rebuild platter %d sector %d: %w", old, sec, err)
 			}
-			payloads[sec] = rec[setPos]
 		}
 		return nil
 	}); err != nil {

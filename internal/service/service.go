@@ -185,6 +185,7 @@ type Service struct {
 	withinTrack *nc.Group
 	largeGroup  *nc.Group
 	setGroup    *nc.Group
+	zero        []byte // one sector of zeros, read-only: every implicit-zero unit
 
 	// mu guards the platter index and the completed-set registry.
 	// Readers hold it only long enough to resolve pointers; published
@@ -258,6 +259,7 @@ func New(cfg Config) (*Service, error) {
 		withinTrack: wt,
 		largeGroup:  lg,
 		setGroup:    sg,
+		zero:        make([]byte, cfg.Geom.SectorPayloadBytes),
 		platters:    make(map[media.PlatterID]*platterInfo),
 		reg:         reg,
 	}
@@ -302,17 +304,20 @@ func (s *Service) chargeMech(ctx context.Context, op backend.Op) error {
 // codecScratch is one worker's reusable buffers for the sector hot
 // paths: the voxel/LDPC pipeline scratch, a scramble output buffer, a
 // read-back symbol buffer, a decode payload buffer for paths that never
-// retain the plaintext (verify, scrub, descramble-and-copy reads), and
-// the per-track batch buffers of the burn path. Pooled on the service
-// so steady-state encode, verify, and scrub allocate nothing per
-// sector.
+// retain the plaintext (verify, scrub, descramble-and-copy reads), a
+// sector per unit of the widest NC group (burn batches, gathered units)
+// and set recovery's working lists. Pooled on the service so steady-state
+// encode, verify, scrub and set recovery allocate nothing per sector.
 type codecScratch struct {
 	sector   *voxel.SectorScratch
 	scramble []byte
 	symbols  []uint8
 	payload  []byte
-	trackScr [][]byte  // one scrambled payload per sector of a track
+	units    [][]byte
 	trackSym [][]uint8 // one modulated symbol buffer per sector of a track
+	ncUnits  []ncUnit
+	set      []*platterInfo
+	avail    map[int][]byte
 }
 
 func (s *Service) acquireScratch() *codecScratch {
@@ -325,11 +330,14 @@ func (s *Service) acquireScratch() *codecScratch {
 		scramble: make([]byte, s.cfg.Geom.SectorPayloadBytes),
 		symbols:  make([]uint8, s.pipe.SymbolsPerSector()),
 		payload:  make([]byte, s.cfg.Geom.SectorPayloadBytes),
-		trackScr: make([][]byte, spt),
+		units:    make([][]byte, max(spt, s.largeGroup.Size(), s.setGroup.Size())),
 		trackSym: make([][]uint8, spt),
+		avail:    make(map[int][]byte),
 	}
-	for i := 0; i < spt; i++ {
-		cs.trackScr[i] = make([]byte, s.cfg.Geom.SectorPayloadBytes)
+	for i := range cs.units {
+		cs.units[i] = make([]byte, s.cfg.Geom.SectorPayloadBytes)
+	}
+	for i := range cs.trackSym {
 		cs.trackSym[i] = make([]uint8, s.pipe.SymbolsPerSector())
 	}
 	return cs

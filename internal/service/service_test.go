@@ -51,6 +51,40 @@ func TestPutGetStaged(t *testing.T) {
 	}
 }
 
+// TestStagedGetsOwnTheirBytes: a staged file's ciphertext is shared
+// with the staging tier, so Get must decrypt a copy of it, never in
+// place. Two Gets return the same plaintext, and scribbling over one
+// reply changes neither the next nor the stored file.
+func TestStagedGetsOwnTheirBytes(t *testing.T) {
+	s := newService(t)
+	data := randBytes(2, 5000)
+	if _, err := s.Put("acct", "f", data); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Get("acct", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Get("acct", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, data) || !bytes.Equal(second, data) {
+		t.Fatal("staged reads differ from the written data")
+	}
+	clear(first)
+	third, err := s.Get("acct", "f")
+	if err != nil || !bytes.Equal(third, data) {
+		t.Fatalf("a staged read after overwriting an earlier reply: err=%v, equal=%v", err, bytes.Equal(third, data))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("acct", "f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("durable read after the staged ones: err=%v", err)
+	}
+}
+
 func TestPutFlushGetDurable(t *testing.T) {
 	s := newService(t)
 	data := randBytes(2, 12000)

@@ -457,12 +457,11 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	}
 	iPerTrack := geom.InfoSectorsPerTrack
 	usedTracks := (len(payloads) + iPerTrack - 1) / iPerTrack
-	zero := make([]byte, geom.SectorPayloadBytes)
 	sector := func(idx int) []byte {
 		if idx < len(payloads) && payloads[idx] != nil {
 			return payloads[idx]
 		}
-		return zero
+		return s.zero
 	}
 	var pmu sync.Mutex // serializes media sector inserts
 	// Whatever reached the glass is counted once, on every return: a
@@ -494,13 +493,13 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		phys := geom.InfoTrackPhysical(it)
 		n := iPerTrack + len(red)
 		for i, payload := range info {
-			scrambleInto(cs.trackScr[i], payload, p.ID, phys, i)
+			scrambleInto(cs.units[i], payload, p.ID, phys, i)
 		}
 		for j, payload := range red {
-			scrambleInto(cs.trackScr[iPerTrack+j], payload, p.ID, phys, iPerTrack+j)
+			scrambleInto(cs.units[iPerTrack+j], payload, p.ID, phys, iPerTrack+j)
 		}
 		t0 := time.Now()
-		s.pipe.WriteSectorsInto(cs.sector, cs.trackScr[:n], cs.trackSym[:n])
+		s.pipe.WriteSectorsInto(cs.sector, cs.units[:n], cs.trackSym[:n])
 		s.om.observeCodec(s.om.codecEncode, s.om.codecEncSectors, n, time.Since(t0))
 		for i := 0; i < n; i++ {
 			if err := s.faults.CheckData(faults.OpMediaWrite, int64(p.ID), phys, i, cs.trackSym[i]); err != nil {
@@ -531,7 +530,7 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 			if it := g*lgi + m; it < usedTracks {
 				members[m] = sector(it*iPerTrack + sPos)
 			} else {
-				members[m] = zero
+				members[m] = s.zero
 			}
 		}
 		red, err := s.largeGroup.EncodeRedundancy(members)
@@ -765,7 +764,6 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	for _, mpi := range infos {
 		maxSectors = max(maxSectors, len(mpi.payloads))
 	}
-	zero := make([]byte, geom.SectorPayloadBytes)
 	redPayloads := make([][][]byte, s.cfg.SetRed)
 	for r := range redPayloads {
 		redPayloads[r] = make([][]byte, maxSectors)
@@ -777,7 +775,7 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 			if sec < len(pls) {
 				units[mi] = pls[sec]
 			} else {
-				units[mi] = zero
+				units[mi] = s.zero
 			}
 		}
 		red, err := s.setGroup.EncodeRedundancy(units)

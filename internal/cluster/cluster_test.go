@@ -61,8 +61,14 @@ func verifyKeys(t *testing.T, c *Cluster, n int) {
 
 // victimFor picks the library holding the most primaries.
 func victimFor(c *Cluster) string {
+	c.mu.RLock()
+	counts := map[string]int{}
+	for _, e := range c.dir {
+		counts[e.Primary]++
+	}
+	c.mu.RUnlock()
 	name, max := "", -1
-	for lib, n := range c.PrimaryCounts() {
+	for lib, n := range counts {
 		if n > max || (n == max && lib < name) {
 			name, max = lib, n
 		}

@@ -72,9 +72,6 @@ func NewEngine(workers int, reg *obs.Registry) *Engine {
 	return e
 }
 
-// Workers reports the concurrency bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // ForEach runs fn(i) for every i in [0, n), fanning iterations across
 // the engine's workers. It returns the error of the lowest failing
 // index (remaining iterations are skipped on a best-effort basis once

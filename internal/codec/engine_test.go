@@ -28,10 +28,10 @@ func TestForEachVisitsEveryIndex(t *testing.T) {
 
 func TestForEachDefaultSizesFromGOMAXPROCS(t *testing.T) {
 	e := NewEngine(0, nil)
-	if got, want := e.Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("Workers() = %d, want %d", got, want)
+	if got, want := e.workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("workers = %d, want %d", got, want)
 	}
-	if NewEngine(1, nil).Workers() != 1 {
+	if NewEngine(1, nil).workers != 1 {
 		t.Fatal("Serial engine must have one worker")
 	}
 }

@@ -12,7 +12,16 @@ import (
 	"time"
 
 	"silica/internal/faults"
+	"silica/internal/obs"
 )
+
+// retryCounter instruments c into a registry of its own and returns
+// the silica_client_retries_total counter it counts into.
+func retryCounter(c *Client) *obs.Counter {
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	return reg.Counter("silica_client_retries_total", "")
+}
 
 // slowReserveConfig returns a single-write-worker gateway whose Puts
 // stall inside the service on an injected staging.reserve latency, so
@@ -141,6 +150,7 @@ func TestClientRetryGivesUpWhenCtxExpires(t *testing.T) {
 
 	c := NewClient(srv.URL)
 	c.Retry = &RetryPolicy{MaxRetries: 1000, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 10 * time.Millisecond, JitterFrac: 0.5, Seed: 1}
+	retries := retryCounter(c)
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
@@ -151,7 +161,7 @@ func TestClientRetryGivesUpWhenCtxExpires(t *testing.T) {
 	if d := time.Since(t0); d > 2*time.Second {
 		t.Fatalf("retry loop ran %s past its ctx deadline", d)
 	}
-	if c.RetriesTotal() == 0 {
+	if retries.Value() == 0 {
 		t.Fatal("client recorded no retries before giving up")
 	}
 }
@@ -173,6 +183,7 @@ func TestClientRetryHonorsRetryAfterHint(t *testing.T) {
 	c := NewClient(srv.URL)
 	// Policy backoff is tiny; the 50ms server hint must dominate.
 	c.Retry = &RetryPolicy{MaxRetries: 5, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1}
+	retries := retryCounter(c)
 	t0 := time.Now()
 	v, err := c.Put("acct", "eventually", []byte("x"))
 	if err != nil || v != 1 {
@@ -181,7 +192,7 @@ func TestClientRetryHonorsRetryAfterHint(t *testing.T) {
 	if d := time.Since(t0); d < 90*time.Millisecond {
 		t.Fatalf("two 50ms Retry-After hints honored in only %s", d)
 	}
-	if got := c.RetriesTotal(); got != 2 {
+	if got := retries.Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 }
@@ -284,27 +295,31 @@ func TestFaultsAdminEndpoint(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
-	p, err := c.ArmFaults(FaultsRequest{
+	ctx := context.Background()
+	var p FaultsPayload
+	err := c.Call(ctx, http.MethodPost, "/v1/faults", FaultsRequest{
 		Rules: []faults.Rule{{Op: faults.OpMediaRead, Platter: -1, Track: -1, Sector: -1, Mode: faults.ModeError}},
 		Arm:   []string{"op=media.write,mode=error,every=2"},
-	})
+	}, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Rules) != 2 {
 		t.Fatalf("armed %d rules, want 2", len(p.Rules))
 	}
-	if p, err = c.Faults(); err != nil || len(p.Rules) != 2 {
+	if err = c.Call(ctx, http.MethodGet, "/v1/faults", nil, &p); err != nil || len(p.Rules) != 2 {
 		t.Fatalf("list: %+v err=%v", p, err)
 	}
-	if err := c.ClearFaults(); err != nil {
+	if err := c.Call(ctx, http.MethodDelete, "/v1/faults", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p, err = c.Faults(); err != nil || len(p.Rules) != 0 {
+	p = FaultsPayload{}
+	if err = c.Call(ctx, http.MethodGet, "/v1/faults", nil, &p); err != nil || len(p.Rules) != 0 {
 		t.Fatalf("after clear: %+v err=%v", p, err)
 	}
 	// Bad rules are rejected with 400, not armed.
-	if _, err := c.ArmFaults(FaultsRequest{Arm: []string{"op=media.write,mode=vaporize"}}); err == nil {
+	err = c.Call(ctx, http.MethodPost, "/v1/faults", FaultsRequest{Arm: []string{"op=media.write,mode=vaporize"}}, nil)
+	if err == nil {
 		t.Fatal("bad rule accepted")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"silica/internal/media"
@@ -54,7 +53,6 @@ type Client struct {
 	HTTP    *http.Client
 	Retry   *RetryPolicy
 
-	retries    atomic.Int64
 	retryCount *obs.Counter
 }
 
@@ -229,9 +227,6 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrOverloaded) || errors.Is(err, service.ErrUnavailable)
 }
 
-// RetriesTotal reports how many retries this client has performed.
-func (c *Client) RetriesTotal() int64 { return c.retries.Load() }
-
 // Instrument registers the client's retry counter
 // (silica_client_retries_total) into reg.
 func (c *Client) Instrument(reg *obs.Registry) {
@@ -240,7 +235,6 @@ func (c *Client) Instrument(reg *obs.Registry) {
 }
 
 func (c *Client) countRetry() {
-	c.retries.Add(1)
 	if c.retryCount != nil {
 		c.retryCount.Inc()
 	}
@@ -422,24 +416,6 @@ func (c *Client) FlushCtx(ctx context.Context) error {
 	return c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodPost, c.BaseURL+"/v1/flush", nil, "", nil)
 	}, c.countRetry)
-}
-
-// ArmFaults arms fault-injection rules on the daemon via POST
-// /v1/faults and returns the resulting injector state.
-func (c *Client) ArmFaults(req FaultsRequest) (out FaultsPayload, err error) {
-	err = c.Call(context.Background(), http.MethodPost, "/v1/faults", req, &out)
-	return out, err
-}
-
-// Faults fetches the daemon's armed fault rules and fire counts.
-func (c *Client) Faults() (out FaultsPayload, err error) {
-	err = c.Call(context.Background(), http.MethodGet, "/v1/faults", nil, &out)
-	return out, err
-}
-
-// ClearFaults disarms every fault rule on the daemon.
-func (c *Client) ClearFaults() error {
-	return c.Call(context.Background(), http.MethodDelete, "/v1/faults", nil, nil)
 }
 
 // HealthPlatters fetches the per-platter health registry snapshot.

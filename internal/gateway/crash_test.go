@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"silica/internal/media"
+	"silica/internal/repair"
 	"silica/internal/sim"
 )
 
@@ -235,7 +236,7 @@ func TestCrashMidFlushRecovery(t *testing.T) {
 	if !found {
 		t.Fatalf("platter %d missing after restart", redID)
 	}
-	if err := g3.Service().RestorePlatter(redID); err != nil {
+	if err := g3.Service().Health().Transition(redID, repair.Healthy, "failure cleared"); err != nil {
 		t.Fatal(err)
 	}
 	auditAcked(t, g3, acked, deleted)

@@ -152,5 +152,6 @@ func TestFaultedClosedLoopLosesNoAcknowledgedWrite(t *testing.T) {
 		t.Error("media.write faults scrapped no platters")
 	}
 	t.Logf("drill: %d acked, %d faults (%d platters scrapped), %d client retries, %d canceled",
-		len(acked), g.Faults().Total(), st.PlattersFaulted, c.RetriesTotal(), g.Counters().Canceled)
+		len(acked), g.Faults().Total(), st.PlattersFaulted,
+		g.Metrics().Counter("silica_client_retries_total", "").Value(), g.Counters().Canceled)
 }

@@ -73,7 +73,7 @@ func TestHealthzDegradedOnLostRedundancy(t *testing.T) {
 	if resp.StatusCode != 503 {
 		t.Fatalf("degraded healthz status = %d, want 503", resp.StatusCode)
 	}
-	if err := g.Service().RestorePlatter(victim); err != nil {
+	if err := g.Service().Health().Transition(victim, repair.Healthy, "failure cleared"); err != nil {
 		t.Fatal(err)
 	}
 	h, err = c.Healthz()

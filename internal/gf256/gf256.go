@@ -88,21 +88,6 @@ func Div(a, b byte) byte {
 	return expTable[int(logTable[a])+255-int(logTable[b])]
 }
 
-// Pow returns a^n (with a^0 == 1, including 0^0).
-func Pow(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	l := (int(logTable[a]) * n) % 255
-	if l < 0 {
-		l += 255
-	}
-	return expTable[l]
-}
-
 // MulAddVec computes dst[i] ^= c * src[i] for all i: the inner loop of
 // network-coding encode and decode. dst and src must be equal length.
 func MulAddVec(dst, src []byte, c byte) {
@@ -300,21 +285,6 @@ func Cauchy(rows, cols int) *Matrix {
 		for j := 0; j < cols; j++ {
 			y := byte(j)
 			m.Set(i, j, Inv(x^y))
-		}
-	}
-	return m
-}
-
-// Vandermonde returns the rows x cols matrix V[i][j] = alpha_i^j with
-// alpha_i = generator^i. Unlike Cauchy it is not guaranteed MDS when
-// stacked under an identity, but it matches classic network-coding
-// constructions and is provided for comparison benches.
-func Vandermonde(rows, cols int) *Matrix {
-	m := NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		alpha := expTable[i%255]
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, Pow(alpha, j))
 		}
 	}
 	return m

@@ -66,30 +66,6 @@ func TestDivByZeroPanics(t *testing.T) {
 	Div(3, 0)
 }
 
-func TestPow(t *testing.T) {
-	for a := 0; a < 256; a++ {
-		x := byte(a)
-		if Pow(x, 0) != 1 {
-			t.Fatalf("%d^0 != 1", a)
-		}
-		if Pow(x, 1) != x {
-			t.Fatalf("%d^1 != %d", a, a)
-		}
-		if Pow(x, 2) != Mul(x, x) {
-			t.Fatalf("%d^2 mismatch", a)
-		}
-		if Pow(x, 5) != Mul(Mul(Mul(Mul(x, x), x), x), x) {
-			t.Fatalf("%d^5 mismatch", a)
-		}
-	}
-	// Fermat: a^255 == 1 for nonzero a.
-	for a := 1; a < 256; a++ {
-		if Pow(byte(a), 255) != 1 {
-			t.Fatalf("%d^255 != 1", a)
-		}
-	}
-}
-
 func TestMulAddVec(t *testing.T) {
 	dst := []byte{1, 2, 3, 4}
 	src := []byte{5, 6, 7, 8}
@@ -240,19 +216,6 @@ func TestCauchyTooLargePanics(t *testing.T) {
 		}
 	}()
 	Cauchy(200, 100)
-}
-
-func TestVandermondeShape(t *testing.T) {
-	v := Vandermonde(3, 4)
-	for i := 0; i < 3; i++ {
-		if v.At(i, 0) != 1 {
-			t.Fatalf("row %d should start with alpha^0 = 1", i)
-		}
-	}
-	// Rows must be distinct.
-	if bytes.Equal(v.Row(0), v.Row(1)) || bytes.Equal(v.Row(1), v.Row(2)) {
-		t.Fatal("Vandermonde rows not distinct")
-	}
 }
 
 func BenchmarkMulAddVec4K(b *testing.B) {

@@ -61,14 +61,6 @@ func (s *Store) CreateKey(id string) error {
 	return nil
 }
 
-// HasKey reports whether id currently has a live key.
-func (s *Store) HasKey(id string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.keys[id]
-	return ok
-}
-
 // Encrypt seals plaintext under id's key with AES-256-CTR and a random
 // IV. The ciphertext layout is IV || body.
 func (s *Store) Encrypt(id string, plaintext []byte) ([]byte, error) {
@@ -185,11 +177,4 @@ func (s *Store) Install(id string, key []byte) {
 	copy(cp, key)
 	s.keys[id] = cp
 	delete(s.shredded, id)
-}
-
-// LiveKeys reports the number of live keys (files not yet deleted).
-func (s *Store) LiveKeys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.keys)
 }

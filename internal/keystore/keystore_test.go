@@ -103,8 +103,8 @@ func TestMissingKeyErrors(t *testing.T) {
 	if _, err := s.Decrypt("nope", make([]byte, 32)); !errors.Is(err, ErrNoKey) {
 		t.Fatal("decrypt without key should fail")
 	}
-	if s.HasKey("nope") {
-		t.Fatal("HasKey on missing id")
+	if _, err := s.Material("nope"); !errors.Is(err, ErrNoKey) {
+		t.Fatal("key material for a missing id")
 	}
 }
 
@@ -120,12 +120,12 @@ func TestLiveKeys(t *testing.T) {
 	s := New()
 	s.CreateKey("a")
 	s.CreateKey("b")
-	if s.LiveKeys() != 2 {
-		t.Fatalf("live keys = %d", s.LiveKeys())
+	if n := len(s.Export()); n != 2 {
+		t.Fatalf("live keys = %d", n)
 	}
 	s.Shred("a")
-	if s.LiveKeys() != 1 {
-		t.Fatalf("live keys after shred = %d", s.LiveKeys())
+	if live := s.Export(); len(live) != 1 || live["b"] == nil {
+		t.Fatalf("live keys after shred = %v", live)
 	}
 }
 

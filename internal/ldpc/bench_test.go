@@ -49,7 +49,7 @@ func BenchmarkDecodeSector(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(rng.Uint64())
 	}
-	coded := sc.EncodeSector(payload)
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 	rx := append([]uint8(nil), coded...)
 	for k := 0; k < sc.Blocks()*2; k++ {
 		rx[rng.Intn(len(rx))] ^= 1
@@ -77,7 +77,7 @@ func BenchmarkDecodeSectorBP(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(rng.Uint64())
 	}
-	coded := sc.EncodeSector(payload)
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 	rx := append([]uint8(nil), coded...)
 	for k := 0; k < sc.Blocks()*6; k++ {
 		rx[rng.Intn(len(rx))] ^= 1

@@ -20,8 +20,6 @@ func (b bitset) get(i int) bool { return b[i>>6]>>(uint(i)&63)&1 == 1 }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func (b bitset) flip(i int) { b[i>>6] ^= 1 << (uint(i) & 63) }
-
 // xor accumulates other into b.
 func (b bitset) xor(other bitset) {
 	for i := range b {
@@ -33,31 +31,6 @@ func (b bitset) clone() bitset {
 	c := make(bitset, len(b))
 	copy(c, b)
 	return c
-}
-
-// BytesToBits unpacks bytes LSB-first into a 0/1 slice of length 8*len(p).
-func BytesToBits(p []byte) []uint8 {
-	out := make([]uint8, 8*len(p))
-	BytesToBitsInto(p, out)
-	return out
-}
-
-// BytesToBitsInto unpacks bytes LSB-first into out, which must hold at
-// least 8*len(p) entries.
-func BytesToBitsInto(p []byte, out []uint8) {
-	for i, b := range p {
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = uint8(b >> uint(j) & 1)
-		}
-	}
-}
-
-// BitsToBytes packs a 0/1 slice LSB-first. len(bits) must be a multiple
-// of 8.
-func BitsToBytes(bits []uint8) []byte {
-	out := make([]byte, len(bits)/8)
-	BitsToBytesInto(bits, out)
-	return out
 }
 
 // BitsToBytesInto packs a 0/1 slice LSB-first into out. len(bits) must
@@ -75,18 +48,11 @@ func BitsToBytesInto(bits []uint8, out []byte) {
 	}
 }
 
-// PackBits packs a 0/1 slice LSB-first into 64-bit words, the layout the
-// fast encode/decode paths operate on: bit i of the message lives at
-// words[i/64] bit i%64, matching the little-endian byte packing of
-// BitsToBytes word for word.
-func PackBits(bits []uint8) []uint64 {
-	out := make([]uint64, (len(bits)+63)/64)
-	PackBitsInto(bits, out)
-	return out
-}
-
-// PackBitsInto packs a 0/1 slice LSB-first into words, which must hold
-// at least (len(bits)+63)/64 entries. The unused high bits of the last
+// PackBitsInto packs a 0/1 slice LSB-first into 64-bit words, the
+// layout the fast encode/decode paths operate on: bit i of the message
+// lives at words[i/64] bit i%64, matching the little-endian byte packing
+// of BitsToBytesInto word for word. words must hold at least
+// (len(bits)+63)/64 entries. The unused high bits of the last
 // written word are zeroed; words beyond that are left untouched.
 func PackBitsInto(bits []uint8, words []uint64) {
 	n := (len(bits) + 63) / 64

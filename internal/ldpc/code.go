@@ -25,11 +25,9 @@ type Code struct {
 	checkVars [][]int32 // per check row: variable indices
 	varChecks [][]int32 // per variable: check row indices
 
-	// Encoder: parity[i] = encRows[i] · message (GF(2) dot product).
-	// encRows is the construction-time bitset form; encWords is the same
+	// Encoder: parity[i] = row i · message (GF(2) dot product), the
 	// matrix flattened into one contiguous row-major []uint64 (kWords
 	// words per row) so the hot encode walks it with pure word loads.
-	encRows  []bitset
 	encWords []uint64
 	chkWords []uint64 // parity-check rows packed over N bits, row-major
 	kWords   int      // words per packed K-bit message
@@ -41,12 +39,9 @@ type Code struct {
 
 	// Decode acceleration, built once at construction. BP messages live
 	// in flat arrays indexed by edge; edgeOff[ci] is the first edge of
-	// check ci, and varEdge[varOff[v]:varOff[v+1]] lists the edges
-	// incident to variable v. Flat storage keeps the inner loops
-	// cache-friendly and lets one pooled scratch serve every decode.
+	// check ci. Flat storage keeps the inner loops cache-friendly and
+	// lets one pooled scratch serve every decode.
 	edgeOff     []int32 // len M+1: prefix offsets into the edge arrays
-	varOff      []int32 // len N+1: prefix offsets into varEdge
-	varEdge     []int32 // len E: edge indices grouped by variable
 	edges       int     // E: total edge count
 	maxCheckDeg int     // widest check row
 
@@ -74,35 +69,17 @@ func (c *Code) buildDecodeIndex() {
 		}
 	}
 	c.edges = int(c.edgeOff[c.M])
-	c.varOff = make([]int32, c.N+1)
-	for _, vars := range c.checkVars {
-		for _, v := range vars {
-			c.varOff[v+1]++
-		}
-	}
-	for v := 0; v < c.N; v++ {
-		c.varOff[v+1] += c.varOff[v]
-	}
-	c.varEdge = make([]int32, c.edges)
-	fill := append([]int32(nil), c.varOff[:c.N]...)
-	for ci, vars := range c.checkVars {
-		off := c.edgeOff[ci]
-		for e, v := range vars {
-			c.varEdge[fill[v]] = off + int32(e)
-			fill[v]++
-		}
-	}
 }
 
-// buildEncodeWords flattens encRows into the contiguous word matrix the
-// fast encoder streams through, and packs the parity-check rows the
-// same way (chkWords) so syndrome evaluation is word AND/XOR/popcount
-// instead of per-edge bit gathers.
-func (c *Code) buildEncodeWords() {
+// buildEncodeWords flattens the encoder rows into the contiguous word
+// matrix the fast encoder streams through, and packs the parity-check
+// rows the same way (chkWords) so syndrome evaluation is word
+// AND/XOR/popcount instead of per-edge bit gathers.
+func (c *Code) buildEncodeWords(encRows []bitset) {
 	c.kWords = (c.K + 63) / 64
 	c.nWords = (c.N + 63) / 64
 	c.encWords = make([]uint64, c.M*c.kWords)
-	for i, row := range c.encRows {
+	for i, row := range encRows {
 		copy(c.encWords[i*c.kWords:(i+1)*c.kWords], row)
 	}
 	c.chkWords = make([]uint64, c.M*c.nWords)
@@ -310,13 +287,12 @@ func tryConstruct(n, k, colWeight int, rng *sim.RNG) (*Code, bool) {
 		N: n, K: k, M: m, ColWeight: colWeight,
 		checkVars: checkVars,
 		varChecks: varChecks,
-		encRows:   encRows,
 		dataPos:   dataPos,
 		parityPos: pivotCol,
 		posIsData: posIsData,
 	}
 	c.buildDecodeIndex()
-	c.buildEncodeWords()
+	c.buildEncodeWords(encRows)
 	return c, true
 }
 
@@ -366,35 +342,6 @@ func (c *Code) encodeFromWords(msgWords []uint64, cw []uint8) {
 	}
 }
 
-// EncodeIntoReference is the original bit-serial encoder, retained as
-// the ground truth the word-packed fast path is property-tested against.
-func (c *Code) EncodeIntoReference(msg, cw []uint8) {
-	if len(msg) != c.K {
-		panic(fmt.Sprintf("ldpc: message length %d, want %d", len(msg), c.K))
-	}
-	if len(cw) != c.N {
-		panic(fmt.Sprintf("ldpc: codeword buffer length %d, want %d", len(cw), c.N))
-	}
-	for i, pos := range c.dataPos {
-		cw[pos] = msg[i] & 1
-	}
-	for i, row := range c.encRows {
-		var parity uint8
-		for w, word := range row {
-			if word == 0 {
-				continue
-			}
-			base := w * 64
-			for word != 0 {
-				b := base + bits.TrailingZeros64(word)
-				parity ^= msg[b] & 1
-				word &= word - 1
-			}
-		}
-		cw[c.parityPos[i]] = parity
-	}
-}
-
 // Extract returns the K message bits embedded in an N-bit codeword.
 func (c *Code) Extract(cw []uint8) []uint8 {
 	msg := make([]uint8, c.K)
@@ -410,40 +357,6 @@ func (c *Code) ExtractInto(cw, msg []uint8) {
 	for i, pos := range c.dataPos {
 		msg[i] = cw[pos] & 1
 	}
-}
-
-// SyndromeOK reports whether every parity check is satisfied.
-func (c *Code) SyndromeOK(cw []uint8) bool {
-	for _, vars := range c.checkVars {
-		var s uint8
-		for _, v := range vars {
-			s ^= cw[v] & 1
-		}
-		if s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// SyndromeOKWords is SyndromeOK over a packed codeword ((N+63)/64
-// words, LSB-first): each check costs nWords AND+XOR word ops and one
-// popcount against the packed parity-check row, which is what makes
-// the hard-decision first pass of sector decode nearly free.
-func (c *Code) SyndromeOKWords(cw []uint64) bool {
-	nw := c.nWords
-	cw = cw[:nw]
-	for ci := 0; ci < c.M; ci++ {
-		row := c.chkWords[ci*nw : ci*nw+nw]
-		var acc uint64
-		for w, rw := range row {
-			acc ^= rw & cw[w]
-		}
-		if bits.OnesCount64(acc)&1 != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // syndromePacked fills synd with the per-check syndrome of the packed

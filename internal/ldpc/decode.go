@@ -56,7 +56,8 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) (int, bool) {
 // reads the current posteriors, lazily reconstructs its inbound messages
 // as total[v]-c2v[e], and writes the refreshed posterior back at once,
 // so later checks in the same iteration see it — which is why it
-// converges in roughly half the iterations of the flooded reference.
+// converges in roughly half the iterations of a flooded schedule
+// (decodeBPReference, in the tests).
 // The only persistent edge state is c2v, walked strictly sequentially.
 // The syndrome is maintained incrementally: a posterior sign change
 // flips the variable's bit, toggles its ColWeight checks and the unsat
@@ -142,124 +143,6 @@ func (c *Code) layeredBP(llr []float64, maxIter int, sc *bpScratch, unsat int) (
 		}
 	}
 	return maxIter, false
-}
-
-// DecodeBPReference is the original flooded float64 min-sum decoder,
-// retained as the ground truth the fast path is property-tested
-// against. It allocates its own working memory and performs a full
-// syndrome sweep per iteration; production paths use DecodeBP.
-func (c *Code) DecodeBPReference(llr []float64, maxIter int) DecodeResult {
-	if len(llr) != c.N {
-		panic("ldpc: LLR length mismatch")
-	}
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-	v2c := make([]float64, c.edges)
-	c2v := make([]float64, c.edges)
-	hard := make([]uint8, c.N)
-	for ci, vars := range c.checkVars {
-		off := c.edgeOff[ci]
-		for e, v := range vars {
-			v2c[off+int32(e)] = llr[v]
-		}
-	}
-	decide := func() {
-		for v := 0; v < c.N; v++ {
-			sum := llr[v]
-			for _, ei := range c.varEdge[c.varOff[v]:c.varOff[v+1]] {
-				sum += c2v[ei]
-			}
-			if sum < 0 {
-				hard[v] = 1
-			} else {
-				hard[v] = 0
-			}
-		}
-	}
-	decide()
-	if c.SyndromeOK(hard) {
-		return DecodeResult{Bits: hard, OK: true, Iterations: 0}
-	}
-
-	for iter := 1; iter <= maxIter; iter++ {
-		// Check node update (normalized min-sum).
-		for ci := range c.checkVars {
-			off, end := c.edgeOff[ci], c.edgeOff[ci+1]
-			in := v2c[off:end]
-			out := c2v[off:end]
-			// Find min and second-min of |in|, and the sign product.
-			min1, min2 := math.Inf(1), math.Inf(1)
-			min1Idx := -1
-			signProd := 1.0
-			for e, m := range in {
-				a := math.Abs(m)
-				if a < min1 {
-					min2 = min1
-					min1 = a
-					min1Idx = e
-				} else if a < min2 {
-					min2 = a
-				}
-				if m < 0 {
-					signProd = -signProd
-				}
-			}
-			for e, m := range in {
-				mag := min1
-				if e == min1Idx {
-					mag = min2
-				}
-				s := signProd
-				if m < 0 {
-					s = -s
-				}
-				out[e] = minSumScale * s * mag
-			}
-		}
-		// Variable node update.
-		for v := 0; v < c.N; v++ {
-			total := llr[v]
-			edges := c.varEdge[c.varOff[v]:c.varOff[v+1]]
-			for _, ei := range edges {
-				total += c2v[ei]
-			}
-			for _, ei := range edges {
-				v2c[ei] = total - c2v[ei]
-			}
-		}
-		decide()
-		if c.SyndromeOK(hard) {
-			return DecodeResult{Bits: hard, OK: true, Iterations: iter}
-		}
-	}
-	return DecodeResult{Bits: hard, OK: false, Iterations: maxIter}
-}
-
-// DecodeBitFlip runs Gallager-B style hard-decision bit flipping: each
-// iteration flips the bits involved in the most unsatisfied checks. It
-// is far cheaper than BP and corrects light error patterns; the decode
-// stack uses it as a first pass before escalating to BP. The codeword
-// is kept packed in machine words throughout — only the returned Bits
-// are allocated.
-func (c *Code) DecodeBitFlip(received []uint8, maxIter int) DecodeResult {
-	if len(received) != c.N {
-		panic("ldpc: codeword length mismatch")
-	}
-	if maxIter <= 0 {
-		maxIter = 20
-	}
-	sc := c.getScratch()
-	PackBitsInto(received, sc.cwWords)
-	unsat := c.syndromePacked(sc.cwWords, sc.synd)
-	iters, ok := 0, unsat == 0
-	if !ok {
-		iters, ok = c.bitFlip(sc, maxIter, unsat)
-	}
-	bits := make([]uint8, c.N)
-	UnpackBitsInto(sc.cwWords, bits)
-	c.putScratch(sc)
-	return DecodeResult{Bits: bits, OK: ok, Iterations: iters}
 }
 
 // bitFlip runs Gallager-B on the packed codeword sc.cwWords in place.

@@ -10,8 +10,9 @@ import (
 )
 
 // The word-packed encoder and the float32 serial-schedule BP decoder
-// are pinned against the retained references (EncodeIntoReference:
-// bit-serial; DecodeBPReference: float64 flooded) across random codes,
+// are pinned against the references in reference_test.go
+// (encodeIntoReference: bit-serial; decodeBPReference: float64 flooded)
+// across random codes,
 // payloads, and noise seeds. Encode must be bit-identical — it is the
 // same GF(2) algebra. Decode schedules legitimately differ in their
 // message trajectories, so the contract is outcome-level: on decodable
@@ -41,14 +42,16 @@ func TestEncodeFastMatchesReference(t *testing.T) {
 			r := sim.NewRNG(uint64(17 * n))
 			fast := make([]uint8, c.N)
 			ref := make([]uint8, c.N)
+			words, synd := make([]uint64, c.nWords), make([]uint8, c.M)
 			for trial := 0; trial < 50; trial++ {
 				msg := randomBits(r, c.K)
 				c.EncodeInto(msg, fast)
-				c.EncodeIntoReference(msg, ref)
+				c.encodeIntoReference(msg, ref)
 				if !bitsEqual(fast, ref) {
 					t.Fatalf("trial %d: word-packed encode diverges from bit-serial reference", trial)
 				}
-				if !c.SyndromeOK(fast) || !c.SyndromeOKWords(PackBits(fast)) {
+				PackBitsInto(fast, words)
+				if !c.syndromeOK(fast) || c.syndromePacked(words, synd) != 0 {
 					t.Fatalf("trial %d: encoded codeword fails syndrome", trial)
 				}
 			}
@@ -76,13 +79,13 @@ func TestDecodeFastMatchesReference(t *testing.T) {
 				}
 				llr := HardLLR(rx, 2)
 				fast := c.DecodeBP(llr, 50)
-				ref := c.DecodeBPReference(llr, 50)
+				ref := c.decodeBPReference(llr, 50)
 				if fast.OK {
 					fastSucc++
 					if !bitsEqual(fast.Bits, cw) {
 						// A decoder may in principle land on a different
 						// valid codeword; it must still satisfy every check.
-						if !c.SyndromeOK(fast.Bits) {
+						if !c.syndromeOK(fast.Bits) {
 							t.Fatalf("trial %d: fast decode OK but syndrome fails", trial)
 						}
 					}
@@ -95,7 +98,7 @@ func TestDecodeFastMatchesReference(t *testing.T) {
 					// codewords and the schedules may split between them;
 					// both must still be genuine codewords, and it must
 					// stay rare. The sector CRC arbitrates such cases.
-					if !c.SyndromeOK(ref.Bits) {
+					if !c.syndromeOK(ref.Bits) {
 						t.Fatalf("trial %d: reference decode OK but syndrome fails", trial)
 					}
 					disagree++
@@ -143,7 +146,7 @@ func TestDecodeFastSoftNoise(t *testing.T) {
 			llr[i] = 2 * (x + r.Normal(0, sigma)) / (sigma * sigma)
 		}
 		fast := c.DecodeBP(llr, 80)
-		ref := c.DecodeBPReference(llr, 80)
+		ref := c.decodeBPReference(llr, 80)
 		if fast.OK && bitsEqual(c.Extract(fast.Bits), msg) {
 			fastSucc++
 		}
@@ -182,7 +185,7 @@ func TestSectorFastMatchesReferencePipeline(t *testing.T) {
 			// Reference encode, bit-serial, block by block.
 			framed := make([]byte, sc.PayloadBytes+crcBytes)
 			refCoded := encodeSectorReference(sc, payload, framed)
-			fastCoded := sc.EncodeSector(payload)
+			fastCoded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 			if !bitsEqual(refCoded, fastCoded) {
 				t.Fatalf("trial %d: sector encode diverges from reference", trial)
 			}
@@ -192,7 +195,7 @@ func TestSectorFastMatchesReferencePipeline(t *testing.T) {
 				rx[i] ^= 1
 			}
 			llr := HardLLR(rx, 2)
-			res := sc.DecodeSector(llr, 50)
+			res := sc.DecodeSectorInto(llr, 50, nil)
 			refOK := referenceSectorOK(sc, llr, payload)
 			if refOK && !res.OK {
 				t.Fatalf("trial %d (flips=%d): reference pipeline decodes but fast sector path fails", trial, flips)
@@ -214,10 +217,10 @@ func encodeSectorReference(sc *SectorCodec, payload, framed []byte) []uint8 {
 	framed[sc.PayloadBytes+2] = byte(crc >> 16)
 	framed[sc.PayloadBytes+3] = byte(crc >> 24)
 	msgBits := make([]uint8, sc.Blocks()*sc.Code.K)
-	BytesToBitsInto(framed, msgBits)
+	bytesToBitsInto(framed, msgBits)
 	out := make([]uint8, sc.EncodedBits())
 	for b := 0; b < sc.Blocks(); b++ {
-		sc.Code.EncodeIntoReference(msgBits[b*sc.Code.K:(b+1)*sc.Code.K], out[b*sc.Code.N:(b+1)*sc.Code.N])
+		sc.Code.encodeIntoReference(msgBits[b*sc.Code.K:(b+1)*sc.Code.K], out[b*sc.Code.N:(b+1)*sc.Code.N])
 	}
 	return out
 }
@@ -227,17 +230,18 @@ func encodeSectorReference(sc *SectorCodec, payload, framed []byte) []uint8 {
 func referenceSectorOK(sc *SectorCodec, llr []float64, want []byte) bool {
 	msgBits := make([]uint8, sc.Blocks()*sc.Code.K)
 	for b := 0; b < sc.Blocks(); b++ {
-		res := sc.Code.DecodeBPReference(llr[b*sc.Code.N:(b+1)*sc.Code.N], 50)
+		res := sc.Code.decodeBPReference(llr[b*sc.Code.N:(b+1)*sc.Code.N], 50)
 		if !res.OK {
 			return false
 		}
 		sc.Code.ExtractInto(res.Bits, msgBits[b*sc.Code.K:(b+1)*sc.Code.K])
 	}
-	got := BitsToBytes(msgBits[:(sc.PayloadBytes+crcBytes)*8])
+	got := make([]byte, sc.PayloadBytes+crcBytes)
+	BitsToBytesInto(msgBits[:len(got)*8], got)
 	return bytes.Equal(got[:sc.PayloadBytes], want)
 }
 
-// TestPackHelpers pins the word layout: PackBits/UnpackBitsInto round-
+// TestPackHelpers pins the word layout: PackBitsInto/UnpackBitsInto round-
 // trip, agree with the byte packing, and extractBits matches a naive
 // bit-index walk at arbitrary offsets.
 func TestPackHelpers(t *testing.T) {
@@ -245,7 +249,8 @@ func TestPackHelpers(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + int(r.Uint64()%513)
 		bitsIn := randomBits(r, n)
-		words := PackBits(bitsIn)
+		words := make([]uint64, (n+63)/64)
+		PackBitsInto(bitsIn, words)
 		back := make([]uint8, n)
 		UnpackBitsInto(words, back)
 		if !bitsEqual(bitsIn, back) {
@@ -290,7 +295,7 @@ func FuzzSectorRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64, nflips uint8) {
 		payload := make([]byte, sc.PayloadBytes)
 		copy(payload, data)
-		coded := sc.EncodeSector(payload)
+		coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 		ref := make([]uint8, len(coded))
 		refFramed := make([]byte, sc.PayloadBytes+crcBytes)
 		copy(ref, encodeSectorReference(sc, payload, refFramed))
@@ -304,7 +309,7 @@ func FuzzSectorRoundTrip(f *testing.F) {
 			rx[i] ^= 1
 		}
 		llr := HardLLR(rx, 2)
-		res := sc.DecodeSector(llr, 50)
+		res := sc.DecodeSectorInto(llr, 50, nil)
 		if res.OK && !bytes.Equal(res.Payload, payload) {
 			t.Fatalf("decode OK with corrupted payload (flips=%d)", flips)
 		}

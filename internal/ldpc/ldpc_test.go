@@ -64,7 +64,7 @@ func TestEncodeSatisfiesAllChecks(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		msg := randomBits(r, c.K)
 		cw := c.Encode(msg)
-		if !c.SyndromeOK(cw) {
+		if !c.syndromeOK(cw) {
 			t.Fatal("encoded codeword violates parity checks")
 		}
 		got := c.Extract(cw)
@@ -187,6 +187,9 @@ func TestBPFailureReported(t *testing.T) {
 func TestBitFlipCorrectsLightErrors(t *testing.T) {
 	c := testCode(t)
 	r := sim.NewRNG(8)
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	got := make([]uint8, c.K)
 	success := 0
 	const trials = 50
 	for trial := 0; trial < trials; trial++ {
@@ -196,8 +199,10 @@ func TestBitFlipCorrectsLightErrors(t *testing.T) {
 		for _, i := range r.Perm(c.N)[:3] {
 			rx[i] ^= 1
 		}
-		res := c.DecodeBitFlip(rx, 30)
-		if res.OK && bitsEqual(c.Extract(res.Bits), msg) {
+		PackBitsInto(rx, sc.cwWords)
+		_, ok := c.bitFlip(sc, 30, c.syndromePacked(sc.cwWords, sc.synd))
+		c.extractWordsInto(sc.cwWords, got)
+		if ok && bitsEqual(got, msg) {
 			success++
 		}
 	}
@@ -223,7 +228,11 @@ func TestDeterministicConstruction(t *testing.T) {
 
 func TestBitsBytesRoundTrip(t *testing.T) {
 	err := quick.Check(func(p []byte) bool {
-		return bytes.Equal(BitsToBytes(BytesToBits(p)), p)
+		bits := make([]uint8, 8*len(p))
+		bytesToBitsInto(p, bits)
+		back := make([]byte, len(p))
+		BitsToBytesInto(bits, back)
+		return bytes.Equal(back, p)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +242,10 @@ func TestBitsBytesRoundTrip(t *testing.T) {
 func TestBitsToBytesUnalignedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unaligned BitsToBytes did not panic")
+			t.Fatal("unaligned BitsToBytesInto did not panic")
 		}
 	}()
-	BitsToBytes(make([]uint8, 7))
+	BitsToBytesInto(make([]uint8, 7), make([]byte, 1))
 }
 
 func TestSectorCodecRoundTrip(t *testing.T) {
@@ -250,11 +259,11 @@ func TestSectorCodecRoundTrip(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(r.Uint64())
 	}
-	coded := sc.EncodeSector(payload)
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 	if len(coded) != sc.EncodedBits() {
 		t.Fatalf("coded length %d, want %d", len(coded), sc.EncodedBits())
 	}
-	res := sc.DecodeSector(HardLLR(coded, 8), 50)
+	res := sc.DecodeSectorInto(HardLLR(coded, 8), 50, nil)
 	if !res.OK {
 		t.Fatal("clean sector decode failed")
 	}
@@ -277,14 +286,14 @@ func TestSectorCodecCorrectsNoise(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(r.Uint64())
 	}
-	coded := sc.EncodeSector(payload)
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 	rx := append([]uint8(nil), coded...)
 	// Flip ~0.7% of the coded bits.
 	nflips := len(rx) / 150
 	for _, i := range r.Perm(len(rx))[:nflips] {
 		rx[i] ^= 1
 	}
-	res := sc.DecodeSector(HardLLR(rx, 2), 50)
+	res := sc.DecodeSectorInto(HardLLR(rx, 2), 50, nil)
 	if !res.OK || !bytes.Equal(res.Payload, payload) {
 		t.Fatalf("noisy sector decode failed (flips=%d)", nflips)
 	}
@@ -298,12 +307,12 @@ func TestSectorCodecDetectsFailure(t *testing.T) {
 	}
 	r := sim.NewRNG(13)
 	payload := make([]byte, 200)
-	coded := sc.EncodeSector(payload)
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
 	rx := append([]uint8(nil), coded...)
 	for _, i := range r.Perm(len(rx))[:len(rx)/3] {
 		rx[i] ^= 1
 	}
-	res := sc.DecodeSector(HardLLR(rx, 8), 8)
+	res := sc.DecodeSectorInto(HardLLR(rx, 8), 8, nil)
 	if res.OK {
 		t.Fatal("sector decode claims success on a destroyed sector")
 	}

@@ -122,14 +122,9 @@ func (sc *SectorCodec) StorageOverhead() float64 {
 	return float64(sc.EncodedBits())/float64(sc.PayloadBytes*8) - 1
 }
 
-// EncodeSector maps payload (exactly PayloadBytes long) to the sector's
-// coded bits (length EncodedBits).
-func (sc *SectorCodec) EncodeSector(payload []byte) []uint8 {
-	return sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
-}
-
-// EncodeSectorInto encodes payload into dst, which must have length
-// EncodedBits. It returns dst and does not allocate in steady state.
+// EncodeSectorInto maps payload (exactly PayloadBytes long) to the
+// sector's coded bits in dst, which must have length EncodedBits. It
+// returns dst and does not allocate in steady state.
 func (sc *SectorCodec) EncodeSectorInto(payload []byte, dst []uint8) []uint8 {
 	ss := sc.AcquireScratch()
 	sc.EncodeSectorWith(ss, payload, dst)
@@ -175,16 +170,11 @@ type SectorDecode struct {
 	Iterations int // total decoder iterations across blocks
 }
 
-// DecodeSector decodes a sector from per-bit channel LLRs (length
-// EncodedBits). Only the returned Payload is freshly allocated; all
-// decoder working memory is pooled.
-func (sc *SectorCodec) DecodeSector(llr []float64, maxIter int) SectorDecode {
-	return sc.DecodeSectorInto(llr, maxIter, nil)
-}
-
-// DecodeSectorInto is DecodeSector writing the payload into the
-// caller's buffer (length ≥ PayloadBytes); pass nil to allocate. With a
-// caller buffer, steady-state decode performs zero allocations.
+// DecodeSectorInto decodes a sector from per-bit channel LLRs (length
+// EncodedBits), writing the payload into the caller's buffer (length ≥
+// PayloadBytes); pass nil to allocate it. Decoder working memory is
+// pooled, so with a caller buffer steady-state decode performs zero
+// allocations.
 func (sc *SectorCodec) DecodeSectorInto(llr []float64, maxIter int, payload []byte) SectorDecode {
 	ss := sc.AcquireScratch()
 	res := sc.DecodeSectorWith(ss, llr, maxIter, payload)

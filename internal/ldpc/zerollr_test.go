@@ -38,7 +38,7 @@ func TestZeroLLRDecidesBitZero(t *testing.T) {
 	}
 	for name, res := range map[string]DecodeResult{
 		"DecodeBP":          c.DecodeBP(llr, 50),
-		"DecodeBPReference": c.DecodeBPReference(llr, 50),
+		"decodeBPReference": c.decodeBPReference(llr, 50),
 	} {
 		if !res.OK || res.Iterations != 0 || !bitsEqual(res.Bits, cw) {
 			t.Fatalf("%s: ok=%v iters=%d, want the codeword at iteration 0", name, res.OK, res.Iterations)

@@ -194,17 +194,17 @@ func TestWORMSectorWrites(t *testing.T) {
 	if err := p.WriteSector(SectorID{Track: 999, Sector: 0}, nil); err == nil {
 		t.Fatal("out-of-range sector accepted")
 	}
-	got, ok := p.ReadSector(id)
-	if !ok || got[0] != 1 || got[1] != 2 {
+	got, ok := p.ReadSectorInto(id, nil)
+	if !ok || len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("read back %v, %v", got, ok)
 	}
 	// Mutating the returned slice must not affect the media.
 	got[0] = 99
-	again, _ := p.ReadSector(id)
+	again, _ := p.ReadSectorInto(id, got)
 	if again[0] != 1 {
-		t.Fatal("ReadSector aliases internal storage")
+		t.Fatal("ReadSectorInto aliases internal storage")
 	}
-	if _, ok := p.ReadSector(SectorID{Track: 1, Sector: 1}); ok {
+	if _, ok := p.ReadSectorInto(SectorID{Track: 1, Sector: 1}, nil); ok {
 		t.Fatal("unwritten sector readable")
 	}
 	if p.WrittenSectors() != 1 {

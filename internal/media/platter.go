@@ -55,7 +55,7 @@ var legalTransitions = map[PlatterState][]PlatterState{
 }
 
 // Platter is the unit of glass media. In the discrete-event simulator
-// platters carry no payload; in real-codec mode WriteSector/ReadSector
+// platters carry no payload; in real-codec mode WriteSector/ReadSectorInto
 // hold the modulated symbols of each written sector.
 type Platter struct {
 	ID    PlatterID
@@ -114,23 +114,10 @@ func (p *Platter) WriteSector(id SectorID, symbols []uint8) error {
 	return nil
 }
 
-// ReadSector returns the stored symbols of a sector, or ok=false if the
-// sector was never written. Reading is legal in any post-write state —
-// the read optics physically cannot modify voxels.
-func (p *Platter) ReadSector(id SectorID) ([]uint8, bool) {
-	s, ok := p.symbols[id]
-	if !ok {
-		return nil, false
-	}
-	cp := make([]uint8, len(s))
-	copy(cp, s)
-	return cp, true
-}
-
-// ReadSectorInto copies a sector's symbols into dst's storage (growing
-// it only when too small) and returns the filled slice: the pooled-
-// buffer variant of ReadSector for verify/scrub loops that read every
-// sector of a platter.
+// ReadSectorInto copies a sector's stored symbols into dst's storage
+// (growing it only when too small) and returns the filled slice, or
+// ok=false if the sector was never written. Reading is legal in any
+// post-write state — the read optics physically cannot modify voxels.
 func (p *Platter) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
 	s, ok := p.symbols[id]
 	if !ok {

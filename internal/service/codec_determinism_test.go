@@ -40,7 +40,10 @@ func flushFixture(t testing.TB, workers int) *Service {
 func stageRaw(s *Service, name string, data []byte) {
 	key := metadata.FileKey{Account: "acct", Name: name}
 	v := s.meta.Put(key, int64(len(data)), "", 0)
-	s.tier.Admit(&staging.File{Key: key, Version: v.Version, Size: int64(len(data)), Data: data})
+	if err := s.tier.Reserve(int64(len(data))); err != nil {
+		panic(err)
+	}
+	s.tier.AdmitReserved(&staging.File{Key: key, Version: v.Version, Size: int64(len(data)), Data: data})
 }
 
 // requireIdenticalMedia asserts that two services hold byte-identical
@@ -67,8 +70,8 @@ func requireIdenticalMedia(t *testing.T, a, b *Service) {
 		for track := 0; track < geom.TracksPerPlatter; track++ {
 			for sec := 0; sec < geom.SectorsPerTrack(); sec++ {
 				sid := media.SectorID{Track: track, Sector: sec}
-				x, xok := api.platter.ReadSector(sid)
-				y, yok := bpi.platter.ReadSector(sid)
+				x, xok := api.platter.ReadSectorInto(sid, nil)
+				y, yok := bpi.platter.ReadSectorInto(sid, nil)
 				if xok != yok {
 					t.Fatalf("platter %d sector %+v: written in one service only", id, sid)
 				}
@@ -136,8 +139,8 @@ func TestBurnDeterministicAcrossWorkers(t *testing.T) {
 		for tr := 0; tr < geom.TracksPerPlatter; tr++ {
 			for sec := 0; sec < geom.SectorsPerTrack(); sec++ {
 				sid := media.SectorID{Track: tr, Sector: sec}
-				x, xok := sp.platter.ReadSector(sid)
-				y, yok := pp.platter.ReadSector(sid)
+				x, xok := sp.platter.ReadSectorInto(sid, nil)
+				y, yok := pp.platter.ReadSectorInto(sid, nil)
 				if xok != yok || !bytes.Equal(x, y) {
 					t.Fatalf("round %d sector %+v diverges (ok %v/%v)", round, sid, xok, yok)
 				}

@@ -9,6 +9,7 @@ import (
 
 	"silica/internal/faults"
 	"silica/internal/media"
+	"silica/internal/repair"
 	"silica/internal/voxel"
 )
 
@@ -114,7 +115,7 @@ func TestSetRecoveryGathersK(t *testing.T) {
 			t.Fatalf("position %d with two unreadable members: err = %v, want ErrUnavailable", p, err)
 		}
 		s.faults.Clear()
-		if err := s.RestorePlatter(failed); err != nil {
+		if err := s.Health().Transition(failed, repair.Healthy, "failure cleared"); err != nil {
 			t.Fatal(err)
 		}
 	}

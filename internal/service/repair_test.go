@@ -190,7 +190,7 @@ func TestFailRestoreRoutesThroughRegistry(t *testing.T) {
 	if rec.Health() != repair.Failed {
 		t.Fatalf("health after fail = %v", rec.Health())
 	}
-	if err := s.RestorePlatter(id); err != nil {
+	if err := s.Health().Transition(id, repair.Healthy, "failure cleared"); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Health() != repair.Healthy {

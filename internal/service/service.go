@@ -566,13 +566,3 @@ func (s *Service) FailPlatter(id media.PlatterID) error {
 	}
 	return s.health.Transition(id, repair.Failed, "injected failure")
 }
-
-// RestorePlatter clears a simulated failure through the registry. It
-// fails if the platter was already rebuilt (retired) or a rebuild is
-// in flight.
-func (s *Service) RestorePlatter(id media.PlatterID) error {
-	if _, ok := s.platterByID(id); !ok {
-		return fmt.Errorf("service: unknown platter %d", id)
-	}
-	return s.health.Transition(id, repair.Healthy, "failure cleared")
-}

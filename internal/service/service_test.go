@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"silica/internal/media"
+	"silica/internal/repair"
 	"silica/internal/sim"
 	"silica/internal/voxel"
 )
@@ -263,7 +264,7 @@ func TestCrossPlatterRecovery(t *testing.T) {
 		t.Fatal("no cross-platter recoveries recorded")
 	}
 	// Restore and confirm the direct path again.
-	if err := s.RestorePlatter(failed); err != nil {
+	if err := s.Health().Transition(failed, repair.Healthy, "failure cleared"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get("acct", "bulk0"); err != nil {

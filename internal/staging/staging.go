@@ -22,9 +22,6 @@ import (
 // for a file. The front end maps it to backpressure (HTTP 429).
 var ErrCapacity = errors.New("staging: capacity exhausted")
 
-// ErrFull is the historical name for ErrCapacity.
-var ErrFull = ErrCapacity
-
 // File is one staged object.
 type File struct {
 	Key     metadata.FileKey
@@ -76,21 +73,6 @@ func (t *Tier) Used() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.used
-}
-
-// PeakUsed reports the high-water mark, the provisioning figure §2's
-// smoothing argument is about.
-func (t *Tier) PeakUsed() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.peakUsed
-}
-
-// Pending reports the number of staged files.
-func (t *Tier) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.files)
 }
 
 // Usage is a consistent snapshot of tier occupancy, the input to the
@@ -192,21 +174,6 @@ func (t *Tier) AdmitReserved(f *File) {
 		panic("staging: admit without matching reservation")
 	}
 	t.add(f)
-}
-
-// Admit stages a file. It fails with ErrCapacity when capacity would
-// be exceeded: the backpressure signal to the front end.
-func (t *Tier) Admit(f *File) error {
-	if f.Size < 0 {
-		return fmt.Errorf("staging: negative size for %v", f.Key)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.Capacity > 0 && t.used+t.reserved+f.Size > t.Capacity {
-		return fmt.Errorf("%w: %d used + %d > %d", ErrCapacity, t.used, f.Size, t.Capacity)
-	}
-	t.add(f)
-	return nil
 }
 
 // Restore re-admits a file during crash recovery, bypassing the

@@ -21,24 +21,34 @@ func file(account, name string, size int64, arrival float64) *File {
 	}
 }
 
+// admit stages f the way Service.PutCtx does: reserve its size, then
+// turn the reservation into staged bytes.
+func admit(tier *Tier, f *File) error {
+	if err := tier.Reserve(f.Size); err != nil {
+		return err
+	}
+	tier.AdmitReserved(f)
+	return nil
+}
+
 func TestAdmitAndCapacity(t *testing.T) {
 	tier := NewTier(100)
-	if err := tier.Admit(file("a", "1", 60, 0)); err != nil {
+	if err := admit(tier, file("a", "1", 60, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tier.Admit(file("a", "2", 50, 1)); !errors.Is(err, ErrFull) {
+	if err := admit(tier, file("a", "2", 50, 1)); !errors.Is(err, ErrCapacity) {
 		t.Fatalf("over-capacity admit: %v", err)
 	}
-	if err := tier.Admit(file("a", "3", 40, 2)); err != nil {
+	if err := admit(tier, file("a", "3", 40, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if tier.Used() != 100 || tier.Pending() != 2 {
-		t.Fatalf("used=%d pending=%d", tier.Used(), tier.Pending())
+	if u := tier.Usage(); u.Used != 100 || u.Pending != 2 || u.Reserved != 0 {
+		t.Fatalf("usage = %+v", u)
 	}
-	if tier.PeakUsed() != 100 {
-		t.Fatalf("peak = %d", tier.PeakUsed())
+	if peak := tier.Usage().Peak; peak != 100 {
+		t.Fatalf("peak = %d", peak)
 	}
-	if err := tier.Admit(file("a", "bad", -1, 0)); err == nil {
+	if err := admit(tier, file("a", "bad", -1, 0)); err == nil {
 		t.Fatal("negative size admitted")
 	}
 }
@@ -46,7 +56,7 @@ func TestAdmitAndCapacity(t *testing.T) {
 func TestUnboundedTier(t *testing.T) {
 	tier := NewTier(0)
 	for i := 0; i < 100; i++ {
-		if err := tier.Admit(file("a", string(rune('a'+i)), 1e9, float64(i))); err != nil {
+		if err := admit(tier, file("a", string(rune('a'+i)), 1e9, float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,14 +74,14 @@ func TestNextBatchGroupsByAccountThenArrival(t *testing.T) {
 	// The §6 order over the whole backlog: account, then arrival, then
 	// name, then version — whatever order the files were admitted in.
 	tier := NewTier(0)
-	tier.Admit(file("beta", "x", 10, 5))
-	tier.Admit(file("alpha", "y", 10, 9))
-	tier.Admit(file("alpha", "z", 10, 2))
-	tier.Admit(file("alpha", "b", 10, 9))
+	admit(tier, file("beta", "x", 10, 5))
+	admit(tier, file("alpha", "y", 10, 9))
+	admit(tier, file("alpha", "z", 10, 2))
+	admit(tier, file("alpha", "b", 10, 9))
 	v2 := file("alpha", "b", 10, 9)
 	v2.Version = 2
-	tier.Admit(v2)
-	tier.Admit(file("alpha", "a", 10, 9))
+	admit(tier, v2)
+	admit(tier, file("alpha", "a", 10, 9))
 	const want = "alpha/z#1 alpha/a#1 alpha/b#1 alpha/b#2 alpha/y#1 beta/x#1"
 	for i := 0; i < 3; i++ {
 		if got := names(tier.NextBatch()); got != want {
@@ -85,8 +95,8 @@ func TestNextBatchOversizeFileStillShips(t *testing.T) {
 	// platter ships with everything behind it (sharding across platters
 	// happens at layout).
 	tier := NewTier(0)
-	tier.Admit(file("a", "big", 500000, 0))
-	tier.Admit(file("a", "small", 40, 1))
+	admit(tier, file("a", "big", 500000, 0))
+	admit(tier, file("a", "small", 40, 1))
 	if got := names(tier.NextBatch()); got != "a/big#1 a/small#1" {
 		t.Fatalf("backlog = %s", got)
 	}
@@ -98,7 +108,7 @@ func TestNextBatchEmpty(t *testing.T) {
 		t.Fatalf("empty tier returned batch of %d", len(b))
 	}
 	f := file("a", "1", 10, 0)
-	tier.Admit(f)
+	admit(tier, f)
 	if err := tier.Release([]*File{f}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +121,8 @@ func TestFindAndReleaseByKeyAndVersion(t *testing.T) {
 	tier := NewTier(0)
 	v1, v2 := file("a", "obj", 30, 0), file("a", "obj", 50, 1)
 	v2.Version = 2
-	tier.Admit(v1)
-	tier.Admit(v2)
+	admit(tier, v1)
+	admit(tier, v2)
 	if f, ok := tier.Find(v1.Key, 2); !ok || f != v2 {
 		t.Fatalf("Find(v2) = %v, %v", f, ok)
 	}
@@ -127,15 +137,15 @@ func TestFindAndReleaseByKeyAndVersion(t *testing.T) {
 	if _, ok := tier.Find(v1.Key, 1); ok {
 		t.Fatal("released version still found")
 	}
-	if tier.Used() != 50 || tier.Pending() != 1 {
-		t.Fatalf("used=%d pending=%d after releasing v1", tier.Used(), tier.Pending())
+	if u := tier.Usage(); u.Used != 50 || u.Pending != 1 {
+		t.Fatalf("used=%d pending=%d after releasing v1", u.Used, u.Pending)
 	}
 	// An unknown file is an error, and the rest of the list still goes.
 	if err := tier.Release([]*File{v1, v2}); err == nil {
 		t.Fatal("release of an unstaged file allowed")
 	}
-	if tier.Used() != 0 || tier.Pending() != 0 {
-		t.Fatalf("used=%d pending=%d after releasing everything", tier.Used(), tier.Pending())
+	if u := tier.Usage(); u.Used != 0 || u.Pending != 0 {
+		t.Fatalf("used=%d pending=%d after releasing everything", u.Used, u.Pending)
 	}
 }
 
@@ -146,7 +156,7 @@ func TestUsageOldestArrival(t *testing.T) {
 	}
 	files := []*File{file("a", "1", 1, 7), file("a", "2", 1, 3), file("a", "3", 1, 5), file("a", "4", 1, 3)}
 	for _, f := range files {
-		tier.Admit(f)
+		admit(tier, f)
 	}
 	for _, step := range []struct {
 		release *File
@@ -162,7 +172,7 @@ func TestUsageOldestArrival(t *testing.T) {
 		}
 	}
 	// A drained tier starts over: the next file is the oldest.
-	tier.Admit(file("a", "5", 1, 9))
+	admit(tier, file("a", "5", 1, 9))
 	if got := tier.Usage().OldestArrival; got != 9 {
 		t.Fatalf("oldest arrival after refill = %v, want 9", got)
 	}
@@ -178,7 +188,7 @@ func TestConcurrentFindAdmitRelease(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				f := file(fmt.Sprintf("acct%d", w), fmt.Sprint(i), 10, float64(i))
-				if err := tier.Admit(f); err != nil {
+				if err := admit(tier, f); err != nil {
 					t.Error(err)
 					return
 				}
@@ -213,13 +223,13 @@ func TestReleaseFreesSpace(t *testing.T) {
 	tier := NewTier(0)
 	f1 := file("a", "1", 30, 0)
 	f2 := file("a", "2", 40, 1)
-	tier.Admit(f1)
-	tier.Admit(f2)
+	admit(tier, f1)
+	admit(tier, f2)
 	if err := tier.Release([]*File{f1}); err != nil {
 		t.Fatal(err)
 	}
-	if tier.Used() != 40 || tier.Pending() != 1 {
-		t.Fatalf("used=%d pending=%d", tier.Used(), tier.Pending())
+	if u := tier.Usage(); u.Used != 40 || u.Pending != 1 {
+		t.Fatalf("used=%d pending=%d", u.Used, u.Pending)
 	}
 	if err := tier.Release([]*File{f1}); err == nil {
 		t.Fatal("double release allowed")
@@ -230,7 +240,7 @@ func TestBatchThenReleaseLifecycle(t *testing.T) {
 	// The §3.1 rule: staged data is deleted only after verification.
 	tier := NewTier(0)
 	f := file("a", "1", 30, 0)
-	tier.Admit(f)
+	admit(tier, f)
 	batch := tier.NextBatch()
 	if len(batch) != 1 {
 		t.Fatal("no batch")

@@ -26,7 +26,7 @@ func TestTableLLRsMatchExact(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(numSymbols))
 	}
-	received := ch.Transmit(m, syms, rng)
+	received := ch.TransmitInto(m, syms, rng, nil)
 	for i := 0; i < 4096; i++ {
 		received = append(received, Point{A: rng.Range(-axisRange, axisRange), R: rng.Range(-axisRange, axisRange)})
 	}

@@ -108,26 +108,11 @@ func (p *SectorPipeline) WriteSectorsInto(sc *SectorScratch, payloads [][]byte, 
 	}
 }
 
-// ReadSector pushes written symbols through the read channel and
-// decodes them. rng drives the stochastic read noise.
-func (p *SectorPipeline) ReadSector(symbols []uint8, rng *sim.RNG) ldpc.SectorDecode {
-	sc := p.AcquireScratch()
-	res := p.ReadSectorWith(sc, symbols, rng)
-	p.ReleaseScratch(sc)
-	return res
-}
-
-// ReadSectorWith is ReadSector on caller-owned scratch: the channel
-// observations and LLR buffers are reused, so the only steady-state
-// allocation is the decoded payload itself.
-func (p *SectorPipeline) ReadSectorWith(sc *SectorScratch, symbols []uint8, rng *sim.RNG) ldpc.SectorDecode {
-	return p.ReadSectorWithBuf(sc, symbols, rng, nil)
-}
-
-// ReadSectorWithBuf is ReadSectorWith decoding into the caller's
-// payload buffer (length ≥ the codec's PayloadBytes); with a non-nil
-// buffer steady-state decode allocates nothing. Pass nil to allocate
-// the payload.
+// ReadSectorWithBuf pushes written symbols through the read channel and
+// decodes them on caller-owned scratch into the caller's payload buffer
+// (length ≥ the codec's PayloadBytes). rng drives the stochastic read
+// noise. With a non-nil buffer steady-state decode allocates nothing;
+// pass nil to allocate the payload.
 func (p *SectorPipeline) ReadSectorWithBuf(sc *SectorScratch, symbols []uint8, rng *sim.RNG, payload []byte) ldpc.SectorDecode {
 	received := p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0])
 	llrs := p.Demap.LLRsInto(received, sc.llrs)

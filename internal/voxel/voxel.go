@@ -65,16 +65,9 @@ func (m *Modulation) IdealPoint(sym uint8) Point { return m.points[sym&(numSymbo
 // points (2/3 for the 4x4 grid).
 func (m *Modulation) MinDistance() float64 { return 2.0 / 3 }
 
-// Modulate packs bits (LSB-first per symbol, len must be a multiple of
-// BitsPerVoxel) into symbols.
-func Modulate(bits []uint8) []uint8 {
-	out := make([]uint8, len(bits)/BitsPerVoxel)
-	ModulateInto(bits, out)
-	return out
-}
-
-// ModulateInto packs bits into out, which must hold
-// len(bits)/BitsPerVoxel symbols.
+// ModulateInto packs bits (LSB-first per symbol, len must be a multiple
+// of BitsPerVoxel) into out, which must hold len(bits)/BitsPerVoxel
+// symbols.
 func ModulateInto(bits, out []uint8) {
 	if len(bits)%BitsPerVoxel != 0 {
 		panic(fmt.Sprintf("voxel: %d bits not a multiple of %d", len(bits), BitsPerVoxel))
@@ -97,15 +90,6 @@ func Demodulate(symbols []uint8) []uint8 {
 		}
 	}
 	return out
-}
-
-// PadBits zero-pads bits up to a whole number of voxels.
-func PadBits(bits []uint8) []uint8 {
-	rem := len(bits) % BitsPerVoxel
-	if rem == 0 {
-		return bits
-	}
-	return append(append([]uint8(nil), bits...), make([]uint8, BitsPerVoxel-rem)...)
 }
 
 // Channel models the end-to-end write+read impairments of one sector.
@@ -138,14 +122,9 @@ func DefaultChannel() Channel {
 // CleanChannel returns a noiseless channel for tests.
 func CleanChannel() Channel { return Channel{Sigma: 1e-4, Width: 64} }
 
-// Transmit converts written symbols into received observations.
-func (c Channel) Transmit(m *Modulation, symbols []uint8, rng *sim.RNG) []Point {
-	return c.TransmitInto(m, symbols, rng, nil)
-}
-
-// TransmitInto is Transmit reusing dst's storage when it is large
-// enough, so a pooled buffer can absorb the observations. Every entry
-// of the result is overwritten.
+// TransmitInto converts written symbols into received observations,
+// reusing dst's storage when it is large enough, so a pooled buffer can
+// absorb them. Every entry of the result is overwritten.
 //
 // Each voxel draws one Uint64 and two normals from rng, in that order.
 // The Uint64's low four bits pick the scatter symbol and its top 53 bits

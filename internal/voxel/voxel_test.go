@@ -62,8 +62,13 @@ func TestGrayMappingNeighbourProperty(t *testing.T) {
 
 func TestModulateRoundTrip(t *testing.T) {
 	err := quick.Check(func(raw []byte) bool {
-		bits := ldpc.BytesToBits(raw)
-		return bitsEq(Demodulate(Modulate(PadBits(bits)))[:len(bits)], bits)
+		bits := make([]uint8, 8*len(raw))
+		for i := range bits {
+			bits[i] = raw[i/8] >> (i % 8) & 1
+		}
+		syms := make([]uint8, len(bits)/BitsPerVoxel)
+		ModulateInto(bits, syms)
+		return bitsEq(Demodulate(syms), bits)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -73,19 +78,10 @@ func TestModulateRoundTrip(t *testing.T) {
 func TestModulateUnalignedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unaligned Modulate did not panic")
+			t.Fatal("unaligned ModulateInto did not panic")
 		}
 	}()
-	Modulate(make([]uint8, 5))
-}
-
-func TestPadBits(t *testing.T) {
-	if len(PadBits(make([]uint8, 4))) != 4 {
-		t.Fatal("aligned input should not grow")
-	}
-	if len(PadBits(make([]uint8, 5))) != 8 {
-		t.Fatal("5 bits should pad to 8")
-	}
+	ModulateInto(make([]uint8, 5), make([]uint8, 2))
 }
 
 func TestCleanChannelRoundTrip(t *testing.T) {
@@ -96,7 +92,7 @@ func TestCleanChannelRoundTrip(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	rx := ch.Transmit(m, syms, rng)
+	rx := ch.TransmitInto(m, syms, rng, nil)
 	d := NewDemapper(m, ch)
 	got := HardSymbols(d.Posteriors(rx))
 	for i := range syms {
@@ -114,7 +110,7 @@ func TestPosteriorsAreDistributions(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	post := NewDemapper(m, ch).Posteriors(ch.Transmit(m, syms, rng))
+	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil))
 	for i, p := range post {
 		var sum float64
 		for _, v := range p {
@@ -141,7 +137,7 @@ func TestDefaultChannelRawSymbolErrorRate(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	got := HardSymbols(NewDemapper(m, ch).Posteriors(ch.Transmit(m, syms, rng)))
+	got := HardSymbols(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil)))
 	errs := 0
 	for i := range syms {
 		if got[i] != syms[i] {
@@ -184,7 +180,7 @@ func TestMissingVoxelsDegradePosteriors(t *testing.T) {
 	for i := range syms {
 		syms[i] = corner
 	}
-	post := NewDemapper(m, ch).Posteriors(ch.Transmit(m, syms, sim.NewRNG(4)))
+	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, sim.NewRNG(4), nil))
 	confident := 0
 	for _, p := range post {
 		if p[corner] > 0.9 {
@@ -204,7 +200,7 @@ func TestBitLLRSigns(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(i % 16)
 	}
-	llrs := BitLLRs(NewDemapper(m, ch).Posteriors(ch.Transmit(m, syms, rng)))
+	llrs := BitLLRs(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil)))
 	bits := Demodulate(syms)
 	for i, b := range bits {
 		if b == 0 && llrs[i] <= 0 {
@@ -240,8 +236,10 @@ func TestSectorPipelineRoundTrip(t *testing.T) {
 	if len(syms) != p.SymbolsPerSector() {
 		t.Fatalf("symbols = %d, want %d", len(syms), p.SymbolsPerSector())
 	}
+	sc := p.AcquireScratch()
+	defer p.ReleaseScratch(sc)
 	for trial := 0; trial < 5; trial++ {
-		res := p.ReadSector(syms, rng)
+		res := p.ReadSectorWithBuf(sc, syms, rng, nil)
 		if !res.OK {
 			t.Fatalf("trial %d: sector decode failed at default operating point", trial)
 		}
@@ -338,7 +336,7 @@ func BenchmarkSectorReadStages(b *testing.B) {
 		received := p.Ch.TransmitInto(p.Mod, syms, rng, sc.points)
 		reads[i] = append([]float64(nil), p.Demap.LLRsInto(received, sc.llrs)[:p.Codec.EncodedBits()]...)
 	}
-	received := p.Ch.Transmit(p.Mod, syms, rng)
+	received := p.Ch.TransmitInto(p.Mod, syms, rng, nil)
 	buf := make([]byte, 1000)
 	b.Run("transmit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

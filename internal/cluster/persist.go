@@ -70,7 +70,7 @@ func (c *Cluster) openPersist() error {
 		}
 	}
 	for _, en := range st.Entries {
-		c.dir[Key(en.Account, en.Name)] = &en
+		c.dir[keyOf(&en)] = &en
 	}
 	c.plog = l
 	if !st.HasConfig {

@@ -101,10 +101,10 @@ func newMemCluster(t *testing.T, n int, seed uint64) (*Cluster, map[string]*memL
 }
 
 // placementOf snapshots the directory for comparison between runs.
-func placementOf(c *Cluster) map[string]entry {
+func placementOf(c *Cluster) map[dirKey]entry {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[string]entry, len(c.dir))
+	out := make(map[dirKey]entry, len(c.dir))
 	for k, e := range c.dir {
 		out[k] = *e
 	}
@@ -121,7 +121,7 @@ func TestGetFailoverOnPrimaryNotFound(t *testing.T) {
 	if _, err := c.Put("acct", "obj", want); err != nil {
 		t.Fatal(err)
 	}
-	pl := placementOf(c)[Key("acct", "obj")]
+	pl := placementOf(c)[dirKey{"acct", "obj"}]
 
 	// Primary-side loss within the same epoch: the object vanishes from
 	// the primary holder but the directory still points there.
@@ -159,7 +159,7 @@ func TestDeleteResumable(t *testing.T) {
 	if _, err := c.Put("acct", "obj", []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
-	pl := placementOf(c)[Key("acct", "obj")]
+	pl := placementOf(c)[dirKey{"acct", "obj"}]
 
 	libs[pl.Replica].failDelete.Store(true)
 	if err := c.Delete("acct", "obj"); err == nil {
@@ -189,7 +189,7 @@ func TestDeleteResumable(t *testing.T) {
 	if _, err := c.Put("acct", "obj2", []byte("doomed too")); err != nil {
 		t.Fatal(err)
 	}
-	pl2 := placementOf(c)[Key("acct", "obj2")]
+	pl2 := placementOf(c)[dirKey{"acct", "obj2"}]
 	libs[pl2.Primary].failDelete.Store(true)
 	if err := c.Delete("acct", "obj2"); err == nil {
 		t.Fatal("delete succeeded despite primary-side failure")
@@ -237,7 +237,7 @@ func TestRemoteLibraryClose(t *testing.T) {
 // placement and identical reports on identical inputs.
 func TestRebalanceParallelMatchesSerial(t *testing.T) {
 	const keys = 40
-	run := func(workers int) (map[string]entry, RebalanceReport, *Cluster) {
+	run := func(workers int) (map[dirKey]entry, RebalanceReport, *Cluster) {
 		c, _ := newMemCluster(t, 3, 77)
 		putKeys(t, c, keys)
 		if err := c.AddLibrary("lib-extra", newMemLib()); err != nil {

@@ -140,6 +140,8 @@ var routerTranscript = []exchange{
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nneed /v1/objects/{account}/{name}\n"},
 	{name: "delete empty name", method: "DELETE", path: "/v1/objects/acct/",
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nneed /v1/objects/{account}/{name}\n"},
+	{name: "put reserved account", method: "PUT", path: "/v1/objects/~replica~acct/obj", body: "x",
+		want: "HTTP 400\nContent-Type: application/json\n\n{\"error\":\"gateway: reserved namespace: account ~replica~acct\"}\n"},
 	{name: "rebalance bad workers", method: "POST", path: "/v1/cluster/rebalance?workers=-2",
 		want: "HTTP 400\nContent-Type: text/plain; charset=utf-8\n\nworkers: need a non-negative integer\n"},
 	{name: "rebalance non-numeric workers", method: "POST", path: "/v1/cluster/rebalance?workers=many",

@@ -44,6 +44,11 @@ var ErrOverloaded = errors.New("gateway: overloaded, retry later")
 // ErrClosed is returned for requests arriving after Close began.
 var ErrClosed = errors.New("gateway: shutting down")
 
+// ErrReserved refuses an object request for a name its store keeps
+// for itself (the cluster router's replica namespace). The HTTP layer
+// maps it to 400 Bad Request.
+var ErrReserved = errors.New("gateway: reserved namespace")
+
 // Config sizes the gateway.
 type Config struct {
 	Service service.Config

@@ -169,6 +169,8 @@ func WriteServiceError(w http.ResponseWriter, err error, retryAfter time.Duratio
 		code, backoff = http.StatusServiceUnavailable, true
 	case errors.Is(err, metadata.ErrNotFound):
 		code = http.StatusNotFound
+	case errors.Is(err, ErrReserved):
+		code = http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

@@ -17,8 +17,11 @@ test:
 
 tier1: build test
 
+# vet also requires gofmt-clean sources across the tree (the benchmark
+# module included); gofmt -l lists any file that needs formatting.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 race:
 	$(GO) test -race ./...

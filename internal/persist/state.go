@@ -64,11 +64,6 @@ func (st *State) snapData(fingerprint string) *SnapshotData {
 	return s
 }
 
-// stagedID mirrors the staging tier's file identity.
-func stagedID(account, name string, version int) string {
-	return fmt.Sprintf("%s/%s#%d", account, name, version)
-}
-
 // builder is the service domain's replayer: it accumulates state
 // while records replay. Lookups that the final State keeps as slices
 // live in maps here.
@@ -79,8 +74,8 @@ type builder struct {
 
 	meta        *metadata.Store
 	keys        map[string][]byte
-	staged      map[string]*staging.File
-	stagedOrder []string
+	staged      map[staging.ID]*staging.File
+	stagedOrder []staging.ID
 	platters    map[media.PlatterID]*PlatterState
 	platOrder   []media.PlatterID
 	sets        [][]media.PlatterID
@@ -97,7 +92,7 @@ func newBuilder(opts Options) *builder {
 		fingerprint: opts.Fingerprint,
 		meta:        metadata.NewStore(),
 		keys:        make(map[string][]byte),
-		staged:      make(map[string]*staging.File),
+		staged:      make(map[staging.ID]*staging.File),
 		platters:    make(map[media.PlatterID]*PlatterState),
 		pending:     make(map[int]media.PlatterID),
 		health:      make(map[media.PlatterID]*HealthDump),
@@ -142,7 +137,7 @@ func (b *builder) load(c *coder) string {
 }
 
 func (b *builder) stage(f *staging.File) {
-	id := stagedID(f.Key.Account, f.Key.Name, f.Version)
+	id := f.ID()
 	if _, ok := b.staged[id]; !ok {
 		b.stagedOrder = append(b.stagedOrder, id)
 	}
@@ -150,7 +145,7 @@ func (b *builder) stage(f *staging.File) {
 }
 
 func (b *builder) unstage(account, name string, version int) {
-	delete(b.staged, stagedID(account, name, version))
+	delete(b.staged, staging.ID{Key: metadata.FileKey{Account: account, Name: name}, Version: version})
 }
 
 func (b *builder) putPlatter(p *PlatterState) {

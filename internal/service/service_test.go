@@ -443,3 +443,49 @@ func TestRecyclePlatter(t *testing.T) {
 		t.Fatal("recycled unknown platter")
 	}
 }
+
+// TestStagedWritesWithJoiningNamesSurviveRestart: ("a/b", "c") and
+// ("a", "b/c") join to one "account/name" string. Recovery used to key
+// staged files by that string, so a restart merged the two and the
+// second Get failed with "staged but not in tier". Both a clean close
+// and a kill (no ClosePersist) must bring both back byte-exact.
+func TestStagedWritesWithJoiningNamesSurviveRestart(t *testing.T) {
+	for _, clean := range []bool{true, false} {
+		cfg := smallSetConfig()
+		cfg.PersistDir = t.TempDir()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects := map[[2]string][]byte{
+			{"a/b", "c"}: randBytes(70, 300),
+			{"a", "b/c"}: randBytes(71, 500),
+		}
+		for k, data := range objects {
+			if _, err := s.Put(k[0], k[1], data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if clean {
+			if err := s.ClosePersist(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s.PersistLog().Crash()
+		}
+		s, err = New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range objects {
+			got, err := s.Get(k[0], k[1])
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("clean close %v: Get(%q, %q) after restart: err=%v, byte-exact=%v",
+					clean, k[0], k[1], err, bytes.Equal(got, want))
+			}
+		}
+		if err := s.ClosePersist(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -8,9 +8,11 @@
 package metadata
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"silica/internal/media"
@@ -32,6 +34,14 @@ type FileKey struct {
 }
 
 func (k FileKey) String() string { return k.Account + "/" + k.Name }
+
+// compareKeys orders keys by their joined "account/name" form and
+// breaks a tie — ("a/b", "c") and ("a", "b/c") join to one string — by
+// account, so every ordering over keys is total and a dump's bytes do
+// not depend on map order.
+func compareKeys(a, b FileKey) int {
+	return cmp.Or(strings.Compare(a.String(), b.String()), strings.Compare(a.Account, b.Account))
+}
 
 // FileState tracks where a version's bytes currently live.
 type FileState int
@@ -268,8 +278,8 @@ func (s *Store) PlatterHeader(p media.PlatterID) []HeaderEntry {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key.String() < out[j].Key.String()
+		if c := compareKeys(out[i].Key, out[j].Key); c != 0 {
+			return c < 0
 		}
 		if out[i].Version != out[j].Version {
 			return out[i].Version < out[j].Version
@@ -346,7 +356,7 @@ func (s *Store) Export() []FileDump {
 		}
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	sort.Slice(out, func(i, j int) bool { return compareKeys(out[i].Key, out[j].Key) < 0 })
 	return out
 }
 

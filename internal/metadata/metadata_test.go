@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -365,5 +366,33 @@ func TestSetExtentsOnDeletedVersion(t *testing.T) {
 	// two apart to release staged bytes vs. fail the flush.
 	if errors.Is(err, ErrNotFound) {
 		t.Fatal("ErrDeleted should not unwrap to ErrNotFound")
+	}
+}
+
+// TestExportOrderIsTotal: ("a/b", "c") and ("a", "b/c") join to one
+// "account/name" string. Sorted by that string alone they came out in
+// map order, so two stores holding the same files could export — and
+// snapshot — different bytes. Inserted in either order, every export
+// and platter header must render the same.
+func TestExportOrderIsTotal(t *testing.T) {
+	keys := []FileKey{{Account: "a/b", Name: "c"}, {Account: "a", Name: "b/c"}}
+	render := func(first, second FileKey) string {
+		s := NewStore()
+		for _, key := range []FileKey{first, second} {
+			i := len(key.Account) // each key's fields are its own, whatever the order
+			s.Put(key, int64(10+i), fmt.Sprintf("k%d", i), 1)
+			if err := s.SetExtents(key, 1, []Extent{{Platter: 1, FirstSector: i, SectorCount: 1}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fmt.Sprintf("%+v\n%+v", s.Export(), s.PlatterHeader(1))
+	}
+	want := render(keys[0], keys[1])
+	for i := 0; i < 20; i++ {
+		for _, order := range [][2]FileKey{{keys[0], keys[1]}, {keys[1], keys[0]}} {
+			if got := render(order[0], order[1]); got != want {
+				t.Fatalf("run %d: export depends on map order:\n got %s\nwant %s", i, got, want)
+			}
+		}
 	}
 }

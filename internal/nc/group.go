@@ -103,27 +103,49 @@ func (g *Group) Size() int { return g.I + g.R }
 func (g *Group) Overhead() float64 { return float64(g.R) / float64(g.I) }
 
 // EncodeRedundancy computes the R redundancy units from the I
-// information units. All units must have equal length.
+// information units, each in a buffer of its own. All units must have
+// equal length.
 func (g *Group) EncodeRedundancy(info [][]byte) ([][]byte, error) {
 	if len(info) != g.I {
 		return nil, fmt.Errorf("nc: got %d information units, want %d", len(info), g.I)
 	}
+	out := make([][]byte, g.R)
+	for r := range out {
+		out[r] = make([]byte, len(info[0]))
+	}
+	return out, g.EncodeRedundancyInto(out, info)
+}
+
+// EncodeRedundancyInto is EncodeRedundancy into the caller's buffers:
+// dst holds R units, each as long as the information units, and none
+// may alias an information unit. It keeps no reference to dst or info
+// and allocates nothing.
+func (g *Group) EncodeRedundancyInto(dst, info [][]byte) error {
+	if len(info) != g.I {
+		return fmt.Errorf("nc: got %d information units, want %d", len(info), g.I)
+	}
+	if len(dst) != g.R {
+		return fmt.Errorf("nc: got %d redundancy buffers, want %d", len(dst), g.R)
+	}
 	size := len(info[0])
 	for idx, u := range info {
 		if len(u) != size {
-			return nil, fmt.Errorf("nc: unit %d has %d bytes, want %d", idx, len(u), size)
+			return fmt.Errorf("nc: unit %d has %d bytes, want %d", idx, len(u), size)
 		}
 	}
-	out := make([][]byte, g.R)
-	for r := 0; r < g.R; r++ {
-		red := make([]byte, size)
+	for r, red := range dst {
+		if len(red) != size {
+			return fmt.Errorf("nc: redundancy buffer %d has %d bytes, want %d", r, len(red), size)
+		}
+	}
+	for r, red := range dst {
+		clear(red)
 		row := g.coeff.Row(r)
 		for i, u := range info {
 			gf256.MulAddVec(red, u, row[i])
 		}
-		out[r] = red
 	}
-	return out, nil
+	return nil
 }
 
 // Reconstruct recovers the information units listed in want, given any

@@ -495,3 +495,40 @@ func TestReconstructIntoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEncodeRedundancyIntoMatchesEncodeRedundancy: the dst form writes
+// the allocating form's bytes over whatever dst held, allocates
+// nothing, and refuses a dst of the wrong shape.
+func TestEncodeRedundancyIntoMatchesEncodeRedundancy(t *testing.T) {
+	for _, scheme := range []Scheme{Cauchy, RandomLinear} {
+		g := MustNewGroup(8, 3, scheme, 11)
+		info := randUnits(sim.NewRNG(11), 8, 100)
+		want, err := g.EncodeRedundancy(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := randUnits(sim.NewRNG(12), 3, 100) // stale contents must not leak
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := g.EncodeRedundancyInto(dst, info); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: EncodeRedundancyInto allocated %v times, want 0", scheme, allocs)
+		}
+		for r := range want {
+			if !bytes.Equal(dst[r], want[r]) {
+				t.Fatalf("%v: redundancy unit %d differs from EncodeRedundancy", scheme, r)
+			}
+		}
+	}
+	g := MustNewGroup(4, 2, Cauchy, 1)
+	info := randUnits(sim.NewRNG(1), 4, 8)
+	for name, dst := range map[string][][]byte{
+		"too few buffers": randUnits(sim.NewRNG(2), 1, 8),
+		"short buffer":    {make([]byte, 8), make([]byte, 7)},
+	} {
+		if err := g.EncodeRedundancyInto(dst, info); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package media
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -188,7 +191,7 @@ func TestWORMSectorWrites(t *testing.T) {
 	if err := p.WriteSector(id, []uint8{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteSector(id, []uint8{3}); err == nil {
+	if err := p.WriteSector(id, []uint8{3, 4}); err == nil {
 		t.Fatal("overwrite allowed on WORM media")
 	}
 	if err := p.WriteSector(SectorID{Track: 999, Sector: 0}, nil); err == nil {
@@ -221,20 +224,30 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestSectorContentsOnlyWhenStored: the accessor hands out the
-// platter's own map, which only WORM makes safe, so every state but
-// Stored refuses.
-func TestSectorContentsOnlyWhenStored(t *testing.T) {
-	id := SectorID{Track: 0, Sector: 1}
+// TestEachSectorOnlyWhenStored: the walk reads the media of a platter
+// nothing writes again, so every state but Stored refuses; a Stored
+// platter yields its sectors in address order.
+func TestEachSectorOnlyWhenStored(t *testing.T) {
+	ids := []SectorID{{Track: 3, Sector: 0}, {Track: 0, Sector: 1}, {Track: 0, Sector: 0}}
 	check := func(p *Platter) {
 		t.Helper()
-		got, err := p.SectorContents()
+		var got []SectorID
+		err := p.EachSector(func(id SectorID, symbols []uint8) error {
+			if len(symbols) != 2 || symbols[0] != uint8(id.Track) || symbols[1] != uint8(id.Sector) {
+				t.Errorf("sector %+v walked as %v", id, symbols)
+			}
+			got = append(got, id)
+			return nil
+		})
 		if p.State() != Stored {
 			if err == nil {
-				t.Errorf("SectorContents allowed in state %v", p.State())
+				t.Errorf("EachSector allowed in state %v", p.State())
 			}
-		} else if err != nil || len(got) != 1 || got[id][0] != 3 || got[id][1] != 1 {
-			t.Errorf("SectorContents on a stored platter = %v, %v", got, err)
+			return
+		}
+		want := []SectorID{ids[2], ids[1], ids[0]}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("EachSector on a stored platter walked %v, %v; want %v", got, err, want)
 		}
 	}
 	for _, path := range [][]PlatterState{
@@ -248,11 +261,142 @@ func TestSectorContentsOnlyWhenStored(t *testing.T) {
 				t.Fatal(err)
 			}
 			if next == Writing {
-				if err := p.WriteSector(id, []uint8{3, 1}); err != nil {
-					t.Fatal(err)
+				for _, id := range ids {
+					if err := p.WriteSector(id, []uint8{uint8(id.Track), uint8(id.Sector)}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			check(p)
 		}
 	}
+	p := storedPlatter(t, map[SectorID][]uint8{{Track: 0, Sector: 0}: {1}, {Track: 0, Sector: 1}: {2}})
+	stop := errors.New("stop")
+	calls := 0
+	if err := p.EachSector(func(SectorID, []uint8) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("EachSector went on past an error: %d calls, %v", calls, err)
+	}
+}
+
+// storedPlatter burns sectors onto a fresh TinyGeometry platter and
+// walks it to Stored.
+func storedPlatter(t *testing.T, sectors map[SectorID][]uint8) *Platter {
+	t.Helper()
+	p := NewPlatter(7, TinyGeometry())
+	if err := p.Transition(Writing); err != nil {
+		t.Fatal(err)
+	}
+	for id, symbols := range sectors {
+		if err := p.WriteSector(id, symbols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, next := range []PlatterState{Written, Verifying, Stored} {
+		if err := p.Transition(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestPackRoundTripsEverySymbol: every 4-bit value survives the pack at
+// even and odd sector lengths, in every sector slot of a track, and
+// only a symbol's low four bits are stored.
+func TestPackRoundTripsEverySymbol(t *testing.T) {
+	g := TinyGeometry()
+	for _, n := range []int{1, 2, 15, 16, 17, 2688} {
+		sectors := map[SectorID][]uint8{}
+		for s := 0; s < g.SectorsPerTrack(); s++ {
+			symbols := make([]uint8, n)
+			for i := range symbols {
+				symbols[i] = uint8(i*7+s) % 16
+			}
+			sectors[SectorID{Track: 1, Sector: s}] = symbols
+		}
+		p := storedPlatter(t, sectors)
+		for id, want := range sectors {
+			got, ok := p.ReadSectorInto(id, make([]uint8, 1, 4))
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d symbols, sector %+v: read back %v, %v", n, id, got, ok)
+			}
+		}
+		restored, err := RestoreStored(p.ID, g, sectors)
+		if err != nil || restored.State() != Stored || restored.WrittenSectors() != len(sectors) {
+			t.Fatalf("%d symbols: RestoreStored = %v, %v", n, restored, err)
+		}
+		if !reflect.DeepEqual(restored.tracks, p.tracks) {
+			t.Fatalf("%d symbols: RestoreStored packed differently from WriteSector", n)
+		}
+	}
+	p := storedPlatter(t, map[SectorID][]uint8{{Track: 0, Sector: 0}: {0x1f, 0xa2, 0xf3}})
+	if got, _ := p.ReadSectorInto(SectorID{Track: 0, Sector: 0}, nil); !reflect.DeepEqual(got, []uint8{0xf, 0x2, 0x3}) {
+		t.Fatalf("high bits stored: read back %v", got)
+	}
+}
+
+// TestWORMRefusesAMismatchedLength: a platter's sectors share one
+// symbol count, on the write path and on recovery.
+func TestWORMRefusesAMismatchedLength(t *testing.T) {
+	p := NewPlatter(1, TinyGeometry())
+	if err := p.Transition(Writing); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteSector(SectorID{Track: 0, Sector: 0}, make([]uint8, 6)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{5, 7, 0} {
+		if err := p.WriteSector(SectorID{Track: 4, Sector: 2}, make([]uint8, n)); err == nil {
+			t.Fatalf("a %d-symbol sector accepted beside a 6-symbol one", n)
+		}
+	}
+	if p.WrittenSectors() != 1 {
+		t.Fatalf("written sectors = %d after refusals, want 1", p.WrittenSectors())
+	}
+	if _, err := RestoreStored(1, TinyGeometry(), map[SectorID][]uint8{
+		{Track: 0, Sector: 0}: {1, 2}, {Track: 0, Sector: 1}: {3},
+	}); err == nil {
+		t.Fatal("RestoreStored accepted sectors of two lengths")
+	}
+	if _, err := RestoreStored(1, TinyGeometry(), map[SectorID][]uint8{{Track: 32, Sector: 0}: {1}}); err == nil {
+		t.Fatal("RestoreStored accepted a sector past the platter")
+	}
+}
+
+// TestPackedMediaDensity gates what a fully burned platter costs: two
+// symbols a byte, plus a written flag per sector and one track header
+// per track — at most 0.52 B per symbol, where a byte per symbol and a
+// copy per sector cost more than 1.
+func TestPackedMediaDensity(t *testing.T) {
+	g := TinyGeometry()
+	const n = 2688 // a TinyGeometry sector's symbols at the service's LDPC shape
+	symbols := make([]uint8, n)
+	for i := range symbols {
+		symbols[i] = uint8(i % 16)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPlatter(1, g)
+	if err := p.Transition(Writing); err != nil {
+		t.Fatal(err)
+	}
+	for track := 0; track < g.TracksPerPlatter; track++ {
+		for s := 0; s < g.SectorsPerTrack(); s++ {
+			if err := p.WriteSector(SectorID{Track: track, Sector: s}, symbols); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, next := range []PlatterState{Written, Verifying, Stored} {
+		if err := p.Transition(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	total := float64(g.TracksPerPlatter * g.SectorsPerTrack() * n)
+	perSymbol := float64(after.TotalAlloc-before.TotalAlloc) / total
+	t.Logf("a Stored TinyGeometry platter: %.0f symbols, %.4f B allocated per symbol", total, perSymbol)
+	if perSymbol > 0.52 {
+		t.Errorf("burning a full platter allocated %.4f B per symbol, want at most 0.52", perSymbol)
+	}
+	runtime.KeepAlive(p)
 }

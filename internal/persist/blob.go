@@ -27,34 +27,60 @@ func blobName(id media.PlatterID) string {
 	return fmt.Sprintf("platter-%d.plt", id)
 }
 
-// platterBlob is the blob's content. Sectors are written in address
-// order so the encoding is deterministic.
+// platterBlob is the blob's content. Encoding walks media in address
+// order, so the bytes are deterministic; decoding fills sectors. The
+// sectors are wired as a count followed by (track, sector, symbols)
+// per sector, one byte per symbol.
 type platterBlob struct {
 	id       media.PlatterID
-	sectors  map[media.SectorID][]uint8
+	media    sectorWalker               // encoding
+	sectors  map[media.SectorID][]uint8 // decoding
 	payloads [][]byte
+}
+
+// sectorWalker is what a blob encodes: a Stored media.Platter.
+type sectorWalker interface {
+	WrittenSectors() int
+	EachSector(fn func(media.SectorID, []uint8) error) error
 }
 
 func (b *platterBlob) wire(c *coder) {
 	varint(&b.id, c)
-	sortedMap(c, &b.sectors,
-		func(x, y media.SectorID) bool {
-			if x.Track != y.Track {
-				return x.Track < y.Track
+	if c.decoding {
+		n := c.count(0)
+		if c.err == nil {
+			b.sectors = make(map[media.SectorID][]uint8, n)
+		}
+		for i := 0; i < n && c.err == nil; i++ {
+			var sid media.SectorID
+			var symbols []uint8
+			wireSector(c, &sid, &symbols)
+			if c.err == nil {
+				b.sectors[sid] = symbols
 			}
-			return x.Sector < y.Sector
-		},
-		func(sid *media.SectorID, symbols *[]uint8, c *coder) {
-			c.int(&sid.Track)
-			c.int(&sid.Sector)
-			c.bytes(symbols)
+		}
+	} else {
+		c.count(b.media.WrittenSectors())
+		err := b.media.EachSector(func(sid media.SectorID, symbols []uint8) error {
+			wireSector(c, &sid, &symbols)
+			return c.err
 		})
+		if c.err == nil {
+			c.err = err
+		}
+	}
 	slice(c, &b.payloads, func(p *[]byte, c *coder) { c.bytes(p) })
 }
 
+func wireSector(c *coder, sid *media.SectorID, symbols *[]uint8) {
+	c.int(&sid.Track)
+	c.int(&sid.Sector)
+	c.bytes(symbols)
+}
+
 // writeBlobFile atomically writes a platter blob into dir.
-func writeBlobFile(dir string, id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) error {
-	b := platterBlob{id, sectors, payloads}
+func writeBlobFile(dir string, id media.PlatterID, m sectorWalker, payloads [][]byte) error {
+	b := platterBlob{id: id, media: m, payloads: payloads}
 	return atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
 		return sealTo(w, blobMagic, b.wire)
 	})

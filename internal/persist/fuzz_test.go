@@ -141,6 +141,16 @@ func FuzzDecodeRouterSnapshot(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBlob re-encodes what it decoded: a decoded blob's sectors
+// are a map, which the encoder walks in address order.
 func FuzzDecodeBlob(f *testing.F) {
-	fuzzSealed(f, blobMagic, "blob", func() func(*coder) { return new(platterBlob).wire })
+	fuzzSealed(f, blobMagic, "blob", func() func(*coder) {
+		b := new(platterBlob)
+		return func(c *coder) {
+			if !c.decoding {
+				b.media = sectorMap(b.sectors)
+			}
+			b.wire(c)
+		}
+	})
 }

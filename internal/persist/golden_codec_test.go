@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"sort"
 
 	"silica/internal/media"
 )
@@ -64,8 +65,35 @@ func goldenDecodeRouterSnapshot(data []byte) (cut uint64, fingerprint string, s 
 }
 
 func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) []byte {
-	b := platterBlob{id, sectors, payloads}
+	b := platterBlob{id: id, media: sectorMap(sectors), payloads: payloads}
 	return sealFile(blobMagic, b.wire)
+}
+
+// sectorMap feeds the blob encoder sectors a packed media.Platter
+// cannot hold: the blob and service-directory fixtures mix symbol
+// counts within one platter and, in the directory, use symbol values
+// past 15. It walks them in address order, as media.Platter does.
+type sectorMap map[media.SectorID][]uint8
+
+func (m sectorMap) WrittenSectors() int { return len(m) }
+
+func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
+	ids := make([]media.SectorID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if ids[i].Track != ids[j].Track {
+			return ids[i].Track < ids[j].Track
+		}
+		return ids[i].Sector < ids[j].Sector
+	})
+	for _, id := range ids {
+		if err := fn(id, m[id]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {

@@ -119,11 +119,12 @@ type Log struct {
 	synced    atomic.Uint64 // highest LSN known durable
 	sinceSnap atomic.Int64
 
-	mu      sync.Mutex // guards file, writer, nextLSN
+	mu      sync.Mutex // guards file, writer, nextLSN, frame
 	f       *os.File
 	w       *bufio.Writer
 	nextLSN uint64
 	closed  bool
+	frame   []byte // Append's encode buffer, reused across records
 
 	// syncMu serializes fsync batches (group commit) and WAL rotation.
 	// Lock order: syncMu before mu.
@@ -192,6 +193,10 @@ func listDir(dir string) (dirListing, error) {
 	return l, nil
 }
 
+// maxKeptFrame bounds the encode buffer a Log keeps between appends, so
+// one large RecPut does not pin its ciphertext's size for good.
+const maxKeptFrame = 1 << 20
+
 // Append buffers one record and returns its LSN. The record is not
 // durable until Sync returns; callers must not acknowledge before
 // then. The armed persist.append fault point sees the framed bytes
@@ -207,7 +212,10 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, ErrClosed
 	}
 	lsn := l.nextLSN
-	frame := encodeFrame(nil, lsn, rec)
+	frame := encodeFrame(l.frame[:0], lsn, rec)
+	if cap(frame) <= maxKeptFrame {
+		l.frame = frame
+	}
 	if err := l.faults.CheckData(faults.OpPersistAppend, -1, -1, -1, frame); err != nil {
 		return 0, err
 	}
@@ -355,14 +363,16 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 	return nil
 }
 
-// WritePlatterBlob durably stores one platter's media sidecar. Must
-// complete before the platter's RecPublish is appended (the record-
-// implies-blob recovery invariant).
-func (l *Log) WritePlatterBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) error {
+// WritePlatterBlob durably stores one Stored platter's media sidecar,
+// its symbols read straight off the packed media, with the payload
+// cache its set close may still need. Must complete before the
+// platter's RecPublish is appended (the record-implies-blob recovery
+// invariant).
+func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) error {
 	if l.frozen.Load() {
 		return ErrCrashed
 	}
-	return writeBlobFile(l.dir, id, sectors, payloads)
+	return writeBlobFile(l.dir, p.ID, p, payloads)
 }
 
 // RecoveryTruncated reports whether the recovery that opened this log

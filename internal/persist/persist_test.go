@@ -270,13 +270,13 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 	}
 	payloads := [][]byte{[]byte("payload-0")}
 	for id := media.PlatterID(1); id <= 2; id++ {
-		if err := l.WritePlatterBlob(id, sectors, payloads); err != nil {
+		if err := l.WritePlatterBlob(storedPlatter(t, id, sectors), payloads); err != nil {
 			t.Fatalf("WritePlatterBlob: %v", err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
 	}
 	// Redundancy platter + set close.
-	if err := l.WritePlatterBlob(3, sectors, nil); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 3, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,
@@ -320,17 +320,17 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {9}}
 	// Info platter of an open set: survives, keeps payloads.
-	if err := l.WritePlatterBlob(1, sectors, [][]byte{[]byte("p")}); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 1, sectors), [][]byte{[]byte("p")}); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	// Red platter published but its set never completed: orphan.
-	if err := l.WritePlatterBlob(2, sectors, nil); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 2, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 2, Set: 0, SetPos: 1, Redundancy: true, Reason: "redundancy"})
 	// Blob with no record at all: crash between blob write and append.
-	if err := l.WritePlatterBlob(9, sectors, nil); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 9, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -360,7 +360,7 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 func TestMissingBlobIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if err := l.WritePlatterBlob(1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}, nil); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
@@ -430,7 +430,7 @@ func TestRemapReplay(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
 	for id := media.PlatterID(1); id <= 3; id++ {
-		if err := l.WritePlatterBlob(id, sectors, nil); err != nil {
+		if err := l.WritePlatterBlob(storedPlatter(t, id, sectors), nil); err != nil {
 			t.Fatal(err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
@@ -441,7 +441,7 @@ func TestRemapReplay(t *testing.T) {
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)
 	// Rebuild: platter 2 replaced by 7.
-	if err := l.WritePlatterBlob(7, sectors, nil); err != nil {
+	if err := l.WritePlatterBlob(storedPlatter(t, 7, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,
@@ -470,4 +470,26 @@ func TestRemapReplay(t *testing.T) {
 	if st.NextPlatter != 8 {
 		t.Fatalf("NextPlatter = %d, want 8", st.NextPlatter)
 	}
+}
+
+// storedPlatter burns sectors onto a fresh TinyGeometry platter with
+// the given id and walks it to Stored, so a blob is written from the
+// packed media exactly as the service writes one.
+func storedPlatter(t testing.TB, id media.PlatterID, sectors map[media.SectorID][]uint8) *media.Platter {
+	t.Helper()
+	p := media.NewPlatter(id, media.TinyGeometry())
+	if err := p.Transition(media.Writing); err != nil {
+		t.Fatal(err)
+	}
+	for sid, symbols := range sectors {
+		if err := p.WriteSector(sid, symbols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, next := range []media.PlatterState{media.Written, media.Verifying, media.Stored} {
+		if err := p.Transition(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
 }

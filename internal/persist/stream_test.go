@@ -44,6 +44,13 @@ func streamBlob() (media.PlatterID, map[media.SectorID][]uint8, [][]byte) {
 	return 4242, sectors, payloads
 }
 
+// streamPlatter is streamBlob's media burned onto a Stored platter,
+// what the blob encoder reads.
+func streamPlatter(t testing.TB) (*media.Platter, map[media.SectorID][]uint8, [][]byte) {
+	id, sectors, payloads := streamBlob()
+	return storedPlatter(t, id, sectors), sectors, payloads
+}
+
 // streamSnapshot is a service snapshot of ≈ 0.6 MB, several 64 KiB
 // buffers: 2000 metadata rows and keys plus 340 KB of staged
 // ciphertext, two of whose bodies are each longer than one buffer.
@@ -102,8 +109,9 @@ func checkPinned(t *testing.T, path string, wantLen int, wantSHA string) []byte 
 
 func TestStreamedFilesPinned(t *testing.T) {
 	dir := t.TempDir()
-	id, sectors, payloads := streamBlob()
-	if err := writeBlobFile(dir, id, sectors, payloads); err != nil {
+	p, sectors, payloads := streamPlatter(t)
+	id := p.ID
+	if err := writeBlobFile(dir, id, p, payloads); err != nil {
 		t.Fatal(err)
 	}
 	checkPinned(t, filepath.Join(dir, blobName(id)), 1117970,
@@ -160,8 +168,8 @@ func (f *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestSealToStreamWriteError(t *testing.T) {
-	id, sectors, payloads := streamBlob()
-	b := platterBlob{id, sectors, payloads}
+	p, _, payloads := streamPlatter(t)
+	b := platterBlob{id: p.ID, media: p, payloads: payloads}
 	whole := sealFile(blobMagic, b.wire)
 	const limit = 3*sealBufSize + 100
 	var out bytes.Buffer
@@ -177,9 +185,9 @@ func TestSealToStreamWriteError(t *testing.T) {
 
 func TestAtomicWriteStreamFailureLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
-	id, sectors, payloads := streamBlob()
-	b := platterBlob{id, sectors, payloads}
-	err := atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
+	p, _, payloads := streamPlatter(t)
+	b := platterBlob{id: p.ID, media: p, payloads: payloads}
+	err := atomicWriteFile(filepath.Join(dir, blobName(p.ID)), func(w io.Writer) error {
 		return sealTo(&failAfter{w: w, n: 2 * sealBufSize}, blobMagic, b.wire)
 	})
 	if !errors.Is(err, errDiskFull) {
@@ -191,15 +199,16 @@ func TestAtomicWriteStreamFailureLeavesNothing(t *testing.T) {
 }
 
 // TestWriteBlobAlloc gates the heap a blob write costs: the sealed
-// file streams through one 64 KiB window, so a 1.1 MB blob allocates a
+// file streams through one 64 KiB window and each sector is unpacked
+// off the platter into one reused buffer, so a 1.1 MB blob allocates a
 // small constant, not the file's size (≈ 6.7 MB when it was rendered
 // whole by append).
 func TestWriteBlobAlloc(t *testing.T) {
 	dir := t.TempDir()
-	id, sectors, payloads := streamBlob()
+	p, sectors, payloads := streamPlatter(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := writeBlobFile(dir, id, sectors, payloads)
+	err := writeBlobFile(dir, p.ID, p, payloads)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

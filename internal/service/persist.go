@@ -79,8 +79,13 @@ func (s *Service) installState(st *persist.State) error {
 		s.health.Restore(h.Platter, h.Health, h.Set, h.SetPos, h.Redundancy, h.History)
 	}
 	for _, p := range st.Platters {
+		platter, err := media.RestoreStored(p.ID, s.cfg.Geom, p.Sectors)
+		if err != nil {
+			return fmt.Errorf("service: recovery: %w", err)
+		}
+		p.Sectors = nil // packed now; let the decoded copy go
 		pi := &platterInfo{
-			platter:         media.RestoreStored(p.ID, s.cfg.Geom, p.Sectors),
+			platter:         platter,
 			payloads:        p.Payloads,
 			usedInfoSectors: p.Used,
 			set:             p.Set,
@@ -110,14 +115,10 @@ func (s *Service) persistPublish(id media.PlatterID, pi *platterInfo, reason str
 	if s.plog == nil {
 		return nil
 	}
-	sectors, err := pi.platter.SectorContents()
-	if err != nil {
+	if err := s.plog.WritePlatterBlob(pi.platter, pi.payloads); err != nil {
 		return err
 	}
-	if err := s.plog.WritePlatterBlob(id, sectors, pi.payloads); err != nil {
-		return err
-	}
-	_, err = s.plog.Append(&persist.RecPublish{
+	_, err := s.plog.Append(&persist.RecPublish{
 		Platter: id, Set: pi.set, SetPos: pi.setPos,
 		Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
 		Reason: reason, AtUnixNano: time.Now().UnixNano(),

@@ -305,15 +305,18 @@ func (s *Service) chargeMech(ctx context.Context, op backend.Op) error {
 // paths: the voxel/LDPC pipeline scratch, a scramble output buffer, a
 // read-back symbol buffer, a decode payload buffer for paths that never
 // retain the plaintext (verify, scrub, descramble-and-copy reads), a
-// sector per unit of the widest NC group (burn batches, gathered units)
-// and set recovery's working lists. Pooled on the service so steady-state
-// encode, verify, scrub and set recovery allocate nothing per sector.
+// sector per unit of the widest NC group (burn batches and their
+// redundancy, gathered units), slice headers for one group's
+// information units, and set recovery's working lists. Pooled on the
+// service so steady-state encode, verify, scrub and set recovery
+// allocate nothing per sector.
 type codecScratch struct {
 	sector   *voxel.SectorScratch
 	scramble []byte
 	symbols  []uint8
 	payload  []byte
 	units    [][]byte
+	group    [][]byte  // views of one NC group's information units, no storage
 	trackSym [][]uint8 // one modulated symbol buffer per sector of a track
 	ncUnits  []ncUnit
 	set      []*platterInfo
@@ -331,6 +334,7 @@ func (s *Service) acquireScratch() *codecScratch {
 		symbols:  make([]uint8, s.pipe.SymbolsPerSector()),
 		payload:  make([]byte, s.cfg.Geom.SectorPayloadBytes),
 		units:    make([][]byte, max(spt, s.largeGroup.Size(), s.setGroup.Size())),
+		group:    make([][]byte, max(s.withinTrack.I, s.largeGroup.I)),
 		trackSym: make([][]uint8, spt),
 		avail:    make(map[int][]byte),
 	}

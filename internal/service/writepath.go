@@ -446,9 +446,10 @@ func (s *Service) publishPlatter(id media.PlatterID, pi *platterInfo, reason str
 // every platter — fresh, redundancy, or replacement — shares one layout.
 //
 // The per-track work (within-track NC encode, LDPC, modulation) is
-// fanned across the codec engine; only the media map insert is
-// serialized. Sector contents depend on nothing but (payload, platter
-// id, address), so the burned platter is identical at any worker count.
+// fanned across the codec engine on pooled scratch; only the media
+// insert, which packs each sector into its track's slab, is serialized.
+// Sector contents depend on nothing but (payload, platter id, address),
+// so the burned platter is identical at any worker count.
 func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	geom := s.cfg.Geom
 	p := pi.platter
@@ -477,12 +478,14 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	err := s.eng.ForEach(usedTracks, func(it int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
-		info := make([][]byte, iPerTrack)
+		info := cs.group[:iPerTrack]
 		for k := range info {
 			info[k] = sector(it*iPerTrack + k)
 		}
-		red, err := s.withinTrack.EncodeRedundancy(info)
-		if err != nil {
+		// The track's redundancy lands in the scratch units after its
+		// information sectors' slots, and is scrambled there in place.
+		n := geom.SectorsPerTrack()
+		if err := s.withinTrack.EncodeRedundancyInto(cs.units[iPerTrack:n], info); err != nil {
 			return err
 		}
 		// Batch the whole track: scramble every sector, push the batch
@@ -491,13 +494,13 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		// lock acquisition. An error-mode media.write fault aborts before
 		// any of the track's sectors land; the platter is scrapped.
 		phys := geom.InfoTrackPhysical(it)
-		n := iPerTrack + len(red)
 		for i, payload := range info {
 			scrambleInto(cs.units[i], payload, p.ID, phys, i)
 		}
-		for j, payload := range red {
-			scrambleInto(cs.units[iPerTrack+j], payload, p.ID, phys, iPerTrack+j)
+		for i := iPerTrack; i < n; i++ {
+			scrambleInto(cs.units[i], cs.units[i], p.ID, phys, i)
 		}
+		clear(info) // the pooled scratch must not keep payloads alive
 		t0 := time.Now()
 		s.pipe.WriteSectorsInto(cs.sector, cs.units[:n], cs.trackSym[:n])
 		s.om.observeCodec(s.om.codecEncode, s.om.codecEncSectors, n, time.Since(t0))
@@ -525,15 +528,17 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		g, sPos := idx/iPerTrack, idx%iPerTrack
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
-		members := make([][]byte, lgi)
-		for m := 0; m < lgi; m++ {
+		members := cs.group[:lgi]
+		for m := range members {
 			if it := g*lgi + m; it < usedTracks {
 				members[m] = sector(it*iPerTrack + sPos)
 			} else {
 				members[m] = s.zero
 			}
 		}
-		red, err := s.largeGroup.EncodeRedundancy(members)
+		red := cs.units[:geom.LargeGroupRedTracks]
+		err := s.largeGroup.EncodeRedundancyInto(red, members)
+		clear(members)
 		if err != nil {
 			return err
 		}
@@ -603,7 +608,7 @@ func (s *Service) writeSectorScrambled(cs *codecScratch, pmu *sync.Mutex, p *med
 		return err
 	}
 	pmu.Lock()
-	err := p.WriteSector(id, symbols) // copies symbols before returning
+	err := p.WriteSector(id, symbols) // packs symbols before returning
 	pmu.Unlock()
 	return err
 }

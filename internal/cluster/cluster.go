@@ -85,7 +85,7 @@ type LibraryState struct {
 // peer silicad.
 type Library interface {
 	PutCtx(ctx context.Context, account, name string, data []byte) (int, error)
-	GetCtx(ctx context.Context, account, name string) ([]byte, error)
+	GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error)
 	DeleteCtx(ctx context.Context, account, name string) error
 	Flush() error
 	Close() error
@@ -124,8 +124,8 @@ func (r *RemoteLibrary) PutCtx(ctx context.Context, account, name string, data [
 	err = r.do(func() (err error) { v, err = r.C.PutCtx(ctx, account, name, data); return err })
 	return v, err
 }
-func (r *RemoteLibrary) GetCtx(ctx context.Context, account, name string) (data []byte, err error) {
-	err = r.do(func() (err error) { data, err = r.C.GetCtx(ctx, account, name); return err })
+func (r *RemoteLibrary) GetInto(ctx context.Context, account, name string, dst []byte) (data []byte, err error) {
+	err = r.do(func() (err error) { data, err = r.C.GetInto(ctx, account, name, dst); return err })
 	return data, err
 }
 func (r *RemoteLibrary) DeleteCtx(ctx context.Context, account, name string) error {
@@ -492,15 +492,18 @@ func (c *Cluster) PutCtx(ctx context.Context, account, name string, data []byte)
 // redundancy copy on the replica holder — the read path a whole-
 // library failure exercises.
 func (c *Cluster) Get(account, name string) ([]byte, error) {
-	return c.GetCtx(context.Background(), account, name)
+	return c.GetInto(context.Background(), account, name, nil)
 }
 
-// GetCtx is Get under the caller's ctx. A primary-side ErrNotFound is
+// GetInto is Get under the caller's ctx, decoding into dst's backing
+// array as the member's GetInto does. Only a read abandoned on ctx can
+// still be writing dst when it fails, and that ends the Get, so the
+// next copy is read into the same dst. A primary-side ErrNotFound is
 // NOT terminal: the replica may still hold the object (a partially
 // failed delete, or primary-side loss within the same epoch), so the
 // read falls through and only reports NotFound when every reachable
 // copy-holder agrees the object is gone.
-func (c *Cluster) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
+func (c *Cluster) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
 	if err := checkAccount(account); err != nil {
 		return nil, err
 	}
@@ -522,7 +525,7 @@ func (c *Cluster) GetCtx(ctx context.Context, account, name string) ([]byte, err
 		if live[i] == nil {
 			continue
 		}
-		data, err := live[i].GetCtx(ctx, slotAccount(account, i), name)
+		data, err := live[i].GetInto(ctx, slotAccount(account, i), name, dst)
 		if err == nil {
 			c.cm.routed(s.lib, "get")
 			if i == 1 {
@@ -923,7 +926,7 @@ func (c *Cluster) reconcileKey(ctx context.Context, ring string, key dirKey) (mo
 		if lib == nil {
 			continue
 		}
-		if data, rerr = lib.GetCtx(ctx, slotAccount(ent.Account, i), ent.Name); rerr == nil {
+		if data, rerr = lib.GetInto(ctx, slotAccount(ent.Account, i), ent.Name, nil); rerr == nil {
 			if i == 1 {
 				c.cm.rebuildReads.Inc()
 			}

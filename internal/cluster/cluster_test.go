@@ -490,7 +490,7 @@ func TestRemoteLibraryReusesConnections(t *testing.T) {
 		if _, err := c.PutCtx(ctx, "acct", name, testPayload(i)); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := c.GetCtx(ctx, "acct", name); err != nil || !bytes.Equal(got, testPayload(i)) {
+		if got, err := c.GetInto(ctx, "acct", name, nil); err != nil || !bytes.Equal(got, testPayload(i)) {
 			t.Fatalf("get %s: err=%v match=%v", name, err, bytes.Equal(got, testPayload(i)))
 		}
 		if err := c.DeleteCtx(ctx, "acct", name); err != nil {

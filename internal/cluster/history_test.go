@@ -62,9 +62,9 @@ func (r recLib) PutCtx(ctx context.Context, account, name string, data []byte) (
 	return r.memLib.PutCtx(ctx, account, name, data)
 }
 
-func (r recLib) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
+func (r recLib) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
 	r.log.add(r.name, "get", account, name)
-	return r.memLib.GetCtx(ctx, account, name)
+	return r.memLib.GetInto(ctx, account, name, dst)
 }
 
 func (r recLib) DeleteCtx(ctx context.Context, account, name string) error {

@@ -17,8 +17,8 @@ type LocalLibrary struct{ G *gateway.Gateway }
 func (l LocalLibrary) PutCtx(ctx context.Context, account, name string, data []byte) (int, error) {
 	return l.G.PutCtx(ctx, account, name, data)
 }
-func (l LocalLibrary) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
-	return l.G.GetCtx(ctx, account, name)
+func (l LocalLibrary) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
+	return l.G.GetInto(ctx, account, name, dst)
 }
 func (l LocalLibrary) DeleteCtx(ctx context.Context, account, name string) error {
 	return l.G.DeleteCtx(ctx, account, name)

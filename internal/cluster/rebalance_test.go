@@ -46,7 +46,7 @@ func (m *memLib) PutCtx(ctx context.Context, account, name string, data []byte) 
 	return 1, nil
 }
 
-func (m *memLib) GetCtx(_ context.Context, account, name string) ([]byte, error) {
+func (m *memLib) GetInto(_ context.Context, account, name string, dst []byte) ([]byte, error) {
 	if m.failGet.Load() {
 		return nil, fmt.Errorf("memlib: injected read failure")
 	}
@@ -56,7 +56,7 @@ func (m *memLib) GetCtx(_ context.Context, account, name string) ([]byte, error)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", metadata.ErrNotFound, account, name)
 	}
-	return append([]byte(nil), d...), nil
+	return append(dst[:0], d...), nil
 }
 
 func (m *memLib) DeleteCtx(_ context.Context, account, name string) error {
@@ -218,7 +218,7 @@ func TestRemoteLibraryClose(t *testing.T) {
 	if _, err := rl.PutCtx(context.Background(), "a", "n", nil); !errors.Is(err, ErrLibraryClosed) {
 		t.Fatalf("put on closed member: %v, want ErrLibraryClosed", err)
 	}
-	if _, err := rl.GetCtx(context.Background(), "a", "n"); !errors.Is(err, ErrLibraryClosed) {
+	if _, err := rl.GetInto(context.Background(), "a", "n", nil); !errors.Is(err, ErrLibraryClosed) {
 		t.Fatalf("get on closed member: %v, want ErrLibraryClosed", err)
 	}
 	if err := rl.DeleteCtx(context.Background(), "a", "n"); !errors.Is(err, ErrLibraryClosed) {

@@ -96,8 +96,10 @@ func (l *errLib) fail(ctx context.Context) error {
 func (l *errLib) PutCtx(ctx context.Context, _, _ string, _ []byte) (int, error) {
 	return 0, l.fail(ctx)
 }
-func (l *errLib) GetCtx(ctx context.Context, _, _ string) ([]byte, error) { return nil, l.fail(ctx) }
-func (l *errLib) DeleteCtx(ctx context.Context, _, _ string) error        { return l.fail(ctx) }
+func (l *errLib) GetInto(ctx context.Context, _, _ string, _ []byte) ([]byte, error) {
+	return nil, l.fail(ctx)
+}
+func (l *errLib) DeleteCtx(ctx context.Context, _, _ string) error { return l.fail(ctx) }
 
 // newErrCluster builds a one-member router whose member always fails.
 func newErrCluster(t *testing.T, err error) *Cluster {

@@ -380,7 +380,7 @@ func TestPooledRequestsAreNeverShared(t *testing.T) {
 		if r.put {
 			r.version, r.err = g.PutCtx(ctx, "acct", r.name, payload(r.name))
 		} else {
-			r.data, r.err = g.GetCtx(ctx, "acct", r.name)
+			r.data, r.err = g.GetInto(ctx, "acct", r.name, nil)
 		}
 	}
 	cancels := make([]context.CancelFunc, 0, perWave/2)

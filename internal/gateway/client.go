@@ -364,7 +364,7 @@ func (c *Client) PutCtx(ctx context.Context, account, name string, data []byte) 
 	}
 	err := c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodPut, c.objectURL(account, name), data, "", func(resp *http.Response) error {
-			reply, err := readBody(resp.Body, resp.ContentLength)
+			reply, err := readBody(nil, resp.Body, resp.ContentLength)
 			if err == nil {
 				err = json.Unmarshal(reply, &out)
 			}
@@ -379,15 +379,17 @@ func (c *Client) PutCtx(ctx context.Context, account, name string, data []byte) 
 
 // Get downloads the latest version of an object.
 func (c *Client) Get(account, name string) ([]byte, error) {
-	return c.GetCtx(context.Background(), account, name)
+	return c.GetInto(context.Background(), account, name, nil)
 }
 
-// GetCtx is Get under ctx with the client's retry policy.
-func (c *Client) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
+// GetInto is Get under ctx with the client's retry policy, reading the
+// reply into dst's backing array when its capacity covers the declared
+// length.
+func (c *Client) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
 	var data []byte
 	err := c.Retry.Do(ctx, func() error {
 		return c.send(ctx, http.MethodGet, c.objectURL(account, name), nil, "", func(resp *http.Response) (err error) {
-			data, err = readBody(resp.Body, resp.ContentLength)
+			data, err = readBody(dst, resp.Body, resp.ContentLength)
 			return err
 		})
 	}, c.countRetry)

@@ -167,7 +167,7 @@ func TestClientErrorBody(t *testing.T) {
 		{"plain-unavailable", service.ErrUnavailable, "draining for restart", 500 * time.Millisecond},
 		{"empty", nil, "502 Bad Gateway", 0},
 	} {
-		_, err := tc.GetCtx(context.Background(), "acct", tt.name)
+		_, err := tc.GetInto(context.Background(), "acct", tt.name, nil)
 		if err == nil || (tt.is != nil && !errors.Is(err, tt.is)) {
 			t.Fatalf("%s: %v, want an error wrapping %v", tt.name, err, tt.is)
 		}

@@ -164,7 +164,7 @@ func (k opKind) class() string {
 type request struct {
 	op            opKind
 	account, name string
-	data          []byte
+	data          []byte // a Put's payload; a Get's dst (see GetInto)
 	done          chan response
 	// ctx carries the caller's trace (if sampled) into the worker;
 	// queueSpan times the wait between admission and pickup.
@@ -519,7 +519,7 @@ func (g *Gateway) worker(q chan *request) {
 				g.kickFlush()
 			}
 		case opGet:
-			resp.data, resp.err = g.svc.GetCtx(req.ctx, req.account, req.name)
+			resp.data, resp.err = g.svc.GetInto(req.ctx, req.account, req.name, req.data)
 		case opDelete:
 			resp.err = g.svc.DeleteCtx(req.ctx, req.account, req.name)
 		}
@@ -545,13 +545,16 @@ func (g *Gateway) PutCtx(ctx context.Context, account, name string, data []byte)
 
 // Get reads the latest version of account/name.
 func (g *Gateway) Get(account, name string) ([]byte, error) {
-	return g.GetCtx(context.Background(), account, name)
+	return g.GetInto(context.Background(), account, name, nil)
 }
 
-// GetCtx is Get carrying ctx (and any trace in it) through the queue
-// into the service.
-func (g *Gateway) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
-	resp := g.submit(ctx, opGet, account, name, nil)
+// GetInto is Get carrying ctx (and any trace in it) through the queue
+// into the service, decoding into dst's backing array as
+// service.GetInto does. A Get abandoned on ctx returns at once while
+// its worker may still be writing dst, so on error the caller must not
+// reuse dst.
+func (g *Gateway) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
+	resp := g.submit(ctx, opGet, account, name, dst)
 	return resp.data, resp.err
 }
 

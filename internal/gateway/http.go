@@ -1,13 +1,13 @@
 package gateway
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"silica/internal/faults"
@@ -33,7 +33,7 @@ const MaxObjectBytes = 64 << 20
 // (*Gateway) or the multi-library router (*cluster.Cluster).
 type ObjectStore interface {
 	PutCtx(ctx context.Context, account, name string, data []byte) (int, error)
-	GetCtx(ctx context.Context, account, name string) ([]byte, error)
+	GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error)
 	DeleteCtx(ctx context.Context, account, name string) error
 }
 
@@ -58,7 +58,7 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 	}
 	mux.HandleFunc("PUT /v1/objects/{account}/{name...}", object(
 		func(w http.ResponseWriter, r *http.Request, account, name string) error {
-			data, err := readBody(http.MaxBytesReader(w, r.Body, MaxObjectBytes), r.ContentLength)
+			data, err := readBody(nil, http.MaxBytesReader(w, r.Body, MaxObjectBytes), r.ContentLength)
 			if err != nil {
 				// 413 is for bodies past MaxObjectBytes; a truncated
 				// or overlong body is malformed.
@@ -82,13 +82,21 @@ func MountObjects(mux *http.ServeMux, store ObjectStore, flush func(context.Cont
 		}))
 	mux.HandleFunc("GET /v1/objects/{account}/{name...}", object(
 		func(w http.ResponseWriter, r *http.Request, account, name string) error {
-			data, err := store.GetCtx(r.Context(), account, name)
+			// The whole object is decoded before a byte leaves, so a
+			// failed decode still answers with its error status.
+			buf := replies.Get().(*[]byte)
+			data, err := store.GetInto(r.Context(), account, name, (*buf)[:0])
 			if err != nil {
+				// Not pooled: an abandoned Get's worker may still write it.
 				return err
 			}
 			w.Header()["Content-Type"] = octetType
 			w.Header()["Content-Length"] = []string{strconv.Itoa(len(data))} // not chunked; HEAD reports it
 			w.Write(data)
+			if cap(data) <= maxPooledReply {
+				*buf = data[:0] // else *buf goes back as it was
+			}
+			replies.Put(buf)
 			return nil
 		}))
 	mux.HandleFunc("DELETE /v1/objects/{account}/{name...}", object(
@@ -121,19 +129,35 @@ var (
 	deletedReply = []byte("{\"deleted\":true}\n")
 )
 
-// readBody reads a PUT body, or a reply to the client, into one buffer
-// of its declared length and one byte more, so a body longer than
-// declared shows. An unknown length, or one past MaxObjectBytes, takes
-// io.ReadAll.
-func readBody(body io.Reader, size int64) ([]byte, error) {
+// replies holds the GET route's reply buffers: a Get decodes into one,
+// and the route puts it back once the reply is written. maxPooledReply
+// bounds the buffer kept, so one large object does not pin its size.
+var replies = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 1 << 20
+
+// readBody reads a PUT body, or a reply to the client, of its declared
+// length into dst's backing array, or into a new buffer of exactly that
+// length when dst's capacity is short, then reads one byte more so a
+// body longer than declared shows. An unknown length, or one past
+// MaxObjectBytes, takes io.ReadAll.
+func readBody(dst []byte, body io.Reader, size int64) ([]byte, error) {
 	if size < 0 || size > MaxObjectBytes {
 		return io.ReadAll(body)
 	}
-	b := make([]byte, size+1)
-	if n, err := io.ReadFull(body, b); int64(n) != size {
-		return nil, cmp.Or(err, errors.New("body longer than its Content-Length"))
+	b := dst[:0]
+	if b == nil || int64(cap(b)) < size { // never nil: an empty body reads as empty
+		b = make([]byte, size)
 	}
-	return b[:size], nil
+	b = b[:size]
+	if _, err := io.ReadFull(body, b); err != nil {
+		return nil, err
+	}
+	var probe [1]byte
+	if n, _ := io.ReadFull(body, probe[:]); n != 0 {
+		return nil, errors.New("body longer than its Content-Length")
+	}
+	return b, nil
 }
 
 // WriteJSON answers with status code and v as the JSON body.

@@ -86,17 +86,47 @@ func (s *Store) Encrypt(id string, plaintext []byte) ([]byte, error) {
 // Decrypt opens a ciphertext produced by Encrypt into a new buffer.
 // After Shred(id) this permanently fails with ErrNoKey.
 func (s *Store) Decrypt(id string, ciphertext []byte) ([]byte, error) {
-	return s.decrypt(id, ciphertext, false)
+	return s.DecryptInto(id, nil, ciphertext)
 }
 
-// DecryptInPlace is Decrypt for a ciphertext the caller owns: the
-// plaintext overwrites its body and is returned as
-// ciphertext[Overhead:], so nothing is allocated for it.
+// DecryptInto is Decrypt into dst's backing array: the plaintext is
+// returned as dst[:len(ciphertext)-Overhead], and a new buffer is
+// allocated only when dst's capacity is short. ciphertext must not
+// overlap dst.
+func (s *Store) DecryptInto(id string, dst, ciphertext []byte) ([]byte, error) {
+	stream, err := s.stream(id, ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	body := ciphertext[aes.BlockSize:]
+	out := dst[:0]
+	if out == nil || cap(out) < len(body) { // never nil: an empty file reads as empty
+		out = make([]byte, len(body))
+	}
+	out = out[:len(body)]
+	stream.XORKeyStream(out, body)
+	return out, nil
+}
+
+// DecryptInPlace is Decrypt for a ciphertext the caller owns: the body
+// is moved down over the IV and the plaintext returned as
+// ciphertext[:len(ciphertext)-Overhead], so it starts where the buffer
+// does and nothing is allocated for it.
 func (s *Store) DecryptInPlace(id string, ciphertext []byte) ([]byte, error) {
-	return s.decrypt(id, ciphertext, true)
+	stream, err := s.stream(id, ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	// cipher.Stream allows exact overlap but not partial, so decrypt the
+	// body where it lies, then move it down over the IV.
+	body := ciphertext[aes.BlockSize:]
+	stream.XORKeyStream(body, body)
+	return ciphertext[:copy(ciphertext, body)], nil
 }
 
-func (s *Store) decrypt(id string, ciphertext []byte, inPlace bool) ([]byte, error) {
+// stream returns the AES-CTR keystream that opens ciphertext under id's
+// key.
+func (s *Store) stream(id string, ciphertext []byte) (cipher.Stream, error) {
 	s.mu.RLock()
 	key, ok := s.keys[id]
 	s.mu.RUnlock()
@@ -110,12 +140,7 @@ func (s *Store) decrypt(id string, ciphertext []byte, inPlace bool) ([]byte, err
 	if err != nil {
 		return nil, fmt.Errorf("keystore: %w", err)
 	}
-	out := ciphertext[aes.BlockSize:]
-	if !inPlace {
-		out = make([]byte, len(out))
-	}
-	cipher.NewCTR(block, ciphertext[:aes.BlockSize]).XORKeyStream(out, ciphertext[aes.BlockSize:])
-	return out, nil
+	return cipher.NewCTR(block, ciphertext[:aes.BlockSize]), nil
 }
 
 // Shred destroys id's key, zeroing the key material. The data it

@@ -129,8 +129,8 @@ func TestLiveKeys(t *testing.T) {
 	}
 }
 
-// TestDecryptInPlace: DecryptInPlace returns what Decrypt returns, as a
-// view of the caller's buffer past the IV, while Decrypt leaves its
+// TestDecryptInPlace: DecryptInPlace returns what Decrypt returns, in
+// the caller's buffer from its first byte, while Decrypt leaves its
 // input untouched; after Shred both fail with ErrNoKey.
 func TestDecryptInPlace(t *testing.T) {
 	s := New()
@@ -153,7 +153,7 @@ func TestDecryptInPlace(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%d bytes: DecryptInPlace err=%v, equal to Decrypt=%v", n, err, bytes.Equal(got, want))
 		}
-		if n > 0 && &got[0] != &ct[Overhead] {
+		if n > 0 && &got[0] != &ct[0] {
 			t.Fatalf("%d bytes: DecryptInPlace did not decrypt in place", n)
 		}
 	}
@@ -170,5 +170,39 @@ func TestDecryptInPlace(t *testing.T) {
 	s.CreateKey("short")
 	if _, err := s.DecryptInPlace("short", []byte{1, 2, 3}); err == nil {
 		t.Fatal("short ciphertext accepted in place")
+	}
+}
+
+// TestDecryptInto: DecryptInto returns what Decrypt returns, in dst's
+// backing array from its first byte when dst's capacity covers the
+// plaintext and in a new buffer otherwise, and leaves the ciphertext
+// untouched.
+func TestDecryptInto(t *testing.T) {
+	s := New()
+	if err := s.CreateKey("f"); err != nil {
+		t.Fatal(err)
+	}
+	plain := bytes.Repeat([]byte("glass"), 1000)
+	ct, err := s.Encrypt("f", plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := bytes.Clone(ct)
+	for _, c := range []struct {
+		capacity int
+		reused   bool
+	}{{0, false}, {len(plain) - 1, false}, {len(plain), true}, {2 * len(plain), true}} {
+		dst := make([]byte, 0, c.capacity)
+		got, err := s.DecryptInto("f", dst, ct)
+		if err != nil || !bytes.Equal(got, plain) || !bytes.Equal(ct, kept) {
+			t.Fatalf("cap %d: err=%v, plaintext equal=%v, ciphertext kept=%v",
+				c.capacity, err, bytes.Equal(got, plain), bytes.Equal(ct, kept))
+		}
+		if reused := cap(dst) > 0 && &got[0] == &dst[:1][0]; reused != c.reused {
+			t.Fatalf("cap %d: dst reused = %v, want %v", c.capacity, reused, c.reused)
+		}
+	}
+	if _, err := s.DecryptInto("f", nil, []byte{1, 2, 3}); err == nil {
+		t.Fatal("short ciphertext accepted")
 	}
 }

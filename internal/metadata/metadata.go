@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,9 +86,9 @@ type Version struct {
 	Version   int
 	Size      int64
 	State     FileState
-	Extents   []Extent
-	WriteTime float64 // virtual seconds; wall-clock in production
-	KeyID     string  // keystore id protecting this version
+	Extents   []Extent // read-only: the store replaces the slice, never writes it
+	WriteTime float64  // virtual seconds; wall-clock in production
+	KeyID     string   // keystore id protecting this version
 }
 
 // entry is the version chain of one file key.
@@ -145,7 +146,9 @@ func (s *Store) SetExtents(key FileKey, version int, extents []Extent) error {
 	return nil
 }
 
-// Get returns the latest live (non-deleted) version of key.
+// Get returns a copy of the latest live (non-deleted) version of key.
+// The copy shares the stored Extents slice, which may be read without
+// the lock since the store never writes it in place.
 func (s *Store) Get(key FileKey) (*Version, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -232,18 +235,29 @@ func (s *Store) LiveBytesOnPlatter(p media.PlatterID) int64 {
 // sector-exact copy. Used by automated rebuild to swap a failed
 // platter for its reconstructed replacement in one atomic step; a Get
 // racing the swap resolves either id, both of which serve identical
-// bytes. Returns the number of extents remapped.
+// bytes. A version's extents are copied before the rewrite, never
+// written in place, since the copies Get and GetVersion return share
+// the stored slice and are read without the lock. Returns the number
+// of extents remapped.
 func (s *Store) RemapPlatter(old, new media.PlatterID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, e := range s.files {
 		for _, v := range e.versions {
-			for i := range v.Extents {
-				if v.Extents[i].Platter == old {
-					v.Extents[i].Platter = new
-					n++
+			var remapped []Extent
+			for i, x := range v.Extents {
+				if x.Platter != old {
+					continue
 				}
+				if remapped == nil {
+					remapped = slices.Clone(v.Extents)
+				}
+				remapped[i].Platter = new
+				n++
+			}
+			if remapped != nil {
+				v.Extents = remapped
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"silica/internal/media"
 )
 
 func k(name string) FileKey { return FileKey{Account: "acct", Name: name} }
@@ -341,6 +343,46 @@ func TestRemapInterleavedWithDelete(t *testing.T) {
 	// A second remap of the now-empty old platter is a no-op.
 	if n := s.RemapPlatter(5, 9); n != 0 {
 		t.Fatalf("stale remap rewrote %d extents", n)
+	}
+}
+
+// TestRemapDoesNotRaceGet: the version Get returns shares the stored
+// extent slice and is read with no lock held (the service's Get reads
+// its extents so while a rebuild remaps them), so RemapPlatter must
+// give a version new extents rather than rewrite the stored ones. A
+// remap that writes in place fails this under -race; without -race it
+// checks only that every read sees one platter or the other.
+func TestRemapDoesNotRaceGet(t *testing.T) {
+	s := NewStore()
+	s.Put(k("a"), 100, "key1", 1)
+	if err := s.SetExtents(k("a"), 1, []Extent{{Platter: 1, SectorCount: 2}, {Platter: 3, SectorCount: 2, Shard: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			s.RemapPlatter(media.PlatterID(1+i%2), media.PlatterID(2-i%2)) // 1 → 2, then 2 → 1
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		v, err := s.Get(k("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := v.Extents[0].Platter; p != 1 && p != 2 {
+			t.Fatalf("read platter %d, want 1 or 2", p)
+		}
+		if v.Extents[1].Platter != 3 {
+			t.Fatalf("unrelated extent remapped: %+v", v.Extents[1])
+		}
+	}
+	<-done
+	before, _ := s.Get(k("a"))
+	s.RemapPlatter(1, 2)
+	if before.Extents[0].Platter != 1 {
+		t.Fatalf("a remap rewrote the extents of a version Get returned before it: %+v", before.Extents)
 	}
 }
 

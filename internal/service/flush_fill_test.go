@@ -50,7 +50,7 @@ func requireReadable(t *testing.T, s *Service, name string, want []byte) {
 	if v.State != metadata.Durable {
 		t.Fatalf("%s is %v, want durable", name, v.State)
 	}
-	got, err := s.readExtents(context.Background(), v, s.readRNG())
+	got, err := s.readExtents(context.Background(), v, s.readRNG(), nil)
 	if err != nil || !bytes.Equal(got[:len(want)], want) {
 		t.Fatalf("%s read back from glass: err=%v", name, err)
 	}

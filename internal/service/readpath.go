@@ -1,10 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"silica/internal/backend"
@@ -31,12 +32,16 @@ func (s *Service) readRNG() *sim.RNG {
 // reads of flushed extents proceed in parallel with staging writes
 // and with each other.
 func (s *Service) Get(account, name string) ([]byte, error) {
-	return s.GetCtx(context.Background(), account, name)
+	return s.GetInto(context.Background(), account, name, nil)
 }
 
-// GetCtx is Get recording trace spans (decode, plus recovery-tier
-// escalations) into the trace carried by ctx, if any.
-func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, error) {
+// GetInto is Get under ctx, recording trace spans (decode, plus
+// recovery-tier escalations) into the trace carried by ctx, if any. It
+// decodes into dst's backing array when its capacity covers the
+// version's whole sectors (a staged version's size) and allocates only
+// otherwise. Either way the plaintext starts at index 0 of the returned
+// slice's array, so a caller can pass the last reply's data[:0] back in.
+func (s *Service) GetInto(ctx context.Context, account, name string, dst []byte) ([]byte, error) {
 	key := metadata.FileKey{Account: account, Name: name}
 	rng := s.readRNG()
 	for attempt := 0; ; attempt++ {
@@ -62,11 +67,11 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 				}
 				return nil, fmt.Errorf("service: %v v%d staged but not in tier", key, v.Version)
 			}
-			ct = f.Data // shared with staging: decrypted into a new buffer below
+			ct = f.Data // shared with staging: decrypted into dst below
 			s.om.readsStaged.Inc()
 		case metadata.Durable:
 			decode := obs.StartSpan(ctx, "decode")
-			ct, err = s.readExtents(ctx, v, rng)
+			ct, err = s.readExtents(ctx, v, rng, dst)
 			decode.End()
 			if err != nil {
 				return nil, err
@@ -80,24 +85,37 @@ func (s *Service) GetCtx(ctx context.Context, account, name string) ([]byte, err
 			return nil, fmt.Errorf("service: %v short read: %d < %d", key, len(ct), ctLen)
 		}
 		if v.State == metadata.Staged {
-			return s.keys.Decrypt(v.KeyID, ct[:ctLen])
+			return s.keys.DecryptInto(v.KeyID, dst, ct[:ctLen])
 		}
 		return s.keys.DecryptInPlace(v.KeyID, ct[:ctLen])
 	}
 }
 
+// byShard orders extents by shard ordinal.
+func byShard(a, b metadata.Extent) int { return cmp.Compare(a.Shard, b.Shard) }
+
 // readExtents assembles a version's ciphertext from its shards in
-// shard order.
-func (s *Service) readExtents(ctx context.Context, v *metadata.Version, rng *sim.RNG) ([]byte, error) {
-	extents := append([]metadata.Extent(nil), v.Extents...)
-	sort.Slice(extents, func(i, j int) bool { return extents[i].Shard < extents[j].Shard })
+// shard order, into dst's backing array when its capacity covers the
+// whole sectors read. v.Extents is never written once stored (see
+// metadata.Store.RemapPlatter), so it is read in place unless it is
+// out of shard order.
+func (s *Service) readExtents(ctx context.Context, v *metadata.Version, rng *sim.RNG, dst []byte) ([]byte, error) {
+	extents := v.Extents
+	if !slices.IsSortedFunc(extents, byShard) {
+		extents = slices.Clone(extents)
+		slices.SortFunc(extents, byShard)
+	}
 	sectors := 0
 	for _, e := range extents {
 		sectors += e.SectorCount
 	}
 	// Sized once; every sector is descrambled straight into its slot.
 	size := s.cfg.Geom.SectorPayloadBytes
-	out := make([]byte, sectors*size)
+	out := dst[:0]
+	if out == nil || cap(out) < sectors*size { // never nil: an empty file reads as empty
+		out = make([]byte, sectors*size)
+	}
+	out = out[:sectors*size]
 	off := 0
 	for _, e := range extents {
 		// Bill the extent's track span to the mechanical backend before

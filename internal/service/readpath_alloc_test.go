@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,12 +11,12 @@ import (
 )
 
 // TestDurableGetAllocations pins the read path's allocation shape: a
-// durable Get sizes its ciphertext buffer once from the extents and
-// every sector is decoded on pooled scratch and descrambled straight
-// into its slot, and the plaintext is decrypted in place, so what a Get
-// allocates is that buffer and request bookkeeping (noise stream,
-// metadata copy, extent sort, AES-CTR) and does not grow with the
-// number of sectors read. The channel is noiseless so that no read
+// durable Get with no buffer passed in sizes its ciphertext buffer once
+// from the extents, which it reads in place, and every sector is
+// decoded on pooled scratch and descrambled straight into its slot, and
+// the plaintext is decrypted in place, so what a Get allocates is that
+// buffer and request bookkeeping (noise stream, metadata copy, AES-CTR)
+// and does not grow with the number of sectors read. The channel is noiseless so that no read
 // escalates to a recovery tier, which legitimately allocates.
 func TestDurableGetAllocations(t *testing.T) {
 	if raceEnabled {
@@ -37,7 +38,7 @@ func TestDurableGetAllocations(t *testing.T) {
 	}
 	allocs := func(name string) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := s.GetCtx(context.Background(), "acct", name); err != nil {
+			if _, err := s.GetInto(context.Background(), "acct", name, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -46,13 +47,71 @@ func TestDurableGetAllocations(t *testing.T) {
 	if st := s.Stats(); st.DurableReads == 0 || st.SectorRepairs != 0 {
 		t.Fatalf("reads were not plain durable reads: %+v", st)
 	}
+	t.Logf("durable Get: %v allocations at 4 KiB, %v at 12 KiB", small, large)
 	// 17 before the buffer was sized up front (four append regrowths and
-	// a descrambled copy per sector); 9 before it was decrypted in place.
+	// a descrambled copy per sector); 9 before it was decrypted in place;
+	// 6 since the extents are no longer copied and sorted per Get.
 	if small > 8 {
 		t.Errorf("GetCtx of a durable 4 KiB object: %v allocations, want at most 8", small)
 	}
 	if large != small {
 		t.Errorf("allocations grow with sectors read: %v for 5 sectors, %v for 13", small, large)
+	}
+}
+
+// TestDurableGetIntoAllocations gates the bytes a durable 4 KiB Get
+// allocates when the caller passes its last reply's buffer back in, as
+// the GET route does with its pooled buffer: readExtents decodes into
+// it and the plaintext is moved down to its first byte, so what is left
+// is request bookkeeping (noise stream, metadata copy, AES-CTR): ≈ 1.2
+// KB. A Get allocated ≈ 6.6 KB when every call sized a ciphertext
+// buffer of its own (5 × 1000 B, in a 5376 B size class) and copied and
+// sorted the version's extents.
+func TestDurableGetIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.Channel = voxel.CleanChannel()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := randBytes(8, 4096)
+	if _, err := s.Put("acct", "4k", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var buf []byte
+	get := func() {
+		data, err := s.GetInto(ctx, "acct", "4k", buf[:0])
+		if err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("GetInto: err=%v, byte-exact=%v", err, bytes.Equal(data, want))
+		}
+		if buf != nil && &data[0] != &buf[:1][0] {
+			t.Fatal("GetInto did not decode into the buffer passed in")
+		}
+		buf = data
+	}
+	get() // sizes buf to the object's whole sectors
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	perGet := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if st := s.Stats(); st.DurableReads == 0 || st.SectorRepairs != 0 {
+		t.Fatalf("reads were not plain durable reads: %+v", st)
+	}
+	t.Logf("durable 4 KiB GetInto with a reused buffer: %.0f bytes", perGet)
+	// The measured value and a 10 % margin.
+	if limit := 1160 * 1.10; perGet > limit {
+		t.Errorf("durable GetInto of a 4 KiB object allocates %.0f bytes, want at most %.0f", perGet, limit)
 	}
 }
 
@@ -98,7 +157,7 @@ func TestDegradedGetAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	get := func(name string) {
-		if _, err := s.GetCtx(context.Background(), "acct", name); err != nil {
+		if _, err := s.GetInto(context.Background(), "acct", name, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

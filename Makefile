@@ -18,10 +18,14 @@ test:
 tier1: build test
 
 # vet also requires gofmt-clean sources across the tree (the benchmark
-# module included); gofmt -l lists any file that needs formatting.
+# module included); gofmt -l lists any file that needs formatting. It
+# then runs the surface check: an exported name under internal/ that no
+# non-test file uses, and that surface_test.go does not allowlist with
+# a reason, fails it.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	$(GO) test -run TestExportedSurfaceHasProductionCallers -count 1 .
 
 race:
 	$(GO) test -race ./...

@@ -716,15 +716,6 @@ func (c *Cluster) DrainLibrary(ctx context.Context, name string) (RebalanceRepor
 	return rep, rerr
 }
 
-// Join adds a new member to a running cluster and migrates the key
-// ranges it now owns (the inverse of DrainLibrary).
-func (c *Cluster) Join(ctx context.Context, name string, lib Library) (RebalanceReport, error) {
-	if err := c.AddLibrary(name, lib); err != nil {
-		return RebalanceReport{}, err
-	}
-	return c.Rebalance(ctx, 0)
-}
-
 // RebuildLibrary replaces a killed member with a fresh, empty library
 // under the same name and restores full redundancy: every key that
 // lost a copy is re-read from its surviving peer copy and re-placed.
@@ -965,13 +956,6 @@ func (c *Cluster) reconcileKey(ctx context.Context, ring string, key dirKey) (mo
 
 	setSlots(&ent, want)
 	return moved, bytes, c.place(ent)
-}
-
-// Keys reports the directory size (objects the router has placed).
-func (c *Cluster) Keys() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.dir)
 }
 
 // Close shuts every live member down. Each local gateway drains its

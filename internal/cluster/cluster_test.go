@@ -19,6 +19,13 @@ import (
 	"silica/internal/service"
 )
 
+// dirLen reports the directory size: the objects the router has placed.
+func dirLen(c *Cluster) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.dir)
+}
+
 func newLocalCluster(t *testing.T, n int, seed uint64) *Cluster {
 	t.Helper()
 	c, err := NewLocal(LocalConfig{
@@ -105,7 +112,7 @@ func TestClusterPutGetDelete(t *testing.T) {
 	if _, err := c.Get("acct", "obj-000"); !errors.Is(err, metadata.ErrNotFound) {
 		t.Fatalf("get after delete: %v, want ErrNotFound", err)
 	}
-	if got := c.Keys(); got != keys-1 {
+	if got := dirLen(c); got != keys-1 {
 		t.Fatalf("keys after delete: %d, want %d", got, keys-1)
 	}
 }
@@ -175,7 +182,10 @@ func TestClusterJoinDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Join(context.Background(), "lib-extra", LocalLibrary{G: g})
+	if err := c.AddLibrary("lib-extra", LocalLibrary{G: g}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Rebalance(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +278,7 @@ func TestClusterKillLibraryE2E(t *testing.T) {
 
 	victim := make(chan string, 1)
 	go func() {
-		for c.Keys() < 8 {
+		for dirLen(c) < 8 {
 			time.Sleep(2 * time.Millisecond)
 		}
 		name := victimFor(c)

@@ -235,7 +235,9 @@ func TestRouterHistoryGolden(t *testing.T) {
 	step("rebuild %s: %s", victim, errText(err))
 	rebalance()
 
-	_, err = c.Join(cancelled, "lib-3", attach("lib-3"))
+	if err = c.AddLibrary("lib-3", attach("lib-3")); err == nil {
+		_, err = c.Rebalance(cancelled, 0)
+	}
 	step("join lib-3: %s", errText(err))
 	rebalance()
 	put("obj-16")

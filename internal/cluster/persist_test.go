@@ -52,7 +52,7 @@ func TestClusterRouterRestartRecovers(t *testing.T) {
 	if !c2.Status().Persist {
 		t.Fatal("restarted router does not report persistence")
 	}
-	if got := c2.Keys(); got != keys-deleted {
+	if got := dirLen(c2); got != keys-deleted {
 		t.Fatalf("recovered directory holds %d keys, want %d", got, keys-deleted)
 	}
 	for i := 0; i < keys; i++ {
@@ -207,7 +207,7 @@ func TestClusterRouterCrashOnDelete(t *testing.T) {
 	}
 
 	// The tombstoned entry is recovered (still pending) but reads as gone.
-	if got := c2.Keys(); got != keys {
+	if got := dirLen(c2); got != keys {
 		t.Fatalf("recovered %d entries, want %d (tombstoned entry must survive)", got, keys)
 	}
 	if _, err := c2.Get("acct", "obj-003"); !errors.Is(err, metadata.ErrNotFound) {
@@ -217,7 +217,7 @@ func TestClusterRouterCrashOnDelete(t *testing.T) {
 	if _, err := c2.Rebalance(context.Background(), 0); err != nil {
 		t.Fatalf("reconcile after crash: %v", err)
 	}
-	if got := c2.Keys(); got != keys-1 {
+	if got := dirLen(c2); got != keys-1 {
 		t.Fatalf("%d entries after reconcile, want %d", got, keys-1)
 	}
 	for i := 0; i < keys; i++ {

@@ -166,8 +166,8 @@ func TestDeleteResumable(t *testing.T) {
 		t.Fatal("delete succeeded despite replica-side failure")
 	}
 	// Entry survives (resumable), but the object reads as deleted.
-	if c.Keys() != 1 {
-		t.Fatalf("keys after failed delete: %d, want tombstoned entry to survive", c.Keys())
+	if dirLen(c) != 1 {
+		t.Fatalf("keys after failed delete: %d, want tombstoned entry to survive", dirLen(c))
 	}
 	if _, err := c.Get("acct", "obj"); !errors.Is(err, metadata.ErrNotFound) {
 		t.Fatalf("get of tombstoned key: %v, want ErrNotFound", err)
@@ -178,8 +178,8 @@ func TestDeleteResumable(t *testing.T) {
 	if err := c.Delete("acct", "obj"); err != nil {
 		t.Fatalf("resumed delete: %v", err)
 	}
-	if c.Keys() != 0 {
-		t.Fatalf("keys after resumed delete: %d", c.Keys())
+	if dirLen(c) != 0 {
+		t.Fatalf("keys after resumed delete: %d", dirLen(c))
 	}
 	if _, ok := libs[pl.Replica].objs[memKey(replicaPrefix+"acct", "obj")]; ok {
 		t.Fatal("replica copy survived the resumed delete")
@@ -199,8 +199,8 @@ func TestDeleteResumable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reconcile after half-delete: %v", err)
 	}
-	if c.Keys() != 0 {
-		t.Fatalf("reconcile left %d keys (report %+v); want the tombstoned entry completed", c.Keys(), rep)
+	if dirLen(c) != 0 {
+		t.Fatalf("reconcile left %d keys (report %+v); want the tombstoned entry completed", dirLen(c), rep)
 	}
 }
 

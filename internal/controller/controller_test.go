@@ -87,8 +87,8 @@ func TestSchedulerGroupAccounting(t *testing.T) {
 	if s.GroupBytes(0) != 100 || s.GroupBytes(1) != 250 || s.GroupBytes(2) != 0 {
 		t.Fatalf("group bytes = %d/%d/%d", s.GroupBytes(0), s.GroupBytes(1), s.GroupBytes(2))
 	}
-	if s.GroupPlatters(1) != 2 {
-		t.Fatalf("group 1 platters = %d", s.GroupPlatters(1))
+	if n := groupPlatters(s, 1); n != 2 {
+		t.Fatalf("group 1 platters = %d", n)
 	}
 	s.Take(20)
 	if s.GroupBytes(1) != 50 {
@@ -103,18 +103,34 @@ func TestSchedulerGroupAccounting(t *testing.T) {
 	}
 }
 
+// TestSchedulerPeek: queued requests wait, unconsumed, in their
+// platter's entry until Take hands them all out.
 func TestSchedulerPeek(t *testing.T) {
 	s := NewScheduler(1)
 	s.Add(req(1, 10, 1, 100), 0)
-	if got := s.Peek(10); len(got) != 1 {
-		t.Fatalf("peek = %d requests", len(got))
+	if e := s.byPlatter[10]; e == nil || len(e.requests) != 1 {
+		t.Fatalf("platter 10 entry = %+v", e)
 	}
 	if s.Pending() != 1 {
-		t.Fatal("peek must not consume")
+		t.Fatal("queueing must not consume")
 	}
-	if s.Peek(99) != nil {
-		t.Fatal("peek of unknown platter should be nil")
+	if s.byPlatter[99] != nil {
+		t.Fatal("unknown platter has an entry")
 	}
+	if got := s.Take(10); len(got) != 1 || s.byPlatter[10] != nil {
+		t.Fatalf("take = %d requests, entry left %v", len(got), s.byPlatter[10])
+	}
+}
+
+// groupPlatters counts the distinct platters queued in a group.
+func groupPlatters(s *Scheduler, group int) int {
+	n := 0
+	for _, e := range s.groups[group] {
+		if !e.dead {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSchedulerRequeueAfterTake(t *testing.T) {
@@ -182,12 +198,19 @@ func TestReservationPrune(t *testing.T) {
 	seg := Segment{Rail: 1, Rack: 1}
 	rt.Reserve(1, 0, []TimedSeg{{Seg: seg, Duration: 2}})
 	rt.Reserve(2, 100, []TimedSeg{{Seg: seg, Duration: 2}})
-	if rt.Reservations() != 2 {
-		t.Fatalf("reservations = %d", rt.Reservations())
+	live := func() int {
+		n := 0
+		for _, ivs := range rt.bySeg {
+			n += len(ivs)
+		}
+		return n
+	}
+	if n := live(); n != 2 {
+		t.Fatalf("reservations = %d", n)
 	}
 	rt.Prune(50)
-	if rt.Reservations() != 1 {
-		t.Fatalf("after prune = %d", rt.Reservations())
+	if n := live(); n != 1 {
+		t.Fatalf("after prune = %d", n)
 	}
 }
 
@@ -254,14 +277,5 @@ func TestStealerTrigger(t *testing.T) {
 	loads = []int64{500, 10, 50}
 	if _, ok := st.PickVictim(loads, 0); ok {
 		t.Fatal("most-loaded partition stole from lighter ones")
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	if Imbalance([]int64{5, 1, 9}) != 8 {
-		t.Fatal("imbalance wrong")
-	}
-	if Imbalance(nil) != 0 {
-		t.Fatal("empty imbalance should be 0")
 	}
 }

@@ -48,7 +48,7 @@ func TestSchedulerRandomOpsInvariants(t *testing.T) {
 			if got := s.GroupBytes(g); got != bytes {
 				t.Fatalf("group %d bytes = %d, want %d", g, got, bytes)
 			}
-			if got := s.GroupPlatters(g); got != platters {
+			if got := groupPlatters(s, g); got != platters {
 				t.Fatalf("group %d platters = %d, want %d", g, got, platters)
 			}
 			p, ok := s.SelectPlatter(g, nil)

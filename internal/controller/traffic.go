@@ -1,8 +1,6 @@
 package controller
 
 import (
-	"sort"
-
 	"silica/internal/geometry"
 )
 
@@ -95,15 +93,6 @@ func (t *ReservationTable) Prune(now float64) {
 			t.bySeg[seg] = kept
 		}
 	}
-}
-
-// Reservations reports the number of live intervals (for tests).
-func (t *ReservationTable) Reservations() int {
-	n := 0
-	for _, ivs := range t.bySeg {
-		n += len(ivs)
-	}
-	return n
 }
 
 // PathSegments decomposes a move from one panel position to another
@@ -225,14 +214,4 @@ func (st *Stealer) PickVictim(loads []int64, self int) (victim int, ok bool) {
 		return 0, false
 	}
 	return maxI, true
-}
-
-// Imbalance reports max(loads) - min(loads), the §4.1 trigger signal.
-func Imbalance(loads []int64) int64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), loads...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)-1] - sorted[0]
 }

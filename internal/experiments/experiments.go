@@ -138,10 +138,3 @@ func table(header []string, rows [][]string) string {
 	}
 	return b.String()
 }
-
-// SLOHours is the paper's service-level objective: 15 hours to last
-// byte.
-const SLOHours = 15.0
-
-// SLOSeconds is SLOHours in seconds.
-const SLOSeconds = SLOHours * 3600

@@ -12,6 +12,10 @@ import (
 // reports. Absolute values are checked loosely; EXPERIMENTS.md records
 // the full-scale numbers.
 
+// sloSeconds is the paper's service-level objective, 15 hours to last
+// byte (§7), in seconds.
+const sloSeconds = 15 * 3600
+
 func quick() Scale { return QuickScale() }
 
 func TestFig1aShape(t *testing.T) {
@@ -125,7 +129,7 @@ func TestFig5aShape(t *testing.T) {
 		if p.NS >= p.Silica {
 			t.Fatalf("NS (%v) should beat Silica (%v) at %v MB/s", p.NS, p.Silica, p.X)
 		}
-		if p.Silica > SLOSeconds {
+		if p.Silica > sloSeconds {
 			t.Fatalf("IOPS at %v MB/s misses SLO: %v", p.X, p.Silica)
 		}
 	}
@@ -198,7 +202,7 @@ func TestFig5dShape(t *testing.T) {
 		}
 	}
 	// With enough shuttles the Volume trace completes within SLO.
-	if last := r.Points[len(r.Points)-1]; last.Silica > SLOSeconds {
+	if last := r.Points[len(r.Points)-1]; last.Silica > sloSeconds {
 		t.Fatalf("40 shuttles still miss SLO: %v", last.Silica)
 	}
 }
@@ -287,7 +291,7 @@ func TestFig8Shape(t *testing.T) {
 	}
 	// IOPS stays within SLO even at 30 MB/s and 10% unavailability.
 	iops30 := r.Tails[workload.IOPS][30]
-	if iops30[len(iops30)-1] > SLOSeconds {
+	if iops30[len(iops30)-1] > sloSeconds {
 		t.Fatalf("IOPS@30MB/s at 10%% = %v, should be within SLO", iops30[len(iops30)-1])
 	}
 	// Unavailability must hurt: 10% worse than 0% for Volume.
@@ -317,7 +321,7 @@ func TestFig9Shape(t *testing.T) {
 	}
 	// 60 MB/s handles the projected 1.6 r/s within SLO (paper: ~8 h).
 	t60 := r.Tails[60]
-	if t60[len(t60)-1] > SLOSeconds {
+	if t60[len(t60)-1] > sloSeconds {
 		t.Fatalf("60 MB/s at 1.6 r/s = %v, want within SLO", t60[len(t60)-1])
 	}
 }

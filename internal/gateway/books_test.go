@@ -26,7 +26,6 @@ var statsBooks = map[string]map[string]book{
 		"PlattersFaulted":    {"silica_service_platters_total", "event", "faulted"},
 		"RedundancyPlatters": {"silica_service_platters_total", "event", "redundancy"},
 		"PlattersRebuilt":    {"silica_service_platters_total", "event", "rebuilt"},
-		"PlattersRecycled":   {"silica_service_platters_total", "event", "recycled"},
 		"SectorsWritten":     {"silica_service_sectors_written_total", "", ""},
 		"BytesStored":        {"silica_service_stored_bytes_total", "kind", "user"},
 		"RedundancyBytes":    {"silica_service_stored_bytes_total", "kind", "redundancy"},
@@ -58,7 +57,7 @@ var statsBooks = map[string]map[string]book{
 // TestServiceBooksAgreeWithMetrics: after a workload that moves the
 // service's and the repair manager's books — a flush closing a set, a
 // burn fault scrapping a platter, staged, durable and set-recovered
-// Gets, a scrub pass, a rebuild and a recycle — every numeric field of
+// Gets, a scrub pass and a rebuild — every numeric field of
 // svc.Stats() and g.Repair().Stats() equals its /metrics sample.
 func TestServiceBooksAgreeWithMetrics(t *testing.T) {
 	cfg := smallSetConfig()
@@ -105,9 +104,6 @@ func TestServiceBooksAgreeWithMetrics(t *testing.T) {
 	}
 	if rec, _ := svc.Health().Get(victim); rec.Health() != repair.Retired {
 		t.Fatalf("rebuilt platter %d is %v, want retired", victim, rec.Health())
-	}
-	if err := svc.RecyclePlatter(victim); err != nil {
-		t.Fatal(err)
 	}
 	// Closing stops the scrubber, so the two reads below see one state;
 	// its final drain burns the staged object.
@@ -163,8 +159,8 @@ func TestServiceBooksAgreeWithMetrics(t *testing.T) {
 	for name, n := range map[string]int64{
 		"PlattersWritten": int64(st.PlattersWritten), "PlattersFaulted": int64(st.PlattersFaulted),
 		"RedundancyPlatters": int64(st.RedundancyPlatters), "PlattersRebuilt": int64(st.PlattersRebuilt),
-		"PlattersRecycled": int64(st.PlattersRecycled), "SectorsWritten": int64(st.SectorsWritten),
-		"BytesStored": st.BytesStored, "RedundancyBytes": st.RedundancyBytes,
+		"SectorsWritten": int64(st.SectorsWritten),
+		"BytesStored":    st.BytesStored, "RedundancyBytes": st.RedundancyBytes,
 		"StagedReads": int64(st.StagedReads), "DurableReads": int64(st.DurableReads),
 		"PlatterRecovers": int64(st.PlatterRecovers), "ScrubbedSectors": int64(st.ScrubbedSectors),
 		"SetsCompleted": int64(st.SetsCompleted), "Scrubs": rs.Scrubs, "RebuildsDone": rs.RebuildsDone,

@@ -69,9 +69,6 @@ func newGatewayMetrics(reg *obs.Registry, g *Gateway) gatewayMetrics {
 // every subsystem.
 func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
-// Tracer exposes the request tracer.
-func (g *Gateway) Tracer() *obs.Tracer { return g.tracer }
-
 // Counters reads the traffic counters off the instruments /metrics
 // exposes, summed over the request classes.
 func (g *Gateway) Counters() Counters {

@@ -21,7 +21,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	cfg.DisableRepair = true
 	g := newTestGateway(t, cfg)
 
-	ctx, tr := g.Tracer().Start(context.Background(), "e2e")
+	ctx, tr := g.tracer.Start(context.Background(), "e2e")
 	if tr == nil {
 		t.Fatal("TraceSample=1 should sample every request")
 	}
@@ -31,7 +31,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err := g.FlushCtx(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	g.Tracer().Finish(tr)
+	g.tracer.Finish(tr)
 
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()

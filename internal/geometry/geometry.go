@@ -191,22 +191,8 @@ func (l *Layout) Drives() []DriveAddr {
 	return out
 }
 
-// SlotIndex flattens a slot address to a dense [0, NumSlots) index.
-func (l *Layout) SlotIndex(a SlotAddr) int {
-	si := -1
-	for i, r := range l.storageRacks {
-		if r == a.Rack {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		panic(fmt.Sprintf("geometry: rack %d is not a storage rack", a.Rack))
-	}
-	return (si*l.ShelvesPerRack+a.Shelf)*l.SlotsPerShelf + a.Slot
-}
-
-// SlotAt inverts SlotIndex.
+// SlotAt maps a dense index in [0, NumSlots) to its storage slot:
+// storage racks in order, then shelves, then slots.
 func (l *Layout) SlotAt(idx int) SlotAddr {
 	if idx < 0 || idx >= l.NumSlots() {
 		panic(fmt.Sprintf("geometry: slot index %d out of range", idx))
@@ -260,24 +246,7 @@ type BlastZone struct {
 // SlotZone maps a slot to its blast zone.
 func SlotZone(a SlotAddr) BlastZone { return BlastZone{Rack: a.Rack, Shelf: a.Shelf} }
 
-// DriveZone maps a drive failure to the blast zone it obstructs: the
-// storage shelf directly reachable at the drive's rail in the adjacent
-// storage rack would remain reachable, so the zone is the drive's own
-// rack/shelf.
-func DriveZone(l *Layout, a DriveAddr) BlastZone {
-	return BlastZone{Rack: a.Rack, Shelf: DrivePosShelf(l, a)}
-}
-
 // DrivePosShelf returns the shelf level of a drive.
 func DrivePosShelf(l *Layout, a DriveAddr) int {
 	return a.Drive * l.ShelvesPerRack / l.DrivesPerReadRack
 }
-
-// ZoneOfPos maps an arbitrary panel position (e.g. a failed shuttle)
-// to the blast zone it obstructs.
-func (l *Layout) ZoneOfPos(p Pos) BlastZone {
-	return BlastZone{Rack: l.RackAtX(p.X), Shelf: p.Rail}
-}
-
-// NumZones reports the number of distinct blast zones.
-func (l *Layout) NumZones() int { return len(l.Racks) * l.ShelvesPerRack }

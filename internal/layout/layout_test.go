@@ -187,7 +187,7 @@ func TestAssignFilesSimple(t *testing.T) {
 		file("x", 2500), // 3 sectors
 		file("y", 1000), // 1 sector
 	}
-	plans := AssignFiles(batch, geom, 0)
+	plans := AssignFiles(batch, geom, 8)
 	if len(plans) != 1 {
 		t.Fatalf("plans = %d, want 1", len(plans))
 	}
@@ -244,7 +244,7 @@ func TestAssignFilesFillsPlatters(t *testing.T) {
 	for i := 0; i < n; i++ {
 		batch = append(batch, file(string(rune('a'+i%26))+string(rune('0'+i/26)), 1000))
 	}
-	plans := AssignFiles(batch, geom, 0)
+	plans := AssignFiles(batch, geom, platterInfo)
 	if len(plans) != 3 {
 		t.Fatalf("plans = %d, want 3", len(plans))
 	}
@@ -256,7 +256,7 @@ func TestAssignFilesFillsPlatters(t *testing.T) {
 }
 
 func TestAssignFilesEmptyBatch(t *testing.T) {
-	if plans := AssignFiles(nil, media.TinyGeometry(), 0); len(plans) != 0 {
+	if plans := AssignFiles(nil, media.TinyGeometry(), 1); len(plans) != 0 {
 		t.Fatalf("empty batch produced %d plans", len(plans))
 	}
 }
@@ -272,6 +272,7 @@ func TestSectorTracks(t *testing.T) {
 		{7, 2, 0, 2},
 		{8, 8, 1, 1},
 		{20, 0, 2, 1},
+		{8, 0, 1, 1},
 	}
 	for _, c := range cases {
 		ft, n := SectorTracks(geom, c.first, c.count)
@@ -279,19 +280,5 @@ func TestSectorTracks(t *testing.T) {
 			t.Fatalf("SectorTracks(%d,%d) = %d,%d want %d,%d",
 				c.first, c.count, ft, n, c.wantTrack, c.wantN)
 		}
-	}
-}
-
-func TestFormSets(t *testing.T) {
-	platters := []media.PlatterID{5, 3, 1, 2, 4, 0, 6}
-	sets := FormSets(platters, 3)
-	if len(sets) != 3 {
-		t.Fatalf("sets = %d", len(sets))
-	}
-	if sets[0][0] != 0 || sets[0][2] != 2 {
-		t.Fatalf("first set = %v (should be sorted, consecutive)", sets[0])
-	}
-	if len(sets[2]) != 1 {
-		t.Fatalf("last set = %v", sets[2])
 	}
 }

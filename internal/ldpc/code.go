@@ -296,9 +296,6 @@ func tryConstruct(n, k, colWeight int, rng *sim.RNG) (*Code, bool) {
 	return c, true
 }
 
-// Rate reports K/N.
-func (c *Code) Rate() float64 { return float64(c.K) / float64(c.N) }
-
 // Encode maps a K-bit message to an N-bit codeword (values 0/1).
 func (c *Code) Encode(msg []uint8) []uint8 {
 	cw := make([]uint8, c.N)

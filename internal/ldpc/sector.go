@@ -117,11 +117,6 @@ func (sc *SectorCodec) Blocks() int { return sc.blocks }
 // (i.e. the number of channel symbols × bits-per-symbol it occupies).
 func (sc *SectorCodec) EncodedBits() int { return sc.blocks * sc.Code.N }
 
-// StorageOverhead reports coded bits over payload bits.
-func (sc *SectorCodec) StorageOverhead() float64 {
-	return float64(sc.EncodedBits())/float64(sc.PayloadBytes*8) - 1
-}
-
 // EncodeSectorInto maps payload (exactly PayloadBytes long) to the
 // sector's coded bits in dst, which must have length EncodedBits. It
 // returns dst and does not allocate in steady state.

@@ -363,9 +363,6 @@ func (l *Library) MarkZoneUnavailable(z geometry.BlastZone) int {
 	return n
 }
 
-// Unavailable reports how many platters are out of service.
-func (l *Library) Unavailable() int { return len(l.unavailable) }
-
 // Submit enqueues a customer read request at the current virtual time.
 // Reads of unavailable platters fan out into SetInfo recovery reads on
 // the other members of the platter-set (§5, §7.6).

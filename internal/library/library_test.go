@@ -123,7 +123,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		reqs := makeRequests(l, 300, 0.5, 1)
 		l.RunTrace(reqs, 0)
-		return l.Metrics().Completions.Sum(), l.ShuttleStats().Travels
+		return l.Metrics().Completions.Mean(), l.ShuttleStats().Travels
 	}
 	s1, t1 := run()
 	s2, t2 := run()
@@ -230,7 +230,7 @@ func TestMarkUnavailableFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.MarkUnavailable(0.1)
-	if got := l.Unavailable(); got != 40 {
+	if got := len(l.unavailable); got != 40 {
 		t.Fatalf("unavailable = %d, want 40", got)
 	}
 }

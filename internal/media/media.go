@@ -1,8 +1,9 @@
 // Package media models the quartz-glass platter (§3): its geometry
-// (voxels → sectors → tracks → platter), the serpentine sector order
-// the read drive follows, capacity accounting including coding
-// overheads, and the WORM platter lifecycle with the air-gap-by-design
-// invariant (a written platter can never re-enter a write drive).
+// (voxels → sectors → tracks → platter, with information and
+// redundancy tracks interleaved in large groups), capacity accounting
+// including coding overheads, and the WORM platter lifecycle with the
+// air-gap-by-design invariant (a written platter can never re-enter a
+// write drive).
 package media
 
 import "fmt"
@@ -157,27 +158,4 @@ func (g Geometry) LargeGroupRedTrack(group, j int) int {
 type SectorID struct {
 	Track  int
 	Sector int // index within the track, 0..SectorsPerTrack-1
-}
-
-// SerpentinePos maps a sector to its position in the serpentine scan
-// order (§6): within even tracks sectors run forward, within odd tracks
-// backward, so adjacent tracks read without an extra seek.
-func (g Geometry) SerpentinePos(id SectorID) int {
-	per := g.SectorsPerTrack()
-	base := id.Track * per
-	if id.Track%2 == 0 {
-		return base + id.Sector
-	}
-	return base + (per - 1 - id.Sector)
-}
-
-// SectorAtSerpentine is the inverse of SerpentinePos.
-func (g Geometry) SectorAtSerpentine(pos int) SectorID {
-	per := g.SectorsPerTrack()
-	track := pos / per
-	off := pos % per
-	if track%2 == 1 {
-		off = per - 1 - off
-	}
-	return SectorID{Track: track, Sector: off}
 }

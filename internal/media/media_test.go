@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"testing/quick"
 )
 
 func TestDefaultGeometryPaperScale(t *testing.T) {
@@ -73,51 +72,15 @@ func TestInfoTracksAccounting(t *testing.T) {
 	}
 }
 
-func TestSerpentineRoundTrip(t *testing.T) {
-	g := TinyGeometry()
-	err := quick.Check(func(raw uint16) bool {
-		pos := int(raw) % (g.TracksPerPlatter * g.SectorsPerTrack())
-		return g.SerpentinePos(g.SectorAtSerpentine(pos)) == pos
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSerpentineAdjacency(t *testing.T) {
-	// The defining property: consecutive serpentine positions never
-	// jump within a track and cross track boundaries at the matching
-	// edge, so adjacent tracks read with no extra seek.
-	g := TinyGeometry()
-	per := g.SectorsPerTrack()
-	last := g.SectorAtSerpentine(0)
-	for pos := 1; pos < g.TracksPerPlatter*per; pos++ {
-		cur := g.SectorAtSerpentine(pos)
-		if cur.Track == last.Track {
-			if cur.Sector != last.Sector+1 && cur.Sector != last.Sector-1 {
-				t.Fatalf("pos %d: sector jump %+v -> %+v", pos, last, cur)
-			}
-		} else {
-			if cur.Track != last.Track+1 {
-				t.Fatalf("pos %d: track jump %+v -> %+v", pos, last, cur)
-			}
-			if cur.Sector != last.Sector {
-				t.Fatalf("pos %d: boundary crossing moved sectors %+v -> %+v", pos, last, cur)
-			}
-		}
-		last = cur
-	}
-}
-
 func TestPlatterLifecycleHappyPath(t *testing.T) {
 	p := NewPlatter(1, TinyGeometry())
-	steps := []PlatterState{Writing, Written, Verifying, Stored, Recycled}
+	steps := []PlatterState{Writing, Written, Verifying, Stored}
 	for _, s := range steps {
 		if err := p.Transition(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if p.State() != Recycled {
+	if p.State() != Stored {
 		t.Fatalf("state = %v", p.State())
 	}
 }
@@ -132,7 +95,7 @@ func TestPlatterIllegalTransitions(t *testing.T) {
 		{[]PlatterState{Writing}, Blank},     // WORM: no path back to blank
 		{[]PlatterState{Writing}, Verifying}, // must eject first
 		{[]PlatterState{Writing, Written, Verifying, Stored}, Writing}, // air gap
-		{[]PlatterState{Writing, Written, Verifying, Stored, Recycled}, Writing},
+		{[]PlatterState{Writing, Faulted}, Writing},
 	}
 	for i, c := range cases {
 		p := NewPlatter(PlatterID(i), TinyGeometry())
@@ -148,34 +111,18 @@ func TestPlatterIllegalTransitions(t *testing.T) {
 }
 
 // TestAirGapInvariant verifies the paper's air-gap-by-design property:
-// from every reachable post-write state, the platter can never enter a
-// write drive again.
+// Writing, the one state a write drive holds, is entered from Blank
+// alone, so no written platter can re-enter a write drive.
 func TestAirGapInvariant(t *testing.T) {
-	// Exhaustively walk the transition graph from Blank.
-	type node struct {
-		state   PlatterState
-		written bool
-	}
-	seen := map[PlatterState]bool{}
-	queue := []node{{Blank, false}}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if seen[n.state] {
-			continue
-		}
-		seen[n.state] = true
-		written := n.written || n.state == Writing
-		p := &Platter{state: n.state}
-		if written && n.state != Blank && p.CanEnterWriteDrive() {
-			t.Fatalf("air gap violated: state %v claims write-drive access", n.state)
-		}
-		for _, next := range legalTransitions[n.state] {
-			queue = append(queue, node{next, written})
+	for from, nexts := range legalTransitions {
+		for _, next := range nexts {
+			if next == Writing && from != Blank {
+				t.Fatalf("air gap violated: %v -> %v is legal", from, next)
+			}
 		}
 	}
-	if !seen[Recycled] || !seen[Faulted] {
-		t.Fatal("transition graph should reach recycled and faulted")
+	if err := NewPlatter(1, TinyGeometry()).Transition(Writing); err != nil {
+		t.Fatalf("a blank platter cannot enter the write drive: %v", err)
 	}
 }
 
@@ -216,7 +163,7 @@ func TestWORMSectorWrites(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	if Blank.String() != "blank" || Recycled.String() != "recycled" {
+	if Blank.String() != "blank" || Faulted.String() != "faulted" {
 		t.Fatal("state names wrong")
 	}
 	if PlatterState(42).String() != "state(42)" {
@@ -251,7 +198,7 @@ func TestEachSectorOnlyWhenStored(t *testing.T) {
 		}
 	}
 	for _, path := range [][]PlatterState{
-		{Writing, Written, Verifying, Stored, Recycled},
+		{Writing, Written, Verifying, Stored},
 		{Writing, Faulted},
 	} {
 		p := NewPlatter(1, TinyGeometry())

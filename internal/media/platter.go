@@ -8,8 +8,8 @@ type PlatterID int64
 // PlatterState is the WORM lifecycle of a platter (§3, §4). The legal
 // transitions encode two paper invariants: glass is write-once (no path
 // from any written state back to Blank or Writing), and the library is
-// air-gap-by-design (no written platter may re-enter a write drive —
-// see CanEnterWriteDrive).
+// air-gap-by-design (no written platter may re-enter a write drive:
+// Writing is entered from Blank alone).
 type PlatterState int
 
 const (
@@ -24,17 +24,14 @@ const (
 	Verifying
 	// Stored: verified and placed in its home storage slot.
 	Stored
-	// Faulted: verification found unrecoverable damage; contents remain
-	// in staging and the platter awaits recycling.
+	// Faulted: the burn or its verification failed; the contents remain
+	// in staging and the platter is scrapped. Terminal.
 	Faulted
-	// Recycled: melted down as blank feedstock; terminal.
-	Recycled
 )
 
 var stateNames = map[PlatterState]string{
 	Blank: "blank", Writing: "writing", Written: "written",
 	Verifying: "verifying", Stored: "stored", Faulted: "faulted",
-	Recycled: "recycled",
 }
 
 func (s PlatterState) String() string {
@@ -49,9 +46,8 @@ var legalTransitions = map[PlatterState][]PlatterState{
 	Writing:   {Written, Faulted},
 	Written:   {Verifying},
 	Verifying: {Stored, Faulted},
-	Stored:    {Recycled}, // only after crypto-shredding frees all live data
-	Faulted:   {Recycled},
-	Recycled:  {},
+	Stored:    {},
+	Faulted:   {},
 }
 
 // Platter is the unit of glass media. In the discrete-event simulator
@@ -105,10 +101,6 @@ func (p *Platter) Transition(next PlatterState) error {
 	}
 	return fmt.Errorf("media: platter %d: illegal transition %v -> %v", p.ID, p.state, next)
 }
-
-// CanEnterWriteDrive enforces the air gap: only blank platters (which
-// arrive via the supply path, not via shuttles) may be written.
-func (p *Platter) CanEnterWriteDrive() bool { return p.state == Blank }
 
 // WriteSector records the modulated symbols of one sector, packed two
 // to a byte. Glass is WORM: writing an already-written sector is an

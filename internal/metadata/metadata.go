@@ -72,8 +72,8 @@ func (s FileState) String() string {
 
 // Extent locates a contiguous run of information sectors on one
 // platter. Information sectors are addressed linearly: position
-// track*InfoSectorsPerTrack + indexWithinTrack, following the
-// serpentine order used at placement time.
+// track*InfoSectorsPerTrack + indexWithinTrack, the order placement
+// fills them in.
 type Extent struct {
 	Platter     media.PlatterID
 	FirstSector int // linear information-sector position
@@ -108,8 +108,8 @@ func NewStore() *Store {
 }
 
 // Put records a new version of key (version numbers start at 1 and
-// overwrites append; WORM media makes old versions physically
-// immortal until their platter is recycled).
+// overwrites append; WORM media keeps an old version's sectors on
+// glass for good, and a delete shreds its key).
 func (s *Store) Put(key FileKey, size int64, keyID string, writeTime float64) *Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,29 +207,6 @@ func (s *Store) Delete(key FileKey) ([]string, error) {
 	return keyIDs, nil
 }
 
-// LiveBytesOnPlatter sums the live durable bytes stored on a platter;
-// when it reaches zero the platter may be recycled (§3).
-func (s *Store) LiveBytesOnPlatter(p media.PlatterID) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for _, e := range s.files {
-		for _, v := range e.versions {
-			if v.State != Durable {
-				continue
-			}
-			for _, x := range v.Extents {
-				if x.Platter == p {
-					// Attribute size proportionally by sectors; exact
-					// per-extent byte counts are not tracked.
-					total += int64(x.SectorCount)
-				}
-			}
-		}
-	}
-	return total
-}
-
 // RemapPlatter rewrites every extent pointing at platter old to point
 // at platter new, preserving sector addresses — the replacement is a
 // sector-exact copy. Used by automated rebuild to swap a failed
@@ -274,8 +251,8 @@ type HeaderEntry struct {
 }
 
 // PlatterHeader builds the self-descriptive header for a platter: the
-// list of file extents it carries. Written as the platter's first
-// sectors in production.
+// list of file extents it carries. Nothing writes it to glass yet; the
+// §6 header track is pending.
 func (s *Store) PlatterHeader(p media.PlatterID) []HeaderEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -173,25 +173,6 @@ func TestRebuildSkipsGapVersions(t *testing.T) {
 	}
 }
 
-func TestLiveBytesOnPlatter(t *testing.T) {
-	s := NewStore()
-	s.Put(k("a"), 100, "ka", 1)
-	s.SetExtents(k("a"), 1, []Extent{{Platter: 1, SectorCount: 5}})
-	s.Put(k("b"), 100, "kb", 1)
-	s.SetExtents(k("b"), 1, []Extent{{Platter: 1, SectorCount: 3}})
-	if got := s.LiveBytesOnPlatter(1); got != 8 {
-		t.Fatalf("live sectors = %d, want 8", got)
-	}
-	s.Delete(k("a"))
-	if got := s.LiveBytesOnPlatter(1); got != 3 {
-		t.Fatalf("after delete = %d, want 3", got)
-	}
-	s.Delete(k("b"))
-	if got := s.LiveBytesOnPlatter(1); got != 0 {
-		t.Fatalf("after all deletes = %d, want 0 (platter recyclable)", got)
-	}
-}
-
 func TestFilesCount(t *testing.T) {
 	s := NewStore()
 	s.Put(k("a"), 1, "ka", 1)
@@ -309,8 +290,8 @@ func TestRebuildConflictingHeaders(t *testing.T) {
 
 // TestRemapInterleavedWithDelete: a rebuild's extent remap must still
 // rewrite extents of deleted versions (their sectors are physically on
-// the replacement platter and LiveBytesOnPlatter/recycling accounting
-// reads them), and a delete landing between remaps must not resurrect.
+// the replacement platter and its header lists them), and a delete
+// landing between remaps must not resurrect.
 func TestRemapInterleavedWithDelete(t *testing.T) {
 	s := NewStore()
 	s.Put(k("a"), 100, "key1", 1)

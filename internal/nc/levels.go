@@ -74,41 +74,3 @@ func TrackDecodeFailureProb(p LevelParams, sectorFailP float64) float64 {
 func GroupLossProb(p LevelParams, unitLossP float64) float64 {
 	return stats.BinomialTail(p.I+p.R, p.R, unitLossP)
 }
-
-// RecoveryPlan describes the extra reads needed to serve a track from
-// an unavailable platter using the cross-platter level.
-type RecoveryPlan struct {
-	// Reads lists (platter index within set, track index) pairs that
-	// must be read. Track indices match the requested track: the set
-	// organizes one track from each platter into a network group.
-	Reads []SetRead
-	// Amplification is the read inflation factor versus a direct read.
-	Amplification int
-}
-
-// SetRead identifies a track to read on a specific member of a
-// platter-set.
-type SetRead struct {
-	Member int // index within the platter-set (0..I+R-1)
-	Track  int
-}
-
-// PlanRecovery returns the reads required to reconstruct track on the
-// unavailable member, given the availability of each set member.
-// Available information members are read directly; redundancy members
-// fill the remaining slots. It fails if fewer than I members are
-// available.
-func (h *Hierarchy) PlanRecovery(track int, unavailable map[int]bool) (*RecoveryPlan, error) {
-	g := h.PlatterSet
-	reads := make([]SetRead, 0, g.I)
-	for m := 0; m < g.Size() && len(reads) < g.I; m++ {
-		if !unavailable[m] {
-			reads = append(reads, SetRead{Member: m, Track: track})
-		}
-	}
-	if len(reads) < g.I {
-		return nil, fmt.Errorf("nc: only %d of %d set members available, need %d",
-			len(reads), g.Size(), g.I)
-	}
-	return &RecoveryPlan{Reads: reads, Amplification: g.I}, nil
-}

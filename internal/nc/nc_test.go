@@ -273,35 +273,54 @@ func TestGroupLossFallsWithGroupSize(t *testing.T) {
 	}
 }
 
+// setUnits encodes one random track per member of the default 16+3
+// platter set: the units a cross-platter recovery reads.
+func setUnits(t *testing.T, h *Hierarchy) [][]byte {
+	t.Helper()
+	info := randUnits(sim.NewRNG(42), h.PlatterSet.I, 64)
+	red, err := h.PlatterSet.EncodeRedundancy(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(info, red...)
+}
+
+// TestPlanRecovery: serving a track of an unavailable set member reads
+// the matching track of the first I available members, information
+// members first, which is the set its reconstruction inverts: 16 reads
+// for one, the paper's 16x read amplification.
 func TestPlanRecovery(t *testing.T) {
 	h, err := NewHierarchy(Cauchy, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := h.PlanRecovery(42, map[int]bool{3: true})
-	if err != nil {
+	all := setUnits(t, h)
+	avail := map[int][]byte{}
+	for m := 0; m < h.PlatterSet.Size() && len(avail) < h.PlatterSet.I; m++ {
+		if m != 3 {
+			avail[m] = all[m]
+		}
+	}
+	if len(avail) != 16 || avail[16] == nil || avail[17] != nil {
+		t.Fatalf("recovery reads %d members, want 16: 0-2 and 4-16", len(avail))
+	}
+	dst := make([]byte, len(all[3]))
+	if err := h.PlatterSet.ReconstructInto(dst, avail, 3); err != nil {
 		t.Fatal(err)
 	}
-	if plan.Amplification != 16 {
-		t.Fatalf("amplification = %d, want 16 (paper: 16x read amplification)", plan.Amplification)
-	}
-	if len(plan.Reads) != 16 {
-		t.Fatalf("reads = %d, want 16", len(plan.Reads))
-	}
-	for _, rd := range plan.Reads {
-		if rd.Member == 3 {
-			t.Fatal("plan reads the unavailable member")
-		}
-		if rd.Track != 42 {
-			t.Fatalf("plan reads track %d, want 42", rd.Track)
-		}
+	if !bytes.Equal(dst, all[3]) {
+		t.Fatal("recovered track differs from member 3's")
 	}
 }
 
 func TestPlanRecoveryTooManyFailures(t *testing.T) {
 	h, _ := NewHierarchy(Cauchy, 1)
-	unavail := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	if _, err := h.PlanRecovery(0, unavail); err == nil {
+	all := setUnits(t, h)
+	avail := map[int][]byte{}
+	for m := 4; m < h.PlatterSet.Size(); m++ {
+		avail[m] = all[m]
+	}
+	if err := h.PlatterSet.ReconstructInto(make([]byte, len(all[0])), avail, 0); err == nil {
 		t.Fatal("4 failures in a 16+3 set should be unrecoverable")
 	}
 }

@@ -254,10 +254,12 @@ func HistMean(samples []PromSample, name string, want map[string]string) (float6
 	return sum.Value / cnt.Value, true
 }
 
-// HistQuantile estimates a quantile from parsed <name>_bucket samples
-// whose labels contain every pair in want — the consumer-side
-// counterpart of HistSnapshot.Quantile, used by silica-load to put
-// server-side and client-side percentiles side by side.
+// HistQuantile estimates the q-th quantile (0..1) from parsed
+// <name>_bucket samples whose labels contain every pair in want, by
+// linear interpolation inside the containing bucket (the standard
+// Prometheus histogram estimate; the +Inf bucket clamps to the last
+// finite bound). silica-load uses it to put server-side and
+// client-side percentiles side by side.
 func HistQuantile(samples []PromSample, name string, want map[string]string, q float64) (float64, bool) {
 	type bucket struct {
 		le  float64
@@ -305,8 +307,6 @@ func HistQuantile(samples []PromSample, name string, want map[string]string, q f
 		if count <= 0 || math.IsInf(le, 1) {
 			return le, true
 		}
-		// Same operation order as HistSnapshot.Quantile, so a consumer of
-		// the exposition and a reader of the live histogram agree to the bit.
 		return prevLe + (le-prevLe)*((rank-prevCum)/count), true
 	}
 	return buckets[len(buckets)-1].le, true

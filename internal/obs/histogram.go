@@ -37,10 +37,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// NewHistogram builds a standalone histogram (registry-free use, e.g.
-// benchmarks). Bounds must be ascending.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
-
 // LogBuckets returns n log-spaced bucket bounds starting at min and
 // growing by factor: the fixed-bucket scheme every obs histogram uses
 // (exact quantiles stay in stats.Sample; obs trades exactness for a
@@ -126,51 +122,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Count += c
 	}
 	return s
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// inside the containing bucket, the standard Prometheus histogram
-// estimate. Returns 0 for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		// Bucket i contains the rank. Interpolate between its bounds.
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i == len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1] // overflow: clamp to last bound
-		}
-		hi := s.Bounds[i]
-		frac := (rank - prev) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	if len(s.Bounds) > 0 {
-		return s.Bounds[len(s.Bounds)-1]
-	}
-	return 0
-}
-
-// Mean reports the mean observation, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

@@ -63,16 +63,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d (CAS loop; contended adds retry).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Min lowers the gauge to v when v is smaller (CAS loop); it never
 // raises it, so a gauge Set to its ceiling holds a running minimum.
 func (g *Gauge) Min(v float64) {

@@ -26,7 +26,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("silica_test_depth", "a gauge")
 	g.Set(3)
-	g.Add(-1.5)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
@@ -81,8 +81,13 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("silica_test_total", "g")
 }
 
+// TestHistogramBucketsAndQuantile: a histogram counts each observation
+// in its bucket, and HistQuantile reads its quantiles back out of the
+// /metrics exposition.
 func TestHistogramBucketsAndQuantile(t *testing.T) {
-	h := NewHistogram(LogBuckets(1, 2, 4)) // bounds 1,2,4,8
+	r := NewRegistry()
+	h := r.Histogram("silica_test_seconds", "a histogram", LogBuckets(1, 2, 4)) // bounds 1,2,4,8
+	r.Histogram("silica_test_idle_seconds", "never observed", LogBuckets(1, 2, 4))
 	for _, v := range []float64{0.5, 1, 1.5, 3, 7, 100} {
 		h.Observe(v)
 	}
@@ -99,23 +104,41 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if math.Abs(s.Sum-113) > 1e-9 {
 		t.Fatalf("sum = %v, want 113", s.Sum)
 	}
-	if q := s.Quantile(0); q < 0 || q > 1 {
+	var buf strings.Builder
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseProm(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantile := func(name string, q float64) float64 {
+		t.Helper()
+		v, ok := HistQuantile(samples, name, nil, q)
+		if !ok {
+			t.Fatalf("%s has no quantile %v", name, q)
+		}
+		return v
+	}
+	if q := quantile("silica_test_seconds", 0); q < 0 || q > 1 {
 		t.Fatalf("q0 = %v, want within first bucket", q)
 	}
-	if q := s.Quantile(1); q != 8 {
+	if q := quantile("silica_test_seconds", 1); q != 8 {
 		t.Fatalf("q1 = %v, want clamp to last bound 8", q)
 	}
-	if q := s.Quantile(0.5); q <= 0 || q > 4 {
+	if q := quantile("silica_test_seconds", 0.5); q <= 0 || q > 4 {
 		t.Fatalf("median = %v out of range", q)
 	}
-	var empty HistSnapshot
-	if empty.Quantile(0.99) != 0 || empty.Mean() != 0 {
-		t.Fatalf("empty snapshot must report zeros")
+	if _, ok := HistQuantile(samples, "silica_test_idle_seconds", nil, 0.99); ok {
+		t.Fatal("an empty histogram reports a quantile")
+	}
+	if _, ok := HistMean(samples, "silica_test_idle_seconds", nil); ok {
+		t.Fatal("an empty histogram reports a mean")
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(DurationBuckets())
+	h := NewRegistry().Histogram("silica_test_seconds", "a histogram", DurationBuckets())
 	const (
 		goroutines = 8
 		perG       = 5000

@@ -38,14 +38,6 @@ type Trace struct {
 	tracer *Tracer
 }
 
-// Start reports when the trace began.
-func (t *Trace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // SpanEnd finishes one span; the zero value (from a nil trace or a
 // full span table) is a no-op.
 type SpanEnd struct {
@@ -80,15 +72,6 @@ func (s SpanEnd) End() {
 		Start: s.t0.Sub(s.t.start),
 		Dur:   time.Since(s.t0),
 	}
-}
-
-// Elapsed reports time since the span started without ending it (for
-// observing a duration into a histogram as well as a span).
-func (s SpanEnd) Elapsed() time.Duration {
-	if s.t == nil {
-		return 0
-	}
-	return time.Since(s.t0)
 }
 
 // StartSpan on a context: shorthand for FromContext(ctx).StartSpan.

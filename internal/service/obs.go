@@ -31,11 +31,11 @@ type serviceMetrics struct {
 	// bytes stored by kind, sectors whose direct decode failed in a
 	// verify or scrub read-back, and each read-back's running minimum
 	// decode margin (1 until a sector decodes).
-	plattersWritten, plattersRedundancy                *obs.Counter // published
-	plattersFaulted, plattersRebuilt, plattersRecycled *obs.Counter
-	sectorsWritten, storedUser, storedRedundancy       *obs.Counter
-	verifyFailures, scrubSectors, scrubFailures        *obs.Counter
-	minVerifyMargin, minScrubMargin                    *obs.Gauge
+	plattersWritten, plattersRedundancy          *obs.Counter // published
+	plattersFaulted, plattersRebuilt             *obs.Counter
+	sectorsWritten, storedUser, storedRedundancy *obs.Counter
+	verifyFailures, scrubSectors, scrubFailures  *obs.Counter
+	minVerifyMargin, minScrubMargin              *obs.Gauge
 
 	// Codec hot-path telemetry: per-sector LDPC encode/decode wall time
 	// (batched encodes record the per-sector mean) and sector totals.
@@ -63,7 +63,7 @@ func newServiceMetrics(reg *obs.Registry, usage func() staging.Usage) serviceMet
 	recoveries := counters("silica_read_recoveries_total", "Read-path recoveries, by coding tier.", "tier")
 	platters := counters("silica_service_platters_total",
 		"Platters, by event: written (information) and redundancy (set redundancy) published, "+
-			"faulted (scrapped by the write pipeline), rebuilt (replaced from their set), recycled.", "event")
+			"faulted (scrapped by the write pipeline), rebuilt (replaced from their set).", "event")
 	stored := counters("silica_service_stored_bytes_total",
 		"Payload bytes put on glass, by kind: user (information platters) or redundancy "+
 			"(within-platter NC sectors and set-redundancy platters).", "kind")
@@ -86,7 +86,6 @@ func newServiceMetrics(reg *obs.Registry, usage func() staging.Usage) serviceMet
 		plattersFaulted:    platters("faulted"),
 		plattersRedundancy: platters("redundancy"),
 		plattersRebuilt:    platters("rebuilt"),
-		plattersRecycled:   platters("recycled"),
 		sectorsWritten: reg.Counter("silica_service_sectors_written_total",
 			"Sectors burned onto glass, information and redundancy, scrapped platters included."),
 		storedUser:       stored("user"),

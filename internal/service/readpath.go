@@ -11,6 +11,7 @@ import (
 	"silica/internal/backend"
 	"silica/internal/faults"
 	"silica/internal/keystore"
+	"silica/internal/layout"
 	"silica/internal/media"
 	"silica/internal/metadata"
 	"silica/internal/obs"
@@ -121,17 +122,12 @@ func (s *Service) readExtents(ctx context.Context, v *metadata.Version, rng *sim
 		// Bill the extent's track span to the mechanical backend before
 		// decoding it: under the twin this blocks for drive allocation,
 		// shuttle travel, mount, seek and scan at the configured speedup.
-		iPerTrack := s.cfg.Geom.InfoSectorsPerTrack
-		first := e.FirstSector / iPerTrack
-		last := (e.FirstSector + e.SectorCount - 1) / iPerTrack
-		if last < first {
-			last = first
-		}
+		first, tracks := layout.SectorTracks(s.cfg.Geom, e.FirstSector, e.SectorCount)
 		if err := s.chargeMech(ctx, backend.Op{
 			Kind:       backend.OpRead,
 			Platter:    e.Platter,
 			StartTrack: first,
-			TrackCount: last - first + 1,
+			TrackCount: tracks,
 			Bytes:      int64(e.SectorCount) * int64(s.cfg.Geom.SectorPayloadBytes),
 		}); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", e.Shard, err)
@@ -324,29 +320,6 @@ func (s *Service) rebuildTrackSector(pi *platterInfo, infoTrack, sPos int, rng *
 	cs := s.acquireScratch()
 	defer s.releaseScratch(cs)
 	return s.largeGroup.ReconstructInto(dst, s.gatherUnits(cs, units, lgi), wantUnit) == nil
-}
-
-// RecyclePlatter melts a platter down as blank feedstock (§3: "if a
-// platter no longer contains live data, it can be melted down and
-// sustainably recycled"). It refuses while any live version still
-// points at the platter.
-func (s *Service) RecyclePlatter(id media.PlatterID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pi, ok := s.platters[id]
-	if !ok {
-		return fmt.Errorf("service: unknown platter %d", id)
-	}
-	if live := s.meta.LiveBytesOnPlatter(id); live > 0 {
-		return fmt.Errorf("service: platter %d still holds %d live sectors", id, live)
-	}
-	if err := pi.platter.Transition(media.Recycled); err != nil {
-		return err
-	}
-	delete(s.platters, id)
-	_ = s.health.Transition(id, repair.Retired, "recycled as feedstock")
-	s.om.plattersRecycled.Inc()
-	return nil
 }
 
 // recoverFromSet rebuilds one information sector of an unavailable

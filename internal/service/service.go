@@ -61,7 +61,8 @@ type Config struct {
 	SetInfo, SetRed int
 	Seed            uint64
 	// MaxShardSectors caps a file's footprint per platter (§6 large
-	// file sharding). 0 = one full platter.
+	// file sharding). 0 = 100 tracks' worth; either way at most one
+	// platter's information capacity.
 	MaxShardSectors int
 	// ArrivalClock, when set, timestamps staged files (seconds, any
 	// monotonic origin). The staging batcher orders by arrival and the
@@ -132,7 +133,6 @@ type Stats struct {
 	MinVerifyMargin    float64
 	SetsCompleted      int
 	RedundancyPlatters int
-	PlattersRecycled   int
 	// Repair subsystem counters.
 	PlattersRebuilt   int     // platters replaced via set reconstruction
 	ScrubbedSectors   int     // sectors sampled by the background scrubber
@@ -372,7 +372,6 @@ func (s *Service) Stats() Stats {
 		MinVerifyMargin:    m.minVerifyMargin.Value(),
 		SetsCompleted:      sets,
 		RedundancyPlatters: int(m.plattersRedundancy.Value()),
-		PlattersRecycled:   int(m.plattersRecycled.Value()),
 		PlattersRebuilt:    int(m.plattersRebuilt.Value()),
 		ScrubbedSectors:    int(m.scrubSectors.Value()),
 		ScrubFailures:      int(m.scrubFailures.Value()),

@@ -411,39 +411,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRecyclePlatter(t *testing.T) {
-	s := newService(t)
-	s.Put("acct", "victim", randBytes(200, 3000))
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v, err := s.Metadata().Get(struct{ Account, Name string }{"acct", "victim"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := v.Extents[0].Platter
-	// Refuses while data is live.
-	if err := s.RecyclePlatter(p); err == nil {
-		t.Fatal("recycled a platter with live data")
-	}
-	if err := s.Delete("acct", "victim"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecyclePlatter(p); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().PlattersRecycled != 1 {
-		t.Fatalf("recycled = %d", s.Stats().PlattersRecycled)
-	}
-	// Gone: reads against it fail, double recycle fails.
-	if err := s.RecyclePlatter(p); err == nil {
-		t.Fatal("double recycle succeeded")
-	}
-	if err := s.RecyclePlatter(media.PlatterID(9999)); err == nil {
-		t.Fatal("recycled unknown platter")
-	}
-}
-
 // TestStagedWritesWithJoiningNamesSurviveRestart: ("a/b", "c") and
 // ("a", "b/c") join to one "account/name" string. Recovery used to key
 // staged files by that string, so a restart merged the two and the

@@ -556,8 +556,8 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	return p.Transition(media.Written)
 }
 
-// effectiveShardCap is the shard size AssignFiles actually applies:
-// the configured cap (or the layout default), bounded by a platter's
+// effectiveShardCap is the shard cap AssignFiles is given: the
+// configured cap (100 tracks' worth when unset), bounded by a platter's
 // information capacity.
 func (s *Service) effectiveShardCap() int {
 	geom := s.cfg.Geom

@@ -79,9 +79,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Fired reports how many events have executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued.
-func (s *Simulator) Pending() int { return len(s.events) }
-
 // Schedule queues fn to run after delay seconds of virtual time.
 // A negative delay panics: the past is immutable.
 func (s *Simulator) Schedule(delay Time, fn func()) *Event {

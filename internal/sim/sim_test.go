@@ -83,8 +83,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 5 {
 		t.Fatalf("clock = %v, want 5", s.Now())
 	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
+	if len(s.events) != 5 {
+		t.Fatalf("pending = %d, want 5", len(s.events))
 	}
 	s.Run()
 	if count != 10 {

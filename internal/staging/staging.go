@@ -1,10 +1,10 @@
 // Package staging implements the online write-staging tier (§2, §6).
 // Ingress at a data center is bursty at day granularity (peak/mean up
 // to ~16x) but smooth across 30-day windows (peak/mean ~2), so Silica
-// buffers incoming files in warm storage and drains them to the write
-// drives at a smoothed rate, keeping write-drive utilization high with
-// modest provisioning. Staged data is only released after the written
-// platter verifies.
+// buffers incoming files in warm storage and the gateway drains them to
+// the write drives in batches, when the tier passes a size watermark or
+// its oldest file ages out. Staged data is only released after the
+// written platter verifies.
 package staging
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"silica/internal/metadata"
-	"silica/internal/stats"
 )
 
 // ErrCapacity is returned when the tier cannot admit or reserve space
@@ -252,58 +251,4 @@ func (t *Tier) Release(files []*File) error {
 		}
 	}
 	return err
-}
-
-// SmoothedDrainRate computes the write-drive dispatch rate (bytes/sec)
-// that §2 justifies: the mean ingress over the aggregation window
-// times a small headroom factor, instead of provisioning for the daily
-// peak. dailyIngress is bytes per day; windowDays is the smoothing
-// window (the paper uses ~30); headroom of ~1.2 keeps the buffer
-// bounded while staying near-peak utilization.
-func SmoothedDrainRate(dailyIngress []float64, windowDays int, headroom float64) float64 {
-	if len(dailyIngress) == 0 || windowDays <= 0 {
-		return 0
-	}
-	if windowDays > len(dailyIngress) {
-		windowDays = len(dailyIngress)
-	}
-	// Peak windowDays-day average, in bytes/day.
-	var winSum float64
-	for i := 0; i < windowDays; i++ {
-		winSum += dailyIngress[i]
-	}
-	peak := winSum
-	for i := windowDays; i < len(dailyIngress); i++ {
-		winSum += dailyIngress[i] - dailyIngress[i-windowDays]
-		if winSum > peak {
-			peak = winSum
-		}
-	}
-	perDay := peak / float64(windowDays) * headroom
-	return perDay / 86400
-}
-
-// RequiredBuffer simulates draining dailyIngress at drainRate
-// (bytes/sec) and returns the peak buffer occupancy in bytes: the
-// staging capacity needed for that drain rate.
-func RequiredBuffer(dailyIngress []float64, drainRate float64) float64 {
-	perDay := drainRate * 86400
-	var buf, peak float64
-	for _, in := range dailyIngress {
-		buf += in
-		buf -= perDay
-		if buf < 0 {
-			buf = 0
-		}
-		if buf > peak {
-			peak = buf
-		}
-	}
-	return peak
-}
-
-// PeakOverMean exposes the Figure 2 metric for a daily ingress series
-// at a given aggregation window.
-func PeakOverMean(dailyIngress []float64, windowDays int) float64 {
-	return stats.PeakOverMean(dailyIngress, windowDays)
 }

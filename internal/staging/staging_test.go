@@ -3,13 +3,11 @@ package staging
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"silica/internal/metadata"
-	"silica/internal/sim"
 )
 
 func file(account, name string, size int64, arrival float64) *File {
@@ -254,90 +252,5 @@ func TestBatchThenReleaseLifecycle(t *testing.T) {
 	}
 	if tier.Used() != 0 {
 		t.Fatalf("used after release = %d", tier.Used())
-	}
-}
-
-func burstySeries(days int, seed uint64) []float64 {
-	// Mostly-quiet days with heavy spikes: the §2 ingress shape.
-	r := sim.NewRNG(seed)
-	out := make([]float64, days)
-	for i := range out {
-		out[i] = 1e12 * (0.2 + 0.3*r.Float64())
-		if r.Float64() < 0.05 {
-			out[i] += 2e13 * r.Float64()
-		}
-	}
-	return out
-}
-
-func TestSmoothedDrainRateBeatsPeakProvisioning(t *testing.T) {
-	days := burstySeries(180, 1)
-	var peakDay, total float64
-	for _, d := range days {
-		total += d
-		if d > peakDay {
-			peakDay = d
-		}
-	}
-	meanRate := total / float64(len(days)) / 86400
-	peakRate := peakDay / 86400
-	smoothed := SmoothedDrainRate(days, 30, 1.2)
-	if smoothed >= peakRate {
-		t.Fatalf("smoothed rate %v should be far below peak %v", smoothed, peakRate)
-	}
-	if smoothed < meanRate {
-		t.Fatalf("smoothed rate %v must cover the mean %v", smoothed, meanRate)
-	}
-}
-
-func TestSmoothedDrainRateEdges(t *testing.T) {
-	if SmoothedDrainRate(nil, 30, 1.2) != 0 {
-		t.Fatal("empty series should be 0")
-	}
-	if SmoothedDrainRate([]float64{5}, 0, 1.2) != 0 {
-		t.Fatal("zero window should be 0")
-	}
-	// Window longer than the series clamps.
-	got := SmoothedDrainRate([]float64{86400, 86400}, 10, 1)
-	if math.Abs(got-1) > 1e-9 {
-		t.Fatalf("clamped window rate = %v, want 1", got)
-	}
-}
-
-func TestRequiredBufferBounded(t *testing.T) {
-	days := burstySeries(180, 2)
-	rate := SmoothedDrainRate(days, 30, 1.2)
-	buf := RequiredBuffer(days, rate)
-	var total float64
-	for _, d := range days {
-		total += d
-	}
-	// The whole point of smoothing: buffer a small fraction of total
-	// ingress, not weeks of peak traffic.
-	if buf > total*0.25 {
-		t.Fatalf("required buffer %v is %v%% of total ingress", buf, 100*buf/total)
-	}
-	// Draining faster needs less buffer.
-	buf2 := RequiredBuffer(days, rate*2)
-	if buf2 > buf {
-		t.Fatalf("faster drain needs more buffer? %v > %v", buf2, buf)
-	}
-}
-
-func TestPeakOverMeanShrinksWithWindow(t *testing.T) {
-	// Figure 2's shape: peak/mean falls from ~16x at 1 day toward ~2
-	// at 30+ days.
-	days := burstySeries(180, 3)
-	p1 := PeakOverMean(days, 1)
-	p30 := PeakOverMean(days, 30)
-	p60 := PeakOverMean(days, 60)
-	if !(p1 > p30 && p30 >= p60) {
-		t.Fatalf("peak/mean not shrinking: %v, %v, %v", p1, p30, p60)
-	}
-	if p1 < 3 {
-		t.Fatalf("daily peak/mean %v too smooth for a bursty series", p1)
-	}
-	if p60 > 3 {
-		t.Fatalf("60-day peak/mean %v should be small", p60)
 	}
 }

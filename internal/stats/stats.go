@@ -34,9 +34,6 @@ func (s *Sample) Add(x float64) {
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Sum reports the total of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Mean reports the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -88,30 +85,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sortIfNeeded()
 	return s.xs[len(s.xs)-1]
-}
-
-// Min returns the smallest observation, or 0 when empty.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sortIfNeeded()
-	return s.xs[0]
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Values returns a copy of the recorded observations (unsorted order is

@@ -95,9 +95,6 @@ func New(cfg Config) (*Library, error) {
 	}, nil
 }
 
-// Completions returns customer completion times.
-func (l *Library) Completions() *stats.Sample { return l.completions }
-
 // Mounts reports how many cartridge mounts the run needed.
 func (l *Library) Mounts() int { return l.mounts }
 

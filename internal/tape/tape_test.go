@@ -47,7 +47,7 @@ func TestAllComplete(t *testing.T) {
 	}
 	reqs := mkReqs(500, 1, 4<<20, 1000, 3)
 	l.RunTrace(reqs, 0)
-	if got := l.Completions().N(); got != 500 {
+	if got := l.completions.N(); got != 500 {
 		t.Fatalf("completed %d/500", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestGroupingAmortizesMounts(t *testing.T) {
 	// mounts should be far fewer than requests.
 	reqs := mkReqs(200, 0.01, 4<<20, 5, 5)
 	l.RunTrace(reqs, 0)
-	if l.Completions().N() != 200 {
+	if l.completions.N() != 200 {
 		t.Fatal("requests lost")
 	}
 	if l.Mounts() > 40 {
@@ -82,7 +82,7 @@ func TestRobotArmsSerialize(t *testing.T) {
 		}
 		reqs := mkReqs(800, 0.2, 4<<20, 800, 7)
 		l.RunTrace(reqs, 0)
-		tails[arms] = l.Completions().P999()
+		tails[arms] = l.completions.P999()
 	}
 	if tails[8] >= tails[1] {
 		t.Fatalf("more robot arms should shorten tails: 1 arm %v vs 8 arms %v",
@@ -129,7 +129,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		reqs := mkReqs(300, 0.5, 4<<20, 500, 11)
 		l.RunTrace(reqs, 0)
-		return l.Completions().Sum()
+		return l.completions.Mean()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("tape twin not deterministic: %v vs %v", a, b)

@@ -118,35 +118,3 @@ func (p *SectorPipeline) ReadSectorWithBuf(sc *SectorScratch, symbols []uint8, r
 	llrs := p.Demap.LLRsInto(received, sc.llrs)
 	return p.Codec.DecodeSectorWith(sc.codec, llrs[:p.Codec.EncodedBits()], p.MaxIters, payload)
 }
-
-// readsPerPayload is how many reads MeasureSectorFailureRate takes of
-// one payload before it writes the next.
-const readsPerPayload = 100
-
-// MeasureSectorFailureRate estimates the sector failure probability at
-// the pipeline's operating point by Monte Carlo: the §6 calibration
-// that fixes the within-track redundancy provisioning. A payload's
-// symbols fix its ISI pattern, and failure rates differ from payload to
-// payload, so a fresh random payload is written every readsPerPayload
-// trials.
-func (p *SectorPipeline) MeasureSectorFailureRate(trials int, seed uint64) float64 {
-	rng := sim.NewRNG(seed)
-	payload := make([]byte, p.Codec.PayloadBytes)
-	symbols := make([]uint8, p.SymbolsPerSector())
-	sc := p.AcquireScratch()
-	defer p.ReleaseScratch(sc)
-	buf := make([]byte, p.Codec.PayloadBytes)
-	failures := 0
-	for t := 0; t < trials; t++ {
-		if t%readsPerPayload == 0 {
-			for i := range payload {
-				payload[i] = byte(rng.Uint64())
-			}
-			copy(symbols, p.WriteSectorWith(sc, payload))
-		}
-		if res := p.ReadSectorWithBuf(sc, symbols, rng, buf); !res.OK {
-			failures++
-		}
-	}
-	return float64(failures) / float64(trials)
-}

@@ -61,10 +61,6 @@ func NewModulation() *Modulation {
 // IdealPoint returns the constellation point of a symbol.
 func (m *Modulation) IdealPoint(sym uint8) Point { return m.points[sym&(numSymbols-1)] }
 
-// MinDistance returns the minimum distance between constellation
-// points (2/3 for the 4x4 grid).
-func (m *Modulation) MinDistance() float64 { return 2.0 / 3 }
-
 // ModulateInto packs bits (LSB-first per symbol, len must be a multiple
 // of BitsPerVoxel) into out, which must hold len(bits)/BitsPerVoxel
 // symbols.

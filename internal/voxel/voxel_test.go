@@ -11,6 +11,10 @@ import (
 	"silica/internal/stats"
 )
 
+// minDistance is the 4x4 grid's spacing over [-1, 1]: the minimum
+// distance between constellation points.
+const minDistance = 2.0 / 3
+
 func TestConstellationGeometry(t *testing.T) {
 	m := NewModulation()
 	// All 16 points distinct, all within [-1,1]^2.
@@ -25,7 +29,7 @@ func TestConstellationGeometry(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	// Minimum pairwise distance matches MinDistance.
+	// Minimum pairwise distance is the grid step, 2/3.
 	min := math.Inf(1)
 	for a := 0; a < 16; a++ {
 		for b := a + 1; b < 16; b++ {
@@ -36,8 +40,8 @@ func TestConstellationGeometry(t *testing.T) {
 			}
 		}
 	}
-	if math.Abs(min-m.MinDistance()) > 1e-12 {
-		t.Fatalf("min distance = %v, want %v", min, m.MinDistance())
+	if math.Abs(min-minDistance) > 1e-12 {
+		t.Fatalf("min distance = %v, want %v", min, minDistance)
 	}
 }
 
@@ -50,7 +54,7 @@ func TestGrayMappingNeighbourProperty(t *testing.T) {
 		for b := a + 1; b < 16; b++ {
 			pa, pb := m.IdealPoint(uint8(a)), m.IdealPoint(uint8(b))
 			d := math.Hypot(pa.A-pb.A, pa.R-pb.R)
-			if math.Abs(d-m.MinDistance()) < 1e-9 {
+			if math.Abs(d-minDistance) < 1e-9 {
 				diff := a ^ b
 				if diff&(diff-1) != 0 {
 					t.Fatalf("adjacent symbols %d,%d differ in >1 bit", a, b)
@@ -249,6 +253,38 @@ func TestSectorPipelineRoundTrip(t *testing.T) {
 	}
 }
 
+// readsPerPayload is how many reads measureSectorFailureRate takes of
+// one payload before it writes the next.
+const readsPerPayload = 100
+
+// measureSectorFailureRate estimates the sector failure probability at
+// p's operating point by Monte Carlo: the §6 calibration
+// that fixes the within-track redundancy provisioning. A payload's
+// symbols fix its ISI pattern, and failure rates differ from payload to
+// payload, so a fresh random payload is written every readsPerPayload
+// trials.
+func measureSectorFailureRate(p *SectorPipeline, trials int, seed uint64) float64 {
+	rng := sim.NewRNG(seed)
+	payload := make([]byte, p.Codec.PayloadBytes)
+	symbols := make([]uint8, p.SymbolsPerSector())
+	sc := p.AcquireScratch()
+	defer p.ReleaseScratch(sc)
+	buf := make([]byte, p.Codec.PayloadBytes)
+	failures := 0
+	for t := 0; t < trials; t++ {
+		if t%readsPerPayload == 0 {
+			for i := range payload {
+				payload[i] = byte(rng.Uint64())
+			}
+			copy(symbols, p.WriteSectorWith(sc, payload))
+		}
+		if res := p.ReadSectorWithBuf(sc, symbols, rng, buf); !res.OK {
+			failures++
+		}
+	}
+	return float64(failures) / float64(trials)
+}
+
 // TestCalibratedSectorFailureRate pins the §6 calibration where it
 // stands: at the default operating point the service's sector shape
 // fails ≈ 1.4 % of reads over many payloads, not the paper's 1e-3
@@ -261,7 +297,7 @@ func TestCalibratedSectorFailureRate(t *testing.T) {
 	}
 	const trials = 30 * readsPerPayload
 	p := servicePipeline(t, DefaultChannel())
-	if rate := p.MeasureSectorFailureRate(trials, 7); rate < 0.007 || rate > 0.022 {
+	if rate := measureSectorFailureRate(p, trials, 7); rate < 0.007 || rate > 0.022 {
 		t.Fatalf("sector failure rate over %d reads = %v, want within [0.007, 0.022]", trials, rate)
 	}
 }
@@ -270,7 +306,7 @@ func TestHarshChannelFailsSectors(t *testing.T) {
 	ch := DefaultChannel()
 	ch.Sigma = 0.5 // hopeless
 	p := testPipeline(t, ch)
-	rate := p.MeasureSectorFailureRate(20, 8)
+	rate := measureSectorFailureRate(p, 20, 8)
 	if rate < 0.5 {
 		t.Fatalf("harsh channel failure rate = %v, want mostly failing", rate)
 	}

@@ -91,8 +91,8 @@ func TestCoreRun(t *testing.T) {
 			if first.N() != nCore {
 				t.Fatalf("silica run measured %d completions, want the %d core requests", first.N(), nCore)
 			}
-			if first.Min() < 0 {
-				t.Fatalf("negative completion time %v", first.Min())
+			if first.Quantile(0) < 0 {
+				t.Fatalf("negative completion time %v", first.Quantile(0))
 			}
 
 			reqs, second := tr.CoreRun()

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,33 +26,10 @@ var surfaceAllowlist = map[string]string{
 	"cluster.Cluster.KillLibrary":    "drill seam: a whole-library loss",
 	"cluster.Cluster.RebuildLibrary": "drill seam: replaces a killed member and restores redundancy",
 
-	// Paper models the tests check: the §2, §4, §5 and §6 quantities and
-	// rules a figure or a claim rests on, stated once in the package
-	// that owns them.
-	"controller.Imbalance":                          "paper model: the §4.1 work-stealing trigger signal",
-	"controller.ReservationTable.Reservations":      "paper model: live rail-segment reservations (§4.1)",
-	"controller.Scheduler.GroupPlatters":            "paper model: distinct platters queued per group (§4.1)",
-	"controller.Scheduler.Peek":                     "paper model: a platter's queued requests, unconsumed (§4.1)",
-	"experiments.SLOSeconds":                        "paper model: the 15-hour read SLO in seconds (§7)",
-	"geometry.DriveZone":                            "paper model: the blast zone a failed drive obstructs (§6)",
-	"geometry.Layout.NumZones":                      "paper model: the number of blast zones (§6)",
-	"geometry.Layout.SlotIndex":                     "paper model: dense storage-slot numbering (§4)",
-	"geometry.Layout.ZoneOfPos":                     "paper model: the blast zone a failed shuttle obstructs (§6)",
-	"layout.FormSets":                               "paper model: platter-set formation by content locality (§6)",
-	"layout.SectorTracks":                           "paper model: the track span of a sector extent (§6)",
-	"ldpc.Code.Rate":                                "paper model: the sector code's rate (§5)",
-	"ldpc.SectorCodec.StorageOverhead":              "paper model: coded bits over payload bits (§5)",
-	"media.Geometry.SerpentinePos":                  "paper model: the serpentine sector order (§6)",
-	"media.Geometry.SectorAtSerpentine":             "paper model: the inverse of the serpentine order (§6)",
-	"media.Platter.CanEnterWriteDrive":              "paper model: the air gap, only blank platters are written (§3)",
-	"metadata.RebuildFromHeaders":                   "paper model: rebuilding metadata from platter headers (§6)",
-	"metadata.Store.PlatterHeader":                  "paper model: a platter's self-descriptive header (§6)",
-	"nc.Hierarchy.PlanRecovery":                     "paper model: the reads a cross-platter recovery needs (§5)",
-	"service.Service.RecyclePlatter":                "paper model: melting a platter with no live data (§3)",
-	"staging.RequiredBuffer":                        "paper model: the staging buffer smoothed ingress needs (§2)",
-	"staging.SmoothedDrainRate":                     "paper model: the 30-day smoothed drain rate (§2)",
-	"voxel.Modulation.MinDistance":                  "paper model: the constellation's minimum distance (§3.2)",
-	"voxel.SectorPipeline.MeasureSectorFailureRate": "paper model: the §6 sector failure calibration",
+	// Pending ROADMAP 19(b): the header track that writes them to glass
+	// and the platter scan that reads them back.
+	"metadata.RebuildFromHeaders":  "pending ROADMAP 19(b): rebuilding metadata from platter headers (§6)",
+	"metadata.Store.PlatterHeader": "pending ROADMAP 19(b): a platter's self-descriptive header (§6)",
 
 	// Test oracles: known-good forms the production paths are checked
 	// against, or fixtures every codec test builds from.
@@ -75,20 +53,32 @@ var surfaceAllowlist = map[string]string{
 type surfaceDecl struct {
 	key  string // pkg.Name or pkg.Type.Method
 	name string // the identifier a caller writes
+	ref  string // import path + "." + name for a package-level name; "" for a method
 	pos  string
+}
+
+// surfaceFile is one parsed non-test file and the import path of its
+// directory.
+type surfaceFile struct {
+	path, pkgPath string
+	f             *ast.File
 }
 
 // TestExportedSurfaceHasProductionCallers holds internal/ to one entry
 // per operation: every exported func, method, type, var and const
 // declared in a non-test file must be named by some non-test file of the
 // tree (cmd/, examples/ and the benchmark module included), unless the
-// allowlist says why it stays. A name is counted as used when it occurs
-// as an identifier anywhere but in its own declaration, so a method
-// shares its name's fate with every other declaration of that name.
+// allowlist says why it stays. A package-level func, type, var or const
+// counts as used only where it is written pkg.Name, with pkg an import
+// (alias included) of its own package, or bare inside its own package.
+// A method keeps the name rule: it counts as used when any identifier of
+// its spelling occurs outside its own declaration, so it shares its
+// fate with every other declaration of that name.
 func TestExportedSurfaceHasProductionCallers(t *testing.T) {
+	const module = "silica"
 	fset := token.NewFileSet()
-	var decls []surfaceDecl
-	uses := map[string]int{}
+	var files []surfaceFile
+	pkgNames := map[string]string{} // import path -> package name
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -106,18 +96,64 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		declIdents := map[*ast.Ident]bool{}
-		decls = append(decls, exportedDecls(fset, f, path, declIdents)...)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
+		pkgPath := module
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
+			pkgPath += "/" + dir
+		}
+		pkgNames[pkgPath] = f.Name.Name
+		files = append(files, surfaceFile{path: path, pkgPath: pkgPath, f: f})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	var decls []surfaceDecl
+	names := map[string]int{} // identifier spelling -> uses, for methods
+	refs := map[string]int{}  // import path + "." + name -> uses
+	for _, sf := range files {
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range sf.f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			local := pkgNames[path]
+			if local == "" {
+				local = path[strings.LastIndex(path, "/")+1:]
+			}
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			if local == "." {
+				t.Fatalf("%s: dot import of %s hides which package a name is from", sf.path, path)
+			}
+			imports[local] = path
+		}
+		skip := map[*ast.Ident]bool{} // declaring identifiers
+		decls = append(decls, exportedDecls(fset, sf, skip)...)
+		notBare := map[*ast.Ident]bool{} // selectors and field names
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				notBare[x.Sel] = true
+				if id, ok := x.X.(*ast.Ident); ok {
+					if path, ok := imports[id.Name]; ok {
+						refs[path+"."+x.Sel.Name]++
+					}
+				}
+			case *ast.Field:
+				for _, id := range x.Names {
+					notBare[id] = true
+				}
+			case *ast.Ident:
+				if skip[x] {
+					break
+				}
+				names[x.Name]++
+				if !notBare[x] {
+					refs[sf.pkgPath+"."+x.Name]++
+				}
+			}
+			return true
+		})
 	}
 	if len(decls) == 0 {
 		t.Fatal("no exported declarations found under internal/")
@@ -127,12 +163,16 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 	var unused []string
 	for _, d := range decls {
 		declared[d.key] = true
+		used := names[d.name] > 0
+		if d.ref != "" {
+			used = refs[d.ref] > 0
+		}
 		_, allowed := surfaceAllowlist[d.key]
 		switch {
-		case uses[d.name] == 0 && !allowed:
+		case !used && !allowed:
 			unused = append(unused, d.key+" ("+d.pos+")")
-		case uses[d.name] > 0 && allowed:
-			t.Errorf("%s is allowlisted as test-only but %s is named by a non-test file: drop the entry", d.key, d.name)
+		case used && allowed:
+			t.Errorf("%s is allowlisted as test-only but a non-test file uses it: drop the entry", d.key)
 		}
 	}
 	sort.Strings(unused)
@@ -149,37 +189,40 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 // exportedDecls lists the exported top-level declarations of one file
 // under internal/ and marks their declaring identifiers in idents.
 // Files elsewhere contribute no declarations.
-func exportedDecls(fset *token.FileSet, f *ast.File, path string, idents map[*ast.Ident]bool) []surfaceDecl {
-	if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+func exportedDecls(fset *token.FileSet, sf surfaceFile, idents map[*ast.Ident]bool) []surfaceDecl {
+	if !strings.HasPrefix(filepath.ToSlash(sf.path), "internal/") {
 		return nil
 	}
-	pkg := f.Name.Name
+	pkg := sf.f.Name.Name
 	var out []surfaceDecl
-	add := func(id *ast.Ident, key string) {
+	add := func(id *ast.Ident, key, ref string) {
 		idents[id] = true
 		if id.IsExported() {
-			out = append(out, surfaceDecl{key: key, name: id.Name, pos: fset.Position(id.Pos()).String()})
+			out = append(out, surfaceDecl{key: key, name: id.Name, ref: ref, pos: fset.Position(id.Pos()).String()})
 		}
 	}
-	for _, decl := range f.Decls {
+	pkgLevel := func(id *ast.Ident) {
+		add(id, pkg+"."+id.Name, sf.pkgPath+"."+id.Name)
+	}
+	for _, decl := range sf.f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				add(d.Name, pkg+"."+d.Name.Name)
+				pkgLevel(d.Name)
 				continue
 			}
 			recv := receiverName(d.Recv.List[0].Type)
 			if ast.IsExported(recv) {
-				add(d.Name, pkg+"."+recv+"."+d.Name.Name)
+				add(d.Name, pkg+"."+recv+"."+d.Name.Name, "")
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					add(s.Name, pkg+"."+s.Name.Name)
+					pkgLevel(s.Name)
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
-						add(n, pkg+"."+n.Name)
+						pkgLevel(n)
 					}
 				}
 			}

@@ -166,7 +166,6 @@ func Evaluate(t Technology, w Workload) Breakdown {
 	b := Breakdown{Technology: t.Name}
 	// Average resident bytes grow linearly with ingress.
 	avgResident := w.ArchiveTB + w.WriteTBPerYear*w.HorizonYears/2
-	finalResident := w.ArchiveTB + w.WriteTBPerYear*w.HorizonYears
 
 	// Media: initial + ingress + refresh repurchases.
 	writtenOnce := w.ArchiveTB + w.WriteTBPerYear*w.HorizonYears
@@ -200,7 +199,6 @@ func Evaluate(t Technology, w Workload) Breakdown {
 	readIO := w.ReadTBPerYear * w.HorizonYears * t.ReadCostPerTB
 	b.UserIO = writeIO + verifyIO + readIO
 	b.Processing = (w.ReadTBPerYear*w.HorizonYears + writtenOnce*boolTo01(t.ScrubIntervalYears == 0)) * t.ProcessingPerTBRead
-	_ = finalResident
 	return b
 }
 

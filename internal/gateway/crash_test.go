@@ -65,8 +65,10 @@ func TestCrashMidFlushRecovery(t *testing.T) {
 		t.Fatal("persistence not enabled")
 	}
 	// The kill point fires at the third platter publication and freezes
-	// the log exactly there: buffered-but-unsynced WAL bytes never reach
-	// disk, every later append fails — kill -9 without leaving the test
+	// the log exactly there: WAL bytes still in its write buffer never
+	// reach disk (a frame past the 64 KiB buffer, or one that overflowed
+	// it, was written through by its Append and survives, as under kill
+	// -9), every later append fails — kill -9 without leaving the test
 	// process.
 	g.Faults().SetKill(plog.Crash)
 	if err := g.Faults().ArmString("kill@publish.platter:after=2,count=1"); err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 )
 
 // coder is the one wire codec behind every on-disk layout: WAL record
@@ -224,12 +225,18 @@ func sortedMap[K comparable, V any](c *coder, m *map[K]V, less func(a, b K) bool
 // sealTo streams it to w through one sealBufSize window, feeding each
 // spilled chunk to a running CRC, and writes the trailer only once the
 // whole body is out; openFile refuses anything whose magic or CRC is
-// off before a single body byte is decoded.
+// off before a single body byte is decoded. The window comes from
+// sealBufs and goes back once the trailer is out: a streaming coder
+// never grows it, and nothing written keeps a reference to it.
 const sealBufSize = 64 << 10
 
+var sealBufs = sync.Pool{New: func() any { b := make([]byte, 0, sealBufSize); return &b }}
+
 func sealTo(w io.Writer, magic string, body func(*coder)) error {
+	window := sealBufs.Get().(*[]byte)
+	defer sealBufs.Put(window)
 	crc := crc32.NewIEEE()
-	c := &coder{buf: append(make([]byte, 0, sealBufSize), magic...), sink: io.MultiWriter(crc, w)}
+	c := &coder{buf: append((*window)[:0], magic...), sink: io.MultiWriter(crc, w)}
 	body(c)
 	c.spill()
 	c.buf = binary.LittleEndian.AppendUint32(c.buf, crc.Sum32())

@@ -150,7 +150,10 @@ func createWAL(dir string, startLSN uint64) (*os.File, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
 	return f, nil
 }
 
@@ -384,12 +387,15 @@ func (l *Log) RecoveryTruncated() bool { return l.truncated }
 func (l *Log) AppendsSinceSnapshot() int64 { return l.sinceSnap.Load() }
 
 // Crash freezes the log in place, emulating kill -9 at this exact
-// instant: records buffered but not yet fsynced never reach the disk
-// (their writes were never acknowledged), and every subsequent
+// instant: records still in the 64 KiB write buffer never reach the
+// disk (their writes were never acknowledged), and every subsequent
 // operation fails with ErrCrashed so nothing else is acknowledged
-// either. Safe to call from a faults kill hook while an Append is in
-// flight. Tests reopen the directory afterwards to exercise recovery
-// in-process.
+// either. Not every unsynced record is buffered: an Append that
+// overflows the buffer writes it out, and a frame larger than the
+// buffer is written through, so the freeze keeps those bytes, as a
+// kill -9 would once the kernel holds them. Safe to call from a faults
+// kill hook while an Append is in flight. Tests reopen the directory
+// afterwards to exercise recovery in-process.
 func (l *Log) Crash() { l.frozen.Store(true) }
 
 // Crashed reports whether a kill point froze the log.

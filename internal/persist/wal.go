@@ -121,15 +121,21 @@ func scanFrames(data []byte, records recordTable) (frames []walFrame, tornAt int
 }
 
 // syncDir fsyncs a directory so renames and creates within it are
-// durable. Best-effort on platforms where directories cannot be
-// fsynced.
-func syncDir(dir string) {
+// durable. Its error is the caller's: until the directory fsync
+// succeeds, the entry it was meant to make durable is not.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return fmt.Errorf("persist: open dir for sync: %w", err)
 	}
-	_ = d.Sync()
-	_ = d.Close()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("persist: sync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // atomicWriteFile writes path's contents through write, via a temp
@@ -160,6 +166,5 @@ func atomicWriteFile(path string, write func(io.Writer) error) error {
 		_ = os.Remove(tmpName)
 		return err
 	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return syncDir(filepath.Dir(path))
 }

@@ -28,7 +28,10 @@ type File struct {
 	Size    int64
 	Arrival float64 // virtual seconds
 	// Data holds the (encrypted) bytes in real-codec mode; nil when the
-	// simulator only tracks sizes.
+	// simulator only tracks sizes. It is immutable once admitted: staged
+	// reads decrypt from it and a flush burns views of it, which outlive
+	// the file's release until its platter-set closes. No release,
+	// delete or replay may clear or reuse it.
 	Data []byte
 }
 

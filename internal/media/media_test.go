@@ -267,13 +267,6 @@ func TestPackRoundTripsEverySymbol(t *testing.T) {
 				t.Fatalf("%d symbols, sector %+v: read back %v, %v", n, id, got, ok)
 			}
 		}
-		restored, err := RestoreStored(p.ID, g, sectors)
-		if err != nil || restored.State() != Stored || restored.WrittenSectors() != len(sectors) {
-			t.Fatalf("%d symbols: RestoreStored = %v, %v", n, restored, err)
-		}
-		if !reflect.DeepEqual(restored.tracks, p.tracks) {
-			t.Fatalf("%d symbols: RestoreStored packed differently from WriteSector", n)
-		}
 	}
 	p := storedPlatter(t, map[SectorID][]uint8{{Track: 0, Sector: 0}: {0x1f, 0xa2, 0xf3}})
 	if got, _ := p.ReadSectorInto(SectorID{Track: 0, Sector: 0}, nil); !reflect.DeepEqual(got, []uint8{0xf, 0x2, 0x3}) {
@@ -282,7 +275,7 @@ func TestPackRoundTripsEverySymbol(t *testing.T) {
 }
 
 // TestWORMRefusesAMismatchedLength: a platter's sectors share one
-// symbol count, on the write path and on recovery.
+// symbol count.
 func TestWORMRefusesAMismatchedLength(t *testing.T) {
 	p := NewPlatter(1, TinyGeometry())
 	if err := p.Transition(Writing); err != nil {
@@ -298,14 +291,6 @@ func TestWORMRefusesAMismatchedLength(t *testing.T) {
 	}
 	if p.WrittenSectors() != 1 {
 		t.Fatalf("written sectors = %d after refusals, want 1", p.WrittenSectors())
-	}
-	if _, err := RestoreStored(1, TinyGeometry(), map[SectorID][]uint8{
-		{Track: 0, Sector: 0}: {1, 2}, {Track: 0, Sector: 1}: {3},
-	}); err == nil {
-		t.Fatal("RestoreStored accepted sectors of two lengths")
-	}
-	if _, err := RestoreStored(1, TinyGeometry(), map[SectorID][]uint8{{Track: 32, Sector: 0}: {1}}); err == nil {
-		t.Fatal("RestoreStored accepted a sector past the platter")
 	}
 }
 

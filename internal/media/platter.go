@@ -1,6 +1,9 @@
 package media
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PlatterID identifies a platter within a deployment.
 type PlatterID int64
@@ -54,24 +57,53 @@ var legalTransitions = map[PlatterState][]PlatterState{
 // platters carry no payload; in real-codec mode WriteSector/ReadSectorInto
 // hold the modulated symbols of each written sector.
 //
-// The media is kept at the glass's own density: a voxel symbol carries
-// four bits (voxel.BitsPerVoxel), so two symbols share a byte, and each
-// written track holds its sectors in one slab at a fixed stride. A
-// track's slab is allocated on that track's first write, so an unwritten
-// track costs nothing. Only the low four bits of a symbol are stored:
-// the demodulator reads nothing else (Modulation.IdealPoint masks them).
+// While a platter is burned and verified its glass is in the heap, at the
+// glass's own density: a voxel symbol carries four bits
+// (voxel.BitsPerVoxel), so two symbols share a byte, and each written
+// track holds its sectors in one slab at a fixed stride. A track's slab is
+// taken on that track's first write, from the platter's Slabs free list
+// when it was built on one, so an unwritten track costs nothing. Only the
+// low four bits of a symbol are stored: the demodulator reads nothing else
+// (Modulation.IdealPoint masks them).
+//
+// Once Stored, a platter can be shelved (Shelve): its glass then lives in
+// a SectorSource outside the heap — the service's persisted blob — and its
+// slabs go back to the free list for the next burn, as a platter in the
+// paper leaves the drive for a passive storage slot and is read only when
+// asked.
 type Platter struct {
 	ID    PlatterID
 	Geom  Geometry
 	state PlatterState
 
 	// symLen is the symbol count of every sector, fixed by the first
-	// write; tracks is indexed by physical track and grown to the
-	// highest one written; written counts the sectors that hold data.
-	// Only used by the real-codec path.
+	// write; written counts the sectors that hold data; slabs is where
+	// track slabs come from and go back to (nil: the heap). Only used by
+	// the real-codec path.
 	symLen  int
-	tracks  []trackMedia
 	written int
+	slabs   *Slabs
+
+	// mu guards the switch from tracks to src: a read holds it shared
+	// across its copy out of a slab, so Shelve never hands on a slab a
+	// reader is still copying. tracks is indexed by physical track and
+	// grown to the highest one written; src is set once, by Shelve.
+	mu     sync.RWMutex
+	tracks []trackMedia
+	src    SectorSource
+}
+
+// SectorSource is where a shelved platter's glass lives. ReadSectorInto
+// has Platter.ReadSectorInto's contract: it fills dst's storage (growing
+// it only when too small) with the sector's symbols and returns the
+// filled slice, or false for a sector never written or one it cannot
+// read — an unreadable sector, which the read path repairs like any
+// other. WrittenSectors counts the sectors it holds; Close releases it,
+// after which every read fails.
+type SectorSource interface {
+	ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool)
+	WrittenSectors() int
+	Close() error
 }
 
 // trackMedia is one track's sectors: sector s packed at
@@ -132,7 +164,7 @@ func (p *Platter) put(id SectorID, symbols []uint8) error {
 	t := &p.tracks[id.Track]
 	stride := p.stride()
 	if t.written == nil {
-		t.packed = make([]byte, spt*stride)
+		t.packed = p.slabs.take(spt * stride)
 		t.written = make([]bool, spt)
 	} else if t.written[id.Sector] {
 		return fmt.Errorf("media: platter %d: sector %+v already written (WORM)", p.ID, id)
@@ -173,6 +205,11 @@ func unpack(dst, src []uint8) {
 // ok=false if the sector was never written. Reading is legal in any
 // post-write state — the read optics physically cannot modify voxels.
 func (p *Platter) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.src != nil {
+		return p.src.ReadSectorInto(id, dst)
+	}
 	src, ok := p.sector(id)
 	if !ok {
 		return nil, false
@@ -206,11 +243,14 @@ func (p *Platter) WrittenSectors() int { return p.written }
 // EachSector calls fn with every written sector in address order
 // (track, then sector), each unpacked into one buffer that is reused
 // for the next call, and stops at fn's first error. It walks only a
-// Stored platter: glass is WORM, so once verified nothing writes its
-// symbols again.
+// Stored platter whose glass is still in the heap: glass is WORM, so once
+// verified nothing writes its symbols again, and the walk is what a blob
+// is encoded from before the platter is shelved.
 func (p *Platter) EachSector(fn func(SectorID, []uint8) error) error {
-	if p.state != Stored {
-		return fmt.Errorf("media: platter %d: sector walk in state %v", p.ID, p.state)
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.state != Stored || p.src != nil {
+		return fmt.Errorf("media: platter %d: sector walk in state %v (shelved %v)", p.ID, p.state, p.src != nil)
 	}
 	buf := make([]uint8, p.symLen)
 	for track := range p.tracks {
@@ -229,19 +269,98 @@ func (p *Platter) EachSector(fn func(SectorID, []uint8) error) error {
 	return nil
 }
 
-// RestoreStored rebuilds a platter directly in the Stored state from
-// saved sector symbols — the crash-recovery path — packing them as it
-// goes. It refuses what WriteSector would: a sector out of range, or
-// one whose symbol count differs from the others. The WORM lifecycle is
-// not re-walked: the platter was verified before its publish record was
-// logged, and glass state survives a front-end restart by nature.
-func RestoreStored(id PlatterID, geom Geometry, sectors map[SectorID][]uint8) (*Platter, error) {
-	p := NewPlatter(id, geom)
-	for sid, symbols := range sectors {
-		if err := p.put(sid, symbols); err != nil {
-			return nil, err
-		}
+// Shelve moves a Stored platter's glass out of the heap: from now on its
+// sectors are read from src, and its track slabs go back to the free list
+// they came from. The switch takes the platter's lock, so a read in flight
+// finishes its copy before the slab is handed on, and every later read
+// goes to src.
+func (p *Platter) Shelve(src SectorSource) error {
+	if p.state != Stored {
+		return fmt.Errorf("media: platter %d: shelved in state %v", p.ID, p.state)
 	}
-	p.state = Stored
-	return p, nil
+	p.mu.Lock()
+	if p.src != nil {
+		p.mu.Unlock()
+		return fmt.Errorf("media: platter %d: shelved twice", p.ID)
+	}
+	tracks := p.tracks
+	p.tracks, p.src = nil, src
+	p.mu.Unlock()
+	for _, t := range tracks {
+		p.slabs.give(t.packed)
+	}
+	return nil
+}
+
+// Shelved returns a Stored platter whose glass is src — the
+// crash-recovery path. The WORM lifecycle is not re-walked: the platter
+// was verified before its publish record was logged, and glass state
+// survives a front-end restart by nature.
+func Shelved(id PlatterID, geom Geometry, src SectorSource) *Platter {
+	p := NewPlatter(id, geom)
+	p.state, p.src, p.written = Stored, src, src.WrittenSectors()
+	return p
+}
+
+// Close releases a shelved platter's source; reads fail from then on. A
+// platter whose glass is in the heap has nothing to release.
+func (p *Platter) Close() error {
+	p.mu.RLock()
+	src := p.src
+	p.mu.RUnlock()
+	if src == nil {
+		return nil
+	}
+	return src.Close()
+}
+
+// Slabs is a free list of track slabs. The platters built on it take a
+// slab for each track they write and give their slabs back when Shelve
+// moves their glass out of the heap, so a burn writes into the slabs of
+// platters already on disk, whenever a collection runs. It keeps at most
+// keep slabs; any beyond that go to the GC.
+type Slabs struct {
+	mu   sync.Mutex
+	free [][]byte
+	keep int
+}
+
+// NewSlabs returns an empty free list that keeps at most keep slabs.
+func NewSlabs(keep int) *Slabs { return &Slabs{keep: keep} }
+
+// NewPlatter returns a blank platter whose tracks take their slabs from l.
+func (l *Slabs) NewPlatter(id PlatterID, geom Geometry) *Platter {
+	p := NewPlatter(id, geom)
+	p.slabs = l
+	return p
+}
+
+// take returns an n-byte slab: a free one when it is large enough, else
+// a new one. A nil list always allocates. A recycled slab keeps its old
+// bytes, which no read sees: a sector is read only once written.
+func (l *Slabs) take(n int) []byte {
+	if l != nil {
+		l.mu.Lock()
+		if k := len(l.free) - 1; k >= 0 && cap(l.free[k]) >= n {
+			b := l.free[k]
+			l.free[k] = nil
+			l.free = l.free[:k]
+			l.mu.Unlock()
+			return b[:n]
+		}
+		l.mu.Unlock()
+	}
+	return make([]byte, n)
+}
+
+// give returns a slab to the list, or to the GC once the list holds keep.
+func (l *Slabs) give(b []byte) {
+	if l == nil || b == nil {
+		return
+	}
+	l.mu.Lock()
+	if len(l.free) < l.keep {
+		l.free = append(l.free, b)
+	}
+	l.mu.Unlock()
 }

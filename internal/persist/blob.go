@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"silica/internal/media"
 )
@@ -21,6 +22,10 @@ import (
 // corruption (the ordering rules it out short of disk damage), while
 // blob-without-record is just a crash between the two steps and is
 // garbage-collected.
+//
+// Once written, the blob is the platter's glass: the service shelves the
+// platter on it (Blob), and every later read of a sector is one ReadAt
+// of the sector's symbols, found through the offsets the layout noted.
 const blobMagic = "SILPLT01"
 
 func blobName(id media.PlatterID) string {
@@ -28,13 +33,14 @@ func blobName(id media.PlatterID) string {
 }
 
 // platterBlob is the blob's content. Encoding walks media in address
-// order, so the bytes are deterministic; decoding fills sectors. The
-// sectors are wired as a count followed by (track, sector, symbols)
-// per sector, one byte per symbol.
+// order, so the bytes are deterministic. The sectors are wired as a
+// count followed by (track, sector, symbols) per sector, one byte per
+// symbol, and both walks note in sectors where each sector's symbols
+// lie in the file; decoding skips the symbols themselves.
 type platterBlob struct {
 	id       media.PlatterID
-	media    sectorWalker               // encoding
-	sectors  map[media.SectorID][]uint8 // decoding
+	media    sectorWalker // encoding
+	sectors  []sectorSpan
 	payloads [][]byte
 }
 
@@ -44,25 +50,43 @@ type sectorWalker interface {
 	EachSector(fn func(media.SectorID, []uint8) error) error
 }
 
+// sectorSpan is where one sector's symbols lie in its blob: 24 bytes
+// of index per sector, against its symbols' thousands.
+type sectorSpan struct {
+	at            int64 // file offset of the first symbol
+	track, sector int32
+	n             int32 // symbol count
+}
+
+// order orders spans by address: track, then sector.
+func (s sectorSpan) order(id media.SectorID) int {
+	if t := int(s.track); t != id.Track {
+		return t - id.Track
+	}
+	return int(s.sector) - id.Sector
+}
+
+func (s sectorSpan) id() media.SectorID {
+	return media.SectorID{Track: int(s.track), Sector: int(s.sector)}
+}
+
 func (b *platterBlob) wire(c *coder) {
 	varint(&b.id, c)
 	if c.decoding {
 		n := c.count(0)
-		if c.err == nil {
-			b.sectors = make(map[media.SectorID][]uint8, n)
-		}
+		b.sectors = make([]sectorSpan, n)
 		for i := 0; i < n && c.err == nil; i++ {
-			var sid media.SectorID
-			var symbols []uint8
-			wireSector(c, &sid, &symbols)
-			if c.err == nil {
-				b.sectors[sid] = symbols
+			wireSector(c, &b.sectors[i], nil)
+			// The encoder writes address order; lookups rely on it.
+			if i > 0 && c.err == nil && b.sectors[i-1].order(b.sectors[i].id()) >= 0 {
+				c.err = errTruncated
 			}
 		}
 	} else {
-		c.count(b.media.WrittenSectors())
+		b.sectors = make([]sectorSpan, 0, c.count(b.media.WrittenSectors()))
 		err := b.media.EachSector(func(sid media.SectorID, symbols []uint8) error {
-			wireSector(c, &sid, &symbols)
+			b.sectors = append(b.sectors, sectorSpan{track: int32(sid.Track), sector: int32(sid.Sector)})
+			wireSector(c, &b.sectors[len(b.sectors)-1], symbols)
 			return c.err
 		})
 		if c.err == nil {
@@ -72,32 +96,80 @@ func (b *platterBlob) wire(c *coder) {
 	slice(c, &b.payloads, func(p *[]byte, c *coder) { c.bytes(p) })
 }
 
-func wireSector(c *coder, sid *media.SectorID, symbols *[]uint8) {
-	c.int(&sid.Track)
-	c.int(&sid.Sector)
-	c.bytes(symbols)
+func wireSector(c *coder, s *sectorSpan, symbols []uint8) {
+	varint(&s.track, c)
+	varint(&s.sector, c)
+	n := int(s.n)
+	c.span(symbols, &s.at, &n)
+	s.n = int32(n)
 }
 
-// writeBlobFile atomically writes a platter blob into dir.
-func writeBlobFile(dir string, id media.PlatterID, m sectorWalker, payloads [][]byte) error {
+// Blob is a shelved platter's glass: a read-only descriptor on its blob
+// file and where each sector's symbols lie in it. It is the
+// media.SectorSource the service shelves a platter on, once the blob is
+// durable or at recovery. A read is one ReadAt into the caller's
+// buffer; an I/O error or a short read reports the sector unreadable.
+type Blob struct {
+	f       *os.File
+	sectors []sectorSpan // address order
+}
+
+// ReadSectorInto reads sector id's symbols into dst's storage, growing
+// it only when too small, and returns the filled slice; false when the
+// sector was never written or cannot be read.
+func (b *Blob) ReadSectorInto(id media.SectorID, dst []uint8) ([]uint8, bool) {
+	i, ok := slices.BinarySearchFunc(b.sectors, id, sectorSpan.order)
+	if !ok {
+		return nil, false
+	}
+	s := b.sectors[i]
+	out := dst[:0]
+	if n := int(s.n); cap(out) >= n {
+		out = out[:n]
+	} else {
+		out = make([]uint8, n)
+	}
+	if _, err := b.f.ReadAt(out, s.at); err != nil {
+		return nil, false
+	}
+	return out, true
+}
+
+// WrittenSectors reports how many sectors the blob holds.
+func (b *Blob) WrittenSectors() int { return len(b.sectors) }
+
+// Close releases the descriptor; every later read fails.
+func (b *Blob) Close() error { return b.f.Close() }
+
+// writeBlobFile atomically writes a platter blob into dir and returns
+// where its sectors lie.
+func writeBlobFile(dir string, id media.PlatterID, m sectorWalker, payloads [][]byte) ([]sectorSpan, error) {
 	b := platterBlob{id: id, media: m, payloads: payloads}
-	return atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
+	err := atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
 		return sealTo(w, blobMagic, b.wire)
 	})
+	return b.sectors, err
 }
 
-// readBlobFile loads and validates a platter blob from dir.
-func readBlobFile(dir string, id media.PlatterID) (map[media.SectorID][]uint8, [][]byte, error) {
-	data, err := os.ReadFile(filepath.Join(dir, blobName(id)))
+// openBlob opens and indexes a platter blob in dir, checking it whole
+// without holding it: the descriptor stays open for the Blob, and only
+// the payload cache is decoded into the heap.
+func openBlob(dir string, id media.PlatterID) (*Blob, [][]byte, error) {
+	f, err := os.Open(filepath.Join(dir, blobName(id)))
 	if err != nil {
 		return nil, nil, err
 	}
 	var b platterBlob
-	if err := openFile(blobMagic, data, b.wire); err != nil {
+	fi, err := f.Stat()
+	if err == nil {
+		err = openStream(blobMagic, f, fi.Size(), b.wire)
+	}
+	if err == nil && b.id != id {
+		err = fmt.Errorf("persist: platter blob id mismatch: file %d names %d", id, b.id)
+	}
+	if err != nil {
+		_ = f.Close()
 		return nil, nil, fmt.Errorf("persist: platter %d blob: %w", id, err)
 	}
-	if b.id != id {
-		return nil, nil, fmt.Errorf("persist: platter blob id mismatch: file %d names %d", id, b.id)
-	}
-	return b.sectors, b.payloads, nil
+	return &Blob{f: f, sectors: b.sectors}, b.payloads, nil
 }

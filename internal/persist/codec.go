@@ -27,12 +27,19 @@ import (
 // 0, so a corrupt length can neither allocate nor loop. A layout runs
 // straight through and its caller checks err once. Encoding only reads
 // through the pointers it is given — the values may be live state.
+//
+// Either direction can stream through a fixed window: an encoding coder
+// with a sink spills buf to it, and a decoding coder with a src refills
+// buf from it (see openStream), so a file of any size costs one window.
 type coder struct {
 	buf      []byte // encoding: the output so far; decoding: the input
 	off      int    // decoding: read position in buf
 	decoding bool
 	err      error
 	sink     io.Writer                   // streaming encode: where put spills buf
+	src      io.Reader                   // streaming decode: where fill refills buf
+	left     int64                       // streaming decode: bytes src has not yet delivered
+	base     int64                       // file offset of buf[0]: bytes spilled or consumed before it
 	tmp      [binary.MaxVarintLen64]byte // one fixed-size field on its way to put
 }
 
@@ -40,8 +47,46 @@ type coder struct {
 // torn or corrupt frame. Recovery treats it as "discard from here".
 var errTruncated = fmt.Errorf("persist: truncated or corrupt encoding")
 
+// remaining is the number of input bytes not yet decoded.
+func (c *coder) remaining() int64 { return int64(len(c.buf)-c.off) + c.left }
+
+// pos is the file offset of the next byte decoded or encoded.
+func (c *coder) pos() int64 {
+	if c.decoding {
+		return c.base + int64(c.off)
+	}
+	return c.base + int64(len(c.buf))
+}
+
+// fill makes at least n unread bytes, or all that remain, contiguous
+// at buf[off:], refilling a streaming decoder's window from src: the
+// unread tail slides to the front and the rest of the window is read.
+// The window grows only for a single field larger than itself. A
+// failed read sets err.
+func (c *coder) fill(n int) {
+	if c.src == nil || c.err != nil || len(c.buf)-c.off >= n || c.left == 0 {
+		return
+	}
+	unread := copy(c.buf[:cap(c.buf)], c.buf[c.off:])
+	if n > cap(c.buf) {
+		c.buf = append(make([]byte, 0, n), c.buf[:unread]...)
+	}
+	c.base += int64(c.off)
+	c.off = 0
+	want := int(min(int64(cap(c.buf)-unread), c.left))
+	k, err := io.ReadFull(c.src, c.buf[unread:unread+want])
+	c.buf = c.buf[:unread+k]
+	c.left -= int64(k)
+	if err != nil {
+		c.err = err
+	}
+}
+
 // take returns the next n input bytes, or fails when fewer remain.
 func (c *coder) take(n uint64) []byte {
+	if c.err == nil && n <= uint64(c.remaining()) {
+		c.fill(int(n))
+	}
 	if c.err != nil || n > uint64(len(c.buf)-c.off) {
 		c.err = errTruncated
 		return nil
@@ -49,6 +94,22 @@ func (c *coder) take(n uint64) []byte {
 	b := c.buf[c.off : c.off+int(n)]
 	c.off += int(n)
 	return b
+}
+
+// skip passes over the next n input bytes without holding them: a
+// streaming decoder reads them through its window and drops them.
+func (c *coder) skip(n uint64) {
+	if c.err == nil && n > uint64(c.remaining()) {
+		c.err = errTruncated
+	}
+	for c.err == nil {
+		k := min(n, uint64(len(c.buf)-c.off))
+		c.off += int(k)
+		if n -= k; n == 0 {
+			return
+		}
+		c.fill(1)
+	}
 }
 
 // put appends p to the output. A streaming coder never grows buf: it
@@ -68,6 +129,7 @@ func (c *coder) spill() {
 	if c.err == nil {
 		_, c.err = c.sink.Write(c.buf)
 	}
+	c.base += int64(len(c.buf))
 	c.buf = c.buf[:0]
 }
 
@@ -76,7 +138,7 @@ func (c *coder) u64(v *uint64) {
 		put(c, binary.AppendUvarint(c.tmp[:0], *v))
 		return
 	}
-	if c.err != nil {
+	if c.fill(binary.MaxVarintLen64); c.err != nil {
 		return
 	}
 	x, n := binary.Uvarint(c.buf[c.off:])
@@ -93,7 +155,7 @@ func (c *coder) i64(v *int64) {
 		put(c, binary.AppendVarint(c.tmp[:0], *v))
 		return
 	}
-	if c.err != nil {
+	if c.fill(binary.MaxVarintLen64); c.err != nil {
 		return
 	}
 	x, n := binary.Varint(c.buf[c.off:])
@@ -148,6 +210,23 @@ func (c *coder) bytes(v *[]byte) {
 	}
 }
 
+// span wires a byte string in the bytes form, but a decoding coder only
+// notes where it lies — *at is the file offset of its first byte, *n its
+// length — and skips it, so a streamed decode never holds it. An
+// encoding coder notes the same of v.
+func (c *coder) span(v []byte, at *int64, n *int) {
+	l := uint64(len(v))
+	if c.u64(&l); c.err != nil {
+		return
+	}
+	*at, *n = c.pos(), int(l)
+	if c.decoding {
+		c.skip(l)
+	} else {
+		put(c, v)
+	}
+}
+
 func (c *coder) str(v *string) {
 	n := uint64(len(*v))
 	c.u64(&n)
@@ -165,7 +244,7 @@ func (c *coder) str(v *string) {
 func (c *coder) count(n int) int {
 	x := int64(n)
 	c.i64(&x)
-	if c.decoding && (c.err != nil || x < 0 || x > int64(len(c.buf)-c.off)) {
+	if c.decoding && (c.err != nil || x < 0 || x > c.remaining()) {
 		c.err = errTruncated
 		return 0
 	}
@@ -225,18 +304,41 @@ func sortedMap[K comparable, V any](c *coder, m *map[K]V, less func(a, b K) bool
 // sealTo streams it to w through one sealBufSize window, feeding each
 // spilled chunk to a running CRC, and writes the trailer only once the
 // whole body is out; openFile refuses anything whose magic or CRC is
-// off before a single body byte is decoded. The window comes from
-// sealBufs and goes back once the trailer is out: a streaming coder
-// never grows it, and nothing written keeps a reference to it.
+// off before a single body byte is decoded, and so does openStream. The
+// window comes from sealBufs and goes back once the trailer is out: a
+// streaming coder never grows it, and nothing written keeps a reference
+// to it. sealBufs is a free list, not a sync.Pool: a window is made only
+// when the list is empty, so it never holds more than the peak number of
+// files sealed or opened at once, and a collection cannot empty it.
 const sealBufSize = 64 << 10
 
-var sealBufs = sync.Pool{New: func() any { b := make([]byte, 0, sealBufSize); return &b }}
+var sealBufs struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+func getWindow() []byte {
+	sealBufs.mu.Lock()
+	defer sealBufs.mu.Unlock()
+	if n := len(sealBufs.free) - 1; n >= 0 {
+		w := sealBufs.free[n]
+		sealBufs.free = sealBufs.free[:n]
+		return w
+	}
+	return make([]byte, 0, sealBufSize)
+}
+
+func putWindow(w []byte) {
+	sealBufs.mu.Lock()
+	sealBufs.free = append(sealBufs.free, w)
+	sealBufs.mu.Unlock()
+}
 
 func sealTo(w io.Writer, magic string, body func(*coder)) error {
-	window := sealBufs.Get().(*[]byte)
-	defer sealBufs.Put(window)
+	window := getWindow()
+	defer putWindow(window)
 	crc := crc32.NewIEEE()
-	c := &coder{buf: append((*window)[:0], magic...), sink: io.MultiWriter(crc, w)}
+	c := &coder{buf: append(window[:0], magic...), sink: io.MultiWriter(crc, w)}
 	body(c)
 	c.spill()
 	c.buf = binary.LittleEndian.AppendUint32(c.buf, crc.Sum32())
@@ -253,6 +355,39 @@ func openFile(magic string, data []byte, body func(*coder)) error {
 		return fmt.Errorf("persist: %s file CRC mismatch", magic)
 	}
 	c := &coder{buf: sealed, off: len(magic), decoding: true}
+	body(c)
+	return c.err
+}
+
+// openStream is openFile for a file it does not hold: f's size bytes
+// pass once through a window from sealBufs for the magic and CRC checks,
+// and then once more for the decode, which refills the same window. A body
+// that reads its bulk through span keeps none of it.
+func openStream(magic string, f io.ReaderAt, size int64, body func(*coder)) error {
+	window := getWindow()
+	defer putWindow(window)
+	buf := window[:cap(window)]
+	at, sealed := int64(len(magic)), size-4
+	if sealed < at {
+		return fmt.Errorf("persist: not a %s file", magic)
+	}
+	if _, err := f.ReadAt(buf[:at], 0); err != nil {
+		return err
+	}
+	if string(buf[:at]) != magic {
+		return fmt.Errorf("persist: not a %s file", magic)
+	}
+	crc := crc32.NewIEEE()
+	if _, err := io.CopyBuffer(crc, io.NewSectionReader(f, 0, sealed), buf); err != nil {
+		return err
+	}
+	if _, err := f.ReadAt(buf[:4], sealed); err != nil {
+		return err
+	}
+	if crc.Sum32() != binary.LittleEndian.Uint32(buf) {
+		return fmt.Errorf("persist: %s file CRC mismatch", magic)
+	}
+	c := &coder{buf: buf[:0], decoding: true, src: io.NewSectionReader(f, at, sealed-at), left: sealed - at, base: at}
 	body(c)
 	return c.err
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,16 +142,38 @@ func FuzzDecodeRouterSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlob re-encodes what it decoded: a decoded blob's sectors
-// are a map, which the encoder walks in address order.
+// FuzzDecodeBlob re-encodes what it decoded: decoding only notes where
+// each sector's symbols lie, so the re-encode walks them out of the
+// decoded file, in address order. The streamed decode recovery uses
+// must agree with the in-memory one.
 func FuzzDecodeBlob(f *testing.F) {
-	fuzzSealed(f, blobMagic, "blob", func() func(*coder) {
-		b := new(platterBlob)
-		return func(c *coder) {
-			if !c.decoding {
-				b.media = sectorMap(b.sectors)
-			}
-			b.wire(c)
+	sealed := wireFixture(f, "blob")
+	f.Add(sealed[len(blobMagic) : len(sealed)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		file := append([]byte(blobMagic), body...)
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
+		var first, streamed platterBlob
+		var err error
+		boundedAlloc(t, len(file), func() { err = openFile(blobMagic, file, first.wire) })
+		serr := openStream(blobMagic, bytes.NewReader(file), int64(len(file)), streamed.wire)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("in-memory decode: %v; streamed decode: %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(first, streamed) {
+			t.Fatalf("streamed decode %+v differs from in-memory %+v", streamed, first)
+		}
+		first.media = spanSectors(file, first.sectors)
+		again := sealFile(blobMagic, first.wire)
+		var second platterBlob
+		if err := openFile(blobMagic, again, second.wire); err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		second.media = spanSectors(again, second.sectors)
+		if third := sealFile(blobMagic, second.wire); !bytes.Equal(again, third) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", again, third)
 		}
 	})
 }

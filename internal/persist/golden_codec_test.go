@@ -99,7 +99,27 @@ func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {
 	var b platterBlob
 	err := openFile(blobMagic, data, b.wire)
-	return b.id, b.sectors, b.payloads, err
+	return b.id, spanSectors(data, b.sectors), b.payloads, err
+}
+
+// spanSectors cuts the sectors a blob layout indexed out of the file's
+// bytes.
+func spanSectors(file []byte, spans []sectorSpan) sectorMap {
+	m := make(sectorMap, len(spans))
+	for _, s := range spans {
+		m[s.id()] = file[s.at : s.at+int64(s.n)]
+	}
+	return m
+}
+
+// blobSectors reads every sector of an opened blob back through its
+// index; a sector it cannot read maps to nil.
+func blobSectors(b *Blob) map[media.SectorID][]uint8 {
+	m := make(map[media.SectorID][]uint8, len(b.sectors))
+	for _, s := range b.sectors {
+		m[s.id()], _ = b.ReadSectorInto(s.id(), nil)
+	}
+	return m
 }
 
 // sealFile renders a sealed file whole, for the golden and fuzz tests.

@@ -368,14 +368,23 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 
 // WritePlatterBlob durably stores one Stored platter's media sidecar,
 // its symbols read straight off the packed media, with the payload
-// cache its set close may still need. Must complete before the
-// platter's RecPublish is appended (the record-implies-blob recovery
-// invariant).
-func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) error {
+// cache its set close may still need, and returns the blob opened
+// read-only for the platter to be shelved on: the caller owns its
+// descriptor. Must complete before the platter's RecPublish is appended
+// (the record-implies-blob recovery invariant).
+func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) (*Blob, error) {
 	if l.frozen.Load() {
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
-	return writeBlobFile(l.dir, p.ID, p, payloads)
+	sectors, err := writeBlobFile(l.dir, p.ID, p, payloads)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(filepath.Join(l.dir, blobName(p.ID)))
+	if err != nil {
+		return nil, err
+	}
+	return &Blob{f: f, sectors: sectors}, nil
 }
 
 // RecoveryTruncated reports whether the recovery that opened this log

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -270,13 +271,13 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 	}
 	payloads := [][]byte{[]byte("payload-0")}
 	for id := media.PlatterID(1); id <= 2; id++ {
-		if err := l.WritePlatterBlob(storedPlatter(t, id, sectors), payloads); err != nil {
+		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors), payloads); err != nil {
 			t.Fatalf("WritePlatterBlob: %v", err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
 	}
 	// Redundancy platter + set close.
-	if err := l.WritePlatterBlob(storedPlatter(t, 3, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 3, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,
@@ -288,14 +289,15 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 
 	l2, st := openT(t, dir, nil)
 	defer l2.Close()
+	defer st.CloseBlobs()
 	if len(st.Platters) != 3 || len(st.Sets) != 1 || len(st.PendingSet) != 0 {
 		t.Fatalf("platters=%d sets=%d pending=%d", len(st.Platters), len(st.Sets), len(st.PendingSet))
 	}
 	if !reflect.DeepEqual(st.Sets[0], []media.PlatterID{1, 2, 3}) {
 		t.Fatalf("set members = %v", st.Sets[0])
 	}
-	if !reflect.DeepEqual(st.Platters[0].Sectors, sectors) {
-		t.Fatalf("sectors not recovered: %+v", st.Platters[0].Sectors)
+	if got := blobSectors(st.Platters[0].Blob); !reflect.DeepEqual(got, sectors) {
+		t.Fatalf("sectors not recovered: %+v", got)
 	}
 	// Payloads are dropped for closed-set members.
 	if st.Platters[0].Payloads != nil {
@@ -319,32 +321,35 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {9}}
-	// Info platter of an open set: survives, keeps payloads.
-	if err := l.WritePlatterBlob(storedPlatter(t, 1, sectors), [][]byte{[]byte("p")}); err != nil {
+	// Info platter of an open set: survives, keeps payloads. One payload
+	// is larger than the window recovery streams blobs through.
+	payloads := [][]byte{[]byte("p"), bytes.Repeat([]byte("q"), 100<<10)}
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, sectors), payloads); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	// Red platter published but its set never completed: orphan.
-	if err := l.WritePlatterBlob(storedPlatter(t, 2, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 2, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 2, Set: 0, SetPos: 1, Redundancy: true, Reason: "redundancy"})
 	// Blob with no record at all: crash between blob write and append.
-	if err := l.WritePlatterBlob(storedPlatter(t, 9, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 9, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 
 	l2, st := openT(t, dir, nil)
 	defer l2.Close()
+	defer st.CloseBlobs()
 	if len(st.Platters) != 1 || st.Platters[0].ID != 1 {
 		t.Fatalf("platters = %+v", st.Platters)
 	}
 	if len(st.PendingSet) != 1 || st.PendingSet[0] != 1 {
 		t.Fatalf("pending = %v", st.PendingSet)
 	}
-	if st.Platters[0].Payloads == nil {
-		t.Fatalf("open-set member lost its payload cache")
+	if !reflect.DeepEqual(st.Platters[0].Payloads, payloads) {
+		t.Fatalf("open-set member's payload cache came back as %d payloads, want %d", len(st.Platters[0].Payloads), len(payloads))
 	}
 	for _, h := range st.Health {
 		if h.Platter == 2 {
@@ -360,7 +365,7 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 func TestMissingBlobIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
@@ -430,7 +435,7 @@ func TestRemapReplay(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
 	for id := media.PlatterID(1); id <= 3; id++ {
-		if err := l.WritePlatterBlob(storedPlatter(t, id, sectors), nil); err != nil {
+		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors), nil); err != nil {
 			t.Fatal(err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
@@ -441,7 +446,7 @@ func TestRemapReplay(t *testing.T) {
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)
 	// Rebuild: platter 2 replaced by 7.
-	if err := l.WritePlatterBlob(storedPlatter(t, 7, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 7, sectors), nil); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,

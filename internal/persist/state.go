@@ -14,10 +14,11 @@ import (
 )
 
 // PlatterState is one recovered platter: its snapshot/index descriptor
-// plus the media contents loaded from its sidecar blob.
+// plus its sidecar blob, opened and indexed, which the service shelves
+// the platter on (the service owns the descriptor from Open on).
 type PlatterState struct {
 	PlatterDesc
-	Sectors  map[media.SectorID][]uint8
+	Blob     *Blob
 	Payloads [][]byte // info payload cache; retained only for open-set members
 }
 
@@ -263,7 +264,7 @@ func (b *builder) apply(rec Record) {
 	}
 }
 
-// finish normalizes the replayed state into a State and loads the
+// finish normalizes the replayed state into a State and opens the
 // surviving platters' blobs.
 func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	st := &State{
@@ -360,20 +361,24 @@ var serviceDomain = domain[*builder]{
 }
 
 // Open recovers the service's persistence directory (see recoverDir):
-// snapshot plus WAL replay into a State, platter blobs loaded, orphan
-// blobs swept.
+// snapshot plus WAL replay into a State, platter blobs opened and
+// indexed, orphan blobs swept.
 func Open(opts Options) (*Log, *State, error) {
 	l, b, err := recoverDir(opts, serviceDomain)
 	if err != nil {
+		if b != nil && b.state != nil {
+			b.state.CloseBlobs()
+		}
 		return nil, nil, err
 	}
 	return l, b.state, nil
 }
 
-// loadBlobs resolves every surviving platter's sidecar blob. A platter
-// with a publish record but no blob is fatal corruption — the blob is
-// written and fsynced before the record, so its absence means the disk
-// lost durable bytes. Payload caches are kept only for open-set
+// loadBlobs opens and indexes every surviving platter's sidecar blob;
+// no symbol is loaded. A platter with a publish record but no blob is
+// fatal corruption — the blob is written and fsynced before the record,
+// so its absence means the disk lost durable bytes — and closes the
+// blobs already opened. Payload caches are kept only for open-set
 // members (they are needed to encode redundancy at set close) and
 // dropped for everyone else.
 func (st *State) loadBlobs(dir string) error {
@@ -382,14 +387,26 @@ func (st *State) loadBlobs(dir string) error {
 		inPending[id] = true
 	}
 	for _, p := range st.Platters {
-		sectors, payloads, err := readBlobFile(dir, p.ID)
+		blob, payloads, err := openBlob(dir, p.ID)
 		if err != nil {
+			st.CloseBlobs()
 			return fmt.Errorf("persist: platter %d has a publish record but no readable blob: %w", p.ID, err)
 		}
-		p.Sectors = sectors
+		p.Blob = blob
 		if inPending[p.ID] {
 			p.Payloads = payloads
 		}
 	}
 	return nil
+}
+
+// CloseBlobs closes every opened platter blob, for a recovery whose
+// state will not be installed.
+func (st *State) CloseBlobs() {
+	for _, p := range st.Platters {
+		if p.Blob != nil {
+			_ = p.Blob.Close()
+			p.Blob = nil
+		}
+	}
 }

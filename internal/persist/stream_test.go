@@ -111,16 +111,23 @@ func TestStreamedFilesPinned(t *testing.T) {
 	dir := t.TempDir()
 	p, sectors, payloads := streamPlatter(t)
 	id := p.ID
-	if err := writeBlobFile(dir, id, p, payloads); err != nil {
+	written, err := writeBlobFile(dir, id, p, payloads)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkPinned(t, filepath.Join(dir, blobName(id)), 1117970,
 		"c126b24f87fcd2efa61df9767fbe93ccc7ca4299bb7723ee26dca8cf4bb379b2")
-	gotSectors, gotPayloads, err := readBlobFile(dir, id)
+	// The blob spans seventeen windows: the streamed decode refills its
+	// window across sector boundaries and indexes what the encode noted.
+	blob, gotPayloads, err := openBlob(dir, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotSectors, sectors) || !reflect.DeepEqual(gotPayloads, payloads) {
+	defer blob.Close()
+	if !reflect.DeepEqual(blob.sectors, written) {
+		t.Error("the decode walk indexed the blob differently from the encode walk")
+	}
+	if !reflect.DeepEqual(blobSectors(blob), sectors) || !reflect.DeepEqual(gotPayloads, payloads) {
 		t.Error("platter blob does not read back as written")
 	}
 
@@ -199,23 +206,24 @@ func TestAtomicWriteStreamFailureLeavesNothing(t *testing.T) {
 }
 
 // TestWriteBlobAlloc gates the heap a blob write costs: the sealed
-// file streams through a pooled 64 KiB window and each sector is
-// unpacked off the platter into one reused buffer, so once the first
-// write has filled the pool a 1.1 MB blob allocates a few KiB, not the
-// file's size (≈ 6.7 MB when it was rendered whole by append, ≈ 70 KB
-// when each write took a fresh window).
+// file streams through a 64 KiB window from a free list and each sector
+// is unpacked off the platter into one reused buffer, so once the first
+// write has filled the list a 1.1 MB blob allocates ≈ 12 KB, 7.7 KB of
+// it the sector index the platter is shelved with, not the file's size
+// (≈ 6.7 MB when it was rendered whole by append, ≈ 70 KB when each
+// write took a fresh window).
 func TestWriteBlobAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	dir := t.TempDir()
 	p, sectors, payloads := streamPlatter(t)
-	if err := writeBlobFile(dir, p.ID, p, payloads); err != nil {
+	if _, err := writeBlobFile(dir, p.ID, p, payloads); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := writeBlobFile(dir, p.ID, p, payloads)
+	_, err := writeBlobFile(dir, p.ID, p, payloads)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

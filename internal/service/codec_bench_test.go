@@ -89,7 +89,7 @@ func BenchmarkFlushParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := benchService(b, workers)
-				s.cfg.MaxShardSectors = 8
+				s.cfg.maxShardSectors = 8
 				for f := 0; f < files; f++ {
 					if _, err := s.Put("acct", fmt.Sprintf("bench-%d", f), randBytes(uint64(f), fileBytes)); err != nil {
 						b.Fatal(err)

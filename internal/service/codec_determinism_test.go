@@ -14,14 +14,14 @@ import (
 // configured with the given codec worker count and flushes them. It
 // bypasses Put because Put seals data under crypto/rand keys — the
 // staged ciphertext would differ between services regardless of the
-// codec engine. MaxShardSectors is capped so the batch spreads across
+// codec engine. maxShardSectors is capped so the batch spreads across
 // enough platters to close a platter-set, exercising plan-level
 // parallelism, set-redundancy encode, and verification.
 func flushFixture(t testing.TB, workers int) *Service {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.CodecWorkers = workers
-	cfg.MaxShardSectors = 8
+	cfg.maxShardSectors = 8
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func TestFlushFillsEveryPlatterButTheLast(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := DefaultConfig()
 		cfg.Channel = voxel.CleanChannel() // verification is not under test: scrap nothing
-		cfg.MaxShardSectors = 60
+		cfg.maxShardSectors = 60
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -46,6 +46,7 @@ func (s *Service) openPersist() error {
 	}
 	s.plog = plog
 	if err := s.installState(st); err != nil {
+		st.CloseBlobs()
 		_ = plog.Close()
 		return err
 	}
@@ -66,6 +67,8 @@ func (s *Service) openPersist() error {
 }
 
 // installState loads a recovered State into the service's authorities.
+// Every recovered platter is shelved on its blob: recovery reads no
+// glass into the heap.
 func (s *Service) installState(st *persist.State) error {
 	s.opSeq.Store(st.OpSeq)
 	s.meta = st.Meta
@@ -79,13 +82,8 @@ func (s *Service) installState(st *persist.State) error {
 		s.health.Restore(h.Platter, h.Health, h.Set, h.SetPos, h.Redundancy, h.History)
 	}
 	for _, p := range st.Platters {
-		platter, err := media.RestoreStored(p.ID, s.cfg.Geom, p.Sectors)
-		if err != nil {
-			return fmt.Errorf("service: recovery: %w", err)
-		}
-		p.Sectors = nil // packed now; let the decoded copy go
 		pi := &platterInfo{
-			platter:         platter,
+			platter:         media.Shelved(p.ID, s.cfg.Geom, p.Blob),
 			payloads:        p.Payloads,
 			usedInfoSectors: p.Used,
 			set:             p.Set,
@@ -110,15 +108,24 @@ func (s *Service) installState(st *persist.State) error {
 
 // persistPublish makes one just-published platter durable: sidecar
 // blob first (fsynced), then the publish record — the record-implies-
-// blob ordering recovery depends on. No-op without a persist dir.
+// blob ordering recovery depends on. Once the blob is durable it is the
+// platter's glass: the platter is shelved on it, and its track slabs go
+// back to the burn's free list. The platter may already be visible to
+// readers; Shelve's lock keeps them off the slabs it hands on. No-op
+// without a persist dir, where the slabs are the only copy and stay.
 func (s *Service) persistPublish(id media.PlatterID, pi *platterInfo, reason string) error {
 	if s.plog == nil {
 		return nil
 	}
-	if err := s.plog.WritePlatterBlob(pi.platter, pi.payloads); err != nil {
+	blob, err := s.plog.WritePlatterBlob(pi.platter, pi.payloads)
+	if err != nil {
 		return err
 	}
-	_, err := s.plog.Append(&persist.RecPublish{
+	if err := pi.platter.Shelve(blob); err != nil {
+		_ = blob.Close()
+		return err
+	}
+	_, err = s.plog.Append(&persist.RecPublish{
 		Platter: id, Set: pi.set, SetPos: pi.setPos,
 		Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
 		Reason: reason, AtUnixNano: time.Now().UnixNano(),
@@ -188,10 +195,12 @@ func (s *Service) maybePersistSnapshot() error {
 	return s.persistSnapshotLocked()
 }
 
-// ClosePersist writes a final clean snapshot and closes the log, so
-// the next start recovers without replaying. Skipped when a crash
-// point froze the log — the whole point of the freeze is that nothing
-// after it becomes durable. No-op when persistence is disabled.
+// ClosePersist writes a final clean snapshot, closes the log, so the
+// next start recovers without replaying, and closes every shelved
+// platter's blob descriptor: reads of durable data fail from then on.
+// The snapshot is skipped when a crash point froze the log — the whole
+// point of the freeze is that nothing after it becomes durable. No-op
+// when persistence is disabled.
 func (s *Service) ClosePersist() error {
 	if s.plog == nil {
 		return nil
@@ -205,6 +214,13 @@ func (s *Service) ClosePersist() error {
 	if err := s.plog.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	s.mu.RLock()
+	for _, pi := range s.platters {
+		if err := pi.platter.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	s.mu.RUnlock()
 	return firstErr
 }
 

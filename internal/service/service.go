@@ -60,10 +60,11 @@ type Config struct {
 	// SetInfo/SetRed shape the cross-platter platter-sets.
 	SetInfo, SetRed int
 	Seed            uint64
-	// MaxShardSectors caps a file's footprint per platter (§6 large
+	// maxShardSectors caps a file's footprint per platter (§6 large
 	// file sharding). 0 = 100 tracks' worth; either way at most one
-	// platter's information capacity.
-	MaxShardSectors int
+	// platter's information capacity. Only tests lower it, to shard
+	// files on small geometries.
+	maxShardSectors int
 	// ArrivalClock, when set, timestamps staged files (seconds, any
 	// monotonic origin). The staging batcher orders by arrival and the
 	// gateway's flush scheduler ages the oldest staged file against
@@ -175,9 +176,18 @@ type Service struct {
 	pipe *voxel.SectorPipeline
 	eng  *codec.Engine
 
-	// scratch pools the per-worker codec working sets (scramble buffer,
-	// read-back symbol buffer, voxel/LDPC scratch).
-	scratch sync.Pool
+	// scratch is the free list of per-worker codec working sets
+	// (scramble buffer, read-back symbol buffer, voxel/LDPC scratch). An
+	// entry is built only when the list is empty, so the list never
+	// holds more than the peak number in use at once, and unlike a
+	// sync.Pool a collection cannot empty it.
+	scratchMu sync.Mutex
+	scratch   []*codecScratch
+
+	// slabs is the free list the burn takes track slabs from; a platter
+	// shelved on its blob gives them back (see persistPublish). It keeps
+	// one platter-set's worth.
+	slabs *media.Slabs
 
 	keys    *keystore.Store
 	meta    *metadata.Store
@@ -266,6 +276,7 @@ func New(cfg Config) (*Service, error) {
 		largeGroup:  lg,
 		setGroup:    sg,
 		zero:        make([]byte, cfg.Geom.SectorPayloadBytes),
+		slabs:       media.NewSlabs((cfg.SetInfo + cfg.SetRed) * cfg.Geom.TracksPerPlatter),
 		platters:    make(map[media.PlatterID]*platterInfo),
 		reg:         reg,
 	}
@@ -313,9 +324,9 @@ func (s *Service) chargeMech(ctx context.Context, op backend.Op) error {
 // retain the plaintext (verify, scrub, descramble-and-copy reads), a
 // sector per unit of the widest NC group (burn batches and their
 // redundancy, gathered units), slice headers for one group's
-// information units, and set recovery's working lists. Pooled on the
-// service so steady-state encode, verify, scrub and set recovery
-// allocate nothing per sector.
+// information units, and set recovery's working lists. Kept on the
+// service's free list so steady-state encode, verify, scrub and set
+// recovery allocate nothing per sector.
 type codecScratch struct {
 	sector   *voxel.SectorScratch
 	scramble []byte
@@ -330,9 +341,14 @@ type codecScratch struct {
 }
 
 func (s *Service) acquireScratch() *codecScratch {
-	if cs, ok := s.scratch.Get().(*codecScratch); ok {
+	s.scratchMu.Lock()
+	if n := len(s.scratch) - 1; n >= 0 {
+		cs := s.scratch[n]
+		s.scratch = s.scratch[:n]
+		s.scratchMu.Unlock()
 		return cs
 	}
+	s.scratchMu.Unlock()
 	spt := s.cfg.Geom.SectorsPerTrack()
 	cs := &codecScratch{
 		sector:   s.pipe.AcquireScratch(),
@@ -353,7 +369,11 @@ func (s *Service) acquireScratch() *codecScratch {
 	return cs
 }
 
-func (s *Service) releaseScratch(cs *codecScratch) { s.scratch.Put(cs) }
+func (s *Service) releaseScratch(cs *codecScratch) {
+	s.scratchMu.Lock()
+	s.scratch = append(s.scratch, cs)
+	s.scratchMu.Unlock()
+}
 
 // Stats returns a snapshot: counts and the two minimum margins read off
 // the registry children /metrics exposes, state computed from state.

@@ -178,7 +178,7 @@ func TestDeleteShreds(t *testing.T) {
 
 func TestLargeFileShardsAcrossPlatters(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxShardSectors = 16
+	cfg.maxShardSectors = 16
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,231 @@
+package service
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"silica/internal/media"
+	"silica/internal/metadata"
+	"silica/internal/sim"
+	"silica/internal/voxel"
+)
+
+// heapAfterGC reports the live heap once two collections have run: the
+// second frees what the first moved to sync.Pool victim caches.
+func heapAfterGC() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// flushRounds stages and flushes ingest rounds first, first+1, ... of
+// silica-bench's shape into s.
+func flushRounds(t *testing.T, s *Service, first, n int) {
+	t.Helper()
+	for r := first; r < first+n; r++ {
+		stageIngestRound(s, r)
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlushLeavesNoGlassOnTheHeap: with a persist directory a platter's
+// glass is its blob once the blob is durable, so the live heap does not
+// grow with the glass flushed. The first round fills the codec scratch,
+// the slab free list and the set-redundancy slab; over the next three,
+// the heap may grow by at most 0.5 B per user byte. Holding every
+// platter's packed slabs, it grew by about 3.4.
+func TestFlushLeavesNoGlassOnTheHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	flushRounds(t, s, 0, 1)
+	before := heapAfterGC()
+	const rounds = 3
+	flushRounds(t, s, 1, rounds)
+	grown := heapAfterGC() - before
+	if st := s.Stats(); st.SetsCompleted != rounds+1 || st.PlattersFaulted != 0 {
+		t.Fatalf("%d rounds closed %d sets (%d platters scrapped), want %d and none", rounds+1, st.SetsCompleted, st.PlattersFaulted, rounds+1)
+	}
+	perByte := float64(grown) / (rounds * roundUserBytes)
+	t.Logf("%d ingest rounds flushed: the live heap grew %d B, %.3f B per user byte", rounds, grown, perByte)
+	if perByte > 0.5 {
+		t.Errorf("the live heap grew %.3f B per user byte flushed, want at most 0.5", perByte)
+	}
+}
+
+// TestRecoveryLoadsNoGlass: recovering a persist directory opens and
+// indexes each platter's blob instead of loading its symbols, so a
+// recovered service holds at most 0.5 B of heap per user byte stored
+// beyond one recovered from an empty directory. Loading and packing
+// every blob, recovery held about 3.4.
+func TestRecoveryLoadsNoGlass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	flushRounds(t, s, 0, rounds)
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+
+	empty := cfg
+	empty.PersistDir = t.TempDir()
+	e, err := New(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := heapAfterGC()
+	if err := e.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	e = nil
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	held := heapAfterGC() - base
+	if st := s.Stats(); st.SetsCompleted != rounds {
+		t.Fatalf("recovered %d sets, want %d", st.SetsCompleted, rounds)
+	}
+	perByte := float64(held) / (rounds * roundUserBytes)
+	t.Logf("recovered %d ingest rounds: %d B of heap beyond an empty directory's, %.3f B per user byte", rounds, held, perByte)
+	if perByte > 0.5 {
+		t.Errorf("recovery holds %.3f B of heap per user byte stored, want at most 0.5", perByte)
+	}
+	requireReadable(t, s, "r2-l23", randBytes(2*1000+500+roundLarge-1, largeObject))
+}
+
+// TestReadsComeOffTheBlob: once flushed, a sector is read from its
+// platter's blob file, not from memory. Overwriting one sector's symbols
+// in the blob makes that sector fail its decode; the Get still reads
+// back byte-exact, through one within-track repair. The channel is
+// noiseless so no other read escalates.
+func TestReadsComeOffTheBlob(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Channel = voxel.CleanChannel()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	data := randBytes(7, 300) // one sector of ciphertext
+	if _, err := s.Put("acct", "obj", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.meta.Get(metadata.FileKey{Account: "acct", Name: "obj"})
+	if err != nil || v.State != metadata.Durable || len(v.Extents) != 1 || v.Extents[0].SectorCount != 1 {
+		t.Fatalf("obj: %+v, %v; want durable in one sector", v, err)
+	}
+	e := v.Extents[0]
+	geom := s.cfg.Geom
+	sid := media.SectorID{
+		Track:  geom.InfoTrackPhysical(e.FirstSector / geom.InfoSectorsPerTrack),
+		Sector: e.FirstSector % geom.InfoSectorsPerTrack,
+	}
+	pi, _ := s.platterByID(e.Platter)
+	symbols, ok := pi.platter.ReadSectorInto(sid, nil)
+	if !ok {
+		t.Fatalf("sector %+v of platter %d does not read", sid, e.Platter)
+	}
+	path := filepath.Join(cfg.PersistDir, fmt.Sprintf("platter-%d.plt", e.Platter))
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(file, symbols)
+	if at < 0 || bytes.LastIndex(file, symbols) != at {
+		t.Fatalf("the sector's symbols are not in its blob exactly once (first at %d)", at)
+	}
+	garbage := make([]byte, len(symbols))
+	r := sim.NewRNG(99)
+	for i := range garbage {
+		garbage[i] = byte(r.Uint64() % 16)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(garbage, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	repairs := s.Stats().SectorRepairs
+	got, err := s.Get("acct", "obj")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get after the blob lost a sector: err=%v, byte-exact=%v", err, bytes.Equal(got, data))
+	}
+	if n := s.Stats().SectorRepairs - repairs; n != 1 {
+		t.Fatalf("the Get made %d within-track repairs, want 1: the sector was not read off the blob", n)
+	}
+}
+
+// TestClosePersistClosesBlobDescriptors: every stored platter holds one
+// read-only descriptor on its blob, opened when the blob is durable or
+// at recovery, and ClosePersist closes them all with the log.
+func TestClosePersistClosesBlobDescriptors(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	openFDs := func() int {
+		t.Helper()
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	cfg := DefaultConfig()
+	cfg.PersistDir = t.TempDir()
+	openFDs() // the runtime's poller opens its descriptors on first use
+	idle := openFDs()
+	for pass, when := range []string{"after a flush", "after recovery"} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 0 {
+			flushRounds(t, s, 0, 1)
+		}
+		s.mu.RLock()
+		platters := len(s.platters)
+		s.mu.RUnlock()
+		// One descriptor is the log's open WAL segment.
+		if held := openFDs() - idle - 1; held != platters || platters != 6 {
+			t.Errorf("%s: %d platters hold %d descriptors, want 6 holding one each", when, platters, held)
+		}
+		if err := s.ClosePersist(); err != nil {
+			t.Fatal(err)
+		}
+		if left := openFDs() - idle; left != 0 {
+			t.Errorf("%s: ClosePersist left %d descriptors open", when, left)
+		}
+	}
+}

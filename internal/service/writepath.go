@@ -284,7 +284,7 @@ type pendingPlatter struct {
 func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map[staging.ID]*staging.File) error {
 	geom := s.cfg.Geom
 	plan := pd.plan
-	pi := &platterInfo{platter: media.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
+	pi := &platterInfo{platter: s.slabs.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: flush canceled before encode: %w", err)
@@ -423,7 +423,7 @@ func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payload
 		if attempt == maxAttempts {
 			return fmt.Errorf("service: burn failed after %d attempts: %w", maxAttempts, err)
 		}
-		pi.platter = media.NewPlatter(s.allocPlatterID(), s.cfg.Geom)
+		pi.platter = s.slabs.NewPlatter(s.allocPlatterID(), s.cfg.Geom)
 	}
 }
 
@@ -569,7 +569,7 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 // information capacity.
 func (s *Service) effectiveShardCap() int {
 	geom := s.cfg.Geom
-	cap := s.cfg.MaxShardSectors
+	cap := s.cfg.maxShardSectors
 	if cap < 1 {
 		cap = geom.InfoSectorsPerTrack * 100
 	}
@@ -751,16 +751,19 @@ func (s *Service) reclosePendingSet(ctx context.Context) error {
 
 // redundancySlab returns SetRed payload lists of n sectors each, views
 // of one buffer that every set close reuses: the caller holds flushMu
-// and drops every view before it releases it.
+// and drops every view before it releases it. The buffer is sized once,
+// at the first close, for a platter's whole information capacity, which
+// no member's payload cache exceeds.
 func (s *Service) redundancySlab(n int) [][][]byte {
-	if len(s.setRed) == 0 || len(s.setRed[0]) < n {
-		size := s.cfg.Geom.SectorPayloadBytes
-		buf := make([]byte, s.cfg.SetRed*n*size)
+	if s.setRed == nil {
+		geom := s.cfg.Geom
+		size, per := geom.SectorPayloadBytes, geom.InfoTracksPerPlatter()*geom.InfoSectorsPerTrack
+		buf := make([]byte, s.cfg.SetRed*per*size)
 		s.setRed = make([][][]byte, s.cfg.SetRed)
 		for r := range s.setRed {
-			s.setRed[r] = make([][]byte, n)
+			s.setRed[r] = make([][]byte, per)
 			for sec := range s.setRed[r] {
-				off := (r*n + sec) * size
+				off := (r*per + sec) * size
 				s.setRed[r][sec] = buf[off : off+size : off+size]
 			}
 		}
@@ -835,7 +838,7 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	reds := make([]*platterInfo, s.cfg.SetRed)
 	for r := range reds {
 		reds[r] = &platterInfo{
-			platter: media.NewPlatter(s.allocPlatterID(), geom), payloads: redPayloads[r],
+			platter: s.slabs.NewPlatter(s.allocPlatterID(), geom), payloads: redPayloads[r],
 			usedInfoSectors: maxSectors,
 			set:             setIdx, setPos: s.cfg.SetInfo + r, isRedundancy: true,
 		}
@@ -846,13 +849,18 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	setWork := time.Since(workStart)
 	// Make every redundancy platter durable before any enters the index:
 	// a fault here leaves orphan publish records that recovery prunes, and
-	// no half-published set in memory.
+	// no half-published set in memory — nor a blob descriptor held by a
+	// platter nothing reaches.
 	for _, rpi := range reds {
 		rid := rpi.platter.ID
-		if err := s.faults.Check(faults.OpPublishPlatter, int64(rid), -1, -1); err != nil {
-			return 0, err
+		err := s.faults.Check(faults.OpPublishPlatter, int64(rid), -1, -1)
+		if err == nil {
+			err = s.persistPublish(rid, rpi, "published (set redundancy)")
 		}
-		if err := s.persistPublish(rid, rpi, "published (set redundancy)"); err != nil {
+		if err != nil {
+			for _, r := range reds {
+				_ = r.platter.Close()
+			}
 			return 0, err
 		}
 	}

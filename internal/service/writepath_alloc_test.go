@@ -9,13 +9,16 @@ import (
 
 // TestBurnAllocations pins the write path's allocation shape: one flush
 // of the benchmark's ingest round (808 sectors, four information
-// platters closing one 4+2 set) into a persist directory. The glass is
-// allocated once, two symbols a byte in per-track slabs; full sectors
-// are views of the staged ciphertext; the within-track and large-group
-// redundancy are encoded into pooled scratch and the set's into the
-// slab the first round allocated; blobs stream off the packed media
-// through a pooled window; the WAL reuses one frame buffer. What is left
-// is the files' partial last sectors, read-back bookkeeping and the
+// platters closing one 4+2 set) into a persist directory, after a first
+// round has filled every free list. Each platter is shelved on its blob
+// once the blob is durable, so its track slabs go back to the service's
+// free list and the next burn writes into them: the glass costs no
+// allocation. Full sectors are views of the staged ciphertext; the
+// within-track and large-group redundancy is encoded into the codec
+// scratch free list and the set's into the slab the first round sized;
+// blobs stream off the packed media through a window from a free list;
+// the WAL reuses one frame buffer. What is left is the files' partial
+// last sectors, each blob's sector index, read-back bookkeeping and the
 // flush's records.
 func TestBurnAllocations(t *testing.T) {
 	if raceEnabled {
@@ -46,17 +49,17 @@ func TestBurnAllocations(t *testing.T) {
 			st.PlattersWritten, st.RedundancyPlatters, st.PlattersFaulted)
 	}
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / roundUserBytes
-	t.Logf("one ingest-round flush: %d B allocated, %.2f B per user byte", after.TotalAlloc-before.TotalAlloc, perByte)
-	// On a 2-CPU host: 3.93 B/B in every run at -cpu 1, of which the
-	// glass is about 3.3. At -cpu 2 and 8 a collection sometimes empties
-	// the codec scratch pools between the rounds and the measured flush
-	// rebuilds them: up to 4.54 B/B in 20 runs at -cpu 2 and 5.35 in 40 at
-	// -cpu 8. Measured the same way, the flush allocated 6.20–7.42 B/B
-	// while it copied every staged sector and took a fresh set-redundancy
-	// payload and blob window per platter, and 10.6 before the media
-	// packed two symbols a byte.
-	if perByte > 5.9 {
-		t.Errorf("a flush allocates %.2f B per user byte, want at most 5.9", perByte)
+	t.Logf("one ingest-round flush: %d B allocated, %.3f B per user byte", after.TotalAlloc-before.TotalAlloc, perByte)
+	// On a 2-CPU host, 30 runs each: 0.57 B/B at -cpu 1, at most 0.587
+	// at -cpu 2 and 0.603 at -cpu 8; the bound is that maximum plus 10 %,
+	// rounded up. Measured the same way, the flush allocated 3.93 B/B
+	// (up to 5.35 at -cpu 8, as collections emptied the scratch pools)
+	// while every platter's slabs stayed on the heap, 6.20–7.42 while it
+	// copied every staged sector and took a fresh set-redundancy payload
+	// and blob window per platter, and 10.6 before the media packed two
+	// symbols a byte.
+	if perByte > 0.67 {
+		t.Errorf("a flush allocates %.3f B per user byte, want at most 0.67", perByte)
 	}
 }
 

@@ -46,10 +46,13 @@ smoke:
 repair-smoke:
 	$(GO) test ./internal/repair -run '^TestEverySetMemberSurvivesFailAndRebuild$$' -v -timeout 300s
 
-# Golden stdout: the four examples at default flags and three seeded
+# Golden stdout: the four examples at default flags and eight seeded
 # simulator experiments must print exactly what testdata/golden/
-# records (captured on the commit before the core, decode and
-# deployment packages were deleted). What varies by design is masked
+# records (the examples, fig5a, fig8, tape and the trace replay
+# captured on the commit before the core, decode and deployment
+# packages were deleted; fig6, fig7a-c and ablations, which read drive
+# verify accounting and shuttle stats, on the commit before the
+# library's write-path and battery modes were deleted). What varies by design is masked
 # on both sides before the diff: the numbers that depend on crypto/rand
 # key material through the noisy channel (quickstart's verify margin;
 # in failure-recovery which platter holds archive-0 — about one run in
@@ -73,7 +76,7 @@ examples-smoke:
 
 sim-golden:
 	$(GO) build -o $(GOLDEN_OUT)/ ./cmd/silica-sim
-	for x in fig5a fig8 tape; do \
+	for x in fig5a fig6 fig7a fig7b fig7c fig8 ablations tape; do \
 	  $(GOLDEN_OUT)/silica-sim -quick -seed 1 -experiment $$x > $(GOLDEN_OUT)/sim-$$x.raw || exit 1; \
 	  grep -v '^\[.* took .*\]$$' $(GOLDEN_OUT)/sim-$$x.raw \
 	    | diff -u $(GOLDEN_DIR)/sim-$$x.txt - || { echo "silica-sim $$x: stdout differs from its golden"; exit 1; }; \

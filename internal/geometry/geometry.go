@@ -61,7 +61,6 @@ type Layout struct {
 
 	storageRacks []int // indices into Racks
 	readRacks    []int
-	writeRacks   []int
 }
 
 // Config sizes a library.
@@ -112,8 +111,6 @@ func NewLayout(cfg Config) (*Layout, error) {
 			l.storageRacks = append(l.storageRacks, idx)
 		case ReadRack:
 			l.readRacks = append(l.readRacks, idx)
-		case WriteRack:
-			l.writeRacks = append(l.writeRacks, idx)
 		}
 	}
 	add(WriteRack)
@@ -135,9 +132,6 @@ func (l *Layout) StorageRacks() []int { return l.storageRacks }
 
 // ReadRacks returns the rack indices of read racks, in order.
 func (l *Layout) ReadRacks() []int { return l.readRacks }
-
-// WriteRackIndex returns the write rack's index.
-func (l *Layout) WriteRackIndex() int { return l.writeRacks[0] }
 
 // NumDrives reports total read drives in the panel.
 func (l *Layout) NumDrives() int { return len(l.readRacks) * l.DrivesPerReadRack }

@@ -135,19 +135,16 @@ func TestMetadataDisasterRecovery(t *testing.T) {
 	}
 }
 
-// TestKitchenSink enables every optional subsystem at once — write
-// path, batteries, work stealing, prefetch, platter unavailability —
-// and checks the run completes coherently.
+// TestKitchenSink enables every optional library mode at once —
+// prefetch, proactive work stealing, platter unavailability — and
+// checks the run completes coherently: every request completes or is
+// counted unrecoverable, and unavailability drives recovery reads.
 func TestKitchenSink(t *testing.T) {
 	cfg := library.DefaultConfig()
 	cfg.Platters = 400
 	cfg.Seed = 23
 	cfg.Prefetch = true
 	cfg.ProactiveStealing = true
-	cfg.WritePath = library.WritePathConfig{
-		Enabled: true, Throughput: 400e6, Platters: 5, Concurrent: 2,
-	}
-	cfg.Battery = library.BatteryConfig{Capacity: 2000, Reserve: 300, ChargeRate: 10}
 	lib, err := library.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +172,6 @@ func TestKitchenSink(t *testing.T) {
 	if m.Completions.N()+m.Unrecoverable < m.Submitted-m.InternalReads {
 		t.Fatalf("requests lost: %d completed + %d unrecoverable of %d",
 			m.Completions.N(), m.Unrecoverable, m.Submitted)
-	}
-	if m.PlattersVerified != 5 || m.PlattersStored != 5 {
-		t.Fatalf("write path incomplete: %d/%d", m.PlattersVerified, m.PlattersStored)
 	}
 	if m.InternalReads == 0 {
 		t.Fatal("unavailability should trigger recovery")

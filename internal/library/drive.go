@@ -4,7 +4,6 @@ import (
 	"silica/internal/controller"
 	"silica/internal/geometry"
 	"silica/internal/media"
-	"silica/internal/sim"
 )
 
 // driveState tracks the customer platter slot of a read drive.
@@ -36,18 +35,8 @@ type ReadDrive struct {
 
 	// Verification bookkeeping: the drive verifies whenever it is not
 	// serving customer reads (the paper assumes a verification platter
-	// is always mounted in the second slot; with the write-path
-	// extension, only while a delivered platter occupies the slot).
+	// is always mounted in the second slot).
 	verifySince float64 // >= 0 while verifying (may be in the near future after a switch); -1 when not
-
-	// Write-path extension: the verification slot's occupant and the
-	// progress of its full read-back.
-	verifyPlatter   media.PlatterID // 0 = slot empty
-	verifiedPlatter media.PlatterID // verified, awaiting storage
-	verifyRemaining float64         // raw bytes left to scan
-	verifyInbound   bool            // a delivery shuttle is en route
-	storeClaimed    bool            // a storage task has been assigned
-	verifyDone      *sim.Event
 
 	// Time accounting for Figure 6.
 	readSecs   float64 // seeks + track reads for customer requests
@@ -64,7 +53,7 @@ func newReadDrive(lib *Library, idx int, addr geometry.DriveAddr) *ReadDrive {
 		pos:         lib.layout.DrivePos(addr),
 		verifySince: -1,
 	}
-	if lib.cfg.Verification && !lib.cfg.WritePath.Enabled {
+	if lib.cfg.Verification {
 		// Paper assumption: a platter to verify is always mounted.
 		d.verifySince = 0
 	}
@@ -84,13 +73,6 @@ func (d *ReadDrive) pauseVerify() float64 {
 	now := d.lib.sim.Now()
 	if now > d.verifySince {
 		d.verifySecs += now - d.verifySince
-		if d.lib.cfg.WritePath.Enabled {
-			d.verifyRemaining -= (now - d.verifySince) * d.lib.cfg.DriveThroughput
-		}
-	}
-	if d.verifyDone != nil {
-		d.verifyDone.Cancel()
-		d.verifyDone = nil
 	}
 	d.verifySince = -1
 	d.switchSecs += d.lib.mech.FastSwitch
@@ -102,16 +84,12 @@ func (d *ReadDrive) resumeVerify(afterSwitch bool) {
 	if !d.lib.cfg.Verification || d.verifySince >= 0 {
 		return
 	}
-	if d.lib.cfg.WritePath.Enabled && d.verifyPlatter == 0 {
-		return // nothing delivered to verify
-	}
 	if afterSwitch {
 		d.switchSecs += d.lib.mech.FastSwitch
 		d.verifySince = d.lib.sim.Now() + d.lib.mech.FastSwitch
 	} else {
 		d.verifySince = d.lib.sim.Now()
 	}
-	d.scheduleVerifyDone()
 }
 
 // place inserts a fetched platter into the customer slot and starts

@@ -69,12 +69,6 @@ type Config struct {
 	// drive and wait at its slot, pipelining mounts.
 	Prefetch        bool
 	SetInfo, SetRed int // platter-set shape (16+3 in the paper)
-	// WritePath optionally simulates the full platter-production flow
-	// (write drive -> shuttle delivery -> verification -> storage).
-	WritePath WritePathConfig
-	// Battery optionally models shuttle batteries (§4.1: the
-	// controller "monitors the battery level of shuttles").
-	Battery BatteryConfig
 	// PartitionCap, when positive, caps the number of logical
 	// partitions below the shuttle count — an ablation knob: fewer
 	// partitions pool more drives per queue (better under bandwidth-
@@ -96,18 +90,6 @@ type Observer struct {
 	// Travel observes one shuttle travel leg (sampled motion plus
 	// congestion delay), in virtual seconds.
 	Travel func(seconds float64)
-}
-
-// BatteryConfig sizes the shuttle battery model. Capacity 0 disables
-// it (infinite battery), keeping the paper-calibrated experiments
-// unchanged.
-type BatteryConfig struct {
-	// Capacity in the same energy units as mechanics.TravelEnergy.
-	Capacity float64
-	// Reserve: a shuttle heads to the charger when below this level.
-	Reserve float64
-	// ChargeRate in energy units per second.
-	ChargeRate float64
 }
 
 // DefaultConfig is the paper's evaluation baseline: 20 drives at
@@ -138,9 +120,6 @@ type Metrics struct {
 	InternalReads int // recovery reads generated
 	Unrecoverable int // requests that failed (too many set members down)
 	BytesRead     int64
-	// Write-path extension counters.
-	PlattersVerified int
-	PlattersStored   int
 }
 
 // Library is one simulated library panel.
@@ -181,12 +160,6 @@ type Library struct {
 	prefetching int     // shuttles holding a platter for a busy drive
 	accountedTo float64 // drive accounting flushed up to this time
 
-	// Write-path extension state.
-	ejectBay         []media.PlatterID
-	producedPlatters int
-	slotOccupied     map[geometry.SlotAddr]bool
-	nextFreeSlot     int
-
 	metrics Metrics
 }
 
@@ -222,19 +195,18 @@ func New(cfg Config) (*Library, error) {
 
 	mech := mechanics.Default()
 	l := &Library{
-		cfg:          cfg,
-		sim:          sim.New(),
-		rng:          sim.NewRNG(cfg.Seed).Fork("library"),
-		layout:       layout,
-		mech:         mech,
-		resv:         controller.NewReservationTable(mech.RestartPenalty),
-		steal:        controller.Stealer{ThresholdBytes: cfg.StealThreshold},
-		driveByAddr:  make(map[geometry.DriveAddr]int),
-		platterSlot:  make(map[media.PlatterID]geometry.SlotAddr),
-		platterPart:  make(map[media.PlatterID]int),
-		platterBusy:  make(map[media.PlatterID]bool),
-		unavailable:  make(map[media.PlatterID]bool),
-		slotOccupied: make(map[geometry.SlotAddr]bool),
+		cfg:         cfg,
+		sim:         sim.New(),
+		rng:         sim.NewRNG(cfg.Seed).Fork("library"),
+		layout:      layout,
+		mech:        mech,
+		resv:        controller.NewReservationTable(mech.RestartPenalty),
+		steal:       controller.Stealer{ThresholdBytes: cfg.StealThreshold},
+		driveByAddr: make(map[geometry.DriveAddr]int),
+		platterSlot: make(map[media.PlatterID]geometry.SlotAddr),
+		platterPart: make(map[media.PlatterID]int),
+		platterBusy: make(map[media.PlatterID]bool),
+		unavailable: make(map[media.PlatterID]bool),
 	}
 	l.metrics.Completions = stats.NewSample()
 	l.metrics.TravelTimes = stats.NewSample()
@@ -293,10 +265,7 @@ func New(cfg Config) (*Library, error) {
 					Rail: i % layout.ShelvesPerRack,
 				}
 			}
-			l.shuttles = append(l.shuttles, &Shuttle{
-				lib: l, id: i, part: part, pos: home,
-				battery: cfg.Battery.Capacity,
-			})
+			l.shuttles = append(l.shuttles, &Shuttle{lib: l, id: i, part: part, pos: home})
 		}
 	}
 
@@ -310,9 +279,7 @@ func New(cfg Config) (*Library, error) {
 		slot := layout.SlotAt(i * stride)
 		l.platterSlot[id] = slot
 		l.platterPart[id] = l.partitionOfSlot(slot)
-		l.slotOccupied[slot] = true
 	}
-	l.startWritePath()
 	return l, nil
 }
 
@@ -580,24 +547,6 @@ func (l *Library) dispatch(part int) {
 				}
 			}
 		}
-		// Priority 0 took care of battery (see idleShuttle): shuttles
-		// below reserve head to the charger before taking work.
-		// Priority 4 (write path): store verified platters, then
-		// collect fresh platters from the eject bay. Customer traffic
-		// always outranks platter production (§3.1).
-		if l.cfg.WritePath.Enabled {
-			if d := l.driveWithVerified(part); d != nil {
-				d.storeClaimed = true
-				s.store(d)
-				continue
-			}
-			if vd := l.verifyIdleDrive(part); vd != nil {
-				if p, ok := l.nextDelivery(); ok {
-					s.deliver(p, vd)
-					continue
-				}
-			}
-		}
 		return
 	}
 }
@@ -621,14 +570,9 @@ func (l *Library) dispatchNS() {
 
 func (l *Library) idleShuttle(part int) *Shuttle {
 	for _, s := range l.shuttles {
-		if s.part != part || s.busy {
-			continue
+		if s.part == part && !s.busy {
+			return s
 		}
-		if l.cfg.Battery.Capacity > 0 && s.battery < l.cfg.Battery.Reserve {
-			s.goCharge()
-			continue
-		}
-		return s
 	}
 	return nil
 }
@@ -848,8 +792,6 @@ type ShuttleStats struct {
 	ExpectedSecs   float64
 	CongestionSecs float64
 	Energy         float64
-	Charges        int
-	ChargeSecs     float64
 }
 
 // CongestionOverhead is congestion delay as a fraction of expected
@@ -881,8 +823,6 @@ func (l *Library) ShuttleStats() ShuttleStats {
 		out.ExpectedSecs += s.expectedSecs
 		out.CongestionSecs += s.congestion
 		out.Energy += s.energy
-		out.Charges += s.charges
-		out.ChargeSecs += s.chargeSecs
 	}
 	return out
 }

@@ -18,12 +18,7 @@ type Shuttle struct {
 	pos  geometry.Pos
 	busy bool
 
-	// Battery state (Config.Battery; infinite when disabled).
-	battery float64
-
 	// Metrics.
-	charges      int
-	chargeSecs   float64
 	energy       float64
 	travels      int
 	travelSecs   float64
@@ -56,11 +51,7 @@ func (s *Shuttle) travelTo(dst geometry.Pos, then func()) {
 	s.expectedSecs += expected
 	s.congestion += delay
 	s.conflicts += conflicts
-	e := lib.mech.TravelEnergy(tr, conflicts)
-	s.energy += e
-	if lib.cfg.Battery.Capacity > 0 {
-		s.battery -= e
-	}
+	s.energy += lib.mech.TravelEnergy(tr, conflicts)
 	lib.metrics.TravelTimes.Add(sampled + delay)
 	if fn := lib.cfg.Observer.Travel; fn != nil {
 		fn(sampled + delay)
@@ -109,26 +100,6 @@ func (s *Shuttle) placeInto(p media.PlatterID, reqs []*controller.Request, d *Re
 		d.place(p, reqs)
 		s.busy = false
 		lib.kick(s.part)
-	})
-}
-
-// goCharge sends a depleted shuttle to the charging dock at the panel
-// edge and brings it back to service at full charge. The §4.1
-// controller monitors battery levels; this is the enforcement.
-func (s *Shuttle) goCharge() {
-	lib := s.lib
-	s.busy = true
-	s.charges++
-	dock := geometry.Pos{X: lib.layout.Width() - 0.1, Rail: 0}
-	s.travelTo(dock, func() {
-		need := lib.cfg.Battery.Capacity - s.battery
-		dur := need / lib.cfg.Battery.ChargeRate
-		s.chargeSecs += dur
-		lib.sim.Schedule(dur, func() {
-			s.battery = lib.cfg.Battery.Capacity
-			s.busy = false
-			lib.kick(s.part)
-		})
 	})
 }
 

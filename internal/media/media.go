@@ -123,11 +123,6 @@ func (g Geometry) PlatterUserBytes() int64 {
 	return int64(g.InfoTracksPerPlatter()) * g.TrackUserBytes()
 }
 
-// PlatterRawBytes is the raw scan volume to verify a whole platter.
-func (g Geometry) PlatterRawBytes() int64 {
-	return int64(g.TracksPerPlatter) * g.TrackRawBytes()
-}
-
 // InfoTrackPhysical maps a logical information-track index to its
 // physical track: information tracks and large-group redundancy
 // tracks interleave in groups of LargeGroupInfoTracks +

@@ -25,7 +25,7 @@ func TestDefaultGeometryPaperScale(t *testing.T) {
 		t.Fatalf("platter user bytes = %d, want ~2 TB", user)
 	}
 	// Raw scan volume must exceed user volume (coding + redundancy).
-	if g.PlatterRawBytes() <= user {
+	if int64(g.TracksPerPlatter)*g.TrackRawBytes() <= user {
 		t.Fatal("raw bytes should exceed user bytes")
 	}
 }

@@ -16,22 +16,16 @@ import (
 // Time is virtual time in seconds since the start of the simulation.
 type Time = float64
 
-// Event is a scheduled callback. Events with equal times fire in the
+// event is a scheduled callback. Events with equal times fire in the
 // order they were scheduled (FIFO tie-break by sequence number), which
 // keeps runs deterministic.
-type Event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	idx  int // heap index, -1 when not queued
-	dead bool
+type event struct {
+	at  Time
+	seq uint64
+	fn  func()
 }
 
-// Cancel prevents a pending event from firing. Cancelling an event that
-// already fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.dead = true }
-
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -40,22 +34,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -81,52 +66,42 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Schedule queues fn to run after delay seconds of virtual time.
 // A negative delay panics: the past is immutable.
-func (s *Simulator) Schedule(delay Time, fn func()) *Event {
+func (s *Simulator) Schedule(delay Time, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: schedule with invalid delay %v at t=%v", delay, s.now))
 	}
-	return s.At(s.now+delay, fn)
+	s.At(s.now+delay, fn)
 }
 
 // At queues fn to run at absolute virtual time t (t >= Now).
-func (s *Simulator) At(t Time, fn func()) *Event {
+func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, idx: -1}
+	heap.Push(&s.events, &event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.events, e)
-	return e
 }
 
-// NextAt reports the virtual time of the earliest live pending event.
-// ok is false when the queue holds no live events. Cancelled events
-// encountered at the top of the heap are discarded.
+// NextAt reports the virtual time of the earliest pending event. ok is
+// false when the queue is empty.
 func (s *Simulator) NextAt() (Time, bool) {
-	for len(s.events) > 0 {
-		if s.events[0].dead {
-			heap.Pop(&s.events)
-			continue
-		}
-		return s.events[0].at, true
+	if len(s.events) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.events[0].at, true
 }
 
 // Step executes the single earliest pending event. It reports false when
 // the queue is empty.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
-		if e.dead {
-			continue
-		}
-		s.now = e.at
-		s.fired++
-		e.fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.events).(*event)
+	s.now = e.at
+	s.fired++
+	e.fn()
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -138,16 +113,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with time <= deadline, then advances the clock
 // to deadline. Events scheduled past the deadline remain queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	for len(s.events) > 0 {
-		// Peek.
-		next := s.events[0]
-		if next.dead {
-			heap.Pop(&s.events)
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
+	for len(s.events) > 0 && s.events[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {

@@ -56,20 +56,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.Schedule(1, func() { fired = true })
-	e.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if s.Fired() != 0 {
-		t.Fatalf("Fired() = %d, want 0", s.Fired())
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0

@@ -13,9 +13,11 @@ import (
 )
 
 // surfaceAllowlist names the exported declarations under internal/ that
-// no non-test file uses, each with the reason it stays. Keys are
+// no non-test file uses, and the exported *Config fields that no
+// non-test file sets, each with the reason it stays. Keys are
 // "pkg.Name" for funcs, types, vars and consts, "pkg.Type.Method" for
-// methods. An entry whose name gains a production use must leave.
+// methods, "pkg.Type.Field" for fields. An entry whose name gains a
+// production use must leave.
 var surfaceAllowlist = map[string]string{
 	// Drill seams: the kill, crash and rebuild drills drive the router
 	// through them; an operator reaches the same states by killing a
@@ -51,10 +53,11 @@ var surfaceAllowlist = map[string]string{
 
 // surfaceDecl is one exported declaration in a non-test file.
 type surfaceDecl struct {
-	key  string // pkg.Name or pkg.Type.Method
-	name string // the identifier a caller writes
-	ref  string // import path + "." + name for a package-level name; "" for a method
-	pos  string
+	key   string // pkg.Name, pkg.Type.Method or pkg.Type.Field
+	name  string // the identifier a caller writes
+	ref   string // import path + "." + name for a package-level name; "" for a method or field
+	field bool   // a field of a *Config struct: used means set
+	pos   string
 }
 
 // surfaceFile is one parsed non-test file and the import path of its
@@ -74,6 +77,14 @@ type surfaceFile struct {
 // A method keeps the name rule: it counts as used when any identifier of
 // its spelling occurs outside its own declaration, so it shares its
 // fate with every other declaration of that name.
+//
+// The field half holds every exported field of a struct type named
+// *Config under internal/ to a production setter: a knob only tests
+// turn is a mode production never runs. A field counts as set where a
+// non-test file writes its spelling as a composite-literal key
+// (Field: v), assigns it (x.Field = v, any assignment operator, or
+// x.Field++), or takes its address (&x.Field, as a flag binding does).
+// The match is by spelling, so it can only under-report.
 func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 	const module = "silica"
 	fset := token.NewFileSet()
@@ -111,6 +122,7 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 	var decls []surfaceDecl
 	names := map[string]int{} // identifier spelling -> uses, for methods
 	refs := map[string]int{}  // import path + "." + name -> uses
+	sets := map[string]int{}  // identifier spelling -> writes, for fields
 	for _, sf := range files {
 		imports := map[string]string{} // local name -> import path
 		for _, imp := range sf.f.Imports {
@@ -143,6 +155,28 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 				for _, id := range x.Names {
 					notBare[id] = true
 				}
+			case *ast.CompositeLit:
+				for _, e := range x.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							sets[id.Name]++
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						sets[sel.Sel.Name]++
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := x.X.(*ast.SelectorExpr); ok {
+					sets[sel.Sel.Name]++
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := x.X.(*ast.SelectorExpr); ok && x.Op == token.AND {
+					sets[sel.Sel.Name]++
+				}
 			case *ast.Ident:
 				if skip[x] {
 					break
@@ -160,15 +194,20 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 	}
 
 	declared := map[string]bool{}
-	var unused []string
+	var unused, unset []string
 	for _, d := range decls {
 		declared[d.key] = true
 		used := names[d.name] > 0
-		if d.ref != "" {
+		switch {
+		case d.field:
+			used = sets[d.name] > 0
+		case d.ref != "":
 			used = refs[d.ref] > 0
 		}
 		_, allowed := surfaceAllowlist[d.key]
 		switch {
+		case !used && !allowed && d.field:
+			unset = append(unset, d.key+" ("+d.pos+")")
 		case !used && !allowed:
 			unused = append(unused, d.key+" ("+d.pos+")")
 		case used && allowed:
@@ -179,15 +218,20 @@ func TestExportedSurfaceHasProductionCallers(t *testing.T) {
 	for _, u := range unused {
 		t.Errorf("exported %s has no caller outside tests: delete it, or allowlist it with a reason", u)
 	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("config field %s is set only by tests: delete it, or allowlist it with a reason", u)
+	}
 	for key := range surfaceAllowlist {
 		if !declared[key] {
-			t.Errorf("allowlist entry %s names no exported declaration under internal/", key)
+			t.Errorf("allowlist entry %s names no exported declaration or config field under internal/", key)
 		}
 	}
 }
 
 // exportedDecls lists the exported top-level declarations of one file
-// under internal/ and marks their declaring identifiers in idents.
+// under internal/, and the exported fields of its struct types named
+// *Config, and marks the top-level declaring identifiers in idents.
 // Files elsewhere contribute no declarations.
 func exportedDecls(fset *token.FileSet, sf surfaceFile, idents map[*ast.Ident]bool) []surfaceDecl {
 	if !strings.HasPrefix(filepath.ToSlash(sf.path), "internal/") {
@@ -220,6 +264,18 @@ func exportedDecls(fset *token.FileSet, sf surfaceFile, idents map[*ast.Ident]bo
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					pkgLevel(s.Name)
+					st, ok := s.Type.(*ast.StructType)
+					if !ok || !strings.HasSuffix(s.Name.Name, "Config") {
+						continue
+					}
+					for _, f := range st.Fields.List {
+						for _, id := range f.Names {
+							if id.IsExported() {
+								out = append(out, surfaceDecl{key: pkg + "." + s.Name.Name + "." + id.Name,
+									name: id.Name, field: true, pos: fset.Position(id.Pos()).String()})
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					for _, n := range s.Names {
 						pkgLevel(n)

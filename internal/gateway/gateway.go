@@ -91,10 +91,9 @@ type Config struct {
 	DisableRepair bool
 
 	// TraceSample traces one request in N (<= 0 takes the default;
-	// 1 traces everything). Traces slower than TraceSlow are kept in a
+	// 1 traces everything). Traces slower than traceSlow are kept in a
 	// dedicated ring regardless of sampling, so the tail stays visible.
 	TraceSample int
-	TraceSlow   time.Duration
 
 	// RetryAfter is the backoff hint emitted in the Retry-After header
 	// with every 429/503 response. 0 takes the default (1s); tests use
@@ -122,6 +121,10 @@ type Config struct {
 	TwinSpeedup float64
 }
 
+// traceSlow is the duration past which a trace is kept in the slow
+// ring whatever the sampling.
+const traceSlow = 500 * time.Millisecond
+
 // DefaultConfig returns a small but genuinely concurrent gateway over
 // the tiny-geometry service.
 func DefaultConfig() Config {
@@ -137,7 +140,6 @@ func DefaultConfig() Config {
 		FlushInterval:        50 * time.Millisecond,
 		Repair:               repair.DefaultConfig(),
 		TraceSample:          8,
-		TraceSlow:            500 * time.Millisecond,
 		RetryAfter:           time.Second,
 	}
 }
@@ -321,7 +323,7 @@ func New(cfg Config) (*Gateway, error) {
 		flushKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		reg:       reg,
-		tracer:    obs.NewTracer(cfg.TraceSample, cfg.TraceSlow),
+		tracer:    obs.NewTracer(cfg.TraceSample, traceSlow),
 	}
 	g.gm = newGatewayMetrics(reg, g)
 	for i := 0; i < cfg.WriteWorkers; i++ {

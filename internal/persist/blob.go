@@ -36,12 +36,14 @@ func blobName(id media.PlatterID) string {
 // order, so the bytes are deterministic. The sectors are wired as a
 // count followed by (track, sector, symbols) per sector, one byte per
 // symbol, and both walks note in sectors where each sector's symbols
-// lie in the file; decoding skips the symbols themselves.
+// lie in the file; decoding skips the symbols themselves, and the
+// payloads too unless keepPayloads asks for them.
 type platterBlob struct {
-	id       media.PlatterID
-	media    sectorWalker // encoding
-	sectors  []sectorSpan
-	payloads [][]byte
+	id           media.PlatterID
+	media        sectorWalker // encoding
+	sectors      []sectorSpan
+	payloads     [][]byte
+	keepPayloads bool // decoding: hold the payload cache
 }
 
 // sectorWalker is what a blob encodes: a Stored media.Platter.
@@ -93,7 +95,15 @@ func (b *platterBlob) wire(c *coder) {
 			c.err = err
 		}
 	}
-	slice(c, &b.payloads, func(p *[]byte, c *coder) { c.bytes(p) })
+	if !c.decoding || b.keepPayloads {
+		slice(c, &b.payloads, func(p *[]byte, c *coder) { c.bytes(p) })
+		return
+	}
+	for i, n := 0, c.count(0); i < n && c.err == nil; i++ {
+		var at int64
+		var l int
+		c.span(nil, &at, &l)
+	}
 }
 
 func wireSector(c *coder, s *sectorSpan, symbols []uint8) {
@@ -153,13 +163,14 @@ func writeBlobFile(dir string, id media.PlatterID, m sectorWalker, payloads [][]
 
 // openBlob opens and indexes a platter blob in dir, checking it whole
 // without holding it: the descriptor stays open for the Blob, and only
-// the payload cache is decoded into the heap.
-func openBlob(dir string, id media.PlatterID) (*Blob, [][]byte, error) {
+// the payload cache, when keepPayloads asks for it, is decoded into the
+// heap.
+func openBlob(dir string, id media.PlatterID, keepPayloads bool) (*Blob, [][]byte, error) {
 	f, err := os.Open(filepath.Join(dir, blobName(id)))
 	if err != nil {
 		return nil, nil, err
 	}
-	var b platterBlob
+	b := platterBlob{keepPayloads: keepPayloads}
 	fi, err := f.Stat()
 	if err == nil {
 		err = openStream(blobMagic, f, fi.Size(), b.wire)

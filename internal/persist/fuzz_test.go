@@ -145,19 +145,21 @@ func FuzzDecodeRouterSnapshot(f *testing.F) {
 // FuzzDecodeBlob re-encodes what it decoded: decoding only notes where
 // each sector's symbols lie, so the re-encode walks them out of the
 // decoded file, in address order. The streamed decode recovery uses
-// must agree with the in-memory one.
+// must agree with the in-memory one, and so must the streamed decode
+// that skips the payloads, but for the payloads.
 func FuzzDecodeBlob(f *testing.F) {
 	sealed := wireFixture(f, "blob")
 	f.Add(sealed[len(blobMagic) : len(sealed)-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		file := append([]byte(blobMagic), body...)
 		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
-		var first, streamed platterBlob
+		first, streamed, skipped := platterBlob{keepPayloads: true}, platterBlob{keepPayloads: true}, platterBlob{}
 		var err error
 		boundedAlloc(t, len(file), func() { err = openFile(blobMagic, file, first.wire) })
 		serr := openStream(blobMagic, bytes.NewReader(file), int64(len(file)), streamed.wire)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("in-memory decode: %v; streamed decode: %v", err, serr)
+		kerr := openStream(blobMagic, bytes.NewReader(file), int64(len(file)), skipped.wire)
+		if (err == nil) != (serr == nil) || (err == nil) != (kerr == nil) {
+			t.Fatalf("in-memory decode: %v; streamed decode: %v; skipping decode: %v", err, serr, kerr)
 		}
 		if err != nil {
 			return
@@ -165,9 +167,12 @@ func FuzzDecodeBlob(f *testing.F) {
 		if !reflect.DeepEqual(first, streamed) {
 			t.Fatalf("streamed decode %+v differs from in-memory %+v", streamed, first)
 		}
+		if skipped.id != first.id || !reflect.DeepEqual(skipped.sectors, first.sectors) || skipped.payloads != nil {
+			t.Fatalf("skipping decode %+v differs from in-memory %+v", skipped, first)
+		}
 		first.media = spanSectors(file, first.sectors)
 		again := sealFile(blobMagic, first.wire)
-		var second platterBlob
+		second := platterBlob{keepPayloads: true}
 		if err := openFile(blobMagic, again, second.wire); err != nil {
 			t.Fatalf("re-encoded file does not decode: %v", err)
 		}

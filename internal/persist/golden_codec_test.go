@@ -97,7 +97,7 @@ func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
 }
 
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {
-	var b platterBlob
+	b := platterBlob{keepPayloads: true}
 	err := openFile(blobMagic, data, b.wire)
 	return b.id, spanSectors(data, b.sectors), b.payloads, err
 }

@@ -378,24 +378,21 @@ func Open(opts Options) (*Log, *State, error) {
 // no symbol is loaded. A platter with a publish record but no blob is
 // fatal corruption — the blob is written and fsynced before the record,
 // so its absence means the disk lost durable bytes — and closes the
-// blobs already opened. Payload caches are kept only for open-set
-// members (they are needed to encode redundancy at set close) and
-// dropped for everyone else.
+// blobs already opened. Payload caches are decoded only for open-set
+// members (they are needed to encode redundancy at set close); everyone
+// else's are skipped unheld.
 func (st *State) loadBlobs(dir string) error {
 	inPending := make(map[media.PlatterID]bool, len(st.PendingSet))
 	for _, id := range st.PendingSet {
 		inPending[id] = true
 	}
 	for _, p := range st.Platters {
-		blob, payloads, err := openBlob(dir, p.ID)
+		blob, payloads, err := openBlob(dir, p.ID, inPending[p.ID])
 		if err != nil {
 			st.CloseBlobs()
 			return fmt.Errorf("persist: platter %d has a publish record but no readable blob: %w", p.ID, err)
 		}
-		p.Blob = blob
-		if inPending[p.ID] {
-			p.Payloads = payloads
-		}
+		p.Blob, p.Payloads = blob, payloads
 	}
 	return nil
 }

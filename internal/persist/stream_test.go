@@ -119,7 +119,7 @@ func TestStreamedFilesPinned(t *testing.T) {
 		"c126b24f87fcd2efa61df9767fbe93ccc7ca4299bb7723ee26dca8cf4bb379b2")
 	// The blob spans seventeen windows: the streamed decode refills its
 	// window across sector boundaries and indexes what the encode noted.
-	blob, gotPayloads, err := openBlob(dir, id)
+	blob, gotPayloads, err := openBlob(dir, id, true)
 	if err != nil {
 		t.Fatal(err)
 	}

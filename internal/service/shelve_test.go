@@ -117,6 +117,50 @@ func TestRecoveryLoadsNoGlass(t *testing.T) {
 	requireReadable(t, s, "r2-l23", randBytes(2*1000+500+roundLarge-1, largeObject))
 }
 
+// TestRecoveryAllocations: reopening a persist directory decodes a
+// payload cache only for the open set's members, which still need it to
+// encode their set's redundancy; a closed set's payloads pass through
+// the blob's CRC check and are skipped unheld. Three closed ingest sets
+// are reopened, and the reopen may allocate at most 0.84 B per user
+// byte stored: on a 2-CPU host, 5 runs each at -cpu 1, 2 and 8 measured
+// 0.750 to 0.756, and the bound is that maximum plus 10 %, rounded up.
+// Decoding every blob's payloads and dropping them at once, it
+// allocated 2.61.
+func TestRecoveryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 3
+	flushRounds(t, s, 0, rounds)
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err = New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	if st := s.Stats(); st.SetsCompleted != rounds {
+		t.Fatalf("recovered %d sets, want %d", st.SetsCompleted, rounds)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	perByte := float64(alloc) / (rounds * roundUserBytes)
+	t.Logf("reopened %d closed ingest sets: %d B allocated, %.3f B per user byte", rounds, alloc, perByte)
+	if perByte > 0.84 {
+		t.Errorf("recovery allocates %.3f B per user byte stored, want at most 0.84", perByte)
+	}
+	requireReadable(t, s, "r2-l23", randBytes(2*1000+500+roundLarge-1, largeObject))
+}
+
 // TestReadsComeOffTheBlob: once flushed, a sector is read from its
 // platter's blob file, not from memory. Overwriting one sector's symbols
 // in the blob makes that sector fail its decode; the Get still reads

@@ -69,8 +69,49 @@ func hashPoints(points []Point) uint64 {
 	return h.Sum64()
 }
 
+// goldenCorpora are the pinned read paths. sector_golden.txt is the
+// service's code at the operating point. The two other channel points
+// take it where no read fails (σ 0.10) and where most blocks need BP,
+// voxels go missing and four reads in five fail (σ 0.20, PMissing 1e-3).
+// The two other codes have K%64 ≠ 0 and data positions in more than one
+// run, so no block boundary, message run or parity run is word-aligned;
+// a failed CRC sends their bit-flipped blocks back through BP about 200
+// times between them (10 times in sector_golden.txt).
+var goldenCorpora = []struct {
+	file string
+	n, k int
+	ch   func() Channel
+}{
+	{"sector_golden.txt", 512, 384, DefaultChannel},
+	{"sector_golden_sigma010.txt", 512, 384, func() Channel { ch := DefaultChannel(); ch.Sigma = 0.10; return ch }},
+	{"sector_golden_sigma020_missing.txt", 512, 384, func() Channel {
+		ch := DefaultChannel()
+		ch.Sigma, ch.PMissing = 0.20, 1e-3
+		return ch
+	}},
+	{"sector_golden_n200_k137.txt", 200, 137, DefaultChannel},
+	{"sector_golden_n330_k251.txt", 330, 251, DefaultChannel},
+}
+
 func TestGoldenSectorCorpus(t *testing.T) {
-	p := servicePipeline(t, DefaultChannel())
+	for _, corpus := range goldenCorpora {
+		t.Run(corpus.file, func(t *testing.T) {
+			code, err := ldpc.NewCode(corpus.n, corpus.k, 1^0xbeef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := ldpc.NewSectorCodec(code, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGoldenCorpus(t, NewSectorPipeline(sc, corpus.ch()), corpus.file)
+		})
+	}
+}
+
+// checkGoldenCorpus reads goldenPayloads seeded payloads goldenReads
+// times each through p and compares every outcome with testdata/file.
+func checkGoldenCorpus(t *testing.T, p *SectorPipeline, file string) {
 	sc := p.AcquireScratch()
 	defer p.ReleaseScratch(sc)
 	buf := make([]byte, p.Codec.PayloadBytes)
@@ -90,7 +131,7 @@ func TestGoldenSectorCorpus(t *testing.T) {
 				res.Iterations, res.Margin, crc32.ChecksumIEEE(res.Payload))
 		}
 	}
-	path := filepath.Join("testdata", "sector_golden.txt")
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -109,10 +150,10 @@ func TestGoldenSectorCorpus(t *testing.T) {
 	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("sector corpus line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s line %d:\n got  %s\n want %s", file, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("sector corpus has %d lines, want %d", len(gl), len(wl))
+	t.Fatalf("%s has %d lines, want %d", file, len(gl), len(wl))
 }
 
 // TestExactLLRsSeparable pins the property a per-axis demapper relies

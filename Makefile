@@ -219,14 +219,18 @@ cluster-crash:
 # not write (WAL scan under both record tables, both snapshot formats,
 # the platter blob) runs its native fuzz target for ten seconds, seeded
 # from the golden fixtures; then the voxel demapper's table lookup on
-# arbitrary float64 bit patterns, and the two text parsers that read
-# bytes arriving over HTTP (a /metrics scrape, a POST /v1/faults rule).
-# `go test -fuzz` takes one target per run.
+# arbitrary float64 bit patterns, the sector codec's encode → corrupt →
+# tiered decode round trip (encode identical to the bit-serial
+# reference, no CRC false accept, a clean read in zero iterations), and
+# the two text parsers that read bytes arriving over HTTP (a /metrics
+# scrape, a POST /v1/faults rule). `go test -fuzz` takes one target per
+# run.
 fuzz-smoke:
 	for t in FuzzScanWAL FuzzDecodeSnapshot FuzzDecodeRouterSnapshot FuzzDecodeBlob; do \
 		$(GO) test ./internal/persist -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s || exit 1; \
 	done
 	$(GO) test ./internal/voxel -run '^$$' -fuzz '^FuzzDemapLLRs$$' -fuzztime 10s
+	$(GO) test ./internal/ldpc -run '^$$' -fuzz '^FuzzSectorRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime 10s
 

@@ -284,25 +284,36 @@ func BenchmarkAblationNCGroupSize(b *testing.B) {
 }
 
 // BenchmarkAblationLDPCIterations measures the decode-iteration budget
-// against residual failure rate on a noisy channel.
+// against residual sector failures on a noisy channel, through the
+// sector codec the service runs: eight flipped bits in every block.
 func BenchmarkAblationLDPCIterations(b *testing.B) {
-	code := ldpc.MustNewCode(512, 384, 1)
-	rng := sim.NewRNG(5)
-	msg := make([]uint8, code.K)
-	for i := range msg {
-		msg[i] = uint8(rng.Uint64() & 1)
+	code, err := ldpc.NewCode(512, 384, 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	cw := code.Encode(msg)
+	sc, err := ldpc.NewSectorCodec(code, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(5)
+	payload := make([]byte, sc.PayloadBytes)
+	for i := range payload {
+		payload[i] = byte(rng.Uint64())
+	}
+	coded := sc.EncodeSectorInto(payload, make([]uint8, sc.EncodedBits()))
+	buf := make([]byte, sc.PayloadBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, iters := range []int{5, 50} {
 			fails := 0
 			for trial := 0; trial < 20; trial++ {
-				rx := append([]uint8(nil), cw...)
-				for _, j := range rng.Perm(code.N)[:8] {
-					rx[j] ^= 1
+				rx := append([]uint8(nil), coded...)
+				for blk := 0; blk < sc.Blocks(); blk++ {
+					for _, j := range rng.Perm(code.N)[:8] {
+						rx[blk*code.N+j] ^= 1
+					}
 				}
-				if res := code.DecodeBP(ldpc.HardLLR(rx, 2), iters); !res.OK {
+				if res := sc.DecodeSectorInto(ldpc.HardLLR(rx, 2), iters, buf); !res.OK {
 					fails++
 				}
 			}

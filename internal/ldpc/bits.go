@@ -33,80 +33,51 @@ func (b bitset) clone() bitset {
 	return c
 }
 
-// BitsToBytesInto packs a 0/1 slice LSB-first into out. len(bits) must
-// be a multiple of 8 and out must hold len(bits)/8 bytes.
-func BitsToBytesInto(bits []uint8, out []byte) {
-	if len(bits)%8 != 0 {
-		panic("ldpc: bit count not byte aligned")
-	}
-	for i := range out[:len(bits)/8] {
-		var b byte
-		for j := 0; j < 8; j++ {
-			b |= byte(bits[i*8+j]&1) << uint(j)
-		}
-		out[i] = b
-	}
-}
-
-// PackBitsInto packs a 0/1 slice LSB-first into 64-bit words, the
-// layout the fast encode/decode paths operate on: bit i of the message
-// lives at words[i/64] bit i%64, matching the little-endian byte packing
-// of BitsToBytesInto word for word. words must hold at least
-// (len(bits)+63)/64 entries. The unused high bits of the last
-// written word are zeroed; words beyond that are left untouched.
-func PackBitsInto(bits []uint8, words []uint64) {
-	n := (len(bits) + 63) / 64
-	for i := 0; i < n; i++ {
-		words[i] = 0
-	}
-	for i, b := range bits {
-		words[i>>6] |= uint64(b&1) << (uint(i) & 63)
-	}
-}
-
-// UnpackBitsInto expands packed words back into a 0/1 slice; the inverse
-// of PackBitsInto for the first len(bits) bits.
-func UnpackBitsInto(words []uint64, bits []uint8) {
-	for i := range bits {
-		bits[i] = uint8(words[i>>6] >> (uint(i) & 63) & 1)
-	}
-}
-
-// packBytesInto packs bytes little-endian into words, writing exactly
-// (len(p)+7)/8 words. The unused high bytes of the last written word are
-// zeroed; words beyond that are left untouched — sector scratch relies
-// on this so its zero-padded tail survives reuse without re-zeroing.
+// packBytesInto packs p little-endian into words and zeroes every word
+// past it, so bit i of p (LSB-first within each byte) is bit i%64 of
+// words[i/64] and the bits beyond p read as zero.
 func packBytesInto(p []byte, words []uint64) {
 	n := len(p) >> 3
 	for i := 0; i < n; i++ {
 		words[i] = binary.LittleEndian.Uint64(p[i*8:])
 	}
-	if rem := len(p) & 7; rem != 0 {
-		var w uint64
-		for j := 0; j < rem; j++ {
-			w |= uint64(p[n*8+j]) << (8 * uint(j))
-		}
-		words[n] = w
+	clear(words[n:])
+	for j, b := range p[n*8:] {
+		words[n] |= uint64(b) << (8 * uint(j))
 	}
 }
 
-// extractBits copies n bits of src starting at bit offset off into dst,
-// bit 0 of dst[0] receiving src bit off. It writes (n+63)/64 words and
-// zeroes the high bits of the last one. When off is not word-aligned the
-// shifted read touches one word past the n-bit span, so src must carry a
-// padding word beyond its live bits (sector scratch allocates one).
-func extractBits(src []uint64, off, n int, dst []uint64) {
-	w := off >> 6
-	sh := uint(off & 63)
-	words := (n + 63) / 64
-	if sh == 0 {
-		copy(dst[:words], src[w:w+words])
-	} else {
-		for i := 0; i < words; i++ {
-			dst[i] = src[w+i]>>sh | src[w+i+1]<<(64-sh)
-		}
+// storeBytes is the inverse of packBytesInto: it fills p with the first
+// len(p) bytes of words, little-endian.
+func storeBytes(words []uint64, p []byte) {
+	n := len(p) >> 3
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(p[i*8:], words[i])
 	}
-	if tail := uint(n) & 63; tail != 0 {
-		dst[words-1] &= 1<<tail - 1
+	for j := range p[n*8:] {
+		p[n*8+j] = byte(words[n] >> (8 * uint(j)))
+	}
+}
+
+// copyBits copies n bits of src, starting at bit sOff, to dst starting
+// at bit dOff, both LSB-first; the other bits of dst keep their values.
+// It moves up to 64 bits a step: one or two word reads and one or two
+// masked word writes, so a word-aligned span is a word copy.
+func copyBits(dst []uint64, dOff int, src []uint64, sOff, n int) {
+	for n > 0 {
+		k := min(n, 64)
+		sw, ss := sOff>>6, uint(sOff&63)
+		v := src[sw] >> ss
+		if int(ss)+k > 64 {
+			v |= src[sw+1] << (64 - ss)
+		}
+		mask := ^uint64(0) >> (64 - uint(k))
+		v &= mask
+		dw, ds := dOff>>6, uint(dOff&63)
+		dst[dw] = dst[dw]&^(mask<<ds) | v<<ds
+		if int(ds)+k > 64 {
+			dst[dw+1] = dst[dw+1]&^(mask>>(64-ds)) | v>>(64-ds)
+		}
+		n, sOff, dOff = n-k, sOff+k, dOff+k
 	}
 }

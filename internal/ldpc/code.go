@@ -15,6 +15,10 @@ import (
 // sense that K "data positions" carry the message verbatim and M
 // "parity positions" carry computed parity; the position maps are part
 // of the code.
+//
+// Codewords and messages travel packed LSB-first in uint64 words: bit i
+// of a K-bit message is words[i/64] bit i%64, the little-endian byte
+// order of the framed sector, and a codeword's position p is bit p.
 type Code struct {
 	N, K, M   int
 	ColWeight int
@@ -25,17 +29,26 @@ type Code struct {
 	checkVars [][]int32 // per check row: variable indices
 	varChecks [][]int32 // per variable: check row indices
 
-	// Encoder: parity[i] = row i · message (GF(2) dot product), the
-	// matrix flattened into one contiguous row-major []uint64 (kWords
-	// words per row) so the hot encode walks it with pure word loads.
-	encWords []uint64
-	chkWords []uint64 // parity-check rows packed over N bits, row-major
-	kWords   int      // words per packed K-bit message
-	nWords   int      // words per packed N-bit codeword
-
 	dataPos   []int // message bit -> codeword position
 	parityPos []int // parity bit -> codeword position
-	posIsData []bool
+
+	// dataRuns and parityRuns cut dataPos and parityPos into maximal
+	// runs of consecutive positions, so placing a block's bits is a few
+	// word-wide copies. The service's (512, 384) code has one of each:
+	// parity at 0–127, message at 128–511.
+	dataRuns, parityRuns []bitRun
+
+	// Nibble tables (nibbleTable), an mWords-word entry for each of the
+	// 16 values of each nibble: encTab[j][v] is the parity vector of
+	// message bits 4j..4j+3 holding v, synTab[j][v] the syndrome of
+	// codeword bits 4j..4j+3 holding v. Bits past K (past N) contribute
+	// nothing, so a word's tail never needs clearing. A block's parity or
+	// syndrome is the XOR of one entry per nibble.
+	encTab []uint64
+	synTab []uint64
+	kWords int // words per packed K-bit message
+	nWords int // words per packed N-bit codeword
+	mWords int // words per packed M-bit parity or syndrome vector
 
 	// Decode acceleration, built once at construction. BP messages live
 	// in flat arrays indexed by edge; edgeOff[ci] is the first edge of
@@ -46,6 +59,23 @@ type Code struct {
 	maxCheckDeg int     // widest check row
 
 	scratch sync.Pool // *bpScratch, sized for this code
+}
+
+// bitRun says that n consecutive bits from index idx of a packed message
+// (or parity vector) sit at codeword positions pos..pos+n-1.
+type bitRun struct{ idx, pos, n int }
+
+// runsOf cuts an ascending position map into maximal runs.
+func runsOf(positions []int) []bitRun {
+	var runs []bitRun
+	for i, pos := range positions {
+		if last := len(runs) - 1; last >= 0 && runs[last].pos+runs[last].n == pos {
+			runs[last].n++
+			continue
+		}
+		runs = append(runs, bitRun{idx: i, pos: pos, n: 1})
+	}
+	return runs
 }
 
 // buildDecodeIndex flattens the Tanner graph into the edge-indexed
@@ -71,37 +101,91 @@ func (c *Code) buildDecodeIndex() {
 	c.edges = int(c.edgeOff[c.M])
 }
 
-// buildEncodeWords flattens the encoder rows into the contiguous word
-// matrix the fast encoder streams through, and packs the parity-check
-// rows the same way (chkWords) so syndrome evaluation is word
-// AND/XOR/popcount instead of per-edge bit gathers.
-func (c *Code) buildEncodeWords(encRows []bitset) {
+// buildTables cuts the position maps into runs and builds the nibble
+// tables from the columns of the encoder (encRows, one K-bit row per
+// parity bit) and of the parity-check matrix.
+func (c *Code) buildTables(encRows []bitset) {
 	c.kWords = (c.K + 63) / 64
 	c.nWords = (c.N + 63) / 64
-	c.encWords = make([]uint64, c.M*c.kWords)
-	for i, row := range encRows {
-		copy(c.encWords[i*c.kWords:(i+1)*c.kWords], row)
+	c.mWords = (c.M + 63) / 64
+	c.dataRuns, c.parityRuns = runsOf(c.dataPos), runsOf(c.parityPos)
+	encCols := make([]bitset, c.K)
+	for d := range encCols {
+		encCols[d] = newBitset(c.M)
 	}
-	c.chkWords = make([]uint64, c.M*c.nWords)
-	for ci, vars := range c.checkVars {
-		row := c.chkWords[ci*c.nWords : (ci+1)*c.nWords]
-		for _, v := range vars {
-			row[v>>6] |= 1 << (uint(v) & 63)
+	for i, row := range encRows {
+		for d := range encCols {
+			if row.get(d) {
+				encCols[d].set(i)
+			}
 		}
+	}
+	chkCols := make([]bitset, c.N)
+	for v, checks := range c.varChecks {
+		chkCols[v] = newBitset(c.M)
+		for _, ci := range checks {
+			chkCols[v].set(int(ci))
+		}
+	}
+	c.encTab = nibbleTable(encCols, c.mWords)
+	c.synTab = nibbleTable(chkCols, c.mWords)
+}
+
+// nibbleTable returns the nibble table of cols (M-bit columns of words
+// words each): entry (j, v) is the XOR of cols[4j+b] over the set bits b
+// of v, missing columns counting as zero. It is stored word-major —
+// word w of entry (j, v) at (w*nibbles + j)*16 + v, nibbles rounded up
+// to whole source words — so tableXOR folds each output word in one
+// register, and a source word's tail nibbles read zero entries.
+func nibbleTable(cols []bitset, words int) []uint64 {
+	nibbles := (len(cols) + 63) / 64 * 16
+	tab := make([]uint64, words*nibbles*16)
+	for w := 0; w < words; w++ {
+		t := tab[w*nibbles*16:]
+		for j := 0; j < nibbles; j++ {
+			for v := 1; v < 16; v++ {
+				e := t[j*16+v&(v-1)]
+				if col := 4*j + bits.TrailingZeros(uint(v)); col < len(cols) {
+					e ^= cols[col][w]
+				}
+				t[j*16+v] = e
+			}
+		}
+	}
+	return tab
+}
+
+// tableXOR folds a nibble table over the bits of src (one table entry
+// per nibble, 4 bits a step) into dst, len(dst) words: the GF(2)
+// product of the table's columns with src.
+func tableXOR(tab, src []uint64, dst []uint64) {
+	stride := len(tab) / len(dst)
+	for w := range dst {
+		t := tab[w*stride : (w+1)*stride]
+		var acc uint64
+		for i, x := range src[:stride/256] {
+			row := (*[256]uint64)(t[i*256:])
+			for k := 0; k < 256; k += 16 {
+				acc ^= row[(k|int(x&15))&255]
+				x >>= 4
+			}
+		}
+		dst[w] = acc
 	}
 }
 
-// bpScratch is the per-decode working set, recycled through Code.scratch
+// bpScratch is the per-block working set, recycled through Code.scratch
 // so steady-state encoding and decoding allocate nothing.
 type bpScratch struct {
-	c2v      []float32 // check→variable messages, edge-indexed
-	total    []float32 // per-variable posterior (llr + incoming c2v)
-	mbuf     []uint32  // one check's lazy v2c messages as float32 bits, len maxCheckDeg
-	synd     []uint8   // per-check syndrome of cwWords, length M
-	cnt      []uint8   // bit-flip: unsat checks per variable, kept zeroed
-	touched  []int32   // bit-flip: variables with nonzero cnt this round
-	cwWords  []uint64  // packed hard-decision codeword, nWords
-	msgWords []uint64  // packed message staging for EncodeInto, kWords+1
+	c2v     []float32 // check→variable messages, edge-indexed
+	total   []float32 // per-variable posterior (llr + incoming c2v)
+	mbuf    []uint32  // one check's lazy v2c messages as float32 bits, len maxCheckDeg
+	synd    []uint8   // per-check syndrome of cwWords, length M
+	cnt     []uint8   // bit-flip: unsat checks per variable, kept zeroed
+	touched []int32   // bit-flip: variables with nonzero cnt this round
+	cwWords []uint64  // packed hard-decision codeword, nWords
+	msg     []uint64  // one block's packed message, kWords
+	vec     []uint64  // one parity or syndrome vector, mWords
 }
 
 func (c *Code) getScratch() *bpScratch {
@@ -109,14 +193,15 @@ func (c *Code) getScratch() *bpScratch {
 		return sc
 	}
 	return &bpScratch{
-		c2v:      make([]float32, c.edges),
-		total:    make([]float32, c.N),
-		mbuf:     make([]uint32, c.maxCheckDeg),
-		synd:     make([]uint8, c.M),
-		cnt:      make([]uint8, c.N),
-		touched:  make([]int32, 0, c.N),
-		cwWords:  make([]uint64, c.nWords),
-		msgWords: make([]uint64, c.kWords+1),
+		c2v:     make([]float32, c.edges),
+		total:   make([]float32, c.N),
+		mbuf:    make([]uint32, c.maxCheckDeg),
+		synd:    make([]uint8, c.M),
+		cnt:     make([]uint8, c.N),
+		touched: make([]int32, 0, c.N),
+		cwWords: make([]uint64, c.nWords),
+		msg:     make([]uint64, c.kWords),
+		vec:     make([]uint64, c.mWords),
 	}
 }
 
@@ -144,15 +229,6 @@ func NewCode(n, k int, seed uint64) (*Code, error) {
 		}
 	}
 	return nil, fmt.Errorf("ldpc: could not build full-rank code n=%d k=%d", n, k)
-}
-
-// MustNewCode is NewCode for compiled-in parameters.
-func MustNewCode(n, k int, seed uint64) *Code {
-	c, err := NewCode(n, k, seed)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 func tryConstruct(n, k, colWeight int, rng *sim.RNG) (*Code, bool) {
@@ -279,98 +355,53 @@ func tryConstruct(n, k, colWeight int, rng *sim.RNG) (*Code, bool) {
 			}
 		}
 	}
-	posIsData := make([]bool, n)
-	for _, c := range dataPos {
-		posIsData[c] = true
-	}
 	c := &Code{
 		N: n, K: k, M: m, ColWeight: colWeight,
 		checkVars: checkVars,
 		varChecks: varChecks,
 		dataPos:   dataPos,
 		parityPos: pivotCol,
-		posIsData: posIsData,
 	}
 	c.buildDecodeIndex()
-	c.buildEncodeWords(encRows)
+	c.buildTables(encRows)
 	return c, true
 }
 
-// Encode maps a K-bit message to an N-bit codeword (values 0/1).
-func (c *Code) Encode(msg []uint8) []uint8 {
-	cw := make([]uint8, c.N)
-	c.EncodeInto(msg, cw)
-	return cw
-}
-
-// EncodeInto encodes msg into cw (length N) without allocating. The
-// message is packed into machine words once and each parity bit costs
-// kWords AND+XOR word ops plus one popcount, instead of a walk over the
-// row's set bits.
-func (c *Code) EncodeInto(msg, cw []uint8) {
-	if len(msg) != c.K {
-		panic(fmt.Sprintf("ldpc: message length %d, want %d", len(msg), c.K))
+// encodeBlock encodes the K message bits at bit mOff of msg into the N
+// codeword bits at bit cOff of cw, leaving cw's other bits alone: the
+// block's message is cut out once, its parity is the XOR of one encTab
+// entry per message nibble, and both are copied along their runs.
+func (c *Code) encodeBlock(msg []uint64, mOff int, cw []uint64, cOff int, sc *bpScratch) {
+	copyBits(sc.msg, 0, msg, mOff, c.K)
+	tableXOR(c.encTab, sc.msg, sc.vec)
+	for _, r := range c.dataRuns {
+		copyBits(cw, cOff+r.pos, sc.msg, r.idx, r.n)
 	}
-	if len(cw) != c.N {
-		panic(fmt.Sprintf("ldpc: codeword buffer length %d, want %d", len(cw), c.N))
-	}
-	sc := c.getScratch()
-	PackBitsInto(msg, sc.msgWords[:c.kWords])
-	c.encodeFromWords(sc.msgWords, cw)
-	c.putScratch(sc)
-}
-
-// encodeFromWords encodes a packed K-bit message (msgWords[:kWords],
-// LSB-first) into cw. parity(row · msg) over GF(2) is the parity of
-// popcount(row AND msg); XOR-folding the per-word ANDs preserves
-// popcount parity, so each row needs a single popcount at the end.
-func (c *Code) encodeFromWords(msgWords []uint64, cw []uint8) {
-	for i, pos := range c.dataPos {
-		cw[pos] = uint8(msgWords[i>>6] >> (uint(i) & 63) & 1)
-	}
-	kw := c.kWords
-	for i, pos := range c.parityPos {
-		row := c.encWords[i*kw : i*kw+kw]
-		var acc uint64
-		for w, rw := range row {
-			acc ^= rw & msgWords[w]
-		}
-		cw[pos] = uint8(bits.OnesCount64(acc) & 1)
+	for _, r := range c.parityRuns {
+		copyBits(cw, cOff+r.pos, sc.vec, r.idx, r.n)
 	}
 }
 
-// Extract returns the K message bits embedded in an N-bit codeword.
-func (c *Code) Extract(cw []uint8) []uint8 {
-	msg := make([]uint8, c.K)
-	c.ExtractInto(cw, msg)
-	return msg
-}
-
-// ExtractInto copies the K message bits of cw into msg (length K).
-func (c *Code) ExtractInto(cw, msg []uint8) {
-	if len(msg) != c.K {
-		panic(fmt.Sprintf("ldpc: message buffer length %d, want %d", len(msg), c.K))
-	}
-	for i, pos := range c.dataPos {
-		msg[i] = cw[pos] & 1
-	}
-}
-
-// syndromePacked fills synd with the per-check syndrome of the packed
-// codeword and returns the number of unsatisfied checks.
-func (c *Code) syndromePacked(cw []uint64, synd []uint8) int {
+// loadHard copies the N hard-decision bits at bit off of hard into
+// sc.cwWords, fills sc.synd with their syndrome (the XOR of one synTab
+// entry per codeword nibble) and returns the number of unsatisfied
+// checks.
+func (c *Code) loadHard(hard []uint64, off int, sc *bpScratch) int {
+	copyBits(sc.cwWords, 0, hard, off, c.N)
+	tableXOR(c.synTab, sc.cwWords, sc.vec)
 	unsat := 0
-	nw := c.nWords
-	cw = cw[:nw]
-	for ci := 0; ci < c.M; ci++ {
-		row := c.chkWords[ci*nw : ci*nw+nw]
-		var acc uint64
-		for w, rw := range row {
-			acc ^= rw & cw[w]
-		}
-		s := uint8(bits.OnesCount64(acc) & 1)
-		synd[ci] = s
+	for ci := range sc.synd {
+		s := uint8(sc.vec[ci>>6] >> (uint(ci) & 63) & 1)
+		sc.synd[ci] = s
 		unsat += int(s)
 	}
 	return unsat
+}
+
+// extractBlock copies the K message bits of the decoded codeword in
+// sc.cwWords to bit mOff of msg along the data runs.
+func (c *Code) extractBlock(sc *bpScratch, msg []uint64, mOff int) {
+	for _, r := range c.dataRuns {
+		copyBits(msg, mOff+r.idx, sc.cwWords, r.pos, r.n)
+	}
 }

@@ -2,13 +2,6 @@ package ldpc
 
 import "math"
 
-// DecodeResult reports the outcome of a soft decode.
-type DecodeResult struct {
-	Bits       []uint8 // hard-decided codeword (length N)
-	OK         bool    // all parity checks satisfied
-	Iterations int     // decoder iterations actually run (0 = clean input)
-}
-
 // minSumScale is the normalization factor for min-sum BP; 0.75 is the
 // standard choice that closes most of the gap to full sum-product.
 const minSumScale = 0.75
@@ -22,43 +15,21 @@ const (
 	infBits32 = 0x7f800000
 )
 
-// DecodeBP runs normalized min-sum belief propagation over channel LLRs
-// (positive LLR means "bit is 0", the usual convention). It stops early
-// once the syndrome is satisfied — including before the first iteration
-// when the hard decision is already a codeword (Iterations=0) — and
-// returns the hard decision either way; OK distinguishes success from
-// decoder failure (which the caller treats as a sector erasure handled
-// by network coding, per §5).
-func (c *Code) DecodeBP(llr []float64, maxIter int) DecodeResult {
-	sc := c.getScratch()
-	iters, ok := c.decodeBP(llr, maxIter, sc)
-	bits := make([]uint8, c.N)
-	UnpackBitsInto(sc.cwWords, bits)
-	c.putScratch(sc)
-	return DecodeResult{Bits: bits, OK: ok, Iterations: iters}
-}
-
-// decodeBP takes the channel's hard decision and its syndrome, then
-// runs layeredBP from them: the entry for callers that hold neither (or
-// whose copy a failed bit-flip pass has overwritten).
-func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) (int, bool) {
-	if len(llr) != c.N {
-		panic("ldpc: LLR length mismatch")
-	}
-	c.hardPackLLR(llr, sc.cwWords)
-	return c.layeredBP(llr, maxIter, sc, c.syndromePacked(sc.cwWords, sc.synd))
-}
-
 // layeredBP is the fast path: serial-schedule ("layered") normalized
-// min-sum on float32 state. On entry sc.cwWords holds the hard decision
-// of llr and sc.synd/unsat its syndrome; on return cwWords holds the
-// decoded decision. Checks are processed in fixed ascending order; each
+// min-sum on float32 state, run over channel LLRs (positive LLR means
+// "bit is 0", the usual convention). On entry sc.cwWords holds the hard
+// decision of llr and sc.synd/unsat its syndrome; on return cwWords
+// holds the decoded decision. It returns the iterations run (0 when the
+// decision already was a codeword) and whether every check is satisfied;
+// a failure is a sector erasure for network coding, per §5. Checks are processed in fixed ascending order; each
 // reads the current posteriors, lazily reconstructs its inbound messages
 // as total[v]-c2v[e], and writes the refreshed posterior back at once,
 // so later checks in the same iteration see it — which is why it
 // converges in roughly half the iterations of a flooded schedule
 // (decodeBPReference, in the tests).
-// The only persistent edge state is c2v, walked strictly sequentially.
+// The only persistent edge state is c2v, walked strictly sequentially;
+// the first sweep writes it without reading it, since every inbound
+// check message is still zero there (total[v] - 0 is total[v] exactly).
 // The syndrome is maintained incrementally: a posterior sign change
 // flips the variable's bit, toggles its ColWeight checks and the unsat
 // counter, and the decode returns at the first check after which that
@@ -76,7 +47,7 @@ func (c *Code) decodeBP(llr []float64, maxIter int, sc *bpScratch) (int, bool) {
 // -0.0 ever entering total: a - b is -0.0 only for a = -0.0, and x + y
 // only when both are, so canonicalising the channel LLRs on entry keeps
 // every posterior's sign bit equal to "value < 0".
-func (c *Code) layeredBP(llr []float64, maxIter int, sc *bpScratch, unsat int) (int, bool) {
+func (c *Code) layeredBP(llr []float32, maxIter int, sc *bpScratch, unsat int) (int, bool) {
 	if unsat == 0 {
 		return 0, true
 	}
@@ -85,13 +56,11 @@ func (c *Code) layeredBP(llr []float64, maxIter int, sc *bpScratch, unsat int) (
 	}
 	total, cw, synd := sc.total, sc.cwWords, sc.synd
 	for v, x := range llr[:c.N] {
-		total[v] = float32(x) + 0 // -0.0 + 0 = +0.0: a zero LLR decides bit 0
+		total[v] = x + 0 // -0.0 + 0 = +0.0: a zero LLR decides bit 0
 	}
 	c2v := sc.c2v[:c.edges]
-	for i := range c2v {
-		c2v[i] = 0
-	}
 	for iter := 1; iter <= maxIter; iter++ {
+		first := iter == 1
 		for ci, vars := range c.checkVars {
 			off := int(c.edgeOff[ci])
 			cm := c2v[off : off+len(vars)]
@@ -100,7 +69,11 @@ func (c *Code) layeredBP(llr []float64, maxIter int, sc *bpScratch, unsat int) (
 			min1Idx := -1
 			var parity uint32
 			for e, v := range vars {
-				xb := math.Float32bits(total[v] - cm[e])
+				t := total[v]
+				if !first {
+					t -= cm[e]
+				}
+				xb := math.Float32bits(t)
 				m[e] = xb
 				parity ^= xb
 				a := xb &^ signBit32
@@ -192,40 +165,6 @@ func (c *Code) bitFlip(sc *bpScratch, maxIter, unsat int) (int, bool) {
 	}
 	sc.touched = touched[:0]
 	return iters, unsat == 0
-}
-
-// hardPackLLR packs the hard decisions of llr into cw: bit v set means
-// variable v decides 1. Branchless — the sign bit is lifted straight
-// out of the float representation, since a compare on a ~50/50 random
-// sign stream mispredicts half the time. The decision is the sign of the
-// posterior layeredBP starts from — the float32 the LLR rounds to, with
-// +0 added to fold -0.0 into +0.0 (an LLR of either zero decides bit 0)
-// — so every tier works from this one word.
-func (c *Code) hardPackLLR(llr []float64, cw []uint64) {
-	llr = llr[:c.N]
-	w := 0
-	for ; (w+1)*64 <= len(llr); w++ {
-		chunk := llr[w*64 : w*64+64]
-		var word uint64
-		for j, x := range chunk {
-			word |= uint64(math.Float32bits(float32(x)+0)>>31) << uint(j)
-		}
-		cw[w] = word
-	}
-	if w*64 < len(llr) {
-		var word uint64
-		for j, x := range llr[w*64:] {
-			word |= uint64(math.Float32bits(float32(x)+0)>>31) << uint(j)
-		}
-		cw[w] = word
-	}
-}
-
-// extractWordsInto copies the K message bits out of a packed codeword.
-func (c *Code) extractWordsInto(cw []uint64, msg []uint8) {
-	for i, pos := range c.dataPos {
-		msg[i] = uint8(cw[pos>>6] >> (uint(pos) & 63) & 1)
-	}
 }
 
 // HardLLR converts hard bits into saturated LLRs for feeding a hard

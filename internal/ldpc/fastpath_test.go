@@ -22,11 +22,12 @@ import (
 // rate must not fall below the reference's.
 
 // fastpathCodes covers word-aligned K, non-aligned K (both K%64 and
-// N%64 nonzero), and the production shape.
+// N%64 nonzero, data positions in several runs), and the production
+// shape (one data run, one parity run).
 var fastpathCodes = [][2]int{
 	{512, 384},   // production shape, K%64 == 0
 	{256, 192},   // aligned, small
-	{200, 137},   // K%64 = 9, N%64 = 8: exercises extractBits shifts
+	{200, 137},   // K%64 = 9, N%64 = 8: every copyBits step shifts
 	{330, 251},   // both unaligned, odd sizes
 	{2048, 1664}, // large aligned block
 }
@@ -40,18 +41,19 @@ func TestEncodeFastMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := sim.NewRNG(uint64(17 * n))
-			fast := make([]uint8, c.N)
 			ref := make([]uint8, c.N)
-			words, synd := make([]uint64, c.nWords), make([]uint8, c.M)
+			words := make([]uint64, c.nWords)
+			sc := c.getScratch()
+			defer c.putScratch(sc)
 			for trial := 0; trial < 50; trial++ {
 				msg := randomBits(r, c.K)
-				c.EncodeInto(msg, fast)
+				fast := c.encode(msg)
 				c.encodeIntoReference(msg, ref)
 				if !bitsEqual(fast, ref) {
-					t.Fatalf("trial %d: word-packed encode diverges from bit-serial reference", trial)
+					t.Fatalf("trial %d: nibble-table encode diverges from bit-serial reference", trial)
 				}
-				PackBitsInto(fast, words)
-				if !c.syndromeOK(fast) || c.syndromePacked(words, synd) != 0 {
+				packBitsInto(fast, words)
+				if !c.syndromeOK(fast) || c.loadHard(words, 0, sc) != 0 {
 					t.Fatalf("trial %d: encoded codeword fails syndrome", trial)
 				}
 			}
@@ -71,14 +73,14 @@ func TestDecodeFastMatchesReference(t *testing.T) {
 			refSucc, fastSucc, disagree := 0, 0, 0
 			for trial := 0; trial < 60; trial++ {
 				msg := randomBits(r, c.K)
-				cw := c.Encode(msg)
+				cw := c.encode(msg)
 				rx := append([]uint8(nil), cw...)
 				flips := trial % 8 // 0..7 bit errors
 				for _, i := range r.Perm(c.N)[:flips] {
 					rx[i] ^= 1
 				}
 				llr := HardLLR(rx, 2)
-				fast := c.DecodeBP(llr, 50)
+				fast := c.decodeBP(llr, 50)
 				ref := c.decodeBPReference(llr, 50)
 				if fast.OK {
 					fastSucc++
@@ -129,13 +131,13 @@ func TestDecodeFastMatchesReference(t *testing.T) {
 // under genuine soft LLRs (AWGN), the shape the voxel demapper
 // produces, including a success-rate floor for the serial schedule.
 func TestDecodeFastSoftNoise(t *testing.T) {
-	c := MustNewCode(512, 384, 7)
+	c := mustNewCode(512, 384, 7)
 	r := sim.NewRNG(77)
 	refSucc, fastSucc := 0, 0
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
 		msg := randomBits(r, c.K)
-		cw := c.Encode(msg)
+		cw := c.encode(msg)
 		llr := make([]float64, c.N)
 		sigma := 0.45 + 0.01*float64(trial%10)
 		for i, b := range cw {
@@ -145,12 +147,12 @@ func TestDecodeFastSoftNoise(t *testing.T) {
 			}
 			llr[i] = 2 * (x + r.Normal(0, sigma)) / (sigma * sigma)
 		}
-		fast := c.DecodeBP(llr, 80)
+		fast := c.decodeBP(llr, 80)
 		ref := c.decodeBPReference(llr, 80)
-		if fast.OK && bitsEqual(c.Extract(fast.Bits), msg) {
+		if fast.OK && bitsEqual(c.extract(fast.Bits), msg) {
 			fastSucc++
 		}
-		if ref.OK && bitsEqual(c.Extract(ref.Bits), msg) {
+		if ref.OK && bitsEqual(c.extract(ref.Bits), msg) {
 			refSucc++
 		}
 		if fast.OK && ref.OK && !bitsEqual(fast.Bits, ref.Bits) {
@@ -234,45 +236,39 @@ func referenceSectorOK(sc *SectorCodec, llr []float64, want []byte) bool {
 		if !res.OK {
 			return false
 		}
-		sc.Code.ExtractInto(res.Bits, msgBits[b*sc.Code.K:(b+1)*sc.Code.K])
+		copy(msgBits[b*sc.Code.K:], sc.Code.extract(res.Bits))
 	}
 	got := make([]byte, sc.PayloadBytes+crcBytes)
-	BitsToBytesInto(msgBits[:len(got)*8], got)
+	bitsToBytesInto(msgBits[:len(got)*8], got)
 	return bytes.Equal(got[:sc.PayloadBytes], want)
 }
 
-// TestPackHelpers pins the word layout: PackBitsInto/UnpackBitsInto round-
-// trip, agree with the byte packing, and extractBits matches a naive
-// bit-index walk at arbitrary offsets.
+// TestPackHelpers pins copyBits, the one primitive every run, block and
+// hard-decision copy goes through, against a naive bit-index walk at
+// arbitrary source and destination offsets: the span lands exactly and
+// every other destination bit keeps its value.
 func TestPackHelpers(t *testing.T) {
 	r := sim.NewRNG(31)
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 500; trial++ {
 		n := 1 + int(r.Uint64()%513)
-		bitsIn := randomBits(r, n)
-		words := make([]uint64, (n+63)/64)
-		PackBitsInto(bitsIn, words)
-		back := make([]uint8, n)
-		UnpackBitsInto(words, back)
-		if !bitsEqual(bitsIn, back) {
-			t.Fatalf("trial %d: pack/unpack round trip failed at n=%d", trial, n)
+		srcBits := randomBits(r, n)
+		src := make([]uint64, (n+63)/64)
+		packBitsInto(srcBits, src)
+		sOff := int(r.Uint64() % uint64(n))
+		span := 1 + int(r.Uint64()%uint64(n-sOff))
+		dstBits := randomBits(r, span+int(r.Uint64()%130))
+		dOff := int(r.Uint64() % uint64(len(dstBits)-span+1))
+		dst := make([]uint64, (len(dstBits)+63)/64)
+		packBitsInto(dstBits, dst)
+		copyBits(dst, dOff, src, sOff, span)
+		copy(dstBits[dOff:dOff+span], srcBits[sOff:])
+		got := make([]uint8, len(dstBits))
+		unpackBitsInto(dst, got)
+		if !bitsEqual(got, dstBits) {
+			t.Fatalf("trial %d: copyBits(dOff=%d, sOff=%d, n=%d) differs from the bit walk", trial, dOff, sOff, span)
 		}
-		off := int(r.Uint64() % uint64(n))
-		span := 1 + int(r.Uint64()%uint64(n-off))
-		// Source must carry a pad word for unaligned extraction.
-		src := append(append([]uint64(nil), words...), 0)
-		dst := make([]uint64, (span+63)/64)
-		extractBits(src, off, span, dst)
-		for i := 0; i < span; i++ {
-			want := uint64(bitsIn[off+i])
-			got := dst[i>>6] >> (uint(i) & 63) & 1
-			if got != want {
-				t.Fatalf("trial %d: extractBits(off=%d, n=%d) bit %d = %d, want %d", trial, off, span, i, got, want)
-			}
-		}
-		if tail := uint(span) & 63; tail != 0 {
-			if dst[len(dst)-1]>>tail != 0 {
-				t.Fatalf("trial %d: extractBits left garbage above bit %d", trial, span)
-			}
+		if tail := uint(len(dstBits)) & 63; tail != 0 && dst[len(dst)-1]>>tail != 0 {
+			t.Fatalf("trial %d: copyBits wrote past the destination's last bit", trial)
 		}
 	}
 }
@@ -287,7 +283,7 @@ func FuzzSectorRoundTrip(f *testing.F) {
 	f.Add([]byte("seed payload for the silica sector fuzzer"), uint64(1), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xa5}, 100), uint64(99), uint8(0))
 	f.Add([]byte{}, uint64(7), uint8(12))
-	code := MustNewCode(512, 384, 1)
+	code := mustNewCode(512, 384, 1)
 	sc, err := NewSectorCodec(code, 100)
 	if err != nil {
 		f.Fatal(err)

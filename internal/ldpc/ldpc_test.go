@@ -62,11 +62,11 @@ func TestEncodeSatisfiesAllChecks(t *testing.T) {
 	r := sim.NewRNG(2)
 	for trial := 0; trial < 20; trial++ {
 		msg := randomBits(r, c.K)
-		cw := c.Encode(msg)
+		cw := c.encode(msg)
 		if !c.syndromeOK(cw) {
 			t.Fatal("encoded codeword violates parity checks")
 		}
-		got := c.Extract(cw)
+		got := c.extract(cw)
 		if !bitsEqual(got, msg) {
 			t.Fatal("Extract did not recover the message")
 		}
@@ -84,7 +84,7 @@ func TestEncodeLinearity(t *testing.T) {
 		for i := range sum {
 			sum[i] = a[i] ^ b[i]
 		}
-		ca, cb, cs := c.Encode(a), c.Encode(b), c.Encode(sum)
+		ca, cb, cs := c.encode(a), c.encode(b), c.encode(sum)
 		for i := range cs {
 			if cs[i] != ca[i]^cb[i] {
 				return false
@@ -101,12 +101,12 @@ func TestBPDecodesCleanChannel(t *testing.T) {
 	c := testCode(t)
 	r := sim.NewRNG(4)
 	msg := randomBits(r, c.K)
-	cw := c.Encode(msg)
-	res := c.DecodeBP(HardLLR(cw, 8), 50)
+	cw := c.encode(msg)
+	res := c.decodeBP(HardLLR(cw, 8), 50)
 	if !res.OK || res.Iterations != 0 {
 		t.Fatalf("clean decode: ok=%v iters=%d (clean input should exit before iterating)", res.OK, res.Iterations)
 	}
-	if !bitsEqual(c.Extract(res.Bits), msg) {
+	if !bitsEqual(c.extract(res.Bits), msg) {
 		t.Fatal("clean decode corrupted the message")
 	}
 }
@@ -123,13 +123,13 @@ func TestBPCorrectsBSCErrors(t *testing.T) {
 	const trials = 50
 	for trial := 0; trial < trials; trial++ {
 		msg := randomBits(r, c.K)
-		cw := c.Encode(msg)
+		cw := c.encode(msg)
 		rx := append([]uint8(nil), cw...)
 		for _, i := range r.Perm(c.N)[:flips] {
 			rx[i] ^= 1
 		}
-		res := c.DecodeBP(HardLLR(rx, 2), 50)
-		if res.OK && bitsEqual(c.Extract(res.Bits), msg) {
+		res := c.decodeBP(HardLLR(rx, 2), 50)
+		if res.OK && bitsEqual(c.extract(res.Bits), msg) {
 			success++
 		}
 	}
@@ -147,7 +147,7 @@ func TestBPSoftBeatsUncoded(t *testing.T) {
 	trials, success := 30, 0
 	for trial := 0; trial < trials; trial++ {
 		msg := randomBits(r, c.K)
-		cw := c.Encode(msg)
+		cw := c.encode(msg)
 		llr := make([]float64, c.N)
 		for i, b := range cw {
 			x := 1.0
@@ -157,8 +157,8 @@ func TestBPSoftBeatsUncoded(t *testing.T) {
 			y := x + r.Normal(0, sigma)
 			llr[i] = 2 * y / (sigma * sigma)
 		}
-		res := c.DecodeBP(llr, 80)
-		if res.OK && bitsEqual(c.Extract(res.Bits), msg) {
+		res := c.decodeBP(llr, 80)
+		if res.OK && bitsEqual(c.extract(res.Bits), msg) {
 			success++
 		}
 	}
@@ -171,14 +171,14 @@ func TestBPFailureReported(t *testing.T) {
 	c := testCode(t)
 	r := sim.NewRNG(7)
 	msg := randomBits(r, c.K)
-	cw := c.Encode(msg)
+	cw := c.encode(msg)
 	rx := append([]uint8(nil), cw...)
 	// Saturate with errors: flip 40% of bits.
 	for _, i := range r.Perm(c.N)[:c.N*2/5] {
 		rx[i] ^= 1
 	}
-	res := c.DecodeBP(HardLLR(rx, 6), 10)
-	if res.OK && bitsEqual(c.Extract(res.Bits), msg) {
+	res := c.decodeBP(HardLLR(rx, 6), 10)
+	if res.OK && bitsEqual(c.extract(res.Bits), msg) {
 		t.Fatal("decoder claims success on a hopeless channel and message matches?!")
 	}
 }
@@ -188,20 +188,20 @@ func TestBitFlipCorrectsLightErrors(t *testing.T) {
 	r := sim.NewRNG(8)
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	got := make([]uint8, c.K)
 	success := 0
 	const trials = 50
 	for trial := 0; trial < trials; trial++ {
 		msg := randomBits(r, c.K)
-		cw := c.Encode(msg)
+		cw := c.encode(msg)
 		rx := append([]uint8(nil), cw...)
 		for _, i := range r.Perm(c.N)[:3] {
 			rx[i] ^= 1
 		}
-		PackBitsInto(rx, sc.cwWords)
-		_, ok := c.bitFlip(sc, 30, c.syndromePacked(sc.cwWords, sc.synd))
-		c.extractWordsInto(sc.cwWords, got)
-		if ok && bitsEqual(got, msg) {
+		words := make([]uint64, c.nWords)
+		packBitsInto(rx, words)
+		_, ok := c.bitFlip(sc, 30, c.loadHard(words, 0, sc))
+		unpackBitsInto(sc.cwWords, rx)
+		if ok && bitsEqual(c.extract(rx), msg) {
 			success++
 		}
 	}
@@ -220,31 +220,37 @@ func TestDeterministicConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := randomBits(sim.NewRNG(10), a.K)
-	if !bitsEqual(a.Encode(msg), b.Encode(msg)) {
+	if !bitsEqual(a.encode(msg), b.encode(msg)) {
 		t.Fatal("same seed produced different codes")
 	}
 }
 
+// TestBitsBytesRoundTrip pins the framed-byte layout: packBytesInto
+// puts bit i of the bytes (LSB-first) at bit i of the words and zeroes
+// the words past them, and storeBytes reads the bytes back.
 func TestBitsBytesRoundTrip(t *testing.T) {
 	err := quick.Check(func(p []byte) bool {
+		words := make([]uint64, (len(p)+7)/8+1)
+		for i := range words {
+			words[i] = ^uint64(0)
+		}
+		packBytesInto(p, words)
 		bits := make([]uint8, 8*len(p))
 		bytesToBitsInto(p, bits)
+		want := make([]uint64, len(words))
+		packBitsInto(bits, want)
 		back := make([]byte, len(p))
-		BitsToBytesInto(bits, back)
+		storeBytes(words, back)
+		for i := range words {
+			if words[i] != want[i] {
+				return false
+			}
+		}
 		return bytes.Equal(back, p)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBitsToBytesUnalignedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned BitsToBytesInto did not panic")
-		}
-	}()
-	BitsToBytesInto(make([]uint8, 7), make([]byte, 1))
 }
 
 func TestSectorCodecRoundTrip(t *testing.T) {
@@ -363,33 +369,36 @@ func bitsEqual(a, b []uint8) bool {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	c := MustNewCode(2048, 1664, 1)
-	msg := randomBits(sim.NewRNG(1), c.K)
+	c := mustNewCode(2048, 1664, 1)
+	msg := make([]uint64, c.kWords)
+	packBitsInto(randomBits(sim.NewRNG(1), c.K), msg)
+	cw := make([]uint64, c.nWords)
+	sc := c.getScratch()
 	b.SetBytes(int64(c.K / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Encode(msg)
+		c.encodeBlock(msg, 0, cw, 0, sc)
 	}
 }
 
 func BenchmarkDecodeBPClean(b *testing.B) {
-	c := MustNewCode(2048, 1664, 1)
+	c := mustNewCode(2048, 1664, 1)
 	msg := randomBits(sim.NewRNG(1), c.K)
-	llr := HardLLR(c.Encode(msg), 8)
+	llr := HardLLR(c.encode(msg), 8)
 	b.SetBytes(int64(c.K / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := c.DecodeBP(llr, 50); !res.OK {
+		if res := c.decodeBP(llr, 50); !res.OK {
 			b.Fatal("decode failed")
 		}
 	}
 }
 
 func BenchmarkDecodeBPNoisy(b *testing.B) {
-	c := MustNewCode(2048, 1664, 1)
+	c := mustNewCode(2048, 1664, 1)
 	r := sim.NewRNG(1)
 	msg := randomBits(r, c.K)
-	cw := c.Encode(msg)
+	cw := c.encode(msg)
 	rx := append([]uint8(nil), cw...)
 	for _, i := range r.Perm(c.N)[:10] {
 		rx[i] ^= 1
@@ -398,6 +407,6 @@ func BenchmarkDecodeBPNoisy(b *testing.B) {
 	b.SetBytes(int64(c.K / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DecodeBP(llr, 50)
+		c.decodeBP(llr, 50)
 	}
 }

@@ -3,17 +3,51 @@ package ldpc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // The references below are the original bit-serial encoder and flooded
 // float64 min-sum decoder. Production never runs them: they are the
-// known-good oracles the word-packed encoder and the serial-schedule
+// known-good oracles the nibble-table encoder and the serial-schedule
 // decoder are property-tested against (fastpath_test.go), so they live
-// with the tests and build whatever index they need themselves.
+// with the tests and build whatever index they need themselves. Beside
+// them are the one-bit-a-byte adapters the tests drive the packed code
+// through.
+
+// mustNewCode is NewCode for compiled-in parameters.
+func mustNewCode(n, k int, seed uint64) *Code {
+	c, err := NewCode(n, k, seed)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// decodeResult reports the outcome of a whole-codeword decode.
+type decodeResult struct {
+	Bits       []uint8 // hard-decided codeword (length N)
+	OK         bool    // all parity checks satisfied
+	Iterations int     // decoder iterations actually run (0 = clean input)
+}
+
+// packBitsInto packs a 0/1 slice LSB-first into words, zeroing the
+// unused high bits of the last word it writes.
+func packBitsInto(bits []uint8, words []uint64) {
+	clear(words[:(len(bits)+63)/64])
+	for i, b := range bits {
+		words[i>>6] |= uint64(b&1) << (uint(i) & 63)
+	}
+}
+
+// unpackBitsInto is the inverse of packBitsInto for the first len(bits)
+// bits.
+func unpackBitsInto(words []uint64, bits []uint8) {
+	for i := range bits {
+		bits[i] = uint8(words[i>>6] >> (uint(i) & 63) & 1)
+	}
+}
 
 // bytesToBitsInto unpacks bytes LSB-first into out, which must hold at
-// least 8*len(p) entries: the bit-level inverse of BitsToBytesInto.
+// least 8*len(p) entries.
 func bytesToBitsInto(p []byte, out []uint8) {
 	for i, b := range p {
 		for j := 0; j < 8; j++ {
@@ -22,8 +56,80 @@ func bytesToBitsInto(p []byte, out []uint8) {
 	}
 }
 
-// encodeIntoReference encodes msg into cw (length N) one set bit of each
-// encoder row at a time.
+// bitsToBytesInto packs the first 8*len(out) entries of bits LSB-first
+// into out: the inverse of bytesToBitsInto.
+func bitsToBytesInto(bits []uint8, out []byte) {
+	for i := range out {
+		var b byte
+		for j := 0; j < 8; j++ {
+			b |= byte(bits[i*8+j]&1) << uint(j)
+		}
+		out[i] = b
+	}
+}
+
+// encode maps a K-bit message (one bit a byte) to its N-bit codeword
+// through the production encoder.
+func (c *Code) encode(msg []uint8) []uint8 {
+	if len(msg) != c.K {
+		panic(fmt.Sprintf("ldpc: message length %d, want %d", len(msg), c.K))
+	}
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	words, cw := make([]uint64, c.kWords), make([]uint64, c.nWords)
+	packBitsInto(msg, words)
+	c.encodeBlock(words, 0, cw, 0, sc)
+	out := make([]uint8, c.N)
+	unpackBitsInto(cw, out)
+	return out
+}
+
+// extract returns the K message bits embedded in an N-bit codeword.
+func (c *Code) extract(cw []uint8) []uint8 {
+	msg := make([]uint8, c.K)
+	for i, pos := range c.dataPos {
+		msg[i] = cw[pos] & 1
+	}
+	return msg
+}
+
+// hardDecide rounds float64 LLRs to the decoder's float32 (+0 added)
+// and packs their signs, as DecodeSectorInto does.
+func hardDecide(llr []float64) ([]float32, []uint64) {
+	f := make([]float32, len(llr))
+	hard := make([]uint64, (len(llr)+63)/64)
+	for i, x := range llr {
+		f[i] = float32(x) + 0
+		hard[i>>6] |= uint64(math.Float32bits(f[i])>>31) << (uint(i) & 63)
+	}
+	return f, hard
+}
+
+// decodeBPWith runs layeredBP on one block of float64 LLRs from the
+// channel's hard decision, on sc.
+func (c *Code) decodeBPWith(llr []float64, maxIter int, sc *bpScratch) (int, bool) {
+	if len(llr) != c.N {
+		panic("ldpc: LLR length mismatch")
+	}
+	f, hard := hardDecide(llr)
+	return c.layeredBP(f, maxIter, sc, c.loadHard(hard, 0, sc))
+}
+
+// decodeBP is whole-codeword layered BP, the sector decoder's BP tier
+// on its own.
+func (c *Code) decodeBP(llr []float64, maxIter int) decodeResult {
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	iters, ok := c.decodeBPWith(llr, maxIter, sc)
+	bits := make([]uint8, c.N)
+	unpackBitsInto(sc.cwWords, bits)
+	return decodeResult{Bits: bits, OK: ok, Iterations: iters}
+}
+
+// encodeIntoReference encodes msg into cw (length N) one message bit at
+// a time: parity bit i is the XOR of the message bits whose encoder
+// column has bit i set. The columns are the single-bit entries of
+// encTab; that they are the right ones is what syndromeOK checks.
 func (c *Code) encodeIntoReference(msg, cw []uint8) {
 	if len(msg) != c.K {
 		panic(fmt.Sprintf("ldpc: message length %d, want %d", len(msg), c.K))
@@ -34,16 +140,16 @@ func (c *Code) encodeIntoReference(msg, cw []uint8) {
 	for i, pos := range c.dataPos {
 		cw[pos] = msg[i] & 1
 	}
-	for i := range c.parityPos {
+	nibbles := len(c.encTab) / (16 * c.mWords)
+	for i, pos := range c.parityPos {
 		var parity uint8
-		for w, word := range c.encWords[i*c.kWords : (i+1)*c.kWords] {
-			base := w * 64
-			for word != 0 {
-				parity ^= msg[base+bits.TrailingZeros64(word)] & 1
-				word &= word - 1
+		for d := 0; d < c.K; d++ {
+			word := c.encTab[(i>>6*nibbles+d/4)*16+1<<(d%4)]
+			if word>>(uint(i)&63)&1 == 1 {
+				parity ^= msg[d] & 1
 			}
 		}
-		cw[c.parityPos[i]] = parity
+		cw[pos] = parity
 	}
 }
 
@@ -90,7 +196,7 @@ func (c *Code) varEdges() (varOff, varEdge []int32) {
 // decodeBPReference is flooded float64 normalized min-sum: every check
 // updates from the previous iteration's messages, then every variable,
 // with a full syndrome sweep per iteration.
-func (c *Code) decodeBPReference(llr []float64, maxIter int) DecodeResult {
+func (c *Code) decodeBPReference(llr []float64, maxIter int) decodeResult {
 	if len(llr) != c.N {
 		panic("ldpc: LLR length mismatch")
 	}
@@ -122,7 +228,7 @@ func (c *Code) decodeBPReference(llr []float64, maxIter int) DecodeResult {
 	}
 	decide()
 	if c.syndromeOK(hard) {
-		return DecodeResult{Bits: hard, OK: true, Iterations: 0}
+		return decodeResult{Bits: hard, OK: true, Iterations: 0}
 	}
 
 	for iter := 1; iter <= maxIter; iter++ {
@@ -173,8 +279,8 @@ func (c *Code) decodeBPReference(llr []float64, maxIter int) DecodeResult {
 		}
 		decide()
 		if c.syndromeOK(hard) {
-			return DecodeResult{Bits: hard, OK: true, Iterations: iter}
+			return decodeResult{Bits: hard, OK: true, Iterations: iter}
 		}
 	}
-	return DecodeResult{Bits: hard, OK: false, Iterations: maxIter}
+	return decodeResult{Bits: hard, OK: false, Iterations: maxIter}
 }

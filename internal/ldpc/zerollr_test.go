@@ -11,13 +11,12 @@ import (
 // a zero of either sign decides bit 0 in every tier. With zeros placed
 // only where the codeword holds a 0, the hard decision is already the
 // codeword, so the syndrome tier, the fast BP path and the reference
-// must all report a clean block — before the rule was shared,
-// hardPackLLR read -0.0 as bit 1 and sent the block to bit-flipping.
+// must all report a clean block — before the rule was shared, the hard
+// decision read -0.0 as bit 1 and sent the block to bit-flipping.
 func TestZeroLLRDecidesBitZero(t *testing.T) {
-	c := MustNewCode(512, 384, 1)
+	c := mustNewCode(512, 384, 1)
 	r := sim.NewRNG(21)
-	cw := make([]uint8, c.N)
-	c.EncodeInto(randomBits(r, c.K), cw)
+	cw := c.encode(randomBits(r, c.K))
 	llr := HardLLR(cw, 4)
 	zeros := [2]float64{0, math.Copysign(0, -1)}
 	placed := 0
@@ -32,12 +31,12 @@ func TestZeroLLRDecidesBitZero(t *testing.T) {
 	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	msg := make([]uint8, c.K)
-	if iters, ok, mode := c.decodeBlockInto(llr, 50, sc, msg); !ok || iters != 0 || mode != blockClean {
-		t.Fatalf("decodeBlockInto: iters=%d ok=%v mode=%d, want a clean block", iters, ok, mode)
+	f, hard := hardDecide(llr)
+	if iters, ok, mode := c.decodeBlock(f, hard, 0, 50, sc); !ok || iters != 0 || mode != blockClean {
+		t.Fatalf("decodeBlock: iters=%d ok=%v mode=%d, want a clean block", iters, ok, mode)
 	}
-	for name, res := range map[string]DecodeResult{
-		"DecodeBP":          c.DecodeBP(llr, 50),
+	for name, res := range map[string]decodeResult{
+		"decodeBP":          c.decodeBP(llr, 50),
 		"decodeBPReference": c.decodeBPReference(llr, 50),
 	} {
 		if !res.OK || res.Iterations != 0 || !bitsEqual(res.Bits, cw) {
@@ -52,7 +51,7 @@ func TestZeroLLRDecidesBitZero(t *testing.T) {
 // multiples of 4 keep every message a multiple of 1/4 early on, so
 // exact cancellations — the only source of zeros — are common.
 func TestBPSignBitTracksPosterior(t *testing.T) {
-	c := MustNewCode(512, 384, 1)
+	c := mustNewCode(512, 384, 1)
 	r := sim.NewRNG(22)
 	sc := c.getScratch()
 	defer c.putScratch(sc)
@@ -65,7 +64,7 @@ func TestBPSignBitTracksPosterior(t *testing.T) {
 				llr[v] = math.Copysign(0, -1)
 			}
 		}
-		c.decodeBP(llr, 4, sc)
+		c.decodeBPWith(llr, 4, sc)
 		for v, total := range sc.total {
 			if total == 0 {
 				zeros++

@@ -14,8 +14,24 @@ func exactLLRs(d *Demapper, received []Point) []float64 {
 }
 
 // llrTableTol bounds |table − exact| at the default operating point
-// (measured ≈ 2e-4 against LLR magnitudes in the tens).
+// (measured ≈ 2e-4 against LLR magnitudes in the tens; the float32
+// rounding adds at most ≈ 1e-5 more).
 const llrTableTol = 1e-3
+
+// demap runs LLRsInto on fresh buffers and checks the hard decision it
+// packs against the LLRs' signs.
+func demap(t testing.TB, d *Demapper, received []Point) []float32 {
+	t.Helper()
+	llr := make([]float32, len(received)*BitsPerVoxel)
+	hard := make([]uint64, (len(received)+15)/16)
+	d.LLRsInto(received, llr, hard)
+	for i, x := range llr {
+		if bit := hard[i>>6] >> (uint(i) & 63) & 1; (bit == 1) != (x < 0) {
+			t.Fatalf("point %+v bit %d: LLR %v but hard decision %d", received[i/BitsPerVoxel], i%BitsPerVoxel, x, bit)
+		}
+	}
+	return llr
+}
 
 func TestTableLLRsMatchExact(t *testing.T) {
 	m := NewModulation()
@@ -30,10 +46,10 @@ func TestTableLLRsMatchExact(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		received = append(received, Point{A: rng.Range(-axisRange, axisRange), R: rng.Range(-axisRange, axisRange)})
 	}
-	fast := d.LLRsInto(received, make([]float64, len(received)*BitsPerVoxel))
+	fast := demap(t, d, received)
 	var worst float64
 	for i, want := range exactLLRs(d, received) {
-		worst = math.Max(worst, math.Abs(fast[i]-want))
+		worst = math.Max(worst, math.Abs(float64(fast[i])-want))
 	}
 	if worst > llrTableTol {
 		t.Fatalf("max |table - exact| = %v, want <= %v", worst, llrTableTol)
@@ -52,9 +68,9 @@ func TestTableLLRSignsCleanChannel(t *testing.T) {
 			}
 		}
 	}
-	fast := d.LLRsInto(received, make([]float64, len(received)*BitsPerVoxel))
+	fast := demap(t, d, received)
 	for i, want := range exactLLRs(d, received) {
-		if want == 0 || math.Signbit(fast[i]) != math.Signbit(want) || fast[i] == 0 {
+		if want == 0 || math.Signbit(float64(fast[i])) != math.Signbit(want) || fast[i] == 0 {
 			t.Fatalf("point %+v bit %d: table LLR %v, exact %v", received[i/BitsPerVoxel], i%BitsPerVoxel, fast[i], want)
 		}
 	}
@@ -79,8 +95,8 @@ func TestReadSectorAllocations(t *testing.T) {
 }
 
 // FuzzDemapLLRs feeds the table lookup arbitrary float64 bit patterns:
-// it must never index outside the table or emit a non-finite or
-// negative-zero LLR, and inside the table's range it must stay within
+// it must never index outside the table, emit a non-finite or
+// negative-zero LLR, or pack a hard decision that disagrees with one, and inside the table's range it must stay within
 // tolerance of the exact path — hence agree on every decision that is
 // not on a boundary.
 func FuzzDemapLLRs(f *testing.F) {
@@ -94,10 +110,9 @@ func FuzzDemapLLRs(f *testing.F) {
 	d := NewDemapper(NewModulation(), DefaultChannel())
 	f.Fuzz(func(t *testing.T, aBits, rBits uint64) {
 		y := []Point{{A: math.Float64frombits(aBits), R: math.Float64frombits(rBits)}}
-		var fast [BitsPerVoxel]float64
-		d.LLRsInto(y, fast[:])
-		for b, v := range fast {
-			if math.IsNaN(v) || math.IsInf(v, 0) || (v == 0 && math.Signbit(v)) {
+		fast := demap(t, d, y)
+		for b, x := range fast {
+			if v := float64(x); math.IsNaN(v) || math.IsInf(v, 0) || (v == 0 && math.Signbit(v)) {
 				t.Fatalf("%+v bit %d: LLR %v", y[0], b, v)
 			}
 		}
@@ -105,7 +120,7 @@ func FuzzDemapLLRs(f *testing.F) {
 			return
 		}
 		for b, want := range exactLLRs(d, y) {
-			if math.Abs(fast[b]-want) > llrTableTol {
+			if math.Abs(float64(fast[b])-want) > llrTableTol {
 				t.Fatalf("%+v bit %d: table LLR %v, exact %v", y[0], b, fast[b], want)
 			}
 		}

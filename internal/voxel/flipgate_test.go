@@ -33,9 +33,9 @@ func TestFlipGateOperatingPoint(t *testing.T) {
 		symbols := p.WriteSector(randomPayload(p.Codec.PayloadBytes, 0xf11b+uint64(pi)))
 		rng := sim.NewRNG(0x6a7e + uint64(pi))
 		for ri := 0; ri < reads; ri++ {
-			llrs := p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0]), sc.llrs)
+			p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0]), sc.llrs, sc.hard)
 			for b := 0; b < p.Codec.Blocks(); b++ {
-				unsat, gated, ok := code.FlipTrial(llrs[b*code.N : (b+1)*code.N])
+				unsat, gated, ok := code.FlipTrial(sc.hard, b*code.N)
 				i := unsat / width
 				for len(table) <= i {
 					table = append(table, bucket{})

@@ -31,10 +31,10 @@ type SectorPipeline struct {
 // buffers returned by WriteSectorWith are valid until the scratch's
 // next use or release.
 type SectorScratch struct {
-	bits    []uint8       // coded bits, padded to a whole voxel count
 	symbols []uint8       // modulated symbols
 	points  []Point       // received channel observations
-	llrs    []float64     // demapped bit LLRs
+	llrs    []float32     // demapped bit LLRs
+	hard    []uint64      // their packed hard decision
 	codec   *ldpc.Scratch // sector codec working set, held across calls
 }
 
@@ -62,14 +62,11 @@ func (p *SectorPipeline) AcquireScratch() *SectorScratch {
 		return sc
 	}
 	symbols := p.SymbolsPerSector()
-	// bits is padded to the voxel grid; the pad tail is zeroed once here
-	// and never written afterwards (EncodeSectorInto fills exactly
-	// EncodedBits), so modulation always sees zero padding.
 	return &SectorScratch{
-		bits:    make([]uint8, symbols*BitsPerVoxel),
 		symbols: make([]uint8, symbols),
 		points:  make([]Point, symbols),
-		llrs:    make([]float64, symbols*BitsPerVoxel),
+		llrs:    make([]float32, symbols*BitsPerVoxel),
+		hard:    make([]uint64, (symbols+15)/16),
 		codec:   p.Codec.AcquireScratch(),
 	}
 }
@@ -87,11 +84,12 @@ func (p *SectorPipeline) WriteSector(payload []byte) []uint8 {
 }
 
 // WriteSectorWith encodes a payload into voxel symbols using sc's
-// buffers. The returned slice aliases sc and is valid until sc's next
-// use; callers that retain symbols (e.g. platter media) must copy.
+// buffers: the codec's packed coded bits are cut four to a symbol, the
+// zero tail past EncodedBits padding the last one. The returned slice
+// aliases sc and is valid until sc's next use; callers that retain
+// symbols (e.g. platter media) must copy.
 func (p *SectorPipeline) WriteSectorWith(sc *SectorScratch, payload []byte) []uint8 {
-	p.Codec.EncodeSectorWith(sc.codec, payload, sc.bits[:p.Codec.EncodedBits()])
-	ModulateInto(sc.bits, sc.symbols)
+	cutSymbols(p.Codec.EncodeSectorWith(sc.codec, payload), sc.symbols)
 	return sc.symbols
 }
 
@@ -103,8 +101,7 @@ func (p *SectorPipeline) WriteSectorsInto(sc *SectorScratch, payloads [][]byte, 
 		panic("voxel: payload/destination count mismatch")
 	}
 	for i, payload := range payloads {
-		p.Codec.EncodeSectorWith(sc.codec, payload, sc.bits[:p.Codec.EncodedBits()])
-		ModulateInto(sc.bits, dsts[i])
+		cutSymbols(p.Codec.EncodeSectorWith(sc.codec, payload), dsts[i][:p.SymbolsPerSector()])
 	}
 }
 
@@ -115,6 +112,6 @@ func (p *SectorPipeline) WriteSectorsInto(sc *SectorScratch, payloads [][]byte, 
 // pass nil to allocate the payload.
 func (p *SectorPipeline) ReadSectorWithBuf(sc *SectorScratch, symbols []uint8, rng *sim.RNG, payload []byte) ldpc.SectorDecode {
 	received := p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0])
-	llrs := p.Demap.LLRsInto(received, sc.llrs)
-	return p.Codec.DecodeSectorWith(sc.codec, llrs[:p.Codec.EncodedBits()], p.MaxIters, payload)
+	p.Demap.LLRsInto(received, sc.llrs, sc.hard)
+	return p.Codec.DecodeSectorWith(sc.codec, sc.llrs[:p.Codec.EncodedBits()], sc.hard, p.MaxIters, payload)
 }

@@ -19,7 +19,7 @@
 package voxel
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 
@@ -61,31 +61,23 @@ func NewModulation() *Modulation {
 // IdealPoint returns the constellation point of a symbol.
 func (m *Modulation) IdealPoint(sym uint8) Point { return m.points[sym&(numSymbols-1)] }
 
-// ModulateInto packs bits (LSB-first per symbol, len must be a multiple
-// of BitsPerVoxel) into out, which must hold len(bits)/BitsPerVoxel
-// symbols.
-func ModulateInto(bits, out []uint8) {
-	if len(bits)%BitsPerVoxel != 0 {
-		panic(fmt.Sprintf("voxel: %d bits not a multiple of %d", len(bits), BitsPerVoxel))
+// cutSymbols cuts packed coded bits (LSB-first) into one symbol a byte:
+// symbol i is bits 4i..4i+3, bit 4i its least significant. words must
+// hold len(symbols)*BitsPerVoxel bits. Eight symbols at a time are
+// spread out of half a word into the eight bytes of one store.
+func cutSymbols(words []uint64, symbols []uint8) {
+	n := len(symbols)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := words[i>>4] >> (4 * (uint(i) & 15)) & 0xffffffff
+		x = (x | x<<16) & 0x0000ffff0000ffff
+		x = (x | x<<8) & 0x00ff00ff00ff00ff
+		x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+		binary.LittleEndian.PutUint64(symbols[i:], x)
 	}
-	for i := range out[:len(bits)/BitsPerVoxel] {
-		var s uint8
-		for b := 0; b < BitsPerVoxel; b++ {
-			s |= (bits[i*BitsPerVoxel+b] & 1) << uint(b)
-		}
-		out[i] = s
+	for ; i < n; i++ {
+		symbols[i] = uint8(words[i>>4]>>(4*(uint(i)&15))) & (numSymbols - 1)
 	}
-}
-
-// Demodulate unpacks symbols back to bits (hard decision helper).
-func Demodulate(symbols []uint8) []uint8 {
-	out := make([]uint8, len(symbols)*BitsPerVoxel)
-	for i, s := range symbols {
-		for b := 0; b < BitsPerVoxel; b++ {
-			out[i*BitsPerVoxel+b] = s >> uint(b) & 1
-		}
-	}
-	return out
 }
 
 // Channel models the end-to-end write+read impairments of one sector.
@@ -247,19 +239,33 @@ func NewDemapper(m *Modulation, ch Channel) *Demapper {
 	return d
 }
 
-// LLRsInto writes the four bit LLRs of every received point into dst
-// (length ≥ len(received)*BitsPerVoxel; positive favours bit 0) and
-// returns the filled prefix. It is BitLLRs(Posteriors(received)) up to
-// table interpolation, with no per-voxel transcendental. Coordinates
-// outside ±axisRange saturate at the table edge, NaN at the low edge.
-func (d *Demapper) LLRsInto(received []Point, dst []float64) []float64 {
-	dst = dst[:len(received)*BitsPerVoxel]
+// LLRsInto writes the four bit LLRs of every received point into llr
+// (length ≥ len(received)*BitsPerVoxel; positive favours bit 0) as the
+// float32 the LDPC decoder works in, +0 added so a zero of either sign
+// decides bit 0, and packs their signs LSB-first into hard (bit i set
+// when llr[i] < 0; ⌈len(received)/16⌉ words). The LLRs are
+// BitLLRs(Posteriors(received)) up to table interpolation, with no
+// per-voxel transcendental. Coordinates outside ±axisRange saturate at
+// the table edge, NaN at the low edge.
+func (d *Demapper) LLRsInto(received []Point, llr []float32, hard []uint64) {
+	llr = llr[:len(received)*BitsPerVoxel]
+	var word uint64
 	for i, y := range received {
-		o := (*[BitsPerVoxel]float64)(dst[i*BitsPerVoxel:])
-		o[0], o[1] = d.axisLLRs(y.A)
-		o[2], o[3] = d.axisLLRs(y.R)
+		a0, a1 := d.axisLLRs(y.A)
+		r0, r1 := d.axisLLRs(y.R)
+		f0, f1, f2, f3 := float32(a0)+0, float32(a1)+0, float32(r0)+0, float32(r1)+0
+		o := (*[BitsPerVoxel]float32)(llr[i*BitsPerVoxel:])
+		o[0], o[1], o[2], o[3] = f0, f1, f2, f3
+		nib := math.Float32bits(f0)>>31 | math.Float32bits(f1)>>31<<1 |
+			math.Float32bits(f2)>>31<<2 | math.Float32bits(f3)>>31<<3
+		word |= uint64(nib) << (4 * (uint(i) & 15))
+		if i&15 == 15 {
+			hard[i>>4], word = word, 0
+		}
 	}
-	return dst
+	if len(received)&15 != 0 {
+		hard[len(received)>>4] = word
+	}
 }
 
 // axisLLRs interpolates the axis table at coordinate y.

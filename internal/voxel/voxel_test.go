@@ -64,28 +64,40 @@ func TestGrayMappingNeighbourProperty(t *testing.T) {
 	}
 }
 
-func TestModulateRoundTrip(t *testing.T) {
-	err := quick.Check(func(raw []byte) bool {
-		bits := make([]uint8, 8*len(raw))
-		for i := range bits {
-			bits[i] = raw[i/8] >> (i % 8) & 1
+// demodulate unpacks symbols back to bits, one a byte: the bit-serial
+// definition of the symbol layout.
+func demodulate(symbols []uint8) []uint8 {
+	out := make([]uint8, len(symbols)*BitsPerVoxel)
+	for i, s := range symbols {
+		for b := 0; b < BitsPerVoxel; b++ {
+			out[i*BitsPerVoxel+b] = s >> uint(b) & 1
 		}
-		syms := make([]uint8, len(bits)/BitsPerVoxel)
-		ModulateInto(bits, syms)
-		return bitsEq(Demodulate(syms), bits)
+	}
+	return out
+}
+
+// TestModulateRoundTrip holds cutSymbols to the bit-serial layout:
+// symbol i carries coded bits 4i..4i+3, LSB first, at every symbol count
+// (whole words, half words and single-symbol tails).
+func TestModulateRoundTrip(t *testing.T) {
+	err := quick.Check(func(raw []uint64, n uint8) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		count := int(n) % (len(raw)*64/BitsPerVoxel + 1)
+		syms := make([]uint8, count)
+		cutSymbols(raw, syms)
+		bits := demodulate(syms)
+		for i, b := range bits {
+			if uint64(b) != raw[i>>6]>>(uint(i)&63)&1 {
+				return false
+			}
+		}
+		return true
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestModulateUnalignedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned ModulateInto did not panic")
-		}
-	}()
-	ModulateInto(make([]uint8, 5), make([]uint8, 2))
 }
 
 func TestCleanChannelRoundTrip(t *testing.T) {
@@ -205,7 +217,7 @@ func TestBitLLRSigns(t *testing.T) {
 		syms[i] = uint8(i % 16)
 	}
 	llrs := BitLLRs(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil)))
-	bits := Demodulate(syms)
+	bits := demodulate(syms)
 	for i, b := range bits {
 		if b == 0 && llrs[i] <= 0 {
 			t.Fatalf("bit %d is 0 but LLR %v", i, llrs[i])
@@ -355,25 +367,38 @@ func BenchmarkSectorReadPath(b *testing.B) {
 	}
 }
 
-// BenchmarkSectorReadStages times the three stages of ReadSectorWithBuf
-// separately at the service's operating point, so a change to the
+// BenchmarkSectorReadStages times the sector's stages separately at the
+// service's operating point: encode (payload to symbols, the write
+// half) and the three stages of ReadSectorWithBuf, so a change to the
 // simulator (transmit: a stand-in for the read drive, which costs the
 // real system no CPU) is never booked as a change to the system's own
-// work (demap, ldpc). The ldpc stage cycles through eight channel
-// realisations so one lucky or unlucky read does not set the number.
+// work (encode, demap, ldpc). The ldpc stage decodes float32 LLRs and
+// their hard decision as the demapper leaves them, cycling through
+// eight channel realisations so one lucky or unlucky read does not set
+// the number.
 func BenchmarkSectorReadStages(b *testing.B) {
 	p := servicePipeline(b, DefaultChannel())
 	rng := sim.NewRNG(9)
-	syms := p.WriteSector(randomPayload(1000, 9))
+	payload := randomPayload(1000, 9)
+	syms := p.WriteSector(payload)
 	sc := p.AcquireScratch()
 	defer p.ReleaseScratch(sc)
-	var reads [8][]float64
+	type read struct {
+		llrs []float32
+		hard []uint64
+	}
+	var reads [8]read
 	for i := range reads {
-		received := p.Ch.TransmitInto(p.Mod, syms, rng, sc.points)
-		reads[i] = append([]float64(nil), p.Demap.LLRsInto(received, sc.llrs)[:p.Codec.EncodedBits()]...)
+		p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, syms, rng, sc.points), sc.llrs, sc.hard)
+		reads[i] = read{append([]float32(nil), sc.llrs[:p.Codec.EncodedBits()]...), append([]uint64(nil), sc.hard...)}
 	}
 	received := p.Ch.TransmitInto(p.Mod, syms, rng, nil)
 	buf := make([]byte, 1000)
+	b.Run("encode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.WriteSectorWith(sc, payload)
+		}
+	})
 	b.Run("transmit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Ch.TransmitInto(p.Mod, syms, rng, sc.points)
@@ -381,12 +406,13 @@ func BenchmarkSectorReadStages(b *testing.B) {
 	})
 	b.Run("demap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Demap.LLRsInto(received, sc.llrs)
+			p.Demap.LLRsInto(received, sc.llrs, sc.hard)
 		}
 	})
 	b.Run("ldpc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Codec.DecodeSectorWith(sc.codec, reads[i%len(reads)], p.MaxIters, buf)
+			r := &reads[i%len(reads)]
+			p.Codec.DecodeSectorWith(sc.codec, r.llrs, r.hard, p.MaxIters, buf)
 		}
 	})
 }

@@ -39,13 +39,9 @@ var surfaceAllowlist = map[string]string{
 	"gf256.Div":           "test oracle: field division, the inverse Mul is checked with",
 	"gf256.MulMat":        "test oracle: matrix product that checks inversion and the Cauchy MDS property",
 	"gf256.Matrix.MulVec": "test oracle: allocating form of MulVecInto",
-	"ldpc.MustNewCode":    "test fixture: a code from compiled-in parameters (bench_test.go)",
-	"ldpc.Code.DecodeBP":  "test oracle: whole-codeword BP the sector decoder's tiers are checked against",
-	"ldpc.Code.Extract":   "test oracle: allocating form of ExtractInto",
-	"ldpc.Code.FlipTrial": "test oracle: re-measures the Gallager-B gate at the channel's operating point",
+	"ldpc.Code.FlipTrial": "test oracle: re-measures the Gallager-B gate on the demapper's hard decisions at the channel's operating point",
 	"nc.MustNewGroup":     "test fixture: a group from compiled-in parameters",
 	"voxel.CleanChannel":  "test fixture: a noiseless channel",
-	"voxel.Demodulate":    "test oracle: the hard-decision inverse of ModulateInto",
 	"voxel.HardSymbols":   "test oracle: max-posterior symbols the soft demapper is checked with",
 	"sim.Simulator.Fired": "test oracle: events executed, the kernel's progress count",
 	"workload.KiB":        "unit constant of the KiB/MiB/GiB group",

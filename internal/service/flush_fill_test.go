@@ -291,7 +291,11 @@ func TestStagedObjectAcrossReleasingFlush(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; ; i = (i + 3) % objects {
+			// A worker watches for the flush's end only once it has
+			// visited each of its objects, so every doomed object has
+			// been deleted by the final check however soon the flush
+			// ends.
+			for n, i := 0, w; ; n, i = n+1, (i+3)%objects {
 				name := fmt.Sprintf("obj%02d", i)
 				if i%8 == 7 {
 					// One Delete per doomed object wins; the rest, and every
@@ -304,6 +308,9 @@ func TestStagedObjectAcrossReleasingFlush(t *testing.T) {
 				} else if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, data[i]) {
 					t.Errorf("%s across the flush: err=%v", name, err)
 					return
+				}
+				if n+1 < objects/3 {
+					continue
 				}
 				select {
 				case <-flushed:

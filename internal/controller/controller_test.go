@@ -193,24 +193,37 @@ func TestReservationDisjointTimesNoConflict(t *testing.T) {
 	}
 }
 
-func TestReservationPrune(t *testing.T) {
-	rt := NewReservationTable(1.5)
-	seg := Segment{Rail: 1, Rack: 1}
-	rt.Reserve(1, 0, []TimedSeg{{Seg: seg, Duration: 2}})
-	rt.Reserve(2, 100, []TimedSeg{{Seg: seg, Duration: 2}})
-	live := func() int {
+// TestReservationTableStaysBounded: shuttles that keep crossing the
+// same segments at rising start times, as the simulator's clock drives
+// them, leave only the reservations still live in the table. A move
+// starts every 5 s on a 7 s path, so two overlap; the table's size does
+// not grow with the number of moves, and a twin that never ends a run
+// does not leak.
+func TestReservationTableStaysBounded(t *testing.T) {
+	live := func(rt *ReservationTable) int {
 		n := 0
 		for _, ivs := range rt.bySeg {
 			n += len(ivs)
 		}
 		return n
 	}
-	if n := live(); n != 2 {
-		t.Fatalf("reservations = %d", n)
+	path := []TimedSeg{
+		{Seg: Segment{Rail: 1, Rack: 1}, Duration: 2},
+		{Seg: Segment{Rail: 1, Rack: 2}, Duration: 2},
+		{Seg: Segment{Rail: 2, Rack: 2}, Duration: 3},
 	}
-	rt.Prune(50)
-	if n := live(); n != 1 {
-		t.Fatalf("after prune = %d", n)
+	peak := map[int]int{}
+	for _, moves := range []int{100, 10000} {
+		rt := NewReservationTable(1.5)
+		for i := 0; i < moves; i++ {
+			rt.Reserve(i%4, 5*float64(i), path)
+			peak[moves] = max(peak[moves], live(rt))
+		}
+	}
+	t.Logf("live intervals: at most %d after 100 moves, %d after 10000", peak[100], peak[10000])
+	if peak[10000] != peak[100] || peak[100] > 2*len(path) {
+		t.Fatalf("the table held up to %d intervals over 100 moves and %d over 10000; want the same small bound",
+			peak[100], peak[10000])
 	}
 }
 

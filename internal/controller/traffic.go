@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"slices"
+
 	"silica/internal/geometry"
 )
 
@@ -47,11 +49,17 @@ func NewReservationTable(restartPenalty float64) *ReservationTable {
 // reserved first (already committed to the motion). It records the
 // final intervals and returns the total added delay, the number of
 // conflicts, and the completion time.
+//
+// start is the simulator's clock, which only grows, and no step enters
+// before it, so an interval that ended by start can never conflict
+// again: each segment the path crosses drops those in place, and the
+// table holds only reservations still live, however long the
+// simulation runs.
 func (t *ReservationTable) Reserve(shuttle int, start float64, path []TimedSeg) (delay float64, conflicts int, end float64) {
 	now := start
 	for _, step := range path {
 		entry := now
-		ivs := t.bySeg[step.Seg]
+		ivs := slices.DeleteFunc(t.bySeg[step.Seg], func(iv interval) bool { return iv.to <= start })
 		// Wait out any overlapping interval: reservations are
 		// commitments, so a later-planning shuttle yields regardless
 		// of rank, but outranked shuttles also pay a restart penalty
@@ -75,24 +83,6 @@ func (t *ReservationTable) Reserve(shuttle int, start float64, path []TimedSeg) 
 		t.bySeg[step.Seg] = append(ivs, interval{from: entry, to: now, shuttle: shuttle})
 	}
 	return delay, conflicts, now
-}
-
-// Prune drops reservations that ended before now; call periodically to
-// bound memory.
-func (t *ReservationTable) Prune(now float64) {
-	for seg, ivs := range t.bySeg {
-		kept := ivs[:0]
-		for _, iv := range ivs {
-			if iv.to > now {
-				kept = append(kept, iv)
-			}
-		}
-		if len(kept) == 0 {
-			delete(t.bySeg, seg)
-		} else {
-			t.bySeg[seg] = kept
-		}
-	}
 }
 
 // PathSegments decomposes a move from one panel position to another

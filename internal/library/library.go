@@ -643,7 +643,6 @@ func (l *Library) RunTrace(reqs []*controller.Request, horizon float64) {
 		d.flush(end)
 	}
 	l.accountedTo = end
-	l.resv.Prune(end)
 }
 
 // SubmitAt schedules req's submission at virtual time t (clamped up to

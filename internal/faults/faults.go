@@ -499,9 +499,13 @@ func (i *Injector) buildErr(ar *armedRule, op string, platter int64, track, sect
 	return fmt.Errorf("%w: %s at %s", ErrInjected, ModeError, where)
 }
 
-// corrupt flips a deterministic sprinkle of bytes (~1 per 64, at
-// least 8) so partial faults defeat the sector CRC without erasing
-// the whole payload; call with i.mu held.
+// corrupt flips a deterministic sprinkle of len(data)/64 bits (at
+// least 8) at pseudo-random positions, so partial faults defeat the
+// sector CRC without erasing the whole payload; call with i.mu held.
+// On media ops data is a sector as stored, two voxel symbols a byte:
+// every flip lands on a live symbol. A byte-per-symbol sector, twice as
+// long, drew twice the flips and wasted half of them on unused high
+// bits, so the expected number of corrupted symbols is the same.
 func (i *Injector) corrupt(data []byte, ar *armedRule) {
 	if len(data) == 0 {
 		return

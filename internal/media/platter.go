@@ -55,16 +55,15 @@ var legalTransitions = map[PlatterState][]PlatterState{
 
 // Platter is the unit of glass media. In the discrete-event simulator
 // platters carry no payload; in real-codec mode WriteSector/ReadSectorInto
-// hold the modulated symbols of each written sector.
+// hold the bytes of each written sector, which the platter does not
+// interpret (voxel.SectorPipeline defines them).
 //
-// While a platter is burned and verified its glass is in the heap, at the
-// glass's own density: a voxel symbol carries four bits
-// (voxel.BitsPerVoxel), so two symbols share a byte, and each written
-// track holds its sectors in one slab at a fixed stride. A track's slab is
-// taken on that track's first write, from the platter's Slabs free list
-// when it was built on one, so an unwritten track costs nothing. Only the
-// low four bits of a symbol are stored: the demodulator reads nothing else
-// (Modulation.IdealPoint masks them).
+// While a platter is burned and verified its glass is in the heap: every
+// sector of a platter has the length of the first one written, and each
+// written track holds its sectors in one slab at that stride. A track's
+// slab is taken on that track's first write, from the platter's Slabs
+// free list when it was built on one, so an unwritten track costs
+// nothing.
 //
 // Once Stored, a platter can be shelved (Shelve): its glass then lives in
 // a SectorSource outside the heap — the service's persisted blob — and its
@@ -76,11 +75,11 @@ type Platter struct {
 	Geom  Geometry
 	state PlatterState
 
-	// symLen is the symbol count of every sector, fixed by the first
+	// stride is the byte length of every sector, fixed by the first
 	// write; written counts the sectors that hold data; slabs is where
 	// track slabs come from and go back to (nil: the heap). Only used by
 	// the real-codec path.
-	symLen  int
+	stride  int
 	written int
 	slabs   *Slabs
 
@@ -95,22 +94,22 @@ type Platter struct {
 
 // SectorSource is where a shelved platter's glass lives. ReadSectorInto
 // has Platter.ReadSectorInto's contract: it fills dst's storage (growing
-// it only when too small) with the sector's symbols and returns the
+// it only when too small) with the sector's bytes and returns the
 // filled slice, or false for a sector never written or one it cannot
 // read — an unreadable sector, which the read path repairs like any
 // other. WrittenSectors counts the sectors it holds; Close releases it,
 // after which every read fails.
 type SectorSource interface {
-	ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool)
+	ReadSectorInto(id SectorID, dst []byte) ([]byte, bool)
 	WrittenSectors() int
 	Close() error
 }
 
-// trackMedia is one track's sectors: sector s packed at
-// packed[s*stride:(s+1)*stride], low nibble first, with stride =
-// ceil(symLen/2). Both slices are nil until the track's first write.
+// trackMedia is one track's sectors: sector s at
+// slab[s*stride:(s+1)*stride]. Both slices are nil until the track's
+// first write.
 type trackMedia struct {
-	packed  []byte
+	slab    []byte
 	written []bool
 }
 
@@ -134,77 +133,45 @@ func (p *Platter) Transition(next PlatterState) error {
 	return fmt.Errorf("media: platter %d: illegal transition %v -> %v", p.ID, p.state, next)
 }
 
-// WriteSector records the modulated symbols of one sector, packed two
-// to a byte. Glass is WORM: writing an already-written sector is an
-// error, as is writing outside the Writing state. Every sector of a
-// platter has the symbol count of the first one written.
-func (p *Platter) WriteSector(id SectorID, symbols []uint8) error {
+// WriteSector records the bytes of one sector. Glass is WORM: writing
+// an already-written sector is an error, as is writing outside the
+// Writing state. Every sector of a platter has the length of the first
+// one written.
+func (p *Platter) WriteSector(id SectorID, data []byte) error {
 	if p.state != Writing {
 		return fmt.Errorf("media: platter %d: write in state %v", p.ID, p.state)
 	}
-	return p.put(id, symbols)
-}
-
-// put packs symbols into sector id's slot, allocating the track's slab
-// on its first write.
-func (p *Platter) put(id SectorID, symbols []uint8) error {
 	spt := p.Geom.SectorsPerTrack()
 	if id.Track < 0 || id.Track >= p.Geom.TracksPerPlatter || id.Sector < 0 || id.Sector >= spt {
 		return fmt.Errorf("media: platter %d: sector %+v out of range", p.ID, id)
 	}
 	if p.written == 0 {
-		p.symLen = len(symbols)
-	} else if len(symbols) != p.symLen {
-		return fmt.Errorf("media: platter %d: sector %+v has %d symbols, the platter's sectors have %d",
-			p.ID, id, len(symbols), p.symLen)
+		p.stride = len(data)
+	} else if len(data) != p.stride {
+		return fmt.Errorf("media: platter %d: sector %+v is %d bytes, the platter's sectors are %d",
+			p.ID, id, len(data), p.stride)
 	}
 	if id.Track >= len(p.tracks) {
 		p.tracks = append(p.tracks, make([]trackMedia, id.Track+1-len(p.tracks))...)
 	}
 	t := &p.tracks[id.Track]
-	stride := p.stride()
 	if t.written == nil {
-		t.packed = p.slabs.take(spt * stride)
+		t.slab = p.slabs.take(spt * p.stride)
 		t.written = make([]bool, spt)
 	} else if t.written[id.Sector] {
 		return fmt.Errorf("media: platter %d: sector %+v already written (WORM)", p.ID, id)
 	}
-	pack(t.packed[id.Sector*stride:(id.Sector+1)*stride], symbols)
+	copy(t.slab[id.Sector*p.stride:], data)
 	t.written[id.Sector] = true
 	p.written++
 	return nil
 }
 
-func (p *Platter) stride() int { return (p.symLen + 1) / 2 }
-
-// pack stores symbols two to a byte, the even-indexed one in the low
-// nibble; dst holds ceil(len(symbols)/2) bytes.
-func pack(dst, symbols []uint8) {
-	n := len(symbols) / 2
-	for i := 0; i < n; i++ {
-		dst[i] = symbols[2*i]&15 | symbols[2*i+1]<<4
-	}
-	if len(symbols)%2 == 1 {
-		dst[n] = symbols[2*n] & 15
-	}
-}
-
-// unpack is pack's inverse: it fills every element of dst.
-func unpack(dst, src []uint8) {
-	n := len(dst) / 2
-	for i, b := range src[:n] {
-		dst[2*i], dst[2*i+1] = b&15, b>>4
-	}
-	if len(dst)%2 == 1 {
-		dst[2*n] = src[n] & 15
-	}
-}
-
-// ReadSectorInto unpacks a sector's stored symbols into dst's storage
+// ReadSectorInto copies a sector's stored bytes into dst's storage
 // (growing it only when too small) and returns the filled slice, or
 // ok=false if the sector was never written. Reading is legal in any
 // post-write state — the read optics physically cannot modify voxels.
-func (p *Platter) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
+func (p *Platter) ReadSectorInto(id SectorID, dst []byte) ([]byte, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.src != nil {
@@ -214,17 +181,10 @@ func (p *Platter) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := dst[:0]
-	if cap(out) >= p.symLen {
-		out = out[:p.symLen]
-	} else {
-		out = make([]uint8, p.symLen)
-	}
-	unpack(out, src)
-	return out, true
+	return append(dst[:0], src...), true
 }
 
-// sector returns sector id's packed bytes, if it was written.
+// sector returns sector id's stored bytes, if it was written.
 func (p *Platter) sector(id SectorID) ([]byte, bool) {
 	if id.Track < 0 || id.Track >= len(p.tracks) || id.Sector < 0 || id.Sector >= p.Geom.SectorsPerTrack() {
 		return nil, false
@@ -233,26 +193,24 @@ func (p *Platter) sector(id SectorID) ([]byte, bool) {
 	if t.written == nil || !t.written[id.Sector] {
 		return nil, false
 	}
-	stride := p.stride()
-	return t.packed[id.Sector*stride : (id.Sector+1)*stride], true
+	return t.slab[id.Sector*p.stride : (id.Sector+1)*p.stride], true
 }
 
 // WrittenSectors reports how many sectors hold data.
 func (p *Platter) WrittenSectors() int { return p.written }
 
 // EachSector calls fn with every written sector in address order
-// (track, then sector), each unpacked into one buffer that is reused
-// for the next call, and stops at fn's first error. It walks only a
-// Stored platter whose glass is still in the heap: glass is WORM, so once
-// verified nothing writes its symbols again, and the walk is what a blob
+// (track, then sector), each a view of its slab that fn must not keep
+// or write, and stops at fn's first error. It walks only a Stored
+// platter whose glass is still in the heap: glass is WORM, so once
+// verified nothing writes its sectors again, and the walk is what a blob
 // is encoded from before the platter is shelved.
-func (p *Platter) EachSector(fn func(SectorID, []uint8) error) error {
+func (p *Platter) EachSector(fn func(SectorID, []byte) error) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.state != Stored || p.src != nil {
 		return fmt.Errorf("media: platter %d: sector walk in state %v (shelved %v)", p.ID, p.state, p.src != nil)
 	}
-	buf := make([]uint8, p.symLen)
 	for track := range p.tracks {
 		for sector, ok := range p.tracks[track].written {
 			if !ok {
@@ -260,8 +218,7 @@ func (p *Platter) EachSector(fn func(SectorID, []uint8) error) error {
 			}
 			id := SectorID{Track: track, Sector: sector}
 			src, _ := p.sector(id)
-			unpack(buf, src)
-			if err := fn(id, buf); err != nil {
+			if err := fn(id, src); err != nil {
 				return err
 			}
 		}
@@ -287,7 +244,7 @@ func (p *Platter) Shelve(src SectorSource) error {
 	p.tracks, p.src = nil, src
 	p.mu.Unlock()
 	for _, t := range tracks {
-		p.slabs.give(t.packed)
+		p.slabs.give(t.slab)
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// mapSource is a SectorSource over symbols held in a map, what a blob
+// mapSource is a SectorSource over sectors held in a map, what a blob
 // file is to the service.
 type mapSource struct {
 	sectors map[SectorID][]uint8
@@ -15,11 +15,11 @@ type mapSource struct {
 }
 
 func (m *mapSource) ReadSectorInto(id SectorID, dst []uint8) ([]uint8, bool) {
-	symbols, ok := m.sectors[id]
+	data, ok := m.sectors[id]
 	if !ok || m.closed.Load() {
 		return nil, false
 	}
-	return append(dst[:0], symbols...), true
+	return append(dst[:0], data...), true
 }
 
 func (m *mapSource) WrittenSectors() int { return len(m.sectors) }
@@ -27,7 +27,7 @@ func (m *mapSource) WrittenSectors() int { return len(m.sectors) }
 func (m *mapSource) Close() error { m.closed.Store(true); return nil }
 
 // burnTracks writes every sector of tracks [0, tracks) of p, each
-// sector's symbols a function of its address and salt, and walks p to
+// sector's bytes a function of its address and salt, and walks p to
 // Stored; it returns what it wrote.
 func burnTracks(t *testing.T, p *Platter, tracks int, salt uint8) map[SectorID][]uint8 {
 	t.Helper()
@@ -38,14 +38,14 @@ func burnTracks(t *testing.T, p *Platter, tracks int, salt uint8) map[SectorID][
 	for track := 0; track < tracks; track++ {
 		for s := 0; s < p.Geom.SectorsPerTrack(); s++ {
 			id := SectorID{Track: track, Sector: s}
-			symbols := make([]uint8, 33)
-			for i := range symbols {
-				symbols[i] = uint8(i+track*7+s*3+int(salt)) % 16
+			data := make([]uint8, 33)
+			for i := range data {
+				data[i] = uint8(i + track*7 + s*3 + int(salt)*11)
 			}
-			if err := p.WriteSector(id, symbols); err != nil {
+			if err := p.WriteSector(id, data); err != nil {
 				t.Fatal(err)
 			}
-			want[id] = symbols
+			want[id] = data
 		}
 	}
 	for _, next := range []PlatterState{Written, Verifying, Stored} {
@@ -71,13 +71,13 @@ func TestShelveMovesGlassOutOfTheHeap(t *testing.T) {
 	want := burnTracks(t, p, 3, 0)
 	held := map[*byte]bool{}
 	for _, tm := range p.tracks {
-		held[&tm.packed[0]] = true
+		held[&tm.slab[0]] = true
 	}
-	// The source holds other symbols than the slabs, so a read shows
+	// The source holds other bytes than the slabs, so a read shows
 	// where it came from.
 	src := &mapSource{sectors: map[SectorID][]uint8{}}
-	for id, symbols := range want {
-		src.sectors[id] = append([]uint8{15}, symbols...)
+	for id, data := range want {
+		src.sectors[id] = append([]uint8{0xff}, data...)
 	}
 	if err := p.Shelve(src); err != nil {
 		t.Fatal(err)
@@ -85,9 +85,9 @@ func TestShelveMovesGlassOutOfTheHeap(t *testing.T) {
 	if err := p.Shelve(src); err == nil {
 		t.Fatal("a platter was shelved twice")
 	}
-	for id, symbols := range src.sectors {
-		if got, ok := p.ReadSectorInto(id, nil); !ok || !bytes.Equal(got, symbols) {
-			t.Fatalf("sector %+v read %v, %v off a shelved platter; want the source's %v", id, got, ok, symbols)
+	for id, data := range src.sectors {
+		if got, ok := p.ReadSectorInto(id, nil); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("sector %+v read %v, %v off a shelved platter; want the source's %v", id, got, ok, data)
 		}
 	}
 	if p.tracks != nil || len(slabs.free) != 2 {
@@ -100,7 +100,7 @@ func TestShelveMovesGlassOutOfTheHeap(t *testing.T) {
 	burnTracks(t, q, 3, 5)
 	reused := 0
 	for _, tm := range q.tracks {
-		if held[&tm.packed[0]] {
+		if held[&tm.slab[0]] {
 			reused++
 		}
 	}
@@ -117,16 +117,16 @@ func TestShelveMovesGlassOutOfTheHeap(t *testing.T) {
 	if r.State() != Stored || r.WrittenSectors() != len(want) {
 		t.Fatalf("Shelved platter: state %v, %d sectors; want stored, %d", r.State(), r.WrittenSectors(), len(want))
 	}
-	for id, symbols := range want {
-		if got, ok := r.ReadSectorInto(id, nil); !ok || !bytes.Equal(got, symbols) {
-			t.Fatalf("recovered sector %+v read %v, %v; want %v", id, got, ok, symbols)
+	for id, data := range want {
+		if got, ok := r.ReadSectorInto(id, nil); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("recovered sector %+v read %v, %v; want %v", id, got, ok, data)
 		}
 	}
 }
 
 // TestShelveRacesNoReader: readers copy a platter's sectors while it is
 // shelved and its slabs are rewritten by the next burn at once. Every
-// read must return the platter's own symbols, from the slabs or from the
+// read must return the platter's own bytes, from the slabs or from the
 // source, and the race detector (make race) must find no read of a slab
 // the burn is writing.
 func TestShelveRacesNoReader(t *testing.T) {
@@ -146,10 +146,10 @@ func TestShelveRacesNoReader(t *testing.T) {
 			defer once.Do(started.Done)
 			buf := make([]uint8, 0, 64)
 			for !stop.Load() {
-				for id, symbols := range want {
+				for id, data := range want {
 					got, ok := p.ReadSectorInto(id, buf)
-					if !ok || !bytes.Equal(got, symbols) {
-						errs <- "a read saw symbols the platter never held"
+					if !ok || !bytes.Equal(got, data) {
+						errs <- "a read saw bytes the platter never held"
 						return
 					}
 				}

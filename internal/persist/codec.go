@@ -210,23 +210,6 @@ func (c *coder) bytes(v *[]byte) {
 	}
 }
 
-// span wires a byte string in the bytes form, but a decoding coder only
-// notes where it lies — *at is the file offset of its first byte, *n its
-// length — and skips it, so a streamed decode never holds it. An
-// encoding coder notes the same of v.
-func (c *coder) span(v []byte, at *int64, n *int) {
-	l := uint64(len(v))
-	if c.u64(&l); c.err != nil {
-		return
-	}
-	*at, *n = c.pos(), int(l)
-	if c.decoding {
-		c.skip(l)
-	} else {
-		put(c, v)
-	}
-}
-
 func (c *coder) str(v *string) {
 	n := uint64(len(*v))
 	c.u64(&n)
@@ -362,7 +345,7 @@ func openFile(magic string, data []byte, body func(*coder)) error {
 // openStream is openFile for a file it does not hold: f's size bytes
 // pass once through a window from sealBufs for the magic and CRC checks,
 // and then once more for the decode, which refills the same window. A body
-// that reads its bulk through span keeps none of it.
+// that passes over its bulk with skip keeps none of it.
 func openStream(magic string, f io.ReaderAt, size int64, body func(*coder)) error {
 	window := getWindow()
 	defer putWindow(window)

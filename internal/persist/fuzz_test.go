@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"silica/internal/media"
 )
 
 // Fuzz targets for every decoder that reads bytes this process did not
@@ -142,11 +144,12 @@ func FuzzDecodeRouterSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlob re-encodes what it decoded: decoding only notes where
-// each sector's symbols lie, so the re-encode walks them out of the
-// decoded file, in address order. The streamed decode recovery uses
-// must agree with the in-memory one, and so must the streamed decode
-// that skips the payloads, but for the payloads.
+// FuzzDecodeBlob re-encodes what it decoded: decoding only indexes
+// where each sector lies, so the re-encode walks them out of the
+// decoded file, in address order, at the decoded sectors per track. The
+// streamed decode recovery uses must agree with the in-memory one, and
+// so must the streamed decode that skips the payloads, but for the
+// payloads. Every sector the index locates lies inside the file.
 func FuzzDecodeBlob(f *testing.F) {
 	sealed := wireFixture(f, "blob")
 	f.Add(sealed[len(blobMagic) : len(sealed)-4])
@@ -167,16 +170,24 @@ func FuzzDecodeBlob(f *testing.F) {
 		if !reflect.DeepEqual(first, streamed) {
 			t.Fatalf("streamed decode %+v differs from in-memory %+v", streamed, first)
 		}
-		if skipped.id != first.id || !reflect.DeepEqual(skipped.sectors, first.sectors) || skipped.payloads != nil {
+		if skipped.id != first.id || !reflect.DeepEqual(skipped.index, first.index) || skipped.payloads != nil {
 			t.Fatalf("skipping decode %+v differs from in-memory %+v", skipped, first)
 		}
-		first.media = spanSectors(file, first.sectors)
+		cut := func(file []byte, x sectorIndex) sectorMap {
+			return indexSectors(x, func(id media.SectorID, at int64) []byte {
+				if at < 0 || at+int64(x.stride) > int64(len(file))-4 {
+					t.Fatalf("sector %+v indexed at [%d, %d) of a %d-byte file", id, at, at+int64(x.stride), len(file))
+				}
+				return file[at : at+int64(x.stride)]
+			})
+		}
+		first.eachSector = cut(file, first.index).EachSector
 		again := sealFile(blobMagic, first.wire)
 		second := platterBlob{keepPayloads: true}
 		if err := openFile(blobMagic, again, second.wire); err != nil {
 			t.Fatalf("re-encoded file does not decode: %v", err)
 		}
-		second.media = spanSectors(again, second.sectors)
+		second.eachSector = cut(again, second.index).EachSector
 		if third := sealFile(blobMagic, second.wire); !bytes.Equal(again, third) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", again, third)
 		}

@@ -64,18 +64,19 @@ func goldenDecodeRouterSnapshot(data []byte) (cut uint64, fingerprint string, s 
 	return cut, s.Fingerprint, s, err
 }
 
+// goldenSPT is the blob fixtures' sectors per track, TinyGeometry's.
+var goldenSPT = media.TinyGeometry().SectorsPerTrack()
+
 func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) []byte {
-	b := platterBlob{id: id, media: sectorMap(sectors), payloads: payloads}
+	b := platterBlob{id: id, eachSector: sectorMap(sectors).EachSector, index: sectorIndex{spt: goldenSPT}, payloads: payloads}
 	return sealFile(blobMagic, b.wire)
 }
 
-// sectorMap feeds the blob encoder sectors a packed media.Platter
-// cannot hold: the blob and service-directory fixtures mix symbol
-// counts within one platter and, in the directory, use symbol values
-// past 15. It walks them in address order, as media.Platter does.
+// sectorMap feeds the blob encoder sectors that are on no media.Platter:
+// the fixtures', and those a decoded file holds, whose addresses need
+// not fit a platter geometry. It walks them in address order, as
+// media.Platter does.
 type sectorMap map[media.SectorID][]uint8
-
-func (m sectorMap) WrittenSectors() int { return len(m) }
 
 func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
 	ids := make([]media.SectorID, 0, len(m))
@@ -99,15 +100,20 @@ func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {
 	b := platterBlob{keepPayloads: true}
 	err := openFile(blobMagic, data, b.wire)
-	return b.id, spanSectors(data, b.sectors), b.payloads, err
+	return b.id, indexSectors(b.index, func(id media.SectorID, at int64) []byte {
+		return data[at : at+int64(b.index.stride)]
+	}), b.payloads, err
 }
 
-// spanSectors cuts the sectors a blob layout indexed out of the file's
-// bytes.
-func spanSectors(file []byte, spans []sectorSpan) sectorMap {
-	m := make(sectorMap, len(spans))
-	for _, s := range spans {
-		m[s.id()] = file[s.at : s.at+int64(s.n)]
+// indexSectors maps every sector a blob index holds to what read gives
+// for it at its file offset.
+func indexSectors(x sectorIndex, read func(media.SectorID, int64) []byte) sectorMap {
+	m := make(sectorMap, x.n)
+	for k := range len(x.words) * 64 {
+		id := media.SectorID{Track: k / x.spt, Sector: k % x.spt}
+		if at, ok := x.offset(id); ok {
+			m[id] = read(id, at)
+		}
 	}
 	return m
 }
@@ -115,11 +121,10 @@ func spanSectors(file []byte, spans []sectorSpan) sectorMap {
 // blobSectors reads every sector of an opened blob back through its
 // index; a sector it cannot read maps to nil.
 func blobSectors(b *Blob) map[media.SectorID][]uint8 {
-	m := make(map[media.SectorID][]uint8, len(b.sectors))
-	for _, s := range b.sectors {
-		m[s.id()], _ = b.ReadSectorInto(s.id(), nil)
-	}
-	return m
+	return indexSectors(b.index, func(id media.SectorID, _ int64) []byte {
+		data, _ := b.ReadSectorInto(id, nil)
+		return data
+	})
 }
 
 // sealFile renders a sealed file whole, for the golden and fuzz tests.

@@ -23,7 +23,7 @@
 //     acknowledged (fsync covers the log prefix) and is discarded.
 //     Open then snapshots immediately, so discarded bytes never
 //     survive on disk.
-//  4. Platter media. Bulk symbols live in per-platter sidecar blobs
+//  4. Platter media. Sector bytes live in per-platter sidecar blobs
 //     written and fsynced before the platter's publish record, so
 //     record-implies-blob; a blob without a record is a crash between
 //     the two steps and is garbage-collected at recovery.
@@ -367,7 +367,7 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 }
 
 // WritePlatterBlob durably stores one Stored platter's media sidecar,
-// its symbols read straight off the packed media, with the payload
+// its sectors read straight off the media's slabs, with the payload
 // cache its set close may still need, and returns the blob opened
 // read-only for the platter to be shelved on: the caller owns its
 // descriptor. Must complete before the platter's RecPublish is appended
@@ -376,7 +376,7 @@ func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) (*Blob, erro
 	if l.frozen.Load() {
 		return nil, ErrCrashed
 	}
-	sectors, err := writeBlobFile(l.dir, p.ID, p, payloads)
+	index, err := writeBlobFile(l.dir, p.ID, p.Geom.SectorsPerTrack(), p.EachSector, payloads)
 	if err != nil {
 		return nil, err
 	}
@@ -384,7 +384,7 @@ func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) (*Blob, erro
 	if err != nil {
 		return nil, err
 	}
-	return &Blob{f: f, sectors: sectors}, nil
+	return &Blob{f: f, index: index}, nil
 }
 
 // RecoveryTruncated reports whether the recovery that opened this log

@@ -2,7 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -378,6 +380,28 @@ func TestMissingBlobIsFatal(t *testing.T) {
 	}
 }
 
+// TestV1BlobRefused: a blob of the one-byte-per-symbol format
+// ("SILPLT01": platter id, then a count and (track, sector, data) per
+// sector) is refused at open even with its CRC intact; there is no v1
+// reader.
+func TestV1BlobRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, nil)
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
+	l.Close()
+	v1 := []byte("SILPLT01\x02\x02\x00\x00\x02\x01\x00") // id 1; one sector (0, 0) = [1]; no payloads
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	if err := os.WriteFile(filepath.Join(dir, blobName(1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Dir: dir, Fingerprint: "test-cfg"}); err == nil || !strings.Contains(err.Error(), "not a SILPLT02 file") {
+		t.Fatalf("Open of a directory holding a v1 blob: %v; want it refused", err)
+	}
+}
+
 func TestCrashFreezeLosesUnsynced(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
@@ -486,8 +510,8 @@ func storedPlatter(t testing.TB, id media.PlatterID, sectors map[media.SectorID]
 	if err := p.Transition(media.Writing); err != nil {
 		t.Fatal(err)
 	}
-	for sid, symbols := range sectors {
-		if err := p.WriteSector(sid, symbols); err != nil {
+	for sid, data := range sectors {
+		if err := p.WriteSector(sid, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -117,8 +117,8 @@ func (r *RecDelete) wire(c *coder) {
 	slice(c, &r.KeyIDs, func(id *string, c *coder) { c.str(id) })
 }
 
-// RecPublish registers one verified platter in the index. The media
-// symbols live in the platter's sidecar blob (written and fsynced
+// RecPublish registers one verified platter in the index. The media's
+// sectors live in the platter's sidecar blob (written and fsynced
 // before this record is appended — record-implies-blob is a recovery
 // invariant); the record carries the index metadata.
 type RecPublish struct {

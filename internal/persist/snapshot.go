@@ -11,7 +11,7 @@ import (
 )
 
 // PlatterDesc is one published platter's index entry in a snapshot.
-// The media symbols live in the platter's sidecar blob; the snapshot
+// The media's sectors live in the platter's sidecar blob; the snapshot
 // only references it.
 type PlatterDesc struct {
 	ID         media.PlatterID
@@ -40,7 +40,7 @@ type HealthDump struct {
 type SnapshotData struct {
 	// Fingerprint names the codec configuration (geometry, LDPC shape,
 	// NC scheme, seed). A snapshot taken under one configuration cannot
-	// be opened under another: the stored symbols would not decode.
+	// be opened under another: the stored sectors would not decode.
 	Fingerprint string
 	OpSeq       uint64
 	NextPlatter media.PlatterID

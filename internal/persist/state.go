@@ -375,7 +375,7 @@ func Open(opts Options) (*Log, *State, error) {
 }
 
 // loadBlobs opens and indexes every surviving platter's sidecar blob;
-// no symbol is loaded. A platter with a publish record but no blob is
+// no sector is loaded. A platter with a publish record but no blob is
 // fatal corruption — the blob is written and fsynced before the record,
 // so its absence means the disk lost durable bytes — and closes the
 // blobs already opened. Payload caches are decoded only for open-set

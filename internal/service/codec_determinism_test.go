@@ -107,8 +107,8 @@ func TestFlushDeterministicAcrossWorkers(t *testing.T) {
 
 // TestBurnDeterministicAcrossWorkers drives burnPlatter directly: the
 // same payloads burned by a serial and a parallel engine (repeatedly,
-// so pooled scratch is reused warm) must produce identical symbols for
-// every sector.
+// so pooled scratch is reused warm) must store identical bytes in every
+// sector.
 func TestBurnDeterministicAcrossWorkers(t *testing.T) {
 	mk := func(workers int) *Service {
 		cfg := DefaultConfig()

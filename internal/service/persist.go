@@ -12,7 +12,7 @@ import (
 )
 
 // persistFingerprint names the codec configuration a persistence
-// directory was written under. Stored symbols only decode under the
+// directory was written under. Stored sectors only decode under the
 // exact geometry, code shapes, and seed that produced them, so a
 // directory opened under a different configuration must refuse.
 func (c Config) persistFingerprint() string {

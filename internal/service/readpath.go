@@ -207,15 +207,15 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 // escalates through the normal hierarchy. The decode lands in the
 // scratch's payload buffer, so the hot path allocates nothing.
 func (s *Service) decodeSectorWith(cs *codecScratch, pi *platterInfo, physTrack, sPos int, rng *sim.RNG, dst []byte) bool {
-	symbols, ok := pi.platter.ReadSectorInto(media.SectorID{Track: physTrack, Sector: sPos}, cs.symbols)
+	glass, ok := pi.platter.ReadSectorInto(media.SectorID{Track: physTrack, Sector: sPos}, cs.glass)
 	if !ok {
 		return false
 	}
-	if err := s.faults.CheckData(faults.OpMediaRead, int64(pi.platter.ID), physTrack, sPos, symbols); err != nil {
+	if err := s.faults.CheckData(faults.OpMediaRead, int64(pi.platter.ID), physTrack, sPos, glass); err != nil {
 		return false
 	}
 	t0 := time.Now()
-	res := s.pipe.ReadSectorWithBuf(cs.sector, symbols, rng, cs.payload)
+	res := s.pipe.ReadSectorWithBuf(cs.sector, glass, rng, cs.payload)
 	s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
 	if !res.OK {
 		return false

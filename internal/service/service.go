@@ -177,7 +177,7 @@ type Service struct {
 	eng  *codec.Engine
 
 	// scratch is the free list of per-worker codec working sets
-	// (scramble buffer, read-back symbol buffer, voxel/LDPC scratch). An
+	// (scramble buffer, read-back sector buffer, voxel/LDPC scratch). An
 	// entry is built only when the list is empty, so the list never
 	// holds more than the peak number in use at once, and unlike a
 	// sync.Pool a collection cannot empty it.
@@ -320,7 +320,7 @@ func (s *Service) chargeMech(ctx context.Context, op backend.Op) error {
 
 // codecScratch is one worker's reusable buffers for the sector hot
 // paths: the voxel/LDPC pipeline scratch, a scramble output buffer, a
-// read-back symbol buffer, a decode payload buffer for paths that never
+// read-back sector buffer, a decode payload buffer for paths that never
 // retain the plaintext (verify, scrub, descramble-and-copy reads), a
 // sector per unit of the widest NC group (burn batches and their
 // redundancy, gathered units), slice headers for one group's
@@ -328,16 +328,16 @@ func (s *Service) chargeMech(ctx context.Context, op backend.Op) error {
 // service's free list so steady-state encode, verify, scrub and set
 // recovery allocate nothing per sector.
 type codecScratch struct {
-	sector   *voxel.SectorScratch
-	scramble []byte
-	symbols  []uint8
-	payload  []byte
-	units    [][]byte
-	group    [][]byte  // views of one NC group's units, no storage
-	trackSym [][]uint8 // one modulated symbol buffer per sector of a track
-	ncUnits  []ncUnit
-	set      []*platterInfo
-	avail    map[int][]byte
+	sector     *voxel.SectorScratch
+	scramble   []byte
+	glass      []byte // one sector as the platter stores it
+	payload    []byte
+	units      [][]byte
+	group      [][]byte // views of one NC group's units, no storage
+	trackGlass [][]byte // one encoded sector per sector of a track
+	ncUnits    []ncUnit
+	set        []*platterInfo
+	avail      map[int][]byte
 }
 
 func (s *Service) acquireScratch() *codecScratch {
@@ -351,20 +351,20 @@ func (s *Service) acquireScratch() *codecScratch {
 	s.scratchMu.Unlock()
 	spt := s.cfg.Geom.SectorsPerTrack()
 	cs := &codecScratch{
-		sector:   s.pipe.AcquireScratch(),
-		scramble: make([]byte, s.cfg.Geom.SectorPayloadBytes),
-		symbols:  make([]uint8, s.pipe.SymbolsPerSector()),
-		payload:  make([]byte, s.cfg.Geom.SectorPayloadBytes),
-		units:    make([][]byte, max(spt, s.largeGroup.Size(), s.setGroup.Size())),
-		group:    make([][]byte, max(s.withinTrack.I, s.largeGroup.I, s.setGroup.Size())),
-		trackSym: make([][]uint8, spt),
-		avail:    make(map[int][]byte),
+		sector:     s.pipe.AcquireScratch(),
+		scramble:   make([]byte, s.cfg.Geom.SectorPayloadBytes),
+		glass:      make([]byte, s.pipe.SectorBytes()),
+		payload:    make([]byte, s.cfg.Geom.SectorPayloadBytes),
+		units:      make([][]byte, max(spt, s.largeGroup.Size(), s.setGroup.Size())),
+		group:      make([][]byte, max(s.withinTrack.I, s.largeGroup.I, s.setGroup.Size())),
+		trackGlass: make([][]byte, spt),
+		avail:      make(map[int][]byte),
 	}
 	for i := range cs.units {
 		cs.units[i] = make([]byte, s.cfg.Geom.SectorPayloadBytes)
 	}
-	for i := range cs.trackSym {
-		cs.trackSym[i] = make([]uint8, s.pipe.SymbolsPerSector())
+	for i := range cs.trackGlass {
+		cs.trackGlass[i] = make([]byte, s.pipe.SectorBytes())
 	}
 	return cs
 }

@@ -69,7 +69,7 @@ func TestFlushLeavesNoGlassOnTheHeap(t *testing.T) {
 }
 
 // TestRecoveryLoadsNoGlass: recovering a persist directory opens and
-// indexes each platter's blob instead of loading its symbols, so a
+// indexes each platter's blob instead of loading its sectors, so a
 // recovered service holds at most 0.5 B of heap per user byte stored
 // beyond one recovered from an empty directory. Loading and packing
 // every blob, recovery held about 3.4.
@@ -161,10 +161,47 @@ func TestRecoveryAllocations(t *testing.T) {
 	requireReadable(t, s, "r2-l23", randBytes(2*1000+500+roundLarge-1, largeObject))
 }
 
+// TestBlobBytesPerUserByte gates the disk the glass costs: three
+// ingest rounds leave platter blobs of at most 5.1 B per user byte.
+// A blob holds each sector as its packed codeword (two symbols a byte)
+// at one stride, ≈ 3.3 B per user byte across information and
+// redundancy, and the payload cache of the platter's set, ≈ 1.8. At
+// one byte per symbol with a 24-byte index entry per sector it was 8.39.
+func TestBlobBytesPerUserByte(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	const rounds = 3
+	flushRounds(t, s, 0, rounds)
+	blobs, err := filepath.Glob(filepath.Join(cfg.PersistDir, "platter-*.plt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, name := range blobs {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	perByte := float64(total) / (rounds * roundUserBytes)
+	t.Logf("%d ingest rounds: %d blobs of %d B, %.3f B per user byte", rounds, len(blobs), total, perByte)
+	if perByte > 5.1 {
+		t.Errorf("platter blobs hold %.3f B per user byte, want at most 5.1", perByte)
+	}
+}
+
 // TestReadsComeOffTheBlob: once flushed, a sector is read from its
-// platter's blob file, not from memory. Overwriting one sector's symbols
-// in the blob makes that sector fail its decode; the Get still reads
-// back byte-exact, through one within-track repair. The channel is
+// platter's blob file, not from memory. The blob holds its sectors at one
+// stride, densely in address order, so each sector of the first track
+// lies its index times the stride past sector (0, 0). Overwriting the
+// object's sector at that offset makes it fail its decode; the Get still
+// reads back byte-exact, through one within-track repair. The channel is
 // noiseless so no other read escalates.
 func TestReadsComeOffTheBlob(t *testing.T) {
 	cfg := DefaultConfig()
@@ -192,24 +229,33 @@ func TestReadsComeOffTheBlob(t *testing.T) {
 		Track:  geom.InfoTrackPhysical(e.FirstSector / geom.InfoSectorsPerTrack),
 		Sector: e.FirstSector % geom.InfoSectorsPerTrack,
 	}
-	pi, _ := s.platterByID(e.Platter)
-	symbols, ok := pi.platter.ReadSectorInto(sid, nil)
-	if !ok {
-		t.Fatalf("sector %+v of platter %d does not read", sid, e.Platter)
+	if sid.Track != 0 {
+		t.Fatalf("obj landed on track %d, want the platter's first", sid.Track)
 	}
+	pi, _ := s.platterByID(e.Platter)
 	path := filepath.Join(cfg.PersistDir, fmt.Sprintf("platter-%d.plt", e.Platter))
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(file, symbols)
-	if at < 0 || bytes.LastIndex(file, symbols) != at {
-		t.Fatalf("the sector's symbols are not in its blob exactly once (first at %d)", at)
+	stride := s.pipe.SectorBytes()
+	first, ok := pi.platter.ReadSectorInto(media.SectorID{}, nil)
+	base := bytes.Index(file, first)
+	if !ok || len(first) != stride || base < 0 {
+		t.Fatalf("sector (0, 0) of platter %d: %d bytes (read %v), at %d in its blob; want %d bytes in it", e.Platter, len(first), ok, base, stride)
 	}
-	garbage := make([]byte, len(symbols))
+	for sPos := 0; sPos < geom.SectorsPerTrack(); sPos++ {
+		got, ok := pi.platter.ReadSectorInto(media.SectorID{Sector: sPos}, nil)
+		at := base + sPos*stride
+		if !ok || !bytes.Equal(file[at:at+stride], got) {
+			t.Fatalf("sector (0, %d) is not the blob's bytes at %d", sPos, at)
+		}
+	}
+	at := base + sid.Sector*stride
+	garbage := make([]byte, stride)
 	r := sim.NewRNG(99)
 	for i := range garbage {
-		garbage[i] = byte(r.Uint64() % 16)
+		garbage[i] = byte(r.Uint64())
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {

@@ -498,7 +498,7 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		}
 		// Batch the whole track: scramble every sector, push the batch
 		// through the word-packed encoder on one scratch, fault-check the
-		// modulated symbols in sector order, then insert them under one
+		// encoded sectors in sector order, then insert them under one
 		// lock acquisition. An error-mode media.write fault aborts before
 		// any of the track's sectors land; the platter is scrapped.
 		phys := geom.InfoTrackPhysical(it)
@@ -510,16 +510,16 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		}
 		clear(info) // the pooled scratch must not keep payloads alive
 		t0 := time.Now()
-		s.pipe.WriteSectorsInto(cs.sector, cs.units[:n], cs.trackSym[:n])
+		s.pipe.WriteSectorsInto(cs.sector, cs.units[:n], cs.trackGlass[:n])
 		s.om.observeCodec(s.om.codecEncode, s.om.codecEncSectors, n, time.Since(t0))
 		for i := 0; i < n; i++ {
-			if err := s.faults.CheckData(faults.OpMediaWrite, int64(p.ID), phys, i, cs.trackSym[i]); err != nil {
+			if err := s.faults.CheckData(faults.OpMediaWrite, int64(p.ID), phys, i, cs.trackGlass[i]); err != nil {
 				return err
 			}
 		}
 		pmu.Lock()
 		for i := 0; i < n; i++ {
-			if err := p.WriteSector(media.SectorID{Track: phys, Sector: i}, cs.trackSym[i]); err != nil {
+			if err := p.WriteSector(media.SectorID{Track: phys, Sector: i}, cs.trackGlass[i]); err != nil {
 				pmu.Unlock()
 				return err
 			}
@@ -604,19 +604,19 @@ func scrambleInto(dst, payload []byte, platter media.PlatterID, track, sector in
 // using cs's buffers; pmu serializes the media insert. media.write
 // faults land between modulation and the media insert: an error-mode
 // rule fails the write (the platter is scrapped and its files stay
-// staged), a partial-mode rule corrupts the modulated symbols so the
+// staged), a partial-mode rule corrupts the encoded sector so the
 // damage is caught downstream by verification instead. The burn path's
 // info tracks batch whole tracks instead; this singleton form serves
 // the scattered large-group redundancy writes.
 func (s *Service) writeSectorScrambled(cs *codecScratch, pmu *sync.Mutex, p *media.Platter, id media.SectorID, payload []byte) error {
 	t0 := time.Now()
-	symbols := s.pipe.WriteSectorWith(cs.sector, scrambleInto(cs.scramble, payload, p.ID, id.Track, id.Sector))
+	glass := s.pipe.WriteSectorWith(cs.sector, scrambleInto(cs.scramble, payload, p.ID, id.Track, id.Sector))
 	s.om.observeCodec(s.om.codecEncode, s.om.codecEncSectors, 1, time.Since(t0))
-	if err := s.faults.CheckData(faults.OpMediaWrite, int64(p.ID), id.Track, id.Sector, symbols); err != nil {
+	if err := s.faults.CheckData(faults.OpMediaWrite, int64(p.ID), id.Track, id.Sector, glass); err != nil {
 		return err
 	}
 	pmu.Lock()
-	err := p.WriteSector(id, symbols) // packs symbols before returning
+	err := p.WriteSector(id, glass) // copies the sector before returning
 	pmu.Unlock()
 	return err
 }
@@ -659,13 +659,13 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 		defer s.releaseScratch(cs)
 		for idx := lo; idx < hi; idx++ {
 			phys, sPos := geom.InfoTrackPhysical((first+idx/spt)%usedTracks), idx%spt
-			symbols, ok := pi.platter.ReadSectorInto(media.SectorID{Track: phys, Sector: sPos}, cs.symbols)
+			glass, ok := pi.platter.ReadSectorInto(media.SectorID{Track: phys, Sector: sPos}, cs.glass)
 			if !ok {
 				results[idx].failed = true
 				continue
 			}
 			t0 := time.Now()
-			res := s.pipe.ReadSectorWithBuf(cs.sector, symbols, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
+			res := s.pipe.ReadSectorWithBuf(cs.sector, glass, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
 			s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
 			results[idx] = sectorRead{sampled: true, failed: !res.OK, margin: res.Margin}
 		}

@@ -60,7 +60,7 @@ func TestChannelMatchesModel(t *testing.T) {
 		const n = 1 << 17
 		ch := Channel{Sigma: 0.16, Width: 64}
 		syms := randomSymbols(n, 21)
-		rx := ch.TransmitInto(m, syms, sim.NewRNG(22), nil)
+		rx := ch.TransmitInto(m, packSymbols(syms), len(syms), sim.NewRNG(22), nil)
 		// Equiprobable bins of the standard normal, for the shape check.
 		const bins = 20
 		edges := make([]float64, bins-1)
@@ -110,7 +110,7 @@ func TestChannelMatchesModel(t *testing.T) {
 		}
 		missing := 0
 		var sumSq float64
-		for _, y := range ch.TransmitInto(m, syms, sim.NewRNG(23), nil) {
+		for _, y := range ch.TransmitInto(m, packSymbols(syms), len(syms), sim.NewRNG(23), nil) {
 			if math.Abs(y.A) < 0.5 && math.Abs(y.R) < 0.5 {
 				missing++
 				sumSq += y.A*y.A + y.R*y.R
@@ -135,7 +135,7 @@ func TestChannelMatchesModel(t *testing.T) {
 		ch := Channel{Sigma: 1e-4, Scatter: 0.3, Width: 64}
 		syms := randomSymbols(n, 24)
 		var counts [numSymbols]int
-		for i, y := range ch.TransmitInto(m, syms, sim.NewRNG(25), nil) {
+		for i, y := range ch.TransmitInto(m, packSymbols(syms), len(syms), sim.NewRNG(25), nil) {
 			p := m.IdealPoint(syms[i])
 			off := Point{A: (y.A - p.A) / ch.Scatter, R: (y.R - p.R) / ch.Scatter}
 			best, bestD := 0, math.Inf(1)
@@ -162,7 +162,7 @@ func TestChannelMatchesModel(t *testing.T) {
 		const w = 64
 		ch := Channel{Sigma: 1e-12, ISI: 0.08, Width: w}
 		syms := randomSymbols(20*w+37, 26)
-		for i, y := range ch.TransmitInto(m, syms, sim.NewRNG(27), nil) {
+		for i, y := range ch.TransmitInto(m, packSymbols(syms), len(syms), sim.NewRNG(27), nil) {
 			var na, nr float64
 			var k int
 			for _, j := range [4]int{i - 1, i + 1, i - w, i + w} {

@@ -42,7 +42,7 @@ func TestTableLLRsMatchExact(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(numSymbols))
 	}
-	received := ch.TransmitInto(m, syms, rng, nil)
+	received := ch.TransmitInto(m, packSymbols(syms), len(syms), rng, nil)
 	for i := 0; i < 4096; i++ {
 		received = append(received, Point{A: rng.Range(-axisRange, axisRange), R: rng.Range(-axisRange, axisRange)})
 	}

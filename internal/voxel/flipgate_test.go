@@ -30,10 +30,10 @@ func TestFlipGateOperatingPoint(t *testing.T) {
 	var table []bucket
 	total, gateBucket := 0, -1
 	for pi := 0; pi < payloads; pi++ {
-		symbols := p.WriteSector(randomPayload(p.Codec.PayloadBytes, 0xf11b+uint64(pi)))
+		sector := p.WriteSector(randomPayload(p.Codec.PayloadBytes, 0xf11b+uint64(pi)))
 		rng := sim.NewRNG(0x6a7e + uint64(pi))
 		for ri := 0; ri < reads; ri++ {
-			p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, symbols, rng, sc.points[:0]), sc.llrs, sc.hard)
+			p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, sector, p.symbols(), rng, sc.points[:0]), sc.llrs, sc.hard)
 			for b := 0; b < p.Codec.Blocks(); b++ {
 				unsat, gated, ok := code.FlipTrial(sc.hard, b*code.N)
 				i := unsat / width

@@ -119,15 +119,15 @@ func checkGoldenCorpus(t *testing.T, p *SectorPipeline, file string) {
 	fmt.Fprintln(&got, "# payload read points_fnv64a ok failed_block iterations margin payload_crc32")
 	for pi := 0; pi < goldenPayloads; pi++ {
 		payload := randomPayload(p.Codec.PayloadBytes, 0x51ca+uint64(pi))
-		symbols := p.WriteSector(payload)
+		sector := p.WriteSector(payload)
 		rng := sim.NewRNG(0x90de + uint64(pi))
 		for ri := 0; ri < goldenReads; ri++ {
-			res := p.ReadSectorWithBuf(sc, symbols, rng, buf)
+			res := p.ReadSectorWithBuf(sc, sector, rng, buf)
 			if res.OK && !bytes.Equal(res.Payload, payload) {
 				t.Fatalf("payload %d read %d: CRC-verified decode returned wrong bytes", pi, ri)
 			}
 			fmt.Fprintf(&got, "%d %d %016x %t %d %d %v %08x\n", pi, ri,
-				hashPoints(sc.points[:len(symbols)]), res.OK, res.FailedBlock,
+				hashPoints(sc.points[:p.symbols()]), res.OK, res.FailedBlock,
 				res.Iterations, res.Margin, crc32.ChecksumIEEE(res.Payload))
 		}
 	}

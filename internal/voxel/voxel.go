@@ -19,7 +19,6 @@
 package voxel
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand/v2"
 
@@ -61,23 +60,12 @@ func NewModulation() *Modulation {
 // IdealPoint returns the constellation point of a symbol.
 func (m *Modulation) IdealPoint(sym uint8) Point { return m.points[sym&(numSymbols-1)] }
 
-// cutSymbols cuts packed coded bits (LSB-first) into one symbol a byte:
-// symbol i is bits 4i..4i+3, bit 4i its least significant. words must
-// hold len(symbols)*BitsPerVoxel bits. Eight symbols at a time are
-// spread out of half a word into the eight bytes of one store.
-func cutSymbols(words []uint64, symbols []uint8) {
-	n := len(symbols)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := words[i>>4] >> (4 * (uint(i) & 15)) & 0xffffffff
-		x = (x | x<<16) & 0x0000ffff0000ffff
-		x = (x | x<<8) & 0x00ff00ff00ff00ff
-		x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
-		binary.LittleEndian.PutUint64(symbols[i:], x)
-	}
-	for ; i < n; i++ {
-		symbols[i] = uint8(words[i>>4]>>(4*(uint(i)&15))) & (numSymbols - 1)
-	}
+// symbolAt returns symbol i of a sector's glass: the sector is its
+// codeword's bits packed LSB-first, so symbol i is coded bits
+// 4i..4i+3, the low nibble of byte i/2 when i is even and its high
+// nibble when i is odd.
+func symbolAt(sector []byte, i int) uint8 {
+	return sector[i>>1] >> (4 * (uint(i) & 1)) & (numSymbols - 1)
 }
 
 // Channel models the end-to-end write+read impairments of one sector.
@@ -110,7 +98,8 @@ func DefaultChannel() Channel {
 // CleanChannel returns a noiseless channel for tests.
 func CleanChannel() Channel { return Channel{Sigma: 1e-4, Width: 64} }
 
-// TransmitInto converts written symbols into received observations,
+// TransmitInto converts the first n symbols of a written sector (two a
+// byte, low nibble first: see symbolAt) into received observations,
 // reusing dst's storage when it is large enough, so a pooled buffer can
 // absorb them. Every entry of the result is overwritten.
 //
@@ -121,23 +110,23 @@ func CleanChannel() Channel { return Channel{Sigma: 1e-4, Width: 64} }
 // per-axis sensor noise of a formed voxel or the background of a missing
 // one. TestChannelMatchesModel checks the distribution; the sector
 // corpus pins the stream.
-func (c Channel) TransmitInto(m *Modulation, symbols []uint8, rng *sim.RNG, dst []Point) []Point {
+func (c Channel) TransmitInto(m *Modulation, sector []byte, n int, rng *sim.RNG, dst []Point) []Point {
 	w := c.Width
 	if w <= 0 {
 		w = 64
 	}
+	sector = sector[:(n+1)/2]
 	out := dst[:0]
-	if cap(out) >= len(symbols) {
-		out = out[:len(symbols)]
+	if cap(out) >= n {
+		out = out[:n]
 	} else {
-		out = make([]Point, len(symbols))
+		out = make([]Point, n)
 	}
 	norm := rand.New(rng)
 	missCut := c.PMissing * (1 << 53) // u>>11 < missCut ⇔ Float64() < PMissing
 	background := 2*c.Sigma + 0.05
-	n := len(symbols)
 	col := -1 // i's column, counted rather than divided out
-	for i, s := range symbols {
+	for i := range n {
 		if col++; col == w {
 			col = 0
 		}
@@ -147,26 +136,26 @@ func (c Channel) TransmitInto(m *Modulation, symbols []uint8, rng *sim.RNG, dst 
 			out[i] = Point{A: background * norm.NormFloat64(), R: background * norm.NormFloat64()}
 			continue
 		}
-		p := m.IdealPoint(s)
+		p := m.IdealPoint(symbolAt(sector, i))
 		a, r := p.A, p.R
 		if c.ISI > 0 {
 			// Horizontal neighbours stay in the voxel's row.
 			var na, nr float64
 			var k int
 			if col > 0 {
-				q := m.IdealPoint(symbols[i-1])
+				q := m.IdealPoint(symbolAt(sector, i-1))
 				na, nr, k = na+q.A, nr+q.R, k+1
 			}
 			if col < w-1 && i+1 < n {
-				q := m.IdealPoint(symbols[i+1])
+				q := m.IdealPoint(symbolAt(sector, i+1))
 				na, nr, k = na+q.A, nr+q.R, k+1
 			}
 			if i >= w {
-				q := m.IdealPoint(symbols[i-w])
+				q := m.IdealPoint(symbolAt(sector, i-w))
 				na, nr, k = na+q.A, nr+q.R, k+1
 			}
 			if i+w < n {
-				q := m.IdealPoint(symbols[i+w])
+				q := m.IdealPoint(symbolAt(sector, i+w))
 				na, nr, k = na+q.A, nr+q.R, k+1
 			}
 			if k > 0 {

@@ -64,32 +64,30 @@ func TestGrayMappingNeighbourProperty(t *testing.T) {
 	}
 }
 
-// demodulate unpacks symbols back to bits, one a byte: the bit-serial
-// definition of the symbol layout.
-func demodulate(symbols []uint8) []uint8 {
-	out := make([]uint8, len(symbols)*BitsPerVoxel)
+// packSymbols packs one-a-byte symbols into a sector's form, two a
+// byte, the even-indexed one in the low nibble.
+func packSymbols(symbols []uint8) []byte {
+	sector := make([]byte, (len(symbols)+1)/2)
 	for i, s := range symbols {
-		for b := 0; b < BitsPerVoxel; b++ {
-			out[i*BitsPerVoxel+b] = s >> uint(b) & 1
-		}
+		sector[i/2] |= s & (numSymbols - 1) << (4 * (i & 1))
 	}
-	return out
+	return sector
 }
 
-// TestModulateRoundTrip holds cutSymbols to the bit-serial layout:
-// symbol i carries coded bits 4i..4i+3, LSB first, at every symbol count
-// (whole words, half words and single-symbol tails).
+// TestModulateRoundTrip holds a sector's form to the bit-serial layout:
+// storeWords writes the coded words out and symbolAt reads symbol i back
+// as coded bits 4i..4i+3, LSB first, at every symbol count (whole words,
+// half words, odd counts and single-symbol tails).
 func TestModulateRoundTrip(t *testing.T) {
 	err := quick.Check(func(raw []uint64, n uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		count := int(n) % (len(raw)*64/BitsPerVoxel + 1)
-		syms := make([]uint8, count)
-		cutSymbols(raw, syms)
-		bits := demodulate(syms)
-		for i, b := range bits {
-			if uint64(b) != raw[i>>6]>>(uint(i)&63)&1 {
+		sector := make([]byte, (count+1)/2)
+		storeWords(sector, raw)
+		for i := 0; i < count*BitsPerVoxel; i++ {
+			if uint64(symbolAt(sector, i/BitsPerVoxel)>>(i%BitsPerVoxel)&1) != raw[i>>6]>>(uint(i)&63)&1 {
 				return false
 			}
 		}
@@ -108,7 +106,7 @@ func TestCleanChannelRoundTrip(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	rx := ch.TransmitInto(m, syms, rng, nil)
+	rx := ch.TransmitInto(m, packSymbols(syms), len(syms), rng, nil)
 	d := NewDemapper(m, ch)
 	got := HardSymbols(d.Posteriors(rx))
 	for i := range syms {
@@ -126,7 +124,7 @@ func TestPosteriorsAreDistributions(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil))
+	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, packSymbols(syms), len(syms), rng, nil))
 	for i, p := range post {
 		var sum float64
 		for _, v := range p {
@@ -153,7 +151,7 @@ func TestDefaultChannelRawSymbolErrorRate(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(rng.Intn(16))
 	}
-	got := HardSymbols(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil)))
+	got := HardSymbols(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, packSymbols(syms), len(syms), rng, nil)))
 	errs := 0
 	for i := range syms {
 		if got[i] != syms[i] {
@@ -196,7 +194,7 @@ func TestMissingVoxelsDegradePosteriors(t *testing.T) {
 	for i := range syms {
 		syms[i] = corner
 	}
-	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, sim.NewRNG(4), nil))
+	post := NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, packSymbols(syms), len(syms), sim.NewRNG(4), nil))
 	confident := 0
 	for _, p := range post {
 		if p[corner] > 0.9 {
@@ -216,9 +214,9 @@ func TestBitLLRSigns(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint8(i % 16)
 	}
-	llrs := BitLLRs(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, syms, rng, nil)))
-	bits := demodulate(syms)
-	for i, b := range bits {
+	llrs := BitLLRs(NewDemapper(m, ch).Posteriors(ch.TransmitInto(m, packSymbols(syms), len(syms), rng, nil)))
+	for i := range len(syms) * BitsPerVoxel {
+		b := syms[i/BitsPerVoxel] >> (i % BitsPerVoxel) & 1
 		if b == 0 && llrs[i] <= 0 {
 			t.Fatalf("bit %d is 0 but LLR %v", i, llrs[i])
 		}
@@ -249,8 +247,8 @@ func TestSectorPipelineRoundTrip(t *testing.T) {
 		payload[i] = byte(rng.Uint64())
 	}
 	syms := p.WriteSector(payload)
-	if len(syms) != p.SymbolsPerSector() {
-		t.Fatalf("symbols = %d, want %d", len(syms), p.SymbolsPerSector())
+	if len(syms) != p.SectorBytes() {
+		t.Fatalf("sector = %d bytes, want %d", len(syms), p.SectorBytes())
 	}
 	sc := p.AcquireScratch()
 	defer p.ReleaseScratch(sc)
@@ -278,7 +276,7 @@ const readsPerPayload = 100
 func measureSectorFailureRate(p *SectorPipeline, trials int, seed uint64) float64 {
 	rng := sim.NewRNG(seed)
 	payload := make([]byte, p.Codec.PayloadBytes)
-	symbols := make([]uint8, p.SymbolsPerSector())
+	sector := make([]byte, p.SectorBytes())
 	sc := p.AcquireScratch()
 	defer p.ReleaseScratch(sc)
 	buf := make([]byte, p.Codec.PayloadBytes)
@@ -288,9 +286,9 @@ func measureSectorFailureRate(p *SectorPipeline, trials int, seed uint64) float6
 			for i := range payload {
 				payload[i] = byte(rng.Uint64())
 			}
-			copy(symbols, p.WriteSectorWith(sc, payload))
+			copy(sector, p.WriteSectorWith(sc, payload))
 		}
-		if res := p.ReadSectorWithBuf(sc, symbols, rng, buf); !res.OK {
+		if res := p.ReadSectorWithBuf(sc, sector, rng, buf); !res.OK {
 			failures++
 		}
 	}
@@ -389,10 +387,10 @@ func BenchmarkSectorReadStages(b *testing.B) {
 	}
 	var reads [8]read
 	for i := range reads {
-		p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, syms, rng, sc.points), sc.llrs, sc.hard)
+		p.Demap.LLRsInto(p.Ch.TransmitInto(p.Mod, syms, p.symbols(), rng, sc.points), sc.llrs, sc.hard)
 		reads[i] = read{append([]float32(nil), sc.llrs[:p.Codec.EncodedBits()]...), append([]uint64(nil), sc.hard...)}
 	}
-	received := p.Ch.TransmitInto(p.Mod, syms, rng, nil)
+	received := p.Ch.TransmitInto(p.Mod, syms, p.symbols(), rng, nil)
 	buf := make([]byte, 1000)
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -401,7 +399,7 @@ func BenchmarkSectorReadStages(b *testing.B) {
 	})
 	b.Run("transmit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p.Ch.TransmitInto(p.Mod, syms, rng, sc.points)
+			p.Ch.TransmitInto(p.Mod, syms, p.symbols(), rng, sc.points)
 		}
 	})
 	b.Run("demap", func(b *testing.B) {

@@ -85,8 +85,9 @@ func TestScrubbingOnlyOnTape(t *testing.T) {
 
 func TestSilicaPaysVerificationAndWritePremium(t *testing.T) {
 	// §3.1 and §9: silica verifies every written byte, and its write
-	// drives are the expensive component — the single dimension where
-	// Table 2 grades Silica High.
+	// drives are the expensive component. BuildTable2 grades Silica's
+	// write Medium against tape's Low and grades no Silica row High;
+	// ROADMAP item 23 tracks that deviation from the paper's table.
 	w := DefaultWorkload()
 	w.ReadTBPerYear = 0
 	tape := Evaluate(Tape(), w)

@@ -32,26 +32,22 @@ const Overhead = aes.BlockSize
 type Store struct {
 	mu   sync.RWMutex
 	keys map[string][]byte
-	// shredded remembers destroyed keys so double-shredding and
-	// accidental re-creation surface as errors rather than silently
-	// resurrecting "deleted" data.
-	shredded map[string]bool
 }
 
 // New returns an empty key store.
 func New() *Store {
-	return &Store{keys: make(map[string][]byte), shredded: make(map[string]bool)}
+	return &Store{keys: make(map[string][]byte)}
 }
 
-// CreateKey generates and stores a fresh AES-256 key for id.
+// CreateKey generates and stores a fresh AES-256 key for id. Ids are
+// single-use by construction: the service names a key after the
+// operation sequence number that created it, which recovery restores,
+// so an id never recurs and a shredded one needs no tombstone.
 func (s *Store) CreateKey(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.keys[id]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	if s.shredded[id] {
-		return fmt.Errorf("keystore: %q was shredded; ids are single-use", id)
 	}
 	k := make([]byte, keyBytes)
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
@@ -157,7 +153,6 @@ func (s *Store) Shred(id string) error {
 		key[i] = 0
 	}
 	delete(s.keys, id)
-	s.shredded[id] = true
 	return nil
 }
 
@@ -191,7 +186,7 @@ func (s *Store) Export() map[string][]byte {
 }
 
 // Install registers existing key material under id, overwriting any
-// previous entry and clearing a shredded marker. Recovery-only: replay
+// previous entry. Recovery-only: replay
 // re-installs the exact keys that were live before a crash, including
 // across a shred that a fuzzy snapshot captured but whose delete record
 // replays afterwards.
@@ -201,5 +196,4 @@ func (s *Store) Install(id string, key []byte) {
 	cp := make([]byte, len(key))
 	copy(cp, key)
 	s.keys[id] = cp
-	delete(s.shredded, id)
 }

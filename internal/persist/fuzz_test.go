@@ -11,8 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"silica/internal/media"
 )
 
 // Fuzz targets for every decoder that reads bytes this process did not
@@ -144,51 +142,42 @@ func FuzzDecodeRouterSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlob re-encodes what it decoded: decoding only indexes
-// where each sector lies, so the re-encode walks them out of the
-// decoded file, in address order, at the decoded sectors per track. The
-// streamed decode recovery uses must agree with the in-memory one, and
-// so must the streamed decode that skips the payloads, but for the
-// payloads. Every sector the index locates lies inside the file.
+// FuzzDecodeBlob decodes blob headers through the one decoder recovery
+// uses, and checks the re-encoding fixed point: decoding only indexes
+// where each sector lies, so the header is all there is to re-encode.
+// The input is the header's fields, between its fixed-width length and
+// its CRC, which the target fills in.
 func FuzzDecodeBlob(f *testing.F) {
-	sealed := wireFixture(f, "blob")
-	f.Add(sealed[len(blobMagic) : len(sealed)-4])
-	f.Fuzz(func(t *testing.T, body []byte) {
-		file := append([]byte(blobMagic), body...)
-		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
-		first, streamed, skipped := platterBlob{keepPayloads: true}, platterBlob{keepPayloads: true}, platterBlob{}
+	blob := wireFixture(f, "blob")
+	f.Add(blob[len(blobMagic)+4 : binary.LittleEndian.Uint32(blob[len(blobMagic):])-4])
+	f.Fuzz(func(t *testing.T, fields []byte) {
+		head := append([]byte(blobMagic), 0, 0, 0, 0)
+		head = append(head, fields...)
+		binary.LittleEndian.PutUint32(head[len(blobMagic):], uint32(len(head)+4))
+		head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
+		var first platterBlob
 		var err error
-		boundedAlloc(t, len(file), func() { err = openFile(blobMagic, file, first.wire) })
-		serr := openStream(blobMagic, bytes.NewReader(file), int64(len(file)), streamed.wire)
-		kerr := openStream(blobMagic, bytes.NewReader(file), int64(len(file)), skipped.wire)
-		if (err == nil) != (serr == nil) || (err == nil) != (kerr == nil) {
-			t.Fatalf("in-memory decode: %v; streamed decode: %v; skipping decode: %v", err, serr, kerr)
-		}
+		boundedAlloc(t, len(head), func() { first, err = readBlobHeader(bytes.NewReader(head), int64(len(head))) })
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(first, streamed) {
-			t.Fatalf("streamed decode %+v differs from in-memory %+v", streamed, first)
+		if first.index.at != int64(len(head)) {
+			t.Fatalf("sectors placed at %d, after a %d-byte header", first.index.at, len(head))
 		}
-		if skipped.id != first.id || !reflect.DeepEqual(skipped.index, first.index) || skipped.payloads != nil {
-			t.Fatalf("skipping decode %+v differs from in-memory %+v", skipped, first)
+		reseal := func(b platterBlob) []byte {
+			b.index = sectorIndex{spt: b.index.spt, stride: b.index.stride, words: b.index.words}
+			return b.seal()
 		}
-		cut := func(file []byte, x sectorIndex) sectorMap {
-			return indexSectors(x, func(id media.SectorID, at int64) []byte {
-				if at < 0 || at+int64(x.stride) > int64(len(file))-4 {
-					t.Fatalf("sector %+v indexed at [%d, %d) of a %d-byte file", id, at, at+int64(x.stride), len(file))
-				}
-				return file[at : at+int64(x.stride)]
-			})
+		again := reseal(first)
+		second, err := readBlobHeader(bytes.NewReader(again), int64(len(again)))
+		if err != nil {
+			t.Fatalf("re-encoded header does not decode: %v", err)
 		}
-		first.eachSector = cut(file, first.index).EachSector
-		again := sealFile(blobMagic, first.wire)
-		second := platterBlob{keepPayloads: true}
-		if err := openFile(blobMagic, again, second.wire); err != nil {
-			t.Fatalf("re-encoded file does not decode: %v", err)
+		if second.id != first.id || !reflect.DeepEqual(second.index.words, first.index.words) ||
+			second.index.spt != first.index.spt || second.index.stride != first.index.stride {
+			t.Fatalf("re-encoded header decodes as %+v, want %+v", second, first)
 		}
-		second.eachSector = cut(again, second.index).EachSector
-		if third := sealFile(blobMagic, second.wire); !bytes.Equal(again, third) {
+		if third := reseal(second); !bytes.Equal(again, third) {
 			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", again, third)
 		}
 	})

@@ -67,9 +67,13 @@ func goldenDecodeRouterSnapshot(data []byte) (cut uint64, fingerprint string, s 
 // goldenSPT is the blob fixtures' sectors per track, TinyGeometry's.
 var goldenSPT = media.TinyGeometry().SectorsPerTrack()
 
-func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8, payloads [][]byte) []byte {
-	b := platterBlob{id: id, eachSector: sectorMap(sectors).EachSector, index: sectorIndex{spt: goldenSPT}, payloads: payloads}
-	return sealFile(blobMagic, b.wire)
+func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8) []byte {
+	b := platterBlob{id: id, index: sectorIndex{spt: goldenSPT}}
+	var out bytes.Buffer
+	if err := b.write(&out, sectorMap(sectors).EachSector); err != nil {
+		panic(err) // a bytes.Buffer write cannot fail
+	}
+	return out.Bytes()
 }
 
 // sectorMap feeds the blob encoder sectors that are on no media.Platter:
@@ -97,12 +101,11 @@ func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
 	return nil
 }
 
-func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, [][]byte, error) {
-	b := platterBlob{keepPayloads: true}
-	err := openFile(blobMagic, data, b.wire)
+func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, error) {
+	b, err := readBlobHeader(bytes.NewReader(data), int64(len(data)))
 	return b.id, indexSectors(b.index, func(id media.SectorID, at int64) []byte {
 		return data[at : at+int64(b.index.stride)]
-	}), b.payloads, err
+	}), err
 }
 
 // indexSectors maps every sector a blob index holds to what read gives

@@ -367,16 +367,15 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 }
 
 // WritePlatterBlob durably stores one Stored platter's media sidecar,
-// its sectors read straight off the media's slabs, with the payload
-// cache its set close may still need, and returns the blob opened
-// read-only for the platter to be shelved on: the caller owns its
-// descriptor. Must complete before the platter's RecPublish is appended
-// (the record-implies-blob recovery invariant).
-func (l *Log) WritePlatterBlob(p *media.Platter, payloads [][]byte) (*Blob, error) {
+// its sectors read straight off the media's slabs, and returns the blob
+// opened read-only for the platter to be shelved on: the caller owns
+// its descriptor. Must complete before the platter's RecPublish is
+// appended (the record-implies-blob recovery invariant).
+func (l *Log) WritePlatterBlob(p *media.Platter) (*Blob, error) {
 	if l.frozen.Load() {
 		return nil, ErrCrashed
 	}
-	index, err := writeBlobFile(l.dir, p.ID, p.Geom.SectorsPerTrack(), p.EachSector, payloads)
+	index, err := writeBlobFile(l.dir, p.ID, p.Geom.SectorsPerTrack(), p.EachSector)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -271,15 +270,14 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 		{Track: 0, Sector: 0}: {1, 2, 3},
 		{Track: 1, Sector: 2}: {4, 5, 6},
 	}
-	payloads := [][]byte{[]byte("payload-0")}
 	for id := media.PlatterID(1); id <= 2; id++ {
-		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors), payloads); err != nil {
+		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors)); err != nil {
 			t.Fatalf("WritePlatterBlob: %v", err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
 	}
 	// Redundancy platter + set close.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 3, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 3, sectors)); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,
@@ -301,10 +299,6 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 	if got := blobSectors(st.Platters[0].Blob); !reflect.DeepEqual(got, sectors) {
 		t.Fatalf("sectors not recovered: %+v", got)
 	}
-	// Payloads are dropped for closed-set members.
-	if st.Platters[0].Payloads != nil {
-		t.Fatalf("payload cache kept for closed-set member")
-	}
 	if st.NextPlatter != 4 {
 		t.Fatalf("NextPlatter = %d, want 4", st.NextPlatter)
 	}
@@ -323,20 +317,18 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {9}}
-	// Info platter of an open set: survives, keeps payloads. One payload
-	// is larger than the window recovery streams blobs through.
-	payloads := [][]byte{[]byte("p"), bytes.Repeat([]byte("q"), 100<<10)}
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, sectors), payloads); err != nil {
+	// Info platter of an open set: survives.
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, sectors)); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	// Red platter published but its set never completed: orphan.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 2, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 2, sectors)); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 2, Set: 0, SetPos: 1, Redundancy: true, Reason: "redundancy"})
 	// Blob with no record at all: crash between blob write and append.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 9, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 9, sectors)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -350,8 +342,8 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	if len(st.PendingSet) != 1 || st.PendingSet[0] != 1 {
 		t.Fatalf("pending = %v", st.PendingSet)
 	}
-	if !reflect.DeepEqual(st.Platters[0].Payloads, payloads) {
-		t.Fatalf("open-set member's payload cache came back as %d payloads, want %d", len(st.Platters[0].Payloads), len(payloads))
+	if got := blobSectors(st.Platters[0].Blob); !reflect.DeepEqual(got, sectors) {
+		t.Fatalf("open-set member's sectors not recovered: %+v", got)
 	}
 	for _, h := range st.Health {
 		if h.Platter == 2 {
@@ -367,7 +359,7 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 func TestMissingBlobIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
@@ -380,25 +372,30 @@ func TestMissingBlobIsFatal(t *testing.T) {
 	}
 }
 
-// TestV1BlobRefused: a blob of the one-byte-per-symbol format
-// ("SILPLT01": platter id, then a count and (track, sector, data) per
-// sector) is refused at open even with its CRC intact; there is no v1
-// reader.
+// TestV1BlobRefused: blobs of earlier formats are refused at open even
+// with their CRC intact; there is no reader for them. "SILPLT01" held
+// one byte per symbol: platter id, then a count and (track, sector,
+// data) per sector. "SILPLT02" held the packed sectors behind a bitmap
+// and a payload cache after them, under one CRC over the whole file.
 func TestV1BlobRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	l.Close()
-	v1 := []byte("SILPLT01\x02\x02\x00\x00\x02\x01\x00") // id 1; one sector (0, 0) = [1]; no payloads
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	if err := os.WriteFile(filepath.Join(dir, blobName(1)), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(Options{Dir: dir, Fingerprint: "test-cfg"}); err == nil || !strings.Contains(err.Error(), "not a SILPLT02 file") {
-		t.Fatalf("Open of a directory holding a v1 blob: %v; want it refused", err)
+	for _, old := range []string{
+		"SILPLT01\x02\x02\x00\x00\x02\x01\x00", // id 1; one sector (0, 0) = [1]; no payloads
+		"SILPLT02\x02\x14\x02\x02\x01\x01\x00", // id 1; 10 a track; stride 1; sector (0, 0) = [1]; no payloads
+	} {
+		blob := binary.LittleEndian.AppendUint32([]byte(old), crc32.ChecksumIEEE([]byte(old)))
+		if err := os.WriteFile(filepath.Join(dir, blobName(1)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(Options{Dir: dir, Fingerprint: "test-cfg"}); err == nil || !strings.Contains(err.Error(), "not a SILPLT03 file") {
+			t.Fatalf("Open of a directory holding a %s blob: %v; want it refused", old[:8], err)
+		}
 	}
 }
 
@@ -459,7 +456,7 @@ func TestRemapReplay(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
 	for id := media.PlatterID(1); id <= 3; id++ {
-		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors), nil); err != nil {
+		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors)); err != nil {
 			t.Fatal(err)
 		}
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
@@ -470,7 +467,7 @@ func TestRemapReplay(t *testing.T) {
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)
 	// Rebuild: platter 2 replaced by 7.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 7, sectors), nil); err != nil {
+	if _, err := l.WritePlatterBlob(storedPlatter(t, 7, sectors)); err != nil {
 		t.Fatal(err)
 	}
 	appendSync(t, l,

@@ -18,8 +18,7 @@ import (
 // the platter on (the service owns the descriptor from Open on).
 type PlatterState struct {
 	PlatterDesc
-	Blob     *Blob
-	Payloads [][]byte // info payload cache; retained only for open-set members
+	Blob *Blob
 }
 
 // State is the recovered service state handed back by Open: the four
@@ -374,25 +373,20 @@ func Open(opts Options) (*Log, *State, error) {
 	return l, b.state, nil
 }
 
-// loadBlobs opens and indexes every surviving platter's sidecar blob;
-// no sector is loaded. A platter with a publish record but no blob is
-// fatal corruption — the blob is written and fsynced before the record,
-// so its absence means the disk lost durable bytes — and closes the
-// blobs already opened. Payload caches are decoded only for open-set
-// members (they are needed to encode redundancy at set close); everyone
-// else's are skipped unheld.
+// loadBlobs opens every surviving platter's sidecar blob and indexes
+// it from its header; no sector is read. A platter with a publish record
+// but no blob, or one whose header fails its checks, is fatal
+// corruption — the blob is written and fsynced before the record, so
+// its absence means the disk lost durable bytes — and closes the blobs
+// already opened.
 func (st *State) loadBlobs(dir string) error {
-	inPending := make(map[media.PlatterID]bool, len(st.PendingSet))
-	for _, id := range st.PendingSet {
-		inPending[id] = true
-	}
 	for _, p := range st.Platters {
-		blob, payloads, err := openBlob(dir, p.ID, inPending[p.ID])
+		blob, err := openBlob(dir, p.ID)
 		if err != nil {
 			st.CloseBlobs()
 			return fmt.Errorf("persist: platter %d has a publish record but no readable blob: %w", p.ID, err)
 		}
-		p.Blob, p.Payloads = blob, payloads
+		p.Blob = blob
 	}
 	return nil
 }

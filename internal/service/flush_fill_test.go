@@ -270,6 +270,100 @@ func TestFailedSetCloseIsRetriedUnderTheSameIndex(t *testing.T) {
 	}
 }
 
+// TestSetClosesFromGlassAcrossRestart: a pending set's members keep no
+// payload cache across a restart, so the set close that follows reads
+// them back from their glass. Either way the set closes, a close cut
+// short by a clean restart with two members pending and one whose
+// redundancy burns all faulted before the restart, its redundancy
+// protects the members burned before it: with one of them failed, every
+// object on it reads back byte-exact through set recovery.
+func TestSetClosesFromGlassAcrossRestart(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		t.Run(map[bool]string{false: "clean", true: "faulted close"}[faulted], func(t *testing.T) {
+			cfg := smallSetConfig()
+			cfg.PersistDir = t.TempDir()
+			cfg.Faults = faults.New(1)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{}
+			flushOne := func(s *Service, i int) error {
+				name := fmt.Sprintf("bulk%d", i)
+				files[name] = randBytes(uint64(50+i), int(cfg.Geom.PlatterUserBytes())*3/4)
+				if _, err := s.Put("acct", name, files[name]); err != nil {
+					t.Fatal(err)
+				}
+				return s.Flush()
+			}
+			before := 2 // members burned before the restart
+			if faulted {
+				before = cfg.SetInfo
+			}
+			for i := 0; i < before-1; i++ {
+				if err := flushOne(s, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if faulted {
+				// As in TestFailedSetCloseIsRetriedUnderTheSameIndex: fault
+				// every burn of the first redundancy platter.
+				s.mu.RLock()
+				info := s.nextPlatter
+				s.mu.RUnlock()
+				for id := info + 1; id <= info+4; id++ {
+					if err := cfg.Faults.ArmString(fmt.Sprintf("op=flush.burn,platter=%d,mode=error", id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := flushOne(s, before-1); err == nil {
+					t.Fatal("flush closed a set whose redundancy burns all faulted")
+				}
+			} else if err := flushOne(s, before-1); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.SetsCompleted != 0 || len(s.pendingSet) != before {
+				t.Fatalf("before the restart: %d sets, %d pending; want 0 and %d", st.SetsCompleted, len(s.pendingSet), before)
+			}
+			lost := s.pendingSet[0]
+			if err := s.ClosePersist(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Faults = nil
+			if s, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = s.ClosePersist() }()
+			for i := before; i < cfg.SetInfo; i++ {
+				if err := flushOne(s, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := s.Stats(); st.SetsCompleted != 1 || st.RedundancyPlatters != cfg.SetRed {
+				t.Fatalf("%d sets with %d redundancy platters, want 1 with %d", st.SetsCompleted, st.RedundancyPlatters, cfg.SetRed)
+			}
+			if err := s.FailPlatter(lost); err != nil {
+				t.Fatal(err)
+			}
+			onLost := 0
+			for name, want := range files {
+				// The faulted flush recorded no extents: its file is
+				// still staged.
+				if v, err := s.meta.Get(metadata.FileKey{Account: "acct", Name: name}); err == nil && len(v.Extents) > 0 && v.Extents[0].Platter == lost {
+					onLost++
+				}
+				if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s with platter %d failed: err=%v", name, lost, err)
+				}
+			}
+			if st := s.Stats(); onLost == 0 || st.PlatterRecovers == 0 {
+				t.Fatalf("%d objects on platter %d, %d reads through set recovery; want some of each", onLost, lost, st.PlatterRecovers)
+			}
+		})
+	}
+}
+
 // TestStagedObjectAcrossReleasingFlush: a Get that finds the version
 // Staged in metadata but already released from the tier re-reads the
 // metadata and follows it to glass; a Delete racing the same flush stays

@@ -68,7 +68,8 @@ func (s *Service) openPersist() error {
 
 // installState loads a recovered State into the service's authorities.
 // Every recovered platter is shelved on its blob: recovery reads no
-// glass into the heap.
+// glass into the heap, and a member of the open set, which has no
+// payload cache, is read from its glass when its set closes.
 func (s *Service) installState(st *persist.State) error {
 	s.opSeq.Store(st.OpSeq)
 	s.meta = st.Meta
@@ -84,7 +85,6 @@ func (s *Service) installState(st *persist.State) error {
 	for _, p := range st.Platters {
 		pi := &platterInfo{
 			platter:         media.Shelved(p.ID, s.cfg.Geom, p.Blob),
-			payloads:        p.Payloads,
 			usedInfoSectors: p.Used,
 			set:             p.Set,
 			setPos:          p.SetPos,
@@ -117,7 +117,7 @@ func (s *Service) persistPublish(id media.PlatterID, pi *platterInfo, reason str
 	if s.plog == nil {
 		return nil
 	}
-	blob, err := s.plog.WritePlatterBlob(pi.platter, pi.payloads)
+	blob, err := s.plog.WritePlatterBlob(pi.platter)
 	if err != nil {
 		return err
 	}

@@ -153,10 +153,6 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 	if !ok {
 		return fmt.Errorf("%w: platter %d unknown", ErrUnavailable, id)
 	}
-	geom := s.cfg.Geom
-	iPerTrack := geom.InfoSectorsPerTrack
-	infoTrack := infoSector / iPerTrack
-	sPos := infoSector % iPerTrack
 	if pi.rec.Unavailable() {
 		// Level 4: the platter is unavailable; rebuild from its set.
 		sp := obs.StartSpan(ctx, "recover_set")
@@ -169,12 +165,25 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 		pi.rec.ReportTier(repair.TierSet)
 		return nil
 	}
+	if !s.readOwnLevels(ctx, pi, infoSector, rng, dst) {
+		return fmt.Errorf("%w: platter %d sector %d beyond all coding levels", ErrUnavailable, id, infoSector)
+	}
+	return nil
+}
+
+// readOwnLevels reads one information sector of pi into dst from pi's
+// own glass, through levels 1–3 of the hierarchy: everything but the
+// platter-set. It is also how a set close reads a member that has no
+// payload cache.
+func (s *Service) readOwnLevels(ctx context.Context, pi *platterInfo, infoSector int, rng *sim.RNG, dst []byte) bool {
+	geom := s.cfg.Geom
+	infoTrack, sPos := infoSector/geom.InfoSectorsPerTrack, infoSector%geom.InfoSectorsPerTrack
 	phys := geom.InfoTrackPhysical(infoTrack)
 	cs := s.acquireScratch()
-	ok = s.decodeSectorWith(cs, pi, phys, sPos, rng, dst)
+	ok := s.decodeSectorWith(cs, pi, phys, sPos, rng, dst)
 	s.releaseScratch(cs)
 	if ok {
-		return nil
+		return true
 	}
 	// Level 2: read the rest of the track, repair via within-track NC.
 	sp := obs.StartSpan(ctx, "recover_sector")
@@ -182,19 +191,18 @@ func (s *Service) readInfoSector(ctx context.Context, id media.PlatterID, infoSe
 		sp.End()
 		s.om.recSector.Inc()
 		pi.rec.ReportTier(repair.TierSector)
-		return nil
+		return true
 	}
 	sp.End()
 	// Level 3: rebuild the whole track from its large group.
 	sp = obs.StartSpan(ctx, "recover_track")
-	if s.rebuildTrackSector(pi, infoTrack, sPos, rng, dst) {
-		sp.End()
+	ok = s.rebuildTrackSector(pi, infoTrack, sPos, rng, dst)
+	sp.End()
+	if ok {
 		s.om.recTrack.Inc()
 		pi.rec.ReportTier(repair.TierTrack)
-		return nil
 	}
-	sp.End()
-	return fmt.Errorf("%w: platter %d sector %d beyond all coding levels", ErrUnavailable, id, infoSector)
+	return ok
 }
 
 // decodeSectorWith attempts a direct LDPC decode of one physical sector

@@ -42,27 +42,13 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	newID := s.allocPlatterID()
 	geom := s.cfg.Geom
 
-	// Bill one rebuild member read per available set member, concurrently:
-	// the twin schedules them as ClassRebuild traffic across its drives,
-	// so repair competes realistically with foreground reads.
-	var chargeWG sync.WaitGroup
+	var sources []*platterInfo
 	for pos, mpi := range infos {
-		if pos == setPos || mpi == nil || mpi.rec.Unavailable() {
-			continue
+		if pos != setPos && mpi != nil && !mpi.rec.Unavailable() {
+			sources = append(sources, mpi)
 		}
-		mTracks := max(s.usedTracks(mpi), 1)
-		chargeWG.Add(1)
-		go func(id media.PlatterID, tracks int) {
-			defer chargeWG.Done()
-			_ = s.chargeMech(context.Background(), backend.Op{
-				Kind:       backend.OpRebuildRead,
-				Platter:    id,
-				TrackCount: tracks,
-				Bytes:      int64(tracks) * geom.TrackRawBytes(),
-			})
-		}(mpi.platter.ID, mTracks)
 	}
-	chargeWG.Wait()
+	s.chargeMemberReads(sources)
 	// Reconstruct the lost unit sector by sector across the codec engine:
 	// each sector gathers SetInfo of the other members' matching sectors
 	// and decodes the set code once. Every (member, sector) cell forks its
@@ -146,4 +132,26 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 		fmt.Sprintf("rebuilt as platter %d (%d extents remapped)", newID, remapped))
 	s.om.plattersRebuilt.Inc()
 	return newID, nil
+}
+
+// chargeMemberReads bills one rebuild read of each platter's used
+// tracks, concurrently: the twin schedules them as ClassRebuild traffic
+// across its drives, so repair competes realistically with foreground
+// reads.
+func (s *Service) chargeMemberReads(pis []*platterInfo) {
+	var wg sync.WaitGroup
+	for _, pi := range pis {
+		tracks := max(s.usedTracks(pi), 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = s.chargeMech(context.Background(), backend.Op{
+				Kind:       backend.OpRebuildRead,
+				Platter:    pi.platter.ID,
+				TrackCount: tracks,
+				Bytes:      int64(tracks) * s.cfg.Geom.TrackRawBytes(),
+			})
+		}()
+	}
+	wg.Wait()
 }

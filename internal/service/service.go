@@ -148,13 +148,13 @@ type Stats struct {
 // once the platter is published in Service.platters.
 type platterInfo struct {
 	platter *media.Platter
-	// payloads caches info-sector payloads (post-encryption) until the
-	// platter's set completes, for cross-platter redundancy encoding.
-	// Owned by the flush pipeline (flushMu); readers never touch it.
-	// Read-only: an information platter's full sectors alias staged
-	// ciphertext (staging.File.Data), its padding is Service.zero, and a
-	// set-redundancy platter's slots are views of the flush's reused
-	// redundancy slab, dropped when its set registers.
+	// payloads caches an information platter's info-sector payloads
+	// (post-encryption) from its burn until its set completes, for
+	// cross-platter redundancy encoding; a platter recovered across a
+	// restart, or one of set redundancy, has none. Owned by the flush
+	// pipeline (flushMu); readers never touch it. Read-only: its full
+	// sectors alias staged ciphertext (staging.File.Data), and its
+	// padding is Service.zero.
 	payloads [][]byte
 	// usedInfoSectors counts payload slots filled.
 	usedInfoSectors int

@@ -753,7 +753,7 @@ func (s *Service) reclosePendingSet(ctx context.Context) error {
 // of one buffer that every set close reuses: the caller holds flushMu
 // and drops every view before it releases it. The buffer is sized once,
 // at the first close, for a platter's whole information capacity, which
-// no member's payload cache exceeds.
+// no member's used tracks exceed.
 func (s *Service) redundancySlab(n int) [][][]byte {
 	if s.setRed == nil {
 		geom := s.cfg.Geom
@@ -792,17 +792,29 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	s.mu.RUnlock()
 
 	// Redundancy platters: sector (track t, pos p) of redundancy
-	// platter r is the NC combination of members' (t, p) payloads.
-	// The payload caches are flush-owned, so reading them unlocked is
-	// safe: only this (flushMu-serialized) pipeline touches them.
+	// platter r is the NC combination of members' (t, p) payloads. A
+	// member burned by this process still holds them in its payload
+	// cache, which is flush-owned, so reading it unlocked is safe: only
+	// this (flushMu-serialized) pipeline touches it. A member recovered
+	// across a restart has none, and is read back from its glass through
+	// its own coding levels, each (member, sector) on a noise stream
+	// forked from the set's index, so the set's bytes are the same at
+	// any worker count.
 	geom := s.cfg.Geom
+	setIdx := infos[0].set
+	var fromGlass []*platterInfo
+	maxSectors := 0
+	for _, mpi := range infos {
+		maxSectors = max(maxSectors, s.usedTracks(mpi)*geom.InfoSectorsPerTrack)
+		if mpi.payloads == nil {
+			fromGlass = append(fromGlass, mpi)
+		}
+	}
+	s.chargeMemberReads(fromGlass)
+	decRNG := s.rootRNG.Fork(fmt.Sprintf("set-%d-close", setIdx))
 	workStart := time.Now()
 	encode := obs.StartSpan(ctx, "encode")
 	encodeDone := phaseTimer(s.om.phaseEncode)
-	maxSectors := 0
-	for _, mpi := range infos {
-		maxSectors = max(maxSectors, len(mpi.payloads))
-	}
 	redPayloads := s.redundancySlab(maxSectors)
 	err := s.eng.ForEach(maxSectors, func(sec int) error {
 		cs := s.acquireScratch()
@@ -810,11 +822,15 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		views := cs.group[:s.setGroup.Size()]
 		units, red := views[:s.cfg.SetInfo], views[s.cfg.SetInfo:]
 		for mi, mpi := range infos {
-			pls := mpi.payloads
-			if sec < len(pls) {
-				units[mi] = pls[sec]
-			} else {
+			switch {
+			case sec < len(mpi.payloads):
+				units[mi] = mpi.payloads[sec]
+			case mpi.payloads != nil || sec >= mpi.usedInfoSectors:
 				units[mi] = s.zero
+			case s.readOwnLevels(ctx, mpi, sec, decRNG.ForkAt(uint64(mi), uint64(sec)), cs.units[mi]):
+				units[mi] = cs.units[mi]
+			default:
+				return fmt.Errorf("service: set %d member %d sector %d: %w", setIdx, mpi.platter.ID, sec, ErrUnavailable)
 			}
 		}
 		for r := range red {
@@ -830,15 +846,13 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		return 0, err
 	}
 	// Burn every redundancy platter before publishing any, so the heavy
-	// work is one stretch and the rest of closeSet is publication. Their
-	// payload caches are views of the slab the next close overwrites:
-	// registering the set drops them, and a failed close leaves them
-	// unreachable.
-	setIdx := infos[0].set
+	// work is one stretch and the rest of closeSet is publication. They
+	// keep no payload cache: their payloads are views of the slab the
+	// next close overwrites.
 	reds := make([]*platterInfo, s.cfg.SetRed)
 	for r := range reds {
 		reds[r] = &platterInfo{
-			platter: s.slabs.NewPlatter(s.allocPlatterID(), geom), payloads: redPayloads[r],
+			platter:         s.slabs.NewPlatter(s.allocPlatterID(), geom),
 			usedInfoSectors: maxSectors,
 			set:             setIdx, setPos: s.cfg.SetInfo + r, isRedundancy: true,
 		}

@@ -3,9 +3,8 @@
 // is protected by LDPC against read-time errors (stochastic sensor
 // noise) with a per-sector checksum verifying the decode, exactly as the
 // paper describes. Construction is a regular Gallager ensemble; decoding
-// is normalized min-sum belief propagation over the soft per-voxel
-// posteriors produced by the decode stack, with a hard-decision
-// bit-flipping decoder available as a cheap fallback.
+// is layered normalized min-sum belief propagation over the soft
+// per-voxel posteriors produced by the decode stack.
 package ldpc
 
 import "encoding/binary"

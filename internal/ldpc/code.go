@@ -181,8 +181,6 @@ type bpScratch struct {
 	total   []float32 // per-variable posterior (llr + incoming c2v)
 	mbuf    []uint32  // one check's lazy v2c messages as float32 bits, len maxCheckDeg
 	synd    []uint8   // per-check syndrome of cwWords, length M
-	cnt     []uint8   // bit-flip: unsat checks per variable, kept zeroed
-	touched []int32   // bit-flip: variables with nonzero cnt this round
 	cwWords []uint64  // packed hard-decision codeword, nWords
 	msg     []uint64  // one block's packed message, kWords
 	vec     []uint64  // one parity or syndrome vector, mWords
@@ -197,8 +195,6 @@ func (c *Code) getScratch() *bpScratch {
 		total:   make([]float32, c.N),
 		mbuf:    make([]uint32, c.maxCheckDeg),
 		synd:    make([]uint8, c.M),
-		cnt:     make([]uint8, c.N),
-		touched: make([]int32, 0, c.N),
 		cwWords: make([]uint64, c.nWords),
 		msg:     make([]uint64, c.kWords),
 		vec:     make([]uint64, c.mWords),

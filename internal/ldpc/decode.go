@@ -15,7 +15,7 @@ const (
 	infBits32 = 0x7f800000
 )
 
-// layeredBP is the fast path: serial-schedule ("layered") normalized
+// layeredBP is the block decoder: serial-schedule ("layered") normalized
 // min-sum on float32 state, run over channel LLRs (positive LLR means
 // "bit is 0", the usual convention). On entry sc.cwWords holds the hard
 // decision of llr and sc.synd/unsat its syndrome; on return cwWords
@@ -116,55 +116,6 @@ func (c *Code) layeredBP(llr []float32, maxIter int, sc *bpScratch, unsat int) (
 		}
 	}
 	return maxIter, false
-}
-
-// bitFlip runs Gallager-B on the packed codeword sc.cwWords in place.
-// sc.synd and unsat must describe cwWords on entry; both track every
-// flip incrementally (a flip toggles the variable's ColWeight checks),
-// so no iteration re-derives the syndrome. The set of flipped
-// variables per round — everything touching the maximum number of
-// unsatisfied checks — is order-independent, keeping the decoder a pure
-// function of its input. sc.cnt is zeroed on exit via the touched list.
-func (c *Code) bitFlip(sc *bpScratch, maxIter, unsat int) (int, bool) {
-	cw, synd, cnt := sc.cwWords, sc.synd, sc.cnt
-	touched := sc.touched[:0]
-	iters := 0
-	for unsat > 0 && iters < maxIter {
-		iters++
-		touched = touched[:0]
-		maxCnt := uint8(0)
-		for ci, s := range synd {
-			if s == 0 {
-				continue
-			}
-			for _, v := range c.checkVars[ci] {
-				if cnt[v] == 0 {
-					touched = append(touched, v)
-				}
-				cnt[v]++
-				if cnt[v] > maxCnt {
-					maxCnt = cnt[v]
-				}
-			}
-		}
-		for _, v := range touched {
-			if cnt[v] == maxCnt {
-				cw[v>>6] ^= 1 << (uint(v) & 63)
-				for _, cj := range c.varChecks[v] {
-					if synd[cj] == 0 {
-						synd[cj] = 1
-						unsat++
-					} else {
-						synd[cj] = 0
-						unsat--
-					}
-				}
-			}
-			cnt[v] = 0
-		}
-	}
-	sc.touched = touched[:0]
-	return iters, unsat == 0
 }
 
 // HardLLR converts hard bits into saturated LLRs for feeding a hard

@@ -183,33 +183,6 @@ func TestBPFailureReported(t *testing.T) {
 	}
 }
 
-func TestBitFlipCorrectsLightErrors(t *testing.T) {
-	c := testCode(t)
-	r := sim.NewRNG(8)
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	success := 0
-	const trials = 50
-	for trial := 0; trial < trials; trial++ {
-		msg := randomBits(r, c.K)
-		cw := c.encode(msg)
-		rx := append([]uint8(nil), cw...)
-		for _, i := range r.Perm(c.N)[:3] {
-			rx[i] ^= 1
-		}
-		words := make([]uint64, c.nWords)
-		packBitsInto(rx, words)
-		_, ok := c.bitFlip(sc, 30, c.loadHard(words, 0, sc))
-		unpackBitsInto(sc.cwWords, rx)
-		if ok && bitsEqual(c.extract(rx), msg) {
-			success++
-		}
-	}
-	if success < trials*3/4 {
-		t.Fatalf("bit flip corrected only %d/%d light patterns", success, trials)
-	}
-}
-
 func TestDeterministicConstruction(t *testing.T) {
 	a, err := NewCode(256, 192, 9)
 	if err != nil {

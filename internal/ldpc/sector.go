@@ -30,41 +30,6 @@ type SectorCodec struct {
 
 const crcBytes = 4
 
-// flipBudget caps the Gallager-B first pass of sector decode. Light
-// error patterns converge in one or two rounds; anything still unsett-
-// led after this many is cheaper to hand to BP than to keep flipping.
-const flipBudget = 8
-
-// flipGate is the largest unsatisfied-check count of a block's hard
-// decision at which the Gallager-B pass is still tried; above it the
-// block goes straight to BP. A pass that exhausts flipBudget costs about
-// half a BP decode and is thrown away, so it pays only where it usually
-// settles. On 8064 blocks at the operating point (DefaultChannel, the
-// (512, 384) code) it settles, by initial unsat count,
-//
-//	unsat    4-7   8-11  12-15  16-19  20-23  24-27  28-31  32+
-//	settles  92 %  84 %  72 %   51 %   31 %   21 %   11 %   1 %
-//
-// The decode stage (BenchmarkSectorReadStages/ldpc, medians of
-// interleaved runs on a shared 2-vCPU host, with the sector in words)
-// costs 0.32-0.37 ms a sector for any gate in 15-19 and 0.34-0.36 with
-// no Gallager-B at all, against 0.42-0.51 ungated. That host's spread
-// does not separate the gate from no Gallager-B; a quieter run before
-// the words measured 0.23 against 0.26 (0.39 ungated). Light noise keeps
-// a tier about 7x cheaper than BP (ldpc.decode_sector_us against
-// ldpc.decode_sector_bp_us in a traced silica-bench run).
-// TestFlipGateOperatingPoint (internal/voxel) re-measures the table.
-const flipGate = 17
-
-// Per-block decode path taken, recorded so a CRC failure can re-run
-// exactly the blocks where the cheap pass may have settled on a wrong
-// codeword.
-const (
-	blockClean uint8 = iota // hard decision was already a codeword
-	blockFlip               // bit-flipping converged
-	blockBP                 // full BP ran
-)
-
 // Scratch is the working set of one sector encode or decode. Obtain one
 // with AcquireScratch (or implicitly through the non-With methods); a
 // Scratch is not safe for concurrent use but may be reused serially for
@@ -83,11 +48,9 @@ type Scratch struct {
 	// llr and hard stage DecodeSectorInto's float64 input as the float32
 	// LLRs and packed hard decision DecodeSectorWith takes; allocated on
 	// first use.
-	llr     []float32
-	hard    []uint64
-	blkOK   []bool  // per-block decode success
-	blkMode []uint8 // per-block path taken (blockClean/Flip/BP)
-	bp      *bpScratch
+	llr  []float32
+	hard []uint64
+	bp   *bpScratch
 }
 
 // NewSectorCodec wraps code to carry payloadBytes of user data per
@@ -108,12 +71,10 @@ func (sc *SectorCodec) AcquireScratch() *Scratch {
 		return ss
 	}
 	return &Scratch{
-		framed:  make([]byte, sc.PayloadBytes+crcBytes),
-		msg:     make([]uint64, (sc.blocks*sc.Code.K+63)/64),
-		coded:   make([]uint64, (sc.EncodedBits()+63)/64),
-		blkOK:   make([]bool, sc.blocks),
-		blkMode: make([]uint8, sc.blocks),
-		bp:      sc.Code.getScratch(),
+		framed: make([]byte, sc.PayloadBytes+crcBytes),
+		msg:    make([]uint64, (sc.blocks*sc.Code.K+63)/64),
+		coded:  make([]uint64, (sc.EncodedBits()+63)/64),
+		bp:     sc.Code.getScratch(),
 	}
 }
 
@@ -206,16 +167,11 @@ func (sc *SectorCodec) DecodeSectorInto(llr []float64, maxIter int, payload []by
 // never -0.0) and their hard decision packed LSB-first in hard (bit i
 // set when llr[i] < 0), as the voxel demapper emits them.
 //
-// Each block takes the cheapest path that can finish (decodeBlock): its
-// hard decision is copied out of hard and its syndrome folded from the
-// nibble table once (a clean read costs that, Iterations=0); a few
-// rounds of packed bit-flipping run where few enough checks are
-// unsatisfied for it to usually settle (flipGate); otherwise, or when
-// it does not, full BP. Bit-flipping can in principle settle on a wrong
-// codeword that BP would have decoded, so if the sector CRC then fails,
-// every bit-flipped block is re-run through BP and the CRC re-checked —
-// the fast path never loses a sector the pure-BP path would have
-// recovered.
+// Each block's hard decision is copied out of hard and its syndrome
+// folded from the nibble table (loadHard); a block that is already a
+// codeword is done (a clean read costs that, Iterations=0), and every
+// other block runs layered min-sum BP. The sector CRC is then checked
+// once: a failed block or a failed CRC makes the sector an erasure.
 func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float32, hard []uint64, maxIter int, payload []byte) SectorDecode {
 	if len(llr) != sc.EncodedBits() || len(hard)*64 < len(llr) {
 		panic(fmt.Sprintf("ldpc: %d LLRs and %d hard-decision bits, want %d of each", len(llr), len(hard)*64, sc.EncodedBits()))
@@ -224,44 +180,20 @@ func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float32, hard []uint6
 		maxIter = 50
 	}
 	code := sc.Code
-	worst, total := 0, 0
+	worst, total, failed := 0, 0, -1
 	for b := 0; b < sc.blocks; b++ {
-		iters, blkOK, mode := code.decodeBlock(llr[b*code.N:(b+1)*code.N], hard, b*code.N, maxIter, ss.bp)
+		unsat := code.loadHard(hard, b*code.N, ss.bp)
+		iters, blkOK := code.layeredBP(llr[b*code.N:(b+1)*code.N], maxIter, ss.bp, unsat)
 		code.extractBlock(ss.bp, ss.msg, b*code.K)
-		ss.blkMode[b], ss.blkOK[b] = mode, blkOK
-		total += iters
-		if iters > worst {
-			worst = iters
-		}
-	}
-	ok := sc.frameOK(ss)
-	if !ok {
-		redid := false
-		for b := 0; b < sc.blocks; b++ {
-			if ss.blkMode[b] != blockFlip {
-				continue
-			}
-			iters, blkOK := code.layeredBP(llr[b*code.N:(b+1)*code.N], maxIter, ss.bp, code.loadHard(hard, b*code.N, ss.bp))
-			code.extractBlock(ss.bp, ss.msg, b*code.K)
-			redid = true
-			ss.blkMode[b], ss.blkOK[b] = blockBP, blkOK
-			total += iters
-			if iters > worst {
-				worst = iters
-			}
-		}
-		if redid {
-			ok = sc.frameOK(ss)
-		}
-	}
-	failed := -1
-	for b := 0; b < sc.blocks; b++ {
-		if !ss.blkOK[b] {
+		if !blkOK && failed < 0 {
 			failed = b
-			break
 		}
+		total += iters
+		worst = max(worst, iters)
 	}
-	ok = ok && failed < 0
+	storeBytes(ss.msg, ss.framed)
+	want := binary.LittleEndian.Uint32(ss.framed[sc.PayloadBytes:])
+	ok := failed < 0 && crc32.ChecksumIEEE(ss.framed[:sc.PayloadBytes]) == want
 	if payload == nil {
 		payload = make([]byte, sc.PayloadBytes)
 	}
@@ -277,49 +209,4 @@ func (sc *SectorCodec) DecodeSectorWith(ss *Scratch, llr []float32, hard []uint6
 		Margin:      margin,
 		Iterations:  total,
 	}
-}
-
-// frameOK stores the decoded message words into the framed bytes and
-// verifies the sector CRC.
-func (sc *SectorCodec) frameOK(ss *Scratch) bool {
-	storeBytes(ss.msg, ss.framed)
-	want := binary.LittleEndian.Uint32(ss.framed[sc.PayloadBytes:])
-	return crc32.ChecksumIEEE(ss.framed[:sc.PayloadBytes]) == want
-}
-
-// decodeBlock decodes the LDPC block whose channel LLRs are llr and
-// whose hard decision is bits off..off+N-1 of hard by the cheapest means
-// that can finish, leaving the decided codeword in sc.cwWords, and
-// reports the iteration count, success, and which path it took. One
-// hard decision and its syndrome feed every tier.
-func (c *Code) decodeBlock(llr []float32, hard []uint64, off, maxIter int, sc *bpScratch) (iters int, ok bool, mode uint8) {
-	unsat := c.loadHard(hard, off, sc)
-	mode = blockBP
-	switch {
-	case unsat == 0:
-		ok, mode = true, blockClean
-	case unsat > flipGate:
-		iters, ok = c.layeredBP(llr, maxIter, sc, unsat)
-	default:
-		if iters, ok = c.bitFlip(sc, flipBudget, unsat); ok {
-			mode = blockFlip
-		} else {
-			// The failed pass flipped cwWords and synd in place; BP must
-			// start from the channel's decision, so it is loaded again.
-			iters, ok = c.layeredBP(llr, maxIter, sc, c.loadHard(hard, off, sc))
-		}
-	}
-	return iters, ok, mode
-}
-
-// FlipTrial measures one block for the flipGate table from its hard
-// decision, bits off..off+N-1 of hard: the unsatisfied-check count,
-// whether that is within the gate, and whether Gallager-B at flipBudget
-// settles it regardless.
-func (c *Code) FlipTrial(hard []uint64, off int) (unsat int, gated, flipOK bool) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	unsat = c.loadHard(hard, off, sc)
-	_, flipOK = c.bitFlip(sc, flipBudget, unsat)
-	return unsat, unsat <= flipGate, flipOK
 }

@@ -74,9 +74,7 @@ func hashPoints(points []Point) uint64 {
 // take it where no read fails (σ 0.10) and where most blocks need BP,
 // voxels go missing and four reads in five fail (σ 0.20, PMissing 1e-3).
 // The two other codes have K%64 ≠ 0 and data positions in more than one
-// run, so no block boundary, message run or parity run is word-aligned;
-// a failed CRC sends their bit-flipped blocks back through BP about 200
-// times between them (10 times in sector_golden.txt).
+// run, so no block boundary, message run or parity run is word-aligned.
 var goldenCorpora = []struct {
 	file string
 	n, k int

@@ -39,7 +39,6 @@ var surfaceAllowlist = map[string]string{
 	"gf256.Div":           "test oracle: field division, the inverse Mul is checked with",
 	"gf256.MulMat":        "test oracle: matrix product that checks inversion and the Cauchy MDS property",
 	"gf256.Matrix.MulVec": "test oracle: allocating form of MulVecInto",
-	"ldpc.Code.FlipTrial": "test oracle: re-measures the Gallager-B gate on the demapper's hard decisions at the channel's operating point",
 	"nc.MustNewGroup":     "test fixture: a group from compiled-in parameters",
 	"voxel.CleanChannel":  "test fixture: a noiseless channel",
 	"voxel.HardSymbols":   "test oracle: max-posterior symbols the soft demapper is checked with",

@@ -147,8 +147,9 @@ type ScrubReport struct {
 	Unavailable    bool `json:"unavailable,omitempty"`
 	TracksSampled  int  `json:"tracks_sampled"`
 	SectorsSampled int  `json:"sectors_sampled"`
-	// SectorFailures counts sectors whose direct LDPC decode failed —
-	// the raw error signal before NC repair.
+	// SectorFailures counts sampled sectors that could not be read or
+	// whose direct LDPC decode failed — the raw error signal before NC
+	// repair.
 	SectorFailures int `json:"sector_failures"`
 	// TracksBeyondRepair counts sampled tracks with more failed sectors
 	// than within-track redundancy can repair: data there survives only

@@ -91,11 +91,11 @@ func newServiceMetrics(reg *obs.Registry, usage func() staging.Usage) serviceMet
 		storedUser:       stored("user"),
 		storedRedundancy: stored("redundancy"),
 		verifyFailures: reg.Counter("silica_service_verify_sector_failures_total",
-			"Sectors whose direct LDPC decode failed in a write-verify read-back."),
+			"Sectors unreadable or whose direct LDPC decode failed in a write-verify read-back."),
 		scrubSectors: reg.Counter("silica_repair_scrub_sectors_total",
 			"Sectors sampled by scrub passes."),
 		scrubFailures: reg.Counter("silica_repair_scrub_sector_failures_total",
-			"Scrubbed sectors whose direct LDPC decode failed."),
+			"Scrubbed sectors unreadable or whose direct LDPC decode failed."),
 		minVerifyMargin: reg.Gauge("silica_service_min_margin", marginHelp, obs.L("op", "verify")),
 		minScrubMargin:  reg.Gauge("silica_service_min_margin", marginHelp, obs.L("op", "scrub")),
 

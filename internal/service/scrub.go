@@ -72,7 +72,7 @@ func (s *Service) ScrubPlatter(id media.PlatterID, maxTracks int) (repair.ScrubR
 	tally := s.readBack(pi, start, maxTracks, rng)
 	rep.TracksSampled = maxTracks
 	rep.SectorsSampled = tally.sampled
-	rep.SectorFailures = tally.decodeFailures
+	rep.SectorFailures = tally.failed
 	rep.WorstTrackFailures = tally.worstTrack
 	rep.TracksBeyondRepair = tally.beyondRepair
 	rep.MinMargin = min(rep.MinMargin, tally.minMargin)

@@ -623,19 +623,21 @@ func (s *Service) writeSectorScrambled(cs *codecScratch, pmu *sync.Mutex, p *med
 
 // readBackTally is what one read-back window found, reduced per track.
 type readBackTally struct {
-	sampled        int     // sectors that were written and read back
-	decodeFailures int     // sampled sectors whose direct decode failed
-	worstTrack     int     // most failed or unwritten sectors on one track
-	beyondRepair   int     // tracks with more failures than within-track NC restores
-	minMargin      float64 // over decoded sectors; +Inf when there are none
-	marginSum      float64
+	sampled      int     // sectors in the window
+	failed       int     // sampled sectors unreadable or whose direct decode failed
+	worstTrack   int     // most failed sectors on one track
+	beyondRepair int     // tracks with more failures than within-track NC restores
+	minMargin    float64 // over decoded sectors; +Inf when there are none
+	marginSum    float64
 }
 
 // readBack reads count information tracks of pi — starting at used track
 // first, wrapping — through the real decode stack (voxel demodulation →
 // LDPC) with no NC repair masking the result. The write pipeline's
 // verification (§3.1) and the scrubber's health sample (§5) are this one
-// measurement over different windows.
+// measurement over different windows. The burn writes every sector of a
+// used information track, so every sector in the window is sampled, and
+// one the platter cannot read (a blob cut short) is a failed sector.
 //
 // Sectors are read in parallel, one track-sized chunk per worker-visit
 // so the codec scratch is acquired once per track; each sector forks its
@@ -649,9 +651,8 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 	spt := geom.SectorsPerTrack()
 	usedTracks := s.usedTracks(pi)
 	type sectorRead struct {
-		sampled bool // sector was written and read back
-		failed  bool // unwritten, or decode failed
-		margin  float64
+		failed bool // unreadable, or decode failed
+		margin float64
 	}
 	results := make([]sectorRead, count*spt)
 	_ = s.eng.ForEachChunk(len(results), spt, func(lo, hi int) error {
@@ -667,27 +668,22 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 			t0 := time.Now()
 			res := s.pipe.ReadSectorWithBuf(cs.sector, glass, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
 			s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
-			results[idx] = sectorRead{sampled: true, failed: !res.OK, margin: res.Margin}
+			results[idx] = sectorRead{failed: !res.OK, margin: res.Margin}
 		}
 		return nil
 	})
-	tally := readBackTally{minMargin: math.Inf(1)}
+	tally := readBackTally{sampled: len(results), minMargin: math.Inf(1)}
 	for t := 0; t < count; t++ {
 		failures := 0
 		for _, r := range results[t*spt : (t+1)*spt] {
-			if r.sampled {
-				tally.sampled++
-			}
 			if r.failed {
 				failures++
-				if r.sampled {
-					tally.decodeFailures++
-				}
 				continue
 			}
 			tally.marginSum += r.margin
 			tally.minMargin = min(tally.minMargin, r.margin)
 		}
+		tally.failed += failures
 		tally.worstTrack = max(tally.worstTrack, failures)
 		if failures > geom.RedundancySectorsPerTrack {
 			tally.beyondRepair++
@@ -703,7 +699,7 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 // stored" (§5).
 func (s *Service) verifyPlatter(pi *platterInfo, rng *sim.RNG) bool {
 	tally := s.readBack(pi, 0, s.usedTracks(pi), rng)
-	s.om.verifyFailures.Add(int64(tally.decodeFailures))
+	s.om.verifyFailures.Add(int64(tally.failed))
 	s.om.minVerifyMargin.Min(tally.minMargin)
 	return tally.beyondRepair == 0
 }

@@ -146,25 +146,3 @@ recruit:
 	mu.Unlock()
 	return err
 }
-
-// ForEachChunk runs fn(lo, hi) over [0, n) split into contiguous spans
-// of at most chunk indices, fanning the spans across the engine's
-// workers. It is ForEach at chunk granularity: per-sector loops whose
-// working set (decoder scratch, channel buffers) dwarfs the per-index
-// work schedule one chunk per worker-visit so the scratch is acquired
-// once per span instead of once per index. chunk <= 0 means a single
-// span. Error semantics follow ForEach: the error of the lowest failing
-// span wins.
-func (e *Engine) ForEachChunk(n, chunk int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 || chunk > n {
-		chunk = n
-	}
-	spans := (n + chunk - 1) / chunk
-	return e.ForEach(spans, func(s int) error {
-		lo := s * chunk
-		return fn(lo, min(lo+chunk, n))
-	})
-}

@@ -1,11 +1,26 @@
 package media
 
 import (
-	"errors"
-	"reflect"
-	"runtime"
+	"bytes"
 	"testing"
 )
+
+// mapGlass is a Glass over a map, for the lifecycle tests: it holds
+// whatever is written, at any address.
+type mapGlass map[SectorID][]byte
+
+func (m mapGlass) WriteSector(id SectorID, data []byte) error {
+	m[id] = bytes.Clone(data)
+	return nil
+}
+
+func (m mapGlass) ReadSectorInto(id SectorID, dst []byte) ([]byte, bool) {
+	data, ok := m[id]
+	if !ok {
+		return nil, false
+	}
+	return append(dst[:0], data...), true
+}
 
 func TestDefaultGeometryPaperScale(t *testing.T) {
 	g := DefaultGeometry()
@@ -132,8 +147,11 @@ func TestWORMSectorWrites(t *testing.T) {
 	if err := p.WriteSector(id, []uint8{1, 2}); err == nil {
 		t.Fatal("write in blank state allowed")
 	}
-	if err := p.Transition(Writing); err != nil {
+	if err := p.Load(mapGlass{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := p.Load(mapGlass{}); err == nil {
+		t.Fatal("a platter in the write drive was loaded again")
 	}
 	if err := p.WriteSector(id, []uint8{1, 2}); err != nil {
 		t.Fatal(err)
@@ -171,110 +189,11 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestEachSectorOnlyWhenStored: the walk reads the media of a platter
-// nothing writes again, so every state but Stored refuses; a Stored
-// platter yields its sectors in address order.
-func TestEachSectorOnlyWhenStored(t *testing.T) {
-	ids := []SectorID{{Track: 3, Sector: 0}, {Track: 0, Sector: 1}, {Track: 0, Sector: 0}}
-	check := func(p *Platter) {
-		t.Helper()
-		var got []SectorID
-		err := p.EachSector(func(id SectorID, data []uint8) error {
-			if len(data) != 2 || data[0] != uint8(id.Track) || data[1] != uint8(id.Sector) {
-				t.Errorf("sector %+v walked as %v", id, data)
-			}
-			got = append(got, id)
-			return nil
-		})
-		if p.State() != Stored {
-			if err == nil {
-				t.Errorf("EachSector allowed in state %v", p.State())
-			}
-			return
-		}
-		want := []SectorID{ids[2], ids[1], ids[0]}
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("EachSector on a stored platter walked %v, %v; want %v", got, err, want)
-		}
-	}
-	for _, path := range [][]PlatterState{
-		{Writing, Written, Verifying, Stored},
-		{Writing, Faulted},
-	} {
-		p := NewPlatter(1, TinyGeometry())
-		check(p)
-		for _, next := range path {
-			if err := p.Transition(next); err != nil {
-				t.Fatal(err)
-			}
-			if next == Writing {
-				for _, id := range ids {
-					if err := p.WriteSector(id, []uint8{uint8(id.Track), uint8(id.Sector)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			check(p)
-		}
-	}
-	p := storedPlatter(t, map[SectorID][]uint8{{Track: 0, Sector: 0}: {1}, {Track: 0, Sector: 1}: {2}})
-	stop := errors.New("stop")
-	calls := 0
-	if err := p.EachSector(func(SectorID, []uint8) error { calls++; return stop }); err != stop || calls != 1 {
-		t.Errorf("EachSector went on past an error: %d calls, %v", calls, err)
-	}
-}
-
-// storedPlatter burns sectors onto a fresh TinyGeometry platter and
-// walks it to Stored.
-func storedPlatter(t *testing.T, sectors map[SectorID][]uint8) *Platter {
-	t.Helper()
-	p := NewPlatter(7, TinyGeometry())
-	if err := p.Transition(Writing); err != nil {
-		t.Fatal(err)
-	}
-	for id, data := range sectors {
-		if err := p.WriteSector(id, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, next := range []PlatterState{Written, Verifying, Stored} {
-		if err := p.Transition(next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p
-}
-
-// TestSectorBytesRoundTrip: every byte value survives the slab at even
-// and odd sector lengths, in every sector slot of a track; the platter
-// stores a sector's bytes as given.
-func TestSectorBytesRoundTrip(t *testing.T) {
-	g := TinyGeometry()
-	for _, n := range []int{1, 2, 15, 16, 17, 1344} {
-		sectors := map[SectorID][]byte{}
-		for s := 0; s < g.SectorsPerTrack(); s++ {
-			data := make([]byte, n)
-			for i := range data {
-				data[i] = byte(i*7 + s*31)
-			}
-			sectors[SectorID{Track: 1, Sector: s}] = data
-		}
-		p := storedPlatter(t, sectors)
-		for id, want := range sectors {
-			got, ok := p.ReadSectorInto(id, make([]byte, 1, 4))
-			if !ok || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d bytes, sector %+v: read back %v, %v", n, id, got, ok)
-			}
-		}
-	}
-}
-
 // TestWORMRefusesAMismatchedLength: a platter's sectors share one
 // length.
 func TestWORMRefusesAMismatchedLength(t *testing.T) {
 	p := NewPlatter(1, TinyGeometry())
-	if err := p.Transition(Writing); err != nil {
+	if err := p.Load(mapGlass{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.WriteSector(SectorID{Track: 0, Sector: 0}, make([]uint8, 6)); err != nil {
@@ -288,45 +207,4 @@ func TestWORMRefusesAMismatchedLength(t *testing.T) {
 	if p.WrittenSectors() != 1 {
 		t.Fatalf("written sectors = %d after refusals, want 1", p.WrittenSectors())
 	}
-}
-
-// TestPackedMediaDensity gates what a fully burned platter costs: its
-// sectors' bytes in one slab per track, plus a written flag per sector
-// and one track header per track — at most 1.04 B per stored byte, where
-// a copy per sector costs more than 2. A sector here is 1344 bytes, a
-// TinyGeometry sector's 2688 data at the service's LDPC shape packed
-// two a byte.
-func TestPackedMediaDensity(t *testing.T) {
-	g := TinyGeometry()
-	const n = 1344
-	sector := make([]byte, n)
-	for i := range sector {
-		sector[i] = byte(i)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p := NewPlatter(1, g)
-	if err := p.Transition(Writing); err != nil {
-		t.Fatal(err)
-	}
-	for track := 0; track < g.TracksPerPlatter; track++ {
-		for s := 0; s < g.SectorsPerTrack(); s++ {
-			if err := p.WriteSector(SectorID{Track: track, Sector: s}, sector); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, next := range []PlatterState{Written, Verifying, Stored} {
-		if err := p.Transition(next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	total := float64(g.TracksPerPlatter * g.SectorsPerTrack() * n)
-	perByte := float64(after.TotalAlloc-before.TotalAlloc) / total
-	t.Logf("a Stored TinyGeometry platter: %.0f sector bytes, %.4f B allocated per byte", total, perByte)
-	if perByte > 1.04 {
-		t.Errorf("burning a full platter allocated %.4f B per sector byte, want at most 1.04", perByte)
-	}
-	runtime.KeepAlive(p)
 }

@@ -14,9 +14,8 @@ import (
 	"silica/internal/media"
 )
 
-// Platter sidecar blobs. A platter's sectors are immutable once
-// verified — the WORM property — so they are stored as one
-// atomically-written file per platter instead of WAL records:
+// Platter blobs. A platter's blob is its glass, from the burn's first
+// sector to the end of its life:
 //
 //	magic "SILPLT03" | header length (4 bytes LE) | platter id |
 //	sectors per track | stride | written bitmap | crc32 | sectors
@@ -26,11 +25,18 @@ import (
 // all of it, is what a reader needs to find the CRC before it decodes
 // anything. A sector is stride bytes the blob does not interpret (the
 // voxel layer's packed codeword). Bit track×(sectors per track)+sector
-// of the bitmap is set for each written sector; the bitmap is a count of
-// uint64 words, each a uvarint, the last one nonzero. The sectors follow
-// the header densely in address order, stride bytes each, so a sector's
-// offset is the header length plus stride times the written sectors
-// before it, which the bitmap and a prefix count per word give in O(1).
+// of the bitmap is set for each sector the blob holds; the bitmap is a
+// count of uint64 words, each a uvarint, the last one nonzero. The
+// sectors follow the header densely in address order, stride bytes
+// each, so a sector's offset is the header length plus stride times the
+// sectors before it, which the bitmap and a prefix count per word give
+// in O(1).
+//
+// The header is fixed before the burn starts: the service knows every
+// sector it will write. The burn then writes each sector at its offset,
+// in any order, and verify and every later read take it back from
+// there, through a glassFile: the platter-<id>.plt file with a persist
+// directory, an in-memory image of the same bytes without one.
 //
 // Nothing covers the sectors as a whole: every read checks the sector's
 // own CRC32 and LDPC parity, so a rotten sector, or one a short file
@@ -39,15 +45,13 @@ import (
 // blob with another magic, those of earlier versions included, is
 // refused.
 //
-// The blob is written and fsynced *before* the platter's RecPublish is
-// appended. Recovery therefore treats record-without-blob as fatal
-// corruption (the ordering rules it out short of disk damage), while
-// blob-without-record is just a crash between the two steps and is
-// garbage-collected.
-//
-// Once written, the blob is the platter's glass: the service shelves the
-// platter on it (Blob), and every later read of a sector is one ReadAt
-// at the offset its index gives.
+// Publishing a platter makes its blob durable, file and directory
+// entry, *before* the platter's RecPublish is appended. Recovery
+// therefore treats record-without-blob as fatal corruption (the
+// ordering rules it out short of disk damage), while blob-without-record
+// is a crash between burn and publish and is garbage-collected. A burn
+// that never publishes — a scrap, or a platter a flush drops — removes
+// its file (Discard).
 const blobMagic = "SILPLT03"
 
 func blobName(id media.PlatterID) string {
@@ -61,14 +65,11 @@ type platterBlob struct {
 	index sectorIndex
 }
 
-// sectorWalk is what a blob encodes: a Stored media.Platter's EachSector.
-type sectorWalk func(fn func(media.SectorID, []byte) error) error
-
 // sectorIndex is where a blob's n sectors lie: bit k of words is set
-// when sector k (track×spt + sector) was written, ranks[w] counts the
+// when the blob holds sector k (track×spt + sector), ranks[w] counts the
 // bits set in words[:w], and the sectors are stride bytes each from file
 // offset at on. It costs 12 bytes per 64 addresses up to the last one
-// written.
+// held.
 type sectorIndex struct {
 	spt, stride, n int
 	at             int64
@@ -76,8 +77,8 @@ type sectorIndex struct {
 	ranks          []uint32
 }
 
-// offset returns the file offset of sector id, or false if it was not
-// written.
+// offset returns the file offset of sector id, or false if the blob
+// does not hold it.
 func (x *sectorIndex) offset(id media.SectorID) (int64, bool) {
 	if uint(id.Sector) >= uint(x.spt) || uint(id.Track) > uint(len(x.words)*64/x.spt) {
 		return 0, false
@@ -118,25 +119,6 @@ func (b *platterBlob) locate() {
 	x.at = int64(b.size)
 }
 
-// mark walks the sectors once for the bitmap and the one stride every
-// sector must have.
-func (x *sectorIndex) mark(walk sectorWalk) error {
-	x.words, x.stride = nil, 0
-	return walk(func(id media.SectorID, data []byte) error {
-		if len(x.words) == 0 {
-			x.stride = len(data)
-		} else if len(data) != x.stride {
-			return fmt.Errorf("persist: sector %+v is %d bytes, the blob's are %d", id, len(data), x.stride)
-		}
-		k := id.Track*x.spt + id.Sector
-		for len(x.words) <= k>>6 {
-			x.words = append(x.words, 0)
-		}
-		x.words[k>>6] |= 1 << (k & 63)
-		return nil
-	})
-}
-
 // seal encodes the header, its length and CRC in place, and places the
 // sectors after it.
 func (b *platterBlob) seal() []byte {
@@ -147,24 +129,6 @@ func (b *platterBlob) seal() []byte {
 	binary.LittleEndian.PutUint32(c.buf[len(blobMagic):], b.size)
 	b.locate()
 	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf))
-}
-
-// write writes the blob to w: the header, then each sector straight off
-// the walk, through one window from sealBufs.
-func (b *platterBlob) write(w io.Writer, walk sectorWalk) error {
-	if err := b.index.mark(walk); err != nil {
-		return err
-	}
-	window := getWindow()
-	defer putWindow(window)
-	c := &coder{buf: window[:0], sink: w}
-	put(c, b.seal())
-	err := walk(func(_ media.SectorID, data []byte) error {
-		put(c, data)
-		return c.err
-	})
-	c.spill()
-	return cmp.Or(err, c.err)
 }
 
 // readBlobHeader reads and checks the header of a blob of size bytes and
@@ -188,19 +152,92 @@ func readBlobHeader(f io.ReaderAt, size int64) (platterBlob, error) {
 	return b, nil
 }
 
-// Blob is a shelved platter's glass: a read-only descriptor on its blob
-// file and the index of its sectors. It is the media.SectorSource the
-// service shelves a platter on, once the blob is durable or at
-// recovery. A read is one ReadAt into the caller's buffer; an I/O error
-// or a short read reports the sector unreadable.
+// glassFile is the seam a blob's bytes go through: an *os.File, or an
+// image in memory. Reads and writes at disjoint offsets may run at once.
+type glassFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
+// image is a glassFile in memory, sized for its blob: its bytes are
+// what the file's would be.
+type image []byte
+
+func (m image) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off >= int64(len(m)) {
+		return 0, io.EOF
+	}
+	if n := copy(p, m[off:]); n < len(p) {
+		return n, io.EOF
+	}
+	return len(p), nil
+}
+
+func (m image) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off+int64(len(p)) > int64(len(m)) {
+		return 0, fmt.Errorf("persist: write of %d bytes at %d past a %d-byte image", len(p), off, len(m))
+	}
+	return copy(m[off:], p), nil
+}
+
+func (image) Sync() error  { return nil }
+func (image) Close() error { return nil }
+
+// Blob is a platter's glass: its blob's bytes behind a glassFile and the
+// index of its sectors. It is the media.Glass the service burns a
+// platter onto and reads it back from, and the one recovery opens. A
+// read is one ReadAt into the caller's buffer; an I/O error or a short
+// read reports the sector unreadable.
 type Blob struct {
-	f     *os.File
+	f     glassFile
+	path  string // the file's, or "" for an image
 	index sectorIndex
+}
+
+// laidOut indexes and seals the header of platter id's blob, spt
+// sectors per track of stride bytes each, that holds every sector
+// sectors marks.
+func laidOut(id media.PlatterID, spt, stride int, sectors func(mark func(media.SectorID))) (sectorIndex, []byte) {
+	b := platterBlob{id: id, index: sectorIndex{spt: spt, stride: stride}}
+	x := &b.index
+	sectors(func(s media.SectorID) {
+		k := s.Track*spt + s.Sector
+		for len(x.words) <= k>>6 {
+			x.words = append(x.words, 0)
+		}
+		x.words[k>>6] |= 1 << (k & 63)
+	})
+	head := b.seal()
+	return b.index, head
+}
+
+// NewBlobImage returns an in-memory blob laid out as CreatePlatterBlob
+// lays out a file: the glass of a platter when there is no persist
+// directory.
+func NewBlobImage(id media.PlatterID, spt, stride int, sectors func(mark func(media.SectorID))) *Blob {
+	index, head := laidOut(id, spt, stride, sectors)
+	m := make(image, index.at+int64(index.n)*int64(stride))
+	copy(m, head)
+	return &Blob{f: m, index: index}
+}
+
+// WriteSector writes sector id's bytes at its offset. A sector the
+// header does not hold, or one of another length than its stride, is
+// refused.
+func (b *Blob) WriteSector(id media.SectorID, data []byte) error {
+	at, ok := b.index.offset(id)
+	if !ok || len(data) != b.index.stride {
+		return fmt.Errorf("persist: blob holds no %d-byte sector %+v", len(data), id)
+	}
+	_, err := b.f.WriteAt(data, at)
+	return err
 }
 
 // ReadSectorInto reads sector id's bytes into dst's storage, growing it
 // only when too small, and returns the filled slice; false when the
-// sector was never written or cannot be read.
+// blob does not hold the sector or cannot read it.
 func (b *Blob) ReadSectorInto(id media.SectorID, dst []byte) ([]byte, bool) {
 	at, ok := b.index.offset(id)
 	if !ok {
@@ -213,24 +250,23 @@ func (b *Blob) ReadSectorInto(id media.SectorID, dst []byte) ([]byte, bool) {
 	return out, true
 }
 
-// WrittenSectors reports how many sectors the blob holds.
-func (b *Blob) WrittenSectors() int { return b.index.n }
-
-// Close releases the descriptor; every later read fails.
+// Close releases the file, after which every read fails; an image has
+// nothing to release.
 func (b *Blob) Close() error { return b.f.Close() }
 
-// writeBlobFile atomically writes a platter blob of spt sectors per
-// track into dir and returns where its sectors lie.
-func writeBlobFile(dir string, id media.PlatterID, spt int, walk sectorWalk) (sectorIndex, error) {
-	b := platterBlob{id: id, index: sectorIndex{spt: spt}}
-	err := atomicWriteFile(filepath.Join(dir, blobName(id)), func(w io.Writer) error {
-		return b.write(w, walk)
-	})
-	return b.index, err
+// Discard closes the blob and removes its file: the glass of a platter
+// that will never publish.
+func (b *Blob) Discard() error {
+	err := b.f.Close()
+	if b.path != "" {
+		err = cmp.Or(err, os.Remove(b.path))
+	}
+	return err
 }
 
 // openBlob opens a platter blob in dir and indexes it from its header:
-// the descriptor stays open for the Blob, and no sector is read.
+// the read-only descriptor stays open for the Blob, and no sector is
+// read.
 func openBlob(dir string, id media.PlatterID) (*Blob, error) {
 	f, err := os.Open(filepath.Join(dir, blobName(id)))
 	if err != nil {

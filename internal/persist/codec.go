@@ -242,8 +242,8 @@ func sortedMap[K comparable, V any](c *coder, m *map[K]V, less func(a, b K) bool
 // spilled chunk to a running CRC, and writes the trailer only once the
 // whole body is out; openFile refuses anything whose magic or CRC is
 // off before a single body byte is decoded. A blob's sectors follow its
-// header outside the envelope (see blob.go), written through the same
-// windows. A window comes from sealBufs and goes back once the file is
+// header outside the envelope (see blob.go), each written at its own
+// offset. A window comes from sealBufs and goes back once the file is
 // out: a streaming coder never grows it, and nothing written keeps a
 // reference to it. sealBufs is a free list, not a sync.Pool: a window is
 // made only when the list is empty, so it never holds more than the peak

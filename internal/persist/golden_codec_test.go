@@ -2,7 +2,7 @@ package persist
 
 import (
 	"bytes"
-	"sort"
+	"testing"
 
 	"silica/internal/media"
 )
@@ -68,37 +68,54 @@ func goldenDecodeRouterSnapshot(data []byte) (cut uint64, fingerprint string, s 
 var goldenSPT = media.TinyGeometry().SectorsPerTrack()
 
 func goldenEncodeBlob(id media.PlatterID, sectors map[media.SectorID][]uint8) []byte {
-	b := platterBlob{id: id, index: sectorIndex{spt: goldenSPT}}
-	var out bytes.Buffer
-	if err := b.write(&out, sectorMap(sectors).EachSector); err != nil {
-		panic(err) // a bytes.Buffer write cannot fail
-	}
-	return out.Bytes()
+	b := NewBlobImage(id, goldenSPT, sectorMap(sectors).stride(), sectorMap(sectors).layout)
+	burn(b, sectors)
+	return b.f.(image)
 }
 
-// sectorMap feeds the blob encoder sectors that are on no media.Platter:
-// the fixtures', and those a decoded file holds, whose addresses need
-// not fit a platter geometry. It walks them in address order, as
-// media.Platter does.
+// writeBlob burns platter id's blob of sectors into l's directory
+// and makes it durable, as a publish does.
+func writeBlob(t testing.TB, l *Log, id media.PlatterID, sectors map[media.SectorID][]uint8) sectorIndex {
+	t.Helper()
+	b, err := l.CreatePlatterBlob(id, goldenSPT, sectorMap(sectors).stride(), sectorMap(sectors).layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	burn(b, sectors)
+	if err := l.SyncPlatterBlob(b); err != nil {
+		t.Fatal(err)
+	}
+	return b.index
+}
+
+// burn writes every sector onto b, in map order.
+func burn(b *Blob, sectors map[media.SectorID][]uint8) {
+	for id, data := range sectors {
+		if err := b.WriteSector(id, data); err != nil {
+			panic(err) // the blob was laid out for exactly these sectors
+		}
+	}
+}
+
+// sectorMap is sectors that are on no media.Platter: the fixtures', and
+// those a decoded file holds, whose addresses need not fit a platter
+// geometry.
 type sectorMap map[media.SectorID][]uint8
 
-func (m sectorMap) EachSector(fn func(media.SectorID, []uint8) error) error {
-	ids := make([]media.SectorID, 0, len(m))
+// layout marks every sector m holds, for a blob laid out for m.
+func (m sectorMap) layout(mark func(media.SectorID)) {
 	for id := range m {
-		ids = append(ids, id)
+		mark(id)
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Track != ids[j].Track {
-			return ids[i].Track < ids[j].Track
-		}
-		return ids[i].Sector < ids[j].Sector
-	})
-	for _, id := range ids {
-		if err := fn(id, m[id]); err != nil {
-			return err
-		}
+}
+
+// stride is the length of m's sectors, which share one.
+func (m sectorMap) stride() int {
+	for _, data := range m {
+		return len(data)
 	}
-	return nil
+	return 0
 }
 
 func goldenDecodeBlob(data []byte) (media.PlatterID, map[media.SectorID][]uint8, error) {

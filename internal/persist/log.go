@@ -23,10 +23,10 @@
 //     acknowledged (fsync covers the log prefix) and is discarded.
 //     Open then snapshots immediately, so discarded bytes never
 //     survive on disk.
-//  4. Platter media. Sector bytes live in per-platter sidecar blobs
-//     written and fsynced before the platter's publish record, so
+//  4. Platter media. Sector bytes live in per-platter blobs, burned
+//     in place and fsynced before the platter's publish record, so
 //     record-implies-blob; a blob without a record is a crash between
-//     the two steps and is garbage-collected at recovery.
+//     burn and publish and is garbage-collected at recovery.
 package persist
 
 import (
@@ -366,24 +366,37 @@ func (l *Log) commitSnapshot(cut uint64, magic string, body func(*coder)) error 
 	return nil
 }
 
-// WritePlatterBlob durably stores one Stored platter's media sidecar,
-// its sectors read straight off the media's slabs, and returns the blob
-// opened read-only for the platter to be shelved on: the caller owns
-// its descriptor. Must complete before the platter's RecPublish is
-// appended (the record-implies-blob recovery invariant).
-func (l *Log) WritePlatterBlob(p *media.Platter) (*Blob, error) {
+// CreatePlatterBlob creates platter id's blob file, its header written
+// and laid out for every sector sectors marks (spt a track, stride
+// bytes each), for the burn to write those sectors into at their
+// offsets. The caller owns the read-write descriptor: it publishes the
+// blob through SyncPlatterBlob, or discards it.
+func (l *Log) CreatePlatterBlob(id media.PlatterID, spt, stride int, sectors func(mark func(media.SectorID))) (*Blob, error) {
+	index, head := laidOut(id, spt, stride, sectors)
+	path := filepath.Join(l.dir, blobName(id))
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	blob := &Blob{f: f, path: path, index: index}
+	if _, err := f.WriteAt(head, 0); err != nil {
+		_ = blob.Discard()
+		return nil, err
+	}
+	return blob, nil
+}
+
+// SyncPlatterBlob makes a burned platter's blob durable, its file and
+// its directory entry both. Must complete before the platter's
+// RecPublish is appended (the record-implies-blob recovery invariant).
+func (l *Log) SyncPlatterBlob(b *Blob) error {
 	if l.frozen.Load() {
-		return nil, ErrCrashed
+		return ErrCrashed
 	}
-	index, err := writeBlobFile(l.dir, p.ID, p.Geom.SectorsPerTrack(), p.EachSector)
-	if err != nil {
-		return nil, err
+	if err := b.f.Sync(); err != nil {
+		return err
 	}
-	f, err := os.Open(filepath.Join(l.dir, blobName(p.ID)))
-	if err != nil {
-		return nil, err
-	}
-	return &Blob{f: f, index: index}, nil
+	return syncDir(l.dir)
 }
 
 // RecoveryTruncated reports whether the recovery that opened this log

@@ -271,15 +271,11 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 		{Track: 1, Sector: 2}: {4, 5, 6},
 	}
 	for id := media.PlatterID(1); id <= 2; id++ {
-		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors)); err != nil {
-			t.Fatalf("WritePlatterBlob: %v", err)
-		}
+		writeBlob(t, l, id, sectors)
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
 	}
 	// Redundancy platter + set close.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 3, sectors)); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 3, sectors)
 	appendSync(t, l,
 		&RecPublish{Platter: 3, Set: 0, SetPos: 2, Redundancy: true, Reason: "redundancy"},
 		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
@@ -318,19 +314,13 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {9}}
 	// Info platter of an open set: survives.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, sectors)); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 1, sectors)
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	// Red platter published but its set never completed: orphan.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 2, sectors)); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 2, sectors)
 	appendSync(t, l, &RecPublish{Platter: 2, Set: 0, SetPos: 1, Redundancy: true, Reason: "redundancy"})
 	// Blob with no record at all: crash between blob write and append.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 9, sectors)); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 9, sectors)
 	l.Close()
 
 	l2, st := openT(t, dir, nil)
@@ -359,9 +349,7 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 func TestMissingBlobIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	l.Close()
 	if err := os.Remove(filepath.Join(dir, blobName(1))); err != nil {
@@ -380,9 +368,7 @@ func TestMissingBlobIsFatal(t *testing.T) {
 func TestV1BlobRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
 	l.Close()
 	for _, old := range []string{
@@ -456,9 +442,7 @@ func TestRemapReplay(t *testing.T) {
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
 	for id := media.PlatterID(1); id <= 3; id++ {
-		if _, err := l.WritePlatterBlob(storedPlatter(t, id, sectors)); err != nil {
-			t.Fatal(err)
-		}
+		writeBlob(t, l, id, sectors)
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
 	}
 	appendSync(t, l,
@@ -467,9 +451,7 @@ func TestRemapReplay(t *testing.T) {
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)
 	// Rebuild: platter 2 replaced by 7.
-	if _, err := l.WritePlatterBlob(storedPlatter(t, 7, sectors)); err != nil {
-		t.Fatal(err)
-	}
+	writeBlob(t, l, 7, sectors)
 	appendSync(t, l,
 		&RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt from set 0"},
 		&RecRemap{Old: 2, New: 7, Set: 0, SetPos: 1},
@@ -496,26 +478,4 @@ func TestRemapReplay(t *testing.T) {
 	if st.NextPlatter != 8 {
 		t.Fatalf("NextPlatter = %d, want 8", st.NextPlatter)
 	}
-}
-
-// storedPlatter burns sectors onto a fresh TinyGeometry platter with
-// the given id and walks it to Stored, so a blob is written from the
-// packed media exactly as the service writes one.
-func storedPlatter(t testing.TB, id media.PlatterID, sectors map[media.SectorID][]uint8) *media.Platter {
-	t.Helper()
-	p := media.NewPlatter(id, media.TinyGeometry())
-	if err := p.Transition(media.Writing); err != nil {
-		t.Fatal(err)
-	}
-	for sid, data := range sectors {
-		if err := p.WriteSector(sid, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, next := range []media.PlatterState{media.Written, media.Verifying, media.Stored} {
-		if err := p.Transition(next); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // PlatterState is one recovered platter: its snapshot/index descriptor
-// plus its sidecar blob, opened and indexed, which the service shelves
-// the platter on (the service owns the descriptor from Open on).
+// plus its blob, opened and indexed, which is the recovered platter's
+// glass (the service owns the descriptor from Open on).
 type PlatterState struct {
 	PlatterDesc
 	Blob *Blob

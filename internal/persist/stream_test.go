@@ -23,7 +23,7 @@ import (
 
 // streamBlob is one full TinyGeometry platter's blob: 32 tracks × 10
 // sectors of 1344 bytes (2688 four-bit symbols, two a byte) — ≈ 0.43
-// MB, so its encoding crosses many 64 KiB buffers.
+// MB, many times a 64 KiB buffer.
 func streamBlob() (media.PlatterID, map[media.SectorID][]uint8) {
 	rng := rand.New(rand.NewPCG(36, 1))
 	sectors := make(map[media.SectorID][]uint8, 320)
@@ -35,13 +35,6 @@ func streamBlob() (media.PlatterID, map[media.SectorID][]uint8) {
 		sectors[media.SectorID{Track: i / 10, Sector: i % 10}] = data
 	}
 	return 4242, sectors
-}
-
-// streamPlatter is streamBlob's media burned onto a Stored platter,
-// what the blob encoder reads.
-func streamPlatter(t testing.TB) (*media.Platter, map[media.SectorID][]uint8) {
-	id, sectors := streamBlob()
-	return storedPlatter(t, id, sectors), sectors
 }
 
 // streamSnapshot is a service snapshot of ≈ 0.6 MB, several 64 KiB
@@ -86,7 +79,8 @@ func streamSnapshot() *SnapshotData {
 
 // checkPinned asserts a sealed file's length and SHA-256, both taken
 // when the file was still rendered whole in memory: streaming it out
-// through a bounded buffer must not move a byte.
+// through a bounded buffer, or burning its sectors in place, must not
+// move a byte.
 func checkPinned(t *testing.T, path string, wantLen int, wantSHA string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -102,30 +96,32 @@ func checkPinned(t *testing.T, path string, wantLen int, wantSHA string) []byte 
 
 func TestStreamedFilesPinned(t *testing.T) {
 	dir := t.TempDir()
-	p, sectors := streamPlatter(t)
-	id := p.ID
-	written, err := writeBlobFile(dir, id, p.Geom.SectorsPerTrack(), p.EachSector)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := openT(t, dir, nil)
+	defer l.Close()
+	// The burn writes the blob's sectors at their offsets in map order,
+	// not address order; opening it reads its header only and indexes
+	// what the burn laid out.
+	id, sectors := streamBlob()
+	written := writeBlob(t, l, id, sectors)
 	checkPinned(t, filepath.Join(dir, blobName(id)), 430152,
 		"230320ec661aafa995ed6e8eada31f79c5183835e26287f7d5ddd291b682702c")
-	// The blob spans seven windows; opening it reads its header only and
-	// indexes what the encode noted.
 	blob, err := openBlob(dir, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer blob.Close()
 	if !reflect.DeepEqual(blob.index, written) {
-		t.Error("the header indexed the blob differently from the encode walk")
+		t.Error("the header indexed the blob differently from the burn's layout")
 	}
 	if !reflect.DeepEqual(blobSectors(blob), sectors) {
 		t.Error("platter blob does not read back as written")
 	}
+	if err := blob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := blob.ReadSectorInto(media.SectorID{}, nil); ok {
+		t.Error("a closed blob's sector still reads")
+	}
 
-	l, _ := openT(t, dir, nil)
-	defer l.Close()
 	cut, err := l.BeginSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -185,10 +181,10 @@ func TestSealToStreamWriteError(t *testing.T) {
 
 func TestAtomicWriteStreamFailureLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
-	p, _ := streamPlatter(t)
-	b := platterBlob{id: p.ID, index: sectorIndex{spt: p.Geom.SectorsPerTrack()}}
-	err := atomicWriteFile(filepath.Join(dir, blobName(p.ID)), func(w io.Writer) error {
-		return b.write(&failAfter{w: w, n: 2 * sealBufSize}, p.EachSector)
+	cut := uint64(7)
+	body := wireSnapshot(&cut, streamSnapshot().wire)
+	err := atomicWriteFile(filepath.Join(dir, snapName(cut)), func(w io.Writer) error {
+		return sealTo(&failAfter{w: w, n: 2 * sealBufSize}, snapMagic, body)
 	})
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("atomicWriteFile = %v, want %v", err, errDiskFull)
@@ -198,36 +194,29 @@ func TestAtomicWriteStreamFailureLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestWriteBlobAlloc gates the heap a blob write costs: the file
-// streams through a 64 KiB window from a free list, each sector
-// goes to it straight off the platter's slab, and the sector index the
-// platter is shelved with is a bitmap and a prefix count per 64
-// sectors, so once the first write has filled the list a 0.69 MB blob
-// allocates at most 6 KiB, not the file's size (≈ 6.7 MB when a 1.1 MB
-// one-byte-per-symbol blob was rendered whole by append, ≈ 70 KB when
-// each write took a fresh window, ≈ 12 KB when the index held 24 B per
-// sector).
+// TestWriteBlobAlloc gates the heap a blob write costs: the burn
+// writes each sector at its offset straight from the caller's buffer,
+// and the sector index is a bitmap and a prefix count per 64 sectors, so
+// a 0.43 MB blob — created, burned and made durable — allocates at most
+// 6 KiB, not the file's size (≈ 6.7 MB when a 1.1 MB one-byte-per-symbol
+// blob was rendered whole by append, ≈ 70 KB when each write took a
+// fresh 64 KiB window, ≈ 12 KB when the index held 24 B per sector).
 func TestWriteBlobAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	dir := t.TempDir()
-	p, sectors := streamPlatter(t)
-	spt := p.Geom.SectorsPerTrack()
-	if _, err := writeBlobFile(dir, p.ID, spt, p.EachSector); err != nil {
-		t.Fatal(err)
-	}
+	l, _ := openT(t, t.TempDir(), nil)
+	defer l.Close()
+	id, sectors := streamBlob()
+	writeBlob(t, l, id, sectors)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := writeBlobFile(dir, p.ID, spt, p.EachSector)
+	writeBlob(t, l, id+1, sectors)
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("second writeBlobFile of %d sectors allocated %d B", len(sectors), got)
+	t.Logf("a blob write of %d sectors allocated %d B", len(sectors), got)
 	if got > 6<<10 {
-		t.Errorf("writeBlobFile of a %d-sector blob allocated %d B with the window pooled, want at most %d", len(sectors), got, 6<<10)
+		t.Errorf("a %d-sector blob write allocated %d B, want at most %d", len(sectors), got, 6<<10)
 	}
 }
 

@@ -67,9 +67,9 @@ func (s *Service) openPersist() error {
 }
 
 // installState loads a recovered State into the service's authorities.
-// Every recovered platter is shelved on its blob: recovery reads no
-// glass into the heap, and a member of the open set, which has no
-// payload cache, is read from its glass when its set closes.
+// Every recovered platter's glass is its blob: recovery reads no glass
+// into the heap, and a member of the open set, which has no payload
+// cache, is read from its glass when its set closes.
 func (s *Service) installState(st *persist.State) error {
 	s.opSeq.Store(st.OpSeq)
 	s.meta = st.Meta
@@ -84,7 +84,8 @@ func (s *Service) installState(st *persist.State) error {
 	}
 	for _, p := range st.Platters {
 		pi := &platterInfo{
-			platter:         media.Shelved(p.ID, s.cfg.Geom, p.Blob),
+			platter:         media.Recovered(p.ID, s.cfg.Geom, p.Blob),
+			blob:            p.Blob,
 			usedInfoSectors: p.Used,
 			set:             p.Set,
 			setPos:          p.SetPos,
@@ -106,26 +107,19 @@ func (s *Service) installState(st *persist.State) error {
 	return nil
 }
 
-// persistPublish makes one just-published platter durable: sidecar
-// blob first (fsynced), then the publish record — the record-implies-
-// blob ordering recovery depends on. Once the blob is durable it is the
-// platter's glass: the platter is shelved on it, and its track slabs go
-// back to the burn's free list. The platter may already be visible to
-// readers; Shelve's lock keeps them off the slabs it hands on. No-op
-// without a persist dir, where the slabs are the only copy and stay.
+// persistPublish makes one just-published platter durable: its blob
+// first, file and directory entry, then the publish record — the
+// record-implies-blob ordering recovery depends on. The burn already
+// wrote the blob in place, so nothing is copied. No-op without a
+// persist dir, where the glass is an image in memory.
 func (s *Service) persistPublish(id media.PlatterID, pi *platterInfo, reason string) error {
 	if s.plog == nil {
 		return nil
 	}
-	blob, err := s.plog.WritePlatterBlob(pi.platter)
-	if err != nil {
+	if err := s.plog.SyncPlatterBlob(pi.blob); err != nil {
 		return err
 	}
-	if err := pi.platter.Shelve(blob); err != nil {
-		_ = blob.Close()
-		return err
-	}
-	_, err = s.plog.Append(&persist.RecPublish{
+	_, err := s.plog.Append(&persist.RecPublish{
 		Platter: id, Set: pi.set, SetPos: pi.setPos,
 		Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
 		Reason: reason, AtUnixNano: time.Now().UnixNano(),
@@ -196,8 +190,8 @@ func (s *Service) maybePersistSnapshot() error {
 }
 
 // ClosePersist writes a final clean snapshot, closes the log, so the
-// next start recovers without replaying, and closes every shelved
-// platter's blob descriptor: reads of durable data fail from then on.
+// next start recovers without replaying, and closes every platter's
+// blob descriptor: reads of durable data fail from then on.
 // The snapshot is skipped when a crash point froze the log — the whole
 // point of the freeze is that nothing after it becomes durable. No-op
 // when persistence is disabled.
@@ -216,7 +210,7 @@ func (s *Service) ClosePersist() error {
 	}
 	s.mu.RLock()
 	for _, pi := range s.platters {
-		if err := pi.platter.Close(); err != nil && firstErr == nil {
+		if err := pi.blob.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

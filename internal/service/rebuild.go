@@ -93,7 +93,7 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	// (§3.1: publish-after-verify); a scrapped replacement costs a
 	// re-burn of the reconstructed payloads, not a second reconstruction.
 	npi := &platterInfo{
-		platter: s.slabs.NewPlatter(newID, geom), usedInfoSectors: used,
+		platter: media.NewPlatter(newID, geom), usedInfoSectors: used,
 		set: setIdx, setPos: setPos, isRedundancy: isRed,
 	}
 	if err := s.burnOnFreshGlass(context.Background(), npi, payloads); err != nil {

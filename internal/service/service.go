@@ -148,6 +148,9 @@ type Stats struct {
 // once the platter is published in Service.platters.
 type platterInfo struct {
 	platter *media.Platter
+	// blob is the platter's glass from its burn on (see newGlass): the
+	// file a publish makes durable, or a scrap discards.
+	blob *persist.Blob
 	// payloads caches an information platter's info-sector payloads
 	// (post-encryption) from its burn until its set completes, for
 	// cross-platter redundancy encoding; a platter recovered across a
@@ -183,11 +186,6 @@ type Service struct {
 	// sync.Pool a collection cannot empty it.
 	scratchMu sync.Mutex
 	scratch   []*codecScratch
-
-	// slabs is the free list the burn takes track slabs from; a platter
-	// shelved on its blob gives them back (see persistPublish). It keeps
-	// one platter-set's worth.
-	slabs *media.Slabs
 
 	keys    *keystore.Store
 	meta    *metadata.Store
@@ -276,7 +274,6 @@ func New(cfg Config) (*Service, error) {
 		largeGroup:  lg,
 		setGroup:    sg,
 		zero:        make([]byte, cfg.Geom.SectorPayloadBytes),
-		slabs:       media.NewSlabs((cfg.SetInfo + cfg.SetRed) * cfg.Geom.TracksPerPlatter),
 		platters:    make(map[media.PlatterID]*platterInfo),
 		reg:         reg,
 	}

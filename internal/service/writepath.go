@@ -56,6 +56,16 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		return err
 	}
 	noProgress, scrapRounds := 0, 0
+	// A round's platters that are not published yet: a flush that
+	// returns early drops them, and the blobs of those burned with them.
+	var unpublished []*pendingPlatter
+	defer func() {
+		for _, pd := range unpublished {
+			if pd.pi != nil {
+				pd.pi.discardGlass()
+			}
+		}
+	}()
 	for {
 		// Cancellation is honored between rounds: a canceled flush
 		// leaves every unfinished file staged for the next pass, never
@@ -109,6 +119,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			id := s.allocPlatterID()
 			pend[i] = &pendingPlatter{plan: plan, id: id}
 		}
+		unpublished = pend
 		// Phase 2 (parallel): assemble, burn, and verify each plan's
 		// platter. The platters are private until phase 3, so workers
 		// touch no shared service state beyond the stats counters.
@@ -131,7 +142,8 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		// Phase 3 (serial, plan order): publish verified platters,
 		// record extents, and complete platter-sets. A publish-phase
 		// fault (or cancellation) before this point drops the private
-		// platters entirely; their files stay staged and are planned again.
+		// platters entirely, their blobs with them; their files stay
+		// staged and are planned again.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("service: flush canceled before publish: %w", err)
 		}
@@ -142,7 +154,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 		publishStart := time.Now()
 		var setWork time.Duration // set-close encode, burn and verify: phases of their own
 		faulted := 0
-		for _, pd := range pend {
+		for i, pd := range pend {
 			if pd.pi == nil {
 				faulted++
 				// Scrapped: every file with a shard on this platter stays
@@ -158,6 +170,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 				return err
 			}
 			s.publishPlatter(pd.id, pd.pi, "published")
+			unpublished = pend[i+1:]
 			d, err := s.addToSet(ctx, pd.id, pd.pi)
 			if err != nil {
 				return err
@@ -173,6 +186,7 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 				})
 			}
 		}
+		unpublished = nil
 		var release []*staging.File
 		for _, f := range batch {
 			fid := f.ID()
@@ -284,7 +298,7 @@ type pendingPlatter struct {
 func (s *Service) buildPlatter(ctx context.Context, pd *pendingPlatter, byID map[staging.ID]*staging.File) error {
 	geom := s.cfg.Geom
 	plan := pd.plan
-	pi := &platterInfo{platter: s.slabs.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
+	pi := &platterInfo{platter: media.NewPlatter(pd.id, geom), usedInfoSectors: plan.SectorsUsed, set: -1}
 
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: flush canceled before encode: %w", err)
@@ -344,8 +358,14 @@ var errScrapped = errors.New("service: platter scrapped")
 // (flush.burn, media.write), or whose read-back finds a track beyond
 // within-track repair (or an injected flush.verify), is scrapped and the
 // error wraps errScrapped; any other error is a pipeline failure.
-// Cancellation is honored between stages.
-func (s *Service) writeAndVerify(ctx context.Context, pi *platterInfo, payloads [][]byte) error {
+// Cancellation is honored between stages. A platter that does not reach
+// Stored leaves no glass behind.
+func (s *Service) writeAndVerify(ctx context.Context, pi *platterInfo, payloads [][]byte) (err error) {
+	defer func() {
+		if err != nil {
+			pi.discardGlass()
+		}
+	}()
 	p := pi.platter
 	// scrap counts the platter lost. A fault before the burn started
 	// leaves the glass Blank; only a started burn can legally fault.
@@ -364,7 +384,7 @@ func (s *Service) writeAndVerify(ctx context.Context, pi *platterInfo, payloads 
 	}
 	burn := obs.StartSpan(ctx, "burn")
 	burnDone := phaseTimer(s.om.phaseBurn)
-	err := s.faults.Check(faults.OpFlushBurn, int64(p.ID), -1, -1)
+	err = s.faults.Check(faults.OpFlushBurn, int64(p.ID), -1, -1)
 	if err == nil {
 		err = s.burnPlatter(pi, payloads)
 	}
@@ -423,7 +443,7 @@ func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payload
 		if attempt == maxAttempts {
 			return fmt.Errorf("service: burn failed after %d attempts: %w", maxAttempts, err)
 		}
-		pi.platter = s.slabs.NewPlatter(s.allocPlatterID(), s.cfg.Geom)
+		pi.platter = media.NewPlatter(s.allocPlatterID(), s.cfg.Geom)
 	}
 }
 
@@ -453,19 +473,25 @@ func (s *Service) publishPlatter(id media.PlatterID, pi *platterInfo, reason str
 // than a track is zero-padded). writeAndVerify is its only caller, so
 // every platter — fresh, redundancy, or replacement — shares one layout.
 //
-// The per-track work (within-track NC encode, LDPC, modulation) is
-// fanned across the codec engine on pooled scratch; only the media
-// insert, which packs each sector into its track's slab, is serialized.
-// Sector contents depend on nothing but (payload, platter id, address),
-// so the burned platter is identical at any worker count.
+// The platter is loaded on its glass (newGlass) first, and each sector
+// goes from the codec scratch straight to its offset there. The
+// per-track work (within-track NC encode, LDPC, modulation) is fanned
+// across the codec engine on pooled scratch; only the media insert is
+// serialized. Sector contents depend on nothing but (payload, platter
+// id, address), so the burned platter is identical at any worker count.
 func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	geom := s.cfg.Geom
 	p := pi.platter
-	if err := p.Transition(media.Writing); err != nil {
-		return err
-	}
 	iPerTrack := geom.InfoSectorsPerTrack
 	usedTracks := (len(payloads) + iPerTrack - 1) / iPerTrack
+	blob, err := s.newGlass(p.ID, usedTracks)
+	if err != nil {
+		return err
+	}
+	pi.blob = blob
+	if err := p.Load(blob); err != nil {
+		return err
+	}
 	sector := func(idx int) []byte {
 		if idx < len(payloads) && payloads[idx] != nil {
 			return payloads[idx]
@@ -483,7 +509,7 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 		s.om.sectorsWritten.Add(int64(n))
 		s.om.storedRedundancy.Add(int64(n-info) * int64(geom.SectorPayloadBytes))
 	}()
-	err := s.eng.ForEach(usedTracks, func(it int) error {
+	err = s.eng.ForEach(usedTracks, func(it int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
 		info := cs.group[:iPerTrack]
@@ -564,6 +590,44 @@ func (s *Service) burnPlatter(pi *platterInfo, payloads [][]byte) error {
 	return p.Transition(media.Written)
 }
 
+// newGlass lays out the blob a burn of usedTracks information tracks
+// writes: every sector of those tracks, and the information sectors of
+// each large-group redundancy track over them. It is platter id's file
+// with a persist directory, an image in memory without one.
+func (s *Service) newGlass(id media.PlatterID, usedTracks int) (*persist.Blob, error) {
+	geom := s.cfg.Geom
+	spt, stride := geom.SectorsPerTrack(), s.pipe.SectorBytes()
+	sectors := func(mark func(media.SectorID)) {
+		for it := 0; it < usedTracks; it++ {
+			for sPos := 0; sPos < spt; sPos++ {
+				mark(media.SectorID{Track: geom.InfoTrackPhysical(it), Sector: sPos})
+			}
+		}
+		lgi := geom.LargeGroupInfoTracks
+		for g := 0; g < (usedTracks+lgi-1)/lgi; g++ {
+			for j := 0; j < geom.LargeGroupRedTracks; j++ {
+				for sPos := 0; sPos < geom.InfoSectorsPerTrack; sPos++ {
+					mark(media.SectorID{Track: geom.LargeGroupRedTrack(g, j), Sector: sPos})
+				}
+			}
+		}
+	}
+	if s.plog == nil {
+		return persist.NewBlobImage(id, spt, stride, sectors), nil
+	}
+	return s.plog.CreatePlatterBlob(id, spt, stride, sectors)
+}
+
+// discardGlass closes and removes the blob of a platter that will never
+// publish. Its error is dropped: a file left behind has no publish
+// record, and recovery's sweep removes it.
+func (pi *platterInfo) discardGlass() {
+	if pi.blob != nil {
+		_ = pi.blob.Discard()
+		pi.blob = nil
+	}
+}
+
 // effectiveShardCap is the shard cap AssignFiles is given: the
 // configured cap (100 tracks' worth when unset), bounded by a platter's
 // information capacity.
@@ -639,8 +703,8 @@ type readBackTally struct {
 // used information track, so every sector in the window is sampled, and
 // one the platter cannot read (a blob cut short) is a failed sector.
 //
-// Sectors are read in parallel, one track-sized chunk per worker-visit
-// so the codec scratch is acquired once per track; each sector forks its
+// Tracks are read in parallel, one per worker-visit so the codec
+// scratch is acquired once per track; each sector forks its
 // noise stream from rng by (physical track, sector), so the tally is
 // identical at any worker count. The decode lands in the scratch's
 // payload buffer (a read-back never keeps the plaintext), making the
@@ -655,20 +719,21 @@ func (s *Service) readBack(pi *platterInfo, first, count int, rng *sim.RNG) read
 		margin float64
 	}
 	results := make([]sectorRead, count*spt)
-	_ = s.eng.ForEachChunk(len(results), spt, func(lo, hi int) error {
+	_ = s.eng.ForEach(count, func(t int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
-		for idx := lo; idx < hi; idx++ {
-			phys, sPos := geom.InfoTrackPhysical((first+idx/spt)%usedTracks), idx%spt
+		phys := geom.InfoTrackPhysical((first + t) % usedTracks)
+		track := results[t*spt : (t+1)*spt]
+		for sPos := range track {
 			glass, ok := pi.platter.ReadSectorInto(media.SectorID{Track: phys, Sector: sPos}, cs.glass)
 			if !ok {
-				results[idx].failed = true
+				track[sPos].failed = true
 				continue
 			}
 			t0 := time.Now()
 			res := s.pipe.ReadSectorWithBuf(cs.sector, glass, rng.ForkAt(uint64(phys), uint64(sPos)), cs.payload)
 			s.om.observeCodec(s.om.codecDecode, s.om.codecDecSectors, 1, time.Since(t0))
-			results[idx] = sectorRead{failed: !res.OK, margin: res.Margin}
+			track[sPos] = sectorRead{failed: !res.OK, margin: res.Margin}
 		}
 		return nil
 	})
@@ -844,23 +909,31 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	// Burn every redundancy platter before publishing any, so the heavy
 	// work is one stretch and the rest of closeSet is publication. They
 	// keep no payload cache: their payloads are views of the slab the
-	// next close overwrites.
-	reds := make([]*platterInfo, s.cfg.SetRed)
-	for r := range reds {
-		reds[r] = &platterInfo{
-			platter:         s.slabs.NewPlatter(s.allocPlatterID(), geom),
+	// next close overwrites. On any error before they enter the index,
+	// every one burned is discarded, its blob with it.
+	reds := make([]*platterInfo, 0, s.cfg.SetRed)
+	discardReds := func() {
+		for _, rpi := range reds {
+			rpi.discardGlass()
+		}
+	}
+	for r := 0; r < s.cfg.SetRed; r++ {
+		rpi := &platterInfo{
+			platter:         media.NewPlatter(s.allocPlatterID(), geom),
 			usedInfoSectors: maxSectors,
 			set:             setIdx, setPos: s.cfg.SetInfo + r, isRedundancy: true,
 		}
-		if err := s.burnOnFreshGlass(ctx, reds[r], redPayloads[r]); err != nil {
+		if err := s.burnOnFreshGlass(ctx, rpi, redPayloads[r]); err != nil {
+			discardReds()
 			return 0, fmt.Errorf("service: set %d redundancy: %w", setIdx, err)
 		}
+		reds = append(reds, rpi)
 	}
 	setWork := time.Since(workStart)
 	// Make every redundancy platter durable before any enters the index:
 	// a fault here leaves orphan publish records that recovery prunes, and
-	// no half-published set in memory — nor a blob descriptor held by a
-	// platter nothing reaches.
+	// no half-published set in memory — nor a blob that no platter
+	// reaches.
 	for _, rpi := range reds {
 		rid := rpi.platter.ID
 		err := s.faults.Check(faults.OpPublishPlatter, int64(rid), -1, -1)
@@ -868,9 +941,7 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 			err = s.persistPublish(rid, rpi, "published (set redundancy)")
 		}
 		if err != nil {
-			for _, r := range reds {
-				_ = r.platter.Close()
-			}
+			discardReds()
 			return 0, err
 		}
 	}

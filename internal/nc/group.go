@@ -13,10 +13,10 @@
 //     redundancy platters, repairing platter unavailability with a read
 //     of the 16 matching tracks (16× amplification).
 //
-// Coefficients come either from a Cauchy matrix (deterministic MDS —
-// decode always succeeds with any I survivors) or from seeded random
-// linear combinations (the paper's construction; decode succeeds with
-// high probability). Both sit behind the same Group type.
+// Coefficients come from a Cauchy matrix: the code is MDS, so decode
+// always succeeds with any I survivors. (The paper's construction draws
+// seeded random linear combinations, which decode with high
+// probability; the Cauchy code is its deterministic stand-in.)
 package nc
 
 import (
@@ -24,31 +24,20 @@ import (
 	"sync"
 
 	"silica/internal/gf256"
-	"silica/internal/sim"
 )
 
 // Scheme selects how redundancy coefficients are generated.
 type Scheme int
 
-const (
-	// Cauchy coefficients make the code MDS: any I of I+R units decode.
-	Cauchy Scheme = iota
-	// RandomLinear draws coefficients uniformly from GF(256)\{0}; a
-	// random I x I decode matrix is singular with probability ~1/255,
-	// in which case Reconstruct reports an error and the caller reads
-	// one more unit.
-	RandomLinear
-)
+// Cauchy coefficients make the code MDS: any I of I+R units decode.
+// It is the only scheme.
+const Cauchy Scheme = 0
 
 func (s Scheme) String() string {
-	switch s {
-	case Cauchy:
+	if s == Cauchy {
 		return "cauchy"
-	case RandomLinear:
-		return "random-linear"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
 	}
+	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
 // Group is an I+R erasure-coding group. Unit indices 0..I-1 are
@@ -62,29 +51,20 @@ type Group struct {
 	inverses map[uint64]*gf256.Matrix // see inverse
 }
 
-// NewGroup builds a group. I+R must be at most 256 for Cauchy (field
-// size bound); seed only matters for RandomLinear.
+// NewGroup builds a group. I+R must be at most 256 (the Cauchy
+// matrix's field size bound). The Cauchy coefficients are fixed, so
+// seed changes nothing.
 func NewGroup(i, r int, scheme Scheme, seed uint64) (*Group, error) {
 	if i <= 0 || r < 0 {
 		return nil, fmt.Errorf("nc: invalid group %d+%d", i, r)
 	}
-	g := &Group{I: i, R: r, Scheme: scheme}
-	switch scheme {
-	case Cauchy:
-		if i+r > 256 {
-			return nil, fmt.Errorf("nc: cauchy group %d+%d exceeds field size", i, r)
-		}
-		g.coeff = gf256.Cauchy(r, i)
-	case RandomLinear:
-		rng := sim.NewRNG(seed)
-		g.coeff = gf256.NewMatrix(r, i)
-		for idx := range g.coeff.Data {
-			g.coeff.Data[idx] = byte(1 + rng.Intn(255))
-		}
-	default:
+	if scheme != Cauchy {
 		return nil, fmt.Errorf("nc: unknown scheme %v", scheme)
 	}
-	return g, nil
+	if i+r > 256 {
+		return nil, fmt.Errorf("nc: cauchy group %d+%d exceeds field size", i, r)
+	}
+	return &Group{I: i, R: r, Scheme: scheme, coeff: gf256.Cauchy(r, i)}, nil
 }
 
 // MustNewGroup is NewGroup for compiled-in parameters.
@@ -121,29 +101,38 @@ func (g *Group) EncodeRedundancy(info [][]byte) ([][]byte, error) {
 // may alias an information unit. It keeps no reference to dst or info
 // and allocates nothing.
 func (g *Group) EncodeRedundancyInto(dst, info [][]byte) error {
-	if len(info) != g.I {
-		return fmt.Errorf("nc: got %d information units, want %d", len(info), g.I)
-	}
 	if len(dst) != g.R {
 		return fmt.Errorf("nc: got %d redundancy buffers, want %d", len(dst), g.R)
 	}
-	size := len(info[0])
+	for r, red := range dst {
+		if err := g.EncodeRowInto(red, r, info); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// EncodeRowInto computes redundancy unit r alone into dst, which must
+// be as long as the information units and alias none of them: the
+// dst[r] of EncodeRedundancyInto, for a caller that stores each
+// redundancy unit apart and so computes each one once. It keeps no
+// reference to dst or info and allocates nothing.
+func (g *Group) EncodeRowInto(dst []byte, r int, info [][]byte) error {
+	if r < 0 || r >= g.R {
+		return fmt.Errorf("nc: redundancy unit %d outside [0,%d)", r, g.R)
+	}
+	if len(info) != g.I {
+		return fmt.Errorf("nc: got %d information units, want %d", len(info), g.I)
+	}
 	for idx, u := range info {
-		if len(u) != size {
-			return fmt.Errorf("nc: unit %d has %d bytes, want %d", idx, len(u), size)
+		if len(u) != len(dst) {
+			return fmt.Errorf("nc: unit %d has %d bytes, redundancy unit %d has %d", idx, len(u), r, len(dst))
 		}
 	}
-	for r, red := range dst {
-		if len(red) != size {
-			return fmt.Errorf("nc: redundancy buffer %d has %d bytes, want %d", r, len(red), size)
-		}
-	}
-	for r, red := range dst {
-		clear(red)
-		row := g.coeff.Row(r)
-		for i, u := range info {
-			gf256.MulAddVec(red, u, row[i])
-		}
+	clear(dst)
+	row := g.coeff.Row(r)
+	for i, u := range info {
+		gf256.MulAddVec(dst, u, row[i])
 	}
 	return nil
 }
@@ -152,8 +141,7 @@ func (g *Group) EncodeRedundancyInto(dst, info [][]byte) error {
 // >= I available units keyed by unit index (info 0..I-1, redundancy
 // I..I+R-1). It returns the recovered units keyed by index. Available
 // information units in want are returned as-is. An error means not
-// enough units, inconsistent sizes, or (RandomLinear only) a singular
-// decode matrix.
+// enough units or inconsistent sizes.
 func (g *Group) Reconstruct(available map[int][]byte, want []int) (map[int][]byte, error) {
 	for _, w := range want {
 		if w < 0 || w >= g.I {

@@ -59,8 +59,8 @@ func TestNewGroupValidation(t *testing.T) {
 	if _, err := NewGroup(200, 100, Cauchy, 1); err == nil {
 		t.Fatal("oversized Cauchy group accepted")
 	}
-	if _, err := NewGroup(200, 100, RandomLinear, 1); err != nil {
-		t.Fatal("random-linear should allow >256 total")
+	if _, err := NewGroup(4, 2, Scheme(1), 1); err == nil {
+		t.Fatal("unknown scheme accepted")
 	}
 }
 
@@ -158,39 +158,6 @@ func TestReconstructPassThrough(t *testing.T) {
 	}
 	if !bytes.Equal(rec[2], u) {
 		t.Fatal("available unit not passed through")
-	}
-}
-
-func TestRandomLinearUsuallyDecodes(t *testing.T) {
-	const i, r = 10, 4
-	rng := sim.NewRNG(13)
-	info := randUnits(rng, i, 64)
-	successes, trials := 0, 60
-	for trial := 0; trial < trials; trial++ {
-		g := MustNewGroup(i, r, RandomLinear, uint64(trial))
-		red, _ := g.EncodeRedundancy(info)
-		all := append(append([][]byte{}, info...), red...)
-		perm := rng.Perm(i + r)
-		avail := make(map[int][]byte, i)
-		for _, idx := range perm[:i] {
-			avail[idx] = all[idx]
-		}
-		rec, err := g.ReconstructAll(avail)
-		if err != nil {
-			continue // singular random matrix: expected occasionally
-		}
-		ok := true
-		for j := range info {
-			if !bytes.Equal(rec[j], info[j]) {
-				ok = false
-			}
-		}
-		if ok {
-			successes++
-		}
-	}
-	if successes < trials*9/10 {
-		t.Fatalf("random linear decoded only %d/%d", successes, trials)
 	}
 }
 
@@ -326,7 +293,7 @@ func TestPlanRecoveryTooManyFailures(t *testing.T) {
 }
 
 func TestSchemeString(t *testing.T) {
-	if Cauchy.String() != "cauchy" || RandomLinear.String() != "random-linear" {
+	if Cauchy.String() != "cauchy" {
 		t.Fatal("scheme names wrong")
 	}
 	if Scheme(9).String() == "" {
@@ -395,7 +362,7 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 			if err == nil && !bytes.Equal(dst, want[w]) {
 				t.Fatalf("lost %v, unit %d: ReconstructInto differs from Reconstruct", lost, w)
 			}
-			if err == nil && !bytes.Equal(dst, all[w]) && g.Scheme == Cauchy {
+			if err == nil && !bytes.Equal(dst, all[w]) {
 				t.Fatalf("lost %v, unit %d: wrong bytes", lost, w)
 			}
 		}
@@ -414,31 +381,29 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 		{Name: "set 4+2", I: 4, R: 2},
 		DefaultPlatterSet,
 	} {
-		for _, scheme := range []Scheme{Cauchy, RandomLinear} {
-			t.Run(shape.Name+"/"+scheme.String(), func(t *testing.T) {
-				g := MustNewGroup(shape.I, shape.R, scheme, 5)
-				all := encode(t, g, 5)
-				wants := make([]int, g.I)
-				for i := range wants {
-					wants[i] = i
-				}
-				n := g.Size()
-				for pass := 0; pass < 2; pass++ {
-					for mask := 0; mask < 1<<n; mask++ {
-						lost := make([]bool, n)
-						count := 0
-						for idx := range lost {
-							if lost[idx] = mask&(1<<idx) != 0; lost[idx] {
-								count++
-							}
-						}
-						if count <= g.R {
-							check(t, g, all, lost, wants)
+		t.Run(shape.Name+"/"+Cauchy.String(), func(t *testing.T) {
+			g := MustNewGroup(shape.I, shape.R, Cauchy, 5)
+			all := encode(t, g, 5)
+			wants := make([]int, g.I)
+			for i := range wants {
+				wants[i] = i
+			}
+			n := g.Size()
+			for pass := 0; pass < 2; pass++ {
+				for mask := 0; mask < 1<<n; mask++ {
+					lost := make([]bool, n)
+					count := 0
+					for idx := range lost {
+						if lost[idx] = mask&(1<<idx) != 0; lost[idx] {
+							count++
 						}
 					}
+					if count <= g.R {
+						check(t, g, all, lost, wants)
+					}
 				}
-			})
-		}
+			}
+		})
 	}
 	for _, shape := range []LevelParams{DefaultWithinTrack, DefaultLargeGroup} {
 		t.Run(shape.Name, func(t *testing.T) {
@@ -519,29 +484,45 @@ func TestReconstructIntoConcurrent(t *testing.T) {
 // the allocating form's bytes over whatever dst held, allocates
 // nothing, and refuses a dst of the wrong shape.
 func TestEncodeRedundancyIntoMatchesEncodeRedundancy(t *testing.T) {
-	for _, scheme := range []Scheme{Cauchy, RandomLinear} {
-		g := MustNewGroup(8, 3, scheme, 11)
-		info := randUnits(sim.NewRNG(11), 8, 100)
-		want, err := g.EncodeRedundancy(info)
-		if err != nil {
+	g := MustNewGroup(8, 3, Cauchy, 11)
+	info := randUnits(sim.NewRNG(11), 8, 100)
+	want, err := g.EncodeRedundancy(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := randUnits(sim.NewRNG(12), 3, 100) // stale contents must not leak
+	if allocs := testing.AllocsPerRun(5, func() {
+		if err := g.EncodeRedundancyInto(dst, info); err != nil {
 			t.Fatal(err)
 		}
-		dst := randUnits(sim.NewRNG(12), 3, 100) // stale contents must not leak
-		if allocs := testing.AllocsPerRun(5, func() {
-			if err := g.EncodeRedundancyInto(dst, info); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%v: EncodeRedundancyInto allocated %v times, want 0", scheme, allocs)
-		}
-		for r := range want {
-			if !bytes.Equal(dst[r], want[r]) {
-				t.Fatalf("%v: redundancy unit %d differs from EncodeRedundancy", scheme, r)
-			}
+	}); allocs != 0 {
+		t.Errorf("EncodeRedundancyInto allocated %v times, want 0", allocs)
+	}
+	for r := range want {
+		if !bytes.Equal(dst[r], want[r]) {
+			t.Fatalf("redundancy unit %d differs from EncodeRedundancy", r)
 		}
 	}
-	g := MustNewGroup(4, 2, Cauchy, 1)
-	info := randUnits(sim.NewRNG(1), 4, 8)
+	// One row at a time, each into a buffer of its own, gives the same
+	// units.
+	row := randUnits(sim.NewRNG(13), 1, 100)[0]
+	for r := range want {
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := g.EncodeRowInto(row, r, info); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 || !bytes.Equal(row, want[r]) {
+			t.Fatalf("EncodeRowInto of unit %d: %v allocations, equal to EncodeRedundancy's %v; want 0 and true",
+				r, allocs, bytes.Equal(row, want[r]))
+		}
+	}
+	for _, r := range []int{-1, 3} {
+		if err := g.EncodeRowInto(row, r, info); err == nil {
+			t.Errorf("EncodeRowInto of unit %d accepted", r)
+		}
+	}
+	g = MustNewGroup(4, 2, Cauchy, 1)
+	info = randUnits(sim.NewRNG(1), 4, 8)
 	for name, dst := range map[string][][]byte{
 		"too few buffers": randUnits(sim.NewRNG(2), 1, 8),
 		"short buffer":    {make([]byte, 8), make([]byte, 7)},

@@ -147,7 +147,8 @@ func TestWORMSectorWrites(t *testing.T) {
 	if err := p.WriteSector(id, []uint8{1, 2}); err == nil {
 		t.Fatal("write in blank state allowed")
 	}
-	if err := p.Load(mapGlass{}); err != nil {
+	glass := mapGlass{}
+	if err := p.Load(glass); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Load(mapGlass{}); err == nil {
@@ -175,8 +176,8 @@ func TestWORMSectorWrites(t *testing.T) {
 	if _, ok := p.ReadSectorInto(SectorID{Track: 1, Sector: 1}, nil); ok {
 		t.Fatal("unwritten sector readable")
 	}
-	if p.WrittenSectors() != 1 {
-		t.Fatalf("written sectors = %d", p.WrittenSectors())
+	if len(glass) != 1 {
+		t.Fatalf("the glass holds %d sectors, want 1", len(glass))
 	}
 }
 
@@ -193,7 +194,8 @@ func TestStateString(t *testing.T) {
 // length.
 func TestWORMRefusesAMismatchedLength(t *testing.T) {
 	p := NewPlatter(1, TinyGeometry())
-	if err := p.Load(mapGlass{}); err != nil {
+	glass := mapGlass{}
+	if err := p.Load(glass); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.WriteSector(SectorID{Track: 0, Sector: 0}, make([]uint8, 6)); err != nil {
@@ -204,7 +206,7 @@ func TestWORMRefusesAMismatchedLength(t *testing.T) {
 			t.Fatalf("a %d-byte sector accepted beside a 6-byte one", n)
 		}
 	}
-	if p.WrittenSectors() != 1 {
-		t.Fatalf("written sectors = %d after refusals, want 1", p.WrittenSectors())
+	if len(glass) != 1 {
+		t.Fatalf("the glass holds %d sectors after refusals, want 1", len(glass))
 	}
 }

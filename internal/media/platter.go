@@ -67,12 +67,11 @@ type Platter struct {
 
 	// glass holds the sectors; stride is the byte length of every
 	// sector, fixed by the first write; burned has bit track×spt+sector
-	// set for each written sector, grown to the highest one; written
-	// counts them. Only used by the real-codec path.
-	glass   Glass
-	stride  int
-	burned  []uint64
-	written int
+	// set for each written sector, grown to the highest one. Only used by
+	// the real-codec path.
+	glass  Glass
+	stride int
+	burned []uint64
 }
 
 // Glass is where a platter's sectors live. WriteSector stores one
@@ -135,7 +134,7 @@ func (p *Platter) WriteSector(id SectorID, data []byte) error {
 	if id.Track < 0 || id.Track >= p.Geom.TracksPerPlatter || id.Sector < 0 || id.Sector >= spt {
 		return fmt.Errorf("media: platter %d: sector %+v out of range", p.ID, id)
 	}
-	if p.written == 0 {
+	if p.stride == 0 {
 		p.stride = len(data)
 	} else if len(data) != p.stride {
 		return fmt.Errorf("media: platter %d: sector %+v is %d bytes, the platter's sectors are %d",
@@ -153,7 +152,6 @@ func (p *Platter) WriteSector(id SectorID, data []byte) error {
 		return fmt.Errorf("media: platter %d: sector %+v: %w", p.ID, id, err)
 	}
 	p.burned[k>>6] |= bit
-	p.written++
 	return nil
 }
 
@@ -168,6 +166,3 @@ func (p *Platter) ReadSectorInto(id SectorID, dst []byte) ([]byte, bool) {
 	}
 	return p.glass.ReadSectorInto(id, dst)
 }
-
-// WrittenSectors reports how many sectors this process wrote.
-func (p *Platter) WrittenSectors() int { return p.written }

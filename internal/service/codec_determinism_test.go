@@ -63,10 +63,6 @@ func requireIdenticalMedia(t *testing.T, a, b *Service) {
 		if !ok {
 			t.Fatalf("platter %d missing from second service", id)
 		}
-		if api.platter.WrittenSectors() != bpi.platter.WrittenSectors() {
-			t.Fatalf("platter %d: written sector counts diverge: %d vs %d",
-				id, api.platter.WrittenSectors(), bpi.platter.WrittenSectors())
-		}
 		for track := 0; track < geom.TracksPerPlatter; track++ {
 			for sec := 0; sec < geom.SectorsPerTrack(); sec++ {
 				sid := media.SectorID{Track: track, Sector: sec}

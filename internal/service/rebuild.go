@@ -101,26 +101,21 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	}
 	newID = npi.platter.ID
 
-	// Publish the replacement and swap the set membership in one
-	// critical section, then remap extents. Readers either resolve the
-	// old id (unavailable → set recovery, which now draws on the
-	// replacement's peers) or the new id; never partial media.
-	npi.rec = s.health.Register(newID, fmt.Sprintf("rebuilt from set %d (replaces platter %d)", setIdx, old))
-	s.mu.Lock()
-	s.platters[newID] = npi
-	s.sets[setIdx][setPos] = newID
-	s.mu.Unlock()
-	s.health.SetPlacement(newID, setIdx, setPos, isRed)
+	// Publish the replacement: durable first, then indexed and swapped
+	// into its set's position in one critical section. Readers resolve
+	// either the old id (unavailable → set recovery, which now draws on
+	// the replacement's peers) or the new one; never partial media. A
+	// failed publish changes nothing and discards the replacement's blob.
+	if err := s.publish(fmt.Sprintf("rebuilt (replaces platter %d)", old), npi); err != nil {
+		npi.discardGlass()
+		return -1, fmt.Errorf("service: rebuild platter %d: %w", old, err)
+	}
+	// Then remap the extents and record the remap. A crash between the
+	// publish record and the remap's recovers the replacement as an
+	// orphan redundancy platter (pruned) or an unreferenced info platter;
+	// the old platter stays mapped and the rebuild simply reruns.
 	remapped := s.meta.RemapPlatter(old, newID)
-	// Durability: blob + publish record for the replacement first, then
-	// the remap that swaps it into place. A crash between the two
-	// recovers the replacement as an orphan redundancy platter (pruned)
-	// or an unreferenced info platter; the old platter stays mapped and
-	// the rebuild simply reruns.
 	if s.plog != nil {
-		if err := s.persistPublish(newID, npi, fmt.Sprintf("rebuilt (replaces platter %d)", old)); err != nil {
-			return -1, err
-		}
 		if _, err := s.plog.Append(&persist.RecRemap{Old: old, New: newID, Set: setIdx, SetPos: setPos}); err != nil {
 			return -1, err
 		}
@@ -130,7 +125,6 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	}
 	_ = s.health.Transition(old, repair.Retired,
 		fmt.Sprintf("rebuilt as platter %d (%d extents remapped)", newID, remapped))
-	s.om.plattersRebuilt.Inc()
 	return newID, nil
 }
 

@@ -16,7 +16,7 @@ type managerMetrics struct {
 }
 
 // newManagerMetrics registers the repair families in reg and hooks the
-// health-state and rebuild-queue gauges to scrape time (counting the
+// health-state and rebuild gauges to scrape time (counting the
 // registry per observation would put a map walk on the scrub loop; at
 // scrape time it is one walk per poll).
 func newManagerMetrics(reg *obs.Registry, m *Manager) managerMetrics {
@@ -33,7 +33,7 @@ func newManagerMetrics(reg *obs.Registry, m *Manager) managerMetrics {
 			"Platter rebuilds, by outcome.", obs.L("outcome", "failed")),
 	}
 	active := reg.Gauge("silica_repair_rebuilds_active", "Rebuilds currently running.")
-	queued := reg.Gauge("silica_repair_rebuilds_queued", "Rebuilds waiting in the queue.")
+	queued := reg.Gauge("silica_repair_rebuilds_queued", "Failed set members awaiting a rebuild.")
 	states := make(map[Health]*obs.Gauge, int(Retired)+1)
 	for h := Healthy; h <= Retired; h++ {
 		states[h] = reg.Gauge("silica_platter_health",

@@ -14,9 +14,8 @@ import (
 var ErrUnknownPlatter = fmt.Errorf("repair: unknown platter")
 
 // ErrNoRebuildSource marks a rebuild that can never succeed: the
-// platter is not part of a completed platter-set, so there is no
-// redundancy to reconstruct it from. Targets wrap it so the manager
-// knows not to retry.
+// platter holds no position in a completed platter-set, so there is no
+// redundancy to reconstruct it from. RequestRebuild refuses with it.
 var ErrNoRebuildSource = fmt.Errorf("repair: no completed platter-set to rebuild from")
 
 // Record is one platter's health entry. The health word is atomic so

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -477,5 +478,47 @@ func TestRemapReplay(t *testing.T) {
 	// Publishing past the remap target keeps the allocator ahead.
 	if st.NextPlatter != 8 {
 		t.Fatalf("NextPlatter = %d, want 8", st.NextPlatter)
+	}
+}
+
+// TestPublishReplayReplacesMember: a RecPublish into a completed set's
+// position is the whole rebuild, with no RecRemap after it. Replay puts
+// the replacement in the position, moves the displaced member's extents
+// to it and places its health there; the displaced member keeps its
+// placement, as it does live. Replay used to leave the old member in the
+// set and the extents on it.
+func TestPublishReplayReplacesMember(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, nil)
+	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
+	for id := media.PlatterID(1); id <= 3; id++ {
+		writeBlob(t, l, id, sectors)
+		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
+	}
+	appendSync(t, l,
+		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
+		&RecPut{Account: "a", Name: "f", Version: 1, Size: 3, KeyID: "k", Key: []byte("K"), Ciphertext: []byte("ccc"), OpSeq: 1},
+		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
+	)
+	writeBlob(t, l, 7, sectors)
+	appendSync(t, l, &RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt (replaces platter 2)"})
+	l.Close()
+
+	l2, st := openT(t, dir, nil)
+	defer l2.Close()
+	if !reflect.DeepEqual(st.Sets, [][]media.PlatterID{{1, 7, 3}}) || len(st.PendingSet) != 0 {
+		t.Fatalf("sets after the replacement's publish = %v, pending %v", st.Sets, st.PendingSet)
+	}
+	v, err := st.Meta.GetVersion(metadata.FileKey{Account: "a", Name: "f"}, 1)
+	if err != nil || v.Extents[0].Platter != 7 {
+		t.Fatalf("durable version = %+v, %v; want its extent on platter 7", v, err)
+	}
+	placed := map[media.PlatterID]string{}
+	for _, h := range st.Health {
+		placed[h.Platter] = fmt.Sprintf("%d/%d/%v", h.Set, h.SetPos, h.Redundancy)
+	}
+	want := map[media.PlatterID]string{1: "0/0/false", 2: "0/1/false", 3: "0/2/true", 7: "0/1/false"}
+	if !reflect.DeepEqual(placed, want) {
+		t.Fatalf("health placements = %v, want %v", placed, want)
 	}
 }

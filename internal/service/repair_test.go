@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"silica/internal/media"
 	"silica/internal/metadata"
 	"silica/internal/repair"
+	"silica/internal/voxel"
 )
 
 // smallSetConfig shrinks platters so a platter-set completes from a
@@ -106,6 +108,98 @@ func TestRebuildInfoPlatter(t *testing.T) {
 	}
 	if s.DegradedSets() != 0 {
 		t.Fatalf("still degraded after rebuild: %d sets", s.DegradedSets())
+	}
+}
+
+// TestRebuildInterruptedByRestartResumes: a platter a crash left
+// rebuilding belongs to no process after the reopen, so the repair
+// manager's Start hands it back as failed, and the rebuild loop rebuilds
+// it: it ends retired, no set is degraded and every object reads back
+// byte-exact. It used to stay rebuilding, skipped by the scrubber and
+// never queued, with its set degraded for good.
+func TestRebuildInterruptedByRestartResumes(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.Channel = voxel.CleanChannel()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := fillSet(t, s, cfg)
+	old := platterOf(t, s, "acct", "bulk0")
+	if err := s.FailPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	// The manager's first step of a rebuild, then the crash.
+	if err := s.Health().Transition(old, repair.Rebuilding, "rebuild started"); err != nil {
+		t.Fatal(err)
+	}
+	s = crashAndReopen(t, s, cfg)
+
+	m := repair.NewManager(s, s.Health(), nil, repair.DefaultConfig())
+	m.Start()
+	defer m.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		rec, _ := s.Health().Get(old)
+		if rec.Health() == repair.Retired && s.DegradedSets() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("platter %d is %v after the reopen, %d sets degraded", old, rec.Health(), s.DegradedSets())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for name, want := range files {
+		if got, err := s.Get("acct", name); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s after the resumed rebuild: err=%v, byte-exact=%v", name, err, bytes.Equal(got, want))
+		}
+	}
+}
+
+// TestPendingPlacementAgreesAcrossRestarts: a platter in the pending
+// set has no set placement in the health registry until its set
+// completes, live, after a crash and a reopen, and after a clean
+// reopen. Replay used to place it in the set it would join, and
+// snapshots carried that forward.
+func TestPendingPlacementAgreesAcrossRestarts(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.Channel = voxel.CleanChannel()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("acct", "lonely", randBytes(61, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	id := platterOf(t, s, "acct", "lonely")
+	placement := func(s *Service) string {
+		for _, ph := range s.Health().Snapshot().Platters {
+			if ph.Platter == id {
+				return fmt.Sprintf("set=%d pos=%d redundancy=%v", ph.Set, ph.SetPos, ph.Redundancy)
+			}
+		}
+		t.Fatalf("platter %d has no health record", id)
+		return ""
+	}
+	live := placement(s)
+	s = crashAndReopen(t, s, cfg)
+	crashed := placement(s)
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	clean := placement(s)
+	if want := "set=-1 pos=0 redundancy=false"; live != want || crashed != want || clean != want {
+		t.Fatalf("pending platter %d placement: live %s, after a crash %s, after a clean reopen %s; want %s",
+			id, live, crashed, clean, want)
 	}
 }
 

@@ -188,7 +188,9 @@ func (r *RecRelease) wire(c *coder) {
 }
 
 // RecRemap swaps a rebuilt platter into its predecessor's place:
-// extents are rewritten and the set membership slot is replaced.
+// extents are rewritten and the set membership slot is replaced. Only
+// older logs hold it, after the rebuild's RecPublish, which now carries
+// the whole swap; it is read, never written.
 type RecRemap struct {
 	Old, New    media.PlatterID
 	Set, SetPos int
@@ -205,7 +207,7 @@ func (r *RecRemap) wire(c *coder) {
 
 // RecHealth is one platter health transition, mirrored from the repair
 // registry so suspect/failed/retired survive a restart — scrub
-// prioritization and rebuild queues are meaningless if a crash heals
+// prioritization and owed rebuilds are meaningless if a crash heals
 // every platter.
 type RecHealth struct {
 	Platter    media.PlatterID

@@ -163,7 +163,7 @@ type ScrubReport struct {
 // PlatterSummary is the scrubber's view of one published platter.
 type PlatterSummary struct {
 	ID          media.PlatterID
-	Set         int // completed-set index, -1 if not yet in a set
+	Set         int // completed-set index, -1 unless that set lists the platter at SetPos
 	SetPos      int
 	Redundancy  bool
 	UsedSectors int

@@ -579,8 +579,8 @@ func (s *Service) platterByID(id media.PlatterID) (*platterInfo, bool) {
 // FailPlatter marks a platter unavailable (a blast-zone or drive
 // failure stand-in) so reads exercise cross-platter recovery. The
 // failure is routed through the health registry — observable in
-// /v1/health/platters and picked up by the background scrubber, which
-// queues the platter for automated rebuild.
+// /v1/health/platters and owed a rebuild, which the repair manager's
+// rebuild loop reads off the registry.
 func (s *Service) FailPlatter(id media.PlatterID) error {
 	if _, ok := s.platterByID(id); !ok {
 		return fmt.Errorf("service: unknown platter %d", id)

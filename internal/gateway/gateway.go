@@ -360,9 +360,10 @@ func (g *Gateway) Repair() *repair.Manager { return g.repair }
 // in-process API in tests, or POST /v1/faults).
 func (g *Gateway) Faults() *faults.Injector { return g.svc.Faults() }
 
-// HealthPlatters snapshots the platter health registry.
+// HealthPlatters snapshots the platter health registry, each platter
+// placed by the service's set index.
 func (g *Gateway) HealthPlatters() repair.Snapshot {
-	return g.svc.Health().Snapshot()
+	return g.svc.HealthSnapshot()
 }
 
 // RequestRepair marks a platter failed and queues it for rebuild (the

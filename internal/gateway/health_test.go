@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,5 +143,55 @@ func TestRepairEndpointRebuildsPlatter(t *testing.T) {
 	// Repairing an unknown platter is a clean 404.
 	if err := c.Repair(media.PlatterID(9999)); err == nil {
 		t.Fatal("repair of unknown platter should fail")
+	}
+}
+
+// TestHealthPlattersPlaceOnePlatterPerPosition: after a rebuild, GET
+// /v1/health/platters places exactly one platter at each set position,
+// the one the set index lists, and the retired member at set -1. The
+// report used to place the retired member and its replacement at the
+// same position.
+func TestHealthPlattersPlaceOnePlatterPerPosition(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.DisableRepair = true // the test drives the rebuild
+	g := newTestGateway(t, cfg)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL)
+
+	fillSet(t, g)
+	victim := g.Service().ListPlatters()[0].ID
+	if err := g.Service().FailPlatter(victim); err != nil {
+		t.Fatal(err)
+	}
+	replacement, err := g.Service().RebuildPlatter(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.HealthPlatters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := map[[2]int][]media.PlatterID{}
+	for _, ph := range snap.Platters {
+		if ph.Platter == victim && (ph.Health != "retired" || ph.Set != -1) {
+			t.Errorf("retired platter %d reports %s at set %d position %d, want retired at set -1",
+				victim, ph.Health, ph.Set, ph.SetPos)
+		}
+		if ph.Set >= 0 {
+			placed[[2]int{ph.Set, ph.SetPos}] = append(placed[[2]int{ph.Set, ph.SetPos}], ph.Platter)
+		}
+	}
+	want := map[[2]int][]media.PlatterID{}
+	for _, p := range g.Service().ListPlatters() {
+		if p.Set >= 0 {
+			want[[2]int{p.Set, p.SetPos}] = []media.PlatterID{p.ID}
+		}
+	}
+	if got := want[[2]int{0, 0}]; len(got) != 1 || got[0] != replacement {
+		t.Fatalf("set index holds %v at set 0 position 0, want the replacement %d", got, replacement)
+	}
+	if !reflect.DeepEqual(placed, want) {
+		t.Fatalf("health report places %v, want one platter a position, as the set index lists: %v", placed, want)
 	}
 }

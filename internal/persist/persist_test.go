@@ -438,55 +438,13 @@ func TestKillPointFreezesThroughInjector(t *testing.T) {
 	}
 }
 
-func TestRemapReplay(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, nil)
-	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
-	for id := media.PlatterID(1); id <= 3; id++ {
-		writeBlob(t, l, id, sectors)
-		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
-	}
-	appendSync(t, l,
-		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
-		&RecPut{Account: "a", Name: "f", Version: 1, Size: 3, KeyID: "k", Key: []byte("K"), Ciphertext: []byte("ccc"), OpSeq: 1},
-		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
-	)
-	// Rebuild: platter 2 replaced by 7.
-	writeBlob(t, l, 7, sectors)
-	appendSync(t, l,
-		&RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt from set 0"},
-		&RecRemap{Old: 2, New: 7, Set: 0, SetPos: 1},
-	)
-	l.Close()
-
-	l2, st := openT(t, dir, nil)
-	defer l2.Close()
-	if !reflect.DeepEqual(st.Sets[0], []media.PlatterID{1, 7, 3}) {
-		t.Fatalf("set after remap = %v", st.Sets[0])
-	}
-	v, err := st.Meta.GetVersion(metadata.FileKey{Account: "a", Name: "f"}, 1)
-	if err != nil || v.State != metadata.Durable {
-		t.Fatalf("durable version = %+v, %v", v, err)
-	}
-	if v.Extents[0].Platter != 7 {
-		t.Fatalf("extent not remapped: %+v", v.Extents[0])
-	}
-	// The file went durable, so its staged copy must be normalized away.
-	if len(st.Staged) != 0 {
-		t.Fatalf("staged copy survived durability: %+v", st.Staged)
-	}
-	// Publishing past the remap target keeps the allocator ahead.
-	if st.NextPlatter != 8 {
-		t.Fatalf("NextPlatter = %d, want 8", st.NextPlatter)
-	}
-}
-
 // TestPublishReplayReplacesMember: a RecPublish into a completed set's
-// position is the whole rebuild, with no RecRemap after it. Replay puts
-// the replacement in the position, moves the displaced member's extents
-// to it and places its health there; the displaced member keeps its
-// placement, as it does live. Replay used to leave the old member in the
-// set and the extents on it.
+// position is the whole rebuild. Replay puts the replacement in the
+// position, moves the displaced member's extents to it and retires the
+// displaced member with the reason the live publish records, stamped
+// with the record's time. Replay used to leave the old member in the set
+// and the extents on it, and then to leave it failed when its own
+// retire record was lost.
 func TestPublishReplayReplacesMember(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
@@ -500,8 +458,9 @@ func TestPublishReplayReplacesMember(t *testing.T) {
 		&RecPut{Account: "a", Name: "f", Version: 1, Size: 3, KeyID: "k", Key: []byte("K"), Ciphertext: []byte("ccc"), OpSeq: 1},
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)
+	appendSync(t, l, &RecHealth{Platter: 2, From: int32(repair.Healthy), To: int32(repair.Failed), Reason: "injected failure"})
 	writeBlob(t, l, 7, sectors)
-	appendSync(t, l, &RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt (replaces platter 2)"})
+	appendSync(t, l, &RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt (replaces platter 2)", AtUnixNano: 1700000000000000007})
 	l.Close()
 
 	l2, st := openT(t, dir, nil)
@@ -513,12 +472,18 @@ func TestPublishReplayReplacesMember(t *testing.T) {
 	if err != nil || v.Extents[0].Platter != 7 {
 		t.Fatalf("durable version = %+v, %v; want its extent on platter 7", v, err)
 	}
-	placed := map[media.PlatterID]string{}
+	health := map[media.PlatterID]string{}
 	for _, h := range st.Health {
-		placed[h.Platter] = fmt.Sprintf("%d/%d/%v", h.Set, h.SetPos, h.Redundancy)
+		last := h.History[len(h.History)-1]
+		health[h.Platter] = fmt.Sprintf("%v: %s->%s %q at %d", h.Health, last.From, last.To, last.Reason, last.At.UnixNano())
 	}
-	want := map[media.PlatterID]string{1: "0/0/false", 2: "0/1/false", 3: "0/2/true", 7: "0/1/false"}
-	if !reflect.DeepEqual(placed, want) {
-		t.Fatalf("health placements = %v, want %v", placed, want)
+	want := map[media.PlatterID]string{
+		1: `healthy: ->healthy "published" at 0`,
+		2: `retired: failed->retired "rebuilt as platter 7 (1 extents remapped)" at 1700000000000000007`,
+		3: `healthy: ->healthy "published" at 0`,
+		7: `healthy: ->healthy "rebuilt (replaces platter 2)" at 1700000000000000007`,
+	}
+	if !reflect.DeepEqual(health, want) {
+		t.Fatalf("health after replay = %v, want %v", health, want)
 	}
 }

@@ -33,7 +33,7 @@ const (
 	tagSetComplete byte = 4
 	tagDurable     byte = 5
 	tagRelease     byte = 6
-	tagRemap       byte = 7
+	_              byte = 7 // was RecRemap, written before SILSNP02: never reuse
 	tagHealth      byte = 8
 )
 
@@ -44,7 +44,6 @@ var serviceRecords = recordTable{
 	tagSetComplete: func() Record { return new(RecSetComplete) },
 	tagDurable:     func() Record { return new(RecDurable) },
 	tagRelease:     func() Record { return new(RecRelease) },
-	tagRemap:       func() Record { return new(RecRemap) },
 	tagHealth:      func() Record { return new(RecHealth) },
 }
 
@@ -185,24 +184,6 @@ func (r *RecRelease) wire(c *coder) {
 	c.str(&r.Account)
 	c.str(&r.Name)
 	c.int(&r.Version)
-}
-
-// RecRemap swaps a rebuilt platter into its predecessor's place:
-// extents are rewritten and the set membership slot is replaced. Only
-// older logs hold it, after the rebuild's RecPublish, which now carries
-// the whole swap; it is read, never written.
-type RecRemap struct {
-	Old, New    media.PlatterID
-	Set, SetPos int
-}
-
-func (*RecRemap) recType() byte { return tagRemap }
-
-func (r *RecRemap) wire(c *coder) {
-	varint(&r.Old, c)
-	varint(&r.New, c)
-	c.int(&r.Set)
-	c.int(&r.SetPos)
 }
 
 // RecHealth is one platter health transition, mirrored from the repair

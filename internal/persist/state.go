@@ -204,39 +204,27 @@ func (b *builder) apply(rec Record) {
 		if r.Platter >= b.nextPlatter {
 			b.nextPlatter = r.Platter + 1
 		}
-		// A publish into a completed set's position is a rebuild: the
-		// replacement takes the position and the extents of the member
-		// it displaces. A fresh information platter joins the pending
-		// set; its health placement stays -1 until its set completes.
-		rebuilt := r.Set < len(b.sets)
-		switch {
-		case rebuilt:
-			b.replace(r.Set, r.SetPos, r.Platter)
-		case !r.Redundancy:
-			b.pending[r.SetPos] = r.Platter
-		}
 		if _, ok := b.health[r.Platter]; !ok {
-			h := &HealthDump{
-				Platter: r.Platter, Health: repair.Healthy, Set: -1,
+			b.putHealth(&HealthDump{
+				Platter: r.Platter, Health: repair.Healthy,
 				History: []repair.Transition{{
 					To: repair.Healthy.String(), Reason: r.Reason, At: time.Unix(0, r.AtUnixNano),
 				}},
-			}
-			if rebuilt {
-				h.Set, h.SetPos, h.Redundancy = r.Set, r.SetPos, r.Redundancy
-			}
-			b.putHealth(h)
+			})
+		}
+		// A publish into a completed set's position is a rebuild (see
+		// replace). A fresh information platter joins the pending set.
+		switch {
+		case r.Set < len(b.sets):
+			b.replace(r)
+		case !r.Redundancy:
+			b.pending[r.SetPos] = r.Platter
 		}
 	case *RecSetComplete:
 		for len(b.sets) <= r.Set {
 			b.sets = append(b.sets, nil)
 		}
 		b.sets[r.Set] = append([]media.PlatterID(nil), r.Members...)
-		for pos, m := range r.Members {
-			if h, p := b.health[m], b.platters[m]; h != nil && p != nil {
-				h.Set, h.SetPos, h.Redundancy = r.Set, pos, p.Redundancy
-			}
-		}
 		for pos, id := range b.pending {
 			for _, m := range r.Members {
 				if id == m {
@@ -255,37 +243,44 @@ func (b *builder) apply(rec Record) {
 		b.unstage(r.Account, r.Name, r.Version)
 	case *RecRelease:
 		b.unstage(r.Account, r.Name, r.Version)
-	case *RecRemap:
-		// Only older logs hold one, after its rebuild's RecPublish, which
-		// already swapped the set member and remapped the extents.
 	case *RecHealth:
-		h, ok := b.health[r.Platter]
-		if !ok {
-			return
-		}
-		from, to := repair.Health(r.From), repair.Health(r.To)
 		// Skip transitions the fuzzy snapshot already captured (the
 		// current health has moved past `from`) or that history makes
 		// illegal; both mean the in-memory registry never held them.
-		if h.Health != from || !repair.LegalTransition(from, to) {
-			return
+		if h, ok := b.health[r.Platter]; ok && h.Health == repair.Health(r.From) {
+			h.transition(repair.Health(r.To), r.Reason, r.AtUnixNano)
 		}
-		h.Health = to
-		h.History = append(h.History, repair.Transition{
-			From: from.String(), To: to.String(), Reason: r.Reason, At: time.Unix(0, r.AtUnixNano),
-		})
 	}
 }
 
-// replace puts a rebuilt platter at its set position and remaps the
-// extents of the member it displaces to it. Replaying it over a state
-// that already holds the platter there changes nothing.
-func (b *builder) replace(set, pos int, id media.PlatterID) {
-	if set < 0 || set >= len(b.sets) || pos < 0 || pos >= len(b.sets[set]) || b.sets[set][pos] == id {
+// transition moves h to health to, recording the edge, if the edge is
+// legal.
+func (h *HealthDump) transition(to repair.Health, reason string, atUnixNano int64) {
+	if !repair.LegalTransition(h.Health, to) {
 		return
 	}
-	b.meta.RemapPlatter(b.sets[set][pos], id)
-	b.sets[set][pos] = id
+	h.History = append(h.History, repair.Transition{
+		From: h.Health.String(), To: to.String(), Reason: reason, At: time.Unix(0, atUnixNano),
+	})
+	h.Health = to
+}
+
+// replace replays a rebuilt platter's publish, which is the whole
+// rebuild, as the live publish does: the platter takes its set position,
+// the member it displaces has its extents remapped to it and is retired.
+// Replaying it over a state that already holds the platter there changes
+// nothing.
+func (b *builder) replace(r *RecPublish) {
+	set, pos := r.Set, r.SetPos
+	if set < 0 || pos < 0 || pos >= len(b.sets[set]) || b.sets[set][pos] == r.Platter {
+		return
+	}
+	old := b.sets[set][pos]
+	remapped := b.meta.RemapPlatter(old, r.Platter)
+	b.sets[set][pos] = r.Platter
+	if h, ok := b.health[old]; ok {
+		h.transition(repair.Retired, repair.RebuiltAs(r.Platter, remapped), r.AtUnixNano)
+	}
 }
 
 // finish normalizes the replayed state into a State and opens the

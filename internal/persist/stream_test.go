@@ -69,7 +69,7 @@ func streamSnapshot() *SnapshotData {
 	}
 	for id := media.PlatterID(0); id < 40; id++ {
 		s.Platters = append(s.Platters, PlatterDesc{ID: id, Set: int(id) / 10, SetPos: int(id) % 10, Redundancy: id%10 >= 8, Used: 200})
-		s.Health = append(s.Health, HealthDump{Platter: id, Health: repair.Healthy, Set: int(id) / 10, SetPos: int(id) % 10,
+		s.Health = append(s.Health, HealthDump{Platter: id, Health: repair.Healthy,
 			History: []repair.Transition{{To: "healthy", Reason: "published", At: time.Unix(0, 1700000000000000000+int64(id))}}})
 	}
 	s.Sets = [][]media.PlatterID{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {10, 11, 12, 13, 14, 15, 16, 17, 18, 19}}
@@ -130,8 +130,8 @@ func TestStreamedFilesPinned(t *testing.T) {
 	if err := l.CommitSnapshot(cut, snap); err != nil {
 		t.Fatal(err)
 	}
-	data := checkPinned(t, filepath.Join(dir, snapName(cut)), 589017,
-		"724b9917ec7e5701144a6083c2c8b2f5326622100d70123991b1c9c1c23c1426")
+	data := checkPinned(t, filepath.Join(dir, snapName(cut)), 588897,
+		"e020d2f794e61225c0a015f3ac913d35e80a66d4ee88d613801a7df1f8c273e9")
 	var backCut uint64
 	back := new(SnapshotData)
 	if err := openFile(snapMagic, data, wireSnapshot(&backCut, back.wire)); err != nil {

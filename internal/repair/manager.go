@@ -124,17 +124,12 @@ func NewManager(tgt Target, reg *Registry, gate func() bool, cfg Config) *Manage
 
 // Start hands back every rebuild no process owns, then launches the
 // scrub and rebuild loops. A platter recovered as rebuilding was cut
-// off mid-rebuild: it is failed again if its set still lists it, and
-// retired if its replacement already took its position.
+// off before its replacement's publish record, which retires it on
+// replay too: it is failed again, and owed the rebuild.
 func (m *Manager) Start() {
 	for _, p := range m.tgt.ListPlatters() {
-		if rec, ok := m.reg.Get(p.ID); !ok || rec.Health() != Rebuilding {
-			continue
-		}
-		if p.Set >= 0 {
+		if rec, ok := m.reg.Get(p.ID); ok && rec.Health() == Rebuilding {
 			_ = m.reg.Transition(p.ID, Failed, "rebuild interrupted by a restart")
-		} else {
-			_ = m.reg.Transition(p.ID, Retired, "replaced before a restart")
 		}
 	}
 	m.wg.Add(2)

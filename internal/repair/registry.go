@@ -32,12 +32,9 @@ type Record struct {
 	tierSinceScrub [numTiers]atomic.Int64
 
 	// Guarded by the owning registry's mutex.
-	set        int
-	setPos     int
-	redundancy bool
-	history    []Transition
-	lastScrub  *ScrubReport
-	scrubs     int
+	history   []Transition
+	lastScrub *ScrubReport
+	scrubs    int
 }
 
 // Health returns the platter's current health (atomic; safe on the
@@ -65,10 +62,12 @@ func (r *Record) reportsSinceScrub() int64 {
 	return n
 }
 
-// Registry is the platter health state machine. All transitions are
-// validated and recorded per platter; the edge counts are read off those
-// histories, so failure injection and repair progress are observable end
-// to end.
+// Registry is the platter health state machine. It keeps health,
+// history, scrub state and recovery-tier counts, and nothing of where a
+// platter sits: the service's set index is the one record of that. All
+// transitions are validated and recorded per platter; the edge counts
+// are read off those histories, so failure injection and repair
+// progress are observable end to end.
 type Registry struct {
 	mu       sync.Mutex
 	platters map[media.PlatterID]*Record
@@ -97,7 +96,7 @@ func (g *Registry) Register(id media.PlatterID, reason string) *Record {
 	if r, ok := g.platters[id]; ok {
 		return r
 	}
-	r := &Record{id: id, set: -1}
+	r := &Record{id: id}
 	r.history = append(r.history, Transition{To: Healthy.String(), Reason: reason, At: g.now()})
 	g.platters[id] = r
 	return r
@@ -109,16 +108,6 @@ func (g *Registry) Get(id media.PlatterID) (*Record, bool) {
 	defer g.mu.Unlock()
 	r, ok := g.platters[id]
 	return r, ok
-}
-
-// SetPlacement records a platter's position within its completed
-// platter-set, for health reporting.
-func (g *Registry) SetPlacement(id media.PlatterID, set, setPos int, redundancy bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if r, ok := g.platters[id]; ok {
-		r.set, r.setPos, r.redundancy = set, setPos, redundancy
-	}
 }
 
 // OnTransition registers a callback fired after every recorded health
@@ -161,13 +150,13 @@ func (g *Registry) Transition(id media.PlatterID, to Health, reason string) erro
 	return nil
 }
 
-// Restore installs a platter record with the given health, placement,
-// and history, replacing any existing record. Recovery-only: the
-// callback is not fired (the state being installed came from the log).
-func (g *Registry) Restore(id media.PlatterID, h Health, set, setPos int, redundancy bool, history []Transition) {
+// Restore installs a platter record with the given health and history,
+// replacing any existing record. Recovery-only: the callback is not
+// fired (the state being installed came from the log).
+func (g *Registry) Restore(id media.PlatterID, h Health, history []Transition) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	r := &Record{id: id, set: set, setPos: setPos, redundancy: redundancy}
+	r := &Record{id: id}
 	r.health.Store(int32(h))
 	r.history = append([]Transition(nil), history...)
 	g.platters[id] = r
@@ -216,7 +205,10 @@ func (g *Registry) Counts() map[Health]int {
 	return out
 }
 
-// PlatterHealth is the externally visible health of one platter.
+// PlatterHealth is the externally visible health of one platter. The
+// registry keeps no placement: Set, SetPos and Redundancy come from the
+// service's set index (Service.HealthSnapshot), and Set is -1 while the
+// platter holds no position in a completed set.
 type PlatterHealth struct {
 	Platter       media.PlatterID `json:"platter"`
 	Health        string          `json:"health"`
@@ -238,7 +230,8 @@ type Snapshot struct {
 	Platters    []PlatterHealth  `json:"platters"`
 }
 
-// Snapshot captures every platter's health, history, and scrub state.
+// Snapshot captures every platter's health, history, and scrub state,
+// each platter unplaced (Set -1).
 func (g *Registry) Snapshot() Snapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -257,9 +250,7 @@ func (g *Registry) Snapshot() Snapshot {
 		ph := PlatterHealth{
 			Platter:       r.id,
 			Health:        h.String(),
-			Set:           r.set,
-			SetPos:        r.setPos,
-			Redundancy:    r.redundancy,
+			Set:           -1,
 			SectorRepairs: r.tierReports[TierSector].Load(),
 			TrackRebuilds: r.tierReports[TierTrack].Load(),
 			SetRecoveries: r.tierReports[TierSet].Load(),

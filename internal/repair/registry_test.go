@@ -63,7 +63,6 @@ func TestSnapshotCountsAndHistory(t *testing.T) {
 	for id := media.PlatterID(1); id <= 3; id++ {
 		reg.Register(id, "published")
 	}
-	reg.SetPlacement(2, 0, 1, false)
 	reg.Transition(2, Failed, "injected failure")
 	reg.Transition(2, Rebuilding, "rebuild started")
 	reg.Transition(2, Retired, "rebuilt as platter 4")
@@ -88,7 +87,8 @@ func TestSnapshotCountsAndHistory(t *testing.T) {
 	if p2 == nil {
 		t.Fatal("platter 2 missing from snapshot")
 	}
-	if p2.Set != 0 || p2.SetPos != 1 || p2.Health != "retired" {
+	// The registry keeps no placement: the service places platters.
+	if p2.Set != -1 || p2.Health != "retired" {
 		t.Fatalf("platter 2 = %+v", p2)
 	}
 	wantArc := []string{"healthy", "failed", "rebuilding", "retired"}

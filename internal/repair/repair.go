@@ -111,6 +111,12 @@ type Transition struct {
 	At     time.Time `json:"at"`
 }
 
+// RebuiltAs is the reason a rebuilt platter's publish retires the
+// member it displaces with, live and on WAL replay alike.
+func RebuiltAs(id media.PlatterID, remapped int) string {
+	return fmt.Sprintf("rebuilt as platter %d (%d extents remapped)", id, remapped)
+}
+
 // Tier identifies which §5 recovery level served a degraded read; the
 // read path reports these so scrub prioritization has a real signal.
 type Tier int

@@ -81,7 +81,7 @@ func (s *Service) installState(st *persist.State) error {
 		s.tier.Restore(f)
 	}
 	for _, h := range st.Health {
-		s.health.Restore(h.Platter, h.Health, h.Set, h.SetPos, h.Redundancy, h.History)
+		s.health.Restore(h.Platter, h.Health, h.History)
 	}
 	for _, p := range st.Platters {
 		pi := &platterInfo{
@@ -133,10 +133,7 @@ func (s *Service) exportSnapshotData() *persist.SnapshotData {
 	health := make([]persist.HealthDump, 0, len(hs.Platters))
 	for _, ph := range hs.Platters {
 		h, _ := repair.ParseHealth(ph.Health)
-		health = append(health, persist.HealthDump{
-			Platter: ph.Platter, Health: h, Set: ph.Set, SetPos: ph.SetPos,
-			Redundancy: ph.Redundancy, History: ph.History,
-		})
+		health = append(health, persist.HealthDump{Platter: ph.Platter, Health: h, History: ph.History})
 	}
 	return &persist.SnapshotData{
 		OpSeq:       s.opSeq.Load(),

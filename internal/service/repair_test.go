@@ -3,9 +3,11 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"silica/internal/faults"
 	"silica/internal/media"
 	"silica/internal/metadata"
 	"silica/internal/repair"
@@ -178,7 +180,7 @@ func TestPendingPlacementAgreesAcrossRestarts(t *testing.T) {
 	}
 	id := platterOf(t, s, "acct", "lonely")
 	placement := func(s *Service) string {
-		for _, ph := range s.Health().Snapshot().Platters {
+		for _, ph := range s.HealthSnapshot().Platters {
 			if ph.Platter == id {
 				return fmt.Sprintf("set=%d pos=%d redundancy=%v", ph.Set, ph.SetPos, ph.Redundancy)
 			}
@@ -200,6 +202,105 @@ func TestPendingPlacementAgreesAcrossRestarts(t *testing.T) {
 	if want := "set=-1 pos=0 redundancy=false"; live != want || crashed != want || clean != want {
 		t.Fatalf("pending platter %d placement: live %s, after a crash %s, after a clean reopen %s; want %s",
 			id, live, crashed, clean, want)
+	}
+}
+
+// requireOnePlatterPerPosition fails unless the health snapshot places
+// exactly the members the set index lists, one at each position of each
+// completed set, and places the displaced platter old at set -1.
+func requireOnePlatterPerPosition(t *testing.T, s *Service, old media.PlatterID, when string) {
+	t.Helper()
+	placed := map[[2]int][]media.PlatterID{}
+	for _, ph := range s.HealthSnapshot().Platters {
+		if ph.Platter == old && ph.Set != -1 {
+			t.Errorf("%s: displaced platter %d reports set %d position %d, want set -1", when, old, ph.Set, ph.SetPos)
+		}
+		if ph.Set >= 0 {
+			placed[[2]int{ph.Set, ph.SetPos}] = append(placed[[2]int{ph.Set, ph.SetPos}], ph.Platter)
+		}
+	}
+	s.mu.RLock()
+	want := map[[2]int][]media.PlatterID{}
+	for set, members := range s.sets {
+		for pos, m := range members {
+			want[[2]int{set, pos}] = []media.PlatterID{m}
+		}
+	}
+	s.mu.RUnlock()
+	if !reflect.DeepEqual(placed, want) {
+		t.Fatalf("%s: health report places %v, want one platter a position, as the set index lists: %v", when, placed, want)
+	}
+}
+
+// TestRebuildLeavesOnePlatterPerPosition: the health report places a
+// platter from the set index alone, so after a rebuild the replacement
+// is the one platter at its position and the member it displaced
+// reports set -1, live and after a clean reopen. The registry used to
+// keep its own copy of placement, in which both stayed at the position.
+func TestRebuildLeavesOnePlatterPerPosition(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.Channel = voxel.CleanChannel()
+	cfg.PersistDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSet(t, s, cfg)
+	old := platterOf(t, s, "acct", "bulk0")
+	if err := s.FailPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	requireOnePlatterPerPosition(t, s, -1, "before the rebuild")
+	if _, err := s.RebuildPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	requireOnePlatterPerPosition(t, s, old, "live")
+	if err := s.ClosePersist(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.ClosePersist() }()
+	requireOnePlatterPerPosition(t, s, old, "after a clean reopen")
+}
+
+// TestLostRetireRecordStillRetires: a rebuilt platter's publish record
+// is the whole rebuild, on replay too, so the member it displaces comes
+// back retired after a crash even when the retire record behind it
+// failed to append. The health counts after the reopen equal the live
+// ones. The member used to come back failed, for good.
+func TestLostRetireRecordStillRetires(t *testing.T) {
+	cfg := smallSetConfig()
+	cfg.Channel = voxel.CleanChannel()
+	cfg.PersistDir = t.TempDir()
+	cfg.Faults = faults.New(1)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillSet(t, s, cfg)
+	old := platterOf(t, s, "acct", "bulk0")
+	if err := s.FailPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	// The rebuild's first append is its publish record; the second, the
+	// displaced member's retire record, fails.
+	if err := cfg.Faults.ArmString("op=persist.append,mode=error,after=1,count=1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RebuildPlatter(old); err != nil {
+		t.Fatal(err)
+	}
+	report := func(s *Service) string {
+		rec, _ := s.Health().Get(old)
+		return fmt.Sprintf("platter %d %v, counts %v", old, rec.Health(), s.HealthSnapshot().Counts)
+	}
+	live := report(s)
+	s = crashAndReopen(t, s, cfg)
+	want := fmt.Sprintf("platter %d retired, counts map[healthy:6 retired:1]", old)
+	if got := report(s); live != want || got != want {
+		t.Fatalf("live: %s; after a crash and a reopen: %s; want %s both times", live, got, want)
 	}
 }
 

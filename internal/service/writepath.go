@@ -510,10 +510,8 @@ func (s *Service) publish(reason string, pis ...*platterInfo) error {
 		payload := int64(pi.usedInfoSectors) * int64(s.cfg.Geom.SectorPayloadBytes)
 		switch {
 		case rebuilt:
-			s.health.SetPlacement(id, pi.set, pi.setPos, pi.isRedundancy)
 			remapped := s.meta.RemapPlatter(old, id)
-			_ = s.health.Transition(old, repair.Retired,
-				fmt.Sprintf("rebuilt as platter %d (%d extents remapped)", id, remapped))
+			_ = s.health.Transition(old, repair.Retired, repair.RebuiltAs(id, remapped))
 			s.om.plattersRebuilt.Inc()
 		case pi.isRedundancy:
 			s.om.plattersRedundancy.Inc()
@@ -984,9 +982,6 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		s.platters[m].payloads = nil
 	}
 	s.mu.Unlock()
-	for pos, m := range members {
-		s.health.SetPlacement(m, setIdx, pos, pos >= s.cfg.SetInfo)
-	}
 	if s.plog != nil {
 		if _, err := s.plog.Append(&persist.RecSetComplete{Set: setIdx, Members: members}); err != nil {
 			return 0, err

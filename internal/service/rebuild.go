@@ -98,7 +98,8 @@ func (s *Service) RebuildPlatter(old media.PlatterID) (media.PlatterID, error) {
 	}
 
 	// Publish the replacement, durable first; its visible half swaps it
-	// into the set position and remaps the old platter's extents to it.
+	// into the set position, remaps the old platter's extents to it and
+	// retires the old platter, as replay of its record does.
 	// Readers resolve either the old id (unavailable → set recovery) or
 	// the new one; never partial media. A failed publish changes nothing
 	// and discards the replacement's blob.

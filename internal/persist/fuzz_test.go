@@ -20,8 +20,8 @@ import (
 // re-encodes to bytes that decode and re-encode to the same bytes —
 // the canonical encoding is a fixed point, NaNs and all.
 //
-// Seeds are the golden fixtures. `make fuzz-smoke` runs each target
-// for ten seconds.
+// Seeds are the golden fixtures and the committed service directory's
+// log. `make fuzz-smoke` runs each target for ten seconds.
 
 func wireFixture(tb testing.TB, name string) []byte {
 	tb.Helper()
@@ -90,6 +90,14 @@ func FuzzScanWAL(f *testing.F) {
 	for _, seg := range []string{"wal-service", "wal-router"} {
 		f.Add(wireFixture(f, seg))
 	}
+	// The committed service directory's last segment ends in a
+	// rebuild's publish, which takes a completed set's position and
+	// retires the member it displaces.
+	replay, err := os.ReadFile(filepath.Join("testdata", "service-dir", "wal-000000000000000a.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replay)
 	for _, g := range goldenRecords() {
 		f.Add(append(make([]byte, 8), wireFixture(f, "rec-"+g.name)...))
 	}

@@ -185,11 +185,11 @@ func (s *Store) versionLocked(key FileKey, version int) (*Version, error) {
 	return e.versions[version-1], nil
 }
 
-// Delete marks every live version of key deleted (pointer removal) and
-// returns the key IDs whose keys the caller must shred.
-func (s *Store) Delete(key FileKey) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// LiveKeyIDs returns the key IDs of key's live versions: the keys the
+// caller shreds when it deletes key.
+func (s *Store) LiveKeyIDs(key FileKey) ([]string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	e := s.files[key]
 	if e == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, key)
@@ -197,7 +197,6 @@ func (s *Store) Delete(key FileKey) ([]string, error) {
 	var keyIDs []string
 	for _, v := range e.versions {
 		if v.State != Deleted {
-			v.State = Deleted
 			keyIDs = append(keyIDs, v.KeyID)
 		}
 	}
@@ -205,6 +204,17 @@ func (s *Store) Delete(key FileKey) ([]string, error) {
 		return nil, fmt.Errorf("%w: %v (already deleted)", ErrNotFound, key)
 	}
 	return keyIDs, nil
+}
+
+// Delete marks every version of key deleted (pointer removal).
+func (s *Store) Delete(key FileKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.files[key]; e != nil {
+		for _, v := range e.versions {
+			v.State = Deleted
+		}
+	}
 }
 
 // RemapPlatter rewrites every extent pointing at platter old to point

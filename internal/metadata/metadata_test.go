@@ -63,13 +63,14 @@ func TestDeleteRemovesPointers(t *testing.T) {
 	s := NewStore()
 	s.Put(k("a"), 100, "key1", 1)
 	s.Put(k("a"), 200, "key2", 2)
-	ids, err := s.Delete(k("a"))
+	ids, err := s.LiveKeyIDs(k("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ids) != 2 || ids[0] != "key1" || ids[1] != "key2" {
 		t.Fatalf("key ids = %v", ids)
 	}
+	s.Delete(k("a"))
 	if _, err := s.Get(k("a")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get after delete: %v", err)
 	}
@@ -78,11 +79,11 @@ func TestDeleteRemovesPointers(t *testing.T) {
 	if err != nil || v.State != Deleted {
 		t.Fatalf("deleted version = %+v, %v", v, err)
 	}
-	if _, err := s.Delete(k("a")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
+	if _, err := s.LiveKeyIDs(k("a")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("key ids after delete: %v", err)
 	}
-	if _, err := s.Delete(k("never")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("delete missing: %v", err)
+	if _, err := s.LiveKeyIDs(k("never")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("key ids of a missing file: %v", err)
 	}
 }
 
@@ -302,9 +303,7 @@ func TestRemapInterleavedWithDelete(t *testing.T) {
 	if err := s.SetExtents(k("b"), 1, []Extent{{Platter: 5, FirstSector: 2, SectorCount: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Delete(k("a")); err != nil {
-		t.Fatal(err)
-	}
+	s.Delete(k("a"))
 	if n := s.RemapPlatter(5, 8); n != 2 {
 		t.Fatalf("remapped %d extents, want 2 (deleted versions included)", n)
 	}
@@ -374,9 +373,7 @@ func TestRemapDoesNotRaceGet(t *testing.T) {
 func TestSetExtentsOnDeletedVersion(t *testing.T) {
 	s := NewStore()
 	s.Put(k("a"), 100, "key1", 1)
-	if _, err := s.Delete(k("a")); err != nil {
-		t.Fatal(err)
-	}
+	s.Delete(k("a"))
 	err := s.SetExtents(k("a"), 1, []Extent{{Platter: 5, SectorCount: 1}})
 	if !errors.Is(err, ErrDeleted) {
 		t.Fatalf("SetExtents on deleted version: %v, want ErrDeleted", err)

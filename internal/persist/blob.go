@@ -46,7 +46,8 @@ import (
 // refused.
 //
 // Publishing a platter makes its blob durable, file and directory
-// entry, *before* the platter's RecPublish is appended. Recovery
+// entry, *before* the record that publishes it (its RecPublish, or its
+// set's RecSetClose) is appended. Recovery
 // therefore treats record-without-blob as fatal corruption (the
 // ordering rules it out short of disk damage), while blob-without-record
 // is a crash between burn and publish and is garbage-collected. A burn

@@ -90,10 +90,14 @@ func FuzzScanWAL(f *testing.F) {
 	for _, seg := range []string{"wal-service", "wal-router"} {
 		f.Add(wireFixture(f, seg))
 	}
-	// The committed service directory's last segment ends in a
-	// rebuild's publish, which takes a completed set's position and
-	// retires the member it displaces.
-	replay, err := os.ReadFile(filepath.Join("testdata", "service-dir", "wal-000000000000000a.wal"))
+	// The committed service directory's last segment holds a rebuild's
+	// publish, which takes a completed set's position and retires the
+	// member it displaces.
+	segs, err := filepath.Glob(filepath.Join("testdata", "service-dir", "wal-*.wal"))
+	if err != nil || len(segs) == 0 {
+		f.Fatalf("no WAL segment in the service directory: %v", err)
+	}
+	replay, err := os.ReadFile(segs[len(segs)-1])
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -50,7 +50,10 @@ func goldenRecords() []struct {
 			Platter: 300, Set: -1, SetPos: 2, Redundancy: true, Used: 129,
 			Reason: "published", AtUnixNano: 1700000000123456789,
 		}},
-		{"set-complete", &RecSetComplete{Set: 5, Members: []media.PlatterID{11, 12, 300}}},
+		{"set-close", &RecSetClose{
+			Set: 5, Members: []media.PlatterID{11, 12, 300, 301}, Redundancy: 2, Used: 129,
+			Reason: "published (set redundancy)", AtUnixNano: 1700000000123456790,
+		}},
 		{"durable", &RecDurable{
 			Account: "acct", Name: "file-3", Version: 2,
 			Extents: []metadata.Extent{
@@ -348,8 +351,7 @@ func writeGoldenServiceDir(t *testing.T, dir string) {
 	mustAppend(t, l,
 		&RecPublish{Platter: 2, Set: 0, SetPos: 1, Used: 1, Reason: "published", AtUnixNano: 1700000000000000002},
 		&RecDurable{Account: "a", Name: "f2", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1, Shard: 0}}},
-		&RecPublish{Platter: 3, Set: 0, SetPos: 2, Redundancy: true, Reason: "redundancy", AtUnixNano: 1700000000000000003},
-		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
+		&RecSetClose{Set: 0, Members: []media.PlatterID{1, 2, 3}, Redundancy: 1, Reason: "redundancy", AtUnixNano: 1700000000000000003},
 		&RecHealth{Platter: 2, From: int32(repair.Healthy), To: int32(repair.Suspect), Reason: "scrub", AtUnixNano: 1700000000000000004},
 	)
 	if _, err := l.BeginSnapshot(); err != nil { // rotate; the snapshot never commits

@@ -7,13 +7,15 @@
 //
 // Crash-consistency argument, in brief:
 //
-//  1. Order. Every mutation happens in memory first, then its record
-//     is appended; the operation is acknowledged only after fsync. So
+//  1. Order. Every record is appended before its mutation is visible,
+//     and a failed append leaves memory as recovery would rebuild it;
+//     the operation is acknowledged only after fsync. So
 //     "acknowledged" implies "record durable".
 //  2. Fuzzy snapshots. BeginSnapshot rotates the WAL at a cut LSN
-//     before the state is exported, so any record with lsn <= cut was
-//     appended — and its mutation applied — before the export began
-//     and is therefore captured by it. Records with lsn > cut survive
+//     before the state is exported, and the caller keeps the cut from
+//     falling between a record and its mutation, so any record with
+//     lsn <= cut had its mutation applied before the export began and
+//     is therefore captured by it. Records with lsn > cut survive
 //     in the new WAL file and replay over the snapshot; replay is
 //     idempotent (overwrite/converge semantics per record), so a
 //     mutation both captured and replayed converges.
@@ -24,7 +26,7 @@
 //     Open then snapshots immediately, so discarded bytes never
 //     survive on disk.
 //  4. Platter media. Sector bytes live in per-platter blobs, burned
-//     in place and fsynced before the platter's publish record, so
+//     in place and fsynced before the record that publishes them, so
 //     record-implies-blob; a blob without a record is a crash between
 //     burn and publish and is garbage-collected at recovery.
 package persist
@@ -291,8 +293,9 @@ func (l *Log) Sync() error {
 // current WAL durable, rotates to a fresh file, and returns the cut
 // LSN. The caller then exports the live state — traffic may continue —
 // and hands it to CommitSnapshot. Any record with lsn <= cut was
-// appended (and its mutation applied) before this call returned, so
-// the export is guaranteed to reflect it; records racing the export
+// appended before this call returned; a caller that keeps the call from
+// falling between a record and its mutation has then applied them all,
+// so the export is guaranteed to reflect it. Records racing the export
 // land past the cut and will replay.
 func (l *Log) BeginSnapshot() (uint64, error) {
 	if l.frozen.Load() {
@@ -387,8 +390,9 @@ func (l *Log) CreatePlatterBlob(id media.PlatterID, spt, stride int, sectors fun
 }
 
 // SyncPlatterBlob makes a burned platter's blob durable, its file and
-// its directory entry both. Must complete before the platter's
-// RecPublish is appended (the record-implies-blob recovery invariant).
+// its directory entry both. Must complete before the record that
+// publishes the platter is appended (the record-implies-blob recovery
+// invariant).
 func (l *Log) SyncPlatterBlob(b *Blob) error {
 	if l.frozen.Load() {
 		return ErrCrashed

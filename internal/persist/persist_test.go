@@ -275,11 +275,10 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 		writeBlob(t, l, id, sectors)
 		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
 	}
-	// Redundancy platter + set close.
+	// The set close publishes its redundancy platter.
 	writeBlob(t, l, 3, sectors)
 	appendSync(t, l,
-		&RecPublish{Platter: 3, Set: 0, SetPos: 2, Redundancy: true, Reason: "redundancy"},
-		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
+		&RecSetClose{Set: 0, Members: []media.PlatterID{1, 2, 3}, Redundancy: 1, Reason: "redundancy"},
 		&RecHealth{Platter: 2, From: int32(repair.Healthy), To: int32(repair.Suspect), Reason: "scrub"},
 	)
 	l.Close()
@@ -310,6 +309,10 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 	}
 }
 
+// TestOrphanRedundancyAndBlobGC: a blob with no record is a crash
+// between its burn and its record, and recovery removes it. A set's
+// redundancy platters have no record of their own: a close cut off
+// before its set-close record leaves only their blobs.
 func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
@@ -317,10 +320,9 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	// Info platter of an open set: survives.
 	writeBlob(t, l, 1, sectors)
 	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
-	// Red platter published but its set never completed: orphan.
+	// A redundancy platter of a close that never recorded, and a blob
+	// whose publish record never landed.
 	writeBlob(t, l, 2, sectors)
-	appendSync(t, l, &RecPublish{Platter: 2, Set: 0, SetPos: 1, Redundancy: true, Reason: "redundancy"})
-	// Blob with no record at all: crash between blob write and append.
 	writeBlob(t, l, 9, sectors)
 	l.Close()
 
@@ -336,10 +338,8 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	if got := blobSectors(st.Platters[0].Blob); !reflect.DeepEqual(got, sectors) {
 		t.Fatalf("open-set member's sectors not recovered: %+v", got)
 	}
-	for _, h := range st.Health {
-		if h.Platter == 2 {
-			t.Fatalf("orphan red platter kept a health entry")
-		}
+	if len(st.Health) != 1 || st.Health[0].Platter != 1 {
+		t.Fatalf("health = %+v, want platter 1's alone", st.Health)
 	}
 	listing, _ := listDir(dir)
 	if len(listing.blobs) != 1 || listing.blobs[0] != 1 {
@@ -449,12 +449,13 @@ func TestPublishReplayReplacesMember(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
-	for id := media.PlatterID(1); id <= 3; id++ {
+	for id := media.PlatterID(1); id <= 2; id++ {
 		writeBlob(t, l, id, sectors)
-		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Redundancy: id == 3, Reason: "published"})
+		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Reason: "published"})
 	}
+	writeBlob(t, l, 3, sectors)
 	appendSync(t, l,
-		&RecSetComplete{Set: 0, Members: []media.PlatterID{1, 2, 3}},
+		&RecSetClose{Set: 0, Members: []media.PlatterID{1, 2, 3}, Redundancy: 1, Reason: "published"},
 		&RecPut{Account: "a", Name: "f", Version: 1, Size: 3, KeyID: "k", Key: []byte("K"), Ciphertext: []byte("ccc"), OpSeq: 1},
 		&RecDurable{Account: "a", Name: "f", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1}}},
 	)

@@ -6,12 +6,13 @@ import (
 )
 
 // Record is one typed WAL entry. Every mutating path of the service
-// appends its record *before* acknowledging the operation; replaying
-// records in LSN order over the latest snapshot reconstructs the exact
-// pre-crash state. Record application is idempotent (overwrite/
-// converge semantics), which is what lets snapshots be taken fuzzily
-// while traffic continues: a mutation captured by the snapshot whose
-// record lands after the snapshot's cut replays as a no-op.
+// appends its record before its effect is visible and fsyncs it before
+// acknowledging the operation; replaying records in LSN order over the
+// latest snapshot reconstructs the exact pre-crash state. Record
+// application is idempotent (overwrite/converge semantics), which is
+// what lets snapshots be taken fuzzily while traffic continues: a
+// mutation captured by the snapshot whose record lands after the
+// snapshot's cut replays as a no-op.
 //
 // wire is the record body's layout, stated once for both directions
 // (see coder).
@@ -27,24 +28,25 @@ type recordTable map[byte]func() Record
 
 // Record type tags. Never renumber: they are the on-disk format.
 const (
-	tagPut         byte = 1
-	tagDelete      byte = 2
-	tagPublish     byte = 3
-	tagSetComplete byte = 4
-	tagDurable     byte = 5
-	tagRelease     byte = 6
-	_              byte = 7 // was RecRemap, written before SILSNP02: never reuse
-	tagHealth      byte = 8
+	tagPut      byte = 1
+	tagDelete   byte = 2
+	tagPublish  byte = 3
+	_           byte = 4 // was RecSetComplete, written before SILSNP03: never reuse
+	tagDurable  byte = 5
+	tagRelease  byte = 6
+	_           byte = 7 // was RecRemap, written before SILSNP02: never reuse
+	tagHealth   byte = 8
+	tagSetClose byte = 9
 )
 
 var serviceRecords = recordTable{
-	tagPut:         func() Record { return new(RecPut) },
-	tagDelete:      func() Record { return new(RecDelete) },
-	tagPublish:     func() Record { return new(RecPublish) },
-	tagSetComplete: func() Record { return new(RecSetComplete) },
-	tagDurable:     func() Record { return new(RecDurable) },
-	tagRelease:     func() Record { return new(RecRelease) },
-	tagHealth:      func() Record { return new(RecHealth) },
+	tagPut:      func() Record { return new(RecPut) },
+	tagDelete:   func() Record { return new(RecDelete) },
+	tagPublish:  func() Record { return new(RecPublish) },
+	tagDurable:  func() Record { return new(RecDurable) },
+	tagRelease:  func() Record { return new(RecRelease) },
+	tagHealth:   func() Record { return new(RecHealth) },
+	tagSetClose: func() Record { return new(RecSetClose) },
 }
 
 // Sub-layouts carried by both a WAL record and a snapshot are stated
@@ -116,10 +118,11 @@ func (r *RecDelete) wire(c *coder) {
 	slice(c, &r.KeyIDs, func(id *string, c *coder) { c.str(id) })
 }
 
-// RecPublish registers one verified platter in the index. The media's
-// sectors live in the platter's sidecar blob (written and fsynced
-// before this record is appended — record-implies-blob is a recovery
-// invariant); the record carries the index metadata.
+// RecPublish registers one verified information platter, or a rebuilt
+// one, in the index. The media's sectors live in the platter's sidecar
+// blob (written and fsynced before this record is appended —
+// record-implies-blob is a recovery invariant); the record carries the
+// index metadata.
 type RecPublish struct {
 	Platter    media.PlatterID
 	Set        int // pending-set index assigned at publish
@@ -138,18 +141,29 @@ func (r *RecPublish) wire(c *coder) {
 	c.i64(&r.AtUnixNano)
 }
 
-// RecSetComplete closes one platter-set: its full membership (info
-// members then redundancy members) becomes a durable recovery group.
-type RecSetComplete struct {
-	Set     int
-	Members []media.PlatterID
+// RecSetClose is the whole of one platter-set's close: its full
+// membership (information members, then Redundancy redundancy members)
+// becomes a durable recovery group, and each redundancy member, its blob
+// fsynced before the record, is published with Used sectors, healthy
+// since AtUnixNano for Reason.
+type RecSetClose struct {
+	Set        int
+	Members    []media.PlatterID
+	Redundancy int
+	Used       int
+	Reason     string
+	AtUnixNano int64
 }
 
-func (*RecSetComplete) recType() byte { return tagSetComplete }
+func (*RecSetClose) recType() byte { return tagSetClose }
 
-func (r *RecSetComplete) wire(c *coder) {
+func (r *RecSetClose) wire(c *coder) {
 	c.int(&r.Set)
 	wirePlatterIDs(&r.Members, c)
+	c.int(&r.Redundancy)
+	c.int(&r.Used)
+	c.str(&r.Reason)
+	c.i64(&r.AtUnixNano)
 }
 
 // RecDurable marks one file version durable: extents recorded and the

@@ -55,9 +55,10 @@ type SnapshotData struct {
 // sealTo envelope). The file is written atomically (temp + fsync +
 // rename), so a crash mid-snapshot leaves the previous snapshot
 // untouched. Both domains' snapshot bodies open with the fingerprint.
-// A snapshot under any other magic, "SILSNP01" included, does not
-// decode, so a directory holding only such snapshots is refused.
-const snapMagic = "SILSNP02"
+// A snapshot under any other magic, "SILSNP01" and "SILSNP02" included,
+// does not decode, so a directory holding only such snapshots is
+// refused: its log may hold records whose tags are now reserved.
+const snapMagic = "SILSNP03"
 
 func snapName(cut uint64) string {
 	return fmt.Sprintf("snap-%016x.db", cut)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -191,46 +192,34 @@ func (b *builder) apply(rec Record) {
 		}
 	case *RecDelete:
 		key := metadata.FileKey{Account: r.Account, Name: r.Name}
-		_, _ = b.meta.Delete(key)
+		b.meta.Delete(key)
 		for _, kid := range r.KeyIDs {
 			delete(b.keys, kid)
 		}
 	case *RecPublish:
-		p := &PlatterState{PlatterDesc: PlatterDesc{
-			ID: r.Platter, Set: r.Set, SetPos: r.SetPos,
-			Redundancy: r.Redundancy, Used: r.Used,
-		}}
-		b.putPlatter(p)
-		if r.Platter >= b.nextPlatter {
-			b.nextPlatter = r.Platter + 1
-		}
-		if _, ok := b.health[r.Platter]; !ok {
-			b.putHealth(&HealthDump{
-				Platter: r.Platter, Health: repair.Healthy,
-				History: []repair.Transition{{
-					To: repair.Healthy.String(), Reason: r.Reason, At: time.Unix(0, r.AtUnixNano),
-				}},
-			})
-		}
+		b.publish(PlatterDesc{
+			ID: r.Platter, Set: r.Set, SetPos: r.SetPos, Redundancy: r.Redundancy, Used: r.Used,
+		}, r.Reason, r.AtUnixNano)
 		// A publish into a completed set's position is a rebuild (see
 		// replace). A fresh information platter joins the pending set.
-		switch {
-		case r.Set < len(b.sets):
+		if r.Set < len(b.sets) {
 			b.replace(r)
-		case !r.Redundancy:
+		} else {
 			b.pending[r.SetPos] = r.Platter
 		}
-	case *RecSetComplete:
+	case *RecSetClose:
+		for pos := max(len(r.Members)-r.Redundancy, 0); pos < len(r.Members); pos++ {
+			b.publish(PlatterDesc{
+				ID: r.Members[pos], Set: r.Set, SetPos: pos, Redundancy: true, Used: r.Used,
+			}, r.Reason, r.AtUnixNano)
+		}
 		for len(b.sets) <= r.Set {
 			b.sets = append(b.sets, nil)
 		}
 		b.sets[r.Set] = append([]media.PlatterID(nil), r.Members...)
 		for pos, id := range b.pending {
-			for _, m := range r.Members {
-				if id == m {
-					delete(b.pending, pos)
-					break
-				}
+			if slices.Contains(r.Members, id) {
+				delete(b.pending, pos)
 			}
 		}
 	case *RecDurable:
@@ -250,6 +239,24 @@ func (b *builder) apply(rec Record) {
 		if h, ok := b.health[r.Platter]; ok && h.Health == repair.Health(r.From) {
 			h.transition(repair.Health(r.To), r.Reason, r.AtUnixNano)
 		}
+	}
+}
+
+// publish replays one platter's publication, as the live publish
+// registers it: its index entry, the id allocator past it, and, unless a
+// fuzzy snapshot already holds its health, a healthy history.
+func (b *builder) publish(d PlatterDesc, reason string, atUnixNano int64) {
+	b.putPlatter(&PlatterState{PlatterDesc: d})
+	if d.ID >= b.nextPlatter {
+		b.nextPlatter = d.ID + 1
+	}
+	if _, ok := b.health[d.ID]; !ok {
+		b.putHealth(&HealthDump{
+			Platter: d.ID, Health: repair.Healthy,
+			History: []repair.Transition{{
+				To: repair.Healthy.String(), Reason: reason, At: time.Unix(0, atUnixNano),
+			}},
+		})
 	}
 }
 
@@ -296,14 +303,6 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 		Truncated:   truncated,
 	}
 
-	// Membership of a closed set, for the orphan-redundancy prune.
-	inSet := make(map[media.PlatterID]bool)
-	for _, members := range b.sets {
-		for _, m := range members {
-			inSet[m] = true
-		}
-	}
-
 	// Open-set members, ordered by their assigned position.
 	positions := make([]int, 0, len(b.pending))
 	for pos := range b.pending {
@@ -313,17 +312,8 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	for _, pos := range positions {
 		st.PendingSet = append(st.PendingSet, b.pending[pos])
 	}
-
-	// Redundancy platters of a set that never completed are orphans: the
-	// crash landed between their publish and the set-complete record, so
-	// the set will close again after recovery with fresh redundancy.
 	for _, id := range b.platOrder {
-		p := b.platters[id]
-		if p.Redundancy && !inSet[id] {
-			delete(b.health, id)
-			continue
-		}
-		st.Platters = append(st.Platters, p)
+		st.Platters = append(st.Platters, b.platters[id])
 	}
 
 	// Staged copies of versions that advanced past Staged are redundant:
@@ -343,9 +333,7 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	}
 
 	for _, id := range b.healthOrder {
-		if h, ok := b.health[id]; ok {
-			st.Health = append(st.Health, *h)
-		}
+		st.Health = append(st.Health, *b.health[id])
 	}
 	if err := st.loadBlobs(b.dir); err != nil {
 		return nil, err
@@ -354,7 +342,7 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	return st.snapData(b.fingerprint).wire, nil
 }
 
-// sweepBlobs removes orphan blobs — platters with no publish record.
+// sweepBlobs removes orphan blobs — platters no record publishes.
 // They are crashes between blob write and record append; the platter
 // was never acknowledged anywhere, so the bytes are garbage. Only safe
 // during recovery: at runtime a fresh blob may precede its (imminent)

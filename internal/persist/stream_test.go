@@ -131,7 +131,7 @@ func TestStreamedFilesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := checkPinned(t, filepath.Join(dir, snapName(cut)), 588897,
-		"e020d2f794e61225c0a015f3ac913d35e80a66d4ee88d613801a7df1f8c273e9")
+		"c8a38c60add1fab050fc66e45740a2c529e223ff95ae413445a6da25c3b81113")
 	var backCut uint64
 	back := new(SnapshotData)
 	if err := openFile(snapMagic, data, wireSnapshot(&backCut, back.wire)); err != nil {

@@ -149,9 +149,12 @@ func (s *Service) exportSnapshotData() *persist.SnapshotData {
 }
 
 // persistSnapshotLocked runs the rotate-first snapshot protocol; the
-// caller holds flushMu (pendingSet is flush-owned state).
+// caller holds flushMu (pendingSet is flush-owned state). The cut waits
+// out every Put and Delete between its record and its effect (cutMu).
 func (s *Service) persistSnapshotLocked() error {
+	s.cutMu.Lock()
 	cut, err := s.plog.BeginSnapshot()
+	s.cutMu.Unlock()
 	if err != nil {
 		return err
 	}

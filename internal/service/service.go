@@ -223,6 +223,10 @@ type Service struct {
 	// plog is the durability subsystem (nil in in-memory mode). All
 	// appends happen on acknowledged-mutation paths; see persist.go.
 	plog *persist.Log
+	// cutMu keeps a snapshot's cut from falling between a record and its
+	// effect: Put and Delete hold it shared from their first metadata
+	// change to their last, and the cut holds it exclusively.
+	cutMu sync.RWMutex
 }
 
 // New builds a service.
@@ -497,6 +501,7 @@ func (s *Service) PutCtx(ctx context.Context, account, name string, data []byte)
 	}
 	stage := obs.StartSpan(ctx, "stage")
 	arrival := s.arrival()
+	s.cutMu.RLock()
 	v := s.meta.Put(key, int64(len(data)), kid, arrival)
 	if s.plog != nil {
 		// The record must carry the key material: ciphertext without its
@@ -510,14 +515,20 @@ func (s *Service) PutCtx(ctx context.Context, account, name string, data []byte)
 			})
 		}
 		if err != nil {
+			// Withdraw the version as replay leaves one with no record: a
+			// Deleted placeholder whose key is gone.
+			s.meta.RestoreVersion(key, metadata.Version{Version: v.Version, State: metadata.Deleted})
+			s.cutMu.RUnlock()
 			stage.End()
 			s.tier.CancelReservation(ctSize)
+			_ = s.keys.Shred(kid)
 			return 0, fmt.Errorf("service: put not durable: %w", err)
 		}
 	}
 	s.tier.AdmitReserved(&staging.File{
 		Key: key, Version: v.Version, Size: int64(len(ct)), Data: ct, Arrival: arrival,
 	})
+	s.cutMu.RUnlock()
 	stage.End()
 	// Group-commit fsync before the acknowledgment: an acked put is on
 	// disk, an un-acked one may or may not be — both are recoverable.
@@ -536,33 +547,50 @@ func (s *Service) Delete(account, name string) error {
 }
 
 // DeleteCtx is Delete honoring cancellation before the point of no
-// return: once key shredding starts the delete always completes (a
-// half-shredded file must not look readable).
+// return: once its record is appended the delete always completes (a
+// half-shredded file must not look readable). The record, naming the
+// key ids of the live versions, comes before any pointer is removed or
+// key shredded, so a failed append leaves the object readable, as a
+// reopen would. A Put of the same key racing the delete can register a
+// version between the two: it is deleted in memory with its key intact,
+// and the record does not name it.
 func (s *Service) DeleteCtx(ctx context.Context, account, name string) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: delete canceled: %w", err)
 	}
 	key := metadata.FileKey{Account: account, Name: name}
-	kids, err := s.meta.Delete(key)
+	s.cutMu.RLock()
+	err := s.deleteLocked(key)
+	s.cutMu.RUnlock()
+	if err == nil && s.plog != nil {
+		if err := s.plog.Sync(); err != nil {
+			return fmt.Errorf("service: delete not durable: %w", err)
+		}
+	}
+	return err
+}
+
+// deleteLocked appends key's delete record, then removes its pointers
+// and shreds its keys; the caller holds cutMu shared.
+func (s *Service) deleteLocked(key metadata.FileKey) error {
+	kids, err := s.meta.LiveKeyIDs(key)
 	if err != nil {
 		return err
 	}
+	if s.plog != nil {
+		if _, err := s.plog.Append(&persist.RecDelete{
+			Account: key.Account, Name: key.Name, KeyIDs: kids,
+		}); err != nil {
+			return fmt.Errorf("service: delete not durable: %w", err)
+		}
+	}
+	s.meta.Delete(key)
 	for _, kid := range kids {
 		if kid == "" {
 			continue
 		}
 		if err := s.keys.Shred(kid); err != nil && !errors.Is(err, keystore.ErrNoKey) {
 			return err
-		}
-	}
-	if s.plog != nil {
-		if _, err := s.plog.Append(&persist.RecDelete{
-			Account: account, Name: name, KeyIDs: kids,
-		}); err != nil {
-			return fmt.Errorf("service: delete not durable: %w", err)
-		}
-		if err := s.plog.Sync(); err != nil {
-			return fmt.Errorf("service: delete not durable: %w", err)
 		}
 	}
 	return nil

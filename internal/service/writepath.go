@@ -83,14 +83,15 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			batchDone()
 			return nil
 		}
-		// Files deleted while staged are dropped here: their pointers
-		// are gone and their keys shredded, so writing them would only
-		// burn glass on unreadable ciphertext.
+		// Files no longer staged are dropped here: one deleted while
+		// staged has its pointers gone and its key shredded, so writing it
+		// would only burn glass on unreadable ciphertext, and one that a
+		// failed round recorded durable is on glass already.
 		live := batch[:0]
 		var dropped []*staging.File
 		for _, f := range batch {
 			v, err := s.meta.GetVersion(f.Key, f.Version)
-			if err != nil || v.State == metadata.Deleted {
+			if err != nil || v.State != metadata.Staged {
 				dropped = append(dropped, f)
 				continue
 			}
@@ -193,28 +194,26 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			if scrappedFile[fid] {
 				continue
 			}
-			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
-				if errors.Is(err, metadata.ErrDeleted) {
-					// Deleted mid-write: the platter copy is shredded
-					// ciphertext; just free the staged bytes.
-					release = append(release, f)
-					if s.plog != nil {
-						if _, err := s.plog.Append(&persist.RecRelease{
-							Account: f.Key.Account, Name: f.Key.Name, Version: f.Version,
-						}); err != nil {
-							return err
-						}
-					}
-					continue
-				}
-				return err
-			}
 			if s.plog != nil {
 				if _, err := s.plog.Append(&persist.RecDurable{
 					Account: f.Key.Account, Name: f.Key.Name,
 					Version: f.Version, Extents: extents[fid],
 				}); err != nil {
 					return err
+				}
+			}
+			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
+				if !errors.Is(err, metadata.ErrDeleted) {
+					return err
+				}
+				// Deleted mid-write: the platter copy is shredded
+				// ciphertext; just free the staged bytes.
+				if s.plog != nil {
+					if _, err := s.plog.Append(&persist.RecRelease{
+						Account: f.Key.Account, Name: f.Key.Name, Version: f.Version,
+					}); err != nil {
+						return err
+					}
 				}
 			}
 			release = append(release, f)
@@ -447,81 +446,89 @@ func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payload
 	}
 }
 
-// publish makes platters durable, every one of them, and only then
-// visible: a platter is read only once it is recorded, and recorded only
-// once verified (§3.1). Every platter — information, set-redundancy,
-// rebuilt — is published here and nowhere else.
+// publish makes a platter durable, and only then visible: a platter is
+// read only once it is recorded, and recorded only once verified (§3.1).
+// Every information platter and every rebuilt one is published here; a
+// set's redundancy platters are published by their set's close record
+// (closeSet), through the same two halves.
 //
-// The durable half of each is the publish.platter fault point (kill
-// rules there model a crash between publications), its blob's fsync,
-// file and directory entry, and its RecPublish record, in that order:
+// The durable half is makeDurable, then the platter's RecPublish record:
 // recovery depends on a record implying its blob. A fresh information
 // platter first takes the next position of the pending set, which its
 // record carries, so a crash after the record recovers it into the
-// pending set. On an error none of pis is visible; the caller discards
-// their blobs, and recovery prunes a redundancy platter's record left
-// with no set.
+// pending set. On an error the platter is not visible, and the caller
+// discards its blob.
 //
-// The visible half registers each platter as healthy, puts it in the
-// index and in its place — the pending set for an information platter,
-// its set's position for a rebuilt one (a closing set's redundancy joins
-// the set when closeSet registers it) — and counts it. A rebuilt
-// platter's record is the whole rebuild: the member it displaces has its
-// extents remapped to it and is retired, as WAL replay does. The caller
-// holds flushMu, which the pending set and set registry's writers hold.
-func (s *Service) publish(reason string, pis ...*platterInfo) error {
-	for _, pi := range pis {
-		id := pi.platter.ID
-		if err := s.faults.Check(faults.OpPublishPlatter, int64(id), -1, -1); err != nil {
-			return err
-		}
-		if pi.set < 0 {
-			pi.set, pi.setPos = len(s.sets), len(s.pendingSet)
-		}
-		if s.plog == nil {
-			continue
-		}
-		if err := s.plog.SyncPlatterBlob(pi.blob); err != nil {
-			return err
-		}
+// The visible half is show. A rebuilt platter's record is the whole
+// rebuild: the member it displaces has its extents remapped to it and is
+// retired, as WAL replay does. The caller holds flushMu, which the
+// pending set and set registry's writers hold.
+func (s *Service) publish(reason string, pi *platterInfo) error {
+	if err := s.makeDurable(pi); err != nil {
+		return err
+	}
+	if pi.set < 0 {
+		pi.set, pi.setPos = len(s.sets), len(s.pendingSet)
+	}
+	if s.plog != nil {
 		if _, err := s.plog.Append(&persist.RecPublish{
-			Platter: id, Set: pi.set, SetPos: pi.setPos,
+			Platter: pi.platter.ID, Set: pi.set, SetPos: pi.setPos,
 			Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
 			Reason: reason, AtUnixNano: time.Now().UnixNano(),
 		}); err != nil {
 			return err
 		}
 	}
-	for _, pi := range pis {
-		id := pi.platter.ID
-		pi.rec = s.health.Register(id, reason)
-		s.mu.Lock()
-		s.platters[id] = pi
-		rebuilt := pi.set < len(s.sets)
-		var old media.PlatterID
-		switch {
-		case rebuilt:
-			old = s.sets[pi.set][pi.setPos]
-			s.sets[pi.set][pi.setPos] = id
-		case !pi.isRedundancy:
-			s.pendingSet = append(s.pendingSet, id)
-		}
-		s.mu.Unlock()
-		payload := int64(pi.usedInfoSectors) * int64(s.cfg.Geom.SectorPayloadBytes)
-		switch {
-		case rebuilt:
-			remapped := s.meta.RemapPlatter(old, id)
-			_ = s.health.Transition(old, repair.Retired, repair.RebuiltAs(id, remapped))
-			s.om.plattersRebuilt.Inc()
-		case pi.isRedundancy:
-			s.om.plattersRedundancy.Inc()
-			s.om.storedRedundancy.Add(payload)
-		default:
-			s.om.plattersWritten.Inc()
-			s.om.storedUser.Add(payload)
-		}
-	}
+	s.show(reason, pi)
 	return nil
+}
+
+// makeDurable is what comes before a platter's record: the
+// publish.platter fault point (kill rules there model a crash between
+// publications), then its blob's fsync, file and directory entry.
+func (s *Service) makeDurable(pi *platterInfo) error {
+	if err := s.faults.Check(faults.OpPublishPlatter, int64(pi.platter.ID), -1, -1); err != nil {
+		return err
+	}
+	if s.plog == nil {
+		return nil
+	}
+	return s.plog.SyncPlatterBlob(pi.blob)
+}
+
+// show makes a recorded platter visible: it registers it as healthy,
+// puts it in the index and in its place — the pending set for an
+// information platter, its set's position for a rebuilt one (a closing
+// set's redundancy joins the set when closeSet registers it) — and
+// counts it.
+func (s *Service) show(reason string, pi *platterInfo) {
+	id := pi.platter.ID
+	pi.rec = s.health.Register(id, reason)
+	s.mu.Lock()
+	s.platters[id] = pi
+	rebuilt := pi.set < len(s.sets)
+	var old media.PlatterID
+	switch {
+	case rebuilt:
+		old = s.sets[pi.set][pi.setPos]
+		s.sets[pi.set][pi.setPos] = id
+	case !pi.isRedundancy:
+		s.pendingSet = append(s.pendingSet, id)
+	}
+	s.mu.Unlock()
+	payload := int64(pi.usedInfoSectors) * int64(s.cfg.Geom.SectorPayloadBytes)
+	switch {
+	case rebuilt:
+		remapped := s.meta.RemapPlatter(old, id)
+		_ = s.health.Transition(old, repair.Retired, repair.RebuiltAs(id, remapped))
+		s.om.plattersRebuilt.Inc()
+	case pi.isRedundancy:
+		s.om.plattersRedundancy.Inc()
+		s.om.storedRedundancy.Add(payload)
+	default:
+		s.om.plattersWritten.Inc()
+		s.om.storedUser.Add(payload)
+	}
 }
 
 // burnTrack is one track a burn writes, its sectors 0 to n-1: a used
@@ -826,13 +833,14 @@ func (s *Service) verifyPlatter(pi *platterInfo, rng *sim.RNG) bool {
 }
 
 // reclosePendingSet closes a pending set that is already full. Its
-// members stay pending until closeSet has registered the set, so a full
+// members stay pending until closeSet has recorded the set, so a full
 // one means the close never finished: a crash landed between the last
-// information publish and the set-complete record (the WAL replays the
-// members; the original redundancy platters, if any were burned, were
-// pruned as orphans), or the close failed — scrapped redundancy burns, a
-// publish fault. Either way the set closes again with fresh redundancy,
-// under the index its members already carry.
+// information publish and the set-close record (the WAL replays the
+// members; the blobs of any redundancy platters burned have no record,
+// and recovery sweeps them), or the close failed — scrapped redundancy
+// burns, a publish fault, a failed record. Either way the set closes
+// again with fresh redundancy, under the index its members already
+// carry.
 func (s *Service) reclosePendingSet(ctx context.Context) error {
 	if len(s.pendingSet) < s.cfg.SetInfo {
 		return nil
@@ -870,9 +878,10 @@ func (s *Service) redundancySlab(n int) [][][]byte {
 }
 
 // closeSet writes the SetRed redundancy platters over the pending
-// members, registers the completed set and only then empties the pending
-// set: on any error nothing of the attempt is in the index and the
-// members are still pending, for reclosePendingSet to close. The
+// members, records the whole close in one RecSetClose, and only then
+// makes it visible: the redundancy platters, the completed set and the
+// emptied pending set. On any error nothing of the attempt is visible
+// and the members are still pending, for reclosePendingSet to close. The
 // returned duration is the wall time of the encode, burn and verify
 // phases it ran, which a caller timing its own phase around closeSet
 // subtracts.
@@ -942,7 +951,7 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	// Burn every redundancy platter before publishing any, so the heavy
 	// work is one stretch and the rest of closeSet is publication. They
 	// keep no payload cache: their payloads are views of the slab the
-	// next close overwrites. On any error before they enter the index,
+	// next close overwrites. On any error before the close is recorded,
 	// every one burned is discarded, its blob with it.
 	reds := make([]*platterInfo, 0, s.cfg.SetRed)
 	discardReds := func() {
@@ -963,15 +972,28 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		reds = append(reds, rpi)
 	}
 	setWork := time.Since(workStart)
-	// Every redundancy platter is durable before any enters the index: a
-	// fault leaves no half-published set in memory, nor a blob that no
-	// platter reaches.
-	if err := s.publish("published (set redundancy)", reds...); err != nil {
+	// The close is durable before any of it is visible: every redundancy
+	// platter's blob, then the one record of the close. A fault leaves no
+	// half-closed set in memory, nor a blob that no platter reaches.
+	for _, rpi := range reds {
+		if err = s.makeDurable(rpi); err != nil {
+			break
+		}
+		members = append(members, rpi.platter.ID)
+	}
+	const reason = "published (set redundancy)"
+	if err == nil && s.plog != nil {
+		_, err = s.plog.Append(&persist.RecSetClose{
+			Set: setIdx, Members: members, Redundancy: len(reds), Used: maxSectors,
+			Reason: reason, AtUnixNano: time.Now().UnixNano(),
+		})
+	}
+	if err != nil {
 		discardReds()
 		return 0, err
 	}
 	for _, rpi := range reds {
-		members = append(members, rpi.platter.ID)
+		s.show(reason, rpi)
 	}
 	s.mu.Lock()
 	s.sets = append(s.sets, members)
@@ -982,10 +1004,5 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		s.platters[m].payloads = nil
 	}
 	s.mu.Unlock()
-	if s.plog != nil {
-		if _, err := s.plog.Append(&persist.RecSetComplete{Set: setIdx, Members: members}); err != nil {
-			return 0, err
-		}
-	}
 	return setWork, nil
 }

@@ -47,8 +47,8 @@ func goldenRecords() []struct {
 		}},
 		{"delete", &RecDelete{Account: "acct", Name: "file-2", KeyIDs: []string{"k1", "acct/file-2#k9"}}},
 		{"publish", &RecPublish{
-			Platter: 300, Set: -1, SetPos: 2, Redundancy: true, Used: 129,
-			Reason: "published", AtUnixNano: 1700000000123456789,
+			PlatterDesc: PlatterDesc{ID: 300, Set: -1, SetPos: 2, Redundancy: true, Used: 129},
+			Reason:      "published", AtUnixNano: 1700000000123456789,
 		}},
 		{"set-close", &RecSetClose{
 			Set: 5, Members: []media.PlatterID{11, 12, 300, 301}, Redundancy: 2, Used: 129,
@@ -336,7 +336,7 @@ func writeGoldenServiceDir(t *testing.T, dir string) {
 	mustAppend(t, l,
 		&RecPut{Account: "a", Name: "f1", Version: 1, Size: 5, KeyID: "a/f1#k1", Key: []byte("K1"), Arrival: 1.5, Ciphertext: []byte("cipher-f1"), OpSeq: 1},
 		&RecPut{Account: "a", Name: "f2", Version: 1, Size: 6, KeyID: "a/f2#k2", Key: []byte("K2"), Arrival: 2.5, Ciphertext: []byte("cipher-f2"), OpSeq: 2},
-		&RecPublish{Platter: 1, Set: 0, SetPos: 0, Used: 3, Reason: "published", AtUnixNano: 1700000000000000001},
+		&RecPublish{PlatterDesc: PlatterDesc{ID: 1, Set: 0, SetPos: 0, Used: 3}, Reason: "published", AtUnixNano: 1700000000000000001},
 		&RecDurable{Account: "a", Name: "f1", Version: 1, Extents: []metadata.Extent{{Platter: 1, FirstSector: 0, SectorCount: 2, Shard: 0}}},
 	)
 	if err := l.Close(); err != nil {
@@ -349,7 +349,7 @@ func writeGoldenServiceDir(t *testing.T, dir string) {
 	blob(l, 2)
 	blob(l, 3)
 	mustAppend(t, l,
-		&RecPublish{Platter: 2, Set: 0, SetPos: 1, Used: 1, Reason: "published", AtUnixNano: 1700000000000000002},
+		&RecPublish{PlatterDesc: PlatterDesc{ID: 2, Set: 0, SetPos: 1, Used: 1}, Reason: "published", AtUnixNano: 1700000000000000002},
 		&RecDurable{Account: "a", Name: "f2", Version: 1, Extents: []metadata.Extent{{Platter: 2, FirstSector: 0, SectorCount: 1, Shard: 0}}},
 		&RecSetClose{Set: 0, Members: []media.PlatterID{1, 2, 3}, Redundancy: 1, Reason: "redundancy", AtUnixNano: 1700000000000000003},
 		&RecHealth{Platter: 2, From: int32(repair.Healthy), To: int32(repair.Suspect), Reason: "scrub", AtUnixNano: 1700000000000000004},
@@ -361,8 +361,8 @@ func writeGoldenServiceDir(t *testing.T, dir string) {
 	blob(l, 5)
 	blob(l, 9) // orphan: no publish record follows
 	mustAppend(t, l,
-		&RecPublish{Platter: 4, Set: 0, SetPos: 1, Used: 1, Reason: "rebuilt from set 0", AtUnixNano: 1700000000000000005},
-		&RecPublish{Platter: 5, Set: 1, SetPos: 0, Used: 2, Reason: "published", AtUnixNano: 1700000000000000006},
+		&RecPublish{PlatterDesc: PlatterDesc{ID: 4, Set: 0, SetPos: 1, Used: 1}, Reason: "rebuilt from set 0", AtUnixNano: 1700000000000000005},
+		&RecPublish{PlatterDesc: PlatterDesc{ID: 5, Set: 1, SetPos: 0, Used: 2}, Reason: "published", AtUnixNano: 1700000000000000006},
 		&RecPut{Account: "b", Name: "g", Version: 1, Size: 3, KeyID: "b/g#k3", Key: []byte("K3"), Arrival: 3.5, Ciphertext: []byte("cipher-g"), OpSeq: 3},
 		&RecPut{Account: "b", Name: "h", Version: 1, Size: 4, KeyID: "b/h#k4", Key: []byte("K4"), Arrival: 4.5, Ciphertext: []byte("cipher-h"), OpSeq: 4},
 		&RecDelete{Account: "b", Name: "g", KeyIDs: []string{"b/g#k3"}},

@@ -7,10 +7,9 @@
 //
 // Crash-consistency argument, in brief:
 //
-//  1. Order. Every record is appended before its mutation is visible,
-//     and a failed append leaves memory as recovery would rebuild it;
-//     the operation is acknowledged only after fsync. So
-//     "acknowledged" implies "record durable".
+//  1. Order. Every record is appended before its mutation is visible
+//     (a failed append leaves memory as recovery rebuilds it), and
+//     fsynced before the ack: "acknowledged" implies "record durable".
 //  2. Fuzzy snapshots. BeginSnapshot rotates the WAL at a cut LSN
 //     before the state is exported, and the caller keeps the cut from
 //     falling between a record and its mutation, so any record with
@@ -292,11 +291,10 @@ func (l *Log) Sync() error {
 // BeginSnapshot opens the rotate-first snapshot protocol: it makes the
 // current WAL durable, rotates to a fresh file, and returns the cut
 // LSN. The caller then exports the live state — traffic may continue —
-// and hands it to CommitSnapshot. Any record with lsn <= cut was
-// appended before this call returned; a caller that keeps the call from
-// falling between a record and its mutation has then applied them all,
-// so the export is guaranteed to reflect it. Records racing the export
-// land past the cut and will replay.
+// and hands it to CommitSnapshot. A caller that keeps the cut from
+// falling between a record and its mutation has applied every record
+// with lsn <= cut, so the export reflects them; records racing the
+// export land past the cut and will replay.
 func (l *Log) BeginSnapshot() (uint64, error) {
 	if l.frozen.Load() {
 		return 0, ErrCrashed

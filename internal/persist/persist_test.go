@@ -273,7 +273,7 @@ func TestPublishSetLifecycleAndBlobs(t *testing.T) {
 	}
 	for id := media.PlatterID(1); id <= 2; id++ {
 		writeBlob(t, l, id, sectors)
-		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Used: 3, Reason: "published"})
+		appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: id, Set: 0, SetPos: int(id - 1), Used: 3}, Reason: "published"})
 	}
 	// The set close publishes its redundancy platter.
 	writeBlob(t, l, 3, sectors)
@@ -319,7 +319,7 @@ func TestOrphanRedundancyAndBlobGC(t *testing.T) {
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {9}}
 	// Info platter of an open set: survives.
 	writeBlob(t, l, 1, sectors)
-	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
+	appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: 1, Set: 0, SetPos: 0}, Reason: "published"})
 	// A redundancy platter of a close that never recorded, and a blob
 	// whose publish record never landed.
 	writeBlob(t, l, 2, sectors)
@@ -351,7 +351,7 @@ func TestMissingBlobIsFatal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	writeBlob(t, l, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})
-	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
+	appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: 1, Set: 0, SetPos: 0}, Reason: "published"})
 	l.Close()
 	if err := os.Remove(filepath.Join(dir, blobName(1))); err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestV1BlobRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, nil)
 	writeBlob(t, l, 1, map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}})
-	appendSync(t, l, &RecPublish{Platter: 1, Set: 0, SetPos: 0, Reason: "published"})
+	appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: 1, Set: 0, SetPos: 0}, Reason: "published"})
 	l.Close()
 	for _, old := range []string{
 		"SILPLT01\x02\x02\x00\x00\x02\x01\x00", // id 1; one sector (0, 0) = [1]; no payloads
@@ -451,7 +451,7 @@ func TestPublishReplayReplacesMember(t *testing.T) {
 	sectors := map[media.SectorID][]uint8{{Track: 0, Sector: 0}: {1}}
 	for id := media.PlatterID(1); id <= 2; id++ {
 		writeBlob(t, l, id, sectors)
-		appendSync(t, l, &RecPublish{Platter: id, Set: 0, SetPos: int(id - 1), Reason: "published"})
+		appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: id, Set: 0, SetPos: int(id - 1)}, Reason: "published"})
 	}
 	writeBlob(t, l, 3, sectors)
 	appendSync(t, l,
@@ -461,7 +461,7 @@ func TestPublishReplayReplacesMember(t *testing.T) {
 	)
 	appendSync(t, l, &RecHealth{Platter: 2, From: int32(repair.Healthy), To: int32(repair.Failed), Reason: "injected failure"})
 	writeBlob(t, l, 7, sectors)
-	appendSync(t, l, &RecPublish{Platter: 7, Set: 0, SetPos: 1, Reason: "rebuilt (replaces platter 2)", AtUnixNano: 1700000000000000007})
+	appendSync(t, l, &RecPublish{PlatterDesc: PlatterDesc{ID: 7, Set: 0, SetPos: 1}, Reason: "rebuilt (replaces platter 2)", AtUnixNano: 1700000000000000007})
 	l.Close()
 
 	l2, st := openT(t, dir, nil)

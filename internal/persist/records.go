@@ -63,16 +63,6 @@ func wirePlatterIDs(ids *[]media.PlatterID, c *coder) {
 	slice(c, ids, varint[media.PlatterID])
 }
 
-// wirePlatterDesc is a platter's index entry: RecPublish leads with
-// it and a snapshot's PlatterDesc is exactly it.
-func wirePlatterDesc(c *coder, id *media.PlatterID, set, setPos *int, redundancy *bool, used *int) {
-	varint(id, c)
-	c.int(set)
-	c.int(setPos)
-	c.bool(redundancy)
-	c.int(used)
-}
-
 // RecPut is an acknowledged write: metadata version, staged ciphertext,
 // and the encryption key material. The key must travel with the record
 // — after a restart the in-memory keystore is gone, and ciphertext
@@ -119,16 +109,12 @@ func (r *RecDelete) wire(c *coder) {
 }
 
 // RecPublish registers one verified information platter, or a rebuilt
-// one, in the index. The media's sectors live in the platter's sidecar
-// blob (written and fsynced before this record is appended —
-// record-implies-blob is a recovery invariant); the record carries the
-// index metadata.
+// one, in the index: its index entry (for a fresh one, Set is the
+// pending set's index), then why and when. The media's sectors live in
+// the platter's sidecar blob (written and fsynced before this record is
+// appended — record-implies-blob is a recovery invariant).
 type RecPublish struct {
-	Platter    media.PlatterID
-	Set        int // pending-set index assigned at publish
-	SetPos     int
-	Redundancy bool
-	Used       int // used info sectors
+	PlatterDesc
 	Reason     string
 	AtUnixNano int64
 }
@@ -136,16 +122,14 @@ type RecPublish struct {
 func (*RecPublish) recType() byte { return tagPublish }
 
 func (r *RecPublish) wire(c *coder) {
-	wirePlatterDesc(c, &r.Platter, &r.Set, &r.SetPos, &r.Redundancy, &r.Used)
+	r.PlatterDesc.wire(c)
 	c.str(&r.Reason)
 	c.i64(&r.AtUnixNano)
 }
 
-// RecSetClose is the whole of one platter-set's close: its full
-// membership (information members, then Redundancy redundancy members)
-// becomes a durable recovery group, and each redundancy member, its blob
-// fsynced before the record, is published with Used sectors, healthy
-// since AtUnixNano for Reason.
+// RecSetClose is a platter-set's whole close: its membership,
+// information members then Redundancy redundancy members, each of the
+// latter published (blob fsynced first) with Used sectors, for Reason.
 type RecSetClose struct {
 	Set        int
 	Members    []media.PlatterID

@@ -10,15 +10,15 @@ import "sort"
 // but with its own record tag space and snapshot format, because the
 // router's authorities are maps of strings, not platters.
 //
-// The crash-consistency argument is the same as the service's (see
-// the package comment): mutate in memory, append, fsync, then ack.
+// The crash-consistency argument is the package comment's, but the
+// router still mutates in memory before it appends, then fsyncs, then acks.
 // Replay is idempotent per record — a place record overwrites, a
 // tombstone marks, a delete removes, a member record upserts — so a
 // mutation captured by a fuzzy snapshot whose record also replays
 // converges to the same state.
 
 // Router record type tags. A distinct space from the service tags
-// (1-8) so a service WAL can never be mistaken for a router WAL even
+// (1-9) so a service WAL can never be mistaken for a router WAL even
 // before the snapshot fingerprint check. Never renumber.
 const (
 	tagRingConfig   byte = 32

@@ -117,8 +117,13 @@ func wireStagedFile(p **staging.File, c *coder) {
 	c.bytes(&f.Data)
 }
 
+// wire is the layout a RecPublish leads with, too.
 func (p *PlatterDesc) wire(c *coder) {
-	wirePlatterDesc(c, &p.ID, &p.Set, &p.SetPos, &p.Redundancy, &p.Used)
+	varint(&p.ID, c)
+	c.int(&p.Set)
+	c.int(&p.SetPos)
+	c.bool(&p.Redundancy)
+	c.int(&p.Used)
 }
 
 func (h *HealthDump) wire(c *coder) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"time"
 
@@ -75,16 +74,41 @@ type builder struct {
 
 	meta        *metadata.Store
 	keys        map[string][]byte
-	staged      map[staging.ID]*staging.File
-	stagedOrder []staging.ID
-	platters    map[media.PlatterID]*PlatterState
-	platOrder   []media.PlatterID
+	staged      ordered[staging.ID, *staging.File]
+	platters    ordered[media.PlatterID, *PlatterState]
 	sets        [][]media.PlatterID
 	pending     map[int]media.PlatterID // setPos -> id, open set under assembly
-	health      map[media.PlatterID]*HealthDump
-	healthOrder []media.PlatterID
+	health      ordered[media.PlatterID, *HealthDump]
 	opSeq       uint64
 	nextPlatter media.PlatterID
+}
+
+// ordered is a map that keeps its keys in first-insertion order, so the
+// recovered state's lists do not depend on map order.
+type ordered[K comparable, V any] struct {
+	m    map[K]V
+	keys []K
+}
+
+func (o *ordered[K, V]) put(k K, v V) {
+	if _, ok := o.m[k]; !ok {
+		if o.m == nil {
+			o.m = make(map[K]V)
+		}
+		o.keys = append(o.keys, k)
+	}
+	o.m[k] = v
+}
+
+// values lists the values in insertion order, skipping deleted keys.
+func (o *ordered[K, V]) values() []V {
+	var vs []V
+	for _, k := range o.keys {
+		if v, ok := o.m[k]; ok {
+			vs = append(vs, v)
+		}
+	}
+	return vs
 }
 
 func newBuilder(opts Options) *builder {
@@ -93,10 +117,7 @@ func newBuilder(opts Options) *builder {
 		fingerprint: opts.Fingerprint,
 		meta:        metadata.NewStore(),
 		keys:        make(map[string][]byte),
-		staged:      make(map[staging.ID]*staging.File),
-		platters:    make(map[media.PlatterID]*PlatterState),
 		pending:     make(map[int]media.PlatterID),
-		health:      make(map[media.PlatterID]*HealthDump),
 	}
 }
 
@@ -117,11 +138,10 @@ func (b *builder) load(c *coder) string {
 		b.keys[id] = key
 	}
 	for _, f := range snap.Staged {
-		b.stage(f)
+		b.staged.put(f.ID(), f)
 	}
-	for i := range snap.Platters {
-		d := snap.Platters[i]
-		b.putPlatter(&PlatterState{PlatterDesc: d})
+	for _, d := range snap.Platters {
+		b.platters.put(d.ID, &PlatterState{PlatterDesc: d})
 	}
 	b.sets = make([][]media.PlatterID, len(snap.Sets))
 	for i, members := range snap.Sets {
@@ -130,37 +150,14 @@ func (b *builder) load(c *coder) string {
 	for pos, id := range snap.PendingSet {
 		b.pending[pos] = id
 	}
-	for i := range snap.Health {
-		h := snap.Health[i]
-		b.putHealth(&h)
+	for _, h := range snap.Health {
+		b.health.put(h.Platter, &h)
 	}
 	return snap.Fingerprint
 }
 
-func (b *builder) stage(f *staging.File) {
-	id := f.ID()
-	if _, ok := b.staged[id]; !ok {
-		b.stagedOrder = append(b.stagedOrder, id)
-	}
-	b.staged[id] = f
-}
-
 func (b *builder) unstage(account, name string, version int) {
-	delete(b.staged, staging.ID{Key: metadata.FileKey{Account: account, Name: name}, Version: version})
-}
-
-func (b *builder) putPlatter(p *PlatterState) {
-	if _, ok := b.platters[p.ID]; !ok {
-		b.platOrder = append(b.platOrder, p.ID)
-	}
-	b.platters[p.ID] = p
-}
-
-func (b *builder) putHealth(h *HealthDump) {
-	if _, ok := b.health[h.Platter]; !ok {
-		b.healthOrder = append(b.healthOrder, h.Platter)
-	}
-	b.health[h.Platter] = h
+	delete(b.staged.m, staging.ID{Key: metadata.FileKey{Account: account, Name: name}, Version: version})
 }
 
 // apply replays one record. Application is idempotent: a record whose
@@ -181,10 +178,11 @@ func (b *builder) apply(rec Record) {
 				Version: r.Version, Size: r.Size, State: metadata.Staged,
 				WriteTime: r.Arrival, KeyID: r.KeyID,
 			})
-			b.stage(&staging.File{
+			f := &staging.File{
 				Key: key, Version: r.Version, Size: int64(len(r.Ciphertext)),
 				Arrival: r.Arrival, Data: r.Ciphertext,
-			})
+			}
+			b.staged.put(f.ID(), f)
 		}
 		b.keys[r.KeyID] = r.Key
 		if r.OpSeq > b.opSeq {
@@ -197,15 +195,13 @@ func (b *builder) apply(rec Record) {
 			delete(b.keys, kid)
 		}
 	case *RecPublish:
-		b.publish(PlatterDesc{
-			ID: r.Platter, Set: r.Set, SetPos: r.SetPos, Redundancy: r.Redundancy, Used: r.Used,
-		}, r.Reason, r.AtUnixNano)
+		b.publish(r.PlatterDesc, r.Reason, r.AtUnixNano)
 		// A publish into a completed set's position is a rebuild (see
 		// replace). A fresh information platter joins the pending set.
 		if r.Set < len(b.sets) {
 			b.replace(r)
 		} else {
-			b.pending[r.SetPos] = r.Platter
+			b.pending[r.SetPos] = r.ID
 		}
 	case *RecSetClose:
 		for pos := max(len(r.Members)-r.Redundancy, 0); pos < len(r.Members); pos++ {
@@ -217,11 +213,7 @@ func (b *builder) apply(rec Record) {
 			b.sets = append(b.sets, nil)
 		}
 		b.sets[r.Set] = append([]media.PlatterID(nil), r.Members...)
-		for pos, id := range b.pending {
-			if slices.Contains(r.Members, id) {
-				delete(b.pending, pos)
-			}
-		}
+		clear(b.pending) // a close takes the whole pending set
 	case *RecDurable:
 		key := metadata.FileKey{Account: r.Account, Name: r.Name}
 		if v, err := b.meta.GetVersion(key, r.Version); err == nil && v.State != metadata.Deleted {
@@ -236,7 +228,7 @@ func (b *builder) apply(rec Record) {
 		// Skip transitions the fuzzy snapshot already captured (the
 		// current health has moved past `from`) or that history makes
 		// illegal; both mean the in-memory registry never held them.
-		if h, ok := b.health[r.Platter]; ok && h.Health == repair.Health(r.From) {
+		if h, ok := b.health.m[r.Platter]; ok && h.Health == repair.Health(r.From) {
 			h.transition(repair.Health(r.To), r.Reason, r.AtUnixNano)
 		}
 	}
@@ -246,12 +238,12 @@ func (b *builder) apply(rec Record) {
 // registers it: its index entry, the id allocator past it, and, unless a
 // fuzzy snapshot already holds its health, a healthy history.
 func (b *builder) publish(d PlatterDesc, reason string, atUnixNano int64) {
-	b.putPlatter(&PlatterState{PlatterDesc: d})
+	b.platters.put(d.ID, &PlatterState{PlatterDesc: d})
 	if d.ID >= b.nextPlatter {
 		b.nextPlatter = d.ID + 1
 	}
-	if _, ok := b.health[d.ID]; !ok {
-		b.putHealth(&HealthDump{
+	if _, ok := b.health.m[d.ID]; !ok {
+		b.health.put(d.ID, &HealthDump{
 			Platter: d.ID, Health: repair.Healthy,
 			History: []repair.Transition{{
 				To: repair.Healthy.String(), Reason: reason, At: time.Unix(0, atUnixNano),
@@ -279,14 +271,14 @@ func (h *HealthDump) transition(to repair.Health, reason string, atUnixNano int6
 // nothing.
 func (b *builder) replace(r *RecPublish) {
 	set, pos := r.Set, r.SetPos
-	if set < 0 || pos < 0 || pos >= len(b.sets[set]) || b.sets[set][pos] == r.Platter {
+	if set < 0 || pos < 0 || pos >= len(b.sets[set]) || b.sets[set][pos] == r.ID {
 		return
 	}
 	old := b.sets[set][pos]
-	remapped := b.meta.RemapPlatter(old, r.Platter)
-	b.sets[set][pos] = r.Platter
-	if h, ok := b.health[old]; ok {
-		h.transition(repair.Retired, repair.RebuiltAs(r.Platter, remapped), r.AtUnixNano)
+	remapped := b.meta.RemapPlatter(old, r.ID)
+	b.sets[set][pos] = r.ID
+	if h, ok := b.health.m[old]; ok {
+		h.transition(repair.Retired, repair.RebuiltAs(r.ID, remapped), r.AtUnixNano)
 	}
 }
 
@@ -312,19 +304,13 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 	for _, pos := range positions {
 		st.PendingSet = append(st.PendingSet, b.pending[pos])
 	}
-	for _, id := range b.platOrder {
-		st.Platters = append(st.Platters, b.platters[id])
-	}
+	st.Platters = b.platters.values()
 
 	// Staged copies of versions that advanced past Staged are redundant:
 	// durable versions read from glass, deleted versions are shredded
 	// ciphertext. Arrival clocks restart at zero after recovery, so
 	// restored files are stamped as oldest to keep flush order sane.
-	for _, id := range b.stagedOrder {
-		f, ok := b.staged[id]
-		if !ok {
-			continue
-		}
+	for _, f := range b.staged.values() {
 		if v, err := b.meta.GetVersion(f.Key, f.Version); err == nil && v.State != metadata.Staged {
 			continue
 		}
@@ -332,8 +318,8 @@ func (b *builder) finish(records int, truncated bool) (func(*coder), error) {
 		st.Staged = append(st.Staged, f)
 	}
 
-	for _, id := range b.healthOrder {
-		st.Health = append(st.Health, *b.health[id])
+	for _, h := range b.health.values() {
+		st.Health = append(st.Health, *h)
 	}
 	if err := st.loadBlobs(b.dir); err != nil {
 		return nil, err

@@ -515,8 +515,7 @@ func (s *Service) PutCtx(ctx context.Context, account, name string, data []byte)
 			})
 		}
 		if err != nil {
-			// Withdraw the version as replay leaves one with no record: a
-			// Deleted placeholder whose key is gone.
+			// Withdraw the version as replay leaves one with no record.
 			s.meta.RestoreVersion(key, metadata.Version{Version: v.Version, State: metadata.Deleted})
 			s.cutMu.RUnlock()
 			stage.End()
@@ -546,21 +545,29 @@ func (s *Service) Delete(account, name string) error {
 	return s.DeleteCtx(context.Background(), account, name)
 }
 
-// DeleteCtx is Delete honoring cancellation before the point of no
-// return: once its record is appended the delete always completes (a
-// half-shredded file must not look readable). The record, naming the
-// key ids of the live versions, comes before any pointer is removed or
-// key shredded, so a failed append leaves the object readable, as a
-// reopen would. A Put of the same key racing the delete can register a
-// version between the two: it is deleted in memory with its key intact,
-// and the record does not name it.
+// DeleteCtx is Delete honoring cancellation until its record, which
+// names the live versions' key ids, is appended; after it the pointers
+// are removed and the keys shredded. A failed append leaves the object
+// readable, as a reopen would. A Put of the same key that registers a
+// version in between loses it in memory, its key intact and unrecorded.
 func (s *Service) DeleteCtx(ctx context.Context, account, name string) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: delete canceled: %w", err)
 	}
 	key := metadata.FileKey{Account: account, Name: name}
 	s.cutMu.RLock()
-	err := s.deleteLocked(key)
+	kids, err := s.meta.LiveKeyIDs(key)
+	if err == nil && s.plog != nil {
+		if _, err = s.plog.Append(&persist.RecDelete{Account: account, Name: name, KeyIDs: kids}); err != nil {
+			err = fmt.Errorf("service: delete not durable: %w", err)
+		}
+	}
+	if err == nil {
+		s.meta.Delete(key)
+		for _, kid := range kids {
+			_ = s.keys.Shred(kid) // fails only for a key already gone
+		}
+	}
 	s.cutMu.RUnlock()
 	if err == nil && s.plog != nil {
 		if err := s.plog.Sync(); err != nil {
@@ -568,32 +575,6 @@ func (s *Service) DeleteCtx(ctx context.Context, account, name string) error {
 		}
 	}
 	return err
-}
-
-// deleteLocked appends key's delete record, then removes its pointers
-// and shreds its keys; the caller holds cutMu shared.
-func (s *Service) deleteLocked(key metadata.FileKey) error {
-	kids, err := s.meta.LiveKeyIDs(key)
-	if err != nil {
-		return err
-	}
-	if s.plog != nil {
-		if _, err := s.plog.Append(&persist.RecDelete{
-			Account: key.Account, Name: key.Name, KeyIDs: kids,
-		}); err != nil {
-			return fmt.Errorf("service: delete not durable: %w", err)
-		}
-	}
-	s.meta.Delete(key)
-	for _, kid := range kids {
-		if kid == "" {
-			continue
-		}
-		if err := s.keys.Shred(kid); err != nil && !errors.Is(err, keystore.ErrNoKey) {
-			return err
-		}
-	}
-	return nil
 }
 
 // platterByID resolves a published platter.

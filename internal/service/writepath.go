@@ -194,27 +194,23 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			if scrappedFile[fid] {
 				continue
 			}
+			var rec persist.Record = &persist.RecDurable{
+				Account: f.Key.Account, Name: f.Key.Name,
+				Version: f.Version, Extents: extents[fid],
+			}
+			if v, err := s.meta.GetVersion(f.Key, f.Version); err == nil && v.State == metadata.Deleted {
+				// Deleted mid-write: the platter copy is shredded
+				// ciphertext; just free the staged bytes.
+				rec = &persist.RecRelease{Account: f.Key.Account, Name: f.Key.Name, Version: f.Version}
+			}
 			if s.plog != nil {
-				if _, err := s.plog.Append(&persist.RecDurable{
-					Account: f.Key.Account, Name: f.Key.Name,
-					Version: f.Version, Extents: extents[fid],
-				}); err != nil {
+				if _, err := s.plog.Append(rec); err != nil {
 					return err
 				}
 			}
-			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
-				if !errors.Is(err, metadata.ErrDeleted) {
-					return err
-				}
-				// Deleted mid-write: the platter copy is shredded
-				// ciphertext; just free the staged bytes.
-				if s.plog != nil {
-					if _, err := s.plog.Append(&persist.RecRelease{
-						Account: f.Key.Account, Name: f.Key.Name, Version: f.Version,
-					}); err != nil {
-						return err
-					}
-				}
+			// A delete after the record: replay skips its RecDurable too.
+			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil && !errors.Is(err, metadata.ErrDeleted) {
+				return err
 			}
 			release = append(release, f)
 		}
@@ -446,23 +442,14 @@ func (s *Service) burnOnFreshGlass(ctx context.Context, pi *platterInfo, payload
 	}
 }
 
-// publish makes a platter durable, and only then visible: a platter is
-// read only once it is recorded, and recorded only once verified (§3.1).
-// Every information platter and every rebuilt one is published here; a
-// set's redundancy platters are published by their set's close record
-// (closeSet), through the same two halves.
-//
-// The durable half is makeDurable, then the platter's RecPublish record:
-// recovery depends on a record implying its blob. A fresh information
+// publish makes an information or rebuilt platter durable, and only then
+// visible: a platter is read only once it is recorded, and recorded only
+// once verified (§3.1). Durable is makeDurable, then its RecPublish
+// (recovery depends on a record implying its blob); a fresh information
 // platter first takes the next position of the pending set, which its
-// record carries, so a crash after the record recovers it into the
-// pending set. On an error the platter is not visible, and the caller
-// discards its blob.
-//
-// The visible half is show. A rebuilt platter's record is the whole
-// rebuild: the member it displaces has its extents remapped to it and is
-// retired, as WAL replay does. The caller holds flushMu, which the
-// pending set and set registry's writers hold.
+// record carries. On an error nothing is visible, and the caller
+// discards the blob. Visible is show. The caller holds flushMu, which
+// the pending set and set registry's writers hold.
 func (s *Service) publish(reason string, pi *platterInfo) error {
 	if err := s.makeDurable(pi); err != nil {
 		return err
@@ -472,9 +459,7 @@ func (s *Service) publish(reason string, pi *platterInfo) error {
 	}
 	if s.plog != nil {
 		if _, err := s.plog.Append(&persist.RecPublish{
-			Platter: pi.platter.ID, Set: pi.set, SetPos: pi.setPos,
-			Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
-			Reason: reason, AtUnixNano: time.Now().UnixNano(),
+			PlatterDesc: pi.desc(), Reason: reason, AtUnixNano: time.Now().UnixNano(),
 		}); err != nil {
 			return err
 		}
@@ -483,9 +468,9 @@ func (s *Service) publish(reason string, pi *platterInfo) error {
 	return nil
 }
 
-// makeDurable is what comes before a platter's record: the
-// publish.platter fault point (kill rules there model a crash between
-// publications), then its blob's fsync, file and directory entry.
+// makeDurable is what precedes the record that publishes pi: the
+// publish.platter fault point (kill rules there land between
+// publications), then the blob's fsync, file and directory entry.
 func (s *Service) makeDurable(pi *platterInfo) error {
 	if err := s.faults.Check(faults.OpPublishPlatter, int64(pi.platter.ID), -1, -1); err != nil {
 		return err
@@ -496,11 +481,11 @@ func (s *Service) makeDurable(pi *platterInfo) error {
 	return s.plog.SyncPlatterBlob(pi.blob)
 }
 
-// show makes a recorded platter visible: it registers it as healthy,
-// puts it in the index and in its place — the pending set for an
-// information platter, its set's position for a rebuilt one (a closing
-// set's redundancy joins the set when closeSet registers it) — and
-// counts it.
+// show makes a recorded platter visible: healthy in the registry, in
+// the index, and in its place — the pending set for an information
+// platter, its set's position for a rebuilt one, whose record is the
+// whole rebuild: the member it displaces has its extents remapped to it
+// and is retired, as replay does — and counted.
 func (s *Service) show(reason string, pi *platterInfo) {
 	id := pi.platter.ID
 	pi.rec = s.health.Register(id, reason)
@@ -832,15 +817,11 @@ func (s *Service) verifyPlatter(pi *platterInfo, rng *sim.RNG) bool {
 	return tally.beyondRepair == 0
 }
 
-// reclosePendingSet closes a pending set that is already full. Its
-// members stay pending until closeSet has recorded the set, so a full
-// one means the close never finished: a crash landed between the last
-// information publish and the set-close record (the WAL replays the
-// members; the blobs of any redundancy platters burned have no record,
-// and recovery sweeps them), or the close failed — scrapped redundancy
-// burns, a publish fault, a failed record. Either way the set closes
-// again with fresh redundancy, under the index its members already
-// carry.
+// reclosePendingSet closes a pending set that is already full: its
+// close never finished, cut off by a crash before the set-close record
+// or failed (scrapped redundancy burns, a publish fault, a failed
+// record). The set closes again with fresh redundancy, under the index
+// its members already carry.
 func (s *Service) reclosePendingSet(ctx context.Context) error {
 	if len(s.pendingSet) < s.cfg.SetInfo {
 		return nil
@@ -879,12 +860,10 @@ func (s *Service) redundancySlab(n int) [][][]byte {
 
 // closeSet writes the SetRed redundancy platters over the pending
 // members, records the whole close in one RecSetClose, and only then
-// makes it visible: the redundancy platters, the completed set and the
-// emptied pending set. On any error nothing of the attempt is visible
-// and the members are still pending, for reclosePendingSet to close. The
-// returned duration is the wall time of the encode, burn and verify
-// phases it ran, which a caller timing its own phase around closeSet
-// subtracts.
+// makes it visible: the redundancy platters, the set, the emptied
+// pending set. On any error the members are still pending, for
+// reclosePendingSet. It returns the wall time of its encode, burn and
+// verify phases, for a caller timing its own phase to subtract.
 func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	members := append([]media.PlatterID(nil), s.pendingSet...)
 	infos := make([]*platterInfo, len(members))
@@ -972,9 +951,8 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		reds = append(reds, rpi)
 	}
 	setWork := time.Since(workStart)
-	// The close is durable before any of it is visible: every redundancy
-	// platter's blob, then the one record of the close. A fault leaves no
-	// half-closed set in memory, nor a blob that no platter reaches.
+	// Durable before visible: every redundancy platter's blob, then the
+	// close's one record.
 	for _, rpi := range reds {
 		if err = s.makeDurable(rpi); err != nil {
 			break

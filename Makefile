@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 build test vet race smoke repair-smoke examples-smoke sim-golden obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash fuzz-smoke bench bench-diff clean
+.PHONY: all tier1 tier2 build test vet race smoke repair-smoke examples-smoke sim-golden obs-smoke crash-smoke twin-smoke cluster-smoke cluster-crash fuzz-smoke repeated $(REPEATED) bench bench-diff clean
 
 all: tier1
 
@@ -233,6 +233,134 @@ fuzz-smoke:
 	$(GO) test ./internal/ldpc -run '^$$' -fuzz '^FuzzSectorRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 10s
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime 10s
+
+# Repeated steps. CI runs each of these as its own step, and the verify
+# recipe names them; a step's package list and -run pattern live here
+# only. `make repeated` runs them all, the way CI does.
+REPEATED := repeat-repair repeat-faulted-loop repeat-write-verify repeat-channel \
+	repeat-router repeat-client repeat-read-buffers repeat-write-buffers \
+	repeat-des repeat-streamed
+repeated: $(REPEATED)
+
+# The repair manager's loops over a fake target, repeated at three
+# scheduler widths: a failed platter found off the registry and
+# rebuilt once, the scrubber's escalation and its gate, an operator
+# request for a platter mid-rebuild accepted with no second
+# rebuild, and a set-less platter refused and never rebuilt.
+repeat-repair:
+	$(GO) test ./internal/repair -run 'Manager|RequestRebuild' -count 5 -cpu 1,2,8
+
+# Once a 1-in-40 flake under CPU contention (two injected burn
+# scraps were counted as "channel too noisy" strikes): keep it
+# pinned at both scheduler widths.
+repeat-faulted-loop:
+	$(GO) test ./internal/gateway -run 'TestFaultedClosedLoopLosesNoAcknowledgedWrite' -count 20 -cpu 1,2
+
+# Every platter is written by one helper and read back by one
+# loop, and every flush round plans its whole backlog once: the
+# tests that pin their output (determinism across workers, rebuild,
+# scrub, scrap accounting, platter fill, set close and its retry,
+# the counts a restart starts from, and the publish order: a
+# platter whose publish record fails joins no set and replaces no
+# member, a rebuild's publish record is the whole rebuild, a
+# rebuild cut off by a crash resumes after the reopen, a pending
+# platter's health placement is the same live and after a restart,
+# the health report places one platter at each set position after
+# a rebuild, a lost retire record still replays retired, and every
+# failed write, one fault point at a time, leaves in memory what a
+# crash and a reopen recover), repeated at three scheduler widths.
+repeat-write-verify:
+	$(GO) test ./internal/service -run 'Deterministic|Rebuild|Scrub|Redundancy|Scrapped|PermanentWriteFault|IngestRound|FlushFills|FailedSetClose|StagedObjectAcross|StatsAfterRecovery|FailedPublishRecord|FailedRebuildPublish|PendingPlacement|OnePlatterPerPosition|LostRetireRecord|LiveStateEqualsRecovered' -count 5 -cpu 1,2,8
+
+# The read channel, repeated: every received point is a pure
+# function of the seed (the golden sector corpus pins the draw
+# stream), and the draws follow the model (noise, missing voxels,
+# scatter and ISI against intervals derived from it; the sector
+# failure rate inside its two-sided band).
+repeat-channel:
+	$(GO) test ./internal/voxel -run 'GoldenSectorCorpus|ChannelMatchesModel|CalibratedSectorFailureRate|MissingVoxels' -count 3
+
+# The router, repeated at three scheduler widths: the history
+# golden (every member call, the router log's bytes, what recovery
+# reads back), the parallel rebalance leaving the same placement
+# as the serial one, and the in-process router crash drills, one
+# of them with eight writers racing the kill point. About 1 s a run.
+repeat-router:
+	$(GO) test ./internal/cluster -count 5 -cpu 1,2,8
+
+# The HTTP client reads every reply to EOF (up to its drain
+# bound), so a sequential mix of routes runs on one connection;
+# an error body's reason, JSON or plain text, reaches the caller
+# with its typed error; reply bodies are sized from Content-Length
+# and no request offers gzip; GET and HEAD replies declare their
+# length on the library daemon and the router; pooled gateway
+# requests are never shared between submitters; and the
+# small-object path's allocation gates. Repeated at three
+# scheduler widths.
+repeat-client:
+	$(GO) test ./internal/gateway -run 'ReusesConnections|ErrorBody|ClientReplyBodies|DeclareLength|PooledRequestsAreNeverShared|Allocations' -count 5 -cpu 1,2,8
+
+# A Get's object is allocated once: recovery gathers into pooled
+# scratch and reconstructs into the Get's buffer (the nc dst form
+# equals Reconstruct on every erasure pattern), a durable Get
+# decodes into the caller's buffer and decrypts in place while
+# staged Gets keep staging's bytes intact, a rebuild under
+# concurrent degraded Gets stays byte-exact, the GET route's pooled
+# reply buffers are never shared (an abandoned Get's included),
+# bodies are read at exactly their declared length, a remap never
+# rewrites extents a Get holds, and the durable, reused-buffer,
+# HTTP and degraded Get allocation gates. Repeated at three
+# scheduler widths.
+repeat-read-buffers:
+	$(GO) test ./internal/service ./internal/nc ./internal/keystore ./internal/gateway ./internal/metadata -run 'Degraded|Reconstruct|Staged|GetAllocations|GetIntoAllocations|DecryptIn|PooledRepliesAreNeverShared|ReadBody|RemapDoesNotRaceGet' -count 5 -cpu 1,2,8
+
+# The write path stores each sector as its packed codeword, two
+# 4-bit symbols a byte, and copies no staged byte. The burn writes
+# each sector straight to its offset in the platter's blob, verify
+# and every read take it back from there, and a publish only makes
+# the file durable: the in-memory image's density and the WORM and
+# length refusals, the redundancy encode into caller buffers, blobs
+# burned in place (the pinned SHA-256, the byte goldens and the
+# blob write's allocation gate), the burn's allocation gate, the
+# heap gates after a flush and after recovery, the blob bytes
+# three ingest rounds leave per user byte (sectors only: a blob
+# keeps no payload cache), reads that come off the blob file at
+# their fixed offsets, sector rot and a truncated blob that boot
+# survives (a scrub counting each sector cut off as sampled and
+# failed), every blob descriptor closed by ClosePersist, no file or
+# descriptor left by a platter that never publishes (scraps, a
+# publish fault, a flush canceled before publish), Gets that stay
+# byte-exact while the next flush burns, staged ciphertext left
+# intact by a flush whose next set close reuses the redundancy
+# slab, a set closed from its members' glass across a restart, a
+# directory fsync's errors, staged files that survive a restart,
+# and the reopen allocation gate (each blob's header read, no
+# sector and no payload), and the pinned blob of a burn with two
+# large-group redundancy tracks; repeated at three scheduler widths.
+repeat-write-buffers:
+	$(GO) test ./internal/media ./internal/nc ./internal/persist ./internal/service -run 'Pack|WORM|UnpublishedPlattersLeaveNoBlob|GetsRaceTheNextBurn|BurnAllocations|EncodeRedundancy|Stream|Alloc|Golden|Staged|SyncDir|NoGlass|BlobBytes|ComeOffTheBlob|BlobDescriptors|RecoveryAllocations|SectorRotDoesNotStopBoot|SetClosesFromGlassAcrossRestart|LargeGroupBurnPinned' -count 5 -cpu 1,2,8
+
+# The discrete-event simulator is a pure function of its seed: the
+# kernel's pop loop, the controller's reservation table (which drops
+# ended reservations as the clock passes them), the library twin on
+# top of them, and the integration runs that turn every optional
+# library mode on, repeated at three scheduler widths (well under a
+# second a run).
+repeat-des:
+	$(GO) test ./internal/sim ./internal/controller ./internal/library ./internal/integration -count 5 -cpu 1,2,8
+
+# Snapshots stream to disk through one 64 KiB buffer from a free
+# list; a platter blob is burned in place, each sector at its
+# offset, and recovery reads a blob's header only, so nothing
+# streams back in and there is no payload cache to skip: the
+# pinned SHA-256 of a snapshot that spans many buffers and of a
+# blob burned out of address order, the header-only open of that
+# blob, the byte goldens, a snapshot write failing mid-file, the
+# allocation gate on a blob write, and a rebuild's publish record
+# replayed as the whole rebuild, the displaced member retired;
+# repeated at three scheduler widths.
+repeat-streamed:
+	$(GO) test ./internal/persist -run 'Stream|Alloc|Golden|PublishReplay' -count 5 -cpu 1,2,8
 
 # Codec benchmarks: GF(256) kernels, the word-packed per-sector
 # encode/decode (hard-decision fast path and the forced-BP soft path),

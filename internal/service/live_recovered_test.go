@@ -162,7 +162,7 @@ func runLiveRecovered(t *testing.T, inj *faults.Injector) []faults.RuleStatus {
 			continue
 		}
 		for _, e := range v.Extents {
-			if pi := r.platters[e.Platter]; !placed[e.Platter] && (pi == nil || !pi.rec.Unavailable()) {
+			if !placed[e.Platter] {
 				t.Errorf("%v lies on platter %d, which is in no set and not pending (sets %v, pending %v)", fd.Key, e.Platter, r.sets, r.pendingSet)
 			}
 		}

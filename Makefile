@@ -266,11 +266,12 @@ repeat-faulted-loop:
 # rebuild cut off by a crash resumes after the reopen, a pending
 # platter's health placement is the same live and after a restart,
 # the health report places one platter at each set position after
-# a rebuild, a lost retire record still replays retired, and every
+# a rebuild, a lost retire record still replays retired, every
 # failed write, one fault point at a time, leaves in memory what a
-# crash and a reopen recover), repeated at three scheduler widths.
+# crash and a reopen recover, and a snapshot cut racing Puts and
+# Deletes loses none of them), repeated at three scheduler widths.
 repeat-write-verify:
-	$(GO) test ./internal/service -run 'Deterministic|Rebuild|Scrub|Redundancy|Scrapped|PermanentWriteFault|IngestRound|FlushFills|FailedSetClose|StagedObjectAcross|StatsAfterRecovery|FailedPublishRecord|FailedRebuildPublish|PendingPlacement|OnePlatterPerPosition|LostRetireRecord|LiveStateEqualsRecovered' -count 5 -cpu 1,2,8
+	$(GO) test ./internal/service -run 'Deterministic|Rebuild|Scrub|Redundancy|Scrapped|PermanentWriteFault|IngestRound|FlushFills|FailedSetClose|StagedObjectAcross|StatsAfterRecovery|FailedPublishRecord|FailedRebuildPublish|PendingPlacement|OnePlatterPerPosition|LostRetireRecord|LiveStateEqualsRecovered|SnapshotCutsDuringWrites' -count 5 -cpu 1,2,8
 
 # The read channel, repeated: every received point is a pure
 # function of the seed (the golden sector corpus pins the draw

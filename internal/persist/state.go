@@ -178,11 +178,10 @@ func (b *builder) apply(rec Record) {
 				Version: r.Version, Size: r.Size, State: metadata.Staged,
 				WriteTime: r.Arrival, KeyID: r.KeyID,
 			})
-			f := &staging.File{
+			b.staged.put(staging.ID{Key: key, Version: r.Version}, &staging.File{
 				Key: key, Version: r.Version, Size: int64(len(r.Ciphertext)),
 				Arrival: r.Arrival, Data: r.Ciphertext,
-			}
-			b.staged.put(f.ID(), f)
+			})
 		}
 		b.keys[r.KeyID] = r.Key
 		if r.OpSeq > b.opSeq {

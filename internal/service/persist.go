@@ -108,11 +108,6 @@ func (s *Service) installState(st *persist.State) error {
 	return nil
 }
 
-// desc is pi's index entry, as its publish record and a snapshot hold it.
-func (pi *platterInfo) desc() persist.PlatterDesc {
-	return persist.PlatterDesc{ID: pi.platter.ID, Set: pi.set, SetPos: pi.setPos, Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors}
-}
-
 // exportSnapshotData captures the four authorities. The caller holds
 // flushMu, so the flush pipeline is quiescent; Put/Get/Delete continue,
 // and any record racing this export lands past the snapshot's cut and
@@ -120,8 +115,11 @@ func (pi *platterInfo) desc() persist.PlatterDesc {
 func (s *Service) exportSnapshotData() *persist.SnapshotData {
 	s.mu.RLock()
 	descs := make([]persist.PlatterDesc, 0, len(s.platters))
-	for _, pi := range s.platters {
-		descs = append(descs, pi.desc())
+	for id, pi := range s.platters {
+		descs = append(descs, persist.PlatterDesc{
+			ID: id, Set: pi.set, SetPos: pi.setPos,
+			Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
+		})
 	}
 	sets := make([][]media.PlatterID, len(s.sets))
 	for i, members := range s.sets {

@@ -194,23 +194,27 @@ func (s *Service) FlushCtx(ctx context.Context) error {
 			if scrappedFile[fid] {
 				continue
 			}
-			var rec persist.Record = &persist.RecDurable{
-				Account: f.Key.Account, Name: f.Key.Name,
-				Version: f.Version, Extents: extents[fid],
-			}
-			if v, err := s.meta.GetVersion(f.Key, f.Version); err == nil && v.State == metadata.Deleted {
-				// Deleted mid-write: the platter copy is shredded
-				// ciphertext; just free the staged bytes.
-				rec = &persist.RecRelease{Account: f.Key.Account, Name: f.Key.Name, Version: f.Version}
-			}
 			if s.plog != nil {
-				if _, err := s.plog.Append(rec); err != nil {
+				if _, err := s.plog.Append(&persist.RecDurable{
+					Account: f.Key.Account, Name: f.Key.Name,
+					Version: f.Version, Extents: extents[fid],
+				}); err != nil {
 					return err
 				}
 			}
-			// A delete after the record: replay skips its RecDurable too.
-			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil && !errors.Is(err, metadata.ErrDeleted) {
-				return err
+			if err := s.meta.SetExtents(f.Key, f.Version, extents[fid]); err != nil {
+				if !errors.Is(err, metadata.ErrDeleted) {
+					return err
+				}
+				// Deleted mid-write: the platter copy is shredded ciphertext;
+				// just free the staged bytes, as replay of the RecDurable does.
+				if s.plog != nil {
+					if _, err := s.plog.Append(&persist.RecRelease{
+						Account: f.Key.Account, Name: f.Key.Name, Version: f.Version,
+					}); err != nil {
+						return err
+					}
+				}
 			}
 			release = append(release, f)
 		}
@@ -458,9 +462,10 @@ func (s *Service) publish(reason string, pi *platterInfo) error {
 		pi.set, pi.setPos = len(s.sets), len(s.pendingSet)
 	}
 	if s.plog != nil {
-		if _, err := s.plog.Append(&persist.RecPublish{
-			PlatterDesc: pi.desc(), Reason: reason, AtUnixNano: time.Now().UnixNano(),
-		}); err != nil {
+		if _, err := s.plog.Append(&persist.RecPublish{PlatterDesc: persist.PlatterDesc{
+			ID: pi.platter.ID, Set: pi.set, SetPos: pi.setPos,
+			Redundancy: pi.isRedundancy, Used: pi.usedInfoSectors,
+		}, Reason: reason, AtUnixNano: time.Now().UnixNano()}); err != nil {
 			return err
 		}
 	}
@@ -472,13 +477,11 @@ func (s *Service) publish(reason string, pi *platterInfo) error {
 // publish.platter fault point (kill rules there land between
 // publications), then the blob's fsync, file and directory entry.
 func (s *Service) makeDurable(pi *platterInfo) error {
-	if err := s.faults.Check(faults.OpPublishPlatter, int64(pi.platter.ID), -1, -1); err != nil {
-		return err
+	err := s.faults.Check(faults.OpPublishPlatter, int64(pi.platter.ID), -1, -1)
+	if err == nil && s.plog != nil {
+		err = s.plog.SyncPlatterBlob(pi.blob)
 	}
-	if s.plog == nil {
-		return nil
-	}
-	return s.plog.SyncPlatterBlob(pi.blob)
+	return err
 }
 
 // show makes a recorded platter visible: healthy in the registry, in
@@ -864,7 +867,7 @@ func (s *Service) redundancySlab(n int) [][][]byte {
 // pending set. On any error the members are still pending, for
 // reclosePendingSet. It returns the wall time of its encode, burn and
 // verify phases, for a caller timing its own phase to subtract.
-func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
+func (s *Service) closeSet(ctx context.Context) (setWork time.Duration, err error) {
 	members := append([]media.PlatterID(nil), s.pendingSet...)
 	infos := make([]*platterInfo, len(members))
 	s.mu.RLock()
@@ -898,7 +901,7 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	encode := obs.StartSpan(ctx, "encode")
 	encodeDone := phaseTimer(s.om.phaseEncode)
 	redPayloads := s.redundancySlab(maxSectors)
-	err := s.eng.ForEach(maxSectors, func(sec int) error {
+	err = s.eng.ForEach(maxSectors, func(sec int) error {
 		cs := s.acquireScratch()
 		defer s.releaseScratch(cs)
 		views := cs.group[:s.setGroup.Size()]
@@ -933,11 +936,13 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 	// next close overwrites. On any error before the close is recorded,
 	// every one burned is discarded, its blob with it.
 	reds := make([]*platterInfo, 0, s.cfg.SetRed)
-	discardReds := func() {
-		for _, rpi := range reds {
-			rpi.discardGlass()
+	defer func() {
+		if err != nil {
+			for _, rpi := range reds {
+				rpi.discardGlass()
+			}
 		}
-	}
+	}()
 	for r := 0; r < s.cfg.SetRed; r++ {
 		rpi := &platterInfo{
 			platter:         media.NewPlatter(s.allocPlatterID(), geom),
@@ -945,12 +950,11 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 			set:             setIdx, setPos: s.cfg.SetInfo + r, isRedundancy: true,
 		}
 		if err := s.burnOnFreshGlass(ctx, rpi, redPayloads[r]); err != nil {
-			discardReds()
 			return 0, fmt.Errorf("service: set %d redundancy: %w", setIdx, err)
 		}
 		reds = append(reds, rpi)
 	}
-	setWork := time.Since(workStart)
+	setWork = time.Since(workStart)
 	// Durable before visible: every redundancy platter's blob, then the
 	// close's one record.
 	for _, rpi := range reds {
@@ -967,7 +971,6 @@ func (s *Service) closeSet(ctx context.Context) (time.Duration, error) {
 		})
 	}
 	if err != nil {
-		discardReds()
 		return 0, err
 	}
 	for _, rpi := range reds {

@@ -548,8 +548,8 @@ func (s *Service) Delete(account, name string) error {
 // DeleteCtx is Delete honoring cancellation until its record, which
 // names the live versions' key ids, is appended; after it the pointers
 // are removed and the keys shredded. A failed append leaves the object
-// readable, as a reopen would. A Put of the same key that registers a
-// version in between loses it in memory, its key intact and unrecorded.
+// readable, as a reopen would. A Put of the same key racing it may get a
+// version marked deleted in memory whose key the record does not name.
 func (s *Service) DeleteCtx(ctx context.Context, account, name string) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("service: delete canceled: %w", err)
